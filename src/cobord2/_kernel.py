@@ -1,14 +1,10 @@
-"""Scalar quaternion kernel, pure-Python backend.
+"""Scalar quaternion kernel.
 
 Quaternions are 4-tuples (w, x, y, z), su(2) vectors 3-tuples (a, b, c)
-of pure-quaternion coefficients.  The compiled backend (_quatc.pyx)
-implements the same functions with the same operation order, so the two
-backends agree bit for bit on IEEE doubles.
+of pure-quaternion coefficients.
 """
 
 import math
-
-BACKEND = "pure"
 
 # Norm drift stays below 1e-12 if chains renormalize at this cadence.
 RENORM_EVERY = 16

@@ -105,13 +105,6 @@ def _capped_chain():
     return (Surface((SurfComponent(0, (), (c1,)),), (), (c1,)),)
 
 
-def _two_column_chain():
-    u0, u1 = Circle("u0"), Circle("u1")
-    left = Surface((SurfComponent(1, (), (u0,)),), (), (u0,))
-    right = Surface((SurfComponent(1, (u0,), (u1,)),), (u0,), (u1,))
-    return (left, right)
-
-
 def _compression_tower():
     c0 = Circle("c0")
     big = Surface((SurfComponent(2, (c0,), ()),), (c0,), ())

@@ -115,6 +115,8 @@ def parse_cdf(text: str) -> CdfDocument:
             if section == "chain":
                 chain_names = parts[1:]
             elif section == "manifold":
+                if len(parts) < 2:
+                    raise ParseError("line %d: @manifold needs a manifold name" % lineno)
                 doc.manifold = tuple(parts[1:])
             elif section not in ("circles", "surfaces", "steps", "steps2", "moves"):
                 raise ParseError("line %d: unknown section %r" % (lineno, section))
@@ -125,7 +127,10 @@ def parse_cdf(text: str) -> CdfDocument:
             orient = -1 if len(parts) > 1 and parts[1] == "-" else 1
             doc.circles[label] = Circle(label, orient)
         elif section == "surfaces":
-            name, rest = line.split(None, 1)
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise ParseError("line %d: surface %r has no components" % (lineno, line))
+            name, rest = parts
             surfaces[name] = _parse_surface(rest, doc.circles, lineno)
         elif section == "steps":
             step_lines.append((lineno, line))

@@ -349,10 +349,6 @@ def _move_first(p: ChartPoint, label: str):
     return rotate_first(p, pos), [("rot", pos)]
 
 
-def move_boundary_last(p: ChartPoint, label: str) -> ChartPoint:
-    return _move_last(p, label)[0]
-
-
 def move_boundary_first(p: ChartPoint, label: str) -> ChartPoint:
     return _move_first(p, label)[0]
 

@@ -24,9 +24,11 @@ from cobord2 import charts as ch
 from cobord2 import cobordism as cb
 from cobord2 import functor as fn
 from cobord2 import su2
-from cobord2.diagram import check_diagram_axiom
+from cobord2 import suites
+from cobord2.diagram import BoundaryMismatch
 from cobord2.report import RunConfig, VerificationReport, report_json
 from cobord2.symcat import HamInstance, normalize_mod_equiv
+from cobord2.words import Word
 
 
 def main(argv=None) -> int:
@@ -99,20 +101,11 @@ def cmd_axioms(args, seed) -> VerificationReport:
     inst = bs.LieRInstance(tuple(doc.bisets.values()))
     sequences = doc.sequences or cat.loop_start_sequences(inst.catalog)
     total_loops = 0
-    for items in sequences:
-        try:
-            start = inst.seq(items)
-        except Exception:
-            continue
-        loops = cat.enumerate_loops(inst, items, depth)
-        for loop_idx, loop in enumerate(loops):
-            seqs = [bs.SeqMorphism(start.source, start.target, s) for s in loop]
-            results = check_diagram_axiom(seqs, inst)
-            total_loops += 1
-            bad = [name for name, ok, _ in results if not ok]
-            name = "loop/%s/%d" % ("+".join(m.name for m in items), loop_idx)
-            report.add(name, not bad, seed=seed,
-                       detail="" if not bad else "failed probes: %s" % ",".join(bad))
+    for items, loop_idx, bad in suites.axiom_loops(inst, sequences, depth):
+        total_loops += 1
+        name = "loop/%s/%d" % ("+".join(m.name for m in items), loop_idx)
+        report.add(name, not bad, seed=seed,
+                   detail="" if not bad else "failed probes: %s" % ",".join(bad))
     # an empty catalog passes trivially: there is nothing to refute
     report.add("loops-enumerated", True, detail="%d loops" % total_loops)
     return report
@@ -138,120 +131,62 @@ def cmd_moduli(args, seed) -> VerificationReport:
     )
     report = VerificationReport("moduli", config)
     for g, k in grid:
-        _suite_dimension(report, g, k, config)
-        _suite_equivariance(report, g, k, config)
-        _suite_round_trip(report, g, k, config)
-        _suite_ranks(report, g, k, config)
+        chart = _grid_chart(g, k)
+        name = "g%d.k%d" % (g, k)
+
+        defects = suites.dimension_defects(
+            chart, (su2.mix_seed(seed, 10, g, k, t) for t in range(config.samples)),
+            config.svd_rtol)
+        report.add(
+            "dimension/" + name, not defects, residual=float(len(defects)), seed=seed,
+            detail="%d points, kernel dim %d expected" % (config.samples, chart.dim),
+        )
+
+        worst = suites.equivariance_worst(
+            chart, (su2.mix_seed(seed, 20, g, k, t) for t in range(config.trials)))
+        report.add(
+            "equivariance/" + name, worst < config.residual_tol,
+            residual=worst, seed=seed, detail="%d trials" % config.trials,
+        )
+
+        glue_label = chart.boundaries[-1]
+        partner = ch.ModuliChart(
+            0, ("pp1", glue_label),
+            frozenset() if glue_label in chart.incoming else frozenset((glue_label,)),
+        )
+        worst, relation_worst, rejects = suites.round_trip(
+            chart, partner, glue_label,
+            (su2.mix_seed(seed, 30, g, k, t) for t in range(config.trials)))
+        report.add(
+            "round-trip/" + name,
+            worst < config.residual_tol and relation_worst < 1e-10,
+            residual=worst, seed=seed,
+            detail="%d trials, %d excluded-locus rejections, relation %.3g"
+            % (config.trials, rejects, relation_worst),
+        )
+
+        if g >= 1:
+            clean, rejects = suites.locus_ranks(
+                chart, [Word(0, (("a", 1, 1),))],
+                (su2.mix_seed(seed, 40, g, k, t) for t in range(config.samples)),
+                config.svd_rtol)
+            report.add(
+                "coisotropic-rank/" + name, clean >= int(0.95 * config.samples),
+                residual=float(rejects), seed=seed,
+                detail="%d of %d clean rank-3 points, %d rejects reported"
+                % (clean, config.samples, rejects),
+            )
+
         if args.dump_points:
-            p = ch.random_point(_grid_chart(g, k), su2.mix_seed(config.seed, 99, g, k))
+            p = ch.random_point(chart, su2.mix_seed(seed, 99, g, k))
             flat = ",".join(format(v, ".17g") for v in ch.flatten_point(p))
-            report.add("point-dump/g%d.k%d" % (g, k), True, seed=config.seed, detail=flat)
+            report.add("point-dump/" + name, True, seed=seed, detail=flat)
     return report
 
 
 def _grid_chart(g, k):
     labels = tuple("c%d" % i for i in range(1, k + 1))
     return ch.ModuliChart(g, labels, frozenset(labels[: (k + 1) // 2]))
-
-
-def _suite_dimension(report, g, k, config):
-    chart = _grid_chart(g, k)
-    want = 6 * g + 6 * k - 6
-    bad = 0
-    for t in range(config.samples):
-        p = ch.random_point(chart, su2.mix_seed(config.seed, 10, g, k, t))
-        kdim, rank = ch.relation_kernel_dim(p, rtol=config.svd_rtol)
-        if kdim != want or rank != 3:
-            bad += 1
-    report.add(
-        "dimension/g%d.k%d" % (g, k), bad == 0, residual=float(bad), seed=config.seed,
-        detail="%d points, kernel dim %d expected" % (config.samples, want),
-    )
-
-
-def _suite_equivariance(report, g, k, config):
-    chart = _grid_chart(g, k)
-    worst = 0.0
-    for t in range(config.trials):
-        s = su2.mix_seed(config.seed, 20, g, k, t)
-        p = ch.random_point(chart, s)
-        gs = tuple(su2.sample_haar(su2.mix_seed(s, i)) for i in range(k))
-        lhs = ch.moment(ch.action(gs, p))
-        rhs = tuple(su2.adjoint(gi, m) for gi, m in zip(gs, ch.moment(p)))
-        worst = max(worst, max(su2.vec_dist(a, b) for a, b in zip(lhs, rhs)))
-    report.add(
-        "equivariance/g%d.k%d" % (g, k), worst < config.residual_tol,
-        residual=worst, seed=config.seed, detail="%d trials" % config.trials,
-    )
-
-
-def _suite_round_trip(report, g, k, config):
-    chart1 = _grid_chart(g, k)
-    glue_label = chart1.boundaries[-1]
-    opposite_in = glue_label not in chart1.incoming
-    partner = ch.ModuliChart(
-        0, ("pp1", glue_label),
-        frozenset((glue_label,)) if opposite_in else frozenset(),
-    )
-    worst = 0.0
-    relation_worst = 0.0
-    hits = 0
-    for t in range(config.trials):
-        s = su2.mix_seed(config.seed, 30, g, k, t)
-        p1 = ch.random_point(chart1, su2.mix_seed(s, 1))
-        p2 = ch.random_point(partner, su2.mix_seed(s, 2))
-        target = su2.vec_neg(ch.theta_raw(p1, glue_label))
-        pos = partner.index_of(glue_label)
-        thetas = list(p2.thetas)
-        thetas[pos - 1] = target
-        p2 = ch.ChartPoint(partner, tuple(thetas), p2.gammas, p2.handles)
-        try:
-            glued, recipe = ch.glue(p1, glue_label, p2, glue_label)
-        except su2.BranchError:
-            hits += 1
-            continue
-        relation_worst = max(relation_worst, ch.relation_residual(glued))
-        back1, back2 = ch.split(glued, recipe)
-        if back1.chart != p1.chart:
-            back1, back2 = back2, back1  # gluing a one-boundary piece swaps roles
-        _, r1, _ = ch.gauge_equivalent(back1, p1)
-        _, r2, _ = ch.gauge_equivalent(back2, p2)
-        worst = max(worst, r1, r2)
-    ok = worst < config.residual_tol and relation_worst < 1e-10
-    report.add(
-        "round-trip/g%d.k%d" % (g, k), ok, residual=worst, seed=config.seed,
-        detail="%d trials, %d excluded-locus rejections, relation %.3g"
-        % (config.trials, hits, relation_worst),
-    )
-
-
-def _suite_ranks(report, g, k, config):
-    from cobord2.words import Word
-
-    if g < 1:
-        return
-    chart = _grid_chart(g, k)
-    word = Word(0, (("a", 1, 1),))
-    good = 0
-    rejects = 0
-    for t in range(config.samples):
-        s = su2.mix_seed(config.seed, 40, g, k, t)
-        try:
-            p = ch.sample_on_locus(chart, [word], s)
-        except ch.SamplingFailed:
-            rejects += 1
-            continue
-        frame = ch.locus_tangent(p, [word], rtol=config.svd_rtol)
-        if frame.rank == 3 and len(frame.vectors) == chart.dim - 3:
-            good += 1
-        else:
-            rejects += 1
-    report.add(
-        "coisotropic-rank/g%d.k%d" % (g, k), good >= int(0.95 * config.samples),
-        residual=float(rejects), seed=config.seed,
-        detail="%d of %d clean rank-3 points, %d rejects reported"
-        % (good, config.samples, rejects),
-    )
 
 
 def cmd_functor(args, seed) -> VerificationReport:
@@ -287,6 +222,9 @@ def cmd_functor(args, seed) -> VerificationReport:
         records = fn.invariance_check(seq, y2, moves if not doc.steps2 else [], ctx, seed=seed)
     except cb.MoveChainInvalid as err:
         report.add("invariance/move-chain", False, seed=seed, detail=str(err))
+        return report
+    except BoundaryMismatch as err:
+        report.add("invariance/boundary", False, seed=seed, detail=str(err))
         return report
     for name, ok, detail in records:
         report.add("invariance/%s" % name, ok, seed=seed, detail=detail)

@@ -143,10 +143,6 @@ def chain_source(chain) -> tuple:
     return chain[0].source if chain else ()
 
 
-def chain_target(chain) -> tuple:
-    return chain[-1].target if chain else ()
-
-
 # --- steps ----------------------------------------------------------------------
 
 
@@ -462,10 +458,6 @@ def _separating_split(c: SurfComponent, word: Word) -> Optional[tuple]:
         SurfComponent(g1, side_in, side_out),
         SurfComponent(c.genus - g1, rest_in, rest_out),
     )
-
-
-def word_id(word: Word) -> str:
-    return "w" + "".join("%s%s%s" % (k, r, "p" if s > 0 else "n") for k, r, s in word.gens)
 
 
 def validate(seq: CobSeq) -> list:

@@ -60,10 +60,6 @@ def inv(q) -> UnitQuaternion:
     return UnitQuaternion(q[0], -q[1], -q[2], -q[3])
 
 
-def normalize(q) -> UnitQuaternion:
-    return UnitQuaternion(*_kernel.qnormalize(q))
-
-
 def product(qs) -> UnitQuaternion:
     """Product of a chain of unit quaternions, renormalizing every 16."""
     return UnitQuaternion(*_kernel.qprod(qs))
@@ -91,14 +87,6 @@ def commutator(a, b) -> UnitQuaternion:
 
 def near_minus_one(q, eps: float = BRANCH_EPS) -> bool:
     return q[0] <= -1.0 + eps
-
-
-def vec_sub(u, v) -> AlgVector:
-    return AlgVector(u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def vec_add(u, v) -> AlgVector:
-    return AlgVector(u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
 def vec_neg(v) -> AlgVector:

@@ -1,0 +1,104 @@
+"""Verification suites shared by the command line and the acceptance tests.
+
+Each suite runs one family of checks over caller-supplied charts and
+per-trial seeds and returns what it measured; the caller owns the
+seeds, the sample counts, the bounds and the report records.
+"""
+
+from __future__ import annotations
+
+from cobord2 import bisets as bs
+from cobord2 import catalog as cat
+from cobord2 import charts as ch
+from cobord2 import su2
+from cobord2.diagram import check_diagram_axiom
+
+
+def axiom_loops(inst, sequences, depth):
+    """Yield (items, loop index, names of failed probes) for every
+    composition loop of length <= depth from each start sequence.
+    Start sequences that do not compose are skipped."""
+    for items in sequences:
+        try:
+            start = inst.seq(items)
+        except Exception:
+            continue
+        for loop_idx, loop in enumerate(cat.enumerate_loops(inst, items, depth)):
+            seqs = [bs.SeqMorphism(start.source, start.target, s) for s in loop]
+            results = check_diagram_axiom(seqs, inst)
+            yield items, loop_idx, [name for name, ok, _ in results if not ok]
+
+
+def dimension_defects(chart, seeds, rtol):
+    """(trial, kernel dim, rank) for every random point whose relation
+    differential does not have kernel dimension chart.dim and rank 3."""
+    defects = []
+    for t, seed in enumerate(seeds):
+        kdim, rank = ch.relation_kernel_dim(ch.random_point(chart, seed), rtol=rtol)
+        if kdim != chart.dim or rank != 3:
+            defects.append((t, kdim, rank))
+    return defects
+
+
+def equivariance_worst(chart, seeds):
+    """Largest distance between mu(g . p) and Ad_g mu(p) over one random
+    point and one random boundary action per seed."""
+    worst = 0.0
+    for s in seeds:
+        p = ch.random_point(chart, s)
+        gs = tuple(su2.sample_haar(su2.mix_seed(s, i)) for i in range(chart.k))
+        lhs = ch.moment(ch.action(gs, p))
+        rhs = tuple(su2.adjoint(gi, m) for gi, m in zip(gs, ch.moment(p)))
+        worst = max(worst, max(su2.vec_dist(a, b) for a, b in zip(lhs, rhs)))
+    return worst
+
+
+def round_trip(chart1, chart2, label, seeds):
+    """Glue a random point of chart1 to one of chart2 along label, split
+    the result and compare both halves with their inputs modulo gauge.
+
+    Returns (worst gauge residual, worst relation residual of the glued
+    points, number of trials rejected near the excluded locus)."""
+    worst = 0.0
+    relation_worst = 0.0
+    rejects = 0
+    pos = chart2.index_of(label)
+    for s in seeds:
+        p1 = ch.random_point(chart1, su2.mix_seed(s, 1))
+        p2 = ch.random_point(chart2, su2.mix_seed(s, 2))
+        thetas = list(p2.thetas)
+        thetas[pos - 1] = su2.vec_neg(ch.theta_raw(p1, label))
+        p2 = ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
+        try:
+            glued, recipe = ch.glue(p1, label, p2, label)
+        except su2.BranchError:
+            rejects += 1
+            continue
+        relation_worst = max(relation_worst, ch.relation_residual(glued))
+        back1, back2 = ch.split(glued, recipe)
+        if back1.chart != p1.chart:
+            back1, back2 = back2, back1  # gluing a one-boundary piece swaps roles
+        _, r1, _ = ch.gauge_equivalent(back1, p1)
+        _, r2, _ = ch.gauge_equivalent(back2, p2)
+        worst = max(worst, r1, r2)
+    return worst, relation_worst, rejects
+
+
+def locus_ranks(chart, words, seeds, rtol):
+    """Sample one point on the locus cut out by words per seed and count
+    (clean rank-3 points, rejects); a failed sample or a point whose
+    tangent frame is not of rank 3 and codimension 3 is a reject."""
+    clean = 0
+    rejects = 0
+    for s in seeds:
+        try:
+            p = ch.sample_on_locus(chart, words, s)
+        except ch.SamplingFailed:
+            rejects += 1
+            continue
+        frame = ch.locus_tangent(p, words, rtol=rtol)
+        if frame.rank == 3 and len(frame.vectors) == chart.dim - 3:
+            clean += 1
+        else:
+            rejects += 1
+    return clean, rejects

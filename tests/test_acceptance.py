@@ -2,12 +2,9 @@
 pass/fail line.  Runs at desk scale (a few minutes)."""
 
 import io
-import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from cobord2 import bisets as bs
 from cobord2 import catalog as cat
@@ -16,8 +13,8 @@ from cobord2 import cli
 from cobord2 import cobordism as cb
 from cobord2 import functor as fn
 from cobord2 import su2
+from cobord2 import suites
 from cobord2.cobordism import Move, cylinder_seq
-from cobord2.diagram import check_diagram_axiom
 from cobord2.symcat import HamInstance, normalize_mod_equiv
 from cobord2.words import Word
 
@@ -35,34 +32,21 @@ def _line(num, name, ok, extra=""):
 def test_criterion_1_diagram_axiom_loops():
     started = time.monotonic()
     inst = bs.LieRInstance(tuple(cat.default_biset_catalog()))
-    failures = []
-    loops_run = 0
-    for items in cat.loop_start_sequences(inst.catalog):
-        try:
-            start = inst.seq(items)
-        except Exception:
-            continue
-        for loop in cat.enumerate_loops(inst, items, 4):
-            seqs = [bs.SeqMorphism(start.source, start.target, s) for s in loop]
-            results = check_diagram_axiom(seqs, inst)
-            loops_run += 1
-            failures.extend(name for name, ok, _ in results if not ok)
+    loops = list(suites.axiom_loops(inst, cat.loop_start_sequences(inst.catalog), 4))
+    failures = [name for _, _, bad in loops for name in bad]
     elapsed = time.monotonic() - started
-    ok = not failures and loops_run > 0 and elapsed < 30.0
+    ok = not failures and len(loops) > 0 and elapsed < 30.0
     assert _line(1, "diagram-axiom-loops", ok,
-                 "(%d loops, %.1fs)" % (loops_run, elapsed)), failures[:5]
+                 "(%d loops, %.1fs)" % (len(loops), elapsed)), failures[:5]
 
 
 def test_criterion_2_dimension_formula():
     bad = []
     for g, k in GRID:
         chart = ch.ModuliChart(g, tuple("c%d" % i for i in range(1, k + 1)))
-        want = 6 * g + 6 * k - 6
-        for t in range(100):
-            p = ch.random_point(chart, su2.mix_seed(2, g, k, t))
-            kdim, rank = ch.relation_kernel_dim(p)
-            if kdim != want or rank != 3:
-                bad.append((g, k, t, kdim, rank))
+        defects = suites.dimension_defects(
+            chart, (su2.mix_seed(2, g, k, t) for t in range(100)), ch.SVD_RTOL)
+        bad.extend((g, k) + d for d in defects)
     assert _line(2, "dimension-formula", not bad), bad[:5]
 
 
@@ -71,42 +55,16 @@ def test_criterion_3_moment_equivariance():
     for g, k in GRID:
         chart = ch.ModuliChart(g, tuple("c%d" % i for i in range(1, k + 1)),
                                frozenset(("c1",)))
-        for t in range(1000):
-            s = su2.mix_seed(3, g, k, t)
-            p = ch.random_point(chart, s)
-            gs = tuple(su2.sample_haar(su2.mix_seed(s, i)) for i in range(k))
-            lhs = ch.moment(ch.action(gs, p))
-            rhs = tuple(su2.adjoint(gi, m) for gi, m in zip(gs, ch.moment(p)))
-            worst = max(worst, max(su2.vec_dist(a, b) for a, b in zip(lhs, rhs)))
+        worst = max(worst, suites.equivariance_worst(
+            chart, (su2.mix_seed(3, g, k, t) for t in range(1000))))
     assert _line(3, "moment-equivariance", worst < 1e-9, "(worst %.2e)" % worst)
 
 
 def test_criterion_4_gluing_round_trip():
     chart1 = ch.ModuliChart(1, ("x1", "glue"), frozenset(("x1",)))
     chart2 = ch.ModuliChart(0, ("y1", "glue", "y2"), frozenset(("glue",)))
-    worst = 0.0
-    relation_worst = 0.0
-    excluded = 0
-    for t in range(1000):
-        s = su2.mix_seed(4, t)
-        p1 = ch.random_point(chart1, su2.mix_seed(s, 1))
-        p2 = ch.random_point(chart2, su2.mix_seed(s, 2))
-        target = su2.vec_neg(ch.theta_raw(p1, "glue"))
-        pos = chart2.index_of("glue")
-        thetas = list(p2.thetas)
-        thetas[pos - 1] = target
-        p2 = ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
-        try:
-            glued, recipe = ch.glue(p1, "glue", p2, "glue")
-        except su2.BranchError:
-            excluded += 1
-            continue
-        assert ch.is_admissible(glued)
-        relation_worst = max(relation_worst, ch.relation_residual(glued))
-        b1, b2 = ch.split(glued, recipe)
-        _, r1, _ = ch.gauge_equivalent(b1, p1)
-        _, r2, _ = ch.gauge_equivalent(b2, p2)
-        worst = max(worst, r1, r2)
+    worst, relation_worst, excluded = suites.round_trip(
+        chart1, chart2, "glue", (su2.mix_seed(4, t) for t in range(1000)))
     ok = worst < 1e-9 and relation_worst < 1e-10
     assert _line(4, "gluing-round-trip", ok,
                  "(worst %.2e, relation %.2e, %d near-locus rejects)"
@@ -123,21 +81,9 @@ def test_criterion_5_coisotropic_codimension():
     ]
     all_ok = True
     for idx, (chart, word) in enumerate(cases):
-        clean = 0
-        rejects = 0
-        for t in range(100):
-            try:
-                p = ch.sample_on_locus(chart, [word], su2.mix_seed(5, idx, t))
-            except ch.SamplingFailed:
-                rejects += 1
-                continue
-            frame = ch.locus_tangent(p, [word])
-            if frame.rank == 3 and len(frame.vectors) == chart.dim - 3:
-                clean += 1
-            else:
-                rejects += 1
-        ok = clean >= 95
-        all_ok = all_ok and ok
+        clean, rejects = suites.locus_ranks(
+            chart, [word], (su2.mix_seed(5, idx, t) for t in range(100)), ch.SVD_RTOL)
+        all_ok = all_ok and clean >= 95
         print("    case %d: %d/100 rank-3 points, %d rejects" % (idx, clean, rejects))
     assert _line(5, "coisotropic-codimension", all_ok)
 

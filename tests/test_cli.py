@@ -1,5 +1,6 @@
 import io
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from cobord2 import cdf, cli
 from cobord2.cdf import ParseError, parse_catalog, parse_cdf, parse_word
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "cobord2" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = SRC / "cobord2" / "data"
 
 
 def run_cli(argv):
@@ -174,3 +176,29 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("COBORD2_SEED", "1")
     run_cli(["moduli", "--grid", "0,2", "--trials", "2", "--seed", "99", "--out", str(f3)])
     assert f3.read_bytes() == f2.read_bytes()
+
+
+NEGATIVE_WITHOUT_LAST_LINE = "".join(
+    (DATA / "negative_control.cdf").read_text().splitlines(keepends=True)[:-1]
+)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("@circles\nc0 +\n@manifold\n", 2),
+        ("@circles\nc0 +\n@surfaces\nann\n", 2),
+        # @steps2 ends on a different boundary than @steps: a failed check
+        (NEGATIVE_WITHOUT_LAST_LINE, 1),
+    ],
+    ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch"],
+)
+def test_cli_malformed_cdf_exits_without_traceback(tmp_path, text, code):
+    path = tmp_path / "doc.cdf"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cobord2.cli", "functor", "invariance", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from cobord2 import su2
-from cobord2._kernel import compiled_backend, pure_backend
 from cobord2.su2 import AlgVector, UnitQuaternion, BranchError
 
 
@@ -115,23 +114,3 @@ def test_haar_mean_w_within_3_sigma():
         total += su2.sample_haar(su2.mix_seed(43, k)).w
     # component variance of a Haar unit quaternion is 1/4
     assert abs(total / n) < 3.0 * 0.5 / math.sqrt(n)
-
-
-def test_backends_agree():
-    if compiled_backend is None:
-        pytest.skip("compiled kernel not built")
-    for seed in range(50):
-        a = su2.sample_haar(su2.mix_seed(47, seed, 0))
-        b = su2.sample_haar(su2.mix_seed(47, seed, 1))
-        v = su2.sample_ball(math.pi - 1e-3, su2.mix_seed(47, seed, 2))
-        for f, args in [
-            ("qmul", (a, b)),
-            ("qexp", (v,)),
-            ("qlog", (a,) if not su2.near_minus_one(a) else (b,)),
-            ("qrot", (a, v)),
-            ("qcomm", (a, b)),
-            ("qprod", ([a, b, a, b],)),
-        ]:
-            got_c = getattr(compiled_backend, f)(*args)
-            got_p = getattr(pure_backend, f)(*args)
-            assert max(abs(u - w) for u, w in zip(got_c, got_p)) <= 1e-15
