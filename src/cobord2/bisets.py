@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cobord2.diagram import Instance, SeqMorphism, seq_from_items
 
@@ -83,23 +83,13 @@ class FiniteGroup:
 
     @cached_property
     def _generators(self) -> tuple:
-        e = self.identity
         gens: list = []
-        closure = {e}
+        reached = {self.identity}
         for g in range(self.order):
-            if g not in closure:
+            if g not in reached:
                 gens.append(g)
-                frontier = [g]
-                while frontier:
-                    new = []
-                    for a in list(closure) + frontier:
-                        for b in frontier:
-                            for c in (self.mult[a][b], self.mult[b][a]):
-                                if c not in closure:
-                                    closure.add(c)
-                                    new.append(c)
-                    frontier = new
-                if len(closure) == self.order:
+                reached = _closure(self.identity, lambda x: (self.mult[x][h] for h in gens))
+                if len(reached) == self.order:
                     break
         return tuple(gens)
 
@@ -284,6 +274,73 @@ def unit_biset(g: FiniteGroup) -> FiniteBiset:
     return FiniteBiset("unit_%s" % g.name, TRIVIAL, g, left, right)
 
 
+# --- generator actions -----------------------------------------------------------
+
+
+class _Actions(NamedTuple):
+    """Generator tables of one sequence, each a map on carrier indices.
+
+    mid: (j, x -> x.g^-1 on item j, y -> g.y on item j+1) for each
+    generator g of the group between items j and j+1 (the anti-diagonal
+    middle action); left: y -> g.y on the first item for each generator
+    of its left group; right: x -> x.g^-1 on the last item for each
+    generator of its right group."""
+    mid: tuple
+    left: tuple
+    right: tuple
+
+
+_NO_ACTIONS = _Actions((), (), ())
+
+
+def _actions(seq) -> _Actions:
+    if not seq:
+        return _NO_ACTIONS
+
+    def right_maps(item):
+        grp = item.right_group
+        return tuple(tuple(row[grp.inverse(g)] for row in item.right) for g in grp.generators())
+
+    mid = tuple(
+        (j, rmap, seq[j + 1].left[g])
+        for j in range(len(seq) - 1)
+        for g, rmap in zip(seq[j].right_group.generators(), right_maps(seq[j]))
+    )
+    left = tuple(seq[0].left[g] for g in seq[0].left_group.generators())
+    return _Actions(mid, left, right_maps(seq[-1]))
+
+
+def _moves(pair, src: _Actions, tgt: _Actions):
+    """The images of a pair (s, t) of product tuples under one generator
+    each: a middle action on one side, or an outer action on both sides
+    at once (outer actions apply only when both sides are nonempty)."""
+    s, t = pair
+    for j, rmap, lmap in src.mid:
+        yield s[:j] + (rmap[s[j]], lmap[s[j + 1]]) + s[j + 2:], t
+    for j, rmap, lmap in tgt.mid:
+        yield s, t[:j] + (rmap[t[j]], lmap[t[j + 1]]) + t[j + 2:]
+    if s and t:
+        for smap, tmap in zip(src.left, tgt.left):
+            yield (smap[s[0]],) + s[1:], (tmap[t[0]],) + t[1:]
+        for smap, tmap in zip(src.right, tgt.right):
+            yield s[:-1] + (smap[s[-1]],), t[:-1] + (tmap[t[-1]],)
+
+
+def _closure(start, moves) -> set:
+    """Everything reachable from start by repeated moves, breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for point in frontier:
+            for moved in moves(point):
+                if moved not in seen:
+                    seen.add(moved)
+                    new.append(moved)
+        frontier = new
+    return seen
+
+
 # --- composition and collapse --------------------------------------------------
 
 
@@ -351,32 +408,15 @@ class CollapsedSet:
 
 def quotient_collapse(seq) -> CollapsedSet:
     seq = tuple(seq)
-    if not seq:
-        return CollapsedSet({(): 0}, 1)
-    sizes = [b.size for b in seq]
+    acts = _actions(seq)
     orbit_of = {}
     count = 0
-    for start in itertools.product(*[range(s) for s in sizes]):
-        if start in orbit_of:
-            continue
-        frontier = [start]
-        orbit_of[start] = count
-        while frontier:
-            new = []
-            for tup in frontier:
-                for j in range(len(seq) - 1):
-                    mid = seq[j].right_group
-                    for g in mid.generators():
-                        moved = (
-                            tup[:j]
-                            + (seq[j].right[tup[j]][mid.inverse(g)], seq[j + 1].left[g][tup[j + 1]])
-                            + tup[j + 2:]
-                        )
-                        if moved not in orbit_of:
-                            orbit_of[moved] = count
-                            new.append(moved)
-            frontier = new
-        count += 1
+    for start in product_tuples(seq):
+        if start not in orbit_of:
+            # paired with an empty side, a tuple moves by the middle actions alone
+            for tup, _ in _closure((start, ()), lambda pair: _moves(pair, acts, _NO_ACTIONS)):
+                orbit_of[tup] = count
+            count += 1
     return CollapsedSet(orbit_of, count)
 
 
@@ -395,43 +435,10 @@ class Correspondence:
         return Correspondence(self.tgt, self.src, frozenset((t, s) for s, t in self.pairs))
 
 
-def _side_groups(seq):
-    """[(position, group, kind)] acting on one side's coordinates:
-    kind 'mid' couples (pos, pos+1) anti-diagonally."""
-    return [(j, seq[j].right_group) for j in range(len(seq) - 1)]
-
-
 def check_invariance(corr: Correspondence) -> bool:
-    src, tgt = corr.src, corr.tgt
+    src, tgt = _actions(corr.src), _actions(corr.tgt)
     pairs = corr.pairs
-    for s, t in pairs:
-        for j, grp in _side_groups(src):
-            for g in grp.generators():
-                moved = (
-                    s[:j] + (src[j].right[s[j]][grp.inverse(g)], src[j + 1].left[g][s[j + 1]]) + s[j + 2:]
-                )
-                if (moved, t) not in pairs:
-                    return False
-        for j, grp in _side_groups(tgt):
-            for g in grp.generators():
-                moved = (
-                    t[:j] + (tgt[j].right[t[j]][grp.inverse(g)], tgt[j + 1].left[g][t[j + 1]]) + t[j + 2:]
-                )
-                if (s, moved) not in pairs:
-                    return False
-        if src and tgt:
-            gl = src[0].left_group
-            for g in gl.generators():
-                moved = ((src[0].left[g][s[0]],) + s[1:], (tgt[0].left[g][t[0]],) + t[1:])
-                if moved not in pairs:
-                    return False
-            gr = src[-1].right_group
-            for g in gr.generators():
-                gi = gr.inverse(g)
-                moved = (s[:-1] + (src[-1].right[s[-1]][gi],), t[:-1] + (tgt[-1].right[t[-1]][gi],))
-                if moved not in pairs:
-                    return False
-    return True
+    return all(moved in pairs for pair in pairs for moved in _moves(pair, src, tgt))
 
 
 def product_tuples(seq):
@@ -551,9 +558,6 @@ class LieRInstance(Instance):
     def adjoint2(self, morph):
         return morph.transpose()
 
-    def boundary_of_simple2(self, morph):
-        return (morph.src, morph.tgt)
-
     def try_compose2_vertical(self, a, b):
         return try_compose_corrs(a, b)
 
@@ -589,85 +593,31 @@ class LieRInstance(Instance):
     def _orbit_probe(self, items, start) -> Correspondence:
         """Orbit of (start, start) under every declared action."""
         items = tuple(items)
-        pairs = {(start, start)}
-        frontier = [(start, start)]
-        while frontier:
-            new = []
-            for s, t in frontier:
-                moved_list = []
-                for j, grp in _side_groups(items):
-                    for g in grp.generators():
-                        moved_list.append(
-                            (
-                                s[:j]
-                                + (items[j].right[s[j]][grp.inverse(g)], items[j + 1].left[g][s[j + 1]])
-                                + s[j + 2:],
-                                t,
-                            )
-                        )
-                        moved_list.append(
-                            (
-                                s,
-                                t[:j]
-                                + (items[j].right[t[j]][grp.inverse(g)], items[j + 1].left[g][t[j + 1]])
-                                + t[j + 2:],
-                            )
-                        )
-                if items:
-                    gl = items[0].left_group
-                    for g in gl.generators():
-                        moved_list.append(
-                            (((items[0].left[g][s[0]],) + s[1:]), ((items[0].left[g][t[0]],) + t[1:]))
-                        )
-                    gr = items[-1].right_group
-                    for g in gr.generators():
-                        gi = gr.inverse(g)
-                        moved_list.append(
-                            (
-                                s[:-1] + (items[-1].right[s[-1]][gi],),
-                                t[:-1] + (items[-1].right[t[-1]][gi],),
-                            )
-                        )
-                for mv in moved_list:
-                    if mv not in pairs:
-                        pairs.add(mv)
-                        new.append(mv)
-            frontier = new
+        acts = _actions(items)
+        pairs = _closure((start, start), lambda pair: _moves(pair, acts, acts))
         return Correspondence(items, items, frozenset(pairs))
 
     def transport_probe(self, probe, seq_from, seq_to, pos, compose, side):
         """Set-level push across a composition (image under the orbit
         projection) or pull across a decomposition (preimage); always
         defined, unlike the geometric try_compose_corrs."""
-        if compose:
-            made = self._compose_full(seq_from.items[pos], seq_from.items[pos + 1])
-            assert made is not None
-            _, orbit_of, _ = made
-            sz = seq_from.items[pos + 1].size
-
-            def push(tup):
-                return tup[:pos] + (orbit_of[tup[pos] * sz + tup[pos + 1]],) + tup[pos + 2:]
-
-            if side == "target":
-                pairs = frozenset((s, push(t)) for s, t in probe.pairs)
-                return Correspondence(probe.src, seq_to.items, pairs)
-            pairs = frozenset((push(s), t) for s, t in probe.pairs)
-            return Correspondence(seq_to.items, probe.tgt, pairs)
-        made = self._compose_full(seq_to.items[pos], seq_to.items[pos + 1])
+        fine = seq_from.items if compose else seq_to.items
+        made = self._compose_full(fine[pos], fine[pos + 1])
         assert made is not None
-        _, _, members = made
-        sz = seq_to.items[pos + 1].size
+        _, orbit_of, members = made
+        sz = fine[pos + 1].size
 
-        def pull(tup):
-            out = []
-            for idx in members[tup[pos]]:
-                out.append(tup[:pos] + (idx // sz, idx % sz) + tup[pos + 1:])
-            return out
+        if compose:
+            def images(tup):
+                return (tup[:pos] + (orbit_of[tup[pos] * sz + tup[pos + 1]],) + tup[pos + 2:],)
+        else:
+            def images(tup):
+                return [tup[:pos] + divmod(idx, sz) + tup[pos + 1:] for idx in members[tup[pos]]]
 
         if side == "target":
-            pairs = frozenset((s, t2) for s, t in probe.pairs for t2 in pull(t))
+            pairs = frozenset((s, t2) for s, t in probe.pairs for t2 in images(t))
             return Correspondence(probe.src, seq_to.items, pairs)
-        pairs = frozenset((s2, t) for s, t in probe.pairs for s2 in pull(s))
+        pairs = frozenset((s2, t) for s, t in probe.pairs for s2 in images(s))
         return Correspondence(seq_to.items, probe.tgt, pairs)
 
     def seq(self, items, source=None) -> SeqMorphism:

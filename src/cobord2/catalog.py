@@ -48,16 +48,14 @@ def default_biset_catalog(groups=None) -> list:
     return out
 
 
-def loop_start_sequences(catalog, max_len: int = 2) -> list:
-    """Composable sequences over the catalog used as loop basepoints."""
-    out = []
+def loop_start_sequences(catalog) -> list:
+    """Composable sequences of length 1 and 2 over the catalog used as
+    loop basepoints."""
+    out = [(m,) for m in catalog]
     for m in catalog:
-        out.append((m,))
-    if max_len >= 2:
-        for m in catalog:
-            for n in catalog:
-                if m.right_group == n.left_group and m.size * n.size <= 4096:
-                    out.append((m, n))
+        for n in catalog:
+            if m.right_group == n.left_group and m.size * n.size <= 4096:
+                out.append((m, n))
     return out
 
 

@@ -17,6 +17,28 @@ optionally a move chain:
     create12 0 0 0
     @manifold solid_torus
 
+Each ``@steps`` (and ``@steps2``) line is one elementary step applied
+to the chain the previous line ended on; items and components count
+from 0:
+
+    cylinder                      the chain unchanged
+    zero_handle POS LABEL         a 3-ball: two discs sharing the new
+                                  circle LABEL enter at chain point POS
+    three_handle POS LABEL        the disc pair at items POS, POS+1 leaves
+    circle_remove POS LABEL       items POS, POS+1 glue along LABEL, their
+                                  whole interface
+    circle_insert POS LABEL ITEM G1
+                                  the connected item ITEM is cut along the
+                                  new circle LABEL into a genus-G1 piece on
+                                  its source side and the rest; POS = ITEM
+    compression2 ITEM COMP WORD...
+                                  a 2-handle along WORD on component COMP
+                                  of item ITEM
+    compression1 I.C I.C          a 1-handle with one foot on component C
+                                  of item I each: twice the same component
+                                  raises its genus, components of two items
+                                  adjacent over an empty interface join
+
 Words are whitespace-separated signed generators: ``a1 b2`` for handle
 holonomies (trailing ``-`` inverts), ``d:c0`` / ``g:c0`` for boundary
 loops and arcs.  Catalog files (.cat) declare finite groups and bisets:
@@ -196,12 +218,7 @@ def _build_step(kind, args, cur) -> CobStep:
     if kind == "cylinder":
         return CobStep(cb.CYLINDER, cur, cur)
     if kind == "zero_handle":
-        pos, label = int(args[0]), args[1]
-        c = Circle(label)
-        d0 = Surface((SurfComponent(0, (), (c,)),), (), (c,))
-        d1 = Surface((SurfComponent(0, (c,), ()),), (c,), ())
-        target = cur[:pos] + (d0, d1) + cur[pos:]
-        return CobStep(cb.ZERO_HANDLE, cur, target, position=pos, circle=label)
+        return cb.zero_handle_step(cur, int(args[0]), args[1])
     if kind == "three_handle":
         pos, label = int(args[0]), args[1]
         target = cur[:pos] + cur[pos + 2:]
@@ -215,13 +232,9 @@ def _build_step(kind, args, cur) -> CobStep:
         return CobStep(cb.CIRCLE_REMOVE, cur, target, position=pos, circle=label)
     if kind == "circle_insert":
         pos, label, item_idx, g1 = int(args[0]), args[1], int(args[2]), int(args[3])
-        item = cur[item_idx]
-        comp = item.components[0]
-        c = Circle(label)
-        p1 = Surface((SurfComponent(g1, comp.into, (c,)),), item.source, (c,))
-        p2 = Surface((SurfComponent(comp.genus - g1, (c,), comp.out),), (c,), item.target)
-        target = cur[:item_idx] + (p1, p2) + cur[item_idx + 1:]
-        return CobStep(cb.CIRCLE_INSERT, cur, target, position=pos, circle=label)
+        if pos != item_idx:
+            raise cb.PatternMismatch("circle_insert position must equal its item index")
+        return cb.circle_insert_step(cur, item_idx, g1, label)
     if kind == "compression2":
         item, comp = int(args[0]), int(args[1])
         word = parse_word(args[2:], comp)
@@ -236,7 +249,7 @@ def _build_step(kind, args, cur) -> CobStep:
             feet.append((int(a), int(b)))
         if len(feet) != 2:
             raise cb.PatternMismatch("compression1 takes exactly two feet")
-        return _build_idx1(cur, tuple(feet))
+        return cb.compression1_step(cur, tuple(feet))
     raise cb.PatternMismatch("unknown step kind %r" % kind)
 
 
@@ -266,44 +279,6 @@ def _maybe_split_items(chain):
         else:
             out.append(item)
     return tuple(out)
-
-
-def _build_idx1(cur, feet) -> CobStep:
-    (i1, c1), (i2, c2) = feet
-    if i1 == i2 and c1 == c2:
-        item = cur[i1]
-        comp = item.components[c1]
-        bumped = SurfComponent(comp.genus + 1, comp.into, comp.out)
-        comps = item.components[:c1] + (bumped,) + item.components[c1 + 1:]
-        new_item = Surface(comps, item.source, item.target)
-        idx = new_item.components.index(bumped)
-        belt = Word(idx, (("a", comp.genus + 1, 1),))
-        target = cur[:i1] + (new_item,) + cur[i1 + 1:]
-        att = Attachment(i1, idx, feet=feet, belt=belt)
-        return CobStep(cb.COMPRESSION, cur, target, index=1, attachments=(att,))
-    if i1 != i2:
-        lo, hi = sorted((i1, i2))
-        if hi != lo + 1 or cur[lo].target != ():
-            raise cb.PatternMismatch("joined items must be adjacent over an empty interface")
-        a_item, b_item = cur[lo], cur[hi]
-        ca = a_item.components[c1 if lo == i1 else c2]
-        zb = b_item.components[c2 if hi == i2 else c1]
-        joined_comp = SurfComponent(ca.genus + zb.genus, ca.into + zb.into, ca.out + zb.out)
-        rest = tuple(c for c in a_item.components if c != ca) + tuple(
-            c for c in b_item.components if c != zb
-        )
-        new_item = Surface((joined_comp,) + rest, a_item.source + b_item.source,
-                           a_item.target + b_item.target)
-        idx = new_item.components.index(joined_comp)
-        belt_gens = tuple(("d", x.label, 1) for x in ca.into + ca.out) + tuple(
-            g for j in range(1, ca.genus + 1)
-            for g in (("a", j, 1), ("b", j, 1), ("a", j, -1), ("b", j, -1))
-        )
-        belt = Word(idx, belt_gens)
-        target = cur[:lo] + (new_item,) + cur[hi + 1:]
-        att = Attachment(i1, idx, feet=feet, belt=belt)
-        return CobStep(cb.COMPRESSION, cur, target, index=1, attachments=(att,))
-    raise cb.PatternMismatch("1-handle feet on one item must name one component twice")
 
 
 def _parse_move(lineno, line) -> Move:
@@ -349,7 +324,10 @@ def parse_catalog(text: str) -> CatalogDocument:
             parts = line.split()
             section = parts[0][1:]
             if section == "depth":
-                doc.depth = int(parts[1])
+                try:
+                    doc.depth = int(parts[1])
+                except (IndexError, ValueError):
+                    raise ParseError("line %d: @depth needs an integer" % lineno)
             elif section not in ("groups", "bisets", "sequences"):
                 raise ParseError("line %d: unknown section %r" % (lineno, section))
             continue
@@ -365,6 +343,8 @@ def parse_catalog(text: str) -> CatalogDocument:
                 raise ParseError("line %d: content outside any section" % lineno)
         except (bs.TableError, bs.NotComposable, KeyError, ValueError) as err:
             raise ParseError("line %d: %s" % (lineno, err))
+        except IndexError:
+            raise ParseError("line %d: too few fields in %r" % (lineno, line))
     return doc
 
 

@@ -63,6 +63,10 @@ from cobord2.words import Word
 FD_STEP = 1e-6
 SVD_RTOL = 1e-8
 ADMISSIBLE_MARGIN = 1e-6
+MOMENT_TOL = 1e-9  # largest moment difference glue and glue_self accept
+LOCUS_TOL = 1e-9  # largest constraint residual locus_tangent accepts
+LOCUS_RESTARTS = 10
+NEWTON_ITERS = 60
 
 
 class MomentMismatch(ValueError):
@@ -367,8 +371,7 @@ class GlueRecipe:
     script2: tuple = ()
 
 
-def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str,
-         tol: float = 1e-9):
+def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str):
     """Glue boundary label_a of p1 to label_b of p2 (distinct points).
 
     Precondition is literal equality of the signed moments on the glued
@@ -381,7 +384,7 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str,
         raise MomentMismatch("glued circles need opposite roles")
     if p1.chart.k == 1:
         # the basepoint piece must keep a boundary; swap roles
-        glued, recipe = glue(p2, label_b, p1, label_a, tol)
+        glued, recipe = glue(p2, label_b, p1, label_a)
         return glued, recipe
     q1, script1 = _move_last(p1, label_a)
     q2, script2 = _move_first(p2, label_b)
@@ -391,7 +394,7 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str,
     m2 = theta_raw(q2, label_b)
     if q2.chart.sign(label_b) < 0:
         m2 = su2.vec_neg(m2)
-    if su2.vec_dist(m1, m2) > tol:
+    if su2.vec_dist(m1, m2) > MOMENT_TOL:
         raise MomentMismatch("moments differ by %g" % su2.vec_dist(m1, m2))
     gl = q1.gammas[-1]
     boundaries = q1.chart.boundaries[:-1] + q2.chart.boundaries[1:]
@@ -409,7 +412,7 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str,
     return glued, recipe
 
 
-def glue_self(p: ChartPoint, label_a: str, label_b: str, tol: float = 1e-9):
+def glue_self(p: ChartPoint, label_a: str, label_b: str):
     """Glue two boundaries of one connected piece; genus rises by one
     and the new handle pair is listed first."""
     if p.chart.sign(label_a) == p.chart.sign(label_b):
@@ -434,7 +437,7 @@ def glue_self(p: ChartPoint, label_a: str, label_b: str, tol: float = 1e-9):
     ta, tb = p.thetas[k - 3], p.thetas[k - 2]
     ma = su2.vec_neg(ta) if p.chart.sign(label_a) < 0 else ta
     mb = su2.vec_neg(tb) if p.chart.sign(label_b) < 0 else tb
-    if su2.vec_dist(ma, mb) > tol:
+    if su2.vec_dist(ma, mb) > MOMENT_TOL:
         raise MomentMismatch("moments differ by %g" % su2.vec_dist(ma, mb))
     ga, gb = p.gammas[k - 3], p.gammas[k - 2]
     a_star = mul(mul(ga, exp_su2(ta)), inv(gb))
@@ -453,7 +456,7 @@ def glue_self(p: ChartPoint, label_a: str, label_b: str, tol: float = 1e-9):
     return glued, recipe
 
 
-def split(q: ChartPoint, recipe: GlueRecipe, tol: float = 1e-9):
+def split(q: ChartPoint, recipe: GlueRecipe):
     """Invert glue/glue_self with the gauge choice Gamma_glued = 1.
 
     Returns (p1, p2) for a cross recipe and a single point for a self
@@ -547,12 +550,11 @@ def cotangent_moment(g: UnitQuaternion, eta: AlgVector) -> tuple:
     return (adjoint(g, eta), su2.vec_neg(eta))
 
 
-def infinitesimal_translation(g: UnitQuaternion, xi: AlgVector,
-                              step: float = FD_STEP) -> AlgVector:
+def infinitesimal_translation(g: UnitQuaternion, xi: AlgVector) -> AlgVector:
     """The left-translation vector field at g, read in the left
     trivialization by finite differences: log(g^-1 exp(t xi) g) / t."""
-    moved = mul(inv(g), mul(exp_su2(su2.vec_scale(xi, step)), g))
-    return su2.vec_scale(log_su2(moved), 1.0 / step)
+    moved = mul(inv(g), mul(exp_su2(su2.vec_scale(xi, FD_STEP)), g))
+    return su2.vec_scale(log_su2(moved), 1.0 / FD_STEP)
 
 
 # --- word evaluation --------------------------------------------------------------
@@ -622,13 +624,13 @@ def constraint_map(p: ChartPoint, words) -> np.ndarray:
     return np.array(out)
 
 
-def constraint_jacobian(p: ChartPoint, words, step: float = FD_STEP) -> np.ndarray:
+def constraint_jacobian(p: ChartPoint, words) -> np.ndarray:
     d = p.chart.dim
     cols = []
     for coord in range(d):
-        fp = constraint_map(perturb(p, coord, step), words)
-        fm = constraint_map(perturb(p, coord, -step), words)
-        cols.append((fp - fm) / (2.0 * step))
+        fp = constraint_map(perturb(p, coord, FD_STEP), words)
+        fm = constraint_map(perturb(p, coord, -FD_STEP), words)
+        cols.append((fp - fm) / (2.0 * FD_STEP))
     return np.stack(cols, axis=1) if cols else np.zeros((3 * len(words), 0))
 
 
@@ -638,18 +640,17 @@ class TangentFrame:
     rank: int
 
 
-def locus_tangent(p: ChartPoint, words, step: float = FD_STEP,
-                  rtol: float = SVD_RTOL, tol: float = 1e-9) -> TangentFrame:
+def locus_tangent(p: ChartPoint, words, rtol: float = SVD_RTOL) -> TangentFrame:
     """Kernel of the constraint differential at an on-locus point via
     SVD rank with threshold rtol * sigma_max."""
     d = p.chart.dim
     if not words:
         basis = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
         return TangentFrame(basis, 0)
-    res = float(np.max(np.abs(constraint_map(p, words)))) if words else 0.0
-    if res > tol:
+    res = float(np.max(np.abs(constraint_map(p, words))))
+    if res > LOCUS_TOL:
         raise ConstraintViolated("constraint residual %g at the sample" % res)
-    jac = constraint_jacobian(p, words, step)
+    jac = constraint_jacobian(p, words)
     u, s, vt = np.linalg.svd(jac)
     cut = rtol * (s[0] if len(s) else 1.0)
     rank = int(np.sum(s > cut))
@@ -657,8 +658,7 @@ def locus_tangent(p: ChartPoint, words, step: float = FD_STEP,
     return TangentFrame(tuple(map(tuple, kernel)), rank)
 
 
-def relation_kernel_dim(p: ChartPoint, step: float = FD_STEP,
-                        rtol: float = SVD_RTOL) -> tuple:
+def relation_kernel_dim(p: ChartPoint, rtol: float = SVD_RTOL) -> tuple:
     """Treat theta_1 as a free coordinate and cut the full relation
     e^{theta_1} c_2 ... [A,B].. = 1; the kernel of its differential is
     the tangent space of the chart, of dimension 6g + 6k - 6.
@@ -674,13 +674,13 @@ def relation_kernel_dim(p: ChartPoint, step: float = FD_STEP,
     for c in range(3):
         hp = list(t1)
         hm = list(t1)
-        hp[c] += step
-        hm[c] -= step
-        cols.append((rel(AlgVector(*hp), p) - rel(AlgVector(*hm), p)) / (2 * step))
+        hp[c] += FD_STEP
+        hm[c] -= FD_STEP
+        cols.append((rel(AlgVector(*hp), p) - rel(AlgVector(*hm), p)) / (2 * FD_STEP))
     for coord in range(d):
-        fp = rel(t1, perturb(p, coord, step))
-        fm = rel(t1, perturb(p, coord, -step))
-        cols.append((fp - fm) / (2 * step))
+        fp = rel(t1, perturb(p, coord, FD_STEP))
+        fm = rel(t1, perturb(p, coord, -FD_STEP))
+        cols.append((fp - fm) / (2 * FD_STEP))
     jac = np.stack(cols, axis=1)
     s = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(s > rtol * s[0]))
@@ -690,8 +690,7 @@ def relation_kernel_dim(p: ChartPoint, step: float = FD_STEP,
 # --- sampling on loci ----------------------------------------------------------------
 
 
-def sample_on_locus(chart: ModuliChart, words, seed: int,
-                    zero_thetas: bool = False, restarts: int = 10) -> ChartPoint:
+def sample_on_locus(chart: ModuliChart, words, seed: int) -> ChartPoint:
     """Point satisfying Hol_w = 1 for every word.
 
     Single-generator words are solved exactly by pinning the generator;
@@ -708,8 +707,8 @@ def sample_on_locus(chart: ModuliChart, words, seed: int,
             pinned_thetas.add(chart.index_of(single[1]) - 1)
         else:
             hard.append(w)
-    for attempt in range(restarts):
-        p = random_point(chart, mix_seed(seed, 101, attempt), zero_thetas=zero_thetas)
+    for attempt in range(LOCUS_RESTARTS):
+        p = random_point(chart, mix_seed(seed, 101, attempt))
         thetas = tuple(
             AlgVector(0.0, 0.0, 0.0) if i in pinned_thetas else t
             for i, t in enumerate(p.thetas)
@@ -731,11 +730,11 @@ def sample_on_locus(chart: ModuliChart, words, seed: int,
         residual = float(np.max(np.abs(constraint_map(p, words)))) if words else 0.0
         if residual <= 1e-10 and is_admissible(p, ADMISSIBLE_MARGIN):
             return p
-    raise SamplingFailed("no on-locus sample after %d restarts" % restarts)
+    raise SamplingFailed("no on-locus sample after %d restarts" % LOCUS_RESTARTS)
 
 
-def _newton_refine(p, words, pinned_thetas, pinned_handles, iters: int = 60):
-    for _ in range(iters):
+def _newton_refine(p, words, pinned_thetas, pinned_handles):
+    for _ in range(NEWTON_ITERS):
         f = constraint_map(p, words)
         if float(np.max(np.abs(f))) <= 1e-12:
             return p

@@ -401,8 +401,19 @@ def _is_nonseparating(word: Word) -> bool:
     return single is not None and single[0] in ("a", "b")
 
 
-def _parse_separating(gens) -> Optional[tuple]:
-    """One side of a separating word: d-loops and full commutators."""
+def parse_separating(word: Word) -> Optional[tuple]:
+    """(boundary labels, handle indices) of one side of a separating
+    word: some rotation of it lists that side's d-loops and full handle
+    commutators a_j b_j a_j^-1 b_j^-1.  None when no rotation does."""
+    gens = list(word.gens)
+    for r in range(max(1, len(gens))):
+        parsed = _read_side(gens[r:] + gens[:r])
+        if parsed is not None:
+            return parsed
+    return None
+
+
+def _read_side(gens) -> Optional[tuple]:
     labels = set()
     handles = set()
     i = 0
@@ -432,12 +443,7 @@ def _separating_split(c: SurfComponent, word: Word) -> Optional[tuple]:
     lists one side's boundary loops (d-generators) and handle
     commutators, which become the first piece.  Cutting and capping
     leaves two components whose genera and boundaries sum back."""
-    parsed = None
-    gens = list(word.gens)
-    for r in range(max(1, len(gens))):
-        parsed = _parse_separating(gens[r:] + gens[:r])
-        if parsed is not None:
-            break
+    parsed = parse_separating(word)
     if parsed is None:
         return None
     labels, handles = parsed
@@ -501,6 +507,77 @@ def reverse_step(step: CobStep) -> CobStep:
     return CobStep(
         flip[step.kind], step.target, step.source, step.position, step.circle, index, atts
     )
+
+
+def zero_handle_step(chain: Chain, pos: int, label: str) -> CobStep:
+    """A 3-ball entering at chain point pos as the two discs bounding
+    its sphere, glued along the new circle label."""
+    c = Circle(label)
+    d0 = Surface((SurfComponent(0, (), (c,)),), (), (c,))
+    d1 = Surface((SurfComponent(0, (c,), ()),), (c,), ())
+    target = chain[:pos] + (d0, d1) + chain[pos:]
+    return CobStep(ZERO_HANDLE, chain, target, position=pos, circle=label)
+
+
+def circle_insert_step(chain: Chain, item_idx: int, g1: int, label: str) -> CobStep:
+    """Cut the connected item item_idx along the new circle label into a
+    genus-g1 piece on its source side and the rest on its target side."""
+    if not 0 <= item_idx < len(chain):
+        raise PatternMismatch("no item %d at this level" % item_idx)
+    item = chain[item_idx]
+    if len(item.components) != 1:
+        raise PatternMismatch("refined item must be connected")
+    comp = item.components[0]
+    if not 0 <= g1 <= comp.genus:
+        raise PatternMismatch("genus split out of range")
+    c = Circle(label)
+    p1 = Surface((SurfComponent(g1, comp.into, (c,)),), item.source, (c,))
+    p2 = Surface((SurfComponent(comp.genus - g1, (c,), comp.out),), (c,), item.target)
+    target = chain[:item_idx] + (p1, p2) + chain[item_idx + 1:]
+    return CobStep(CIRCLE_INSERT, chain, target, position=item_idx, circle=label)
+
+
+def compression1_step(chain: Chain, feet) -> CobStep:
+    """A single 1-handle with feet ((item, comp), (item, comp)).  Both
+    feet on one component raise its genus, with belt the new a-loop;
+    feet on two items adjacent over an empty interface join their
+    components, with belt the separating word (boundary loops, then
+    handle commutators) of the earlier item's component."""
+    (i1, c1), (i2, c2) = feet
+    if i1 == i2 and c1 == c2:
+        item = chain[i1]
+        comp = item.components[c1]
+        bumped = SurfComponent(comp.genus + 1, comp.into, comp.out)
+        comps = item.components[:c1] + (bumped,) + item.components[c1 + 1:]
+        new_item = Surface(comps, item.source, item.target)
+        idx = new_item.components.index(bumped)
+        belt = Word(idx, (("a", comp.genus + 1, 1),))
+        target = chain[:i1] + (new_item,) + chain[i1 + 1:]
+        att = Attachment(i1, idx, feet=feet, belt=belt)
+        return CobStep(COMPRESSION, chain, target, index=1, attachments=(att,))
+    if i1 != i2:
+        lo, hi = sorted((i1, i2))
+        if hi != lo + 1 or chain[lo].target != ():
+            raise PatternMismatch("joined items must be adjacent over an empty interface")
+        a_item, b_item = chain[lo], chain[hi]
+        ca = a_item.components[c1 if lo == i1 else c2]
+        zb = b_item.components[c2 if hi == i2 else c1]
+        joined_comp = SurfComponent(ca.genus + zb.genus, ca.into + zb.into, ca.out + zb.out)
+        rest = tuple(c for c in a_item.components if c != ca) + tuple(
+            c for c in b_item.components if c != zb
+        )
+        new_item = Surface((joined_comp,) + rest, a_item.source + b_item.source,
+                           a_item.target + b_item.target)
+        idx = new_item.components.index(joined_comp)
+        belt_gens = tuple(("d", x.label, 1) for x in ca.into + ca.out) + tuple(
+            g for j in range(1, ca.genus + 1)
+            for g in (("a", j, 1), ("b", j, 1), ("a", j, -1), ("b", j, -1))
+        )
+        belt = Word(idx, belt_gens)
+        target = chain[:lo] + (new_item,) + chain[hi + 1:]
+        att = Attachment(i1, idx, feet=feet, belt=belt)
+        return CobStep(COMPRESSION, chain, target, index=1, attachments=(att,))
+    raise PatternMismatch("1-handle feet on one item must name one component twice")
 
 
 # --- moves -------------------------------------------------------------------------
@@ -863,22 +940,8 @@ def _move_circle_insert(seq: CobSeq, move: Move) -> CobSeq:
         raise PatternMismatch("circle moves apply at internal levels")
     if seq[level - 1].kind != CYLINDER or seq[level].kind != CYLINDER:
         raise PatternMismatch("circle move needs cylinders on both sides")
-    chain = seq[level].source
-    if not 0 <= item_idx < len(chain):
-        raise PatternMismatch("no item %d at this level" % item_idx)
-    item = chain[item_idx]
-    if len(item.components) != 1:
-        raise PatternMismatch("refined item must be connected")
-    comp = item.components[0]
-    if not 0 <= g1 <= comp.genus:
-        raise PatternMismatch("genus split out of range")
-    c = Circle(label)
-    p1 = Surface((SurfComponent(g1, comp.into, (c,)),), item.source, (c,))
-    p2 = Surface((SurfComponent(comp.genus - g1, (c,), comp.out),), (c,), item.target)
-    fine = chain[:item_idx] + (p1, p2) + chain[item_idx + 1:]
-    ins = CobStep(CIRCLE_INSERT, chain, fine, position=item_idx, circle=label)
-    rem = CobStep(CIRCLE_REMOVE, fine, chain, position=item_idx, circle=label)
-    return seq[:level - 1] + (ins, rem) + seq[level + 1:]
+    ins = circle_insert_step(seq[level].source, item_idx, g1, label)
+    return seq[:level - 1] + (ins, reverse_step(ins)) + seq[level + 1:]
 
 
 def _move_circle_remove(seq: CobSeq, move: Move) -> CobSeq:
@@ -934,28 +997,9 @@ def _move_create01(seq: CobSeq, move: Move) -> CobSeq:
     item = chain[item_idx]
     if item.source != ():
         raise PatternMismatch("0-handle insertion needs an empty chain point")
-    c = Circle(label)
-    d0 = Surface((SurfComponent(0, (), (c,)),), (), (c,))
-    d1 = Surface((SurfComponent(0, (c,), ()),), (c,), ())
-    fine = chain[:item_idx] + (d0, d1) + chain[item_idx:]
-    s1 = CobStep(ZERO_HANDLE, chain, fine, position=item_idx, circle=label)
-    target_comp = item.components[0]
-    joined_comp = SurfComponent(
-        target_comp.genus, target_comp.into + (c,), target_comp.out
-    )
-    rest = item.components[1:]
-    joined = Surface((joined_comp,) + rest, (c,) + item.source, item.target)
-    mid = chain[:item_idx] + (d0, joined) + chain[item_idx + 1:]
-    comp_idx = joined.components.index(joined_comp)
-    belt = Word(comp_idx, (("d", label, 1),))
-    att = Attachment(
-        item_idx + 1,
-        comp_idx,
-        feet=((item_idx + 1, 0), (item_idx + 2, 0)),
-        belt=belt,
-    )
-    s2 = CobStep(COMPRESSION, fine, mid, index=1, attachments=(att,))
-    s3 = CobStep(CIRCLE_REMOVE, mid, chain, position=item_idx, circle=label)
+    s1 = zero_handle_step(chain, item_idx, label)
+    s2 = compression1_step(s1.target, ((item_idx + 1, 0), (item_idx + 2, 0)))
+    s3 = CobStep(CIRCLE_REMOVE, s2.target, chain, position=item_idx, circle=label)
     return seq[:pos] + (s1, s2, s3) + seq[pos + 1:]
 
 
@@ -1014,22 +1058,11 @@ def _move_create12(seq: CobSeq, move: Move) -> CobSeq:
     item = chain[item_idx]
     if not 0 <= comp_idx < len(item.components):
         raise PatternMismatch("no component %d in item %d" % (comp_idx, item_idx))
-    comp = item.components[comp_idx]
-    bumped = SurfComponent(comp.genus + 1, comp.into, comp.out)
-    mid_comps = item.components[:comp_idx] + (bumped,) + item.components[comp_idx + 1:]
-    mid_item = Surface(mid_comps, item.source, item.target)
-    mid_idx = mid_item.components.index(bumped)
-    mid = chain[:item_idx] + (mid_item,) + chain[item_idx + 1:]
-    j = comp.genus + 1
-    belt = Word(mid_idx, (("a", j, 1),))
-    s1 = CobStep(
-        COMPRESSION, chain, mid, index=1,
-        attachments=(Attachment(item_idx, mid_idx, feet=((item_idx, comp_idx), (item_idx, comp_idx)), belt=belt),),
-    )
-    s2 = CobStep(
-        COMPRESSION, mid, chain, index=2,
-        attachments=(Attachment(item_idx, mid_idx, word=Word(mid_idx, (("b", j, 1),))),),
-    )
+    s1 = compression1_step(chain, ((item_idx, comp_idx), (item_idx, comp_idx)))
+    att = s1.attachments[0]
+    dual = Word(att.comp, (("b", item.components[comp_idx].genus + 1, 1),))
+    s2 = CobStep(COMPRESSION, s1.target, chain, index=2,
+                 attachments=(Attachment(att.item, att.comp, word=dual),))
     return seq[:pos] + (s1, s2) + seq[pos + 1:]
 
 
@@ -1055,14 +1088,5 @@ def closed_surface_chain(genus: int, label: str = "eq") -> Chain:
 def solid_torus_seq(label: str = "tc") -> CobSeq:
     """The solid torus from nothing to a decomposed torus: a 0-handle
     and a genus-raising 1-handle on the first disc."""
-    c = Circle(label)
-    d0 = Surface((SurfComponent(0, (), (c,)),), (), (c,))
-    d1 = Surface((SurfComponent(0, (c,), ()),), (c,), ())
-    s1 = CobStep(ZERO_HANDLE, (), (d0, d1), position=0, circle=label)
-    handle = Surface((SurfComponent(1, (), (c,)),), (), (c,))
-    belt = Word(0, (("a", 1, 1),))
-    s2 = CobStep(
-        COMPRESSION, (d0, d1), (handle, d1), index=1,
-        attachments=(Attachment(0, 0, feet=((0, 0), (0, 0)), belt=belt),),
-    )
-    return (s1, s2)
+    s1 = zero_handle_step((), 0, label)
+    return (s1, compression1_step(s1.target, ((0, 0), (0, 0))))

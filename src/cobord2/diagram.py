@@ -76,10 +76,6 @@ class Instance:
     def adjoint2(self, morph):
         raise NotImplementedError
 
-    def boundary_of_simple2(self, morph) -> tuple:
-        """(source items, target items) of a simple 2-morphism."""
-        raise NotImplementedError
-
     def try_compose2_vertical(self, a, b) -> Optional[Any]:
         return None
 

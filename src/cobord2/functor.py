@@ -102,32 +102,22 @@ def _handle_transfer(src_comp: Component, atts, tgt_comps) -> tuple:
     stable, handle indices shift past compressed handles, and a
     separating split distributes the survivors in sorted order."""
     killed = set()
-    sep_handles = None
+    first_handles = None
     for att in atts:
         single = att.word.single_generator()
         if single and single[0] in ("a", "b"):
             killed.add(single[1])
         else:
-            parsed = None
-            gens = list(att.word.gens)
-            for r in range(max(1, len(gens))):
-                parsed = cb._parse_separating(gens[r:] + gens[:r])
-                if parsed is not None:
-                    break
-            labels, handles = parsed
-            sep_handles = (labels, handles)
+            _, first_handles = cb.parse_separating(att.word)
     survivors = [j for j in range(1, src_comp.genus + 1) if j not in killed]
-    out = []
-    if sep_handles is None:
+    if first_handles is None:
         # single piece: survivors relabel downward in order
-        for small, big in enumerate(survivors, start=1):
-            out.append((("a", small), ("a", big)))
-            out.append((("b", small), ("b", big)))
-        return tuple(out)
-    labels, first_handles = sep_handles
-    first = sorted(j for j in survivors if j in first_handles)
-    second = sorted(j for j in survivors if j not in first_handles)
-    for piece in (first, second):
+        pieces = [survivors]
+    else:
+        pieces = [[j for j in survivors if j in first_handles],
+                  [j for j in survivors if j not in first_handles]]
+    out = []
+    for piece in pieces:
         for small, big in enumerate(piece, start=1):
             out.append((("a", small), ("a", big)))
             out.append((("b", small), ("b", big)))

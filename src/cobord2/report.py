@@ -56,9 +56,6 @@ class VerificationReport:
         status = "pass" if ok else "fail" if ok is False else "unknown"
         self.checks.append(CheckRecord(name, status, residual, seed, detail))
 
-    def add_unknown(self, name, detail="", seed=None):
-        self.checks.append(CheckRecord(name, "unknown", None, seed, detail))
-
     @property
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)

@@ -11,7 +11,7 @@ from cobord2 import bisets as bs
 from cobord2 import catalog as cat
 from cobord2 import charts as ch
 from cobord2 import su2
-from cobord2.diagram import check_diagram_axiom
+from cobord2.diagram import BoundaryMismatch, check_diagram_axiom
 
 
 def axiom_loops(inst, sequences, depth):
@@ -21,7 +21,7 @@ def axiom_loops(inst, sequences, depth):
     for items in sequences:
         try:
             start = inst.seq(items)
-        except Exception:
+        except BoundaryMismatch:
             continue
         for loop_idx, loop in enumerate(cat.enumerate_loops(inst, items, depth)):
             seqs = [bs.SeqMorphism(start.source, start.target, s) for s in loop]

@@ -379,9 +379,6 @@ class HamInstance(Instance):
     def adjoint2(self, morph):
         return morph.transpose()
 
-    def boundary_of_simple2(self, morph):
-        return (morph.src, morph.tgt)
-
     def is_identity2(self, morph):
         return morph.kind == "diagonal" and morph.src == morph.tgt
 

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import pytest
 
 from cobord2 import bisets as bs
+from cobord2 import catalog
 from cobord2.bisets import (
     Correspondence,
     LieRInstance,
@@ -321,3 +325,49 @@ def test_decomposition_enumeration():
     comp = inst.try_compose1(m, m)
     decs = inst.enumerate_decompositions(comp)
     assert (m, m) in decs
+
+
+def _act(items, tup, left, mids, right):
+    """tup moved by left in the first item's left group, right in the
+    last item's right group and mids[j] in the group between items j and
+    j+1, applied as whole elements: item i sends x to l.x.r^-1."""
+    out = []
+    for i, (item, x) in enumerate(zip(items, tup)):
+        l = left if i == 0 else mids[i - 1]
+        r = right if i == len(items) - 1 else mids[i]
+        out.append(item.right[item.left[l][x]][item.right_group.inverse(r)])
+    return tuple(out)
+
+
+def _brute_orbit_probe(items, start):
+    g0, gn = items[0].left_group, items[-1].right_group
+    mids = list(itertools.product(*[range(m.right_group.order) for m in items[:-1]]))
+    return {
+        (_act(items, start, l, a, r), _act(items, start, l, b, r))
+        for l in range(g0.order) for r in range(gn.order) for a in mids for b in mids
+    }
+
+
+def _brute_collapse_count(items):
+    mids = list(itertools.product(*[range(m.right_group.order) for m in items[:-1]]))
+    l, r = items[0].left_group.identity, items[-1].right_group.identity
+    return len({
+        frozenset(_act(items, tup, l, a, r) for a in mids) for tup in bs.product_tuples(items)
+    })
+
+
+def test_orbit_probe_and_collapse_match_whole_group_action():
+    # the oracle closes under generators only; this reference applies
+    # every group element, on every catalog start sequence small enough
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    checked = 0
+    for items in catalog.loop_start_sequences(inst.catalog):
+        orders = [items[0].left_group.order] + [m.right_group.order for m in items]
+        if orders[0] * orders[-1] * math.prod(orders[1:-1]) ** 2 > 5000:
+            continue
+        tuples = sorted(bs.product_tuples(items))
+        for start in (tuples[0], tuples[len(tuples) // 2]):
+            assert inst._orbit_probe(items, start).pairs == _brute_orbit_probe(items, start)
+        assert quotient_collapse(items).count == _brute_collapse_count(items)
+        checked += 1
+    assert checked == 65

@@ -9,6 +9,7 @@ import pytest
 
 from cobord2 import cdf, cli
 from cobord2.cdf import ParseError, parse_catalog, parse_cdf, parse_word
+from cobord2.cobordism import Move, apply_move, cylinder_seq
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "cobord2" / "data"
@@ -53,6 +54,19 @@ def test_parse_cdf_solid_torus():
     doc = parse_cdf((DATA / "solid_torus.cdf").read_text())
     seq = doc.sequence()
     assert len(seq) == 2
+
+
+def test_cdf_steps_equal_move_calculus_steps():
+    ball = parse_cdf((DATA / "ball_cancel.cdf").read_text())
+    assert ball.steps == apply_move(cylinder_seq(ball.chain), Move("create01", 0, (0, "ball")))
+    pair = parse_cdf((DATA / "cancel12.cdf").read_text())
+    assert pair.steps == apply_move(cylinder_seq(pair.chain), Move("create12", 0, (0, 0)))
+    annulus = "@circles\nc0 +\nc1 +\n@surfaces\nann comp g=1 in=c0 out=c1\n@chain ann\n@steps\n"
+    fine = parse_cdf(annulus + "circle_insert 0 mid 0 1\ncircle_remove 0 mid\n")
+    assert fine.steps == apply_move(
+        cylinder_seq(fine.chain) * 2, Move("circle_insert", 1, (0, 1, "mid")))
+    with pytest.raises(ParseError):
+        parse_cdf(annulus + "circle_insert 1 mid 0 1\n")
 
 
 def test_cli_functor_eval_cylinder(tmp_path):
@@ -183,21 +197,33 @@ NEGATIVE_WITHOUT_LAST_LINE = "".join(
 )
 
 
+FUNCTOR_INVARIANCE = ("functor", "invariance", "doc.cdf")
+AXIOMS = ("axioms", "doc.cat")
+
+
 @pytest.mark.parametrize(
-    "text, code",
+    "command, text, code",
     [
-        ("@circles\nc0 +\n@manifold\n", 2),
-        ("@circles\nc0 +\n@surfaces\nann\n", 2),
+        (FUNCTOR_INVARIANCE, "@circles\nc0 +\n@manifold\n", 2),
+        (FUNCTOR_INVARIANCE, "@circles\nc0 +\n@surfaces\nann\n", 2),
         # @steps2 ends on a different boundary than @steps: a failed check
-        (NEGATIVE_WITHOUT_LAST_LINE, 1),
+        (FUNCTOR_INVARIANCE, NEGATIVE_WITHOUT_LAST_LINE, 1),
+        (AXIOMS, "@groups\nz2\n", 2),
+        (AXIOMS, "@groups\nz2 cyclic\n", 2),
+        (AXIOMS, "@groups\nz2 cyclic 2\n@bisets\nm identity\n", 2),
+        (AXIOMS, "@depth\n", 2),
+        (AXIOMS, "@depth x\n", 2),
     ],
-    ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch"],
+    ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch",
+         "group-without-kind", "group-without-order", "biset-without-group",
+         "depth-without-value", "depth-not-integer"],
 )
-def test_cli_malformed_cdf_exits_without_traceback(tmp_path, text, code):
-    path = tmp_path / "doc.cdf"
+def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
+    *args, name = command
+    path = tmp_path / name
     path.write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-m", "cobord2.cli", "functor", "invariance", str(path)],
+        [sys.executable, "-m", "cobord2.cli", *args, str(path)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == code
