@@ -52,6 +52,9 @@ loops and arcs.  Catalog files (.cat) declare finite groups and bisets:
     idz2 idz2
     @depth 4
 
+Each ``@sequences`` line names bisets that chain: the right group of
+each is the left group of the next.
+
 Both formats ignore blank lines and ``#`` comments.
 """
 
@@ -338,7 +341,11 @@ def parse_catalog(text: str) -> CatalogDocument:
                 _parse_biset(doc, line)
             elif section == "sequences":
                 names = line.split()
-                doc.sequences.append(tuple(doc.bisets[n] for n in names))
+                items = tuple(doc.bisets[n] for n in names)
+                for k in range(len(items) - 1):
+                    if items[k].right_group != items[k + 1].left_group:
+                        raise ValueError("bisets %s and %s do not chain" % tuple(names[k:k + 2]))
+                doc.sequences.append(items)
             else:
                 raise ParseError("line %d: content outside any section" % lineno)
         except (bs.TableError, bs.NotComposable, KeyError, ValueError) as err:

@@ -274,14 +274,19 @@ def _check_circle_merge(before: Chain, after: Chain, pos: int, circle: Optional[
     return []
 
 
-def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
-    """Glue consecutive surfaces along their full interface; None when
-    a closed component would appear."""
-    mid = {c.label for c in a.target}
-    nodes = [("a", i) for i in range(len(a.components))] + [
-        ("b", i) for i in range(len(b.components))
-    ]
-    parent = {n: n for n in nodes}
+def glue_components(first, second, label) -> Optional[list]:
+    """Glue two sides' components along every outgoing circle of the
+    first side, which must each be an incoming circle of the second.
+
+    Components are (genus, into, out) triples of circles, label(circle)
+    names a circle.  Union-find joins the components meeting at a glued
+    circle; each joined piece keeps the unglued circles and takes its
+    genus from the summed Euler characteristic.  Returns the glued
+    triples, or None when a closed component would appear."""
+    comps = list(first) + list(second)
+    n_first = len(first)
+    mid = {label(c) for _, _, out in first for c in out}
+    parent = list(range(len(comps)))
 
     def find(n):
         while parent[n] != n:
@@ -289,92 +294,102 @@ def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
             n = parent[n]
         return n
 
-    owner_out = {c.label: ("a", i) for i, comp in enumerate(a.components) for c in comp.out}
-    owner_in = {c.label: ("b", i) for i, comp in enumerate(b.components) for c in comp.into}
-    for label in mid:
-        pa, pb = find(owner_out[label]), find(owner_in[label])
-        parent[pa] = pb
+    owner_in = {label(c): n_first + i for i, (_, into, _) in enumerate(second) for c in into}
+    for i, (_, _, out) in enumerate(first):
+        for c in out:
+            parent[find(i)] = find(owner_in[label(c)])
     groups: dict = {}
-    for n in nodes:
+    for n in range(len(comps)):
         groups.setdefault(find(n), []).append(n)
-    comps = []
+    glued = []
     for members in groups.values():
-        parts = [a.components[i] if s == "a" else b.components[i] for s, i in members]
-        euler = sum(c.euler for c in parts)
-        into = [c for s, i in members if s == "a" for c in a.components[i].into]
-        into += [
-            c
-            for s, i in members
-            if s == "b"
-            for c in b.components[i].into
-            if c.label not in mid
-        ]
-        out = [c for s, i in members if s == "b" for c in b.components[i].out]
-        out += [
-            c
-            for s, i in members
-            if s == "a"
-            for c in a.components[i].out
-            if c.label not in mid
-        ]
+        # the first side keeps its incoming circles, the second side its
+        # outgoing ones and any incoming circle left unglued
+        into = [c for n in members for c in comps[n][1] if n < n_first or label(c) not in mid]
+        out = [c for n in members if n >= n_first for c in comps[n][2]]
         k = len(into) + len(out)
         if k == 0:
             return None
-        genus2 = 2 - euler - k
-        if genus2 < 0 or genus2 % 2:
-            return None
-        comps.append(SurfComponent(genus2 // 2, tuple(into), tuple(out)))
-    return Surface(tuple(comps), a.source, b.target)
+        euler = sum(2 - 2 * comps[n][0] - len(comps[n][1]) - len(comps[n][2]) for n in members)
+        glued.append(((2 - euler - k) // 2, tuple(into), tuple(out)))
+    return glued
+
+
+def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
+    """Glue consecutive surfaces along their full interface; None when
+    a closed component would appear."""
+    if _labels(a.target) != _labels(b.source):
+        raise ChainMismatch("glued surfaces must share their whole interface")
+    glued = glue_components(
+        [(c.genus, c.into, c.out) for c in a.components],
+        [(c.genus, c.into, c.out) for c in b.components],
+        lambda c: c.label,
+    )
+    if glued is None:
+        return None
+    return Surface(tuple(SurfComponent(*t) for t in glued), a.source, b.target)
 
 
 def _check_compression2(src: Chain, tgt: Chain, attachments) -> list:
-    """Index-2 surgery arithmetic: a separating word splits a component
-    (genus and boundary sums preserved), a nonseparating one lowers the
-    genus.  A surgered item may reappear in the target as a run of
-    consecutive items chained over empty interfaces (pieces falling
-    apart), so matching walks both chains in step."""
+    try:
+        surgery_runs(src, tgt, attachments)
+    except PatternMismatch as err:
+        return [str(err)]
+    return []
+
+
+def surgery_runs(src: Chain, tgt: Chain, attachments) -> list:
+    """[(source item index, its attachments, target slice)] of an index-2
+    compression from src to tgt; PatternMismatch when the surgery
+    arithmetic does not hold.
+
+    A separating word splits a component (genus and boundary sums
+    preserved), a nonseparating one lowers the genus.  A surgered item
+    may reappear in the target as a run of consecutive items chained
+    over empty interfaces (pieces falling apart), so matching walks both
+    chains in step."""
     by_item: dict = {}
     for att in attachments:
         if att.word is None:
-            return ["index-2 attachment needs a word"]
+            raise PatternMismatch("index-2 attachment needs a word")
         if not 0 <= att.item < len(src):
-            return ["attachment references a missing item"]
+            raise PatternMismatch("attachment references a missing item")
         by_item.setdefault(att.item, []).append(att)
+    runs = []
     j = 0
     for i, a in enumerate(src):
         atts = by_item.get(i, [])
         if not atts:
             if j >= len(tgt) or tgt[j] != a:
-                return ["untouched item %d changed" % i]
+                raise PatternMismatch("untouched item %d changed" % i)
             j += 1
             continue
         expected = _surger_components(a, atts)
         if expected is None:
-            return ["surgery on item %d is inconsistent" % i]
+            raise PatternMismatch("surgery on item %d is inconsistent" % i)
         remaining = list(expected)
-        first = True
+        start = j
         while remaining:
             if j >= len(tgt):
-                return ["target is missing surgered pieces of item %d" % i]
+                raise PatternMismatch("target is missing surgered pieces of item %d" % i)
             piece = tgt[j]
-            if first:
+            if j == start:
                 if _labels(piece.source) != _labels(a.source):
-                    return ["surgered run of item %d starts on the wrong interface" % i]
-            else:
-                if piece.source != ():
-                    return ["surgered pieces must fall apart over empty interfaces"]
+                    raise PatternMismatch(
+                        "surgered run of item %d starts on the wrong interface" % i)
+            elif piece.source != ():
+                raise PatternMismatch("surgered pieces must fall apart over empty interfaces")
             for c in piece.components:
                 if c not in remaining:
-                    return ["unexpected component after surgery on item %d" % i]
+                    raise PatternMismatch("unexpected component after surgery on item %d" % i)
                 remaining.remove(c)
-            last_target = piece.target
             j += 1
-            first = False
-        if _labels(last_target) != _labels(a.target):
-            return ["surgered run of item %d ends on the wrong interface" % i]
+        if _labels(tgt[j - 1].target) != _labels(a.target):
+            raise PatternMismatch("surgered run of item %d ends on the wrong interface" % i)
+        runs.append((i, atts, (start, j)))
     if j != len(tgt):
-        return ["target has extra items"]
-    return []
+        raise PatternMismatch("target has extra items")
+    return runs
 
 
 def _surger_components(a: Surface, atts) -> Optional[list]:
@@ -467,11 +482,9 @@ def _separating_split(c: SurfComponent, word: Word) -> Optional[tuple]:
 
 
 def validate(seq: CobSeq) -> list:
-    """All violations in a step sequence: per-step arithmetic plus the
-    chain condition between consecutive steps."""
+    """Violations of the chain condition between consecutive steps; each
+    step's own arithmetic was checked when it was constructed."""
     out = []
-    for i, step in enumerate(seq):
-        out.extend("step %d: %s" % (i, v) for v in validate_step(step))
     for i, (a, b) in enumerate(zip(seq, seq[1:])):
         if a.target != b.source:
             out.append("steps %d-%d: decompositions do not match" % (i, i + 1))
@@ -744,26 +757,30 @@ def _lift_attachment(att: Attachment, s1: CobStep) -> Optional[Attachment]:
     if home is None:
         return None
     item_idx, comp_idx, src_comp = home
-    shifts = sorted(
-        a.word.single_generator()[1]
-        for a in s1.attachments
-        if a.item == item_idx and a.comp == comp_idx and _is_nonseparating(a.word)
-    )
+    cuts = {a.word.single_generator()[1] for a in s1.attachments
+            if a.item == item_idx and a.comp == comp_idx and _is_nonseparating(a.word)}
+    lifted = dict(enumerate(surviving_handles(src_comp.genus, cuts), start=1))
+    word = _renumber_handles(att.word, comp_idx, lifted)
+    return None if word is None else Attachment(item_idx, comp_idx, word=word)
 
-    def lift_index(j):
-        for cut in shifts:
-            if j >= cut:
-                j += 1
-        return j
 
-    word = Word(
-        comp_idx,
-        tuple(
-            (k, lift_index(r) if k in ("a", "b") else r, s)
-            for k, r, s in att.word.gens
-        ),
-    )
-    return Attachment(item_idx, comp_idx, word=word)
+def surviving_handles(genus: int, cuts) -> list:
+    """The handle indices 1..genus left by compressing the handles in
+    cuts, in order: the j-th entry is the old index of new handle j."""
+    return [j for j in range(1, genus + 1) if j not in cuts]
+
+
+def _renumber_handles(word: Word, comp: int, table: dict) -> Optional[Word]:
+    """word on component comp with its handle indices mapped through
+    table; None when one of them has no image."""
+    gens = []
+    for k, r, s in word.gens:
+        if k in ("a", "b"):
+            if r not in table:
+                return None
+            r = table[r]
+        gens.append((k, r, s))
+    return Word(comp, tuple(gens))
 
 
 def _find_component(chain: Chain, labels) -> Optional[tuple]:
@@ -830,31 +847,11 @@ def _lower_attachment(att: Attachment, first: CobStep) -> Optional[Attachment]:
     if home is None:
         return None
     item_idx, comp_idx, _ = home
-    cuts = sorted(
-        a.word.single_generator()[1]
-        for a in first.attachments
-        if a.item == att.item and a.comp == att.comp and _is_nonseparating(a.word)
-    )
-
-    def lower_index(j):
-        out = j
-        for cut in cuts:
-            if j == cut:
-                return None
-            if j > cut:
-                out -= 1
-        return out
-
-    gens = []
-    for k, r, s in att.word.gens:
-        if k in ("a", "b"):
-            r2 = lower_index(r)
-            if r2 is None:
-                return None
-            gens.append((k, r2, s))
-        else:
-            gens.append((k, r, s))
-    return Attachment(item_idx, comp_idx, word=Word(comp_idx, tuple(gens)))
+    cuts = {a.word.single_generator()[1] for a in first.attachments
+            if a.item == att.item and a.comp == att.comp and _is_nonseparating(a.word)}
+    lowered = {old: new for new, old in enumerate(surviving_handles(comp.genus, cuts), start=1)}
+    word = _renumber_handles(att.word, comp_idx, lowered)
+    return None if word is None else Attachment(item_idx, comp_idx, word=word)
 
 
 def _step_window(step: CobStep):

@@ -216,6 +216,11 @@ def wire_row(items) -> tuple:
     return tuple(Wire(i) for i in items)
 
 
+def face_row(items, pos: int, face: Face) -> tuple:
+    """One face over items[pos:pos + len(face.src_items)], wires elsewhere."""
+    return wire_row(items[:pos]) + (face,) + wire_row(items[pos + len(face.src_items):])
+
+
 def concat_v2(c: StackDiagram, d: StackDiagram) -> StackDiagram:
     if c.target.items != d.source.items:
         raise BoundaryMismatch("vertical gluing boundary mismatch")
@@ -382,8 +387,11 @@ def _interchange_pass(rows):
 
 def diagrams_equal(d1: StackDiagram, d2: StackDiagram, inst: Instance) -> bool:
     """Structural equality of normal forms."""
-    n1 = normalize_diagram(d1, inst)
-    n2 = normalize_diagram(d2, inst)
+    return normal_forms_equal(normalize_diagram(d1, inst), normalize_diagram(d2, inst), inst)
+
+
+def normal_forms_equal(n1: StackDiagram, n2: StackDiagram, inst: Instance) -> bool:
+    """Structural equality of two diagrams already in normal form."""
     if n1.source.items != n2.source.items or len(n1.rows) != len(n2.rows):
         return False
     for r1, r2 in zip(n1.rows, n2.rows):
@@ -443,12 +451,7 @@ def patch_diagram(inst, loop) -> StackDiagram:
             a, b = seq_b.items[pos], seq_b.items[pos + 1]
             ident = inst.identification2(a, b)
             face = Face(inst.adjoint2(ident), (seq_a.items[pos],), (a, b))
-        row = (
-            wire_row(seq_a.items[:pos])
-            + (face,)
-            + wire_row(seq_a.items[pos + len(face.src_items):])
-        )
-        rows.append(row)
+        rows.append(face_row(seq_a.items, pos, face))
     return StackDiagram(loop[0], tuple(rows))
 
 

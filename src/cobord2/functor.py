@@ -2,11 +2,15 @@
 with numerical cross-checks in the holonomy charts.
 
 Objects go to one SU(2) factor per circle, surfaces to moduli symbols
-read off componentwise, and each elementary step to one diagram row:
-cylinders to wires, balls to zero-sections (or their transposes),
-circle moves to identification faces, index-2 compressions to
-trivial-holonomy faces, and index-1 compressions to transposes of the
-reversed index-2 evaluation along their belts.
+read off componentwise, and each elementary step to one diagram row.
+Only the forward steps have rules of their own: cylinders go to wires,
+0-handles to zero-sections, circle removals to identification faces and
+index-2 compressions to trivial-holonomy faces.  A reversed step
+(3-handle, circle insertion, index-1 compression) evaluates as the
+transposed row of its reversal, since reversing a cobordism transposes
+its correspondence (Wehrheim and Woodward, "Functoriality for
+Lagrangian correspondences in Floer theory", 2010); an index-1
+compression thus becomes the transposed index-2 row along its belts.
 
 The invariance checker evaluates two step sequences related by a move
 chain, compares normal forms, and cross-checks sampled points of every
@@ -14,7 +18,7 @@ face against both diagrams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import math
@@ -24,18 +28,26 @@ from cobord2 import cobordism as cb
 from cobord2 import su2
 from cobord2.charts import ChartPoint, ModuliChart
 from cobord2.cobordism import CobSeq, CobStep, MoveChainInvalid
-from cobord2.diagram import Face, SeqMorphism, StackDiagram, Wire, seq_from_items
+from cobord2.diagram import (
+    Face,
+    SeqMorphism,
+    StackDiagram,
+    Wire,
+    _row_target,
+    face_row,
+    seq_from_items,
+    wire_row,
+)
 from cobord2.symcat import (
     Component,
     CorrSymbol,
     GroupSymbol,
     HamInstance,
     SpaceSymbol,
-    equal_2morphisms,
+    equal_normal_forms,
     moduli_symbol,
     normalize_mod_equiv,
 )
-from cobord2.words import Word
 
 
 def eval0(circles) -> GroupSymbol:
@@ -73,31 +85,7 @@ def chart_for(comp: Component) -> ModuliChart:
 # --- step evaluation -------------------------------------------------------------
 
 
-def _surgery_runs(step: CobStep):
-    """[(source item index, attachments, target slice)] for a validated
-    index-2 compression."""
-    by_item: dict = {}
-    for att in step.attachments:
-        by_item.setdefault(att.item, []).append(att)
-    runs = []
-    j = 0
-    for i, a in enumerate(step.source):
-        atts = by_item.get(i, [])
-        if not atts:
-            j += 1
-            continue
-        expected = cb._surger_components(a, atts)
-        remaining = list(expected)
-        start = j
-        while remaining:
-            for c in step.target[j].components:
-                remaining.remove(c)
-            j += 1
-        runs.append((i, atts, (start, j)))
-    return runs
-
-
-def _handle_transfer(src_comp: Component, atts, tgt_comps) -> tuple:
+def _handle_transfer(src_comp: Component, atts) -> tuple:
     """(small gen -> big gen) pairs per surgered piece: labels are
     stable, handle indices shift past compressed handles, and a
     separating split distributes the survivors in sorted order."""
@@ -109,7 +97,7 @@ def _handle_transfer(src_comp: Component, atts, tgt_comps) -> tuple:
             killed.add(single[1])
         else:
             _, first_handles = cb.parse_separating(att.word)
-    survivors = [j for j in range(1, src_comp.genus + 1) if j not in killed]
+    survivors = cb.surviving_handles(src_comp.genus, killed)
     if first_handles is None:
         # single piece: survivors relabel downward in order
         pieces = [survivors]
@@ -141,12 +129,12 @@ def eval2(seq: CobSeq, inst: Optional[HamInstance] = None) -> StackDiagram:
         raise cb.PatternMismatch("; ".join(problems))
     if not seq:
         raise cb.PatternMismatch("empty step sequence has no boundary data")
-    symbols = [eval_surface(item) for item in cb.seq_source(seq)]
-    source = seq_from_items(inst, tuple(symbols), source=eval0(cb.chain_source(cb.seq_source(seq))))
+    symbols = tuple(eval_surface(item) for item in cb.seq_source(seq))
+    source = seq_from_items(inst, symbols, source=eval0(cb.chain_source(cb.seq_source(seq))))
     rows = []
     for step in seq:
-        row, symbols = _eval_step(step, symbols, inst)
-        rows.append(row)
+        rows.append(_eval_step(step, symbols, inst))
+        symbols = _row_target(rows[-1])
     return StackDiagram(source, tuple(rows))
 
 
@@ -157,99 +145,53 @@ def _flags(syms) -> frozenset:
     return out
 
 
-def _eval_step(step: CobStep, symbols, inst):
-    kind = step.kind
-    if kind == cb.CYLINDER:
-        return tuple(Wire(s) for s in symbols), symbols
-    if kind in (cb.ZERO_HANDLE, cb.THREE_HANDLE):
-        p = step.position
-        if kind == cb.ZERO_HANDLE:
-            d0 = eval_surface(step.target[p])
-            d1 = eval_surface(step.target[p + 1])
-            face = CorrSymbol("zero_section", (), (d0, d1), circles=(step.circle,))
-            new = symbols[:p] + [d0, d1] + symbols[p:]
-            row = (
-                tuple(Wire(s) for s in symbols[:p])
-                + (Face(face, (), (d0, d1)),)
-                + tuple(Wire(s) for s in symbols[p:])
-            )
-            return row, new
-        d0, d1 = symbols[p], symbols[p + 1]
-        face = CorrSymbol("zero_section", (d0, d1), (), circles=(step.circle,), transposed=True)
-        new = symbols[:p] + symbols[p + 2:]
-        row = (
-            tuple(Wire(s) for s in symbols[:p])
-            + (Face(face, (d0, d1), ()),)
-            + tuple(Wire(s) for s in symbols[p + 2:])
-        )
-        return row, new
-    if kind in (cb.CIRCLE_REMOVE, cb.CIRCLE_INSERT):
-        p = step.position
-        if kind == cb.CIRCLE_REMOVE:
-            a, b = symbols[p], symbols[p + 1]
-            ident = inst.identification2(a, b)
-            glued = ident.tgt[0]
-            new = symbols[:p] + [glued] + symbols[p + 2:]
-            row = (
-                tuple(Wire(s) for s in symbols[:p])
-                + (Face(ident, (a, b), (glued,)),)
-                + tuple(Wire(s) for s in symbols[p + 2:])
-            )
-            return row, new
-        glued = symbols[p]
-        a = eval_surface(step.target[p]).with_excisions(glued.excised)
-        b = eval_surface(step.target[p + 1]).with_excisions(glued.excised)
-        face = CorrSymbol(
-            "identification", (glued,), (a, b), transposed=True, glued=(step.circle,)
-        )
-        new = symbols[:p] + [a, b] + symbols[p + 1:]
-        row = (
-            tuple(Wire(s) for s in symbols[:p])
-            + (Face(face, (glued,), (a, b)),)
-            + tuple(Wire(s) for s in symbols[p + 1:])
-        )
-        return row, new
-    if kind == cb.COMPRESSION and step.index == 2:
-        return _eval_compression2(step, symbols, inst, transposed=False)
-    if kind == cb.COMPRESSION and step.index == 1:
-        rev = cb.reverse_step(step)
-        rev_symbols = [eval_surface(item).with_excisions(_flags(symbols)) for item in rev.source]
-        row, out_symbols = _eval_compression2(rev, rev_symbols, inst, transposed=False)
-        flipped = []
-        consumed_src = 0
-        consumed_tgt = 0
-        new_row = []
-        for cell in row:
-            if isinstance(cell, Wire):
-                new_row.append(Wire(symbols[consumed_src]))
-                consumed_src += 1
-                consumed_tgt += 1
-            else:
-                n_src = len(cell.tgt_items)
-                src_items = tuple(symbols[consumed_src:consumed_src + n_src])
-                face = cell.morph.transpose()
-                face = CorrSymbol(
-                    face.kind, src_items, face.tgt, True, face.glued,
-                    face.circles, face.words, face.group, face.transfer,
-                )
-                new_row.append(Face(face, src_items, face.tgt))
-                consumed_src += n_src
-                consumed_tgt += len(cell.src_items)
-        new_symbols = []
-        for cell in new_row:
-            new_symbols.extend(cell.tgt_items)
-        return tuple(new_row), new_symbols
-    raise cb.PatternMismatch("cannot evaluate step kind %r" % kind)
+def _is_forward(step: CobStep) -> bool:
+    return step.kind in (cb.CYLINDER, cb.ZERO_HANDLE, cb.CIRCLE_REMOVE) or (
+        step.kind == cb.COMPRESSION and step.index == 2
+    )
 
 
-def _eval_compression2(step: CobStep, symbols, inst, transposed: bool):
-    runs = {i: (atts, sl) for i, atts, sl in _surgery_runs(step)}
+def _eval_step(step: CobStep, symbols, inst) -> tuple:
+    """The row of one step over the current symbols.  A reversed step
+    (3-handle, circle insertion, index-1 compression) evaluates to the
+    transposed row of its forward reversal, taken on the unflagged
+    symbols of its target; each new symbol takes the flags of the
+    symbols it replaces."""
+    if _is_forward(step):
+        return _eval_forward(step, symbols, inst)
+    rev = cb.reverse_step(step)
     row = []
-    new_symbols = []
+    k = 0
+    for cell in _eval_forward(rev, tuple(eval_surface(item) for item in rev.source), inst):
+        src = tuple(symbols[k:k + len(cell.tgt_items)])
+        k += len(src)
+        if isinstance(cell, Wire):
+            row.append(Wire(src[0]))
+        else:
+            flags = _flags(src)
+            tgt = tuple(s.with_excisions(flags) for s in cell.src_items)
+            row.append(Face(replace(cell.morph.transpose(), src=src, tgt=tgt), src, tgt))
+    return tuple(row)
+
+
+def _eval_forward(step: CobStep, symbols, inst) -> tuple:
+    p = step.position
+    if step.kind == cb.CYLINDER:
+        return wire_row(symbols)
+    if step.kind == cb.ZERO_HANDLE:
+        discs = (eval_surface(step.target[p]), eval_surface(step.target[p + 1]))
+        face = CorrSymbol("zero_section", (), discs, circles=(step.circle,))
+        return face_row(symbols, p, Face(face, (), discs))
+    if step.kind == cb.CIRCLE_REMOVE:
+        pair = tuple(symbols[p:p + 2])
+        ident = inst.identification2(*pair)
+        return face_row(symbols, p, Face(ident, pair, ident.tgt))
+    runs = cb.surgery_runs(step.source, step.target, step.attachments)
+    runs = {i: (atts, sl) for i, atts, sl in runs}
+    row = []
     for i, sym in enumerate(symbols):
         if i not in runs:
             row.append(Wire(sym))
-            new_symbols.append(sym)
             continue
         atts, (lo, hi) = runs[i]
         targets = tuple(
@@ -259,18 +201,14 @@ def _eval_compression2(step: CobStep, symbols, inst, transposed: bool):
         words = tuple(att.word for att in atts)
         touched = {att.comp for att in atts}
         if len(touched) == 1:
-            comp = sym.components[atts[0].comp]
-            transfer = _handle_transfer(comp, atts, None)
+            transfer = _handle_transfer(sym.components[atts[0].comp], atts)
         else:
             # generator bases do not carry their component, so lifting
             # through a multi-component face is not representable
             transfer = ()
-        face = CorrSymbol(
-            "hol_trivial", (sym,), targets, words=words, transfer=tuple(transfer)
-        )
+        face = CorrSymbol("hol_trivial", (sym,), targets, words=words, transfer=transfer)
         row.append(Face(face, (sym,), targets))
-        new_symbols.extend(targets)
-    return tuple(row), new_symbols
+    return tuple(row)
 
 
 # --- numeric membership -------------------------------------------------------------
@@ -478,12 +416,10 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, ctx: Optional[EvalContext] =
         if derived != y2:
             raise MoveChainInvalid("the move chain does not produce the second sequence")
         records.append(("move-chain", True, "%d moves verified" % len(moves)))
-    d1 = eval2(y1, ctx.inst)
-    d2 = eval2(y2, ctx.inst)
-    same = equal_2morphisms(d1, d2, ctx.inst)
+    n1 = normalize_mod_equiv(eval2(y1, ctx.inst), ctx.inst)
+    n2 = normalize_mod_equiv(eval2(y2, ctx.inst), ctx.inst)
+    same = equal_normal_forms(n1, n2, ctx.inst)
     records.append(("normal-forms-equal", same, ""))
-    n1 = normalize_mod_equiv(d1, ctx.inst)
-    n2 = normalize_mod_equiv(d2, ctx.inst)
     if same:
         checked = 0
         worst = 0.0

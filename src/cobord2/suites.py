@@ -11,18 +11,14 @@ from cobord2 import bisets as bs
 from cobord2 import catalog as cat
 from cobord2 import charts as ch
 from cobord2 import su2
-from cobord2.diagram import BoundaryMismatch, check_diagram_axiom
+from cobord2.diagram import check_diagram_axiom
 
 
 def axiom_loops(inst, sequences, depth):
     """Yield (items, loop index, names of failed probes) for every
-    composition loop of length <= depth from each start sequence.
-    Start sequences that do not compose are skipped."""
+    composition loop of length <= depth from each start sequence."""
     for items in sequences:
-        try:
-            start = inst.seq(items)
-        except BoundaryMismatch:
-            continue
+        start = inst.seq(items)
         for loop_idx, loop in enumerate(cat.enumerate_loops(inst, items, depth)):
             seqs = [bs.SeqMorphism(start.source, start.target, s) for s in loop]
             results = check_diagram_axiom(seqs, inst)

@@ -3,10 +3,10 @@
 Spaces are symbols, not manifolds: a Moduli symbol records, per
 connected component, the genus and the labeled boundary circles on each
 side; Cotangent symbols act as identities; the Point is the empty
-surface.  Composition is the gluing arithmetic (genus from Euler
-characteristic, boundary counts drop by two per glued circle), refusing
-any composition that would close a component, and recording an excision
-flag per glued circle for the holonomy -1 locus removed by gluing.
+surface.  Composition glues the components with the surface gluing
+arithmetic of cobordism.glue_components, refusing any composition that
+would close a component, and records an excision flag per glued circle
+for the holonomy -1 locus removed by gluing.
 
 Correspondence symbols come in five kinds (diagonal, identification,
 zero-section, trivial-holonomy locus, Weinstein graph).  The functor
@@ -18,9 +18,11 @@ every adjacent correspondence weakly transversely."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Optional
 
+from cobord2.cobordism import glue_components
 from cobord2.diagram import (
     BoundaryMismatch,
     Face,
@@ -28,7 +30,7 @@ from cobord2.diagram import (
     SeqMorphism,
     StackDiagram,
     Wire,
-    diagrams_equal,
+    normal_forms_equal,
     normalize_diagram,
 )
 from cobord2.words import Word
@@ -184,74 +186,17 @@ def try_compose1_sym(a: SpaceSymbol, b: SpaceSymbol) -> Optional[SpaceSymbol]:
         return b.with_excisions(a.excised)
     if b.kind == "cotangent":
         return a.with_excisions(b.excised)
-    glued = a.target_group.circles
-    # union-find over components of both symbols through the glued circles
-    nodes = [("a", i) for i in range(len(a.components))] + [
-        ("b", i) for i in range(len(b.components))
-    ]
-    parent = {n: n for n in nodes}
-
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    def union(m, n):
-        parent[find(m)] = find(n)
-
-    owner_right = {
-        c[0]: ("a", i) for i, comp in enumerate(a.components) for c in comp.right
-    }
-    owner_left = {
-        c[0]: ("b", i) for i, comp in enumerate(b.components) for c in comp.left
-    }
-    for label, _ in glued:
-        union(owner_right[label], owner_left[label])
-    groups: dict = {}
-    for n in nodes:
-        groups.setdefault(find(n), []).append(n)
-    glued_labels = {c[0] for c in glued}
-    out = []
-    for members in groups.values():
-        comps = [
-            a.components[i] if side == "a" else b.components[i] for side, i in members
-        ]
-        euler = sum(c.euler for c in comps)
-        left = tuple(
-            c
-            for side, i in members
-            if side == "a"
-            for c in a.components[i].left
-        ) + tuple(
-            c
-            for side, i in members
-            if side == "b"
-            for c in b.components[i].left
-            if c[0] not in glued_labels
-        )
-        right = tuple(
-            c
-            for side, i in members
-            if side == "b"
-            for c in b.components[i].right
-        ) + tuple(
-            c
-            for side, i in members
-            if side == "a"
-            for c in a.components[i].right
-            if c[0] not in glued_labels
-        )
-        k = len(left) + len(right)
-        if k == 0:
-            return None
-        genus2 = 2 - euler - k
-        assert genus2 % 2 == 0 and genus2 >= 0
-        out.append(Component(genus2 // 2, left, right))
-    records = {ExcisionRecord(label) for label in glued_labels}
+    glued = glue_components(
+        [(c.genus, c.left, c.right) for c in a.components],
+        [(c.genus, c.left, c.right) for c in b.components],
+        itemgetter(0),
+    )
+    if glued is None:
+        return None
+    records = {ExcisionRecord(label) for label in a.target_group.labels}
     return SpaceSymbol(
-        "moduli" if out else "point",
-        tuple(out),
+        "moduli" if glued else "point",
+        tuple(Component(*t) for t in glued),
         None,
         a.excised | b.excised | frozenset(records),
     )
@@ -287,29 +232,13 @@ class CorrSymbol:
         object.__setattr__(self, "words", tuple(sorted(self.words, key=repr)))
 
     def transpose(self) -> "CorrSymbol":
-        return CorrSymbol(
-            self.kind,
-            self.tgt,
-            self.src,
-            not self.transposed,
-            self.glued,
-            self.circles,
-            self.words,
-            self.group,
-            self.transfer,
-        )
+        return replace(self, src=self.tgt, tgt=self.src, transposed=not self.transposed)
 
     def strip_excisions(self) -> "CorrSymbol":
-        return CorrSymbol(
-            self.kind,
-            tuple(s.without_excisions() for s in self.src),
-            tuple(s.without_excisions() for s in self.tgt),
-            self.transposed,
-            self.glued,
-            self.circles,
-            self.words,
-            self.group,
-            self.transfer,
+        return replace(
+            self,
+            src=tuple(s.without_excisions() for s in self.src),
+            tgt=tuple(s.without_excisions() for s in self.tgt),
         )
 
     @property
@@ -534,10 +463,15 @@ def normalize_mod_equiv(d: StackDiagram, inst: Optional[HamInstance] = None) -> 
 
 def equal_2morphisms(d1: StackDiagram, d2: StackDiagram, inst: Optional[HamInstance] = None) -> bool:
     inst = inst or HamInstance()
-    s1, s2 = strip_diagram_excisions(d1), strip_diagram_excisions(d2)
-    if s1.source.items != s2.source.items or s1.target.items != s2.target.items:
+    return equal_normal_forms(normalize_mod_equiv(d1, inst), normalize_mod_equiv(d2, inst), inst)
+
+
+def equal_normal_forms(n1: StackDiagram, n2: StackDiagram, inst: HamInstance) -> bool:
+    """Equality of two normal forms modulo the flags, as returned by
+    normalize_mod_equiv; BoundaryMismatch when their boundaries differ."""
+    if n1.source.items != n2.source.items or n1.target.items != n2.target.items:
         raise BoundaryMismatch("2-morphisms have different boundary sequences")
-    return diagrams_equal(s1, s2, inst)
+    return normal_forms_equal(n1, n2, inst)
 
 
 def weinstein_identity(item: SpaceSymbol) -> tuple:

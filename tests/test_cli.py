@@ -198,6 +198,7 @@ NEGATIVE_WITHOUT_LAST_LINE = "".join(
 
 
 FUNCTOR_INVARIANCE = ("functor", "invariance", "doc.cdf")
+FUNCTOR_EVAL = ("functor", "eval", "doc.cdf")
 AXIOMS = ("axioms", "doc.cat")
 
 
@@ -213,10 +214,15 @@ AXIOMS = ("axioms", "doc.cat")
         (AXIOMS, "@groups\nz2 cyclic 2\n@bisets\nm identity\n", 2),
         (AXIOMS, "@depth\n", 2),
         (AXIOMS, "@depth x\n", 2),
+        (AXIOMS, "@groups\nz2 cyclic 2\nz3 cyclic 3\n@bisets\na identity z2\n"
+                 "b identity z3\n@sequences\na b\n", 2),
+        (FUNCTOR_EVAL, "@circles\nc0 +\nc1 +\n@surfaces\nx comp g=0 in=c0 out=c1\n"
+                       "y comp g=0 in=c0 out=c1\n@chain x y\n@steps\ncircle_remove 0 c1\n", 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch",
          "group-without-kind", "group-without-order", "biset-without-group",
-         "depth-without-value", "depth-not-integer"],
+         "depth-without-value", "depth-not-integer", "sequence-not-chaining",
+         "circle-remove-across-different-interfaces"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
     *args, name = command

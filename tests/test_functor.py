@@ -1,11 +1,21 @@
+from pathlib import Path
+
 import pytest
 
+import cobord2
 from cobord2 import catalog as cat
+from cobord2 import cdf
 from cobord2 import cobordism as cb
 from cobord2 import functor as fn
 from cobord2.cobordism import Circle, Move, SurfComponent, Surface, cylinder_seq
 from cobord2.diagram import Face, Wire
-from cobord2.symcat import HamInstance, equal_2morphisms, normalize_mod_equiv, try_compose1_sym
+from cobord2.symcat import (
+    HamInstance,
+    _transpose_row,
+    normalize_mod_equiv,
+    strip_diagram_excisions,
+    try_compose1_sym,
+)
 from cobord2.words import Word
 
 
@@ -217,3 +227,51 @@ def test_membership_identification_via_glue():
         assert ok, r
         got += 1
     assert got >= 10
+
+
+def _corpus():
+    """Every Cerf entry before and after its moves, the negative control,
+    and every shipped .cdf sequence, @steps2 included."""
+    seqs = []
+    for _, y1, moves in cat.cerf_move_catalog():
+        seqs += [y1, cb.apply_moves(y1, moves)]
+    seqs += list(cat.negative_control())
+    for path in sorted((Path(cobord2.__file__).parent / "data").glob("*.cdf")):
+        doc = cdf.parse_cdf(path.read_text())
+        seqs.append(doc.sequence())
+        if doc.steps2:
+            seqs.append(doc.steps2)
+    return seqs
+
+
+def _stripped_row(step):
+    d = strip_diagram_excisions(fn.eval2((step,)))
+    (row,) = d.rows
+    return row
+
+
+def test_reversed_step_evaluates_to_transposed_row():
+    steps = {step for seq in _corpus() for step in seq}
+    assert {cb.THREE_HANDLE, cb.CIRCLE_INSERT} <= {s.kind for s in steps}
+    assert any(s.kind == cb.COMPRESSION and s.index == 1 for s in steps)
+    for step in steps:
+        reversed_row = _stripped_row(cb.reverse_step(step))
+        assert reversed_row == _transpose_row(_stripped_row(step)), step.kind
+
+
+def test_surface_gluing_matches_symbol_composition():
+    chains = {chain for seq in _corpus() for step in seq for chain in (step.source, step.target)}
+    met = closed = 0
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            if not a.target:
+                continue
+            met += 1
+            made = try_compose1_sym(fn.eval_surface(a), fn.eval_surface(b))
+            glued = cb.glue_surfaces(a, b)
+            if glued is None:
+                closed += 1
+                assert made is None
+            else:
+                assert fn.eval_surface(glued) == made.without_excisions()
+    assert met and closed
