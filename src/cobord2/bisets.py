@@ -10,14 +10,27 @@ brute-force oracle for the diagram machinery: a probe correspondence
 can always be pushed through an identification (image) or pulled back
 (preimage), and invariant subsets are determined by their fully
 collapsed forms.
+
+Past the group and action tables everything is integer coded.  A
+product tuple (one carrier index per item of a sequence) is its
+row-major mixed-radix code, so codes run in itertools.product order.
+Each generator of the middle and outer actions is a permutation array
+over those codes, and a correspondence holds a sorted, duplicate-free
+int64 array of pair codes s * |P_tgt| + t.  Orbits are found by label
+propagation over the permutations, probes are carried by indexing
+through push and pull maps, and Correspondence.tuples() decodes the
+pairs back into (source tuple, target tuple) pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from cobord2.diagram import Instance, SeqMorphism, seq_from_items
 
@@ -33,6 +46,14 @@ class TableError(ValueError):
 # --- groups -------------------------------------------------------------------
 
 
+def _row_blocks(rows: int, per_row: int):
+    """Slices of range(rows) whose law checks, per_row elements a row,
+    hold about a million elements, so a large table is checked in
+    bounded memory."""
+    step = max(1, (1 << 20) // max(1, per_row))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     name: str
@@ -43,21 +64,31 @@ class FiniteGroup:
         for row in self.mult:
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise TableError("%s: malformed multiplication table" % self.name)
-        ident = None
-        for e in range(n):
-            if all(self.mult[e][g] == g and self.mult[g][e] == g for g in range(n)):
-                ident = e
-                break
-        if ident is None:
+        table = self.mult_array
+        ident = np.flatnonzero(
+            (table == np.arange(n)).all(axis=1) & (table == np.arange(n)[:, None]).all(axis=0)
+        )
+        if not ident.size:
             raise TableError("%s: no identity element" % self.name)
-        for g in range(n):
-            if not any(self.mult[g][h] == ident for h in range(n)):
-                raise TableError("%s: element %d has no inverse" % (self.name, g))
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    if self.mult[self.mult[g][h]][k] != self.mult[g][self.mult[h][k]]:
-                        raise TableError("%s: not associative" % self.name)
+        no_inverse = np.flatnonzero(~(table == ident[0]).any(axis=1))
+        if no_inverse.size:
+            raise TableError("%s: element %d has no inverse" % (self.name, no_inverse[0]))
+        # (gh)k against g(hk), indexed [g, h, k]
+        if any((table[table[g]] != table[g][:, table]).any() for g in _row_blocks(n, n * n)):
+            raise TableError("%s: not associative" % self.name)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.mult))
+
+    @cached_property
+    def mult_array(self) -> np.ndarray:
+        """mult as an int64 array indexed [g, h]."""
+        n = len(self.mult)
+        return np.array(self.mult, dtype=np.int64).reshape(n, n)
 
     @property
     def order(self) -> int:
@@ -88,7 +119,11 @@ class FiniteGroup:
         for g in range(self.order):
             if g not in reached:
                 gens.append(g)
-                reached = _closure(self.identity, lambda x: (self.mult[x][h] for h in gens))
+                # the subgroup gens generate, breadth first from the identity
+                frontier = [self.identity]
+                while frontier:
+                    frontier = list({self.mult[x][h] for x in frontier for h in gens} - reached)
+                    reached.update(frontier)
                 if len(reached) == self.order:
                     break
         return tuple(gens)
@@ -171,24 +206,37 @@ class FiniteBiset:
             raise TableError("%s: malformed left action" % self.name)
         if len(self.right) != m or any(len(r) != H.order for r in self.right):
             raise TableError("%s: malformed right action" % self.name)
-        for x in range(m):
-            if self.left[G.identity][x] != x or self.right[x][H.identity] != x:
-                raise TableError("%s: identities act nontrivially" % self.name)
-        for g in range(G.order):
-            for h in range(G.order):
-                for x in range(m):
-                    if self.left[G.mult[g][h]][x] != self.left[g][self.left[h][x]]:
-                        raise TableError("%s: left action not associative" % self.name)
-        for g in range(H.order):
-            for h in range(H.order):
-                for x in range(m):
-                    if self.right[x][H.mult[g][h]] != self.right[self.right[x][g]][h]:
-                        raise TableError("%s: right action not associative" % self.name)
-        for g in range(G.order):
-            for h in range(H.order):
-                for x in range(m):
-                    if self.right[self.left[g][x]][h] != self.left[g][self.right[x][h]]:
-                        raise TableError("%s: actions do not commute" % self.name)
+        left, right = self.left_array, self.right_array
+        gm, hm = G.mult_array, H.mult_array
+        if (left[G.identity] != np.arange(m)).any() or (right[:, H.identity] != np.arange(m)).any():
+            raise TableError("%s: identities act nontrivially" % self.name)
+        # (gh).x against g.(h.x), indexed [g, h, x]
+        if any((left[gm[g]] != left[g][:, left]).any() for g in _row_blocks(G.order, G.order * m)):
+            raise TableError("%s: left action not associative" % self.name)
+        # x.(gh) against (x.g).h, indexed [x, g, h]
+        if any((right[x][:, hm] != right[right[x]]).any() for x in _row_blocks(m, H.order ** 2)):
+            raise TableError("%s: right action not associative" % self.name)
+        # (g.x).h against g.(x.h), indexed [g, x, h]
+        if any((right[left[g]] != left[g][:, right]).any()
+               for g in _row_blocks(G.order, m * H.order)):
+            raise TableError("%s: actions do not commute" % self.name)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.left_group, self.right_group, self.left, self.right))
+
+    @cached_property
+    def left_array(self) -> np.ndarray:
+        """left as an int64 array indexed [g, x]."""
+        return np.array(self.left, dtype=np.int64).reshape(self.left_group.order, self.size)
+
+    @cached_property
+    def right_array(self) -> np.ndarray:
+        """right as an int64 array indexed [x, g']."""
+        return np.array(self.right, dtype=np.int64).reshape(self.size, self.right_group.order)
 
     @property
     def size(self) -> int:
@@ -274,71 +322,115 @@ def unit_biset(g: FiniteGroup) -> FiniteBiset:
     return FiniteBiset("unit_%s" % g.name, TRIVIAL, g, left, right)
 
 
+# --- integer codes ---------------------------------------------------------------
+
+
+def _carrier_size(seq) -> int:
+    """Number of product tuples of a sequence (1 for the empty one)."""
+    return math.prod(item.size for item in seq)
+
+
+def _decode(seq, codes) -> list:
+    """Product tuples of the given codes."""
+    digits = []
+    for item in reversed(seq):
+        codes, digit = np.divmod(codes, item.size)
+        digits.append(digit.tolist())
+    if not digits:
+        return [()] * len(codes)
+    return list(zip(*reversed(digits)))
+
+
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which of codes occur in the sorted array sorted_codes."""
+    if not len(sorted_codes):
+        return np.zeros(len(codes), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    return sorted_codes[at] == codes
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges [start, start + count) laid end to end."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) - np.repeat(ends - counts - starts, counts)
+
+
 # --- generator actions -----------------------------------------------------------
 
 
 class _Actions(NamedTuple):
-    """Generator tables of one sequence, each a map on carrier indices.
+    """Generator permutations of one sequence over its product codes.
 
-    mid: (j, x -> x.g^-1 on item j, y -> g.y on item j+1) for each
-    generator g of the group between items j and j+1 (the anti-diagonal
-    middle action); left: y -> g.y on the first item for each generator
-    of its left group; right: x -> x.g^-1 on the last item for each
-    generator of its right group."""
+    size: the number of product tuples; mid: (x, y) -> (x.g^-1, g.y) on
+    items j, j+1 for each generator g of the group between them (the
+    anti-diagonal middle action); left: y -> g.y on the first item for
+    each generator of its left group; right: x -> x.g^-1 on the last
+    item for each generator of its right group."""
+    size: int
     mid: tuple
     left: tuple
     right: tuple
 
 
-_NO_ACTIONS = _Actions((), (), ())
-
-
 def _actions(seq) -> _Actions:
+    size = _carrier_size(seq)
     if not seq:
-        return _NO_ACTIONS
+        return _Actions(size, (), (), ())
+    codes = np.arange(size, dtype=np.int64)
+    strides = [_carrier_size(seq[j + 1:]) for j in range(len(seq))]
+    digits = [codes // stride % item.size for stride, item in zip(strides, seq)]
 
-    def right_maps(item):
+    def shift(j, table):
+        # code change from mapping digit j through table
+        return (table[digits[j]] - digits[j]) * strides[j]
+
+    def right_tables(item):
         grp = item.right_group
-        return tuple(tuple(row[grp.inverse(g)] for row in item.right) for g in grp.generators())
+        return [item.right_array[:, grp.inverse(g)] for g in grp.generators()]
 
     mid = tuple(
-        (j, rmap, seq[j + 1].left[g])
+        codes + shift(j, rtab) + shift(j + 1, seq[j + 1].left_array[g])
         for j in range(len(seq) - 1)
-        for g, rmap in zip(seq[j].right_group.generators(), right_maps(seq[j]))
+        for g, rtab in zip(seq[j].right_group.generators(), right_tables(seq[j]))
     )
-    left = tuple(seq[0].left[g] for g in seq[0].left_group.generators())
-    return _Actions(mid, left, right_maps(seq[-1]))
+    left = tuple(codes + shift(0, seq[0].left_array[g]) for g in seq[0].left_group.generators())
+    right = tuple(codes + shift(len(seq) - 1, rtab) for rtab in right_tables(seq[-1]))
+    return _Actions(size, mid, left, right)
 
 
-def _moves(pair, src: _Actions, tgt: _Actions):
-    """The images of a pair (s, t) of product tuples under one generator
-    each: a middle action on one side, or an outer action on both sides
-    at once (outer actions apply only when both sides are nonempty)."""
-    s, t = pair
-    for j, rmap, lmap in src.mid:
-        yield s[:j] + (rmap[s[j]], lmap[s[j + 1]]) + s[j + 2:], t
-    for j, rmap, lmap in tgt.mid:
-        yield s, t[:j] + (rmap[t[j]], lmap[t[j + 1]]) + t[j + 2:]
-    if s and t:
-        for smap, tmap in zip(src.left, tgt.left):
-            yield (smap[s[0]],) + s[1:], (tmap[t[0]],) + t[1:]
-        for smap, tmap in zip(src.right, tgt.right):
-            yield s[:-1] + (smap[s[-1]],), t[:-1] + (tmap[t[-1]],)
+def _pair_moves(s, t, n_tgt, src: _Actions, tgt: _Actions) -> list:
+    """Pair codes of the pairs (s, t) moved by one generator each: a
+    middle action on one side, or an outer action on both sides at once
+    (a side with an empty sequence has no outer actions)."""
+    out = [perm[s] * n_tgt + t for perm in src.mid]
+    out += [s * n_tgt + perm[t] for perm in tgt.mid]
+    out += [sp[s] * n_tgt + tp[t] for sp, tp in zip(src.left, tgt.left)]
+    out += [sp[s] * n_tgt + tp[t] for sp, tp in zip(src.right, tgt.right)]
+    return out
 
 
-def _closure(start, moves) -> set:
-    """Everything reachable from start by repeated moves, breadth first."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for point in frontier:
-            for moved in moves(point):
-                if moved not in seen:
-                    seen.add(moved)
-                    new.append(moved)
-        frontier = new
-    return seen
+def _reach(size: int, start: int, moves) -> np.ndarray:
+    """Sorted codes in range(size) reachable from start, breadth first
+    over a bitmap; moves(codes) lists the arrays of their images."""
+    seen = np.zeros(size, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        moved = moves(frontier)
+        if not moved:
+            break
+        moved = np.concatenate(moved)
+        frontier = _sorted_unique(moved[~seen[moved]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 # --- composition and collapse --------------------------------------------------
@@ -347,98 +439,89 @@ def _closure(start, moves) -> set:
 def try_compose_bisets(m: FiniteBiset, n: FiniteBiset):
     """Quotient of the anti-diagonal middle action when free.
 
-    Returns (composite, orbit_of, orbit_members) or None; orbits are
-    labeled in increasing order of their minimal linear index, so the
+    Returns (composite, orbit_of, orbit_members) or None: orbit_of maps
+    each code x * n.size + y of M x N to its orbit, and row o of the
+    (orbits, |G|) array orbit_members lists orbit o in increasing order.
+    Orbits are labeled in increasing order of their minimal code, so the
     composite is canonical."""
     if m.right_group != n.left_group:
         raise NotComposable("middle groups differ")
-    G1 = m.right_group
-    sz_n = n.size
-    total = m.size * sz_n
-    nontrivial = [g for g in range(G1.order) if g != G1.identity]
-    for x in range(m.size):
-        for y in range(sz_n):
-            for g in nontrivial:
-                if m.right[x][G1.inverse(g)] == x and n.left[g][y] == y:
-                    return None
-    orbit_of = [-1] * total
-    members: list = []
-    for idx in range(total):
-        if orbit_of[idx] != -1:
-            continue
-        oid = len(members)
-        x, y = divmod(idx, sz_n)
-        orb = sorted(
-            m.right[x][G1.inverse(g)] * sz_n + n.left[g][y] for g in range(G1.order)
-        )
-        for j in orb:
-            orbit_of[j] = oid
-        members.append(tuple(orb))
-    r = len(members)
-    G0, G2 = m.left_group, n.right_group
-    left = tuple(
-        tuple(
-            orbit_of[m.left[g][members[o][0] // sz_n] * sz_n + members[o][0] % sz_n]
-            for o in range(r)
-        )
-        for g in range(G0.order)
+    order = m.right_group.order
+    collapsed = _collapse(_actions((m, n)))
+    # no orbit exceeds |G| points, and all have |G| exactly when the action is free
+    if collapsed.count * order != m.size * n.size:
+        return None
+    orbit_of = collapsed.orbit_of
+    members = np.argsort(orbit_of, kind="stable").reshape(collapsed.count, order)
+    x, y = np.divmod(members[:, 0], n.size)
+    left = orbit_of[m.left_array[:, x] * n.size + y]
+    right = orbit_of[(x * n.size)[:, None] + n.right_array[y]]
+    comp = FiniteBiset(
+        "(%s*%s)" % (m.name, n.name), m.left_group, n.right_group,
+        tuple(map(tuple, left.tolist())), tuple(map(tuple, right.tolist())),
     )
-    right = tuple(
-        tuple(
-            orbit_of[(members[o][0] // sz_n) * sz_n + n.right[members[o][0] % sz_n][g]]
-            for g in range(G2.order)
-        )
-        for o in range(r)
-    )
-    comp = FiniteBiset("(%s*%s)" % (m.name, n.name), G0, G2, left, right)
     return comp, orbit_of, members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapsedSet:
     """Orbit set of a full product under all intermediate anti-diagonal
     actions; no freeness required.  The set-theoretic forcing of all
     compositions in a sequence."""
-    orbit_of: dict  # product tuple -> orbit id
+    orbit_of: np.ndarray  # product code -> orbit id
     count: int
 
-    def orbit(self, tup) -> int:
-        return self.orbit_of[tup]
+
+def _collapse(acts: _Actions) -> CollapsedSet:
+    """Orbits of the middle actions, numbered in increasing order of
+    their smallest code.  Each code carries the smallest code known in
+    its orbit; taking the minimum over every generator's image and then
+    the label's own label repeats until nothing moves, which leaves the
+    orbit minimum, since the generators permute each orbit transitively."""
+    low = np.arange(acts.size, dtype=np.int64)
+    while True:
+        new = low
+        for perm in acts.mid:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, low):
+            break
+        low = new
+    roots = low == np.arange(acts.size)
+    return CollapsedSet((np.cumsum(roots) - 1)[low], int(roots.sum()))
 
 
 def quotient_collapse(seq) -> CollapsedSet:
-    seq = tuple(seq)
-    acts = _actions(seq)
-    orbit_of = {}
-    count = 0
-    for start in product_tuples(seq):
-        if start not in orbit_of:
-            # paired with an empty side, a tuple moves by the middle actions alone
-            for tup, _ in _closure((start, ()), lambda pair: _moves(pair, acts, _NO_ACTIONS)):
-                orbit_of[tup] = count
-            count += 1
-    return CollapsedSet(orbit_of, count)
+    return _collapse(_actions(tuple(seq)))
 
 
 # --- correspondences ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correspondence:
     """Invariant subset of (product of src carriers) x (product of tgt
-    carriers); the simple 2-morphisms of this instance."""
+    carriers); the simple 2-morphisms of this instance.  Compare two
+    with LieRInstance.simple2_equal."""
     src: tuple  # bisets
     tgt: tuple
-    pairs: frozenset  # of (src index tuple, tgt index tuple)
+    pairs: np.ndarray  # sorted distinct int64 codes s * |P_tgt| + t
 
     def transpose(self) -> "Correspondence":
-        return Correspondence(self.tgt, self.src, frozenset((t, s) for s, t in self.pairs))
+        s, t = np.divmod(self.pairs, _carrier_size(self.tgt))
+        return Correspondence(self.tgt, self.src, np.sort(t * _carrier_size(self.src) + s))
+
+    def tuples(self) -> frozenset:
+        """The pairs as (source product tuple, target product tuple)."""
+        s, t = np.divmod(self.pairs, _carrier_size(self.tgt))
+        return frozenset(zip(_decode(self.src, s), _decode(self.tgt, t)))
 
 
 def check_invariance(corr: Correspondence) -> bool:
-    src, tgt = _actions(corr.src), _actions(corr.tgt)
-    pairs = corr.pairs
-    return all(moved in pairs for pair in pairs for moved in _moves(pair, src, tgt))
+    n_tgt = _carrier_size(corr.tgt)
+    s, t = np.divmod(corr.pairs, n_tgt)
+    moved = _pair_moves(s, t, n_tgt, _actions(corr.src), _actions(corr.tgt))
+    return all(_contains(corr.pairs, codes).all() for codes in moved)
 
 
 def product_tuples(seq):
@@ -447,23 +530,23 @@ def product_tuples(seq):
 
 def diagonal_corr(seq) -> Correspondence:
     seq = tuple(seq)
-    return Correspondence(seq, seq, frozenset((t, t) for t in product_tuples(seq)))
+    n = _carrier_size(seq)
+    return Correspondence(seq, seq, np.arange(n, dtype=np.int64) * (n + 1))
 
 
-def orbit_relation_corr(seq) -> Correspondence:
-    """Pairs lying in the same orbit of the intermediate actions: the
-    largest 2-morphism acting as a vertical identity."""
+def orbit_relation_corr(seq, collapsed: CollapsedSet) -> Correspondence:
+    """Pairs lying in the same orbit of the intermediate actions, given
+    their collapse: the largest 2-morphism acting as a vertical
+    identity."""
+    orbit_of = collapsed.orbit_of
+    n = len(orbit_of)
+    by_orbit = np.argsort(orbit_of, kind="stable")
+    counts = np.bincount(orbit_of, minlength=collapsed.count)
+    firsts = np.cumsum(counts) - counts
+    partners = counts[orbit_of]
+    pairs = np.repeat(np.arange(n), partners) * n + by_orbit[_ranges(firsts[orbit_of], partners)]
     seq = tuple(seq)
-    collapsed = quotient_collapse(seq)
-    buckets: dict = {}
-    for tup, oid in collapsed.orbit_of.items():
-        buckets.setdefault(oid, []).append(tup)
-    pairs = set()
-    for tups in buckets.values():
-        for s in tups:
-            for t in tups:
-                pairs.add((s, t))
-    return Correspondence(seq, seq, frozenset(pairs))
+    return Correspondence(seq, seq, pairs)
 
 
 def identification_corr(m: FiniteBiset, n: FiniteBiset) -> Correspondence:
@@ -472,12 +555,8 @@ def identification_corr(m: FiniteBiset, n: FiniteBiset) -> Correspondence:
     if made is None:
         raise NotComposable("%s, %s: middle action not free" % (m.name, n.name))
     comp, orbit_of, _ = made
-    pairs = frozenset(
-        ((x, y), (orbit_of[x * n.size + y],))
-        for x in range(m.size)
-        for y in range(n.size)
-    )
-    return Correspondence((m, n), (comp,), pairs)
+    fine = np.arange(m.size * n.size, dtype=np.int64)
+    return Correspondence((m, n), (comp,), fine * comp.size + orbit_of)
 
 
 def try_compose_corrs(a: Correspondence, b: Correspondence):
@@ -485,17 +564,16 @@ def try_compose_corrs(a: Correspondence, b: Correspondence):
     outer factors; defined only when that projection is injective."""
     if a.tgt != b.src:
         raise NotComposable("middle sequences differ")
-    by_mid: dict = {}
-    for mid, t in b.pairs:
-        by_mid.setdefault(mid, []).append(t)
-    seen: dict = {}
-    for s, mid in a.pairs:
-        for t in by_mid.get(mid, ()):
-            key = (s, t)
-            if key in seen and seen[key] != mid:
-                return None
-            seen[key] = mid
-    return Correspondence(a.src, b.tgt, frozenset(seen))
+    n_tgt = _carrier_size(b.tgt)
+    a_src, a_mid = np.divmod(a.pairs, _carrier_size(a.tgt))
+    b_mid, b_tgt = np.divmod(b.pairs, n_tgt)
+    lo = np.searchsorted(b_mid, a_mid, side="left")
+    counts = np.searchsorted(b_mid, a_mid, side="right") - lo
+    outer = np.sort(np.repeat(a_src, counts) * n_tgt + b_tgt[_ranges(lo, counts)])
+    # each (s, mid, t) occurs once, so a repeated (s, t) has two middles
+    if (outer[1:] == outer[:-1]).any():
+        return None
+    return Correspondence(a.src, b.tgt, outer)
 
 
 # --- the instance ----------------------------------------------------------------
@@ -508,8 +586,10 @@ class LieRInstance(Instance):
     def __init__(self, catalog=()):
         self.catalog = tuple(catalog)
         self._compose_memo: dict = {}
+        self._actions_memo: dict = {}
         self._collapse_memo: dict = {}
         self._probe_memo: dict = {}
+        self._transport_memo: dict = {}
 
     # -- 1-morphisms
 
@@ -561,64 +641,99 @@ class LieRInstance(Instance):
     def try_compose2_vertical(self, a, b):
         return try_compose_corrs(a, b)
 
+    def simple2_equal(self, a, b) -> bool:
+        return a.src == b.src and a.tgt == b.tgt and np.array_equal(a.pairs, b.pairs)
+
     def is_identity2(self, morph):
         if morph.src != morph.tgt:
             return False
-        diag = diagonal_corr(morph.src).pairs
-        if not diag <= morph.pairs:
+        if not _contains(morph.pairs, diagonal_corr(morph.src).pairs).all():
             return False
-        return morph.pairs <= orbit_relation_corr(morph.src).pairs
+        orbit_of = self.collapse(morph.src).orbit_of
+        s, t = np.divmod(morph.pairs, len(orbit_of))
+        return bool((orbit_of[s] == orbit_of[t]).all())
 
     # -- oracle machinery
+
+    def _actions_of(self, items) -> _Actions:
+        if items not in self._actions_memo:
+            self._actions_memo[items] = _actions(items)
+        return self._actions_memo[items]
 
     def collapse(self, seq) -> CollapsedSet:
         key = tuple(seq)
         if key not in self._collapse_memo:
-            self._collapse_memo[key] = quotient_collapse(key)
+            self._collapse_memo[key] = _collapse(self._actions_of(key))
         return self._collapse_memo[key]
 
     def probes(self, seq: SeqMorphism):
         items = seq.items
         if items in self._probe_memo:
             return self._probe_memo[items]
-        out = [("relation", orbit_relation_corr(items))]
-        tuples = sorted(product_tuples(items))
-        for name, pick in (("orbit-first", 0), ("orbit-mid", len(tuples) // 2)):
-            if tuples:
-                start = tuples[pick]
+        out = [("relation", orbit_relation_corr(items, self.collapse(items)))]
+        n = _carrier_size(items)
+        # the first and the middle product tuple in sorted order
+        for name, start in (("orbit-first", 0), ("orbit-mid", n // 2)):
+            if n:
                 out.append((name, self._orbit_probe(items, start)))
         self._probe_memo[items] = out
         return out
 
-    def _orbit_probe(self, items, start) -> Correspondence:
-        """Orbit of (start, start) under every declared action."""
+    def _orbit_probe(self, items, start: int) -> Correspondence:
+        """Orbit of the pair (start, start) of product codes under every
+        declared action, searched over a bitmap of all pair codes."""
         items = tuple(items)
-        acts = _actions(items)
-        pairs = _closure((start, start), lambda pair: _moves(pair, acts, acts))
-        return Correspondence(items, items, frozenset(pairs))
+        acts = self._actions_of(items)
+        n = acts.size
+        pairs = _reach(n * n, start * (n + 1),
+                       lambda codes: _pair_moves(*np.divmod(codes, n), n, acts, acts))
+        return Correspondence(items, items, pairs)
+
+    def _transport_maps(self, fine, pos) -> tuple:
+        """(push, pull) across the composition of fine[pos], fine[pos + 1]:
+        push[f] is the coarse code of fine code f, and row c of pull
+        lists in increasing order the |G| fine codes pushed to c (the
+        middle action is free, so every orbit has that size)."""
+        key = (fine, pos)
+        if key not in self._transport_memo:
+            made = self._compose_full(fine[pos], fine[pos + 1])
+            assert made is not None
+            _, orbit_of, members = made
+            pair = fine[pos].size * fine[pos + 1].size
+            low = _carrier_size(fine[pos + 2:])
+            high, rest = np.divmod(np.arange(_carrier_size(fine), dtype=np.int64), pair * low)
+            mid, rest = np.divmod(rest, low)
+            push = (high * len(members) + orbit_of[mid]) * low + rest
+            coarse = np.arange(len(push) // members.shape[1], dtype=np.int64)
+            high, rest = np.divmod(coarse, len(members) * low)
+            orbit, rest = np.divmod(rest, low)
+            pull = ((high * pair)[:, None] + members[orbit]) * low + rest[:, None]
+            self._transport_memo[key] = (push, pull)
+        return self._transport_memo[key]
 
     def transport_probe(self, probe, seq_from, seq_to, pos, compose, side):
         """Set-level push across a composition (image under the orbit
         projection) or pull across a decomposition (preimage); always
         defined, unlike the geometric try_compose_corrs."""
-        fine = seq_from.items if compose else seq_to.items
-        made = self._compose_full(fine[pos], fine[pos + 1])
-        assert made is not None
-        _, orbit_of, members = made
-        sz = fine[pos + 1].size
-
-        if compose:
-            def images(tup):
-                return (tup[:pos] + (orbit_of[tup[pos] * sz + tup[pos + 1]],) + tup[pos + 2:],)
-        else:
-            def images(tup):
-                return [tup[:pos] + divmod(idx, sz) + tup[pos + 1:] for idx in members[tup[pos]]]
-
+        push, pull = self._transport_maps(seq_from.items if compose else seq_to.items, pos)
+        n_tgt = _carrier_size(probe.tgt)
+        s, t = np.divmod(probe.pairs, n_tgt)
         if side == "target":
-            pairs = frozenset((s, t2) for s, t in probe.pairs for t2 in images(t))
-            return Correspondence(probe.src, seq_to.items, pairs)
-        pairs = frozenset((s2, t) for s, t in probe.pairs for s2 in images(s))
-        return Correspondence(seq_to.items, probe.tgt, pairs)
+            n_to = _carrier_size(seq_to.items)
+            if compose:
+                codes = s * n_to + push[t]
+            else:
+                codes = (s * n_to)[:, None] + pull[t]
+            src, tgt = probe.src, seq_to.items
+        else:
+            if compose:
+                codes = push[s] * n_tgt + t
+            else:
+                codes = pull[s] * n_tgt + t[:, None]
+            src, tgt = seq_to.items, probe.tgt
+        # pulled images are distinct; pushed ones can coincide
+        codes = _sorted_unique(codes) if compose else np.sort(codes, axis=None)
+        return Correspondence(src, tgt, codes)
 
     def seq(self, items, source=None) -> SeqMorphism:
         return seq_from_items(self, items, source=source)
@@ -640,7 +755,7 @@ def diagram_collapse(diagram, inst: LieRInstance) -> frozenset:
         for cell in row:
             if isinstance(cell, Face):
                 by_src: dict = {}
-                for ps, pt in cell.morph.pairs:
+                for ps, pt in cell.morph.tuples():
                     by_src.setdefault(ps, []).append(pt)
                 cells.append((by_src, len(cell.src_items)))
             else:
@@ -661,5 +776,6 @@ def diagram_collapse(diagram, inst: LieRInstance) -> frozenset:
                 new_rel.add((s, acc))
         rel = new_rel
         cur_items = _row_target(row)
-    collapsed = inst.collapse(cur_items)
-    return frozenset((s, collapsed.orbit(t)) for s, t in rel)
+    orbit_of = inst.collapse(cur_items).orbit_of
+    code = {t: c for c, t in enumerate(product_tuples(cur_items))}
+    return frozenset((s, int(orbit_of[code[t]])) for s, t in rel)

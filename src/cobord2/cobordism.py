@@ -394,20 +394,27 @@ def surgery_runs(src: Chain, tgt: Chain, attachments) -> list:
 
 def _surger_components(a: Surface, atts) -> Optional[list]:
     comps = list(a.components)
+    # handles compressed so far on each component; every word names the
+    # handles of its component as they were before this surgery
+    cut = [set() for _ in comps]
     for att in atts:
         if not 0 <= att.comp < len(comps):
             return None
         c = comps[att.comp]
+        uncut = set(range(1, c.genus + len(cut[att.comp]) + 1)) - cut[att.comp]
         word = att.word
         if _is_nonseparating(word):
-            if c.genus < 1:
+            handle = word.single_generator()[1]
+            if handle not in uncut:
                 return None
+            cut[att.comp].add(handle)
             comps[att.comp] = SurfComponent(c.genus - 1, c.into, c.out)
         else:
-            split = _separating_split(c, word)
+            split = _separating_split(c, word, uncut)
             if split is None:
                 return None
             comps[att.comp:att.comp + 1] = list(split)
+            cut[att.comp:att.comp + 1] = [set(), set()]
     return comps
 
 
@@ -453,11 +460,13 @@ def _read_side(gens) -> Optional[tuple]:
     return labels, handles
 
 
-def _separating_split(c: SurfComponent, word: Word) -> Optional[tuple]:
+def _separating_split(c: SurfComponent, word: Word, uncut: set) -> Optional[tuple]:
     """Split a component along a separating standard word: the word
     lists one side's boundary loops (d-generators) and handle
     commutators, which become the first piece.  Cutting and capping
-    leaves two components whose genera and boundaries sum back."""
+    leaves two components whose genera and boundaries sum back.  uncut
+    holds the indices of c's handles, numbered as before the surgery
+    this split belongs to; the word may name only those."""
     parsed = parse_separating(word)
     if parsed is None:
         return None
@@ -466,9 +475,9 @@ def _separating_split(c: SurfComponent, word: Word) -> Optional[tuple]:
     side_out = tuple(x for x in c.out if x.label in labels)
     if len(side_in) + len(side_out) != len(labels):
         return None
-    g1 = len(handles)
-    if g1 > c.genus:
+    if not handles <= uncut:
         return None
+    g1 = len(handles)
     rest_in = tuple(x for x in c.into if x.label not in labels)
     rest_out = tuple(x for x in c.out if x.label not in labels)
     if not side_in and not side_out:

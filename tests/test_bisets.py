@@ -28,7 +28,16 @@ from cobord2.bisets import (
     try_compose_corrs,
     unit_biset,
 )
-from cobord2.diagram import Face, StackDiagram, normalize_diagram, wire_row
+from cobord2.diagram import (
+    Face,
+    SeqMorphism,
+    StackDiagram,
+    composition_step,
+    normalize_diagram,
+    wire_row,
+)
+
+import tuple_oracle as ref
 
 
 Z2 = cyclic(2)
@@ -42,6 +51,61 @@ def test_group_laws_checked_on_construction():
         bs.FiniteGroup("bad", ((0, 1), (0, 1)))  # no inverse for 1
     with pytest.raises(TableError):
         bs.FiniteGroup("bad", ((0, 1, 2), (1, 2, 0), (2, 1, 0)))  # not associative
+
+
+def _tamper_last_row(table):
+    """table with the entries 1 and 2 of its last row swapped."""
+    *rows, last = table
+    return (*rows, (last[0], last[2], last[1]) + last[3:])
+
+
+# Order 128: the law checks cover these tables in several row blocks.
+C128 = cyclic(128)
+
+
+@pytest.mark.parametrize("mult, message", [
+    (((0, 1), (1,)), "malformed multiplication table"),
+    (((0, 1), (1, 2)), "malformed multiplication table"),
+    (((1, 1), (1, 1)), "no identity element"),
+    (((0, 1), (1, 1)), "element 1 has no inverse"),
+    (((0, 1, 2), (1, 2, 0), (2, 1, 0)), "not associative"),
+    (_tamper_last_row(C128.mult), "not associative"),
+])
+def test_each_group_law_is_checked_with_its_message(mult, message):
+    with pytest.raises(TableError, match="^bad: %s$" % message):
+        bs.FiniteGroup("bad", mult)
+
+
+# Three points: Z3 rotating them, a Z3 table whose generator squares to
+# itself, and Z2 tables swapping 0,1 and 1,2, which do not commute.
+_ROT3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_BAD3 = ((0, 1, 2), (1, 2, 0), (1, 2, 0))
+_TRIV_LEFT3 = ((0, 1, 2),)
+_TRIV_RIGHT3 = ((0,), (1,), (2,))
+
+
+@pytest.mark.parametrize("left_group, right_group, left, right, message", [
+    (Z3, bs.TRIVIAL, _ROT3[:2], _TRIV_RIGHT3, "malformed left action"),
+    (Z3, bs.TRIVIAL, ((0, 1), (1, 0), (0, 1)), _TRIV_RIGHT3, "malformed left action"),
+    (bs.TRIVIAL, Z3, _TRIV_LEFT3, ((0, 1, 2), (1, 2), (2, 0, 1)), "malformed right action"),
+    (bs.TRIVIAL, Z3, _TRIV_LEFT3, ((0, 1), (1, 2), (2, 0)), "malformed right action"),
+    (Z3, bs.TRIVIAL, ((1, 2, 0), (2, 0, 1), (0, 1, 2)), _TRIV_RIGHT3,
+     "identities act nontrivially"),
+    (bs.TRIVIAL, Z3, _TRIV_LEFT3, ((1, 2, 0), (2, 0, 1), (0, 1, 2)),
+     "identities act nontrivially"),
+    (Z3, bs.TRIVIAL, _BAD3, _TRIV_RIGHT3, "left action not associative"),
+    (bs.TRIVIAL, Z3, _TRIV_LEFT3, tuple(zip(*_BAD3)), "right action not associative"),
+    (Z2, Z2, ((0, 1, 2), (1, 0, 2)), ((0, 0), (1, 2), (2, 1)), "actions do not commute"),
+    (C128, C128, _tamper_last_row(identity_biset(C128).left), identity_biset(C128).right,
+     "left action not associative"),
+])
+def test_each_biset_law_is_checked_with_its_message(left_group, right_group, left, right,
+                                                    message):
+    with pytest.raises(TableError, match="^bad: %s$" % message):
+        bs.FiniteBiset("bad", left_group, right_group, left, right)
+    # the same carrier with lawful tables is accepted
+    bs.FiniteBiset("good", Z3, bs.TRIVIAL, _ROT3, _TRIV_RIGHT3)
+    bs.FiniteBiset("good", bs.TRIVIAL, Z3, _TRIV_LEFT3, _ROT3)
 
 
 def test_group_constructions():
@@ -179,6 +243,8 @@ def test_identification_graph_z2():
     m = identity_biset(Z2)
     corr = identification_corr(m, m)
     assert len(corr.pairs) == 4
+    # (x, y) lands on the orbit of its smallest code: {00, 11} is 0, {01, 10} is 1
+    assert corr.tuples() == {(((x, y), ((x + y) % 2,))) for x in range(2) for y in range(2)}
     assert check_invariance(corr)
 
 
@@ -198,7 +264,7 @@ def test_two_to_one_projection_is_refused():
     # defined, but the relation composed against a fattened copy of the
     # graph collapses two middle points onto one outer pair
     m = identity_biset(Z2)
-    rel = orbit_relation_corr((m, m))
+    rel = orbit_relation_corr((m, m), quotient_collapse((m, m)))
     assert try_compose_corrs(rel, rel) is None
 
 
@@ -209,18 +275,18 @@ def test_diagonal_composes_as_identity():
     # diagonal on (m, m) followed by the graph = the graph
     diag2 = diagonal_corr((m, m))
     got = try_compose_corrs(diag2, corr)
-    assert got == corr
+    assert LieRInstance().simple2_equal(got, corr)
 
 
 def test_orbit_relation_is_identity2():
     inst = LieRInstance()
     m = biregular_biset(Z3)
-    rel = orbit_relation_corr((m, m))
+    rel = orbit_relation_corr((m, m), quotient_collapse((m, m)))
     assert inst.is_identity2(rel)
     diag = diagonal_corr((m, m))
     assert inst.is_identity2(diag)
     # a proper sub-diagonal is not
-    half = Correspondence(diag.src, diag.tgt, frozenset(list(diag.pairs)[:1]))
+    half = Correspondence(diag.src, diag.tgt, diag.pairs[:1])
     assert not inst.is_identity2(half)
 
 
@@ -348,12 +414,21 @@ def _brute_orbit_probe(items, start):
     }
 
 
-def _brute_collapse_count(items):
+def _brute_collapse(items):
     mids = list(itertools.product(*[range(m.right_group.order) for m in items[:-1]]))
     l, r = items[0].left_group.identity, items[-1].right_group.identity
-    return len({
+    return {
         frozenset(_act(items, tup, l, a, r) for a in mids) for tup in bs.product_tuples(items)
-    })
+    }
+
+
+def _decoded_collapse(items):
+    """The orbits of quotient_collapse as sets of product tuples."""
+    collapsed = quotient_collapse(items)
+    orbits = [set() for _ in range(collapsed.count)]
+    for tup, oid in zip(bs.product_tuples(items), collapsed.orbit_of.tolist()):
+        orbits[oid].add(tup)
+    return {frozenset(orbit) for orbit in orbits}
 
 
 def test_orbit_probe_and_collapse_match_whole_group_action():
@@ -365,9 +440,42 @@ def test_orbit_probe_and_collapse_match_whole_group_action():
         orders = [items[0].left_group.order] + [m.right_group.order for m in items]
         if orders[0] * orders[-1] * math.prod(orders[1:-1]) ** 2 > 5000:
             continue
+        # product codes run in sorted tuple order
         tuples = sorted(bs.product_tuples(items))
-        for start in (tuples[0], tuples[len(tuples) // 2]):
-            assert inst._orbit_probe(items, start).pairs == _brute_orbit_probe(items, start)
-        assert quotient_collapse(items).count == _brute_collapse_count(items)
+        for code in (0, len(tuples) // 2):
+            got = inst._orbit_probe(items, code).tuples()
+            assert got == _brute_orbit_probe(items, tuples[code])
+        assert _decoded_collapse(items) == _brute_collapse(items)
         checked += 1
     assert checked == 65
+
+
+def test_transport_matches_tuple_reference_around_every_loop():
+    # every probe, carried on both sides around every depth-4 loop from
+    # the Z2 and Z3 start sequences, step by step against the tuples
+    inst = LieRInstance(catalog.default_biset_catalog({"z2": Z2, "z3": Z3}))
+    carried = 0
+    for items in catalog.loop_start_sequences(inst.catalog):
+        start = inst.seq(items)
+        probes = inst.probes(start)
+        tuples = sorted(bs.product_tuples(items))
+        assert [(name, probe.tuples()) for name, probe in probes] == [
+            ("relation", ref.orbit_relation(items)),
+            ("orbit-first", ref.orbit_probe(items, tuples[0])),
+            ("orbit-mid", ref.orbit_probe(items, tuples[len(tuples) // 2])),
+        ]
+        for loop in catalog.enumerate_loops(inst, items, 4):
+            seqs = [SeqMorphism(start.source, start.target, s) for s in loop]
+            for side in ("target", "source"):
+                for _, probe in probes:
+                    coded, tuples = probe, probe.tuples()
+                    for cur, nxt in zip(seqs, seqs[1:]):
+                        pos, compose = composition_step(inst, cur, nxt)
+                        fine = cur.items if compose else nxt.items
+                        orbit_of, members = ref.compose_orbits(fine[pos], fine[pos + 1])
+                        coded = inst.transport_probe(coded, cur, nxt, pos, compose, side)
+                        tuples = ref.transport(tuples, fine, pos, orbit_of, members, compose, side)
+                        assert coded.tuples() == tuples
+                        carried += 1
+                    assert tuples == probe.tuples()
+    assert carried == 1152

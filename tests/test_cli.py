@@ -197,6 +197,10 @@ NEGATIVE_WITHOUT_LAST_LINE = "".join(
 )
 
 
+GENUS_ONE_ANNULUS = (
+    "@circles\nc0 +\nc1 +\n@surfaces\nann comp g=1 in=c0 out=c1\n@chain ann\n@steps\n"
+)
+
 FUNCTOR_INVARIANCE = ("functor", "invariance", "doc.cdf")
 FUNCTOR_EVAL = ("functor", "eval", "doc.cdf")
 AXIOMS = ("axioms", "doc.cat")
@@ -218,11 +222,15 @@ AXIOMS = ("axioms", "doc.cat")
                  "b identity z3\n@sequences\na b\n", 2),
         (FUNCTOR_EVAL, "@circles\nc0 +\nc1 +\n@surfaces\nx comp g=0 in=c0 out=c1\n"
                        "y comp g=0 in=c0 out=c1\n@chain x y\n@steps\ncircle_remove 0 c1\n", 2),
+        (FUNCTOR_EVAL, GENUS_ONE_ANNULUS + "compression2 0 0 a3\n", 2),
+        (FUNCTOR_INVARIANCE, GENUS_ONE_ANNULUS + "compression2 0 0 a3\n", 2),
+        (FUNCTOR_INVARIANCE, GENUS_ONE_ANNULUS + "compression2 0 0 d:c0 a3 b3 a3- b3-\n", 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch",
          "group-without-kind", "group-without-order", "biset-without-group",
          "depth-without-value", "depth-not-integer", "sequence-not-chaining",
-         "circle-remove-across-different-interfaces"],
+         "circle-remove-across-different-interfaces", "eval-handle-past-genus",
+         "invariance-handle-past-genus", "invariance-separating-handle-past-genus"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
     *args, name = command

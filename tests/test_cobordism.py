@@ -221,6 +221,38 @@ def test_imbricate_and_split():
     assert back == (s1, s2)
 
 
+def test_imbricate_nonseparating_then_separating_on_one_component():
+    # both words of the merged step number the handles of the genus-2
+    # source, so the separating word names handle 2 once handle 1 is cut
+    c0, c1 = Circle("c0"), Circle("c1")
+    big = Surface((SurfComponent(2, (c0,), (c1,)),), (c0,), (c1,))
+    mid = Surface((SurfComponent(1, (c0,), (c1,)),), (c0,), (c1,))
+    cap = Surface((SurfComponent(1, (c0,), ()),), (c0,), ())
+    cup = Surface((SurfComponent(0, (), (c1,)),), (), (c1,))
+
+    def separating(h):
+        return Word(0, (("d", "c0", 1), ("a", h, 1), ("b", h, 1), ("a", h, -1), ("b", h, -1)))
+
+    s1 = CobStep(
+        cb.COMPRESSION, (big,), (mid,), index=2,
+        attachments=(Attachment(0, 0, word=Word(0, (("a", 1, 1),))),),
+    )
+    s2 = CobStep(
+        cb.COMPRESSION, (mid,), (cap, cup), index=2,
+        attachments=(Attachment(0, 0, word=separating(1)),),
+    )
+    merged = apply_move((s1, s2), Move("imbricate", 0))
+    assert validate(merged) == []
+    assert [a.word for a in merged[0].attachments] == [Word(0, (("a", 1, 1),)), separating(2)]
+    assert apply_move(merged, Move("split_compression", 0, (1,))) == (s1, s2)
+    with pytest.raises(PatternMismatch):
+        CobStep(
+            cb.COMPRESSION, (big,), (cap, cup), index=2,
+            attachments=(Attachment(0, 0, word=Word(0, (("a", 1, 1),))),
+                         Attachment(0, 0, word=separating(1))),
+        )
+
+
 def test_switch_disjoint_components():
     c0, c1 = Circle("u0"), Circle("u1")
     left = Surface((SurfComponent(1, (), (c0,)),), (), (c0,))

@@ -1,0 +1,147 @@
+"""The biset oracle on sets of product tuples: a slow reference for the
+integer-coded one in cobord2.bisets.
+
+A product tuple lists one carrier index per item of a sequence; a
+correspondence here is a frozenset of (source tuple, target tuple)
+pairs, the form Correspondence.tuples() decodes to.  Every action is
+applied generator by generator and closed breadth first, with no
+integer encoding, so agreement with cobord2.bisets checks the encoding.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from cobord2.bisets import product_tuples
+
+
+class Actions(NamedTuple):
+    """Generator tables of one sequence, each a map on carrier indices.
+
+    mid: (j, x -> x.g^-1 on item j, y -> g.y on item j+1) for each
+    generator g of the group between items j and j+1 (the anti-diagonal
+    middle action); left: y -> g.y on the first item for each generator
+    of its left group; right: x -> x.g^-1 on the last item for each
+    generator of its right group."""
+    mid: tuple
+    left: tuple
+    right: tuple
+
+
+NO_ACTIONS = Actions((), (), ())
+
+
+def actions(seq) -> Actions:
+    if not seq:
+        return NO_ACTIONS
+
+    def right_maps(item):
+        grp = item.right_group
+        return tuple(tuple(row[grp.inverse(g)] for row in item.right) for g in grp.generators())
+
+    mid = tuple(
+        (j, rmap, seq[j + 1].left[g])
+        for j in range(len(seq) - 1)
+        for g, rmap in zip(seq[j].right_group.generators(), right_maps(seq[j]))
+    )
+    left = tuple(seq[0].left[g] for g in seq[0].left_group.generators())
+    return Actions(mid, left, right_maps(seq[-1]))
+
+
+def moves(pair, src: Actions, tgt: Actions):
+    """The images of a pair (s, t) of product tuples under one generator
+    each: a middle action on one side, or an outer action on both sides
+    at once (outer actions apply only when both sides are nonempty)."""
+    s, t = pair
+    for j, rmap, lmap in src.mid:
+        yield s[:j] + (rmap[s[j]], lmap[s[j + 1]]) + s[j + 2:], t
+    for j, rmap, lmap in tgt.mid:
+        yield s, t[:j] + (rmap[t[j]], lmap[t[j + 1]]) + t[j + 2:]
+    if s and t:
+        for smap, tmap in zip(src.left, tgt.left):
+            yield (smap[s[0]],) + s[1:], (tmap[t[0]],) + t[1:]
+        for smap, tmap in zip(src.right, tgt.right):
+            yield s[:-1] + (smap[s[-1]],), t[:-1] + (tmap[t[-1]],)
+
+
+def closure(start, step) -> set:
+    """Everything reachable from start by repeated steps, breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for point in frontier:
+            for moved in step(point):
+                if moved not in seen:
+                    seen.add(moved)
+                    new.append(moved)
+        frontier = new
+    return seen
+
+
+def collapse(seq) -> dict:
+    """Product tuple -> orbit id under the middle actions, orbits
+    numbered in order of their first tuple."""
+    seq = tuple(seq)
+    acts = actions(seq)
+    orbit_of = {}
+    count = 0
+    for start in product_tuples(seq):
+        if start not in orbit_of:
+            # paired with an empty side, a tuple moves by the middle actions alone
+            for tup, _ in closure((start, ()), lambda pair: moves(pair, acts, NO_ACTIONS)):
+                orbit_of[tup] = count
+            count += 1
+    return orbit_of
+
+
+def orbit_relation(seq) -> frozenset:
+    buckets: dict = {}
+    for tup, oid in collapse(seq).items():
+        buckets.setdefault(oid, []).append(tup)
+    return frozenset((s, t) for tups in buckets.values() for s in tups for t in tups)
+
+
+def orbit_probe(items, start) -> frozenset:
+    """Orbit of (start, start) under every declared action."""
+    acts = actions(tuple(items))
+    return frozenset(closure((start, start), lambda pair: moves(pair, acts, acts)))
+
+
+def is_invariant(src, tgt, pairs) -> bool:
+    a, b = actions(tuple(src)), actions(tuple(tgt))
+    return all(moved in pairs for pair in pairs for moved in moves(pair, a, b))
+
+
+def transport(pairs, fine, pos, orbit_of, members, compose, side) -> frozenset:
+    """Push pairs across the composition of fine[pos], fine[pos + 1]
+    (image under the orbit projection), or pull them back across the
+    decomposition (preimage); the moving side is side.  orbit_of and
+    members are those of compose_orbits."""
+    sz = fine[pos + 1].size
+    if compose:
+        def images(tup):
+            return (tup[:pos] + (orbit_of[tup[pos] * sz + tup[pos + 1]],) + tup[pos + 2:],)
+    else:
+        def images(tup):
+            return [tup[:pos] + divmod(idx, sz) + tup[pos + 1:] for idx in members[tup[pos]]]
+    if side == "target":
+        return frozenset((s, t2) for s, t in pairs for t2 in images(t))
+    return frozenset((s2, t) for s, t in pairs for s2 in images(s))
+
+
+def compose_orbits(m, n) -> tuple:
+    """(orbit_of, members) of the free anti-diagonal quotient of M x N,
+    orbits labeled in increasing order of their smallest index x * |N| + y."""
+    G1 = m.right_group
+    orbit_of = [-1] * (m.size * n.size)
+    members = []
+    for idx in range(len(orbit_of)):
+        if orbit_of[idx] == -1:
+            x, y = divmod(idx, n.size)
+            orb = sorted({m.right[x][G1.inverse(g)] * n.size + n.left[g][y]
+                          for g in range(G1.order)})
+            for j in orb:
+                orbit_of[j] = len(members)
+            members.append(tuple(orb))
+    return orbit_of, members
