@@ -170,12 +170,6 @@ def quaternion8(name: str = "Q8") -> FiniteGroup:
     return FiniteGroup(name, mult)
 
 
-def opposite_group(g: FiniteGroup) -> FiniteGroup:
-    mult = tuple(tuple(g.mult[b][a] for b in range(g.order)) for a in range(g.order))
-    name = g.name[:-3] if g.name.endswith("^op") else g.name + "^op"
-    return FiniteGroup(name, mult)
-
-
 def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     ng, nh = g.order, h.order
     mult = tuple(
@@ -248,20 +242,6 @@ class FiniteBiset:
         left = tuple(tuple(self.right[x][H.inverse(h)] for x in range(m)) for h in range(H.order))
         right = tuple(tuple(self.left[G.inverse(g)][x] for g in range(G.order)) for x in range(m))
         return FiniteBiset("%s^T" % self.name, H, G, left, right)
-
-    def opposite(self) -> "FiniteBiset":
-        g_op = opposite_group(self.left_group)
-        h_op = opposite_group(self.right_group)
-        m = self.size
-        left = tuple(
-            tuple(self.left[self.left_group.inverse(g)][x] for x in range(m))
-            for g in range(g_op.order)
-        )
-        right = tuple(
-            tuple(self.right[x][self.right_group.inverse(h)] for h in range(h_op.order))
-            for x in range(m)
-        )
-        return FiniteBiset("%s^op" % self.name, g_op, h_op, left, right)
 
 
 def identity_biset(g: FiniteGroup) -> FiniteBiset:
@@ -491,10 +471,6 @@ def _collapse(acts: _Actions) -> CollapsedSet:
     return CollapsedSet((np.cumsum(roots) - 1)[low], int(roots.sum()))
 
 
-def quotient_collapse(seq) -> CollapsedSet:
-    return _collapse(_actions(tuple(seq)))
-
-
 # --- correspondences ------------------------------------------------------------
 
 
@@ -515,17 +491,6 @@ class Correspondence:
         """The pairs as (source product tuple, target product tuple)."""
         s, t = np.divmod(self.pairs, _carrier_size(self.tgt))
         return frozenset(zip(_decode(self.src, s), _decode(self.tgt, t)))
-
-
-def check_invariance(corr: Correspondence) -> bool:
-    n_tgt = _carrier_size(corr.tgt)
-    s, t = np.divmod(corr.pairs, n_tgt)
-    moved = _pair_moves(s, t, n_tgt, _actions(corr.src), _actions(corr.tgt))
-    return all(_contains(corr.pairs, codes).all() for codes in moved)
-
-
-def product_tuples(seq):
-    return itertools.product(*[range(b.size) for b in seq])
 
 
 def diagonal_corr(seq) -> Correspondence:
@@ -590,20 +555,12 @@ class LieRInstance(Instance):
         self._collapse_memo: dict = {}
         self._probe_memo: dict = {}
         self._transport_memo: dict = {}
+        self._decompositions: Optional[dict] = None  # composite -> catalog pairs
 
     # -- 1-morphisms
 
     def ends1(self, item):
         return (item.left_group, item.right_group)
-
-    def adjoint1(self, item):
-        return item.adjoint()
-
-    def opposite_object(self, obj):
-        return opposite_group(obj)
-
-    def opposite1(self, item):
-        return item.opposite()
 
     def _compose_full(self, a, b):
         key = (a, b)
@@ -615,28 +572,22 @@ class LieRInstance(Instance):
         made = self._compose_full(a, b)
         return None if made is None else made[0]
 
-    def is_identity1(self, item):
-        if item.left_group != item.right_group:
-            return False
-        return item == identity_biset(item.left_group)
-
     def enumerate_decompositions(self, item):
-        out = []
-        for a in self.catalog:
-            for b in self.catalog:
-                if a.right_group != b.left_group:
-                    continue
-                if self.try_compose1(a, b) == item:
-                    out.append((a, b))
-        return out
+        """Catalog pairs (a, b) composing to item, in catalog order."""
+        if self._decompositions is None:
+            self._decompositions = {}
+            for a in self.catalog:
+                for b in self.catalog:
+                    if a.right_group == b.left_group:
+                        made = self.try_compose1(a, b)
+                        if made is not None:
+                            self._decompositions.setdefault(made, []).append((a, b))
+        return self._decompositions.get(item, [])
 
     # -- 2-morphisms
 
     def identification2(self, a, b):
         return identification_corr(a, b)
-
-    def adjoint2(self, morph):
-        return morph.transpose()
 
     def try_compose2_vertical(self, a, b):
         return try_compose_corrs(a, b)
@@ -738,44 +689,3 @@ class LieRInstance(Instance):
     def seq(self, items, source=None) -> SeqMorphism:
         return seq_from_items(self, items, source=source)
 
-
-def diagram_collapse(diagram, inst: LieRInstance) -> frozenset:
-    """Set-level collapse of a whole diagram: compose all rows as plain
-    relations (no injectivity demanded), then identify the target side
-    with its full quotient.  Two diagrams with equal boundaries and
-    equal collapses represent the same 2-morphism; this is the
-    brute-force soundness oracle."""
-    from cobord2.diagram import Face, _row_target
-
-    src_items = diagram.source.items
-    rel = {(t, t) for t in product_tuples(src_items)}
-    cur_items = src_items
-    for row in diagram.rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, Face):
-                by_src: dict = {}
-                for ps, pt in cell.morph.tuples():
-                    by_src.setdefault(ps, []).append(pt)
-                cells.append((by_src, len(cell.src_items)))
-            else:
-                item = cell.item
-                cells.append(({(x,): [(x,)] for x in range(item.size)}, 1))
-        new_rel = set()
-        for s, t in rel:
-            outs = [((), t)]
-            for by_src, ns in cells:
-                grown = []
-                for acc, rest in outs:
-                    head, tail = rest[:ns], rest[ns:]
-                    for pt in by_src.get(head, ()):
-                        grown.append((acc + pt, tail))
-                outs = grown
-            for acc, rest in outs:
-                assert rest == ()
-                new_rel.add((s, acc))
-        rel = new_rel
-        cur_items = _row_target(row)
-    orbit_of = inst.collapse(cur_items).orbit_of
-    code = {t: c for c, t in enumerate(product_tuples(cur_items))}
-    return frozenset((s, int(orbit_of[code[t]])) for s, t in rel)

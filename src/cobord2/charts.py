@@ -539,24 +539,6 @@ def unflatten_point(chart: ModuliChart, values) -> ChartPoint:
     return ChartPoint(chart, tuple(thetas), tuple(gammas), tuple(handles))
 
 
-# --- the cotangent space of the group ------------------------------------------------
-
-
-def cotangent_moment(g: UnitQuaternion, eta: AlgVector) -> tuple:
-    """Moments of the translation lifts on T*SU(2), left-trivialized as
-    pairs (g, eta): the left action h.(g, eta) = (hg, eta) has moment
-    Ad_g eta, the right action (g, eta).h = (gh, Ad_{h^-1} eta) has
-    moment -eta."""
-    return (adjoint(g, eta), su2.vec_neg(eta))
-
-
-def infinitesimal_translation(g: UnitQuaternion, xi: AlgVector) -> AlgVector:
-    """The left-translation vector field at g, read in the left
-    trivialization by finite differences: log(g^-1 exp(t xi) g) / t."""
-    moved = mul(inv(g), mul(exp_su2(su2.vec_scale(xi, FD_STEP)), g))
-    return su2.vec_scale(log_su2(moved), 1.0 / FD_STEP)
-
-
 # --- word evaluation --------------------------------------------------------------
 
 
@@ -803,14 +785,13 @@ def _vec(q: UnitQuaternion) -> AlgVector:
     return AlgVector(q.x, q.y, q.z)
 
 
-def canonical_gauge(p: ChartPoint):
+def canonical_gauge(p: ChartPoint) -> ChartPoint:
     """Deterministic gauge fixing: every arc holonomy is set to 1 (the
     factor at boundary i is forced to g_1 Gamma_i), then the residual
     diagonal rotation is pinned by sending the first usable frame
     vector (handle logs first, boundary values after) to the x-axis and
-    the next independent one into the upper xy-plane.
-
-    Returns (gauge tuple, canonical point)."""
+    the next independent one into the upper xy-plane.  Returns the
+    canonical point."""
     k = p.chart.k
     fix = (ONE,) + tuple(p.gammas)
     q = action(fix, p)
@@ -821,9 +802,8 @@ def canonical_gauge(p: ChartPoint):
     frame.extend(q.thetas)
     v1 = next((v for v in frame if v.norm() > 1e-8), None)
     if v1 is None:
-        return fix, q
+        return q
     r1 = _rotation_between(v1, AlgVector(v1.norm(), 0.0, 0.0))
-    axis = AlgVector(1.0, 0.0, 0.0)
     twist = ONE
     for v in frame:
         w = adjoint(r1, v)
@@ -832,22 +812,7 @@ def canonical_gauge(p: ChartPoint):
             ang = math.atan2(w.c, w.b)
             twist = exp_su2(AlgVector(-ang / 2, 0.0, 0.0))
             break
-    r = mul(twist, r1)
-    gs = tuple(mul(r, f) for f in fix)
-    return gs, action((r,) * k, q)
-
-
-def solve_gauge(p: ChartPoint, q: ChartPoint):
-    """Gauge tuple g with action(g, p) = q when the points are gauge
-    equivalent, found by comparing canonical forms.
-
-    Returns (gs, residual)."""
-    if p.chart != q.chart:
-        raise ValueError("points live in different charts")
-    gp, cp = canonical_gauge(p)
-    gq, cq = canonical_gauge(q)
-    gs = tuple(mul(inv(a), b) for a, b in zip(gq, gp))
-    return gs, point_distance(cp, cq)
+    return action((mul(twist, r1),) * k, q)
 
 
 def point_distance(p: ChartPoint, q: ChartPoint) -> float:
@@ -862,6 +827,9 @@ def point_distance(p: ChartPoint, q: ChartPoint) -> float:
 
 
 def gauge_equivalent(p: ChartPoint, q: ChartPoint, tol: float = 1e-9):
-    """(equal mod gauge, residual, gauge tuple)."""
-    gs, r = solve_gauge(p, q)
-    return (r < tol, r, gs)
+    """(equal mod gauge, residual): the residual is the distance between
+    the canonical forms of the two points."""
+    if p.chart != q.chart:
+        raise ValueError("points live in different charts")
+    r = point_distance(canonical_gauge(p), canonical_gauge(q))
+    return (r < tol, r)

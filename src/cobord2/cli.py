@@ -198,8 +198,8 @@ def cmd_functor(args, seed) -> VerificationReport:
     problems = cb.validate(seq)
     if problems:
         raise cdf.ParseError("; ".join(problems))
-    inst = HamInstance()
     if args.mode == "eval":
+        inst = HamInstance()
         diagram = fn.eval2(seq, inst)
         normal = normalize_mod_equiv(diagram, inst)
         report.add("evaluation", True, seed=seed,
@@ -217,9 +217,9 @@ def cmd_functor(args, seed) -> VerificationReport:
             y2 = cb.apply_moves(seq, moves)
         except cb.PatternMismatch as err:
             raise cdf.ParseError("move chain does not apply: %s" % err)
-    ctx = fn.EvalContext(inst=inst, samples=config.samples)
     try:
-        records = fn.invariance_check(seq, y2, moves if not doc.steps2 else [], ctx, seed=seed)
+        records = fn.invariance_check(seq, y2, moves if not doc.steps2 else [],
+                                      samples=config.samples, seed=seed)
     except cb.MoveChainInvalid as err:
         report.add("invariance/move-chain", False, seed=seed, detail=str(err))
         return report

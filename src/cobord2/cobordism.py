@@ -895,7 +895,7 @@ def _shift_step(step: CobStep, new_source: Chain, shift: int) -> CobStep:
         Attachment(
             a.item + shift,
             a.comp,
-            word=a.word.with_component(a.word.comp) if a.word else None,
+            word=a.word,
             feet=tuple((i + shift, c) for i, c in a.feet) if a.feet else None,
             belt=a.belt,
         )

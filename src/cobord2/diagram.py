@@ -17,9 +17,8 @@ what the identification 2-morphisms are) is supplied by an Instance.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 
 class BoundaryMismatch(ValueError):
@@ -34,36 +33,22 @@ class NotAdjacentStep(ValueError):
     pass
 
 
-class EquivResult(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
 # --- instance interface -----------------------------------------------------
 
 
 class Instance:
     """Callback bundle describing one partially-composable structure.
 
-    Subclasses must provide the composition callbacks they intend to
-    use; the optional hooks default to "no extra structure".
+    The hooks are the ones normalization, probe transport and the
+    composition moves call: ends1 and try_compose1 on simple
+    1-morphisms; identification2, try_compose2_vertical, simple2_equal
+    and is_identity2 on simple 2-morphisms; probes and transport_probe
+    for the diagram axiom; diagram_rewrites for multi-row rewrites.
+    The optional ones default to "no extra structure".
     """
 
     def ends1(self, item) -> tuple:
         """(source object, target object) of a simple 1-morphism."""
-        raise NotImplementedError
-
-    def objects_equal(self, x, y) -> bool:
-        return x == y
-
-    def opposite_object(self, obj):
-        raise NotImplementedError
-
-    def adjoint1(self, item):
-        raise NotImplementedError
-
-    def opposite1(self, item):
         raise NotImplementedError
 
     def try_compose1(self, a, b) -> Optional[Any]:
@@ -73,23 +58,14 @@ class Instance:
         """Simple 2-morphism (a, b) => a o b for a composable pair."""
         raise NotImplementedError
 
-    def adjoint2(self, morph):
-        raise NotImplementedError
-
     def try_compose2_vertical(self, a, b) -> Optional[Any]:
         return None
 
     def simple2_equal(self, a, b) -> bool:
         return a == b
 
-    def is_identity1(self, item) -> bool:
-        return False
-
     def is_identity2(self, morph) -> bool:
         return False
-
-    def enumerate_decompositions(self, item) -> Iterable[tuple]:
-        return ()
 
     def probes(self, seq) -> list:
         """(name, probe) pairs: probe 2-morphisms from seq to seq."""
@@ -120,11 +96,6 @@ class SeqMorphism:
     def __len__(self):
         return len(self.items)
 
-    def adjoint(self, inst: Instance) -> "SeqMorphism":
-        return SeqMorphism(
-            self.target, self.source, tuple(inst.adjoint1(i) for i in reversed(self.items))
-        )
-
 
 def seq_from_items(inst: Instance, items, source=None) -> SeqMorphism:
     items = tuple(items)
@@ -134,15 +105,9 @@ def seq_from_items(inst: Instance, items, source=None) -> SeqMorphism:
         return SeqMorphism(source, source, ())
     ends = [inst.ends1(i) for i in items]
     for (_, t), (s, _) in zip(ends, ends[1:]):
-        if not inst.objects_equal(t, s):
+        if t != s:
             raise BoundaryMismatch("consecutive items do not chain: %r vs %r" % (t, s))
     return SeqMorphism(ends[0][0], ends[-1][1], items)
-
-
-def concat_h1(a: SeqMorphism, b: SeqMorphism) -> SeqMorphism:
-    if a.target != b.source:
-        raise BoundaryMismatch("cannot concatenate %r -> %r" % (a.target, b.source))
-    return SeqMorphism(a.source, b.target, a.items + b.items)
 
 
 # --- diagrams ----------------------------------------------------------------
@@ -208,10 +173,6 @@ class StackDiagram:
         return sum(1 for row in self.rows for c in row if isinstance(c, Face))
 
 
-def identity_diagram(seq: SeqMorphism) -> StackDiagram:
-    return StackDiagram(seq, ())
-
-
 def wire_row(items) -> tuple:
     return tuple(Wire(i) for i in items)
 
@@ -219,33 +180,6 @@ def wire_row(items) -> tuple:
 def face_row(items, pos: int, face: Face) -> tuple:
     """One face over items[pos:pos + len(face.src_items)], wires elsewhere."""
     return wire_row(items[:pos]) + (face,) + wire_row(items[pos + len(face.src_items):])
-
-
-def concat_v2(c: StackDiagram, d: StackDiagram) -> StackDiagram:
-    if c.target.items != d.source.items:
-        raise BoundaryMismatch("vertical gluing boundary mismatch")
-    return StackDiagram(c.source, c.rows + d.rows)
-
-
-def concat_h2(c: StackDiagram, d: StackDiagram) -> StackDiagram:
-    if c.source.target != d.source.source:
-        raise BoundaryMismatch("horizontal gluing needs matching endpoint objects")
-    nc, nd = len(c.rows), len(d.rows)
-    n = max(nc, nd)
-    c_items = c.target.items
-    d_items = d.source.items
-    rows = []
-    d_cur = d_items
-    for k in range(n):
-        left = c.rows[k] if k < nc else wire_row(c_items)
-        if k < nd:
-            right = d.rows[k]
-            d_cur = _row_target(right)
-        else:
-            right = wire_row(d_cur)
-        rows.append(left + right)
-    source = concat_h1(c.source, d.source)
-    return StackDiagram(source, tuple(rows))
 
 
 # --- normalization -----------------------------------------------------------
@@ -385,11 +319,6 @@ def _interchange_pass(rows):
     return None
 
 
-def diagrams_equal(d1: StackDiagram, d2: StackDiagram, inst: Instance) -> bool:
-    """Structural equality of normal forms."""
-    return normal_forms_equal(normalize_diagram(d1, inst), normalize_diagram(d2, inst), inst)
-
-
 def normal_forms_equal(n1: StackDiagram, n2: StackDiagram, inst: Instance) -> bool:
     """Structural equality of two diagrams already in normal form."""
     if n1.source.items != n2.source.items or len(n1.rows) != len(n2.rows):
@@ -438,23 +367,6 @@ def composition_step(inst, seq_a: SeqMorphism, seq_b: SeqMorphism):
     raise NotAdjacentStep("no composition position relates the sequences")
 
 
-def patch_diagram(inst, loop) -> StackDiagram:
-    """Stack of identification faces (or adjoints) realizing a chain of
-    composition/decomposition moves."""
-    rows = []
-    for seq_a, seq_b in zip(loop, loop[1:]):
-        pos, compose = composition_step(inst, seq_a, seq_b)
-        if compose:
-            a, b = seq_a.items[pos], seq_a.items[pos + 1]
-            face = Face(inst.identification2(a, b), (a, b), (seq_b.items[pos],))
-        else:
-            a, b = seq_b.items[pos], seq_b.items[pos + 1]
-            ident = inst.identification2(a, b)
-            face = Face(inst.adjoint2(ident), (seq_a.items[pos],), (a, b))
-        rows.append(face_row(seq_a.items, pos, face))
-    return StackDiagram(loop[0], tuple(rows))
-
-
 def check_diagram_axiom(loop, inst: Instance) -> list:
     """Transport every instance probe around a closed chain of
     composition/decomposition moves; each must return to itself.
@@ -479,61 +391,3 @@ def check_diagram_axiom(loop, inst: Instance) -> list:
             ok = inst.simple2_equal(carried, probe)
             results.append(("%s/%s" % (name, side), ok, "" if ok else "probe changed"))
     return results
-
-
-# --- bounded search for sequence equivalence ---------------------------------
-
-
-def _neighbors(inst, seq: SeqMorphism):
-    items = seq.items
-    for p in range(len(items) - 1):
-        made = inst.try_compose1(items[p], items[p + 1])
-        if made is not None:
-            yield SeqMorphism(seq.source, seq.target, items[:p] + (made,) + items[p + 2:])
-    for p, item in enumerate(items):
-        for a, b in inst.enumerate_decompositions(item):
-            yield SeqMorphism(seq.source, seq.target, items[:p] + (a, b) + items[p + 1:])
-        if inst.is_identity1(item):
-            # an instance-declared identity is identified with the empty
-            # sequence; insertion is left to the other search direction
-            yield SeqMorphism(seq.source, seq.target, items[:p] + items[p + 1:])
-
-
-def equiv_seq(a: SeqMorphism, b: SeqMorphism, inst: Instance, depth: int) -> EquivResult:
-    """Bidirectional bounded search over composition moves.
-
-    YES when connected within depth, NO when both reachable sets
-    saturate without meeting, UNKNOWN when the depth budget runs out
-    first."""
-    if a.source != b.source or a.target != b.target:
-        raise BoundaryMismatch("sequences do not share endpoints")
-    if a.items == b.items:
-        return EquivResult.YES
-    seen_a = {a.items: a}
-    seen_b = {b.items: b}
-    frontier_a, frontier_b = [a], [b]
-    for _ in range(depth):
-        if not frontier_a and not frontier_b:
-            return EquivResult.NO
-        # expand the smaller frontier
-        if frontier_a and (len(frontier_a) <= len(frontier_b) or not frontier_b):
-            frontier, seen, other = frontier_a, seen_a, seen_b
-            is_a = True
-        else:
-            frontier, seen, other = frontier_b, seen_b, seen_a
-            is_a = False
-        new = []
-        for seq in frontier:
-            for nxt in _neighbors(inst, seq):
-                if nxt.items in other:
-                    return EquivResult.YES
-                if nxt.items not in seen:
-                    seen[nxt.items] = nxt
-                    new.append(nxt)
-        if is_a:
-            frontier_a = new
-        else:
-            frontier_b = new
-    if not frontier_a and not frontier_b:
-        return EquivResult.NO
-    return EquivResult.UNKNOWN

@@ -18,7 +18,7 @@ face against both diagrams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional
 
 import math
@@ -112,14 +112,6 @@ def _handle_transfer(src_comp: Component, atts) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class EvalContext:
-    """Chart bindings and sampling configuration for numeric checks."""
-    inst: HamInstance = field(default_factory=HamInstance)
-    samples: int = 100
-    tol: float = 1e-9
-
-
 def eval2(seq: CobSeq, inst: Optional[HamInstance] = None) -> StackDiagram:
     """One diagram row per step, threading excision flags created by
     circle removals through later levels."""
@@ -129,8 +121,8 @@ def eval2(seq: CobSeq, inst: Optional[HamInstance] = None) -> StackDiagram:
         raise cb.PatternMismatch("; ".join(problems))
     if not seq:
         raise cb.PatternMismatch("empty step sequence has no boundary data")
-    symbols = tuple(eval_surface(item) for item in cb.seq_source(seq))
-    source = seq_from_items(inst, symbols, source=eval0(cb.chain_source(cb.seq_source(seq))))
+    source = eval1(cb.seq_source(seq), inst)
+    symbols = source.items
     rows = []
     for step in seq:
         rows.append(_eval_step(step, symbols, inst))
@@ -214,6 +206,9 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
 # --- numeric membership -------------------------------------------------------------
 
 
+MEMBERSHIP_TOL = 1e-9  # largest gauge or locus residual a member point may have
+
+
 def component_points(sym: SpaceSymbol, seed: int, zero_thetas=False) -> dict:
     """Random admissible chart point per component of a symbol."""
     return {
@@ -222,7 +217,7 @@ def component_points(sym: SpaceSymbol, seed: int, zero_thetas=False) -> dict:
     }
 
 
-def membership(face: CorrSymbol, src_pts, tgt_pts, tol: float = 1e-9):
+def membership(face: CorrSymbol, src_pts, tgt_pts, tol: float = MEMBERSHIP_TOL):
     """(member, residual) of a point pair in a correspondence symbol.
 
     src_pts / tgt_pts: per symbol in the face boundary, a dict
@@ -254,7 +249,7 @@ def _diag_membership(src_pts, tgt_pts, tol):
     worst = 0.0
     for a_pts, b_pts in zip(src_pts, tgt_pts):
         for i in a_pts:
-            _, r, _ = ch.gauge_equivalent(a_pts[i], b_pts[i], tol)
+            _, r = ch.gauge_equivalent(a_pts[i], b_pts[i], tol)
             worst = max(worst, r)
     return worst <= tol, worst
 
@@ -319,7 +314,7 @@ def _ident_membership(src_pts, tgt_pts, face, tol):
             aligned = _permute_to_chart(p, q.chart)
             if aligned is None:
                 continue
-            _, r, _ = ch.gauge_equivalent(aligned, q, tol)
+            _, r = ch.gauge_equivalent(aligned, q, tol)
             best = min(best, r)
         worst = max(worst, best)
     return worst <= tol, worst
@@ -366,7 +361,7 @@ def _holtriv_membership(big_pts, small_pts, face, tol):
         proj = _project_through_compression(p, q.chart, mapping)
         if proj is None:
             return False, math.inf
-        _, r, _ = ch.gauge_equivalent(proj, q, tol)
+        _, r = ch.gauge_equivalent(proj, q, tol)
         worst = max(worst, r)
     return worst <= tol, worst
 
@@ -403,22 +398,22 @@ def _project_through_compression(p: ChartPoint, small_chart: ModuliChart, mappin
 # --- invariance -----------------------------------------------------------------------
 
 
-def invariance_check(y1: CobSeq, y2: CobSeq, moves, ctx: Optional[EvalContext] = None,
-                     seed: int = 0):
+def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: int = 0):
     """Evaluate two decompositions, compare normal forms, and cross
-    check sampled loci; moves, when given, must carry y1 to y2.
+    check sampled loci of every face, samples // 20 point pairs each
+    (at least one); moves, when given, must carry y1 to y2.
 
     Returns a list of (name, passed, detail) records."""
-    ctx = ctx or EvalContext()
+    inst = HamInstance()
     records = []
     if moves:
         derived = cb.apply_moves(y1, list(moves))
         if derived != y2:
             raise MoveChainInvalid("the move chain does not produce the second sequence")
         records.append(("move-chain", True, "%d moves verified" % len(moves)))
-    n1 = normalize_mod_equiv(eval2(y1, ctx.inst), ctx.inst)
-    n2 = normalize_mod_equiv(eval2(y2, ctx.inst), ctx.inst)
-    same = equal_normal_forms(n1, n2, ctx.inst)
+    n1 = normalize_mod_equiv(eval2(y1, inst), inst)
+    n2 = normalize_mod_equiv(eval2(y2, inst), inst)
+    same = equal_normal_forms(n1, n2, inst)
     records.append(("normal-forms-equal", same, ""))
     if same:
         checked = 0
@@ -427,12 +422,12 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, ctx: Optional[EvalContext] =
             for c1, c2 in zip(r1, r2):
                 if isinstance(c1, Wire):
                     continue
-                got = _face_samples_agree(c1.morph, c2.morph, ctx, su2.mix_seed(seed, checked))
+                got = _face_samples_agree(c1.morph, c2.morph, samples, su2.mix_seed(seed, checked))
                 if got is not None:
                     worst = max(worst, got)
                     checked += 1
         records.append(
-            ("numeric-cross-check", worst <= ctx.tol,
+            ("numeric-cross-check", worst <= MEMBERSHIP_TOL,
              "%d faces sampled, worst residual %.3g" % (checked, worst))
         )
     return records
@@ -487,16 +482,16 @@ def sample_face_points(face: CorrSymbol, seed: int, budget: int):
     return out
 
 
-def _face_samples_agree(f1: CorrSymbol, f2: CorrSymbol, ctx: EvalContext, seed: int):
+def _face_samples_agree(f1: CorrSymbol, f2: CorrSymbol, samples: int, seed: int):
     try:
-        pairs = sample_face_points(f1, seed, max(1, ctx.samples // 20))
+        pairs = sample_face_points(f1, seed, max(1, samples // 20))
     except (ch.SamplingFailed, NotImplementedError):
         return None
     if not pairs:
         return None
     worst = 0.0
     for src_pts, tgt_pts in pairs:
-        ok1, r1 = membership(f1, src_pts, tgt_pts, ctx.tol)
-        ok2, r2 = membership(f2, src_pts, tgt_pts, ctx.tol)
+        ok1, r1 = membership(f1, src_pts, tgt_pts)
+        ok2, r2 = membership(f2, src_pts, tgt_pts)
         worst = max(worst, r1, r2)
     return worst

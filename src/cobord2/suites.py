@@ -74,8 +74,8 @@ def round_trip(chart1, chart2, label, seeds):
         back1, back2 = ch.split(glued, recipe)
         if back1.chart != p1.chart:
             back1, back2 = back2, back1  # gluing a one-boundary piece swaps roles
-        _, r1, _ = ch.gauge_equivalent(back1, p1)
-        _, r2, _ = ch.gauge_equivalent(back2, p2)
+        _, r1 = ch.gauge_equivalent(back1, p1)
+        _, r2 = ch.gauge_equivalent(back2, p2)
         worst = max(worst, r1, r2)
     return worst, relation_worst, rejects
 

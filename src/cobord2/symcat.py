@@ -2,19 +2,20 @@
 
 Spaces are symbols, not manifolds: a Moduli symbol records, per
 connected component, the genus and the labeled boundary circles on each
-side; Cotangent symbols act as identities; the Point is the empty
-surface.  Composition glues the components with the surface gluing
-arithmetic of cobordism.glue_components, refusing any composition that
-would close a component, and records an excision flag per glued circle
-for the holonomy -1 locus removed by gluing.
+side; the Point is the empty surface.  Composition glues the components
+with the surface gluing arithmetic of cobordism.glue_components,
+refusing any composition that would close a component, and records an
+excision flag per glued circle for the holonomy -1 locus removed by
+gluing.
 
-Correspondence symbols come in five kinds (diagonal, identification,
-zero-section, trivial-holonomy locus, Weinstein graph).  The functor
-out of decomposed cobordisms only ever produces these, so a closed
-symbol algebra with a small vertical-composition rule table keeps
-2-morphism equality decidable.  The codimension-3 equivalence is flag
-erasure, guarded by a per-kind certificate that the erased locus meets
-every adjacent correspondence weakly transversely."""
+Correspondence symbols come in four kinds (diagonal, identification,
+zero-section, trivial-holonomy locus).  The functor out of decomposed
+cobordisms only ever produces these, so a closed symbol algebra with a
+small vertical-composition rule table keeps 2-morphism equality
+decidable.  There are no cotangent symbols: cylinders evaluate to
+wires, so no identity space symbol is ever needed.  The codimension-3
+equivalence is flag erasure, guarded by a per-kind certificate that the
+erased locus meets every adjacent correspondence weakly transversely."""
 
 from __future__ import annotations
 
@@ -63,12 +64,6 @@ class GroupSymbol:
     def labels(self):
         return tuple(c[0] for c in self.circles)
 
-    def opposite(self) -> "GroupSymbol":
-        return GroupSymbol(tuple((l, -o) for (l, o) in self.circles))
-
-
-TRIVIAL_GROUP = GroupSymbol(())
-
 
 @dataclass(frozen=True)
 class ExcisionRecord:
@@ -101,19 +96,15 @@ class Component:
     def dim(self) -> int:
         return 6 * self.genus + 6 * self.k - 6
 
-    def transpose(self) -> "Component":
-        return Component(self.genus, self.right, self.left)
-
 
 @dataclass(frozen=True)
 class SpaceSymbol:
-    kind: str  # "moduli" | "cotangent" | "point"
+    kind: str  # "moduli" | "point"
     components: tuple = ()
-    group: Optional[GroupSymbol] = None
     excised: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.kind not in ("moduli", "cotangent", "point"):
+        if self.kind not in ("moduli", "point"):
             raise ValueError("unknown space symbol kind %r" % self.kind)
         object.__setattr__(
             self, "components", tuple(sorted(self.components, key=_comp_key))
@@ -121,14 +112,10 @@ class SpaceSymbol:
 
     @property
     def source_group(self) -> GroupSymbol:
-        if self.kind == "cotangent":
-            return self.group
         return GroupSymbol(tuple(c for comp in self.components for c in comp.left))
 
     @property
     def target_group(self) -> GroupSymbol:
-        if self.kind == "cotangent":
-            return self.group
         return GroupSymbol(tuple(c for comp in self.components for c in comp.right))
 
     @property
@@ -144,19 +131,10 @@ class SpaceSymbol:
     def without_excisions(self) -> "SpaceSymbol":
         if not self.excised:
             return self
-        return SpaceSymbol(self.kind, self.components, self.group, frozenset())
+        return SpaceSymbol(self.kind, self.components, frozenset())
 
     def with_excisions(self, records) -> "SpaceSymbol":
-        return SpaceSymbol(
-            self.kind, self.components, self.group, self.excised | frozenset(records)
-        )
-
-    def transpose(self) -> "SpaceSymbol":
-        if self.kind == "cotangent":
-            return self
-        return SpaceSymbol(
-            self.kind, tuple(c.transpose() for c in self.components), None, self.excised
-        )
+        return SpaceSymbol(self.kind, self.components, self.excised | frozenset(records))
 
 
 def _comp_key(c: Component):
@@ -172,20 +150,12 @@ def moduli_symbol(*components) -> SpaceSymbol:
     return SpaceSymbol("moduli", tuple(components))
 
 
-def cotangent_symbol(group: GroupSymbol) -> SpaceSymbol:
-    return SpaceSymbol("cotangent", (), group)
-
-
 def try_compose1_sym(a: SpaceSymbol, b: SpaceSymbol) -> Optional[SpaceSymbol]:
     """Glue along every middle circle; None when a component closes up."""
     if a.target_group != b.source_group:
         raise NotComposableSym(
             "middle group symbols differ: %r vs %r" % (a.target_group, b.source_group)
         )
-    if a.kind == "cotangent":
-        return b.with_excisions(a.excised)
-    if b.kind == "cotangent":
-        return a.with_excisions(b.excised)
     glued = glue_components(
         [(c.genus, c.left, c.right) for c in a.components],
         [(c.genus, c.left, c.right) for c in b.components],
@@ -197,7 +167,6 @@ def try_compose1_sym(a: SpaceSymbol, b: SpaceSymbol) -> Optional[SpaceSymbol]:
     return SpaceSymbol(
         "moduli" if glued else "point",
         tuple(Component(*t) for t in glued),
-        None,
         a.excised | b.excised | frozenset(records),
     )
 
@@ -205,7 +174,7 @@ def try_compose1_sym(a: SpaceSymbol, b: SpaceSymbol) -> Optional[SpaceSymbol]:
 # --- correspondence symbols ---------------------------------------------------
 
 
-CERTIFIED_KINDS = ("diagonal", "identification", "zero_section", "hol_trivial", "weinstein")
+CERTIFIED_KINDS = ("diagonal", "identification", "zero_section", "hol_trivial")
 
 
 @dataclass(frozen=True)
@@ -217,7 +186,6 @@ class CorrSymbol:
     glued: tuple = ()        # identification: circle labels
     circles: tuple = ()      # zero_section: disc boundary labels
     words: tuple = ()        # hol_trivial: Words on the uncompressed side
-    group: Optional[GroupSymbol] = None  # weinstein
     transfer: tuple = field(default=(), compare=False)
     # transfer: ((small (kind, ref), big (kind, ref)), ...) pairs carrying
     # compressed-chart generators back to the uncompressed chart
@@ -277,36 +245,11 @@ class HamInstance(Instance):
     def ends1(self, item: SpaceSymbol):
         return (item.source_group, item.target_group)
 
-    def opposite_object(self, obj: GroupSymbol):
-        return obj.opposite()
-
-    def adjoint1(self, item):
-        return item.transpose()
-
-    def opposite1(self, item: SpaceSymbol):
-        if item.kind == "cotangent":
-            return cotangent_symbol(item.group.opposite())
-        comps = tuple(
-            Component(
-                c.genus,
-                tuple((l, -o) for l, o in c.left),
-                tuple((l, -o) for l, o in c.right),
-            )
-            for c in item.components
-        )
-        return SpaceSymbol(item.kind, comps, None, item.excised)
-
     def try_compose1(self, a, b):
         return try_compose1_sym(a, b)
 
-    def is_identity1(self, item):
-        return item.kind == "cotangent"
-
     def identification2(self, a, b):
         return identification_sym(a, b)
-
-    def adjoint2(self, morph):
-        return morph.transpose()
 
     def is_identity2(self, morph):
         return morph.kind == "diagonal" and morph.src == morph.tgt
@@ -473,31 +416,3 @@ def equal_normal_forms(n1: StackDiagram, n2: StackDiagram, inst: HamInstance) ->
         raise BoundaryMismatch("2-morphisms have different boundary sequences")
     return normal_forms_equal(n1, n2, inst)
 
-
-def weinstein_identity(item: SpaceSymbol) -> tuple:
-    """The length-two identity representative of a space symbol: the
-    Weinstein graph correspondence to (cotangent, item) and back."""
-    t_star = cotangent_symbol(item.source_group)
-    lam = CorrSymbol("weinstein", (item,), (t_star, item), group=item.source_group)
-    return lam, lam.transpose()
-
-
-class StrippedHamInstance(HamInstance):
-    """Symbol instance working modulo the excision flags: compositions
-    are flag-erased, so sequence equivalence implements the quotient
-    where a space and the space minus its excised loci are identified."""
-
-    def try_compose1(self, a, b):
-        made = try_compose1_sym(a.without_excisions(), b.without_excisions())
-        return None if made is None else made.without_excisions()
-
-
-def equiv_seq_mod_excision(a: SeqMorphism, b: SeqMorphism, depth: int):
-    """Bounded equivalence of 1-morphism sequences modulo composition
-    moves and flag erasure."""
-    from cobord2.diagram import equiv_seq, seq_from_items
-
-    inst = StrippedHamInstance()
-    sa = seq_from_items(inst, tuple(i.without_excisions() for i in a.items), source=a.source)
-    sb = seq_from_items(inst, tuple(i.without_excisions() for i in b.items), source=b.source)
-    return equiv_seq(sa, sb, inst, depth)

@@ -80,6 +80,3 @@ class Word:
             nk, nr = mapping.get((k, r), (k, r))
             out.append((nk, nr, s))
         return Word(self.comp, tuple(out))
-
-    def with_component(self, comp: int) -> "Word":
-        return Word(comp, self.gens)

@@ -113,7 +113,7 @@ def test_criterion_6_handle_cancellations():
         via_down = fn._project_through_compression(q, small_chart, mapping)
         up_map = {small: big for small, big in up.transfer}
         via_up = fn._project_through_compression(q, fn.chart_for(up.src[0].components[0]), up_map)
-        _, r, _ = ch.gauge_equivalent(via_down, via_up)
+        _, r = ch.gauge_equivalent(via_down, via_up)
         worst = max(worst, r)
         ok_m, rm = fn.membership(down, [{0: q}], [{0: via_down}])
         worst = max(worst, rm)

@@ -10,23 +10,18 @@ from cobord2.bisets import (
 )
 from cobord2.diagram import (
     BoundaryMismatch,
-    EquivResult,
     Face,
     NotAdjacentStep,
     NotALoop,
     SeqMorphism,
     StackDiagram,
     check_diagram_axiom,
-    concat_h1,
-    concat_h2,
-    concat_v2,
-    diagrams_equal,
-    equiv_seq,
-    identity_diagram,
+    normal_forms_equal,
     normalize_diagram,
-    patch_diagram,
     wire_row,
 )
+
+from diagram_builders import concat_h1, concat_h2, concat_v2, identity_diagram, patch_diagram
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -98,7 +93,7 @@ def test_interchange_normal_form(inst):
         concat_h2(dA, identity_diagram(SeqMorphism(Z2, Z2, (compA,)))),
     )
     assert ab.rows != ba.rows
-    assert diagrams_equal(ab, ba, inst)
+    assert normal_forms_equal(normalize_diagram(ab, inst), normalize_diagram(ba, inst), inst)
 
 
 def test_v2_h2_associative_structurally(inst):
@@ -176,37 +171,3 @@ def test_patch_diagram_shape(inst):
     patch = patch_diagram(inst, [seq2, seq1, seq2])
     assert patch.face_count() == 2
     assert patch.target.items == seq2.items
-
-
-def test_equiv_seq_basic(inst):
-    seq2 = inst.seq((REG2, REG2))
-    comp = inst.try_compose1(REG2, REG2)
-    seq1 = inst.seq((comp,))
-    assert equiv_seq(seq2, seq2, inst, 1) is EquivResult.YES
-    assert equiv_seq(seq2, seq1, inst, 2) is EquivResult.YES
-    # an identity item is identified with the empty sequence
-    empty = SeqMorphism(Z2, Z2, ())
-    just_id = inst.seq((ID2,))
-    assert equiv_seq(just_id, empty, inst, 2) is EquivResult.YES
-
-
-def test_equiv_seq_no_when_saturated():
-    # with no catalog there are no decompositions: two distinct
-    # incomposable singletons saturate immediately and the answer is a
-    # definite NO
-    inst = LieRInstance()
-    a = inst.seq((REG2, REG2))
-    b = inst.seq((REG2, ID2))
-    assert equiv_seq(a, b, inst, 10) is EquivResult.NO
-
-
-def test_equiv_seq_unknown_at_shallow_depth():
-    cat = [ID2, REG2]
-    inst = LieRInstance(cat)
-    comp = inst.try_compose1(REG2, REG2)
-    comp3 = inst.try_compose1(comp, REG2)
-    a = inst.seq((REG2, REG2, REG2))
-    b = inst.seq((comp3,))
-    # needs two moves; at depth 0 the search cannot even start
-    assert equiv_seq(a, b, inst, 0) is EquivResult.UNKNOWN
-    assert equiv_seq(a, b, inst, 4) is EquivResult.YES

@@ -116,16 +116,16 @@ def test_imbrication_merges_words_symbolically():
 
 
 def test_eval1_circle_refinement_gives_equivalent_sequences():
-    from cobord2.symcat import equiv_seq_mod_excision
-    from cobord2.diagram import EquivResult
-
+    # one composition move, modulo the excision flag of the glued circle
     chain = cat._annulus_chain()
     double = cylinder_seq(chain) + cylinder_seq(chain)
     fine = cb.apply_move(double, Move("circle_insert", 1, (0, 1, "mid")))
     coarse_seq = fn.eval1(chain)
     fine_seq = fn.eval1(fine[0].target)
     assert len(fine_seq.items) == 2
-    assert equiv_seq_mod_excision(fine_seq, coarse_seq, 3) is EquivResult.YES
+    assert (fine_seq.source, fine_seq.target) == (coarse_seq.source, coarse_seq.target)
+    glued = try_compose1_sym(*fine_seq.items)
+    assert glued.excised and (glued.without_excisions(),) == coarse_seq.items
 
 
 def test_normalization_idempotent_over_corpus():

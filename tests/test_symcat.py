@@ -10,7 +10,6 @@ from cobord2.symcat import (
     NotComposableSym,
     POINT,
     TransversalityUnknown,
-    cotangent_symbol,
     diagonal_sym,
     equal_2morphisms,
     identification_sym,
@@ -38,16 +37,6 @@ def test_pair_of_pants_glue_once():
     c = out.components[0]
     assert c.genus == 0 and c.k == 4
     assert ExcisionRecord("m") in out.excised
-
-
-def test_cotangent_is_exact_identity():
-    g = GroupSymbol((("c1", 1),))
-    t = cotangent_symbol(g)
-    x = N(2, ["c1"], ["c2"])
-    assert try_compose1_sym(t, x) == x
-    # and on the other side
-    t2 = cotangent_symbol(GroupSymbol((("c2", 1),)))
-    assert try_compose1_sym(x, t2) == x
 
 
 def test_closed_result_is_refused():
@@ -180,25 +169,6 @@ def test_normalize_mod_equiv_idempotent():
     d = StackDiagram(_seq(inst, (a, b)), ((Face(ident, (a, b), (glued,)),),))
     n = normalize_mod_equiv(d, inst)
     assert normalize_mod_equiv(n, inst).rows == n.rows
-
-
-def test_opposite_and_adjoint_symbols():
-    inst = HamInstance()
-    x = N(1, ["c1"], ["c2"])
-    assert inst.adjoint1(inst.adjoint1(x)) == x
-    opp = inst.opposite1(x)
-    assert inst.opposite1(opp) == x
-    assert inst.opposite_object(inst.opposite_object(x.source_group)) == x.source_group
-
-
-def test_weinstein_identity_shape():
-    from cobord2.symcat import weinstein_identity
-
-    x = N(1, ["c1"], ["c2"])
-    lam, lam_t = weinstein_identity(x)
-    assert lam.kind == "weinstein"
-    assert lam.tgt[0].kind == "cotangent"
-    assert lam_t.src == lam.tgt and lam_t.tgt == lam.src
 
 
 def test_equal_2morphisms_boundary_mismatch():

@@ -6,13 +6,21 @@ correspondence here is a frozenset of (source tuple, target tuple)
 pairs, the form Correspondence.tuples() decodes to.  Every action is
 applied generator by generator and closed breadth first, with no
 integer encoding, so agreement with cobord2.bisets checks the encoding.
+diagram_collapse extends the reference from simple 2-morphisms to whole
+diagrams.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
-from cobord2.bisets import product_tuples
+from cobord2.diagram import Face, _row_target
+
+
+def product_tuples(seq):
+    """Every product tuple of a sequence, in code order."""
+    return itertools.product(*[range(b.size) for b in seq])
 
 
 class Actions(NamedTuple):
@@ -145,3 +153,42 @@ def compose_orbits(m, n) -> tuple:
                 orbit_of[j] = len(members)
             members.append(tuple(orb))
     return orbit_of, members
+
+
+def diagram_collapse(diagram, inst) -> frozenset:
+    """Set-level collapse of a whole diagram: compose all rows as plain
+    relations (no injectivity demanded), then identify the target side
+    with its full quotient (the orbits of inst.collapse).  Two diagrams
+    with equal boundaries and equal collapses represent the same
+    2-morphism; this is the brute-force soundness oracle."""
+    src_items = diagram.source.items
+    rel = {(t, t) for t in product_tuples(src_items)}
+    cur_items = src_items
+    for row in diagram.rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, Face):
+                by_src: dict = {}
+                for ps, pt in cell.morph.tuples():
+                    by_src.setdefault(ps, []).append(pt)
+                cells.append((by_src, len(cell.src_items)))
+            else:
+                cells.append(({(x,): [(x,)] for x in range(cell.item.size)}, 1))
+        new_rel = set()
+        for s, t in rel:
+            outs = [((), t)]
+            for by_src, ns in cells:
+                grown = []
+                for acc, rest in outs:
+                    head, tail = rest[:ns], rest[ns:]
+                    for pt in by_src.get(head, ()):
+                        grown.append((acc + pt, tail))
+                outs = grown
+            for acc, rest in outs:
+                assert rest == ()
+                new_rel.add((s, acc))
+        rel = new_rel
+        cur_items = _row_target(row)
+    orbit_of = inst.collapse(cur_items).orbit_of
+    code = {t: c for c, t in enumerate(product_tuples(cur_items))}
+    return frozenset((s, int(orbit_of[code[t]])) for s, t in rel)
