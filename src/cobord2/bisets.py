@@ -555,7 +555,6 @@ class LieRInstance(Instance):
         self._collapse_memo: dict = {}
         self._probe_memo: dict = {}
         self._transport_memo: dict = {}
-        self._decompositions: Optional[dict] = None  # composite -> catalog pairs
 
     # -- 1-morphisms
 
@@ -572,16 +571,20 @@ class LieRInstance(Instance):
         made = self._compose_full(a, b)
         return None if made is None else made[0]
 
+    @cached_property
+    def _decompositions(self) -> dict:
+        """Composite -> the catalog pairs (a, b) composing to it, in
+        catalog order; built on first use."""
+        out: dict = {}
+        for a in self.catalog:
+            for b in self.catalog:
+                if a.right_group == b.left_group:
+                    made = self.try_compose1(a, b)
+                    if made is not None:
+                        out.setdefault(made, []).append((a, b))
+        return out
+
     def enumerate_decompositions(self, item):
-        """Catalog pairs (a, b) composing to item, in catalog order."""
-        if self._decompositions is None:
-            self._decompositions = {}
-            for a in self.catalog:
-                for b in self.catalog:
-                    if a.right_group == b.left_group:
-                        made = self.try_compose1(a, b)
-                        if made is not None:
-                            self._decompositions.setdefault(made, []).append((a, b))
         return self._decompositions.get(item, [])
 
     # -- 2-morphisms

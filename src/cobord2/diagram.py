@@ -39,12 +39,12 @@ class NotAdjacentStep(ValueError):
 class Instance:
     """Callback bundle describing one partially-composable structure.
 
-    The hooks are the ones normalization, probe transport and the
-    composition moves call: ends1 and try_compose1 on simple
-    1-morphisms; identification2, try_compose2_vertical, simple2_equal
-    and is_identity2 on simple 2-morphisms; probes and transport_probe
-    for the diagram axiom; diagram_rewrites for multi-row rewrites.
-    The optional ones default to "no extra structure".
+    Only the hooks the engine calls: ends1 and try_compose1 (chaining
+    and composition moves), identification2 (the functor's gluing
+    faces), try_compose2_vertical, simple2_equal and is_identity2
+    (normalization), probes and transport_probe (the diagram axiom),
+    and diagram_rewrites (instance-specific multi-row rewrites).  The
+    optional ones default to "no extra structure".
     """
 
     def ends1(self, item) -> tuple:

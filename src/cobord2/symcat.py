@@ -34,7 +34,6 @@ from cobord2.diagram import (
     normal_forms_equal,
     normalize_diagram,
 )
-from cobord2.words import Word
 
 
 class NotComposableSym(ValueError):

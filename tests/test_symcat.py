@@ -5,7 +5,6 @@ from cobord2.symcat import (
     Component,
     CorrSymbol,
     ExcisionRecord,
-    GroupSymbol,
     HamInstance,
     NotComposableSym,
     POINT,
