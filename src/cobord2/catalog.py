@@ -59,34 +59,38 @@ def loop_start_sequences(catalog) -> list:
     return out
 
 
+def _neighbors(inst: bs.LieRInstance, items) -> list:
+    """Every sequence one composition or decomposition move from items."""
+    out = []
+    for p in range(len(items) - 1):
+        made = inst.try_compose1(items[p], items[p + 1])
+        if made is not None:
+            out.append(items[:p] + (made,) + items[p + 2:])
+    for p, item in enumerate(items):
+        for a, b in inst.enumerate_decompositions(item):
+            out.append(items[:p] + (a, b) + items[p + 1:])
+    return out
+
+
 def enumerate_loops(inst: bs.LieRInstance, start_items, depth: int):
     """Closed chains of at most depth composition/decomposition moves
-    from a starting sequence, enumerated exhaustively."""
+    from a starting sequence, enumerated exhaustively, depth first.
+
+    The walk keeps its own stack rather than recursing through a nested
+    function: a closure that calls itself is a reference cycle, and one
+    that also holds inst keeps the instance and all its memos alive
+    until the cyclic collector happens to run."""
     start = tuple(start_items)
-
-    def neighbors(items):
-        out = []
-        for p in range(len(items) - 1):
-            made = inst.try_compose1(items[p], items[p + 1])
-            if made is not None:
-                out.append(items[:p] + (made,) + items[p + 2:])
-        for p, item in enumerate(items):
-            for a, b in inst.enumerate_decompositions(item):
-                out.append(items[:p] + (a, b) + items[p + 1:])
-        return out
-
     loops = []
-
-    def walk(path):
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
         cur = path[-1]
         if len(path) > 1 and cur == start:
-            loops.append(tuple(path))
-        if len(path) > depth:
-            return
-        for nxt in neighbors(cur):
-            walk(path + [nxt])
-
-    walk([start])
+            loops.append(path)
+        if len(path) <= depth:
+            # reversed, so the first neighbor is walked first
+            stack.extend(path + (nxt,) for nxt in reversed(_neighbors(inst, cur)))
     return loops
 
 
