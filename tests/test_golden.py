@@ -41,6 +41,7 @@ GOLDEN = {
     "solid_torus/invariance/0": (0, "dfdc4534e559f3a8a635540fd029ee032af10b28efa4dd87c6ae91a3e1f525a4"),
     "solid_torus/invariance/7": (0, "daa46fb26155ab2042b03f71c9aa709f8d362e4f27d0e326fafc0ae26eca68aa"),
     "moduli-small": (0, "773cb54c7e7e06ddade46fb1688474d69c139f06cb9c0f8f0b7e08c68824af2a"),
+    "moduli-highgenus-small": (0, "73f3d96b434a5a931051be61dcf99eb1b18f71c36523c0fdbb37db3a18e30a72"),
 }
 
 
@@ -49,6 +50,9 @@ def _argv(case):
         return ["axioms", str(DATA / "axioms_default.cat")]
     if case == "moduli-small":
         return ["moduli", "--grid", "1,2", "2,3", "--trials", "50", "--samples", "20",
+                "--seed", "7"]
+    if case == "moduli-highgenus-small":
+        return ["moduli", "--grid", "4,2", "8,3", "--trials", "20", "--samples", "20",
                 "--seed", "7"]
     name, mode, seed = case.split("/")
     return ["functor", mode, str(DATA / (name + ".cdf")), "--seed", seed]
