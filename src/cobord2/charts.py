@@ -32,6 +32,19 @@ description is canonical):
   A* = Gamma_a e^{theta_a} Gamma_b^{-1}, B* = Gamma_b Gamma_a^{-1}
   listed first.  Splitting inverts these words with the gauge choice
   Gamma_glued = 1.
+
+Tangent computations.  Jacobians are left-trivialized and exact: the
+row block of a word W is d log W = J_l(log W)^-1 (dW W^-1), built in one
+prefix-product pass over the word.  Columns follow perturb's order:
+theta_2 .. theta_k (additive), then Gamma_2 .. Gamma_k, then A_1, B_1
+.. A_g, B_g (left translation x -> exp(h e_c) x), three each;
+relation_kernel_dim puts the three theta_1 columns first.  A factor
+x^{+1} after the prefix P contributes Ad_P u, a factor x^{-1} contributes
+-Ad_{P x^-1} u, where u = dx x^-1 is e_c for a translated holonomy and
+J_l(theta) e_c for e^theta.  A boundary loop is the three factors
+Gamma e^theta Gamma^-1, and the basepoint loop e^{theta_1} = D^-1 the
+inverted factors of D = chart_defect.  exp_su2 has bracket
+[u, w] = 2 u x w, so J_l(v) is the SO(3) left Jacobian at 2v (see su2).
 """
 
 from __future__ import annotations
@@ -60,7 +73,6 @@ from cobord2.su2 import (
 )
 from cobord2.words import Word
 
-FD_STEP = 1e-6
 SVD_RTOL = 1e-8
 ADMISSIBLE_MARGIN = 1e-6
 MOMENT_TOL = 1e-9  # largest moment difference glue and glue_self accept
@@ -515,30 +527,6 @@ def flatten_point(p: ChartPoint) -> tuple:
     return tuple(out)
 
 
-def unflatten_point(chart: ModuliChart, values) -> ChartPoint:
-    values = list(values)
-    n = chart.k - 1
-    want = 3 * n + 4 * n + 8 * chart.genus
-    if len(values) != want:
-        raise ValueError("expected %d reals, got %d" % (want, len(values)))
-    pos = 0
-    thetas = []
-    for _ in range(n):
-        thetas.append(AlgVector(*values[pos:pos + 3]))
-        pos += 3
-    gammas = []
-    for _ in range(n):
-        gammas.append(UnitQuaternion(*values[pos:pos + 4]))
-        pos += 4
-    handles = []
-    for _ in range(chart.genus):
-        a = UnitQuaternion(*values[pos:pos + 4])
-        b = UnitQuaternion(*values[pos + 4:pos + 8])
-        handles.append((a, b))
-        pos += 8
-    return ChartPoint(chart, tuple(thetas), tuple(gammas), tuple(handles))
-
-
 # --- word evaluation --------------------------------------------------------------
 
 
@@ -606,14 +594,77 @@ def constraint_map(p: ChartPoint, words) -> np.ndarray:
     return np.array(out)
 
 
+def _loop_factors(p: ChartPoint, pos: int) -> list:
+    """Elementary factors (value, sign, column block, u) of the boundary
+    loop Gamma e^theta Gamma^-1 at pos >= 1; u is None for the identity."""
+    k1 = p.chart.k - 1
+    g, t = p.gammas[pos - 1], p.thetas[pos - 1]
+    return [(g, 1, k1 + pos - 1, None), (exp_su2(t), 1, pos - 1, su2.left_jacobian(t)),
+            (g, -1, k1 + pos - 1, None)]
+
+
+def _defect_factors(p: ChartPoint) -> list:
+    out = []
+    for pos in range(1, p.chart.k):
+        out.extend(_loop_factors(p, pos))
+    first = 2 * (p.chart.k - 1)
+    for j, (a, b) in enumerate(p.handles):
+        ca, cb = first + 2 * j, first + 2 * j + 1
+        out.extend(((a, 1, ca, None), (b, 1, cb, None), (a, -1, ca, None), (b, -1, cb, None)))
+    return out
+
+
+def _inverse(factors) -> list:
+    return [(q, -sign, col, u) for q, sign, col, u in reversed(factors)]
+
+
+def _generator_factors(p: ChartPoint, kind: str, ref) -> list:
+    k1 = p.chart.k - 1
+    if kind in ("a", "b"):
+        which = 0 if kind == "a" else 1
+        return [(p.handles[ref - 1][which], 1, 2 * k1 + 2 * (ref - 1) + which, None)]
+    pos = p.chart.index_of(ref)
+    if kind == "g":
+        return [] if pos == 0 else [(p.gammas[pos - 1], 1, k1 + pos - 1, None)]
+    if kind == "d":
+        return _inverse(_defect_factors(p)) if pos == 0 else _loop_factors(p, pos)
+    raise ValueError("unknown generator kind %r" % kind)
+
+
+def _log_differential(factors, blocks: int) -> np.ndarray:
+    """d log W, 3 x 3*blocks, of the product W of elementary factors."""
+    prefix = ONE
+    at = []
+    for q, sign, _, _ in factors:
+        if sign > 0:
+            at.append(prefix)
+            prefix = mul(prefix, q)
+        else:
+            prefix = mul(prefix, inv(q))
+            at.append(prefix)
+    terms = su2.adjoint_matrices(at)
+    incidence = np.zeros((blocks, len(factors)))
+    for i, (_, sign, col, u) in enumerate(factors):
+        incidence[col, i] = sign
+        if u is not None:
+            terms[i] = terms[i] @ u
+    per_block = (incidence @ terms.reshape(-1, 9)).reshape(blocks, 3, 3)
+    jac = per_block.transpose(1, 0, 2).reshape(3, 3 * blocks)
+    return su2.left_jacobian_inv(log_su2(prefix)) @ jac
+
+
 def constraint_jacobian(p: ChartPoint, words) -> np.ndarray:
-    d = p.chart.dim
-    cols = []
-    for coord in range(d):
-        fp = constraint_map(perturb(p, coord, FD_STEP), words)
-        fm = constraint_map(perturb(p, coord, -FD_STEP), words)
-        cols.append((fp - fm) / (2.0 * FD_STEP))
-    return np.stack(cols, axis=1) if cols else np.zeros((3 * len(words), 0))
+    """Differential of constraint_map, 3 rows per word, one column per
+    ambient coordinate in perturb's order."""
+    blocks = p.chart.dim // 3
+    rows = []
+    for w in words:
+        factors = []
+        for kind, ref, sign in w.gens:
+            f = _generator_factors(p, kind, ref)
+            factors.extend(f if sign > 0 else _inverse(f))
+        rows.append(_log_differential(factors, blocks))
+    return np.vstack(rows) if rows else np.zeros((0, p.chart.dim))
 
 
 @dataclass(frozen=True)
@@ -640,30 +691,23 @@ def locus_tangent(p: ChartPoint, words, rtol: float = SVD_RTOL) -> TangentFrame:
     return TangentFrame(tuple(map(tuple, kernel)), rank)
 
 
+def relation_jacobian(p: ChartPoint) -> np.ndarray:
+    """Differential of log(e^{theta_1} c_2 ... c_k [A_1,B_1] ... [A_g,B_g])
+    with theta_1 a free coordinate: 3 x (3 + dim), the theta_1 columns
+    first, then perturb's order."""
+    t1 = theta1_of(p)
+    factors = [(exp_su2(t1), 1, 0, su2.left_jacobian(t1))]
+    factors.extend((q, sign, col + 1, u) for q, sign, col, u in _defect_factors(p))
+    return _log_differential(factors, p.chart.dim // 3 + 1)
+
+
 def relation_kernel_dim(p: ChartPoint, rtol: float = SVD_RTOL) -> tuple:
     """Treat theta_1 as a free coordinate and cut the full relation
     e^{theta_1} c_2 ... [A,B].. = 1; the kernel of its differential is
     the tangent space of the chart, of dimension 6g + 6k - 6.
 
     Returns (kernel dimension, rank of the relation differential)."""
-    d = p.chart.dim
-    t1 = theta1_of(p)
-
-    def rel(t1v, pt):
-        return np.array(log_su2(mul(exp_su2(t1v), chart_defect(pt))))
-
-    cols = []
-    for c in range(3):
-        hp = list(t1)
-        hm = list(t1)
-        hp[c] += FD_STEP
-        hm[c] -= FD_STEP
-        cols.append((rel(AlgVector(*hp), p) - rel(AlgVector(*hm), p)) / (2 * FD_STEP))
-    for coord in range(d):
-        fp = rel(t1, perturb(p, coord, FD_STEP))
-        fm = rel(t1, perturb(p, coord, -FD_STEP))
-        cols.append((fp - fm) / (2 * FD_STEP))
-    jac = np.stack(cols, axis=1)
+    jac = relation_jacobian(p)
     s = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(s > rtol * s[0]))
     return (jac.shape[1] - rank, rank)

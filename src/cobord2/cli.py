@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             report = cmd_moduli(args, seed)
         else:
             report = cmd_functor(args, seed)
-    except (cdf.ParseError, OSError) as err:
+    except (cdf.ParseError, cb.PatternMismatch, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     report.wall_time = time.monotonic() - started
@@ -195,9 +195,6 @@ def cmd_functor(args, seed) -> VerificationReport:
     config = RunConfig(seed=seed, trials=1, samples=args.samples)
     report = VerificationReport("functor-%s" % args.mode, config)
     seq = doc.sequence()
-    problems = cb.validate(seq)
-    if problems:
-        raise cdf.ParseError("; ".join(problems))
     if args.mode == "eval":
         inst = HamInstance()
         diagram = fn.eval2(seq, inst)

@@ -226,7 +226,6 @@ def _stagger(rows):
 def _clean(rows, inst):
     """Drop identity faces and all-wire rows."""
     out = []
-    changed = False
     for row in rows:
         cells = []
         for cell in row:
@@ -234,14 +233,12 @@ def _clean(rows, inst):
                 if cell.src_items != cell.tgt_items:
                     raise BoundaryMismatch("identity face with unequal boundaries")
                 cells.extend(Wire(i) for i in cell.src_items)
-                changed = True
             else:
                 cells.append(cell)
         if all(isinstance(c, Wire) for c in cells):
-            changed = True
             continue
         out.append(tuple(cells))
-    return out, changed
+    return out
 
 
 def _try_merge(r1, r2, inst):
@@ -268,7 +265,7 @@ def normalize_diagram(d: StackDiagram, inst: Instance) -> StackDiagram:
     merge strictly reduces the face count, so the scan terminates."""
     rows = _stagger(list(d.rows))
     while True:
-        rows, _ = _clean(rows, inst)
+        rows = _clean(rows, inst)
         hook = inst.diagram_rewrites(StackDiagram(d.source, tuple(rows)))
         if hook is not None:
             rows = _stagger(list(hook.rows))

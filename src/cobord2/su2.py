@@ -5,12 +5,19 @@ SU(2) minus {-1}; log_su2 inverts it on that branch and raises
 BranchError within BRANCH_EPS of the excluded point.  Sampling is
 deterministic: every draw is keyed by a 64-bit seed through a splitmix
 stream, so trials are reproducible and splittable by index.
+
+exp_su2(v) = cos|v| + sin|v| v/|v| has bracket [u, w] = 2 u x w, so the
+left Jacobian of exp here is the SO(3) one (Sola, Deray and Atchuthan,
+"A micro Lie theory for state estimation in robotics", arXiv:1812.01537)
+evaluated at 2v.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from cobord2 import _kernel
 
@@ -83,6 +90,54 @@ def adjoint(g, v) -> AlgVector:
 def commutator(a, b) -> UnitQuaternion:
     """a b a^-1 b^-1."""
     return UnitQuaternion(*_kernel.qcomm(a, b))
+
+
+def adjoint_matrices(qs) -> np.ndarray:
+    """Ad_q as 3x3 rotation matrices, one per unit quaternion of qs,
+    stacked to shape (n, 3, 3)."""
+    q = np.asarray(qs, dtype=float).reshape(-1, 4)
+    w, x, y, z = q.T
+    out = np.empty((len(q), 3, 3))
+    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[:, 0, 1] = 2.0 * (x * y - w * z)
+    out[:, 0, 2] = 2.0 * (x * z + w * y)
+    out[:, 1, 0] = 2.0 * (x * y + w * z)
+    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[:, 1, 2] = 2.0 * (y * z - w * x)
+    out[:, 2, 0] = 2.0 * (x * z - w * y)
+    out[:, 2, 1] = 2.0 * (y * z + w * x)
+    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
+
+
+def _hat2(v):
+    """([2v]x, |2v|): the bracket matrix of v and its angle."""
+    a, b, c = 2.0 * v[0], 2.0 * v[1], 2.0 * v[2]
+    return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]]), math.sqrt(a * a + b * b + c * c)
+
+
+def left_jacobian(v) -> np.ndarray:
+    """J_l(v), with exp_su2(v + d) = exp_su2(J_l(v) d) exp_su2(v) to first
+    order in d: I + (1 - cos t)/t^2 K + (t - sin t)/t^3 K^2, K = [2v]x,
+    t = 2|v|."""
+    k, t = _hat2(v)
+    if t < 1e-4:
+        b, c = 0.5 - t * t / 24.0, 1.0 / 6.0 - t * t / 120.0
+    else:
+        b, c = (1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / (t * t * t)
+    return np.eye(3) + b * k + c * (k @ k)
+
+
+def left_jacobian_inv(v) -> np.ndarray:
+    """J_l(v)^-1 for |v| < pi, so that log_su2(exp_su2(d) q) =
+    log_su2(q) + J_l(log_su2(q))^-1 d to first order:
+    I - K/2 + (1/t^2 - cot(t/2)/(2t)) K^2."""
+    k, t = _hat2(v)
+    if t < 1e-4:
+        e = 1.0 / 12.0 + t * t / 720.0
+    else:
+        e = 1.0 / (t * t) - math.cos(t / 2) / (2.0 * t * math.sin(t / 2))
+    return np.eye(3) - 0.5 * k + e * (k @ k)
 
 
 def near_minus_one(q, eps: float = BRANCH_EPS) -> bool:

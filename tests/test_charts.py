@@ -1,7 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+from chart_reference import (
+    fd_constraint_jacobian,
+    fd_relation_jacobian,
+    kernel_dim_and_rank,
+    unflatten_point,
+)
 from cobord2 import charts as ch
 from cobord2 import su2
 from cobord2.charts import (
@@ -38,6 +45,7 @@ def mk_chart(g, k, incoming=()):
 
 
 GRID = [(g, k) for g in (0, 1, 2) for k in (1, 2, 3)]
+HIGH_GENUS = [(g, k) for g in (4, 6, 8) for k in (2, 3)]
 
 
 def test_dimension_formula():
@@ -306,7 +314,7 @@ def test_flatten_round_trip_bit_exact():
         p = random_point(chart, mix_seed(9980, trial))
         flat = ch.flatten_point(p)
         assert len(flat) == 3 * 2 + 4 * 2 + 8 * 2
-        q = ch.unflatten_point(chart, flat)
+        q = unflatten_point(chart, flat)
         assert q == p  # exact, not approximate
 
 
@@ -322,3 +330,61 @@ def test_zero_section_locus_half_dimension():
             assert frame.rank == 3 * (k - 1)
             assert len(frame.vectors) == chart.dim - 3 * (k - 1)
             assert len(frame.vectors) == 3 * (k - 1)
+
+
+# --- analytic Jacobians against central differences -----------------------------
+
+
+def test_relation_jacobian_matches_finite_differences():
+    for g, k in GRID + HIGH_GENUS:
+        chart = mk_chart(g, k)
+        for trial in range(3):
+            p = random_point(chart, mix_seed(9990, g, k, trial))
+            jac = ch.relation_jacobian(p)
+            ref = fd_relation_jacobian(p)
+            assert jac.shape == (3, chart.dim + 3)
+            assert np.max(np.abs(jac - ref)) < 1e-6, (g, k, trial)
+            assert relation_kernel_dim(p) == kernel_dim_and_rank(ref) == (chart.dim, 3)
+
+
+def _every_generator_word(g, k):
+    """a, b, g and d at a non-basepoint boundary, d and g at the basepoint
+    boundary, each with both signs."""
+    last = "c%d" % k
+    gens = [gen("a", 1), gen("g", last), gen("d", last), gen("b", g), gen("d", "c1"),
+            gen("g", "c1"), gen("a", 1, -1), gen("g", last, -1), gen("d", "c1", -1),
+            gen("b", g, -1), gen("d", last, -1), gen("g", "c1", -1)]
+    return Word(0, tuple(gens))
+
+
+def test_constraint_jacobian_matches_finite_differences_off_locus():
+    for g, k in GRID + HIGH_GENUS:
+        if g < 1 or k < 2:
+            continue
+        chart = mk_chart(g, k)
+        word = _every_generator_word(g, k)
+        kinds = {(kind, ref == "c1", sign) for kind, ref, sign in word.gens if kind in "gd"}
+        assert len(kinds) == 8 and len(word.gens) == 12
+        words = [word, Word(0, (gen("a", g), gen("b", 1, -1)))]
+        for trial in range(3):
+            p = random_point(chart, mix_seed(9991, g, k, trial))
+            assert word_residual(p, word) > 1e-3
+            jac = ch.constraint_jacobian(p, words)
+            ref = fd_constraint_jacobian(p, words)
+            assert jac.shape == (6, chart.dim)
+            assert np.max(np.abs(jac - ref)) < 1e-6, (g, k, trial)
+            assert kernel_dim_and_rank(jac) == kernel_dim_and_rank(ref)
+
+
+def test_locus_rank_matches_finite_differences():
+    w = Word(0, (gen("a", 1),))
+    for g, k in GRID + HIGH_GENUS:
+        if g < 1:
+            continue
+        chart = mk_chart(g, k)
+        for trial in range(3):
+            p = sample_on_locus(chart, [w], mix_seed(9992, g, k, trial))
+            ref = fd_constraint_jacobian(p, [w])
+            assert np.max(np.abs(ch.constraint_jacobian(p, [w]) - ref)) < 1e-6
+            frame = locus_tangent(p, [w])
+            assert (len(frame.vectors), frame.rank) == kernel_dim_and_rank(ref) == (chart.dim - 3, 3)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from chart_reference import unflatten_point
 from cobord2 import cdf, cli
+from cobord2 import cobordism as cb
 from cobord2.cdf import ParseError, parse_catalog, parse_cdf, parse_word
 from cobord2.cobordism import Move, apply_move, cylinder_seq
 
@@ -133,7 +135,7 @@ def test_cli_moduli_point_dump_round_trips():
     )
     values = [float(v) for v in record["detail"].split(",")]
     chart = ch.ModuliChart(1, ("c1", "c2"), frozenset(("c1",)))
-    p = ch.unflatten_point(chart, values)
+    p = unflatten_point(chart, values)
     assert ch.relation_residual(p) < 1e-10
 
 
@@ -242,3 +244,26 @@ def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode, calls", [("eval", 1), ("invariance", 2)])
+def test_functor_validates_each_sequence_once(monkeypatch, mode, calls):
+    seen = []
+
+    def counting(seq):
+        seen.append(seq)
+        return []
+
+    monkeypatch.setattr(cb, "validate", counting)
+    code, _, _ = run_cli(["functor", mode, str(DATA / "cancel12.cdf")])
+    assert code == 0
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("mode", ["eval", "invariance"])
+def test_functor_invalid_sequence_exits_2(monkeypatch, mode):
+    monkeypatch.setattr(cb, "validate", lambda seq: ["steps 0-1: decompositions do not match"])
+    code, out, err = run_cli(["functor", mode, str(DATA / "cancel12.cdf")])
+    assert code == 2
+    assert out == ""
+    assert "decompositions do not match" in err

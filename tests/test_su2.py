@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cobord2 import su2
@@ -114,3 +115,33 @@ def test_haar_mean_w_within_3_sigma():
         total += su2.sample_haar(su2.mix_seed(43, k)).w
     # component variance of a Haar unit quaternion is 1/4
     assert abs(total / n) < 3.0 * 0.5 / math.sqrt(n)
+
+
+def test_adjoint_matrices_match_adjoint():
+    qs = [su2.sample_haar(su2.mix_seed(13, i)) for i in range(20)]
+    mats = su2.adjoint_matrices(qs)
+    assert mats.shape == (20, 3, 3)
+    for q, m in zip(qs, mats):
+        for seed in range(3):
+            v = su2.sample_ball(math.pi, su2.mix_seed(14, seed))
+            assert su2.vec_dist(m @ np.array(v), su2.adjoint(q, v)) < 1e-14
+    assert su2.adjoint_matrices([]).shape == (0, 3, 3)
+
+
+def test_left_jacobian_is_the_differential_of_exp():
+    # exp(v + h e_c) exp(v)^-1 = exp(h J_l(v) e_c) + O(h^2); tiny and
+    # near-pi radii exercise both branches of the closed forms
+    h = 1e-6
+    for radius in (1e-9, 1e-5, 0.3, 1.5, 3.0, math.pi - 1e-3):
+        for seed in range(5):
+            v = su2.sample_ball(math.pi, su2.mix_seed(15, seed))
+            v = su2.vec_scale(v, radius / v.norm())
+            jl = su2.left_jacobian(v)
+            for c in range(3):
+                vp, vm = list(v), list(v)
+                vp[c] += h
+                vm[c] -= h
+                left = su2.mul(su2.exp_su2(vp), su2.inv(su2.exp_su2(vm)))
+                fd = np.array(su2.log_su2(left)) / (2 * h)
+                assert np.max(np.abs(fd - jl[:, c])) < 1e-8, (radius, seed, c)
+            assert np.max(np.abs(su2.left_jacobian_inv(v) @ jl - np.eye(3))) < 1e-12
