@@ -45,10 +45,24 @@ J_l(theta) e_c for e^theta.  A boundary loop is the three factors
 Gamma e^theta Gamma^-1, and the basepoint loop e^{theta_1} = D^-1 the
 inverted factors of D = chart_defect.  exp_su2 has bracket
 [u, w] = 2 u x w, so J_l(v) is the SO(3) left Jacobian at 2v (see su2).
+
+Batches.  A ChartPoint whose components are (N,) float64 arrays is N
+points of one chart, one per lane (su2 states the float-or-array
+convention and the rule that log, atan2 and pow run through math).
+random_point takes a uint64 seed array and draws each lane exactly as
+its own seed would; boundary_loop, chart_defect, is_admissible,
+theta1_of, relation_residual, theta_raw, moment, action, the chart
+moves, glue, split, canonical_gauge, point_distance and gauge_equivalent
+accept batches and act lane by lane, with the same bits on each lane as
+on that lane's point alone.  A BranchError raised on a batch names the
+offending lanes (BranchError.lanes); select_lanes drops them and
+lane_points unpacks a batch into points of floats.  The tangent
+computations, eval_word and sample_on_locus take single points only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -58,7 +72,6 @@ import numpy as np
 from cobord2 import su2
 from cobord2.su2 import (
     AlgVector,
-    BranchError,
     ONE,
     UnitQuaternion,
     adjoint,
@@ -134,6 +147,37 @@ class ChartPoint:
             raise ValueError("wrong number of handle pairs")
 
 
+def _map_point(f, p: ChartPoint, *others) -> ChartPoint:
+    """The point of p's chart whose every component is f of the matching
+    components of p and the others."""
+    ps = (p,) + others
+
+    def vec(*vs):
+        return AlgVector._make(map(f, *vs))
+
+    def quat(*qs):
+        return UnitQuaternion._make(map(f, *qs))
+
+    thetas = tuple(vec(*ts) for ts in zip(*(x.thetas for x in ps)))
+    gammas = tuple(quat(*gs) for gs in zip(*(x.gammas for x in ps)))
+    handles = tuple((quat(*(h[0] for h in hs)), quat(*(h[1] for h in hs)))
+                    for hs in zip(*(x.handles for x in ps)))
+    return ChartPoint(p.chart, thetas, gammas, handles)
+
+
+def select_lanes(p: ChartPoint, lanes) -> ChartPoint:
+    """The batch of the lanes of p that lanes (an index or boolean
+    array) picks; float components stay floats."""
+    return _map_point(lambda c: c[lanes] if isinstance(c, np.ndarray) else c, p)
+
+
+def lane_points(p: ChartPoint, n: int) -> list:
+    """The n points of a batch, one ChartPoint of floats per lane (a
+    chart without coordinates has nothing to tell its lanes apart)."""
+    cols = _map_point(lambda c: c.tolist() if isinstance(c, np.ndarray) else c, p)
+    return [_map_point(lambda c: c[i] if isinstance(c, list) else c, cols) for i in range(n)]
+
+
 def boundary_loop(p: ChartPoint, pos: int) -> UnitQuaternion:
     """Holonomy of the loop around boundary pos (>= 1) based at the
     basepoint: Gamma e^theta Gamma^-1."""
@@ -150,7 +194,7 @@ def chart_defect(p: ChartPoint) -> UnitQuaternion:
 
 
 def is_admissible(p: ChartPoint, margin: float = su2.BRANCH_EPS) -> bool:
-    return not su2.near_minus_one(chart_defect(p), margin)
+    return chart_defect(p)[0] > -1.0 + margin
 
 
 def theta1_of(p: ChartPoint) -> AlgVector:
@@ -197,11 +241,17 @@ def action(gs, p: ChartPoint) -> ChartPoint:
     return ChartPoint(p.chart, thetas, gammas, handles)
 
 
-def random_point(chart: ModuliChart, seed: int, zero_thetas: bool = False) -> ChartPoint:
+def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPoint:
     """Admissible point with ball-uniform thetas and Haar holonomies;
-    deterministic in the seed, resampling away from the excluded locus."""
+    deterministic in the seed, resampling away from the excluded locus.
+
+    A uint64 seed array gives a batch, one point per seed: only the
+    rejected lanes redraw, with the next trial index, so each lane is
+    the point its seed gives alone."""
+    todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
+    out = None
     for trial in range(64):
-        s = mix_seed(seed, trial)
+        s = mix_seed(seed if todo is None else seed[todo], trial)
         thetas = tuple(
             AlgVector(0.0, 0.0, 0.0) if zero_thetas else sample_ball(math.pi, mix_seed(s, 1, i))
             for i in range(chart.k - 1)
@@ -212,9 +262,28 @@ def random_point(chart: ModuliChart, seed: int, zero_thetas: bool = False) -> Ch
             for j in range(chart.genus)
         )
         p = ChartPoint(chart, thetas, gammas, handles)
-        if is_admissible(p, ADMISSIBLE_MARGIN):
-            return p
-    raise SamplingFailed("no admissible point found, seed %d" % seed)
+        ok = is_admissible(p, ADMISSIBLE_MARGIN)
+        if todo is None:
+            if ok:
+                return p
+            continue
+        ok = np.broadcast_to(ok, todo.shape)  # one bool for a chart without coordinates
+        out = p if out is None else _map_point(lambda a, b: _put(a, todo, b), out, p)
+        todo = todo[~ok]
+        if not len(todo):
+            return out
+    raise SamplingFailed("no admissible point found, seed %d"
+                         % (seed if todo is None else seed[todo[0]]))
+
+
+def _put(a, lanes, b):
+    """a with b written into the given lanes; a float component (a zero
+    theta) is the same on every draw."""
+    if not isinstance(b, np.ndarray):
+        return a
+    out = a.copy()
+    out[lanes] = b
+    return out
 
 
 # --- chart moves ----------------------------------------------------------------
@@ -406,8 +475,9 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str):
     m2 = theta_raw(q2, label_b)
     if q2.chart.sign(label_b) < 0:
         m2 = su2.vec_neg(m2)
-    if su2.vec_dist(m1, m2) > MOMENT_TOL:
-        raise MomentMismatch("moments differ by %g" % su2.vec_dist(m1, m2))
+    gap = su2.largest(su2.vec_dist(m1, m2))
+    if gap > MOMENT_TOL:
+        raise MomentMismatch("moments differ by %g" % gap)
     gl = q1.gammas[-1]
     boundaries = q1.chart.boundaries[:-1] + q2.chart.boundaries[1:]
     incoming = (q1.chart.incoming | q2.chart.incoming) - {label_a, label_b}
@@ -416,8 +486,8 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str):
     gammas = q1.gammas[:-1] + tuple(mul(gl, g) for g in q2.gammas)
     handles2 = tuple((mul(mul(gl, a), inv(gl)), mul(mul(gl, b), inv(gl))) for a, b in q2.handles)
     glued = ChartPoint(chart, thetas, gammas, handles2 + q1.handles)
-    if not is_admissible(glued):
-        raise BranchError("glued point lies on the excluded locus")
+    su2.check_branch(su2.near_minus_one(chart_defect(glued)),
+                     "glued point lies on the excluded locus")
     recipe = GlueRecipe(
         "cross", q1.chart, q2.chart, label_a, label_b, tuple(script1), tuple(script2)
     )
@@ -449,8 +519,9 @@ def glue_self(p: ChartPoint, label_a: str, label_b: str):
     ta, tb = p.thetas[k - 3], p.thetas[k - 2]
     ma = su2.vec_neg(ta) if p.chart.sign(label_a) < 0 else ta
     mb = su2.vec_neg(tb) if p.chart.sign(label_b) < 0 else tb
-    if su2.vec_dist(ma, mb) > MOMENT_TOL:
-        raise MomentMismatch("moments differ by %g" % su2.vec_dist(ma, mb))
+    gap = su2.largest(su2.vec_dist(ma, mb))
+    if gap > MOMENT_TOL:
+        raise MomentMismatch("moments differ by %g" % gap)
     ga, gb = p.gammas[k - 3], p.gammas[k - 2]
     a_star = mul(mul(ga, exp_su2(ta)), inv(gb))
     b_star = mul(gb, inv(ga))
@@ -462,8 +533,8 @@ def glue_self(p: ChartPoint, label_a: str, label_b: str):
     glued = ChartPoint(
         chart, p.thetas[:-2], p.gammas[:-2], ((a_star, b_star),) + p.handles
     )
-    if not is_admissible(glued):
-        raise BranchError("self-glued point lies on the excluded locus")
+    su2.check_branch(su2.near_minus_one(chart_defect(glued)),
+                     "self-glued point lies on the excluded locus")
     recipe = GlueRecipe("self", p.chart, None, label_a, label_b, tuple(script))
     return glued, recipe
 
@@ -796,10 +867,17 @@ def _newton_refine(p, words, pinned_thetas, pinned_handles):
 
 
 def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
-    """Minimal rotation sending direction v to direction u."""
+    """Minimal rotation sending direction v to direction u; on lanes the
+    degenerate and antiparallel cases are chosen per lane."""
     nv, nu = v.norm(), u.norm()
-    if nv < 1e-12 or nu < 1e-12:
+    degenerate = (nv < 1e-12) | (nu < 1e-12)
+    if degenerate is True:
         return ONE
+    if degenerate is not False:
+        # a degenerate lane turns the x-axis to itself, by ONE
+        x_axis = AlgVector(1.0, 0.0, 0.0)
+        v, u = su2.where(degenerate, x_axis, v), su2.where(degenerate, x_axis, u)
+        nv, nu = np.where(degenerate, 1.0, nv), np.where(degenerate, 1.0, nu)
     a = AlgVector(v.a / nv, v.b / nv, v.c / nv)
     b = AlgVector(u.a / nu, u.b / nu, u.c / nu)
     cross = AlgVector(
@@ -807,22 +885,30 @@ def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
     )
     dot = a.a * b.a + a.b * b.b + a.c * b.c
     s = cross.norm()
-    if s < 1e-12:
-        if dot > 0:
-            return ONE
-        # antiparallel: turn by pi around any orthogonal axis
-        axis = AlgVector(1.0, 0.0, 0.0) if abs(a.a) < 0.9 else AlgVector(0.0, 1.0, 0.0)
-        ortho = AlgVector(
-            a.b * axis.c - a.c * axis.b,
-            a.c * axis.a - a.a * axis.c,
-            a.a * axis.b - a.b * axis.a,
-        )
-        n = ortho.norm()
-        return exp_su2(AlgVector(ortho.a / n * math.pi / 2, ortho.b / n * math.pi / 2,
-                                 ortho.c / n * math.pi / 2))
-    angle = math.atan2(s, dot)
-    return exp_su2(AlgVector(cross.a / s * angle / 2, cross.b / s * angle / 2,
-                             cross.c / s * angle / 2))
+    parallel = s < 1e-12
+    if parallel is True:
+        return ONE if dot > 0 else _half_turn(a)
+    if su2.any_lane(parallel):
+        s = np.where(parallel, 1.0, s)
+    angle = su2.lanewise(math.atan2, s, dot)
+    out = exp_su2(AlgVector(cross.a / s * angle / 2, cross.b / s * angle / 2,
+                            cross.c / s * angle / 2))
+    if su2.any_lane(parallel):
+        out = su2.where(parallel, su2.where(dot > 0, ONE, _half_turn(a)), out)
+    return out
+
+
+def _half_turn(a: AlgVector) -> UnitQuaternion:
+    """Turn by pi around an axis orthogonal to the unit vector a."""
+    axis = su2.where(abs(a.a) < 0.9, AlgVector(1.0, 0.0, 0.0), AlgVector(0.0, 1.0, 0.0))
+    ortho = AlgVector(
+        a.b * axis.c - a.c * axis.b,
+        a.c * axis.a - a.a * axis.c,
+        a.a * axis.b - a.b * axis.a,
+    )
+    n = ortho.norm()
+    return exp_su2(AlgVector(ortho.a / n * math.pi / 2, ortho.b / n * math.pi / 2,
+                             ortho.c / n * math.pi / 2))
 
 
 def _vec(q: UnitQuaternion) -> AlgVector:
@@ -835,7 +921,8 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
     diagonal rotation is pinned by sending the first usable frame
     vector (handle logs first, boundary values after) to the x-axis and
     the next independent one into the upper xy-plane.  Returns the
-    canonical point."""
+    canonical point.  On a batch every lane makes these choices for
+    itself; open marks the lanes still looking."""
     k = p.chart.k
     fix = (ONE,) + tuple(p.gammas)
     q = action(fix, p)
@@ -844,30 +931,45 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
         frame.append(_vec(a))
         frame.append(_vec(b))
     frame.extend(q.thetas)
-    v1 = next((v for v in frame if v.norm() > 1e-8), None)
+    v1, open_ = None, True
+    for v in frame:
+        n = v.norm()
+        take = open_ & (n > 1e-8)
+        if su2.any_lane(take):
+            v1 = v if v1 is None else su2.where(take, v, v1)
+            open_ = open_ & (n <= 1e-8)
+            if not su2.any_lane(open_):
+                break
     if v1 is None:
         return q
     r1 = _rotation_between(v1, AlgVector(v1.norm(), 0.0, 0.0))
-    twist = ONE
+    twist, twist_open = ONE, True
     for v in frame:
         w = adjoint(r1, v)
-        planar = math.hypot(w.b, w.c)
-        if planar > 1e-8:
-            ang = math.atan2(w.c, w.b)
-            twist = exp_su2(AlgVector(-ang / 2, 0.0, 0.0))
-            break
-    return action((mul(twist, r1),) * k, q)
+        planar = su2.lanewise(math.hypot, w.b, w.c)
+        take = twist_open & (planar > 1e-8)
+        if su2.any_lane(take):
+            ang = su2.lanewise(math.atan2, w.c, w.b)
+            twist = su2.where(take, exp_su2(AlgVector(-ang / 2, 0.0, 0.0)), twist)
+            twist_open = twist_open & (planar <= 1e-8)
+            if not su2.any_lane(twist_open):
+                break
+    out = action((mul(twist, r1),) * k, q)
+    # a lane with no usable frame vector keeps q, as a single point does
+    if su2.any_lane(open_):
+        return _map_point(lambda a, b: np.where(open_, a, b), q, out)
+    return out
 
 
 def point_distance(p: ChartPoint, q: ChartPoint) -> float:
-    out = 0.0
-    for t1, t2 in zip(p.thetas, q.thetas):
-        out = max(out, su2.vec_dist(t1, t2))
-    for g1, g2 in zip(p.gammas, q.gammas):
-        out = max(out, su2.quat_dist(g1, g2))
-    for (a1, b1), (a2, b2) in zip(p.handles, q.handles):
-        out = max(out, su2.quat_dist(a1, a2), su2.quat_dist(b1, b2))
-    return out
+    """Largest coordinate distance; on a batch, per lane."""
+    dists = [su2.vec_dist(t1, t2) for t1, t2 in zip(p.thetas, q.thetas)]
+    dists += [su2.quat_dist(g1, g2) for g1, g2 in zip(p.gammas, q.gammas)]
+    dists += [su2.quat_dist(x1, x2) for h1, h2 in zip(p.handles, q.handles)
+              for x1, x2 in zip(h1, h2)]
+    if any(isinstance(d, np.ndarray) for d in dists):
+        return functools.reduce(np.maximum, dists, 0.0)
+    return max(dists, default=0.0)
 
 
 def gauge_equivalent(p: ChartPoint, q: ChartPoint, tol: float = 1e-9):

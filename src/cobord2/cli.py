@@ -6,16 +6,21 @@
 
 Every command writes a deterministic JSON report to stdout (or --out)
 and a human summary with wall time to stderr.  Exit codes: 0 all
-checks pass, 1 at least one failed, 2 unreadable input.  COBORD2_SEED
+checks pass, 1 at least one failed, 2 unreadable input or an invalid
+option (a count below 1, a tolerance that is not a finite positive
+number, a grid point that is not g,k with g >= 0 and k >= 1).  COBORD2_SEED
 overrides the configured seed; an explicit --seed flag wins over the
 environment."""
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from cobord2 import bisets as bs
 from cobord2 import catalog as cat
@@ -31,6 +36,39 @@ from cobord2.symcat import HamInstance, normalize_mod_equiv
 from cobord2.words import Word
 
 
+def _count(text) -> int:
+    """A trial or sample count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
+def _tolerance(text) -> float:
+    """A tolerance: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0, got %r" % text)
+    return value
+
+
+def _grid_point(text) -> tuple:
+    """A grid point g,k: genus g >= 0 and k >= 1 boundary circles."""
+    try:
+        g, k = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected g,k (two integers), got %r" % text)
+    if g < 0 or k < 1:
+        raise argparse.ArgumentTypeError("need genus >= 0 and k >= 1, got %r" % text)
+    return (g, k)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cobord2")
     common = argparse.ArgumentParser(add_help=False)
@@ -44,11 +82,11 @@ def main(argv=None) -> int:
     p_ax.add_argument("--depth", type=int, default=None)
 
     p_mod = sub.add_parser("moduli", parents=[common], help="numerical chart suites")
-    p_mod.add_argument("--grid", type=str, nargs="*", default=None, metavar="g,k")
-    p_mod.add_argument("--trials", type=int, default=1000)
-    p_mod.add_argument("--samples", type=int, default=100)
-    p_mod.add_argument("--tol-residual", type=float, default=1e-9)
-    p_mod.add_argument("--tol-svd", type=float, default=1e-8)
+    p_mod.add_argument("--grid", type=_grid_point, nargs="*", default=None, metavar="g,k")
+    p_mod.add_argument("--trials", type=_count, default=1000)
+    p_mod.add_argument("--samples", type=_count, default=100)
+    p_mod.add_argument("--tol-residual", type=_tolerance, default=1e-9)
+    p_mod.add_argument("--tol-svd", type=_tolerance, default=1e-8)
     p_mod.add_argument("--dump-points", action="store_true",
                        help="embed one seeded chart point per grid entry as a flat array")
 
@@ -56,7 +94,7 @@ def main(argv=None) -> int:
                            help="evaluate or compare decomposed cobordisms")
     p_fun.add_argument("mode", choices=("eval", "invariance"))
     p_fun.add_argument("cdf", type=str)
-    p_fun.add_argument("--samples", type=int, default=100)
+    p_fun.add_argument("--samples", type=_count, default=100)
 
     args = parser.parse_args(argv)
     seed = args.seed
@@ -111,16 +149,8 @@ def cmd_axioms(args, seed) -> VerificationReport:
     return report
 
 
-def _parse_grid(tokens):
-    out = []
-    for tok in tokens:
-        g, k = tok.split(",")
-        out.append((int(g), int(k)))
-    return tuple(out)
-
-
 def cmd_moduli(args, seed) -> VerificationReport:
-    grid = _parse_grid(args.grid) if args.grid else RunConfig().grid
+    grid = tuple(args.grid) if args.grid else RunConfig().grid
     config = RunConfig(
         seed=seed,
         trials=args.trials,
@@ -130,20 +160,21 @@ def cmd_moduli(args, seed) -> VerificationReport:
         samples=args.samples,
     )
     report = VerificationReport("moduli", config)
+    trial_axis = np.arange(config.trials, dtype=np.uint64)
+    sample_axis = np.arange(config.samples, dtype=np.uint64)
     for g, k in grid:
         chart = _grid_chart(g, k)
         name = "g%d.k%d" % (g, k)
 
         defects = suites.dimension_defects(
-            chart, (su2.mix_seed(seed, 10, g, k, t) for t in range(config.samples)),
-            config.svd_rtol)
+            chart, su2.mix_seed(seed, 10, g, k, sample_axis), config.svd_rtol)
         report.add(
             "dimension/" + name, not defects, residual=float(len(defects)), seed=seed,
             detail="%d points, kernel dim %d expected" % (config.samples, chart.dim),
         )
 
         worst = suites.equivariance_worst(
-            chart, (su2.mix_seed(seed, 20, g, k, t) for t in range(config.trials)))
+            chart, su2.mix_seed(seed, 20, g, k, trial_axis))
         report.add(
             "equivariance/" + name, worst < config.residual_tol,
             residual=worst, seed=seed, detail="%d trials" % config.trials,
@@ -156,7 +187,7 @@ def cmd_moduli(args, seed) -> VerificationReport:
         )
         worst, relation_worst, rejects = suites.round_trip(
             chart, partner, glue_label,
-            (su2.mix_seed(seed, 30, g, k, t) for t in range(config.trials)))
+            su2.mix_seed(seed, 30, g, k, trial_axis))
         report.add(
             "round-trip/" + name,
             worst < config.residual_tol and relation_worst < 1e-10,
@@ -168,8 +199,7 @@ def cmd_moduli(args, seed) -> VerificationReport:
         if g >= 1:
             clean, rejects = suites.locus_ranks(
                 chart, [Word(0, (("a", 1, 1),))],
-                (su2.mix_seed(seed, 40, g, k, t) for t in range(config.samples)),
-                config.svd_rtol)
+                su2.mix_seed(seed, 40, g, k, sample_axis), config.svd_rtol)
             report.add(
                 "coisotropic-rank/" + name, clean >= int(0.95 * config.samples),
                 residual=float(rejects), seed=seed,

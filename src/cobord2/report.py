@@ -27,6 +27,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
         for tol in (self.branch_eps, self.residual_tol, self.svd_rtol):
             if tol <= 0:
                 raise ValueError("tolerances must be positive")

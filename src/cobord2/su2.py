@@ -6,6 +6,22 @@ BranchError within BRANCH_EPS of the excluded point.  Sampling is
 deterministic: every draw is keyed by a 64-bit seed through a splitmix
 stream, so trials are reproducible and splittable by index.
 
+Floats or lanes.  A component of a UnitQuaternion or an AlgVector is a
+Python float (one point) or an (N,) float64 array (N points, one per
+lane), as in the kernel (cobord2._kernel).  Every function here except
+adjoint_matrices, left_jacobian and left_jacobian_inv accepts lanes and
+gives on each lane the bits it gives on that lane's floats; on lanes,
+log, atan2 and pow (x ** 2 in the norms and distances included) run
+through math one lane at a time, because numpy's versions round
+differently.  A seed is a Python int or a uint64 array of per-lane
+seeds: mix_seed, SplitMix64, sample_haar and sample_ball then draw the
+same integer stream on each lane as on its int, in uint64 arithmetic
+(Steele, Lea and Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014).  A branch test on lanes is per lane:
+log_su2 (through check_branch) raises if any lane hits the branch, and
+the error's ``lanes`` mask names those lanes.  where, any_lane and
+largest are the lane forms of a conditional, of a truth test and of max.
+
 exp_su2(v) = cos|v| + sin|v| v/|v| has bracket [u, w] = 2 u x w, so the
 left Jacobian of exp here is the SO(3) one (Sola, Deray and Atchuthan,
 "A micro Lie theory for state estimation in robotics", arXiv:1812.01537)
@@ -20,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cobord2 import _kernel
+from cobord2._kernel import lanewise, square
 
 BRANCH_EPS = 1e-9
 
@@ -38,7 +55,7 @@ class UnitQuaternion(NamedTuple):
     inv = conj
 
     def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        return _norm4(self.w, self.x, self.y, self.z)
 
 
 class AlgVector(NamedTuple):
@@ -47,7 +64,7 @@ class AlgVector(NamedTuple):
     c: float
 
     def norm(self) -> float:
-        return math.sqrt(self.a ** 2 + self.b ** 2 + self.c ** 2)
+        return _norm3(self.a, self.b, self.c)
 
 
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
@@ -56,7 +73,30 @@ ZERO_VEC = AlgVector(0.0, 0.0, 0.0)
 
 
 class BranchError(ValueError):
-    """Logarithm requested at (or too close to) the excluded point -1."""
+    """Logarithm requested at (or too close to) the excluded point -1.
+    On lanes, ``lanes`` is the boolean mask of the lanes that hit it."""
+
+    def __init__(self, message, lanes=None):
+        super().__init__(message)
+        self.lanes = lanes
+
+
+def where(cond, a, b):
+    """a where cond holds, else b: one choice for a bool, a choice per
+    lane, component by component, for a boolean lane array."""
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    vals = [np.where(cond, x, y) for x, y in zip(a, b)]
+    return type(a)._make(vals) if hasattr(a, "_make") else tuple(vals)
+
+
+def any_lane(cond) -> bool:
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def largest(x):
+    """The largest lane of x (0.0 for no lanes); x itself for a float."""
+    return float(np.max(x, initial=0.0)) if isinstance(x, np.ndarray) else x
 
 
 def mul(p, q) -> UnitQuaternion:
@@ -77,8 +117,7 @@ def exp_su2(v) -> UnitQuaternion:
 
 
 def log_su2(q) -> AlgVector:
-    if q[0] <= -1.0 + BRANCH_EPS:
-        raise BranchError("logarithm at the excluded point -1 (w=%r)" % (q[0],))
+    check_branch(q[0] <= -1.0 + BRANCH_EPS, "logarithm at the excluded point -1")
     return AlgVector(*_kernel.qlog(q))
 
 
@@ -144,6 +183,16 @@ def near_minus_one(q, eps: float = BRANCH_EPS) -> bool:
     return q[0] <= -1.0 + eps
 
 
+def check_branch(bad, message: str):
+    """Raise BranchError(message) if bad holds, on any lane of a batch;
+    the error then carries bad as its lanes mask."""
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise BranchError("%s on %d lanes" % (message, np.count_nonzero(bad)), bad)
+    elif bad:
+        raise BranchError(message)
+
+
 def vec_neg(v) -> AlgVector:
     return AlgVector(-v[0], -v[1], -v[2])
 
@@ -152,76 +201,126 @@ def vec_scale(v, t: float) -> AlgVector:
     return AlgVector(v[0] * t, v[1] * t, v[2] * t)
 
 
+def _norm3(a, b, c):
+    # x ** 2 is libm's pow, not x * x: on lanes it goes through math
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
+        return np.sqrt(square(a) + square(b) + square(c))
+    return math.sqrt(a ** 2 + b ** 2 + c ** 2)
+
+
+def _norm4(w, x, y, z):
+    if (isinstance(w, np.ndarray) or isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
+            or isinstance(z, np.ndarray)):
+        return np.sqrt(square(w) + square(x) + square(y) + square(z))
+    return math.sqrt(w ** 2 + x ** 2 + y ** 2 + z ** 2)
+
+
 def vec_dist(u, v) -> float:
-    return math.sqrt((u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2)
+    return _norm3(u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
 def quat_dist(p, q) -> float:
-    return math.sqrt(
-        (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2 + (p[3] - q[3]) ** 2
-    )
+    return _norm4(p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
 
 
 # --- deterministic sampling ------------------------------------------------
 
 
-def _mix(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
+def _u64(x):
+    """x as 64-bit seed material: an int reduced mod 2**64, an array of
+    lanes cast to uint64 (a negative int64 wraps the same way)."""
+    return x.astype(np.uint64, copy=False) if isinstance(x, np.ndarray) else x & _MASK64
+
+
+def _mix(x):
+    # no augmented assignment: on lanes that would write into the caller's array
+    x = x ^ (x >> 30)
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
+    x = x ^ (x >> 27)
     x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
+    return x ^ (x >> 31)
 
 
-def mix_seed(seed: int, *indices: int) -> int:
-    """Fold trial indices into a seed; fixed 64-bit mix, order-sensitive."""
-    x = seed & _MASK64
+def mix_seed(seed, *indices):
+    """Fold trial indices into a seed; fixed 64-bit mix, order-sensitive.
+    The seed or any index may be a uint64 array of lanes."""
+    x = _u64(seed)
     for k in indices:
+        if isinstance(k, np.ndarray):
+            k = k.astype(np.uint64, copy=False)
         x = _mix(x ^ ((k * 0x9E3779B97F4A7C15) & _MASK64))
     return x
 
 
+def seed_lanes(seeds) -> np.ndarray:
+    """Per-trial seeds (a uint64 array or any iterable of ints) as a
+    uint64 array of lanes."""
+    if isinstance(seeds, np.ndarray):
+        return seeds.astype(np.uint64, copy=False)
+    return np.fromiter(seeds, dtype=np.uint64)
+
+
 class SplitMix64:
-    """Tiny deterministic PRNG; identical output on every platform."""
+    """Tiny deterministic PRNG; identical output on every platform.  A
+    uint64 seed array runs one stream per lane."""
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
+    def __init__(self, seed):
+        self._state = _u64(seed)
 
-    def next_u64(self) -> int:
+    def next_u64(self):
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         return _mix(self._state)
 
-    def uniform(self) -> float:
+    def uniform(self):
         # 53-bit mantissa in [0, 1)
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def gauss_pair(self):
         u1 = 1.0 - self.uniform()  # (0, 1]
         u2 = self.uniform()
+        if isinstance(u1, np.ndarray):
+            r = np.sqrt(-2.0 * lanewise(math.log, u1))
+            return (r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2))
         r = math.sqrt(-2.0 * math.log(u1))
         return (r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2))
 
 
-def sample_haar(seed: int) -> UnitQuaternion:
-    """Haar-uniform SU(2) element: normalized 4-dimensional Gaussian."""
+def sample_haar(seed) -> UnitQuaternion:
+    """Haar-uniform SU(2) element: normalized 4-dimensional Gaussian.
+    A lane whose Gaussian is too short draws again from its own stream."""
     rng = SplitMix64(seed)
+    out, todo = None, None
     while True:
         g1, g2 = rng.gauss_pair()
         g3, g4 = rng.gauss_pair()
-        n = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4)
-        if n > 1e-12:
-            return UnitQuaternion(g1 / n, g2 / n, g3 / n, g4 / n)
+        ss = g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
+        if not isinstance(ss, np.ndarray):
+            n = math.sqrt(ss)
+            if n > 1e-12:
+                return UnitQuaternion(g1 / n, g2 / n, g3 / n, g4 / n)
+            continue
+        n = np.sqrt(ss)
+        ok = n > 1e-12
+        n = np.where(ok, n, 1.0)
+        q = UnitQuaternion(g1 / n, g2 / n, g3 / n, g4 / n)
+        out = q if out is None else where(todo & ok, q, out)
+        todo = ~ok if todo is None else todo & ~ok
+        if not todo.any():
+            return out
 
 
-def sample_ball(radius: float, seed: int) -> AlgVector:
+def sample_ball(radius: float, seed) -> AlgVector:
     """Uniform direction, radius density proportional to r^2 on [0, radius)."""
     if not 0.0 < radius <= math.pi:
         raise ValueError("radius must lie in (0, pi]")
     rng = SplitMix64(seed)
     z = 2.0 * rng.uniform() - 1.0
     phi = 2.0 * math.pi * rng.uniform()
-    r = radius * rng.uniform() ** (1.0 / 3.0)
+    u = rng.uniform()
+    if isinstance(u, np.ndarray):
+        r = radius * lanewise(math.pow, u, 1.0 / 3.0)
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return AlgVector(r * s * np.cos(phi), r * s * np.sin(phi), r * z)
+    r = radius * u ** (1.0 / 3.0)
     s = math.sqrt(max(0.0, 1.0 - z * z))
     return AlgVector(r * s * math.cos(phi), r * s * math.sin(phi), r * z)

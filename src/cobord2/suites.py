@@ -2,10 +2,21 @@
 
 Each suite runs one family of checks over caller-supplied charts and
 per-trial seeds and returns what it measured; the caller owns the
-seeds, the sample counts, the bounds and the report records.
+seeds, the sample counts, the bounds and the report records.  Seeds
+come as a uint64 array or any iterable of ints (su2.seed_lanes).
+
+equivariance_worst and round_trip run the trials of a chart in
+batches of up to BATCH: each trial is a lane of the chart operations
+(see su2 and charts for the float-or-array convention), with the bits
+the trial would have on its own, so their results equal a loop over the
+seeds.  dimension_defects draws its points in batches and then computes
+one Jacobian and SVD per point; locus_ranks samples one point at a
+time.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from cobord2 import bisets as bs
 from cobord2 import catalog as cat
@@ -25,12 +36,26 @@ def axiom_loops(inst, sequences, depth):
             yield items, loop_idx, [name for name, ok, _ in results if not ok]
 
 
+# Trials per batch.  A batch holds a few kilobytes per lane, so this
+# bounds the suites' memory at any trial count.
+BATCH = 4096
+
+
+def _batches(seeds):
+    """The seeds as uint64 arrays of at most BATCH lanes; one empty
+    array for no seeds."""
+    seeds = su2.seed_lanes(seeds)
+    return [seeds[i:i + BATCH] for i in range(0, len(seeds), BATCH)] or [seeds]
+
+
 def dimension_defects(chart, seeds, rtol):
     """(trial, kernel dim, rank) for every random point whose relation
     differential does not have kernel dimension chart.dim and rank 3."""
     defects = []
-    for t, seed in enumerate(seeds):
-        kdim, rank = ch.relation_kernel_dim(ch.random_point(chart, seed), rtol=rtol)
+    points = (p for batch in _batches(seeds)
+              for p in ch.lane_points(ch.random_point(chart, batch), len(batch)))
+    for t, p in enumerate(points):
+        kdim, rank = ch.relation_kernel_dim(p, rtol=rtol)
         if kdim != chart.dim or rank != 3:
             defects.append((t, kdim, rank))
     return defects
@@ -38,20 +63,24 @@ def dimension_defects(chart, seeds, rtol):
 
 def equivariance_worst(chart, seeds):
     """Largest distance between mu(g . p) and Ad_g mu(p) over one random
-    point and one random boundary action per seed."""
+    point and one random boundary action per seed, a batch of seeds at
+    a time."""
     worst = 0.0
-    for s in seeds:
-        p = ch.random_point(chart, s)
-        gs = tuple(su2.sample_haar(su2.mix_seed(s, i)) for i in range(chart.k))
+    for batch in _batches(seeds):
+        p = ch.random_point(chart, batch)
+        gs = tuple(su2.sample_haar(su2.mix_seed(batch, i)) for i in range(chart.k))
         lhs = ch.moment(ch.action(gs, p))
         rhs = tuple(su2.adjoint(gi, m) for gi, m in zip(gs, ch.moment(p)))
-        worst = max(worst, max(su2.vec_dist(a, b) for a, b in zip(lhs, rhs)))
+        worst = max(worst, *(su2.largest(su2.vec_dist(a, b)) for a, b in zip(lhs, rhs)))
     return worst
 
 
 def round_trip(chart1, chart2, label, seeds):
     """Glue a random point of chart1 to one of chart2 along label, split
-    the result and compare both halves with their inputs modulo gauge.
+    the result and compare both halves with their inputs modulo gauge,
+    a batch of seeds at a time.  label must not be chart2's first
+    circle, whose theta is determined.  A trial whose gluing hits the
+    excluded locus is rejected and dropped from its batch.
 
     Returns (worst gauge residual, worst relation residual of the glued
     points, number of trials rejected near the excluded locus)."""
@@ -59,24 +88,26 @@ def round_trip(chart1, chart2, label, seeds):
     relation_worst = 0.0
     rejects = 0
     pos = chart2.index_of(label)
-    for s in seeds:
-        p1 = ch.random_point(chart1, su2.mix_seed(s, 1))
-        p2 = ch.random_point(chart2, su2.mix_seed(s, 2))
+    for batch in _batches(seeds):
+        p1 = ch.random_point(chart1, su2.mix_seed(batch, 1))
+        p2 = ch.random_point(chart2, su2.mix_seed(batch, 2))
         thetas = list(p2.thetas)
         thetas[pos - 1] = su2.vec_neg(ch.theta_raw(p1, label))
         p2 = ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
-        try:
-            glued, recipe = ch.glue(p1, label, p2, label)
-        except su2.BranchError:
-            rejects += 1
-            continue
-        relation_worst = max(relation_worst, ch.relation_residual(glued))
+        while True:
+            try:
+                glued, recipe = ch.glue(p1, label, p2, label)
+                break
+            except su2.BranchError as err:
+                rejects += int(np.count_nonzero(err.lanes))
+                p1, p2 = ch.select_lanes(p1, ~err.lanes), ch.select_lanes(p2, ~err.lanes)
+        relation_worst = max(relation_worst, su2.largest(ch.relation_residual(glued)))
         back1, back2 = ch.split(glued, recipe)
         if back1.chart != p1.chart:
             back1, back2 = back2, back1  # gluing a one-boundary piece swaps roles
         _, r1 = ch.gauge_equivalent(back1, p1)
         _, r2 = ch.gauge_equivalent(back2, p2)
-        worst = max(worst, r1, r2)
+        worst = max(worst, su2.largest(r1), su2.largest(r2))
     return worst, relation_worst, rejects
 
 
@@ -86,7 +117,7 @@ def locus_ranks(chart, words, seeds, rtol):
     tangent frame is not of rank 3 and codimension 3 is a reject."""
     clean = 0
     rejects = 0
-    for s in seeds:
+    for s in su2.seed_lanes(seeds).tolist():
         try:
             p = ch.sample_on_locus(chart, words, s)
         except ch.SamplingFailed:

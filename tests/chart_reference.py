@@ -1,6 +1,7 @@
 """Test-side chart helpers: the central-difference Jacobians that the
-analytic ones in cobord2.charts are checked against, and the reader of
-flatten_point's layout."""
+analytic ones in cobord2.charts are checked against, the reader of
+flatten_point's layout, and the one-trial-at-a-time round trip that the
+batched suite is checked against."""
 
 from __future__ import annotations
 
@@ -75,3 +76,33 @@ def unflatten_point(chart, values):
         handles.append((a, b))
         pos += 8
     return ch.ChartPoint(chart, tuple(thetas), tuple(gammas), tuple(handles))
+
+
+def round_trip_loop(chart1, chart2, label, seeds):
+    """suites.round_trip one trial at a time, on points of floats: the
+    loop the batched suite must agree with bit for bit."""
+    from cobord2 import su2
+
+    worst = 0.0
+    relation_worst = 0.0
+    rejects = 0
+    pos = chart2.index_of(label)
+    for s in seeds:
+        p1 = ch.random_point(chart1, su2.mix_seed(s, 1))
+        p2 = ch.random_point(chart2, su2.mix_seed(s, 2))
+        thetas = list(p2.thetas)
+        thetas[pos - 1] = su2.vec_neg(ch.theta_raw(p1, label))
+        p2 = ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
+        try:
+            glued, recipe = ch.glue(p1, label, p2, label)
+        except su2.BranchError:
+            rejects += 1
+            continue
+        relation_worst = max(relation_worst, ch.relation_residual(glued))
+        back1, back2 = ch.split(glued, recipe)
+        if back1.chart != p1.chart:
+            back1, back2 = back2, back1
+        _, r1 = ch.gauge_equivalent(back1, p1)
+        _, r2 = ch.gauge_equivalent(back2, p2)
+        worst = max(worst, r1, r2)
+    return worst, relation_worst, rejects

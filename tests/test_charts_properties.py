@@ -1,25 +1,73 @@
-"""Property tests of the chart moves, of gauge fixing and of the
-analytic constraint Jacobian over seeded random chart points of genus
-<= 3 with <= 4 boundaries; they need the hypothesis package."""
+"""Property tests over seeded random chart points of genus <= 3 with
+<= 4 boundaries: the chart moves, gauge fixing, the analytic constraint
+Jacobian, the glue/split round trip and moment equivariance, and that a
+batch of N points (one per lane) gives on each lane the bits of that
+lane's point alone.  They need the hypothesis package."""
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chart_reference import fd_constraint_jacobian, kernel_dim_and_rank
+from chart_reference import fd_constraint_jacobian, kernel_dim_and_rank, round_trip_loop
+from cobord2 import _kernel, suites
 from cobord2 import charts as ch
 from cobord2 import su2
 from cobord2.words import Word
 
+SEEDS = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64)
+
 
 @st.composite
-def _point(draw, min_k=1, max_genus=2):
-    """A random admissible point, drawn by its seed, of a chart with a
-    random genus, boundary count and set of incoming circles."""
+def _chart(draw, min_k=1, max_genus=3):
+    """A chart with a random genus, boundary count and set of incoming
+    circles."""
     genus = draw(st.integers(0, max_genus))
     labels = tuple("c%d" % i for i in range(1, draw(st.integers(min_k, 4)) + 1))
     incoming = frozenset(draw(st.sets(st.sampled_from(labels))))
-    chart = ch.ModuliChart(genus, labels, incoming)
+    return ch.ModuliChart(genus, labels, incoming)
+
+
+@st.composite
+def _point(draw, min_k=1, max_genus=2):
+    """A random admissible point, drawn by its seed."""
+    chart = draw(_chart(min_k, max_genus))
     return ch.random_point(chart, draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@st.composite
+def _glue_case(draw):
+    """(chart1, chart2, label): label is a circle of chart1 and a circle
+    of chart2 other than its first, with opposite roles."""
+    chart1 = draw(_chart())
+    label = draw(st.sampled_from(chart1.boundaries))
+    k2 = draw(st.integers(2, 4))
+    labels2 = ["p%d" % i for i in range(1, k2)]
+    labels2.insert(draw(st.integers(1, k2 - 1)), label)
+    incoming2 = set(draw(st.sets(st.sampled_from(labels2)))) - {label}
+    if label not in chart1.incoming:
+        incoming2.add(label)
+    chart2 = ch.ModuliChart(draw(st.integers(0, 3)), tuple(labels2), frozenset(incoming2))
+    return chart1, chart2, label
+
+
+def _bits(p):
+    return [float(v).hex() for v in ch.flatten_point(p)]
+
+
+def _assert_lanes(batch, singles):
+    """Lane i of the batch is singles[i], bit for bit."""
+    lanes = ch.lane_points(batch, len(singles))
+    assert [_bits(p) for p in lanes] == [_bits(p) for p in singles]
+
+
+def _vec_bits(vs):
+    return [float(c).hex() for v in vs for c in v]
+
+
+def _lane(v, i):
+    """Lane i of a vector whose components are lane arrays or floats."""
+    return tuple(c[i] if isinstance(c, np.ndarray) else c for c in v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,3 +113,187 @@ def test_constraint_jacobian_matches_finite_differences(p, data):
         # a word constant on the chart (g:c1 d:c1 g:c1 d:c1-, say) has
         # differential 0, where the relative rank cut reads rounding noise
         assert kernel_dim_and_rank(jac) == kernel_dim_and_rank(ref)
+
+
+# --- a batch equals its lanes, bit for bit ----------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chart(), SEEDS, st.sampled_from((ch.ADMISSIBLE_MARGIN, 0.5)))
+def test_random_point_batch_equals_each_lane(chart, seeds, margin):
+    # margin 0.5 rejects about half the draws, so lanes redraw at
+    # different trial indices
+    with mock.patch.object(ch, "ADMISSIBLE_MARGIN", margin):
+        batch = ch.random_point(chart, np.array(seeds, dtype=np.uint64))
+        _assert_lanes(batch, [ch.random_point(chart, s) for s in seeds])
+
+
+def test_random_point_batch_redraws_only_the_rejected_lanes():
+    chart = ch.ModuliChart(0, ("c1", "c2"))
+    seeds = [su2.mix_seed(61, t) for t in range(64)]
+    first = ch.lane_points(ch.random_point(chart, np.array(seeds, dtype=np.uint64)), 64)
+    with mock.patch.object(ch, "ADMISSIBLE_MARGIN", 0.5):
+        strict = ch.random_point(chart, np.array(seeds, dtype=np.uint64))
+        _assert_lanes(strict, [ch.random_point(chart, s) for s in seeds])
+    moved = sum(_bits(a) != _bits(b) for a, b in zip(first, ch.lane_points(strict, 64)))
+    assert 0 < moved < 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chart(), SEEDS)
+def test_action_and_moment_batch_equal_each_lane(chart, seeds):
+    arr = np.array(seeds, dtype=np.uint64)
+    gs = tuple(su2.sample_haar(su2.mix_seed(arr, i)) for i in range(chart.k))
+    moved = ch.action(gs, ch.random_point(chart, arr))
+    singles = [ch.action(tuple(su2.sample_haar(su2.mix_seed(s, i)) for i in range(chart.k)),
+                         ch.random_point(chart, s)) for s in seeds]
+    _assert_lanes(moved, singles)
+    moments = ch.moment(moved)
+    assert [_vec_bits(_lane(m, i) for m in moments)
+            for i in range(len(seeds))] == [_vec_bits(ch.moment(p)) for p in singles]
+    _assert_lanes(ch.canonical_gauge(moved), [ch.canonical_gauge(p) for p in singles])
+
+
+def _matched(chart1, chart2, label, seed):
+    p1 = ch.random_point(chart1, su2.mix_seed(seed, 1))
+    p2 = ch.random_point(chart2, su2.mix_seed(seed, 2))
+    thetas = list(p2.thetas)
+    thetas[chart2.index_of(label) - 1] = su2.vec_neg(ch.theta_raw(p1, label))
+    return p1, ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
+
+
+def _glue_lanes(p1, p2, label, n):
+    """Glue a batch of n lanes, dropping the lanes on the excluded locus
+    as suites.round_trip does; returns (kept lane indices, glued, recipe)."""
+    kept = np.arange(n)
+    while True:
+        try:
+            return (kept,) + ch.glue(p1, label, p2, label)
+        except su2.BranchError as err:
+            kept = kept[~err.lanes]
+            p1, p2 = ch.select_lanes(p1, ~err.lanes), ch.select_lanes(p2, ~err.lanes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_glue_case(), SEEDS, st.sampled_from((su2.BRANCH_EPS, 0.5)))
+def test_glue_and_split_batch_equal_each_lane(case, seeds, eps):
+    chart1, chart2, label = case
+    # eps 0.5 puts about a quarter of the glued points "on the excluded
+    # locus", so some lanes of a batch fail admissibility
+    with mock.patch.object(su2, "near_minus_one", lambda q, e=eps: q[0] <= -1.0 + e):
+        kept, glued, recipe = _glue_lanes(
+            *_matched(chart1, chart2, label, np.array(seeds, dtype=np.uint64)), label,
+            len(seeds))
+        singles = {}
+        for i, s in enumerate(seeds):
+            p1, p2 = _matched(chart1, chart2, label, s)
+            try:
+                singles[i] = ch.glue(p1, label, p2, label)
+            except su2.BranchError:
+                pass
+    assert kept.tolist() == sorted(singles)
+    _assert_lanes(glued, [singles[i][0] for i in kept.tolist()])
+    assert all(singles[i][1] == recipe for i in kept.tolist())
+    back = ch.split(glued, recipe)
+    for j in (0, 1):
+        _assert_lanes(back[j], [ch.split(*singles[i])[j] for i in kept.tolist()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_glue_case(), SEEDS, st.sampled_from((su2.BRANCH_EPS, 0.5)))
+def test_round_trip_batch_equals_the_scalar_loop(case, seeds, eps):
+    with mock.patch.object(su2, "near_minus_one", lambda q, e=eps: q[0] <= -1.0 + e):
+        got = suites.round_trip(*case, seeds)
+        want = round_trip_loop(*case, seeds)
+    assert got[2] == want[2]
+    assert [float(v).hex() for v in got[:2]] == [float(v).hex() for v in want[:2]]
+
+
+def test_round_trip_rejects_lanes_as_the_scalar_loop_does():
+    chart1 = ch.ModuliChart(1, ("x1", "glue"), frozenset(("x1",)))
+    chart2 = ch.ModuliChart(0, ("y1", "glue", "y2"), frozenset(("glue",)))
+    seeds = [su2.mix_seed(4, t) for t in range(64)]
+    with mock.patch.object(su2, "near_minus_one", lambda q, e=0.5: q[0] <= -1.0 + e):
+        got = suites.round_trip(chart1, chart2, "glue", seeds)
+        assert got == round_trip_loop(chart1, chart2, "glue", seeds)
+    assert 0 < got[2] < 64
+
+
+def test_canonical_gauge_lanes_take_their_own_branches():
+    # with every arc holonomy 1 the frame is the thetas themselves, so
+    # lanes can be put on the degenerate and antiparallel cases
+    chart = ch.ModuliChart(0, ("c1", "c2", "c3"))
+    rng = np.random.default_rng(5)
+    t1, t2 = rng.uniform(-1, 1, (3, 8)), rng.uniform(-1, 1, (3, 8))
+    t1[:, 1] = (-0.5, 0.0, 0.0)  # antiparallel to the x-axis
+    t1[:, 2] = (0.5, 0.0, 0.0)  # already on it
+    t1[:, 3] = 0.0  # the second theta is the first usable vector
+    t1[:, 4] = t2[:, 4] = 0.0  # no usable frame vector
+    t2[:, 5] = t1[:, 5]  # no independent second vector
+    batch = ch.ChartPoint(chart, (su2.AlgVector(*t1), su2.AlgVector(*t2)),
+                          (su2.ONE, su2.ONE), ())
+    _assert_lanes(ch.canonical_gauge(batch),
+                  [ch.canonical_gauge(p) for p in ch.lane_points(batch, 8)])
+
+
+class _NoNumpy:
+    """Stands in for numpy in a module: isinstance tests only."""
+
+    ndarray = np.ndarray
+
+    def __getattr__(self, name):
+        raise AssertionError("numpy.%s called on floats" % name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_glue_case(), st.integers(0, 2 ** 64 - 1))
+def test_float_points_never_reach_numpy(case, seed):
+    chart1, chart2, label = case
+    with mock.patch.object(_kernel, "np", _NoNumpy()), mock.patch.object(su2, "np", _NoNumpy()), \
+            mock.patch.object(ch, "np", _NoNumpy()):
+        p1, p2 = _matched(chart1, chart2, label, seed)
+        gs = tuple(su2.sample_haar(su2.mix_seed(seed, i)) for i in range(chart1.k))
+        points = [p1, p2, ch.action(gs, p1)]
+        try:
+            glued, recipe = ch.glue(p1, label, p2, label)
+        except su2.BranchError:
+            assume(False)
+        points += [glued, *ch.split(glued, recipe), ch.canonical_gauge(glued)]
+        moments = ch.moment(glued)
+        residual = ch.gauge_equivalent(p1, points[2])[1]
+    values = [v for p in points for v in ch.flatten_point(p)]
+    values += [c for m in moments for c in m] + [residual]
+    assert all(type(v) is float for v in values)
+
+
+# --- the round trip and equivariance laws over random charts ------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(_glue_case(), SEEDS)
+def test_glue_split_round_trip_returns_both_inputs_modulo_gauge(case, seeds):
+    worst, relation_worst, _ = suites.round_trip(*case, seeds)
+    assert worst < 1e-9 and relation_worst < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chart(), SEEDS)
+def test_moment_is_equivariant_under_random_boundary_actions(chart, seeds):
+    assert suites.equivariance_worst(chart, seeds) < 1e-9
+
+
+def test_suites_combine_their_batches_exactly():
+    chart = ch.ModuliChart(1, ("c1", "c2"), frozenset(("c1",)))
+    partner = ch.ModuliChart(0, ("p1", "c2"), frozenset(("c2",)))
+    seeds = [su2.mix_seed(67, t) for t in range(23)]
+
+    def run():
+        return (suites.dimension_defects(chart, seeds, 0.5),
+                suites.equivariance_worst(chart, seeds),
+                suites.round_trip(chart, partner, "c2", seeds))
+
+    whole = run()
+    with mock.patch.object(suites, "BATCH", 5):
+        assert run() == whole
+    # rtol 0.5 cuts small singular values, so some points are defects
+    assert whole[0]

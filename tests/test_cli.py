@@ -12,6 +12,7 @@ from cobord2 import cdf, cli
 from cobord2 import cobordism as cb
 from cobord2.cdf import ParseError, parse_catalog, parse_cdf, parse_word
 from cobord2.cobordism import Move, apply_move, cylinder_seq
+from cobord2.report import RunConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC / "cobord2" / "data"
@@ -208,6 +209,11 @@ FUNCTOR_EVAL = ("functor", "eval", "doc.cdf")
 AXIOMS = ("axioms", "doc.cat")
 
 
+def moduli(*options):
+    """A moduli command line with no input file (its text is None)."""
+    return ("moduli",) + options
+
+
 @pytest.mark.parametrize(
     "command, text, code",
     [
@@ -227,23 +233,40 @@ AXIOMS = ("axioms", "doc.cat")
         (FUNCTOR_EVAL, GENUS_ONE_ANNULUS + "compression2 0 0 a3\n", 2),
         (FUNCTOR_INVARIANCE, GENUS_ONE_ANNULUS + "compression2 0 0 a3\n", 2),
         (FUNCTOR_INVARIANCE, GENUS_ONE_ANNULUS + "compression2 0 0 d:c0 a3 b3 a3- b3-\n", 2),
+        (moduli("--trials", "0"), None, 2),
+        (moduli("--grid", "1"), None, 2),
+        (moduli("--grid", "0,0"), None, 2),
+        (moduli("--grid=-1,2"), None, 2),
+        (moduli("--tol-residual", "0"), None, 2),
+        (moduli("--tol-svd", "nan"), None, 2),
+        (moduli("--samples", "0"), None, 2),
+        (moduli("--samples", "-3"), None, 2),
+        (("functor", "eval", "--samples", "0", "doc.cdf"), GENUS_ONE_ANNULUS, 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch",
          "group-without-kind", "group-without-order", "biset-without-group",
          "depth-without-value", "depth-not-integer", "sequence-not-chaining",
          "circle-remove-across-different-interfaces", "eval-handle-past-genus",
-         "invariance-handle-past-genus", "invariance-separating-handle-past-genus"],
+         "invariance-handle-past-genus", "invariance-separating-handle-past-genus",
+         "moduli-zero-trials", "moduli-grid-without-k", "moduli-grid-without-boundary",
+         "moduli-grid-negative-genus", "moduli-zero-residual-tolerance",
+         "moduli-nan-svd-tolerance", "moduli-zero-samples", "moduli-negative-samples",
+         "functor-zero-samples"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
-    *args, name = command
-    path = tmp_path / name
-    path.write_text(text)
+    argv = list(command)
+    if text is not None:
+        path = tmp_path / argv[-1]
+        path.write_text(text)
+        argv[-1] = str(path)
     proc = subprocess.run(
-        [sys.executable, "-m", "cobord2.cli", *args, str(path)],
+        [sys.executable, "-m", "cobord2.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert "error: " in proc.stderr
 
 
 @pytest.mark.parametrize("mode, calls", [("eval", 1), ("invariance", 2)])
@@ -267,3 +290,10 @@ def test_functor_invalid_sequence_exits_2(monkeypatch, mode):
     assert code == 2
     assert out == ""
     assert "decompositions do not match" in err
+
+
+@pytest.mark.parametrize("field", ["trials", "samples"])
+def test_run_config_rejects_counts_below_one(field):
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: bad})

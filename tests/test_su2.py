@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cobord2 import su2
+from cobord2 import _kernel, su2
 from cobord2.su2 import AlgVector, UnitQuaternion, BranchError
 
 
@@ -145,3 +145,81 @@ def test_left_jacobian_is_the_differential_of_exp():
                 fd = np.array(su2.log_su2(left)) / (2 * h)
                 assert np.max(np.abs(fd - jl[:, c])) < 1e-8, (radius, seed, c)
             assert np.max(np.abs(su2.left_jacobian_inv(v) @ jl - np.eye(3))) < 1e-12
+
+
+# --- the splitmix stream on a uint64 seed array ------------------------------
+
+LANE_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1] + [su2.mix_seed(47, t) for t in range(400)]
+
+
+def _lanes():
+    return np.array(LANE_SEEDS, dtype=np.uint64)
+
+
+def _same_bits(lanes, scalars):
+    """Lane i of the float arrays in lanes holds the bits of scalars[i]."""
+    got = np.stack([np.asarray(c, dtype=float) for c in lanes], axis=-1)
+    want = np.array(scalars, dtype=float).reshape(got.shape)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_mix_seed_on_a_trial_axis_equals_the_scalar_stream():
+    axis = np.arange(300, dtype=np.uint64)
+    assert su2.mix_seed(7, 30, 2, 3, axis).tolist() == [
+        su2.mix_seed(7, 30, 2, 3, t) for t in range(300)]
+    assert su2.mix_seed(_lanes(), 5, 9).tolist() == [su2.mix_seed(s, 5, 9) for s in LANE_SEEDS]
+    # a negative int seed and an int64 index wrap as the ints do
+    assert su2.mix_seed(-1, np.arange(3)).tolist() == [su2.mix_seed(-1, t) for t in range(3)]
+
+
+def test_splitmix_lanes_equal_the_scalar_streams():
+    rng = su2.SplitMix64(_lanes())
+    scalar = [su2.SplitMix64(s) for s in LANE_SEEDS]
+    for _ in range(3):
+        assert rng.next_u64().tolist() == [r.next_u64() for r in scalar]
+    assert _same_bits([rng.uniform()], [[r.uniform()] for r in scalar])
+    assert _same_bits(rng.gauss_pair(), [r.gauss_pair() for r in scalar])
+
+
+def test_haar_and_ball_lanes_equal_the_scalar_draws():
+    assert _same_bits(su2.sample_haar(_lanes()), [su2.sample_haar(s) for s in LANE_SEEDS])
+    for radius in (math.pi, 0.8):
+        assert _same_bits(su2.sample_ball(radius, _lanes()),
+                          [su2.sample_ball(radius, s) for s in LANE_SEEDS])
+
+
+def test_kernel_lanes_equal_the_scalar_kernel():
+    qs = su2.sample_haar(_lanes())
+    vs = su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 1))
+    # zero lanes take the r == 0 and s == 0 branches of exp and log
+    vs = su2.AlgVector(*(np.where(np.arange(len(LANE_SEEDS)) % 7 == 0, 0.0, c) for c in vs))
+    q_pts = [su2.UnitQuaternion(*(float(c[i]) for c in qs)) for i in range(len(LANE_SEEDS))]
+    v_pts = [su2.AlgVector(*(float(c[i]) for c in vs)) for i in range(len(LANE_SEEDS))]
+    assert _same_bits(su2.exp_su2(vs), [su2.exp_su2(v) for v in v_pts])
+    assert _same_bits(su2.log_su2(su2.exp_su2(vs)), [su2.log_su2(su2.exp_su2(v)) for v in v_pts])
+    assert _same_bits(su2.adjoint(qs, vs), [su2.adjoint(q, v) for q, v in zip(q_pts, v_pts)])
+    assert _same_bits([qs.norm(), vs.norm(), su2.quat_dist(qs, su2.ONE)],
+                      [(q.norm(), v.norm(), su2.quat_dist(q, su2.ONE))
+                       for q, v in zip(q_pts, v_pts)])
+
+
+def test_log_branch_error_names_the_lanes():
+    w = np.array([1.0, -1.0, 0.0, -1.0 + 1e-12])
+    q = su2.UnitQuaternion(w, np.sqrt(1.0 - w * w), np.zeros(4), np.zeros(4))
+    with pytest.raises(BranchError) as err:
+        su2.log_su2(q)
+    assert err.value.lanes.tolist() == [False, True, False, True]
+
+
+def test_lane_math_rounds_as_python_floats():
+    # x ** 2 is libm's pow, which rounds x * x the other way on about
+    # 0.08% of inputs; numpy's log, atan2 and pow differ from math too
+    x = np.random.default_rng(3).standard_normal(20000)
+    y = np.random.default_rng(4).standard_normal(20000)
+    xs, ys = x.tolist(), y.tolist()
+    assert _same_bits([_kernel.square(x)], [[v ** 2] for v in xs])
+    assert _same_bits([_kernel.lanewise(math.log, np.abs(x))], [[math.log(abs(v))] for v in xs])
+    assert _same_bits([_kernel.lanewise(math.atan2, y, x)],
+                      [[math.atan2(b, a)] for a, b in zip(xs, ys)])
+    assert _same_bits([su2.vec_dist((x, y, x), (y, 0.5, -y))],
+                      [[su2.vec_dist((a, b, a), (b, 0.5, -b))] for a, b in zip(xs, ys)])
