@@ -40,6 +40,14 @@ def sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def cos(x):
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def sin(x):
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
 def square(x):
     """x ** 2 as Python computes it, which libm's pow rounds."""
     return lanewise(math.pow, x, 2.0) if isinstance(x, np.ndarray) else x ** 2

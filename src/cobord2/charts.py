@@ -56,8 +56,14 @@ moves, glue, split, canonical_gauge, point_distance and gauge_equivalent
 accept batches and act lane by lane, with the same bits on each lane as
 on that lane's point alone.  A BranchError raised on a batch names the
 offending lanes (BranchError.lanes); select_lanes drops them and
-lane_points unpacks a batch into points of floats.  The tangent
-computations, eval_word and sample_on_locus take single points only.
+lane_points unpacks a batch into points of floats.  The tangent layer
+takes batches too: eval_word, constraint_map, the Jacobians and
+relation_kernel_dim, locus_tangent, with the lanes on a leading axis of
+every array they return (a (3, D) Jacobian becomes (N, 3, D), and one
+stacked SVD serves the batch), and sample_on_locus on a seed array.
+The arrays are bit for bit those of the lanes' points, since numpy's
+matmul and SVD treat each matrix of a stack as they treat it alone.
+Gauss-Newton refinement (perturb, lstsq) stays one point at a time.
 """
 
 from __future__ import annotations
@@ -103,7 +109,12 @@ class ConstraintViolated(ValueError):
 
 
 class SamplingFailed(RuntimeError):
-    pass
+    """No admissible or on-locus sample.  On a seed array, ``lanes`` is
+    the boolean mask of the seeds that found none."""
+
+    def __init__(self, message, lanes=None):
+        super().__init__(message)
+        self.lanes = lanes
 
 
 @dataclass(frozen=True)
@@ -272,14 +283,23 @@ def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPo
         todo = todo[~ok]
         if not len(todo):
             return out
-    raise SamplingFailed("no admissible point found, seed %d"
-                         % (seed if todo is None else seed[todo[0]]))
+    if todo is None:
+        raise SamplingFailed("no admissible point found, seed %d" % seed)
+    raise SamplingFailed("no admissible point found on %d lanes, seed %d"
+                         % (len(todo), seed[todo[0]]), _mask(len(seed), todo))
+
+
+def _mask(n: int, lanes) -> np.ndarray:
+    """The boolean mask over n lanes of the given lane indices."""
+    out = np.zeros(n, dtype=bool)
+    out[lanes] = True
+    return out
 
 
 def _put(a, lanes, b):
     """a with b written into the given lanes; a float component (a zero
-    theta) is the same on every draw."""
-    if not isinstance(b, np.ndarray):
+    or pinned coordinate) is the same on every draw and every lane."""
+    if not isinstance(a, np.ndarray):
         return a
     out = a.copy()
     out[lanes] = b
@@ -658,11 +678,9 @@ def perturb(p: ChartPoint, coord: int, h: float) -> ChartPoint:
 
 
 def constraint_map(p: ChartPoint, words) -> np.ndarray:
-    out = []
-    for w in words:
-        val = eval_word(p, w)
-        out.extend(log_su2(val))
-    return np.array(out)
+    """log Hol_w for every word, 3 values each; (N, 3 * len(words)) on a
+    batch."""
+    return su2.stack_lanes([c for w in words for c in log_su2(eval_word(p, w))])
 
 
 def _loop_factors(p: ChartPoint, pos: int) -> list:
@@ -703,7 +721,8 @@ def _generator_factors(p: ChartPoint, kind: str, ref) -> list:
 
 
 def _log_differential(factors, blocks: int) -> np.ndarray:
-    """d log W, 3 x 3*blocks, of the product W of elementary factors."""
+    """d log W, 3 x 3*blocks, of the product W of elementary factors;
+    N x 3 x 3*blocks on a batch."""
     prefix = ONE
     at = []
     for q, sign, _, _ in factors:
@@ -718,15 +737,17 @@ def _log_differential(factors, blocks: int) -> np.ndarray:
     for i, (_, sign, col, u) in enumerate(factors):
         incidence[col, i] = sign
         if u is not None:
-            terms[i] = terms[i] @ u
-    per_block = (incidence @ terms.reshape(-1, 9)).reshape(blocks, 3, 3)
-    jac = per_block.transpose(1, 0, 2).reshape(3, 3 * blocks)
+            terms[..., i, :, :] = terms[..., i, :, :] @ u
+    per_block = incidence @ terms.reshape(terms.shape[:-2] + (9,))
+    per_block = per_block.reshape(per_block.shape[:-1] + (3, 3))
+    jac = per_block.swapaxes(-3, -2).reshape(per_block.shape[:-3] + (3, 3 * blocks))
     return su2.left_jacobian_inv(log_su2(prefix)) @ jac
 
 
 def constraint_jacobian(p: ChartPoint, words) -> np.ndarray:
     """Differential of constraint_map, 3 rows per word, one column per
-    ambient coordinate in perturb's order."""
+    ambient coordinate in perturb's order; N x rows x columns on a
+    batch."""
     blocks = p.chart.dim // 3
     rows = []
     for w in words:
@@ -735,31 +756,45 @@ def constraint_jacobian(p: ChartPoint, words) -> np.ndarray:
             f = _generator_factors(p, kind, ref)
             factors.extend(f if sign > 0 else _inverse(f))
         rows.append(_log_differential(factors, blocks))
-    return np.vstack(rows) if rows else np.zeros((0, p.chart.dim))
+    if not rows:
+        return np.zeros((0, p.chart.dim))
+    if len(rows) > 1:
+        rows = np.broadcast_arrays(*rows)  # a word may take no lanes from the batch
+    return np.concatenate(rows, axis=-2)
+
+
+def _rank(s, rtol: float):
+    """Number of singular values above rtol * sigma_max: an int for one
+    matrix, an int array over a stack (s of shape (N, r))."""
+    rank = np.sum(s > rtol * (s[..., :1] if s.shape[-1] else 1.0), axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 @dataclass(frozen=True)
 class TangentFrame:
+    """On a batch, rank is an (N,) int array and vectors holds one
+    kernel basis per lane, a (dim - rank, dim) array."""
     vectors: tuple  # orthonormal kernel basis, rows of length chart.dim
     rank: int
 
 
 def locus_tangent(p: ChartPoint, words, rtol: float = SVD_RTOL) -> TangentFrame:
     """Kernel of the constraint differential at an on-locus point via
-    SVD rank with threshold rtol * sigma_max."""
+    SVD rank with threshold rtol * sigma_max; lane by lane on a batch,
+    which raises ConstraintViolated if any lane is off the locus."""
     d = p.chart.dim
     if not words:
         basis = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
         return TangentFrame(basis, 0)
-    res = float(np.max(np.abs(constraint_map(p, words))))
+    res = su2.largest(np.max(np.abs(constraint_map(p, words)), axis=-1))
     if res > LOCUS_TOL:
         raise ConstraintViolated("constraint residual %g at the sample" % res)
     jac = constraint_jacobian(p, words)
     u, s, vt = np.linalg.svd(jac)
-    cut = rtol * (s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > cut))
-    kernel = vt[rank:]
-    return TangentFrame(tuple(map(tuple, kernel)), rank)
+    rank = _rank(s, rtol)
+    if isinstance(rank, int):
+        return TangentFrame(tuple(map(tuple, vt[rank:])), rank)
+    return TangentFrame(tuple(v[r:] for v, r in zip(vt, rank.tolist())), rank)
 
 
 def relation_jacobian(p: ChartPoint) -> np.ndarray:
@@ -777,22 +812,30 @@ def relation_kernel_dim(p: ChartPoint, rtol: float = SVD_RTOL) -> tuple:
     e^{theta_1} c_2 ... [A,B].. = 1; the kernel of its differential is
     the tangent space of the chart, of dimension 6g + 6k - 6.
 
-    Returns (kernel dimension, rank of the relation differential)."""
+    Returns (kernel dimension, rank of the relation differential), as
+    int arrays over the lanes of a batch."""
     jac = relation_jacobian(p)
-    s = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0]))
-    return (jac.shape[1] - rank, rank)
+    rank = _rank(np.linalg.svd(jac, compute_uv=False), rtol)
+    return (jac.shape[-1] - rank, rank)
 
 
 # --- sampling on loci ----------------------------------------------------------------
 
 
-def sample_on_locus(chart: ModuliChart, words, seed: int) -> ChartPoint:
+def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
     """Point satisfying Hol_w = 1 for every word.
 
     Single-generator words are solved exactly by pinning the generator;
     anything else falls back to seeded Gauss-Newton refinement down to
-    residual 1e-10."""
+    residual 1e-10.
+
+    A uint64 seed array gives a batch, one sample per seed.  All lanes
+    draw, pin and test admissibility at once; a lane that fails moves
+    on to its next attempt seed, and Newton refines one lane at a time,
+    so each lane is the point its seed gives alone.  A lane whose
+    random_point draw fails stops there, as its seed alone raises.  If
+    any lane finds no sample, SamplingFailed names them all (its lanes
+    mask); the other seeds, sampled again, give the same points."""
     pinned_handles = {}
     pinned_thetas = set()
     hard = []
@@ -804,8 +847,18 @@ def sample_on_locus(chart: ModuliChart, words, seed: int) -> ChartPoint:
             pinned_thetas.add(chart.index_of(single[1]) - 1)
         else:
             hard.append(w)
+    todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
+    out = None
+    failed = []  # lanes whose random_point draw failed
     for attempt in range(LOCUS_RESTARTS):
-        p = random_point(chart, mix_seed(seed, 101, attempt))
+        try:
+            p = random_point(chart, mix_seed(seed if todo is None else seed[todo], 101, attempt))
+        except SamplingFailed as err:
+            if todo is None:
+                raise
+            failed.extend(todo[err.lanes].tolist())
+            todo = todo[~err.lanes]
+            p = random_point(chart, mix_seed(seed[todo], 101, attempt))
         thetas = tuple(
             AlgVector(0.0, 0.0, 0.0) if i in pinned_thetas else t
             for i, t in enumerate(p.thetas)
@@ -818,16 +871,57 @@ def sample_on_locus(chart: ModuliChart, words, seed: int) -> ChartPoint:
             for j, (a, b) in enumerate(p.handles)
         )
         p = ChartPoint(chart, thetas, p.gammas, handles)
-        if not is_admissible(p, ADMISSIBLE_MARGIN):
-            continue
+        ok = is_admissible(p, ADMISSIBLE_MARGIN)
         if hard:
-            p = _newton_refine(p, words, pinned_thetas, pinned_handles)
-            if p is None:
-                continue
-        residual = float(np.max(np.abs(constraint_map(p, words)))) if words else 0.0
-        if residual <= 1e-10 and is_admissible(p, ADMISSIBLE_MARGIN):
-            return p
-    raise SamplingFailed("no on-locus sample after %d restarts" % LOCUS_RESTARTS)
+            p, ok = _refine_lanes(p, ok, words, pinned_thetas, pinned_handles)
+        if words:
+            ok = _residual_below(p, ok, words, 1e-10)
+        ok = ok & is_admissible(p, ADMISSIBLE_MARGIN)
+        if todo is None:
+            if ok:
+                return p
+            continue
+        ok = np.broadcast_to(ok, todo.shape)  # one bool when nothing is left to draw
+        if out is None:
+            out = _map_point(lambda c: np.empty(len(seed)) if isinstance(c, np.ndarray) else c, p)
+        out = _map_point(lambda a, b: _put(a, todo, b), out, p)
+        todo = todo[~ok]
+        if not len(todo):
+            break
+    if todo is None:
+        raise SamplingFailed("no on-locus sample after %d restarts" % LOCUS_RESTARTS)
+    if failed or len(todo):
+        lost = failed + todo.tolist()
+        raise SamplingFailed("no on-locus sample on %d lanes: %d draws failed, %d used up %d "
+                             "restarts" % (len(lost), len(failed), len(todo), LOCUS_RESTARTS),
+                             _mask(len(seed), lost))
+    return out
+
+
+def _refine_lanes(p: ChartPoint, ok, words, pinned_thetas, pinned_handles):
+    """(p, ok) after Newton refinement of every point or lane that ok
+    admits, each as a point of floats; ok drops those that fail."""
+    if not isinstance(ok, np.ndarray):
+        q = _newton_refine(p, words, pinned_thetas, pinned_handles) if ok else None
+        return (p, False) if q is None else (q, True)
+    lanes = np.flatnonzero(ok)
+    refined = [_newton_refine(q, words, pinned_thetas, pinned_handles)
+               for q in lane_points(select_lanes(p, lanes), len(lanes))]
+    done = lanes[[q is not None for q in refined]]
+    if len(done):
+        p = _map_point(lambda a, *qs: _put(a, done, np.array(qs)), p,
+                       *(q for q in refined if q is not None))
+    return p, _mask(len(ok), done)
+
+
+def _residual_below(p: ChartPoint, ok, words, tol: float):
+    """ok, narrowed to where the constraint residual is at most tol; a
+    lane that ok rejects is not evaluated, as a rejected point is not."""
+    if not isinstance(ok, np.ndarray):
+        return bool(ok) and float(np.max(np.abs(constraint_map(p, words)))) <= tol
+    lanes = np.flatnonzero(ok)
+    res = np.max(np.abs(constraint_map(select_lanes(p, lanes), words)), axis=-1)
+    return _mask(len(ok), lanes[np.broadcast_to(res <= tol, lanes.shape)])
 
 
 def _newton_refine(p, words, pinned_thetas, pinned_handles):

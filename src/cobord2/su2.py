@@ -8,12 +8,16 @@ stream, so trials are reproducible and splittable by index.
 
 Floats or lanes.  A component of a UnitQuaternion or an AlgVector is a
 Python float (one point) or an (N,) float64 array (N points, one per
-lane), as in the kernel (cobord2._kernel).  Every function here except
-adjoint_matrices, left_jacobian and left_jacobian_inv accepts lanes and
-gives on each lane the bits it gives on that lane's floats; on lanes,
-log, atan2 and pow (x ** 2 in the norms and distances included) run
-through math one lane at a time, because numpy's versions round
-differently.  A seed is a Python int or a uint64 array of per-lane
+lane), as in the kernel (cobord2._kernel).  Every function here
+accepts lanes and gives on each lane the bits it gives on that lane's
+floats; on lanes, log, atan2 and pow (x ** 2 in the norms and distances
+included) run through math one lane at a time, because numpy's versions
+round differently.  The matrix-valued adjoint_matrices, left_jacobian
+and left_jacobian_inv put the lanes on a leading axis, (N, 3, 3) where a
+point has (3, 3), and choose their small-angle series per lane; numpy's
+matmul and SVD give each matrix of such a stack the bits they give it
+alone.  stack_lanes builds that axis.  A seed is a Python int (or numpy
+integer scalar, taken as the int it holds) or a uint64 array of per-lane
 seeds: mix_seed, SplitMix64, sample_haar and sample_ball then draw the
 same integer stream on each lane as on its int, in uint64 arithmetic
 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -31,6 +35,7 @@ evaluated at 2v.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -131,28 +136,54 @@ def commutator(a, b) -> UnitQuaternion:
     return UnitQuaternion(*_kernel.qcomm(a, b))
 
 
+def stack_lanes(values) -> np.ndarray:
+    """values (floats, or lane arrays and floats) as one array: shape
+    (n,) for floats, (N, n) when any value has lanes, a float then
+    standing for the same value on every lane."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return np.stack(np.broadcast_arrays(*values), axis=-1)
+    return np.array(values, dtype=float)
+
+
 def adjoint_matrices(qs) -> np.ndarray:
     """Ad_q as 3x3 rotation matrices, one per unit quaternion of qs,
-    stacked to shape (n, 3, 3)."""
-    q = np.asarray(qs, dtype=float).reshape(-1, 4)
-    w, x, y, z = q.T
-    out = np.empty((len(q), 3, 3))
-    out[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[:, 0, 1] = 2.0 * (x * y - w * z)
-    out[:, 0, 2] = 2.0 * (x * z + w * y)
-    out[:, 1, 0] = 2.0 * (x * y + w * z)
-    out[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[:, 1, 2] = 2.0 * (y * z - w * x)
-    out[:, 2, 0] = 2.0 * (x * z - w * y)
-    out[:, 2, 1] = 2.0 * (y * z + w * x)
-    out[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    stacked to shape (n, 3, 3); (N, n, 3, 3) when the quaternions have
+    lanes."""
+    q = stack_lanes([c for qi in qs for c in qi])
+    q = q.reshape(q.shape[:-1] + (len(qs), 4))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(w.shape + (3, 3))
+    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[..., 0, 1] = 2.0 * (x * y - w * z)
+    out[..., 0, 2] = 2.0 * (x * z + w * y)
+    out[..., 1, 0] = 2.0 * (x * y + w * z)
+    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[..., 1, 2] = 2.0 * (y * z - w * x)
+    out[..., 2, 0] = 2.0 * (x * z - w * y)
+    out[..., 2, 1] = 2.0 * (y * z + w * x)
+    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return out
 
 
 def _hat2(v):
-    """([2v]x, |2v|): the bracket matrix of v and its angle."""
+    """([2v]x, |2v|): the bracket matrix of v and its angle; on lanes a
+    stack of matrices and an array of angles."""
     a, b, c = 2.0 * v[0], 2.0 * v[1], 2.0 * v[2]
-    return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]]), math.sqrt(a * a + b * b + c * c)
+    t = _kernel.sqrt(a * a + b * b + c * c)
+    k = np.zeros((t.shape if isinstance(t, np.ndarray) else ()) + (3, 3))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -c, b, -a
+    k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = c, -b, a
+    return k, t
+
+
+def _per_lane(t, series, closed):
+    """series(t) where t < 1e-4, else closed(t), as a float or as an
+    (N, 1, 1) array that scales a stack of matrices lane by lane."""
+    if not isinstance(t, np.ndarray):
+        return series(t) if t < 1e-4 else closed(t)
+    small = t < 1e-4
+    return np.where(small, series(t), closed(np.where(small, 1.0, t)))[:, None, None]
 
 
 def left_jacobian(v) -> np.ndarray:
@@ -160,10 +191,9 @@ def left_jacobian(v) -> np.ndarray:
     order in d: I + (1 - cos t)/t^2 K + (t - sin t)/t^3 K^2, K = [2v]x,
     t = 2|v|."""
     k, t = _hat2(v)
-    if t < 1e-4:
-        b, c = 0.5 - t * t / 24.0, 1.0 / 6.0 - t * t / 120.0
-    else:
-        b, c = (1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / (t * t * t)
+    b = _per_lane(t, lambda t: 0.5 - t * t / 24.0, lambda t: (1.0 - _kernel.cos(t)) / (t * t))
+    c = _per_lane(t, lambda t: 1.0 / 6.0 - t * t / 120.0,
+                  lambda t: (t - _kernel.sin(t)) / (t * t * t))
     return np.eye(3) + b * k + c * (k @ k)
 
 
@@ -172,10 +202,8 @@ def left_jacobian_inv(v) -> np.ndarray:
     log_su2(q) + J_l(log_su2(q))^-1 d to first order:
     I - K/2 + (1/t^2 - cot(t/2)/(2t)) K^2."""
     k, t = _hat2(v)
-    if t < 1e-4:
-        e = 1.0 / 12.0 + t * t / 720.0
-    else:
-        e = 1.0 / (t * t) - math.cos(t / 2) / (2.0 * t * math.sin(t / 2))
+    e = _per_lane(t, lambda t: 1.0 / 12.0 + t * t / 720.0,
+                  lambda t: 1.0 / (t * t) - _kernel.cos(t / 2) / (2.0 * t * _kernel.sin(t / 2)))
     return np.eye(3) - 0.5 * k + e * (k @ k)
 
 
@@ -227,9 +255,14 @@ def quat_dist(p, q) -> float:
 
 
 def _u64(x):
-    """x as 64-bit seed material: an int reduced mod 2**64, an array of
-    lanes cast to uint64 (a negative int64 wraps the same way)."""
-    return x.astype(np.uint64, copy=False) if isinstance(x, np.ndarray) else x & _MASK64
+    """x as 64-bit seed material: an int (or numpy integer scalar, as the
+    int it holds) reduced mod 2**64, an array of lanes cast to uint64 (a
+    negative int64 wraps the same way)."""
+    if type(x) is int:
+        return x & _MASK64
+    if isinstance(x, np.ndarray):
+        return x.astype(np.uint64, copy=False)
+    return operator.index(x) & _MASK64
 
 
 def _mix(x):
@@ -246,9 +279,7 @@ def mix_seed(seed, *indices):
     The seed or any index may be a uint64 array of lanes."""
     x = _u64(seed)
     for k in indices:
-        if isinstance(k, np.ndarray):
-            k = k.astype(np.uint64, copy=False)
-        x = _mix(x ^ ((k * 0x9E3779B97F4A7C15) & _MASK64))
+        x = _mix(x ^ ((_u64(k) * 0x9E3779B97F4A7C15) & _MASK64))
     return x
 
 

@@ -5,13 +5,14 @@ per-trial seeds and returns what it measured; the caller owns the
 seeds, the sample counts, the bounds and the report records.  Seeds
 come as a uint64 array or any iterable of ints (su2.seed_lanes).
 
-equivariance_worst and round_trip run the trials of a chart in
-batches of up to BATCH: each trial is a lane of the chart operations
-(see su2 and charts for the float-or-array convention), with the bits
-the trial would have on its own, so their results equal a loop over the
-seeds.  dimension_defects draws its points in batches and then computes
-one Jacobian and SVD per point; locus_ranks samples one point at a
-time.
+Every chart suite runs the trials of a chart in batches of up to
+BATCH: each trial is a lane of the chart operations (see su2 and charts
+for the float-or-array convention), with the bits the trial would have
+on its own, so their results equal a loop over the seeds.  The tangent
+suites, dimension_defects and locus_ranks, build one stack of
+Jacobians per batch and take one stacked SVD of it; locus_ranks samples
+its batch with sample_on_locus on the seed array, and a seed that finds
+no sample is a reject for its own trial only.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ def dimension_defects(chart, seeds, rtol):
     """(trial, kernel dim, rank) for every random point whose relation
     differential does not have kernel dimension chart.dim and rank 3."""
     defects = []
-    points = (p for batch in _batches(seeds)
-              for p in ch.lane_points(ch.random_point(chart, batch), len(batch)))
-    for t, p in enumerate(points):
-        kdim, rank = ch.relation_kernel_dim(p, rtol=rtol)
-        if kdim != chart.dim or rank != 3:
-            defects.append((t, kdim, rank))
+    start = 0
+    for batch in _batches(seeds):
+        kdim, rank = (np.broadcast_to(x, batch.shape) for x in
+                      ch.relation_kernel_dim(ch.random_point(chart, batch), rtol=rtol))
+        for t in np.flatnonzero((kdim != chart.dim) | (rank != 3)).tolist():
+            defects.append((start + t, int(kdim[t]), int(rank[t])))
+        start += len(batch)
     return defects
 
 
@@ -88,6 +90,9 @@ def round_trip(chart1, chart2, label, seeds):
     relation_worst = 0.0
     rejects = 0
     pos = chart2.index_of(label)
+    if pos == 0:
+        raise ValueError("round_trip cannot glue along %r, the first circle of chart2, "
+                         "whose theta is determined" % label)
     for batch in _batches(seeds):
         p1 = ch.random_point(chart1, su2.mix_seed(batch, 1))
         p2 = ch.random_point(chart2, su2.mix_seed(batch, 2))
@@ -113,19 +118,27 @@ def round_trip(chart1, chart2, label, seeds):
 
 def locus_ranks(chart, words, seeds, rtol):
     """Sample one point on the locus cut out by words per seed and count
-    (clean rank-3 points, rejects); a failed sample or a point whose
-    tangent frame is not of rank 3 and codimension 3 is a reject."""
+    (clean rank-3 points, rejects), a batch of seeds at a time; a failed
+    sample or a point whose tangent frame is not of rank 3 and
+    codimension 3 is a reject."""
     clean = 0
     rejects = 0
-    for s in su2.seed_lanes(seeds).tolist():
-        try:
-            p = ch.sample_on_locus(chart, words, s)
-        except ch.SamplingFailed:
-            rejects += 1
+    for batch in _batches(seeds):
+        while True:
+            try:
+                p = ch.sample_on_locus(chart, words, batch)
+                break
+            except ch.SamplingFailed as err:
+                rejects += int(np.count_nonzero(err.lanes))
+                batch = batch[~err.lanes]
+        if not len(batch):
             continue
         frame = ch.locus_tangent(p, words, rtol=rtol)
-        if frame.rank == 3 and len(frame.vectors) == chart.dim - 3:
-            clean += 1
+        if isinstance(frame.rank, int):  # a point with no lanes to tell apart
+            sizes = len(frame.vectors)
         else:
-            rejects += 1
+            sizes = np.array([len(v) for v in frame.vectors])
+        good = np.broadcast_to((frame.rank == 3) & (sizes == chart.dim - 3), batch.shape)
+        clean += int(np.count_nonzero(good))
+        rejects += len(batch) - int(np.count_nonzero(good))
     return clean, rejects

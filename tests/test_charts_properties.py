@@ -1,11 +1,13 @@
 """Property tests over seeded random chart points of genus <= 3 with
-<= 4 boundaries: the chart moves, gauge fixing, the analytic constraint
-Jacobian, the glue/split round trip and moment equivariance, and that a
-batch of N points (one per lane) gives on each lane the bits of that
-lane's point alone.  They need the hypothesis package."""
+<= 4 boundaries (<= 8 for the tangent layer): the chart moves, gauge
+fixing, the analytic constraint Jacobian, the glue/split round trip and
+moment equivariance, and that a batch of N points (one per lane) gives
+on each lane the bits of that lane's point alone.  They need the
+hypothesis package."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -286,14 +288,112 @@ def test_suites_combine_their_batches_exactly():
     chart = ch.ModuliChart(1, ("c1", "c2"), frozenset(("c1",)))
     partner = ch.ModuliChart(0, ("p1", "c2"), frozenset(("c2",)))
     seeds = [su2.mix_seed(67, t) for t in range(23)]
+    pinned, newton = Word(0, (("a", 1, 1),)), Word(0, (("a", 1, 1), ("b", 1, 1)))
 
     def run():
-        return (suites.dimension_defects(chart, seeds, 0.5),
+        # margin 1.0 and two restarts make some seeds find no locus sample
+        with mock.patch.object(ch, "ADMISSIBLE_MARGIN", 1.0), \
+                mock.patch.object(ch, "LOCUS_RESTARTS", 2):
+            ranks = (suites.locus_ranks(chart, [pinned], seeds, ch.SVD_RTOL),
+                     suites.locus_ranks(chart, [newton], seeds[:10], ch.SVD_RTOL))
+        return (suites.dimension_defects(chart, seeds, 0.6),
                 suites.equivariance_worst(chart, seeds),
-                suites.round_trip(chart, partner, "c2", seeds))
+                suites.round_trip(chart, partner, "c2", seeds)) + ranks
 
     whole = run()
     with mock.patch.object(suites, "BATCH", 5):
         assert run() == whole
-    # rtol 0.5 cuts small singular values, so some points are defects
-    assert whole[0]
+    # rtol 0.6 cuts small singular values, so some points are defects,
+    # one of them past the first batch of 5
+    assert whole[0] and whole[0][-1][0] >= 5
+    assert all(clean and rejects for clean, rejects in whole[3:])
+
+
+def test_round_trip_refuses_chart2s_first_circle_before_drawing():
+    chart1 = ch.ModuliChart(1, ("c1", "m"))
+    chart2 = ch.ModuliChart(0, ("m", "p1"))
+    with mock.patch.object(ch, "random_point", side_effect=AssertionError("drew a point")):
+        with pytest.raises(ValueError, match="first circle of chart2") as err:
+            suites.round_trip(chart1, chart2, "m", [1, 2, 3])
+    assert type(err.value) is ValueError  # not a MomentMismatch after drawing
+
+
+# --- the tangent layer on batches -------------------------------------------------
+
+
+def _pinned_words(chart):
+    """Every single-generator word that sample_on_locus solves by pinning."""
+    gens = [(kind, j) for j in range(1, chart.genus + 1) for kind in "ab"]
+    gens += [("d", label) for label in chart.boundaries[1:]]
+    return [Word(0, ((kind, ref, 1),)) for kind, ref in gens]
+
+
+def _sample_lanes(chart, words, seeds):
+    """sample_on_locus on the seed array, dropping the lanes it names as
+    suites.locus_ranks does; returns (kept lane indices, batch)."""
+    kept = np.arange(len(seeds))
+    while True:
+        try:
+            return kept, ch.sample_on_locus(chart, words, np.array(seeds, dtype=np.uint64)[kept])
+        except ch.SamplingFailed as err:
+            kept = kept[~err.lanes]
+
+
+def _sample_each(chart, words, seeds):
+    """{lane: point} for the seeds whose own sample_on_locus call succeeds."""
+    out = {}
+    for i, s in enumerate(seeds):
+        try:
+            out[i] = ch.sample_on_locus(chart, words, s)
+        except ch.SamplingFailed:
+            pass
+    return out
+
+
+def _assert_samples_equal_each_lane(chart, words, seeds):
+    kept, batch = _sample_lanes(chart, words, seeds)
+    each = _sample_each(chart, words, seeds)
+    assert kept.tolist() == sorted(each)
+    _assert_lanes(batch, [each[i] for i in kept.tolist()])
+    return kept, batch, each
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chart(max_genus=8), st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8),
+       st.data())
+def test_tangent_batch_equals_each_lane(chart, seeds, data):
+    n = len(seeds)
+    kdim, rank = ch.relation_kernel_dim(ch.random_point(chart, np.array(seeds, dtype=np.uint64)))
+    want = [ch.relation_kernel_dim(ch.random_point(chart, s)) for s in seeds]
+    assert list(zip(np.broadcast_to(kdim, n).tolist(), np.broadcast_to(rank, n).tolist())) == want
+    words = _pinned_words(chart)
+    assume(words)
+    words = [data.draw(st.sampled_from(words))]
+    kept, batch, each = _assert_samples_equal_each_lane(chart, words, seeds)
+    assume(len(kept))
+    frame = ch.locus_tangent(batch, words)
+    singles = [ch.locus_tangent(each[i], words) for i in kept.tolist()]
+    assert np.broadcast_to(frame.rank, kept.shape).tolist() == [f.rank for f in singles]
+    sizes = [len(v) for v in frame.vectors] if not isinstance(frame.rank, int) else \
+        [len(frame.vectors)] * len(kept)
+    assert sizes == [len(f.vectors) for f in singles]
+
+
+@pytest.mark.parametrize("margin, restarts", ((ch.ADMISSIBLE_MARGIN, ch.LOCUS_RESTARTS),
+                                               (1.0, 2), (1.7, 3)))
+def test_sample_on_locus_lanes_restart_and_fail_as_their_seeds_do(margin, restarts):
+    # a large margin rejects many draws, so lanes restart at different
+    # attempts and some run out of restarts; at 1.7 some random_point
+    # draws fail outright
+    chart = ch.ModuliChart(1, ("c1", "c2"), frozenset(("c1",)))
+    seeds = [su2.mix_seed(3, t) for t in range(16)]
+    with mock.patch.object(ch, "ADMISSIBLE_MARGIN", margin), \
+            mock.patch.object(ch, "LOCUS_RESTARTS", restarts):
+        for words, n in (([Word(0, (("a", 1, 1),))], 16),
+                         ([Word(0, (("a", 1, 1), ("b", 1, 1)))], 8)):
+            kept, _, _ = _assert_samples_equal_each_lane(chart, words, seeds[:n])
+            assert 0 < len(kept) and (len(kept) < n) == (margin > 1e-3)
+        if margin > 1.5:
+            with pytest.raises(ch.SamplingFailed, match="admissible"):
+                for s in seeds:
+                    ch.random_point(chart, su2.mix_seed(s, 101, 0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,39 @@ def test_lane_math_rounds_as_python_floats():
                       [[math.atan2(b, a)] for a, b in zip(xs, ys)])
     assert _same_bits([su2.vec_dist((x, y, x), (y, 0.5, -y))],
                       [[su2.vec_dist((a, b, a), (b, 0.5, -b))] for a, b in zip(xs, ys)])
+
+
+def test_numpy_integer_seeds_are_the_ints_they_hold():
+    # iterating a seed array yields numpy scalars, which must not take the
+    # int path in numpy scalar arithmetic: that warns on overflow
+    arr = _lanes()[:50]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [su2.mix_seed(s, 3, np.int64(5)) for s in arr] == su2.mix_seed(arr, 3, 5).tolist()
+        assert su2.mix_seed(np.uint64(5), 1) == su2.mix_seed(5, 1)
+        assert type(su2.mix_seed(np.uint64(5), 1)) is int
+        assert su2.mix_seed(np.int64(-1), 2) == su2.mix_seed(-1, 2)
+        top = np.uint64(2 ** 64 - 1)
+        assert su2.SplitMix64(top).next_u64() == su2.SplitMix64(2 ** 64 - 1).next_u64()
+        assert su2.sample_haar(arr[7]) == su2.sample_haar(int(arr[7]))
+        assert su2.sample_ball(1.0, arr[9]) == su2.sample_ball(1.0, int(arr[9]))
+
+
+def test_tangent_matrices_on_lanes_equal_each_lane():
+    n = len(LANE_SEEDS)
+    qs = su2.sample_haar(_lanes())
+    vs = su2.sample_ball(math.pi - 1e-3, su2.mix_seed(_lanes(), 2))
+    # zero and tiny lanes take the small-angle series
+    scale = np.select([np.arange(n) % 5 == 0, np.arange(n) % 5 == 1], [0.0, 1e-6], 1.0)
+    vs = su2.AlgVector(*(c * scale for c in vs))
+    q_pts = [su2.UnitQuaternion(*(float(c[i]) for c in qs)) for i in range(n)]
+    v_pts = [su2.AlgVector(*(float(c[i]) for c in vs)) for i in range(n)]
+
+    def same(got, want):
+        return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    for f in (su2.left_jacobian, su2.left_jacobian_inv):
+        assert same(f(vs), np.stack([f(v) for v in v_pts]))
+    # a float quaternion stands for the same value on every lane
+    assert same(su2.adjoint_matrices([qs, su2.ONE, qs]),
+                np.stack([su2.adjoint_matrices([q, su2.ONE, q]) for q in q_pts]))
