@@ -42,6 +42,8 @@ GOLDEN = {
     "solid_torus/invariance/7": (0, "daa46fb26155ab2042b03f71c9aa709f8d362e4f27d0e326fafc0ae26eca68aa"),
     "moduli-small": (0, "773cb54c7e7e06ddade46fb1688474d69c139f06cb9c0f8f0b7e08c68824af2a"),
     "moduli-highgenus-small": (0, "73f3d96b434a5a931051be61dcf99eb1b18f71c36523c0fdbb37db3a18e30a72"),
+    "moduli-full": (0, "3d3f025d2acde094dcee613781b5073776de4a1fe317437098d232254dd47b79"),
+    "moduli-highgenus": (0, "18b0244e28a89d86e6d7545bf17017d428f8f52e0ebb955cce9b210b3d11d1b3"),
 }
 
 
@@ -50,6 +52,11 @@ def _argv(case):
         return ["axioms", str(DATA / "axioms_default.cat")]
     if case == "moduli-small":
         return ["moduli", "--grid", "1,2", "2,3", "--trials", "50", "--samples", "20",
+                "--seed", "7"]
+    if case == "moduli-full":
+        return ["moduli", "--seed", "7"]
+    if case == "moduli-highgenus":
+        return ["moduli", "--grid", "4,2", "4,3", "6,2", "6,3", "8,2", "8,3", "--trials", "100",
                 "--seed", "7"]
     if case == "moduli-highgenus-small":
         return ["moduli", "--grid", "4,2", "8,3", "--trials", "20", "--samples", "20",
