@@ -48,7 +48,8 @@ inverted factors of D = chart_defect.  exp_su2 has bracket
 
 Batches.  A ChartPoint whose components are (N,) float64 arrays is N
 points of one chart, one per lane (su2 states the float-or-array
-convention and the rule that log, atan2 and pow run through math).
+convention and the rule that log, atan2, hypot and a cube root run
+through math).
 random_point takes a uint64 seed array and draws each lane exactly as
 its own seed would; boundary_loop, chart_defect, is_admissible,
 theta1_of, relation_residual, theta_raw, moment, action, the chart
@@ -414,13 +415,6 @@ def swap_adjacent_inv(p: ChartPoint, pos: int) -> ChartPoint:
     order[pos], order[pos + 1] = order[pos + 1], order[pos]
     chart = ModuliChart(p.chart.genus, tuple(order), p.chart.incoming)
     return ChartPoint(chart, tuple(thetas), tuple(gammas), p.handles)
-
-
-def apply_move(p: ChartPoint, move) -> ChartPoint:
-    kind, pos = move
-    if kind == "rot":
-        return rotate_first(p, pos)
-    return swap_adjacent(p, pos)
 
 
 def unapply_script(p: ChartPoint, script) -> ChartPoint:

@@ -8,11 +8,11 @@ stream, so trials are reproducible and splittable by index.
 
 Floats or lanes.  A component of a UnitQuaternion or an AlgVector is a
 Python float (one point) or an (N,) float64 array (N points, one per
-lane), as in the kernel (cobord2._kernel).  Every function here
-accepts lanes and gives on each lane the bits it gives on that lane's
-floats; on lanes, log, atan2 and pow (x ** 2 in the norms and distances
-included) run through math one lane at a time, because numpy's versions
-round differently.  The matrix-valued adjoint_matrices, left_jacobian
+lane), as in the kernel (cobord2._kernel).  Every function here has
+one body for both kinds and gives on each lane the bits it gives on that
+lane's floats; on lanes, log, atan2 and the cube root of sample_ball
+run through math one lane at a time, because numpy's versions round
+differently.  The matrix-valued adjoint_matrices, left_jacobian
 and left_jacobian_inv put the lanes on a leading axis, (N, 3, 3) where a
 point has (3, 3), and choose their small-angle series per lane; numpy's
 matmul and SVD give each matrix of such a stack the bits they give it
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cobord2 import _kernel
-from cobord2._kernel import lanewise, square
+from cobord2._kernel import cos, lanewise, select, sin, sqrt
 
 BRANCH_EPS = 1e-9
 
@@ -89,9 +89,7 @@ class BranchError(ValueError):
 def where(cond, a, b):
     """a where cond holds, else b: one choice for a bool, a choice per
     lane, component by component, for a boolean lane array."""
-    if not isinstance(cond, np.ndarray):
-        return a if cond else b
-    vals = [np.where(cond, x, y) for x, y in zip(a, b)]
+    vals = [select(cond, x, y) for x, y in zip(a, b)]
     return type(a)._make(vals) if hasattr(a, "_make") else tuple(vals)
 
 
@@ -170,20 +168,19 @@ def _hat2(v):
     """([2v]x, |2v|): the bracket matrix of v and its angle; on lanes a
     stack of matrices and an array of angles."""
     a, b, c = 2.0 * v[0], 2.0 * v[1], 2.0 * v[2]
-    t = _kernel.sqrt(a * a + b * b + c * c)
-    k = np.zeros((t.shape if isinstance(t, np.ndarray) else ()) + (3, 3))
+    t = sqrt(a * a + b * b + c * c)
+    k = np.zeros(np.shape(t) + (3, 3))
     k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -c, b, -a
     k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = c, -b, a
     return k, t
 
 
 def _per_lane(t, series, closed):
-    """series(t) where t < 1e-4, else closed(t), as a float or as an
-    (N, 1, 1) array that scales a stack of matrices lane by lane."""
-    if not isinstance(t, np.ndarray):
-        return series(t) if t < 1e-4 else closed(t)
+    """series(t) where t < 1e-4, else closed(t), as a (1, 1) array for a
+    float or an (N, 1, 1) array that scales a stack of matrices lane by
+    lane."""
     small = t < 1e-4
-    return np.where(small, series(t), closed(np.where(small, 1.0, t)))[:, None, None]
+    return np.expand_dims(select(small, series(t), closed(select(small, 1.0, t))), (-2, -1))
 
 
 def left_jacobian(v) -> np.ndarray:
@@ -191,9 +188,9 @@ def left_jacobian(v) -> np.ndarray:
     order in d: I + (1 - cos t)/t^2 K + (t - sin t)/t^3 K^2, K = [2v]x,
     t = 2|v|."""
     k, t = _hat2(v)
-    b = _per_lane(t, lambda t: 0.5 - t * t / 24.0, lambda t: (1.0 - _kernel.cos(t)) / (t * t))
+    b = _per_lane(t, lambda t: 0.5 - t * t / 24.0, lambda t: (1.0 - cos(t)) / (t * t))
     c = _per_lane(t, lambda t: 1.0 / 6.0 - t * t / 120.0,
-                  lambda t: (t - _kernel.sin(t)) / (t * t * t))
+                  lambda t: (t - sin(t)) / (t * t * t))
     return np.eye(3) + b * k + c * (k @ k)
 
 
@@ -203,7 +200,7 @@ def left_jacobian_inv(v) -> np.ndarray:
     I - K/2 + (1/t^2 - cot(t/2)/(2t)) K^2."""
     k, t = _hat2(v)
     e = _per_lane(t, lambda t: 1.0 / 12.0 + t * t / 720.0,
-                  lambda t: 1.0 / (t * t) - _kernel.cos(t / 2) / (2.0 * t * _kernel.sin(t / 2)))
+                  lambda t: 1.0 / (t * t) - cos(t / 2) / (2.0 * t * sin(t / 2)))
     return np.eye(3) - 0.5 * k + e * (k @ k)
 
 
@@ -230,17 +227,11 @@ def vec_scale(v, t: float) -> AlgVector:
 
 
 def _norm3(a, b, c):
-    # x ** 2 is libm's pow, not x * x: on lanes it goes through math
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
-        return np.sqrt(square(a) + square(b) + square(c))
-    return math.sqrt(a ** 2 + b ** 2 + c ** 2)
+    return sqrt(a * a + b * b + c * c)
 
 
 def _norm4(w, x, y, z):
-    if (isinstance(w, np.ndarray) or isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
-            or isinstance(z, np.ndarray)):
-        return np.sqrt(square(w) + square(x) + square(y) + square(z))
-    return math.sqrt(w ** 2 + x ** 2 + y ** 2 + z ** 2)
+    return sqrt(w * w + x * x + y * y + z * z)
 
 
 def vec_dist(u, v) -> float:
@@ -309,35 +300,26 @@ class SplitMix64:
     def gauss_pair(self):
         u1 = 1.0 - self.uniform()  # (0, 1]
         u2 = self.uniform()
-        if isinstance(u1, np.ndarray):
-            r = np.sqrt(-2.0 * lanewise(math.log, u1))
-            return (r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2))
-        r = math.sqrt(-2.0 * math.log(u1))
-        return (r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2))
+        r = sqrt(-2.0 * lanewise(math.log, u1))
+        return (r * cos(2.0 * math.pi * u2), r * sin(2.0 * math.pi * u2))
 
 
 def sample_haar(seed) -> UnitQuaternion:
     """Haar-uniform SU(2) element: normalized 4-dimensional Gaussian.
     A lane whose Gaussian is too short draws again from its own stream."""
     rng = SplitMix64(seed)
-    out, todo = None, None
-    while True:
+    out, todo = None, True
+    while any_lane(todo):
         g1, g2 = rng.gauss_pair()
         g3, g4 = rng.gauss_pair()
-        ss = g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
-        if not isinstance(ss, np.ndarray):
-            n = math.sqrt(ss)
-            if n > 1e-12:
-                return UnitQuaternion(g1 / n, g2 / n, g3 / n, g4 / n)
-            continue
-        n = np.sqrt(ss)
-        ok = n > 1e-12
-        n = np.where(ok, n, 1.0)
+        n = sqrt(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4)
+        short = n <= 1e-12
+        n = select(short, 1.0, n)
         q = UnitQuaternion(g1 / n, g2 / n, g3 / n, g4 / n)
-        out = q if out is None else where(todo & ok, q, out)
-        todo = ~ok if todo is None else todo & ~ok
-        if not todo.any():
-            return out
+        # every lane still drawing takes q; a short q is drawn over next round
+        out = q if out is None else where(todo, q, out)
+        todo = todo & short
+    return out
 
 
 def sample_ball(radius: float, seed) -> AlgVector:
@@ -348,10 +330,6 @@ def sample_ball(radius: float, seed) -> AlgVector:
     z = 2.0 * rng.uniform() - 1.0
     phi = 2.0 * math.pi * rng.uniform()
     u = rng.uniform()
-    if isinstance(u, np.ndarray):
-        r = radius * lanewise(math.pow, u, 1.0 / 3.0)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return AlgVector(r * s * np.cos(phi), r * s * np.sin(phi), r * z)
-    r = radius * u ** (1.0 / 3.0)
-    s = math.sqrt(max(0.0, 1.0 - z * z))
-    return AlgVector(r * s * math.cos(phi), r * s * math.sin(phi), r * z)
+    r = radius * lanewise(math.pow, u, 1.0 / 3.0)
+    s = sqrt(1.0 - z * z)  # z in [-1, 1), so z * z <= 1 after rounding too
+    return AlgVector(r * s * cos(phi), r * s * sin(phi), r * z)

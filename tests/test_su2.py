@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,6 +190,37 @@ def test_haar_and_ball_lanes_equal_the_scalar_draws():
                           [su2.sample_ball(radius, s) for s in LANE_SEEDS])
 
 
+def test_haar_redraws_a_short_gaussian():
+    # the first Gaussian of each chosen seed is zero, so that seed draws again
+    chosen = [1, 2 ** 63, LANE_SEEDS[10], LANE_SEEDS[-1]]
+    real = su2.SplitMix64.gauss_pair
+
+    def zero_first_draw(rng):
+        if not hasattr(rng, "drawn"):
+            rng.seed, rng.drawn = rng._state, 0
+        if isinstance(rng.seed, np.ndarray):
+            hit = np.isin(rng.seed, np.array(chosen, dtype=np.uint64))
+        else:
+            hit = rng.seed in chosen
+        short = hit & (rng.drawn < 2)  # a quaternion is two pairs
+        rng.drawn += 1
+        return tuple(_kernel.select(short, 0.0, g) for g in real(rng))
+
+    def redraw(seed):
+        rng = su2.SplitMix64(seed)
+        rng.gauss_pair(), rng.gauss_pair()
+        g = rng.gauss_pair() + rng.gauss_pair()
+        n = math.sqrt(sum(x * x for x in g))
+        return UnitQuaternion(*(x / n for x in g))
+
+    with mock.patch.object(su2.SplitMix64, "gauss_pair", zero_first_draw):
+        scalar = [su2.sample_haar(s) for s in LANE_SEEDS]
+        lanes = su2.sample_haar(_lanes())
+    for s, q in zip(LANE_SEEDS, scalar):
+        assert q == (redraw(s) if s in chosen else su2.sample_haar(s))
+    assert _same_bits(lanes, scalar)
+
+
 def test_kernel_lanes_equal_the_scalar_kernel():
     qs = su2.sample_haar(_lanes())
     vs = su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 1))
@@ -204,6 +236,15 @@ def test_kernel_lanes_equal_the_scalar_kernel():
                        for q, v in zip(q_pts, v_pts)])
 
 
+def test_log_of_lane_w_beside_a_float_imaginary_part():
+    # a float stands for the same value on every lane, zero included
+    w = np.array([1.0, 0.5, -0.25])
+    for im in ((0.0, 0.0, 0.0), (0.3, -0.1, 0.2)):
+        got = su2.log_su2((w, *im))
+        assert _same_bits([np.broadcast_to(c, w.shape) for c in got],
+                          [su2.log_su2((x, *im)) for x in w.tolist()])
+
+
 def test_log_branch_error_names_the_lanes():
     w = np.array([1.0, -1.0, 0.0, -1.0 + 1e-12])
     q = su2.UnitQuaternion(w, np.sqrt(1.0 - w * w), np.zeros(4), np.zeros(4))
@@ -213,12 +254,10 @@ def test_log_branch_error_names_the_lanes():
 
 
 def test_lane_math_rounds_as_python_floats():
-    # x ** 2 is libm's pow, which rounds x * x the other way on about
-    # 0.08% of inputs; numpy's log, atan2 and pow differ from math too
+    # numpy's log and atan2 round differently from math
     x = np.random.default_rng(3).standard_normal(20000)
     y = np.random.default_rng(4).standard_normal(20000)
     xs, ys = x.tolist(), y.tolist()
-    assert _same_bits([_kernel.square(x)], [[v ** 2] for v in xs])
     assert _same_bits([_kernel.lanewise(math.log, np.abs(x))], [[math.log(abs(v))] for v in xs])
     assert _same_bits([_kernel.lanewise(math.atan2, y, x)],
                       [[math.atan2(b, a)] for a, b in zip(xs, ys)])
