@@ -4,37 +4,27 @@ Quaternions are 4-tuples (w, x, y, z), su(2) vectors 3-tuples (a, b, c)
 of pure-quaternion coefficients.  A component is a Python float (one
 point) or an (N,) float64 array (N points, one per lane); the two may
 mix in one tuple, a float standing for the same value on every lane.
-Every function here has one body for both kinds: sqrt, sin, cos and
-lanewise pick math or numpy by the argument, select picks a branch by a
-bool or per lane by a boolean array, and the rest is arithmetic.  A
-float input never reaches numpy.
+Every function here has one body for both kinds: sqrt, sin, cos, log,
+atan2, hypot and cbrt call math on floats and numpy's sqrt, sin, cos,
+log, arctan2, hypot and cbrt on lanes, select picks a branch by a bool
+or per lane by a boolean array, and the rest is arithmetic.  A float
+input never reaches numpy.
 
-Lanes must give the bits a float gives.  numpy's float64 sqrt, sin and
-cos agree with math bit for bit (no difference in 2M inputs each on
-x86-64 with numpy 2.4), and + - * / are the same IEEE operations; its
-log, atan2, pow and hypot do not, so on lanes these go through math, one
-call per lane (lanewise).
+numpy computes each element of these functions on its own, so a lane
+has the bits of its input run as a one-lane batch.  A lane and its
+float agree to rounding only.  numpy's sqrt, sin and cos match math bit
+for bit on x86-64 with numpy 2.4, and + - * / are the same IEEE
+operations; its log, arctan2 and hypot are within 1 ulp of math's, and
+its cbrt within 2 ulp of math.pow(x, 1/3), which floats use (1M inputs
+each, AVX-512 dispatch).
 """
 
 import math
-from itertools import repeat
 
 import numpy as np
 
 # Norm drift stays below 1e-12 if chains renormalize at this cadence.
 RENORM_EVERY = 16
-
-
-def lanewise(fn, *args):
-    """fn(*args) for a math function fn: one call on floats, one call
-    per lane when an argument is an array (floats broadcast)."""
-    for a in args:
-        if isinstance(a, np.ndarray):
-            break
-    else:
-        return fn(*args)
-    cols = [x.tolist() if isinstance(x, np.ndarray) else repeat(x) for x in args]
-    return np.fromiter(map(fn, *cols), dtype=float, count=len(a))
 
 
 def sqrt(x):
@@ -47,6 +37,27 @@ def cos(x):
 
 def sin(x):
     return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
+def log(x):
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def atan2(y, x):
+    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
+        return np.arctan2(y, x)
+    return math.atan2(y, x)
+
+
+def hypot(x, y):
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.hypot(x, y)
+    return math.hypot(x, y)
+
+
+def cbrt(x):
+    """Cube root of x >= 0: math.pow(x, 1/3) on a float, np.cbrt on lanes."""
+    return np.cbrt(x) if isinstance(x, np.ndarray) else math.pow(x, 1.0 / 3.0)
 
 
 def select(cond, a, b):
@@ -91,7 +102,7 @@ def qlog(q):
     s = sqrt(x * x + y * y + z * z)
     zero = s == 0.0
     safe = select(zero, 1.0, s)
-    f = lanewise(math.atan2, safe, w) / safe
+    f = atan2(safe, w) / safe
     return tuple(select(zero, 0.0, u * f) for u in (x, y, z))
 
 

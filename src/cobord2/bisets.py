@@ -18,8 +18,7 @@ Each generator of the middle and outer actions is a permutation array
 over those codes, and a correspondence holds a sorted, duplicate-free
 int64 array of pair codes s * |P_tgt| + t.  Orbits are found by label
 propagation over the permutations, probes are carried by indexing
-through push and pull maps, and Correspondence.tuples() decodes the
-pairs back into (source tuple, target tuple) pairs.
+through push and pull maps.
 """
 
 from __future__ import annotations
@@ -310,17 +309,6 @@ def _carrier_size(seq) -> int:
     return math.prod(item.size for item in seq)
 
 
-def _decode(seq, codes) -> list:
-    """Product tuples of the given codes."""
-    digits = []
-    for item in reversed(seq):
-        codes, digit = np.divmod(codes, item.size)
-        digits.append(digit.tolist())
-    if not digits:
-        return [()] * len(codes)
-    return list(zip(*reversed(digits)))
-
-
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     codes = np.sort(codes)
     keep = np.ones(len(codes), dtype=bool)
@@ -486,11 +474,6 @@ class Correspondence:
     def transpose(self) -> "Correspondence":
         s, t = np.divmod(self.pairs, _carrier_size(self.tgt))
         return Correspondence(self.tgt, self.src, np.sort(t * _carrier_size(self.src) + s))
-
-    def tuples(self) -> frozenset:
-        """The pairs as (source product tuple, target product tuple)."""
-        s, t = np.divmod(self.pairs, _carrier_size(self.tgt))
-        return frozenset(zip(_decode(self.src, s), _decode(self.tgt, t)))
 
 
 def diagonal_corr(seq) -> Correspondence:

@@ -176,30 +176,31 @@ def parse_cdf(text: str) -> CdfDocument:
 
 
 def _parse_surface(text: str, circles: dict, lineno: int) -> Surface:
-    comps = []
-    for block in text.split(";"):
-        parts = block.split()
-        if not parts or parts[0] != "comp":
-            raise ParseError("line %d: surface component must start with 'comp'" % lineno)
-        genus = 0
-        into: list = []
-        out: list = []
-        for p in parts[1:]:
-            if p.startswith("g="):
-                genus = int(p[2:])
-            elif p.startswith("in="):
-                into = [circles.get(l, Circle(l)) for l in p[3:].split(",") if l]
-            elif p.startswith("out="):
-                out = [circles.get(l, Circle(l)) for l in p[4:].split(",") if l]
-            else:
-                raise ParseError("line %d: bad component field %r" % (lineno, p))
-        comps.append(SurfComponent(genus, tuple(into), tuple(out)))
-    source = tuple(c for comp in comps for c in comp.into)
-    target = tuple(c for comp in comps for c in comp.out)
     try:
+        comps = [_parse_component(block.split(), circles) for block in text.split(";")]
+        source = tuple(c for comp in comps for c in comp.into)
+        target = tuple(c for comp in comps for c in comp.out)
         return Surface(tuple(comps), source, target)
     except (cb.ChainMismatch, ValueError) as err:
         raise ParseError("line %d: %s" % (lineno, err))
+
+
+def _parse_component(parts: list, circles: dict) -> SurfComponent:
+    if not parts or parts[0] != "comp":
+        raise ValueError("surface component must start with 'comp'")
+    genus = 0
+    into: list = []
+    out: list = []
+    for p in parts[1:]:
+        if p.startswith("g="):
+            genus = int(p[2:])
+        elif p.startswith("in="):
+            into = [circles.get(l, Circle(l)) for l in p[3:].split(",") if l]
+        elif p.startswith("out="):
+            out = [circles.get(l, Circle(l)) for l in p[4:].split(",") if l]
+        else:
+            raise ValueError("bad component field %r" % p)
+    return SurfComponent(genus, tuple(into), tuple(out))
 
 
 def _build_steps(chain, step_lines) -> tuple:

@@ -48,22 +48,27 @@ inverted factors of D = chart_defect.  exp_su2 has bracket
 
 Batches.  A ChartPoint whose components are (N,) float64 arrays is N
 points of one chart, one per lane (su2 states the float-or-array
-convention and the rule that log, atan2, hypot and a cube root run
-through math).
-random_point takes a uint64 seed array and draws each lane exactly as
-its own seed would; boundary_loop, chart_defect, is_admissible,
-theta1_of, relation_residual, theta_raw, moment, action, the chart
-moves, glue, split, canonical_gauge, point_distance and gauge_equivalent
-accept batches and act lane by lane, with the same bits on each lane as
-on that lane's point alone.  A BranchError raised on a batch names the
-offending lanes (BranchError.lanes); select_lanes drops them and
-lane_points unpacks a batch into points of floats.  The tangent layer
-takes batches too: eval_word, constraint_map, the Jacobians and
-relation_kernel_dim, locus_tangent, with the lanes on a leading axis of
-every array they return (a (3, D) Jacobian becomes (N, 3, D), and one
-stacked SVD serves the batch), and sample_on_locus on a seed array.
-The arrays are bit for bit those of the lanes' points, since numpy's
-matmul and SVD treat each matrix of a stack as they treat it alone.
+convention: floats go through math, lanes through numpy's elementwise
+functions).  random_point takes a uint64 seed array and draws on each
+lane the point its seed draws as a one-lane batch; boundary_loop,
+chart_defect, is_admissible, theta1_of, relation_residual, theta_raw,
+moment, action, the chart moves, glue, split, canonical_gauge,
+point_distance and gauge_equivalent accept batches and act lane by
+lane, with the bits on each lane that a one-lane batch of it gets.  The
+float point of a seed agrees with its lane to rounding only, since
+numpy's log, arctan2 and hypot differ from math's in the last place.
+A BranchError raised on a batch names the offending lanes
+(BranchError.lanes); select_lanes drops them and lane_points unpacks a
+batch into points of floats.  The tangent layer takes batches too:
+eval_word, constraint_map, the Jacobians and relation_kernel_dim,
+locus_tangent, with the lanes on a leading axis of every array they
+return (a (3, D) Jacobian becomes (N, 3, D), and one stacked SVD serves
+the batch), and sample_on_locus on a seed array.  numpy's matmul and SVD
+treat each matrix of a stack as they treat it alone, so a lane's arrays
+do not depend on the other lanes either.
+A point computes its chart_defect once (ChartPoint.defect), for
+admissibility, theta_1 and the relation residual alike; a point is
+frozen and every map builds a new one.
 Gauss-Newton refinement (perturb, lstsq) stays one point at a time.
 """
 
@@ -76,7 +81,7 @@ from typing import Optional
 
 import numpy as np
 
-from cobord2 import su2
+from cobord2 import _kernel, su2
 from cobord2.su2 import (
     AlgVector,
     ONE,
@@ -158,6 +163,12 @@ class ChartPoint:
         if len(self.handles) != self.chart.genus:
             raise ValueError("wrong number of handle pairs")
 
+    @functools.cached_property
+    def defect(self) -> UnitQuaternion:
+        """chart_defect of this point, computed on first use; the point
+        is frozen and every map builds a new one, so it cannot go stale."""
+        return _defect(self)
+
 
 def _map_point(f, p: ChartPoint, *others) -> ChartPoint:
     """The point of p's chart whose every component is f of the matching
@@ -200,25 +211,29 @@ def boundary_loop(p: ChartPoint, pos: int) -> UnitQuaternion:
 def chart_defect(p: ChartPoint) -> UnitQuaternion:
     """The product c_2 ... c_k [A_1,B_1] ... [A_g,B_g]; admissibility
     is this staying away from -1."""
+    return p.defect
+
+
+def _defect(p: ChartPoint) -> UnitQuaternion:
     factors = [boundary_loop(p, i) for i in range(1, p.chart.k)]
     factors.extend(commutator(a, b) for a, b in p.handles)
     return su2.product(factors)
 
 
 def is_admissible(p: ChartPoint, margin: float = su2.BRANCH_EPS) -> bool:
-    return chart_defect(p)[0] > -1.0 + margin
+    return p.defect[0] > -1.0 + margin
 
 
 def theta1_of(p: ChartPoint) -> AlgVector:
     """The determined first boundary value; BranchError on the excluded
     locus."""
-    return log_su2(inv(chart_defect(p)))
+    return log_su2(inv(p.defect))
 
 
 def relation_residual(p: ChartPoint) -> float:
     """|e^{theta_1} c_2 ... c_k [A,B]... - 1|; zero by construction up
     to rounding."""
-    return su2.quat_dist(mul(exp_su2(theta1_of(p)), chart_defect(p)), ONE)
+    return su2.quat_dist(mul(exp_su2(theta1_of(p)), p.defect), ONE)
 
 
 def theta_raw(p: ChartPoint, label: str) -> AlgVector:
@@ -259,7 +274,7 @@ def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPo
 
     A uint64 seed array gives a batch, one point per seed: only the
     rejected lanes redraw, with the next trial index, so each lane is
-    the point its seed gives alone."""
+    the point its seed gives as a one-lane batch."""
     todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
     out = None
     for trial in range(64):
@@ -652,7 +667,7 @@ def perturb(p: ChartPoint, coord: int, h: float) -> ChartPoint:
     if coord < 3 * k1:
         i, c = divmod(coord, 3)
         t = list(p.thetas[i])
-        t[c] += h
+        t[c] = t[c] + h  # not +=, which would write into a lane array of p
         thetas = p.thetas[:i] + (AlgVector(*t),) + p.thetas[i + 1:]
         return ChartPoint(p.chart, thetas, p.gammas, p.handles)
     coord -= 3 * k1
@@ -825,11 +840,12 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
 
     A uint64 seed array gives a batch, one sample per seed.  All lanes
     draw, pin and test admissibility at once; a lane that fails moves
-    on to its next attempt seed, and Newton refines one lane at a time,
-    so each lane is the point its seed gives alone.  A lane whose
-    random_point draw fails stops there, as its seed alone raises.  If
-    any lane finds no sample, SamplingFailed names them all (its lanes
-    mask); the other seeds, sampled again, give the same points."""
+    on to its next attempt seed, and Newton refines one lane at a time
+    on floats, so each lane is the point its seed gives as a one-lane
+    batch.  A lane whose random_point draw fails stops there, as its
+    seed alone raises.  If any lane finds no sample, SamplingFailed
+    names them all (its lanes mask); the other seeds, sampled again,
+    give the same points."""
     pinned_handles = {}
     pinned_thetas = set()
     hard = []
@@ -978,7 +994,7 @@ def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
         return ONE if dot > 0 else _half_turn(a)
     if su2.any_lane(parallel):
         s = np.where(parallel, 1.0, s)
-    angle = su2.lanewise(math.atan2, s, dot)
+    angle = _kernel.atan2(s, dot)
     out = exp_su2(AlgVector(cross.a / s * angle / 2, cross.b / s * angle / 2,
                             cross.c / s * angle / 2))
     if su2.any_lane(parallel):
@@ -1034,10 +1050,10 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
     twist, twist_open = ONE, True
     for v in frame:
         w = adjoint(r1, v)
-        planar = su2.lanewise(math.hypot, w.b, w.c)
+        planar = _kernel.hypot(w.b, w.c)
         take = twist_open & (planar > 1e-8)
         if su2.any_lane(take):
-            ang = su2.lanewise(math.atan2, w.c, w.b)
+            ang = _kernel.atan2(w.c, w.b)
             twist = su2.where(take, exp_su2(AlgVector(-ang / 2, 0.0, 0.0)), twist)
             twist_open = twist_open & (planar <= 1e-8)
             if not su2.any_lane(twist_open):

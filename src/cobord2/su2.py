@@ -9,14 +9,16 @@ stream, so trials are reproducible and splittable by index.
 Floats or lanes.  A component of a UnitQuaternion or an AlgVector is a
 Python float (one point) or an (N,) float64 array (N points, one per
 lane), as in the kernel (cobord2._kernel).  Every function here has
-one body for both kinds and gives on each lane the bits it gives on that
-lane's floats; on lanes, log, atan2 and the cube root of sample_ball
-run through math one lane at a time, because numpy's versions round
-differently.  The matrix-valued adjoint_matrices, left_jacobian
-and left_jacobian_inv put the lanes on a leading axis, (N, 3, 3) where a
-point has (3, 3), and choose their small-angle series per lane; numpy's
-matmul and SVD give each matrix of such a stack the bits they give it
-alone.  stack_lanes builds that axis.  A seed is a Python int (or numpy
+one body for both kinds.  Floats go through math; lanes go through
+numpy's sqrt, sin, cos, log, arctan2 and cbrt, elementwise, so each lane
+has the bits it has in a one-lane batch.  A lane and its floats agree to
+rounding: gauss_pair's log, log_su2's atan2 and sample_ball's cube root
+round differently on the two (within 1-2 ulp), the rest alike.  The
+matrix-valued adjoint_matrices, left_jacobian and left_jacobian_inv put
+the lanes on a leading axis, (N, 3, 3) where a point has (3, 3), and
+choose their small-angle series per lane; numpy's matmul and SVD give
+each matrix of such a stack the bits they give it alone.  stack_lanes
+builds that axis.  A seed is a Python int (or numpy
 integer scalar, taken as the int it holds) or a uint64 array of per-lane
 seeds: mix_seed, SplitMix64, sample_haar and sample_ball then draw the
 same integer stream on each lane as on its int, in uint64 arithmetic
@@ -41,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cobord2 import _kernel
-from cobord2._kernel import cos, lanewise, select, sin, sqrt
+from cobord2._kernel import cbrt, cos, log, select, sin, sqrt
 
 BRANCH_EPS = 1e-9
 
@@ -300,7 +302,7 @@ class SplitMix64:
     def gauss_pair(self):
         u1 = 1.0 - self.uniform()  # (0, 1]
         u2 = self.uniform()
-        r = sqrt(-2.0 * lanewise(math.log, u1))
+        r = sqrt(-2.0 * log(u1))
         return (r * cos(2.0 * math.pi * u2), r * sin(2.0 * math.pi * u2))
 
 
@@ -330,6 +332,6 @@ def sample_ball(radius: float, seed) -> AlgVector:
     z = 2.0 * rng.uniform() - 1.0
     phi = 2.0 * math.pi * rng.uniform()
     u = rng.uniform()
-    r = radius * lanewise(math.pow, u, 1.0 / 3.0)
+    r = radius * cbrt(u)
     s = sqrt(1.0 - z * z)  # z in [-1, 1), so z * z <= 1 after rounding too
     return AlgVector(r * s * cos(phi), r * s * sin(phi), r * z)

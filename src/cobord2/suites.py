@@ -7,8 +7,11 @@ come as a uint64 array or any iterable of ints (su2.seed_lanes).
 
 Every chart suite runs the trials of a chart in batches of up to
 BATCH: each trial is a lane of the chart operations (see su2 and charts
-for the float-or-array convention), with the bits the trial would have
-on its own, so their results equal a loop over the seeds.  The tangent
+for the float-or-array convention), with the bits the trial has as a
+one-lane batch, so their results do not depend on BATCH and equal a
+loop over the seeds one at a time.  A loop over float points agrees
+with them to rounding, as numpy's log, arctan2 and hypot on lanes
+differ from math's on floats in the last place.  The tangent
 suites, dimension_defects and locus_ranks, build one stack of
 Jacobians per batch and take one stacked SVD of it; locus_ranks samples
 its batch with sample_on_locus on the seed array, and a seed that finds

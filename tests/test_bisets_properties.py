@@ -49,11 +49,11 @@ def test_push_of_pull_is_identity_and_invariance_matches_tuples(case, side):
     inst, fine, coarse, pos, probe = case
     orbit_of, members = ref.compose_orbits(fine.items[pos], fine.items[pos + 1])
     pulled = inst.transport_probe(probe, coarse, fine, pos, False, side)
-    assert pulled.tuples() == ref.transport(
-        probe.tuples(), fine.items, pos, orbit_of, members, False, side)
+    assert ref.tuples(pulled) == ref.transport(
+        ref.tuples(probe), fine.items, pos, orbit_of, members, False, side)
     pushed = inst.transport_probe(pulled, fine, coarse, pos, True, side)
     assert inst.simple2_equal(pushed, probe)
     # the pull is the preimage under an equivariant surjection, so it is
     # invariant exactly when the probe is
-    assert ref.is_invariant(pulled.src, pulled.tgt, pulled.tuples()) == ref.is_invariant(
-        probe.src, probe.tgt, probe.tuples())
+    assert ref.is_invariant(pulled.src, pulled.tgt, ref.tuples(pulled)) == ref.is_invariant(
+        probe.src, probe.tgt, ref.tuples(probe))

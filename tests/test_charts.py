@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from chart_reference import (
     unflatten_point,
 )
 from cobord2 import charts as ch
-from cobord2 import su2
+from cobord2 import su2, suites
 from cobord2.charts import (
     ChartPoint,
     ConstraintViolated,
@@ -388,3 +389,67 @@ def test_locus_rank_matches_finite_differences():
             assert np.max(np.abs(ch.constraint_jacobian(p, [w]) - ref)) < 1e-6
             frame = locus_tangent(p, [w])
             assert (len(frame.vectors), frame.rank) == kernel_dim_and_rank(ref) == (chart.dim - 3, 3)
+
+
+# --- the cached chart defect ----------------------------------------------------------
+
+
+def _counting_defect():
+    """A stand-in for the uncached defect body that keeps every point it
+    is called on (kept alive, so no two share an id)."""
+    seen = []
+    real = ch._defect
+
+    def counted(p):
+        seen.append(p)
+        return real(p)
+
+    return seen, mock.patch.object(ch, "_defect", counted)
+
+
+def test_round_trip_computes_each_points_defect_once():
+    chart1 = mk_chart(1, 2, ("c2",))
+    chart2 = ModuliChart(0, ("p1", "c2", "p2"), frozenset())
+    seen, patch = _counting_defect()
+    with patch:
+        suites.round_trip(chart1, chart2, "c2", [mix_seed(29, t) for t in range(40)])
+    assert seen and len({id(p) for p in seen}) == len(seen)
+
+
+def _same(q1, q2):
+    return all(np.array_equal(a, b) for a, b in zip(q1, q2))
+
+
+def test_a_rebuilt_point_computes_its_own_defect():
+    chart = mk_chart(1, 3)
+    p = random_point(chart, np.array([mix_seed(31, t) for t in range(6)], dtype=np.uint64))
+    d = chart_defect(p)
+    picked = ch.select_lanes(p, [1, 4])
+    mapped = ch._map_point(lambda c: -c, p)
+    # a new theta on the same holonomies, as round_trip matches its pieces
+    retheta = ChartPoint(chart, (su2.vec_neg(p.thetas[0]),) + p.thetas[1:], p.gammas, p.handles)
+    uncached = ch._defect
+    seen, patch = _counting_defect()
+    with patch:
+        # the readers of p's defect share the one computed above
+        assert _same(chart_defect(p), d)
+        ch.is_admissible(p), theta1_of(p), relation_residual(p)
+        assert seen == []
+        for q in (picked, mapped, retheta):
+            assert _same(chart_defect(q), uncached(q))
+            ch.is_admissible(q), theta1_of(q), relation_residual(q)
+    assert [id(q) for q in seen] == [id(picked), id(mapped), id(retheta)]
+    assert _same(chart_defect(picked), tuple(c[[1, 4]] for c in d))
+    assert not _same(chart_defect(mapped), d) and not _same(chart_defect(retheta), d)
+
+
+def test_perturb_on_a_batch_leaves_its_input_alone():
+    chart = mk_chart(1, 2)
+    p = random_point(chart, np.array([mix_seed(37, t) for t in range(4)], dtype=np.uint64))
+    d = chart_defect(p)
+    before = [np.copy(c) for c in ch.flatten_point(p)]
+    for coord in (0, 3, chart.dim - 1):
+        q = ch.perturb(p, coord, 0.25)
+        assert not _same(chart_defect(q), d)
+    assert all(np.array_equal(a, b) for a, b in zip(ch.flatten_point(p), before))
+    assert _same(ch._defect(p), d)

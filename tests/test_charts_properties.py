@@ -2,8 +2,9 @@
 <= 4 boundaries (<= 8 for the tangent layer): the chart moves, gauge
 fixing, the analytic constraint Jacobian, the glue/split round trip and
 moment equivariance, and that a batch of N points (one per lane) gives
-on each lane the bits of that lane's point alone.  They need the
-hypothesis package."""
+on each lane the bits of that lane run as a one-lane batch, and the
+float point of its seed to rounding.  They need the hypothesis
+package."""
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,18 @@ from cobord2 import su2
 from cobord2.words import Word
 
 SEEDS = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64)
+
+# Lanes round log, atan2, hypot and the cube root as numpy does, floats as
+# math does (cobord2._kernel), so a lane and the float point of its seed
+# agree to rounding only.  The largest coordinate difference measured over
+# 115,200 lanes (1800 random charts and glue cases, 64 seeds each) is
+# noted beside the bound held here; logs near the excluded point -1 make
+# the later steps less well conditioned.
+FLOAT_TOL = {
+    "draw": 1e-14,  # random_point, action, sample_on_locus: 1.8e-15
+    "glue": 1e-12,  # glue, moment, canonical_gauge: 4.5e-14
+    "split": 1e-10,  # split and the round-trip residuals: 1.1e-11
+}
 
 
 @st.composite
@@ -61,6 +74,25 @@ def _assert_lanes(batch, singles):
     """Lane i of the batch is singles[i], bit for bit."""
     lanes = ch.lane_points(batch, len(singles))
     assert [_bits(p) for p in lanes] == [_bits(p) for p in singles]
+
+
+def _assert_near(batch, floats, tol):
+    """Lane i of the batch is within tol of floats[i], coordinate by
+    coordinate."""
+    lanes = ch.lane_points(batch, len(floats))
+    got = np.array([ch.flatten_point(p) for p in lanes])
+    want = np.array([ch.flatten_point(p) for p in floats])
+    assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+def _one(seed):
+    """A seed as a one-lane seed array."""
+    return np.array([seed], dtype=np.uint64)
+
+
+def _alone(p):
+    """The point of a one-lane batch, as floats with its lane's bits."""
+    return ch.lane_points(p, 1)[0]
 
 
 def _vec_bits(vs):
@@ -127,7 +159,8 @@ def test_random_point_batch_equals_each_lane(chart, seeds, margin):
     # different trial indices
     with mock.patch.object(ch, "ADMISSIBLE_MARGIN", margin):
         batch = ch.random_point(chart, np.array(seeds, dtype=np.uint64))
-        _assert_lanes(batch, [ch.random_point(chart, s) for s in seeds])
+        _assert_lanes(batch, [_alone(ch.random_point(chart, _one(s))) for s in seeds])
+        _assert_near(batch, [ch.random_point(chart, s) for s in seeds], FLOAT_TOL["draw"])
 
 
 def test_random_point_batch_redraws_only_the_rejected_lanes():
@@ -136,7 +169,7 @@ def test_random_point_batch_redraws_only_the_rejected_lanes():
     first = ch.lane_points(ch.random_point(chart, np.array(seeds, dtype=np.uint64)), 64)
     with mock.patch.object(ch, "ADMISSIBLE_MARGIN", 0.5):
         strict = ch.random_point(chart, np.array(seeds, dtype=np.uint64))
-        _assert_lanes(strict, [ch.random_point(chart, s) for s in seeds])
+        _assert_lanes(strict, [_alone(ch.random_point(chart, _one(s))) for s in seeds])
     moved = sum(_bits(a) != _bits(b) for a, b in zip(first, ch.lane_points(strict, 64)))
     assert 0 < moved < 64
 
@@ -144,16 +177,24 @@ def test_random_point_batch_redraws_only_the_rejected_lanes():
 @settings(max_examples=40, deadline=None)
 @given(_chart(), SEEDS)
 def test_action_and_moment_batch_equal_each_lane(chart, seeds):
-    arr = np.array(seeds, dtype=np.uint64)
-    gs = tuple(su2.sample_haar(su2.mix_seed(arr, i)) for i in range(chart.k))
-    moved = ch.action(gs, ch.random_point(chart, arr))
-    singles = [ch.action(tuple(su2.sample_haar(su2.mix_seed(s, i)) for i in range(chart.k)),
-                         ch.random_point(chart, s)) for s in seeds]
-    _assert_lanes(moved, singles)
+    def act(seed):
+        gs = tuple(su2.sample_haar(su2.mix_seed(seed, i)) for i in range(chart.k))
+        return ch.action(gs, ch.random_point(chart, seed))
+
+    moved = act(np.array(seeds, dtype=np.uint64))
+    singles = [act(_one(s)) for s in seeds]
+    floats = [act(s) for s in seeds]
+    _assert_lanes(moved, [_alone(p) for p in singles])
+    _assert_near(moved, floats, FLOAT_TOL["draw"])
     moments = ch.moment(moved)
-    assert [_vec_bits(_lane(m, i) for m in moments)
-            for i in range(len(seeds))] == [_vec_bits(ch.moment(p)) for p in singles]
-    _assert_lanes(ch.canonical_gauge(moved), [ch.canonical_gauge(p) for p in singles])
+    lanes = [[c for m in moments for c in _lane(m, i)] for i in range(len(seeds))]
+    assert [[float(c).hex() for c in m] for m in lanes] == [
+        _vec_bits(_lane(m, 0) for m in ch.moment(p)) for p in singles]
+    assert np.max(np.abs(np.array(lanes) - [[c for m in ch.moment(p) for c in m] for p in floats]),
+                  initial=0.0) <= FLOAT_TOL["glue"]
+    gauged = ch.canonical_gauge(moved)
+    _assert_lanes(gauged, [_alone(ch.canonical_gauge(p)) for p in singles])
+    _assert_near(gauged, [ch.canonical_gauge(p) for p in floats], FLOAT_TOL["glue"])
 
 
 def _matched(chart1, chart2, label, seed):
@@ -186,27 +227,39 @@ def test_glue_and_split_batch_equal_each_lane(case, seeds, eps):
         kept, glued, recipe = _glue_lanes(
             *_matched(chart1, chart2, label, np.array(seeds, dtype=np.uint64)), label,
             len(seeds))
-        singles = {}
-        for i, s in enumerate(seeds):
-            p1, p2 = _matched(chart1, chart2, label, s)
-            try:
-                singles[i] = ch.glue(p1, label, p2, label)
-            except su2.BranchError:
-                pass
-    assert kept.tolist() == sorted(singles)
-    _assert_lanes(glued, [singles[i][0] for i in kept.tolist()])
-    assert all(singles[i][1] == recipe for i in kept.tolist())
+        singles = _glue_each(chart1, chart2, label, map(_one, seeds))
+        floats = _glue_each(chart1, chart2, label, seeds)
+    kept_list = kept.tolist()
+    assert kept_list == sorted(singles) == sorted(floats)
+    _assert_lanes(glued, [_alone(singles[i][0]) for i in kept_list])
+    _assert_near(glued, [floats[i][0] for i in kept_list], FLOAT_TOL["glue"])
+    assert all(singles[i][1] == recipe == floats[i][1] for i in kept_list)
     back = ch.split(glued, recipe)
     for j in (0, 1):
-        _assert_lanes(back[j], [ch.split(*singles[i])[j] for i in kept.tolist()])
+        _assert_lanes(back[j], [_alone(ch.split(*singles[i])[j]) for i in kept_list])
+        _assert_near(back[j], [ch.split(*floats[i])[j] for i in kept_list], FLOAT_TOL["split"])
+
+
+def _glue_each(chart1, chart2, label, seeds):
+    """{trial: (glued, recipe)} for the seeds whose own gluing is off the
+    excluded locus."""
+    out = {}
+    for i, s in enumerate(seeds):
+        p1, p2 = _matched(chart1, chart2, label, s)
+        try:
+            out[i] = ch.glue(p1, label, p2, label)
+        except su2.BranchError:
+            pass
+    return out
 
 
 @settings(max_examples=30, deadline=None)
 @given(_glue_case(), SEEDS, st.sampled_from((su2.BRANCH_EPS, 0.5)))
-def test_round_trip_batch_equals_the_scalar_loop(case, seeds, eps):
+def test_round_trip_batch_equals_the_one_lane_loop(case, seeds, eps):
     with mock.patch.object(su2, "near_minus_one", lambda q, e=eps: q[0] <= -1.0 + e):
         got = suites.round_trip(*case, seeds)
-        want = round_trip_loop(*case, seeds)
+        with mock.patch.object(suites, "BATCH", 1):
+            want = suites.round_trip(*case, seeds)
     assert got[2] == want[2]
     assert [float(v).hex() for v in got[:2]] == [float(v).hex() for v in want[:2]]
 
@@ -217,7 +270,9 @@ def test_round_trip_rejects_lanes_as_the_scalar_loop_does():
     seeds = [su2.mix_seed(4, t) for t in range(64)]
     with mock.patch.object(su2, "near_minus_one", lambda q, e=0.5: q[0] <= -1.0 + e):
         got = suites.round_trip(chart1, chart2, "glue", seeds)
-        assert got == round_trip_loop(chart1, chart2, "glue", seeds)
+        want = round_trip_loop(chart1, chart2, "glue", seeds)
+    assert got[2] == want[2]
+    assert max(abs(a - b) for a, b in zip(got[:2], want[:2])) <= FLOAT_TOL["split"]
     assert 0 < got[2] < 64
 
 
@@ -234,8 +289,11 @@ def test_canonical_gauge_lanes_take_their_own_branches():
     t2[:, 5] = t1[:, 5]  # no independent second vector
     batch = ch.ChartPoint(chart, (su2.AlgVector(*t1), su2.AlgVector(*t2)),
                           (su2.ONE, su2.ONE), ())
-    _assert_lanes(ch.canonical_gauge(batch),
-                  [ch.canonical_gauge(p) for p in ch.lane_points(batch, 8)])
+    gauged = ch.canonical_gauge(batch)
+    _assert_lanes(gauged, [_alone(ch.canonical_gauge(ch.select_lanes(batch, [i])))
+                           for i in range(8)])
+    _assert_near(gauged, [ch.canonical_gauge(p) for p in ch.lane_points(batch, 8)],
+                 FLOAT_TOL["glue"])
 
 
 class _NoNumpy:
@@ -351,10 +409,15 @@ def _sample_each(chart, words, seeds):
 
 
 def _assert_samples_equal_each_lane(chart, words, seeds):
+    """Each lane of the batch is its seed's one-lane sample, bit for bit,
+    and near its seed's float sample; returns (kept lane indices, batch,
+    {lane: one-lane sample as floats})."""
     kept, batch = _sample_lanes(chart, words, seeds)
-    each = _sample_each(chart, words, seeds)
-    assert kept.tolist() == sorted(each)
+    each = {i: _alone(p) for i, p in _sample_each(chart, words, map(_one, seeds)).items()}
+    floats = _sample_each(chart, words, seeds)
+    assert kept.tolist() == sorted(each) == sorted(floats)
     _assert_lanes(batch, [each[i] for i in kept.tolist()])
+    _assert_near(batch, [floats[i] for i in kept.tolist()], FLOAT_TOL["draw"])
     return kept, batch, each
 
 
@@ -364,7 +427,9 @@ def _assert_samples_equal_each_lane(chart, words, seeds):
 def test_tangent_batch_equals_each_lane(chart, seeds, data):
     n = len(seeds)
     kdim, rank = ch.relation_kernel_dim(ch.random_point(chart, np.array(seeds, dtype=np.uint64)))
-    want = [ch.relation_kernel_dim(ch.random_point(chart, s)) for s in seeds]
+    want = [tuple(int(np.broadcast_to(x, 1)[0])
+                  for x in ch.relation_kernel_dim(ch.random_point(chart, _one(s))))
+            for s in seeds]
     assert list(zip(np.broadcast_to(kdim, n).tolist(), np.broadcast_to(rank, n).tolist())) == want
     words = _pinned_words(chart)
     assume(words)

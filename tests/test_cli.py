@@ -21,7 +21,10 @@ DATA = SRC / "cobord2" / "data"
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects bad arguments by exiting
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -219,6 +222,9 @@ def moduli(*options):
     [
         (FUNCTOR_INVARIANCE, "@circles\nc0 +\n@manifold\n", 2),
         (FUNCTOR_INVARIANCE, "@circles\nc0 +\n@surfaces\nann\n", 2),
+        (FUNCTOR_EVAL, "@circles\nc0 +\n@surfaces\ncap comp g=0\n@chain cap\n", 2),
+        (FUNCTOR_EVAL, "@circles\nc0 +\n@surfaces\ncap comp g=x out=c0\n@chain cap\n", 2),
+        (FUNCTOR_EVAL, "@circles\nc0 +\n@surfaces\ncap comp g=-1 out=c0\n@chain cap\n", 2),
         # @steps2 ends on a different boundary than @steps: a failed check
         (FUNCTOR_INVARIANCE, NEGATIVE_WITHOUT_LAST_LINE, 1),
         (AXIOMS, "@groups\nz2\n", 2),
@@ -243,7 +249,8 @@ def moduli(*options):
         (moduli("--samples", "-3"), None, 2),
         (("functor", "eval", "--samples", "0", "doc.cdf"), GENUS_ONE_ANNULUS, 2),
     ],
-    ids=["manifold-without-name", "surface-without-components", "steps2-boundary-mismatch",
+    ids=["manifold-without-name", "surface-without-components", "component-without-circles",
+         "component-genus-not-integer", "component-negative-genus", "steps2-boundary-mismatch",
          "group-without-kind", "group-without-order", "biset-without-group",
          "depth-without-value", "depth-not-integer", "sequence-not-chaining",
          "circle-remove-across-different-interfaces", "eval-handle-past-genus",
@@ -259,14 +266,32 @@ def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code
         path = tmp_path / argv[-1]
         path.write_text(text)
         argv[-1] = str(path)
+    # in-process: an exception escaping cli.main fails the test by itself
+    got, _, err = run_cli(argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error: " in err
+
+
+@pytest.mark.parametrize("command, text", [
+    (FUNCTOR_EVAL, "@circles\nc0 +\n@surfaces\ncap comp g=0\n@chain cap\n"),
+    (moduli("--trials", "0"), None),
+], ids=["component-without-circles", "moduli-zero-trials"])
+def test_cli_module_exits_2_without_traceback(tmp_path, command, text):
+    # `python -m cobord2.cli` passes main's exit code, and argparse's, to the shell
+    argv = list(command)
+    if text is not None:
+        path = tmp_path / argv[-1]
+        path.write_text(text)
+        argv[-1] = str(path)
     proc = subprocess.run(
         [sys.executable, "-m", "cobord2.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    assert proc.returncode == code
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    if code == 2:
-        assert "error: " in proc.stderr
+    assert "error: " in proc.stderr
 
 
 @pytest.mark.parametrize("mode, calls", [("eval", 1), ("invariance", 2)])

@@ -3,17 +3,20 @@ integer-coded one in cobord2.bisets.
 
 A product tuple lists one carrier index per item of a sequence; a
 correspondence here is a frozenset of (source tuple, target tuple)
-pairs, the form Correspondence.tuples() decodes to.  Every action is
-applied generator by generator and closed breadth first, with no
-integer encoding, so agreement with cobord2.bisets checks the encoding.
-diagram_collapse extends the reference from simple 2-morphisms to whole
-diagrams.
+pairs, the form tuples() decodes a coded Correspondence to.  Every
+action is applied generator by generator and closed breadth first, with
+no integer encoding, so agreement with cobord2.bisets checks the
+encoding.  diagram_collapse extends the reference from simple
+2-morphisms to whole diagrams.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
+
+import numpy as np
 
 from cobord2.diagram import Face, _row_target
 
@@ -21,6 +24,24 @@ from cobord2.diagram import Face, _row_target
 def product_tuples(seq):
     """Every product tuple of a sequence, in code order."""
     return itertools.product(*[range(b.size) for b in seq])
+
+
+def decode(seq, codes) -> list:
+    """Product tuples of the given mixed-radix codes."""
+    digits = []
+    for item in reversed(seq):
+        codes, digit = np.divmod(codes, item.size)
+        digits.append(digit.tolist())
+    if not digits:
+        return [()] * len(codes)
+    return list(zip(*reversed(digits)))
+
+
+def tuples(corr) -> frozenset:
+    """The pair codes of a cobord2.bisets.Correspondence as (source
+    product tuple, target product tuple) pairs."""
+    s, t = np.divmod(corr.pairs, math.prod(item.size for item in corr.tgt))
+    return frozenset(zip(decode(corr.src, s), decode(corr.tgt, t)))
 
 
 class Actions(NamedTuple):
@@ -169,7 +190,7 @@ def diagram_collapse(diagram, inst) -> frozenset:
         for cell in row:
             if isinstance(cell, Face):
                 by_src: dict = {}
-                for ps, pt in cell.morph.tuples():
+                for ps, pt in tuples(cell.morph):
                     by_src.setdefault(ps, []).append(pt)
                 cells.append((by_src, len(cell.src_items)))
             else:
