@@ -19,6 +19,15 @@ over those codes, and a correspondence holds a sorted, duplicate-free
 int64 array of pair codes s * |P_tgt| + t.  Orbits are found by label
 propagation over the permutations, probes are carried by indexing
 through push and pull maps.
+
+The orbit probes never leave that collapse.  An outer generator (left
+on the first item, right on the last) commutes with every middle one,
+as the biset law checked by FiniteBiset demands, so it permutes the
+middle orbits, and the orbit of a pair (x, x) under all actions is the
+union of c x c over the middle orbits c that the outer generators reach
+from the orbit of x.  The search runs over orbit labels, and the probe
+is the part of the relation probe (all of those c x c) lying over the
+reached labels: nothing is sized by the |P|**2 pair codes.
 """
 
 from __future__ import annotations
@@ -374,20 +383,9 @@ def _actions(seq) -> _Actions:
     return _Actions(size, mid, left, right)
 
 
-def _pair_moves(s, t, n_tgt, src: _Actions, tgt: _Actions) -> list:
-    """Pair codes of the pairs (s, t) moved by one generator each: a
-    middle action on one side, or an outer action on both sides at once
-    (a side with an empty sequence has no outer actions)."""
-    out = [perm[s] * n_tgt + t for perm in src.mid]
-    out += [s * n_tgt + perm[t] for perm in tgt.mid]
-    out += [sp[s] * n_tgt + tp[t] for sp, tp in zip(src.left, tgt.left)]
-    out += [sp[s] * n_tgt + tp[t] for sp, tp in zip(src.right, tgt.right)]
-    return out
-
-
 def _reach(size: int, start: int, moves) -> np.ndarray:
-    """Sorted codes in range(size) reachable from start, breadth first
-    over a bitmap; moves(codes) lists the arrays of their images."""
+    """Mask over range(size) of the codes reachable from start, breadth
+    first; moves(codes) lists the arrays of their images."""
     seen = np.zeros(size, dtype=bool)
     seen[start] = True
     frontier = np.array([start], dtype=np.int64)
@@ -398,7 +396,7 @@ def _reach(size: int, start: int, moves) -> np.ndarray:
         moved = np.concatenate(moved)
         frontier = _sorted_unique(moved[~seen[moved]])
         seen[frontier] = True
-    return np.flatnonzero(seen)
+    return seen
 
 
 # --- composition and collapse --------------------------------------------------
@@ -536,6 +534,7 @@ class LieRInstance(Instance):
         self._compose_memo: dict = {}
         self._actions_memo: dict = {}
         self._collapse_memo: dict = {}
+        self._relation_memo: dict = {}
         self._probe_memo: dict = {}
         self._transport_memo: dict = {}
 
@@ -603,11 +602,18 @@ class LieRInstance(Instance):
             self._collapse_memo[key] = _collapse(self._actions_of(key))
         return self._collapse_memo[key]
 
+    def _relation(self, items) -> Correspondence:
+        """The relation probe of a sequence, shared by probes and
+        _orbit_probe."""
+        if items not in self._relation_memo:
+            self._relation_memo[items] = orbit_relation_corr(items, self.collapse(items))
+        return self._relation_memo[items]
+
     def probes(self, seq: SeqMorphism):
         items = seq.items
         if items in self._probe_memo:
             return self._probe_memo[items]
-        out = [("relation", orbit_relation_corr(items, self.collapse(items)))]
+        out = [("relation", self._relation(items))]
         n = _carrier_size(items)
         # the first and the middle product tuple in sorted order
         for name, start in (("orbit-first", 0), ("orbit-mid", n // 2)):
@@ -618,13 +624,28 @@ class LieRInstance(Instance):
 
     def _orbit_probe(self, items, start: int) -> Correspondence:
         """Orbit of the pair (start, start) of product codes under every
-        declared action, searched over a bitmap of all pair codes."""
+        declared action: a middle action on either code, or an outer one
+        on both at once.
+
+        An outer generator commutes with every middle one (the biset
+        law), so it maps middle orbits to middle orbits, and the orbit
+        of (x, x) is the union of c x c over the middle orbits c that
+        the outer generators reach from the orbit of x.  Those are the
+        pairs of the relation probe whose source lies in a reached
+        orbit.  The search runs over orbit labels, each outer generator
+        acting on a label through one code of its orbit."""
         items = tuple(items)
         acts = self._actions_of(items)
-        n = acts.size
-        pairs = _reach(n * n, start * (n + 1),
-                       lambda codes: _pair_moves(*np.divmod(codes, n), n, acts, acts))
-        return Correspondence(items, items, pairs)
+        collapsed = self.collapse(items)
+        orbit_of = collapsed.orbit_of
+        rep = np.empty(collapsed.count, dtype=np.int64)
+        rep[orbit_of] = np.arange(acts.size)
+        outer = [orbit_of[perm[rep]] for perm in acts.left + acts.right]
+        keep = _reach(collapsed.count, orbit_of[start],
+                      lambda labels: [perm[labels] for perm in outer])
+        pairs = self._relation(items).pairs
+        # the relation's pairs are sorted, and so is any selection of them
+        return Correspondence(items, items, pairs[keep[orbit_of[pairs // acts.size]]])
 
     def _transport_maps(self, fine, pos) -> tuple:
         """(push, pull) across the composition of fine[pos], fine[pos + 1]:

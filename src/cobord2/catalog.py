@@ -54,6 +54,13 @@ def loop_start_sequences(catalog) -> list:
     out = [(m,) for m in catalog]
     for m in catalog:
         for n in catalog:
+            # The cap bounds a start's carrier, and with it the sizes
+            # the oracle works at: the relation probe holds one pair per
+            # code and orbit mate, and a pull across a decomposition
+            # multiplies a carried probe by the middle group's order.
+            # No probe is sized by the square of the carrier.  The cap
+            # also fixes criterion 1 and the oracle-loops benchmark at
+            # the 108 loops of the default catalog.
             if m.right_group == n.left_group and m.size * n.size <= 4096:
                 out.append((m, n))
     return out

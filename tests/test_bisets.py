@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -440,6 +441,24 @@ def test_orbit_probe_and_collapse_match_whole_group_action():
         assert _decoded_collapse(items) == _brute_collapse(items)
         checked += 1
     assert checked == 65
+
+
+def test_probes_of_the_largest_start_stay_small():
+    # reg_Q8 + reg_Q8 has 4096 product codes.  The orbit probes search
+    # its 512 middle orbits, so nothing the size of its 4096**2 pair codes
+    # (16.7 MB as a byte map) is allocated: the probes peak near 1 MB
+    q8 = biregular_biset(Q8)
+    inst = LieRInstance()
+    seq = inst.seq((q8, q8))
+    inst.collapse(seq.items)
+    tracemalloc.start()
+    try:
+        probes = inst.probes(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(probe.pairs) for _, probe in probes] == [32768, 4096, 4096]
+    assert peak < 4 << 20
 
 
 def test_transport_matches_tuple_reference_around_every_loop():

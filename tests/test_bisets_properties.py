@@ -1,5 +1,5 @@
-"""Property tests of the coded finite-group transport against the tuple
-reference in tuple_oracle.py; they need the hypothesis package."""
+"""Property tests of the coded finite-group probes and transport against
+the tuple reference in tuple_oracle.py; they need the hypothesis package."""
 import math
 
 import numpy as np
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cobord2.bisets import (
     Correspondence,
+    FiniteBiset,
     LieRInstance,
     biregular_biset,
     copants_biset,
@@ -57,3 +58,65 @@ def test_push_of_pull_is_identity_and_invariance_matches_tuples(case, side):
     # invariant exactly when the probe is
     assert ref.is_invariant(pulled.src, pulled.tgt, ref.tuples(pulled)) == ref.is_invariant(
         probe.src, probe.tgt, ref.tuples(probe))
+
+
+def _through(m, side, group, hom):
+    """m with its action on one side taken through the homomorphism hom
+    (a table) from group to that side's group.  A hom with a kernel gives
+    an action that is not free."""
+    name = "%s<%s.%s" % (m.name, side, group.name)
+    if side == "left":
+        left = tuple(m.left[hom[k]] for k in range(group.order))
+        return FiniteBiset(name, group, m.right_group, left, m.right)
+    right = tuple(tuple(row[hom[k]] for k in range(group.order)) for row in m.right)
+    return FiniteBiset(name, m.left_group, group, m.left, right)
+
+
+# carriers of a drawn sequence hold at most this many product tuples, so
+# the tuple reference closes each orbit in a few milliseconds
+MAX_CARRIER = 256
+
+
+@st.composite
+def _probe_case(draw):
+    """A composable sequence of one to three bisets over a cyclic group G
+    or a product of two, and a product code on it.  The items are the
+    identity, bi-regular, pants and copants bisets of G, the identity of
+    G x G, and the identity and bi-regular bisets of G with one side
+    acting through a homomorphism G x G -> G: a projection or the
+    trivial one.  Two of those whose kernels meet have a middle action
+    that is not free."""
+    g = draw(st.sampled_from([cyclic(2), cyclic(3), cyclic(4),
+                              product_group(cyclic(2), cyclic(2)),
+                              product_group(cyclic(2), cyclic(3))]))
+    gg = product_group(g, g)
+    n = g.order
+    homs = [[a // n for a in range(gg.order)], [a % n for a in range(gg.order)],
+            [g.identity] * gg.order]
+    shapes = [identity_biset(g), biregular_biset(g), pants_biset(g, gg), copants_biset(g, gg),
+              identity_biset(gg)]
+    shapes += [_through(m, side, gg, hom) for m in shapes[:2] for hom in homs
+               for side in ("left", "right")]
+    items = (draw(st.sampled_from([m for m in shapes if m.size <= MAX_CARRIER])),)
+    for _ in range(draw(st.integers(1, 3)) - 1):
+        size = math.prod(m.size for m in items)
+        nxt = [m for m in shapes
+               if m.left_group == items[-1].right_group and size * m.size <= MAX_CARRIER]
+        if not nxt:
+            break
+        items += (draw(st.sampled_from(nxt)),)
+    start = draw(st.integers(0, math.prod(m.size for m in items) - 1))
+    return items, start
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_probe_case())
+def test_orbit_probe_matches_tuples_and_lies_in_the_relation(case):
+    items, start = case
+    inst = LieRInstance()
+    probe = inst._orbit_probe(items, start)
+    assert (np.diff(probe.pairs) > 0).all()
+    assert ref.tuples(probe) == ref.orbit_probe(items, ref.decode(items, np.array([start]))[0])
+    probes = dict(inst.probes(inst.seq(items)))
+    for other in [probe] + list(probes.values()):
+        assert np.isin(other.pairs, probes["relation"].pairs).all()
