@@ -49,6 +49,14 @@ BRANCH_EPS = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
+# SplitMix64's increment and multipliers.  An int seed computes with them
+# as ints masked to 64 bits; uint64 lanes wrap mod 2**64 by themselves
+# and take them as uint64 scalars, converted once here.
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+_LANE_CONSTANTS = {k: np.uint64(k) for k in (_GAMMA, _MUL1, _MUL2)}
+
 
 class UnitQuaternion(NamedTuple):
     w: float
@@ -258,12 +266,19 @@ def _u64(x):
     return operator.index(x) & _MASK64
 
 
+def _times(x, k):
+    """x * k mod 2**64 for 64-bit seed material x and a constant k above."""
+    if type(x) is int:
+        return (x * k) & _MASK64
+    return x * _LANE_CONSTANTS[k]
+
+
 def _mix(x):
     # no augmented assignment: on lanes that would write into the caller's array
     x = x ^ (x >> 30)
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = _times(x, _MUL1)
     x = x ^ (x >> 27)
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = _times(x, _MUL2)
     return x ^ (x >> 31)
 
 
@@ -272,7 +287,7 @@ def mix_seed(seed, *indices):
     The seed or any index may be a uint64 array of lanes."""
     x = _u64(seed)
     for k in indices:
-        x = _mix(x ^ ((_u64(k) * 0x9E3779B97F4A7C15) & _MASK64))
+        x = _mix(x ^ _times(_u64(k), _GAMMA))
     return x
 
 
@@ -292,7 +307,10 @@ class SplitMix64:
         self._state = _u64(seed)
 
     def next_u64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        if type(self._state) is int:
+            self._state = (self._state + _GAMMA) & _MASK64
+        else:
+            self._state = self._state + _LANE_CONSTANTS[_GAMMA]
         return _mix(self._state)
 
     def uniform(self):
