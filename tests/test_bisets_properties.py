@@ -60,11 +60,11 @@ def test_push_of_pull_is_identity_and_invariance_matches_tuples(case, side):
         probe.src, probe.tgt, ref.tuples(probe))
 
 
-def _through(m, side, group, hom):
+def _through(m, side, group, hom_name, hom):
     """m with its action on one side taken through the homomorphism hom
     (a table) from group to that side's group.  A hom with a kernel gives
     an action that is not free."""
-    name = "%s<%s.%s" % (m.name, side, group.name)
+    name = "%s<%s.%s" % (m.name, side, hom_name)
     if side == "left":
         left = tuple(m.left[hom[k]] for k in range(group.order))
         return FiniteBiset(name, group, m.right_group, left, m.right)
@@ -91,12 +91,12 @@ def _probe_case(draw):
                               product_group(cyclic(2), cyclic(3))]))
     gg = product_group(g, g)
     n = g.order
-    homs = [[a // n for a in range(gg.order)], [a % n for a in range(gg.order)],
-            [g.identity] * gg.order]
+    homs = {"p1": [a // n for a in range(gg.order)], "p2": [a % n for a in range(gg.order)],
+            "1": [g.identity] * gg.order}
     shapes = [identity_biset(g), biregular_biset(g), pants_biset(g, gg), copants_biset(g, gg),
               identity_biset(gg)]
-    shapes += [_through(m, side, gg, hom) for m in shapes[:2] for hom in homs
-               for side in ("left", "right")]
+    shapes += [_through(m, side, gg, name, hom) for m in shapes[:2]
+               for name, hom in homs.items() for side in ("left", "right")]
     items = (draw(st.sampled_from([m for m in shapes if m.size <= MAX_CARRIER])),)
     for _ in range(draw(st.integers(1, 3)) - 1):
         size = math.prod(m.size for m in items)

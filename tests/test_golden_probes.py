@@ -59,10 +59,10 @@ def _digests():
             seqs = [SeqMorphism(start.source, start.target, s) for s in loop]
             steps = [composition_step(inst, a, b) for a, b in zip(seqs, seqs[1:])]
             for side in SIDES:
-                for _, probe in inst.probes(start):
+                for _, corr in inst.probes(start):
                     for (pos, compose), cur, nxt in zip(steps, seqs, seqs[1:]):
-                        probe = inst.transport_probe(probe, cur, nxt, pos, compose, side)
-                        _feed(carried[side], probe)
+                        corr = inst.transport_probe(corr, cur, nxt, pos, compose, side)
+                        _feed(carried[side], corr)
                         counts["transports"] += 1
     return ({k: h.hexdigest() for k, h in probes.items()},
             {k: h.hexdigest() for k, h in carried.items()}, counts)
