@@ -28,6 +28,16 @@ union of c x c over the middle orbits c that the outer generators reach
 from the orbit of x.  The search runs over orbit labels, and the probe
 is the part of the relation probe (all of those c x c) lying over the
 reached labels: nothing is sized by the |P|**2 pair codes.
+
+A LieRInstance carries each distinct probe across each step once.
+Every probe it hands out and every transport result is interned by
+content (source, target and pair codes), so equal correspondences are
+one object, and transport_probe memoizes on (probe, both sequences,
+position, direction, side), keying the probe by identity.  Identity
+keys are sound because a correspondence is a frozen value whose
+interned pairs are read-only, and the memo holds every key probe alive,
+so no id is reused while its entry stands.  Only a miss hashes pair
+codes: a criterion-1 pass computes 252 of its 1944 transports.
 """
 
 from __future__ import annotations
@@ -536,7 +546,9 @@ class LieRInstance(Instance):
         self._collapse_memo: dict = {}
         self._relation_memo: dict = {}
         self._probe_memo: dict = {}
+        self._maps_memo: dict = {}
         self._transport_memo: dict = {}
+        self._interned: dict = {}
 
     # -- 1-morphisms
 
@@ -578,6 +590,8 @@ class LieRInstance(Instance):
         return try_compose_corrs(a, b)
 
     def simple2_equal(self, a, b) -> bool:
+        if a is b:
+            return True
         return a.src == b.src and a.tgt == b.tgt and np.array_equal(a.pairs, b.pairs)
 
     def is_identity2(self, morph):
@@ -613,12 +627,12 @@ class LieRInstance(Instance):
         items = seq.items
         if items in self._probe_memo:
             return self._probe_memo[items]
-        out = [("relation", self._relation(items))]
+        out = [("relation", self._intern(self._relation(items)))]
         n = _carrier_size(items)
         # the first and the middle product tuple in sorted order
         for name, start in (("orbit-first", 0), ("orbit-mid", n // 2)):
             if n:
-                out.append((name, self._orbit_probe(items, start)))
+                out.append((name, self._intern(self._orbit_probe(items, start))))
         self._probe_memo[items] = out
         return out
 
@@ -653,7 +667,7 @@ class LieRInstance(Instance):
         lists in increasing order the |G| fine codes pushed to c (the
         middle action is free, so every orbit has that size)."""
         key = (fine, pos)
-        if key not in self._transport_memo:
+        if key not in self._maps_memo:
             made = self._compose_full(fine[pos], fine[pos + 1])
             assert made is not None
             _, orbit_of, members = made
@@ -666,13 +680,39 @@ class LieRInstance(Instance):
             high, rest = np.divmod(coarse, len(members) * low)
             orbit, rest = np.divmod(rest, low)
             pull = ((high * pair)[:, None] + members[orbit]) * low + rest[:, None]
-            self._transport_memo[key] = (push, pull)
-        return self._transport_memo[key]
+            self._maps_memo[key] = (push, pull)
+        return self._maps_memo[key]
+
+    def _intern(self, corr: Correspondence) -> Correspondence:
+        """The one correspondence of this instance with corr's content:
+        the first one interned, or corr itself.  Its pairs turn
+        read-only, since every holder now shares them."""
+        key = (corr.src, corr.tgt, len(corr.pairs), hash(corr.pairs.tobytes()))
+        bucket = self._interned.setdefault(key, [])
+        for known in bucket:
+            if np.array_equal(known.pairs, corr.pairs):
+                return known
+        corr.pairs.flags.writeable = False
+        bucket.append(corr)
+        return corr
 
     def transport_probe(self, probe, seq_from, seq_to, pos, compose, side):
         """Set-level push across a composition (image under the orbit
         projection) or pull across a decomposition (preimage); always
-        defined, unlike the geometric try_compose_corrs."""
+        defined, unlike the geometric try_compose_corrs.
+
+        Each (probe, step, side) is carried once per instance: the memo
+        keys the probe by identity and holds it, and the result is
+        interned, so equal probes reached along different loops are one
+        object and hit the memo."""
+        key = (probe, seq_from.items, seq_to.items, pos, compose, side)
+        if key not in self._transport_memo:
+            self._transport_memo[key] = self._intern(
+                self._transport(probe, seq_from, seq_to, pos, compose, side))
+        return self._transport_memo[key]
+
+    def _transport(self, probe, seq_from, seq_to, pos, compose, side):
+        """The uncached body of transport_probe."""
         push, pull = self._transport_maps(seq_from.items if compose else seq_to.items, pos)
         n_tgt = _carrier_size(probe.tgt)
         s, t = np.divmod(probe.pairs, n_tgt)

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from cobord2 import bisets as bs
-from cobord2 import catalog
+from cobord2 import catalog, suites
 from cobord2.bisets import (
     Correspondence,
     LieRInstance,
@@ -490,3 +490,58 @@ def test_transport_matches_tuple_reference_around_every_loop():
                         carried += 1
                     assert tuples == ref.tuples(probe)
     assert carried == 1152
+
+
+def _criterion_1_loop_ends(inst):
+    """(probe, carried probe) at the end of each of criterion 1's 648
+    probe walks: 108 loops, three probes, two sides."""
+    ends = []
+    for items in catalog.loop_start_sequences(inst.catalog):
+        start = inst.seq(items)
+        for loop in catalog.enumerate_loops(inst, items, 4):
+            seqs = [SeqMorphism(start.source, start.target, s) for s in loop]
+            steps = [composition_step(inst, a, b) for a, b in zip(seqs, seqs[1:])]
+            for side in ("target", "source"):
+                for _, probe in inst.probes(start):
+                    carried = probe
+                    for (pos, compose), cur, nxt in zip(steps, seqs, seqs[1:]):
+                        carried = inst.transport_probe(carried, cur, nxt, pos, compose, side)
+                    ends.append((probe, carried))
+    return ends
+
+
+def test_transport_memo_carries_each_distinct_probe_once(monkeypatch):
+    # criterion 1 calls transport_probe 1944 times, but its 225 start
+    # probes hold 84 distinct correspondences and its loops share steps,
+    # so only 252 (probe content, step, side) transports are distinct
+    body = LieRInstance._transport
+    computed = []
+
+    def counted(self, *args):
+        computed.append(args)
+        return body(self, *args)
+
+    monkeypatch.setattr(LieRInstance, "_transport", counted)
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    for expected in (252, 0):
+        computed.clear()
+        ends = _criterion_1_loop_ends(inst)
+        assert len(computed) == expected
+        assert len(ends) == 648
+        # every probe comes back, as the very object probes() handed out
+        assert all(carried is probe for probe, carried in ends)
+
+
+def test_criterion_1_pass_traced_memory_stays_bounded():
+    # one full criterion-1 pass on a fresh instance, memos included, peaks
+    # at 6.7-6.9 MiB of traced memory; it peaked at 9.6-9.7 MiB when every
+    # transport was computed, so the memo saves more than it holds
+    tracemalloc.start()
+    try:
+        inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+        loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loops) == 108 and not any(bad for _, _, bad in loops)
+    assert peak < 8 << 20

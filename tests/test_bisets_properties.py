@@ -54,6 +54,13 @@ def test_push_of_pull_is_identity_and_invariance_matches_tuples(case, side):
         ref.tuples(probe), fine.items, pos, orbit_of, members, False, side)
     pushed = inst.transport_probe(pulled, fine, coarse, pos, True, side)
     assert inst.simple2_equal(pushed, probe)
+    # the memo keys probes by identity and interns results by content: an
+    # equal probe that is another object is carried to the same object,
+    # and a fresh instance, with empty memos, to equal pairs
+    twin = Correspondence(probe.src, probe.tgt, probe.pairs.copy())
+    assert inst.transport_probe(twin, coarse, fine, pos, False, side) is pulled
+    fresh = LieRInstance().transport_probe(probe, coarse, fine, pos, False, side)
+    assert fresh is not pulled and np.array_equal(fresh.pairs, pulled.pairs)
     # the pull is the preimage under an equivariant surjection, so it is
     # invariant exactly when the probe is
     assert ref.is_invariant(pulled.src, pulled.tgt, ref.tuples(pulled)) == ref.is_invariant(
