@@ -212,6 +212,18 @@ class FiniteBiset:
     right: tuple  # right[x][g']
 
     def __post_init__(self):
+        """Check the biset laws, each on generators only: with S and T
+        generating G and H, (s h).x = s.(h.x) for s in S and all h,
+        x.(h t) = (x.h).t for t in T and all h, and (s.x).t = s.(x.t)
+        for s in S and t in T.  G and H are already-checked groups, so
+        this proves each law for all elements.  By induction on the
+        length of a word g = s_1 .. s_r in S (a finite group needs no
+        inverses): the identity acts trivially, and if (g'h).x =
+        g'.(h.x) for all h, then (s g' h).x = s.((g'h).x) = s.(g'.(h.x))
+        = (s g').(h.x), the last step the generator law at h = g'.  The
+        right action follows the same way from the right, and then every
+        g acts as a composite of generators s, every h as one of
+        generators t, and these commute pairwise."""
         G, H = self.left_group, self.right_group
         m = self.size
         if len(self.left) != G.order or any(len(r) != m for r in self.left):
@@ -220,17 +232,20 @@ class FiniteBiset:
             raise TableError("%s: malformed right action" % self.name)
         left, right = self.left_array, self.right_array
         gm, hm = G.mult_array, H.mult_array
+        S, T = list(G.generators()), list(H.generators())
         if (left[G.identity] != np.arange(m)).any() or (right[:, H.identity] != np.arange(m)).any():
             raise TableError("%s: identities act nontrivially" % self.name)
-        # (gh).x against g.(h.x), indexed [g, h, x]
-        if any((left[gm[g]] != left[g][:, left]).any() for g in _row_blocks(G.order, G.order * m)):
+        # (sh).x against s.(h.x), indexed [s, h, x]
+        if any((left[gm[S[b]]] != left[S[b]][:, left]).any()
+               for b in _row_blocks(len(S), G.order * m)):
             raise TableError("%s: left action not associative" % self.name)
-        # x.(gh) against (x.g).h, indexed [x, g, h]
-        if any((right[x][:, hm] != right[right[x]]).any() for x in _row_blocks(m, H.order ** 2)):
+        # x.(ht) against (x.h).t, indexed [x, h, t]
+        if any((right[x][:, hm[:, T]] != right[:, T][right[x]]).any()
+               for x in _row_blocks(m, H.order * len(T))):
             raise TableError("%s: right action not associative" % self.name)
-        # (g.x).h against g.(x.h), indexed [g, x, h]
-        if any((right[left[g]] != left[g][:, right]).any()
-               for g in _row_blocks(G.order, m * H.order)):
+        # (s.x).t against s.(x.t), indexed [s, x, t]
+        if any((right[:, T][left[S[b]]] != left[S[b]][:, right[:, T]]).any()
+               for b in _row_blocks(len(S), m * len(T))):
             raise TableError("%s: actions do not commute" % self.name)
 
     def __hash__(self):

@@ -70,6 +70,21 @@ A point computes its chart_defect once (ChartPoint.defect), for
 admissibility, theta_1 and the relation residual alike; a point is
 frozen and every map builds a new one.
 Gauss-Newton refinement (perturb, lstsq) stays one point at a time.
+
+Generators.  Work done once per generator of a batch (Gamma_i, A_j,
+B_j, theta_i) runs as one call over a generator axis (su2.each): the
+generators' lane arrays are stacked into (n_gen, N) arrays, the kernel
+function runs once on them, and each generator gets its row back.
+random_point draws all arcs and handles of a trial round in one
+sample_haar call and all thetas in one sample_ball call, with the seeds
+mix_seed(s, tag, index) of the one-by-one draw; the chart defect takes
+every boundary loop in one call and every commutator in one; action,
+the rotations, glue, split, canonical_gauge and point_distance map
+their arcs and handles the same way.  numpy computes each element on
+its own, so every lane of every generator keeps the bits it has from a
+call of its own, and products along a word (su2.product, the prefix
+products of the Jacobians) stay one factor at a time.  A float point
+runs generator by generator, as before.
 """
 
 from __future__ import annotations
@@ -204,8 +219,53 @@ def lane_points(p: ChartPoint, n: int) -> list:
 def boundary_loop(p: ChartPoint, pos: int) -> UnitQuaternion:
     """Holonomy of the loop around boundary pos (>= 1) based at the
     basepoint: Gamma e^theta Gamma^-1."""
-    g = p.gammas[pos - 1]
-    return mul(mul(g, exp_su2(p.thetas[pos - 1])), inv(g))
+    return _loop(p.gammas[pos - 1], p.thetas[pos - 1])
+
+
+def _loop(g, t) -> UnitQuaternion:
+    return mul(mul(g, exp_su2(t)), inv(g))
+
+
+def _flat(handles) -> list:
+    """A_1, B_1 .. A_g, B_g as one list."""
+    return [x for pair in handles for x in pair]
+
+
+def _pairs(qs) -> tuple:
+    """Inverse of _flat."""
+    return tuple(zip(qs[::2], qs[1::2]))
+
+
+def _conjugate(g, x) -> UnitQuaternion:
+    return mul(mul(g, x), inv(g))
+
+
+def _moved_arc(g1, gi, gamma) -> UnitQuaternion:
+    return mul(mul(g1, gamma), inv(gi))
+
+
+def _conjugate_handles(g, handles) -> tuple:
+    """Every handle holonomy x as g x g^-1."""
+    xs = _flat(handles)
+    return _pairs(su2.each(_conjugate, [g] * len(xs), xs))
+
+
+def _left(g, qs) -> list:
+    """Every quaternion q of qs as g q."""
+    return su2.each(mul, [g] * len(qs), qs)
+
+
+def _commutators(handles) -> list:
+    """[A_1,B_1] .. [A_g,B_g]."""
+    return su2.each(commutator, [a for a, _ in handles], [b for _, b in handles])
+
+
+def _commutator_product(handles) -> UnitQuaternion:
+    """[A_1,B_1] ... [A_g,B_g], multiplied from 1 in order."""
+    kq = ONE
+    for c in _commutators(handles):
+        kq = mul(kq, c)
+    return kq
 
 
 def chart_defect(p: ChartPoint) -> UnitQuaternion:
@@ -215,8 +275,8 @@ def chart_defect(p: ChartPoint) -> UnitQuaternion:
 
 
 def _defect(p: ChartPoint) -> UnitQuaternion:
-    factors = [boundary_loop(p, i) for i in range(1, p.chart.k)]
-    factors.extend(commutator(a, b) for a, b in p.handles)
+    factors = su2.each(_loop, p.gammas, p.thetas)
+    factors += _commutators(p.handles)
     return su2.product(factors)
 
 
@@ -260,12 +320,9 @@ def action(gs, p: ChartPoint) -> ChartPoint:
     if len(gs) != p.chart.k:
         raise ValueError("need one group element per boundary")
     g1 = gs[0]
-    thetas = tuple(adjoint(gs[i], t) for i, t in enumerate(p.thetas, start=1))
-    gammas = tuple(mul(mul(g1, gm), inv(gs[i])) for i, gm in enumerate(p.gammas, start=1))
-    handles = tuple(
-        (mul(mul(g1, a), inv(g1)), mul(mul(g1, b), inv(g1))) for a, b in p.handles
-    )
-    return ChartPoint(p.chart, thetas, gammas, handles)
+    thetas = tuple(su2.each(adjoint, gs[1:], p.thetas))
+    gammas = tuple(su2.each(_moved_arc, [g1] * len(p.gammas), gs[1:], p.gammas))
+    return ChartPoint(p.chart, thetas, gammas, _conjugate_handles(g1, p.handles))
 
 
 def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPoint:
@@ -277,18 +334,20 @@ def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPo
     the point its seed gives as a one-lane batch."""
     todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
     out = None
+    k1, g = chart.k - 1, chart.genus
+    # seed tags: 1 theta_i, 2 Gamma_i, 3 A_j, 4 B_j, each with its index
+    tags = (2,) * k1 + (3, 4) * g
+    index = tuple(range(k1)) + tuple(j for j in range(g) for _ in (3, 4))
     for trial in range(64):
         s = mix_seed(seed if todo is None else seed[todo], trial)
-        thetas = tuple(
-            AlgVector(0.0, 0.0, 0.0) if zero_thetas else sample_ball(math.pi, mix_seed(s, 1, i))
-            for i in range(chart.k - 1)
-        )
-        gammas = tuple(sample_haar(mix_seed(s, 2, i)) for i in range(chart.k - 1))
-        handles = tuple(
-            (sample_haar(mix_seed(s, 3, j)), sample_haar(mix_seed(s, 4, j)))
-            for j in range(chart.genus)
-        )
-        p = ChartPoint(chart, thetas, gammas, handles)
+        if zero_thetas:
+            thetas = (AlgVector(0.0, 0.0, 0.0),) * k1
+        else:
+            thetas = tuple(su2.each(lambda s, i: sample_ball(math.pi, mix_seed(s, 1, i)),
+                                    (s,) * k1, range(k1)))
+        qs = su2.each(lambda s, tag, i: sample_haar(mix_seed(s, tag, i)),
+                      (s,) * len(tags), tags, index)
+        p = ChartPoint(chart, thetas, tuple(qs[:k1]), _pairs(qs[k1:]))
         ok = is_admissible(p, ADMISSIBLE_MARGIN)
         if todo is None:
             if ok:
@@ -331,31 +390,17 @@ def rotate_first(p: ChartPoint, pos: int) -> ChartPoint:
     k = p.chart.k
     if not 1 <= pos < k:
         raise ValueError("rotation position out of range")
-    gi = p.gammas[pos - 1]
-    gi_inv = inv(gi)
-
-    def conj(q):
-        return mul(mul(gi_inv, q), gi)
-
-    handles = tuple((conj(a), conj(b)) for a, b in p.handles)
-    kq = ONE
-    for a, b in handles:
-        kq = mul(kq, commutator(a, b))
-    old_theta1 = theta1_of(p)
+    gi_inv = inv(p.gammas[pos - 1])
+    handles = _conjugate_handles(gi_inv, p.handles)
+    kq = _commutator_product(handles)
     new_order = p.chart.boundaries[pos:] + p.chart.boundaries[:pos]
-    thetas = []
-    gammas = []
-    for j in range(pos + 1, k):  # boundaries after pos keep their arcs
-        thetas.append(p.thetas[j - 1])
-        gammas.append(mul(gi_inv, p.gammas[j - 1]))
-    # old basepoint boundary, then the rest, pushed past the commutators
-    thetas.append(old_theta1)
-    gammas.append(mul(kq, gi_inv))
-    for j in range(1, pos):
-        thetas.append(p.thetas[j - 1])
-        gammas.append(mul(kq, mul(gi_inv, p.gammas[j - 1])))
+    # boundaries after pos keep their arcs; the old basepoint boundary and
+    # the rest follow, pushed past the commutators
+    thetas = p.thetas[pos:] + (theta1_of(p),) + p.thetas[:pos - 1]
+    gammas = (_left(gi_inv, p.gammas[pos:]) + [mul(kq, gi_inv)]
+              + _left(kq, _left(gi_inv, p.gammas[:pos - 1])))
     chart = ModuliChart(p.chart.genus, new_order, p.chart.incoming)
-    return ChartPoint(chart, tuple(thetas), tuple(gammas), handles)
+    return ChartPoint(chart, thetas, tuple(gammas), handles)
 
 
 def rotate_first_inv(q: ChartPoint, pos: int) -> ChartPoint:
@@ -365,36 +410,19 @@ def rotate_first_inv(q: ChartPoint, pos: int) -> ChartPoint:
     k = q.chart.k
     if not 1 <= pos < k:
         raise ValueError("rotation position out of range")
-    kq = ONE
-    for a, b in q.handles:
-        kq = mul(kq, commutator(a, b))
+    kq = _commutator_product(q.handles)
     # the old basepoint boundary sits at new position k - pos with arc
     # holonomy K Gamma_i^-1
     gi = inv(mul(inv(kq), q.gammas[k - pos - 1]))
-    gi_inv = inv(gi)
-
-    def unconj(x):
-        return mul(mul(gi, x), gi_inv)
-
-    handles = tuple((unconj(a), unconj(b)) for a, b in q.handles)
-    theta_i = theta1_of(q)
-    thetas = [None] * (k - 1)
-    gammas = [None] * (k - 1)
-    thetas[pos - 1] = theta_i
-    gammas[pos - 1] = gi
-    for newpos in range(1, k):
-        oldpos = (newpos + pos) % k
-        if oldpos == 0:
-            continue  # the old determined boundary
-        if newpos < k - pos:
-            gamma_old = mul(gi, q.gammas[newpos - 1])
-        else:
-            gamma_old = mul(gi, mul(inv(kq), q.gammas[newpos - 1]))
-        thetas[oldpos - 1] = q.thetas[newpos - 1]
-        gammas[oldpos - 1] = gamma_old
+    handles = _conjugate_handles(gi, q.handles)
+    # new positions 1 .. k-pos-1 were old pos+1 .. k-1, new k-pos+1 .. k-1
+    # were old 1 .. pos-1
+    thetas = q.thetas[k - pos:] + (theta1_of(q),) + q.thetas[:k - pos - 1]
+    gammas = (_left(gi, _left(inv(kq), q.gammas[k - pos:])) + [gi]
+              + _left(gi, q.gammas[:k - pos - 1]))
     order = q.chart.boundaries[k - pos:] + q.chart.boundaries[:k - pos]
     chart = ModuliChart(q.chart.genus, order, q.chart.incoming)
-    return ChartPoint(chart, tuple(thetas), tuple(gammas), handles)
+    return ChartPoint(chart, thetas, tuple(gammas), handles)
 
 
 def swap_adjacent(p: ChartPoint, pos: int) -> ChartPoint:
@@ -512,9 +540,8 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str):
     incoming = (q1.chart.incoming | q2.chart.incoming) - {label_a, label_b}
     chart = ModuliChart(q1.chart.genus + q2.chart.genus, boundaries, frozenset(incoming))
     thetas = q1.thetas[:-1] + q2.thetas
-    gammas = q1.gammas[:-1] + tuple(mul(gl, g) for g in q2.gammas)
-    handles2 = tuple((mul(mul(gl, a), inv(gl)), mul(mul(gl, b), inv(gl))) for a, b in q2.handles)
-    glued = ChartPoint(chart, thetas, gammas, handles2 + q1.handles)
+    gammas = q1.gammas[:-1] + tuple(_left(gl, q2.gammas))
+    glued = ChartPoint(chart, thetas, gammas, _conjugate_handles(gl, q2.handles) + q1.handles)
     su2.check_branch(su2.near_minus_one(chart_defect(glued)),
                      "glued point lies on the excluded locus")
     recipe = GlueRecipe(
@@ -596,11 +623,9 @@ def split(q: ChartPoint, recipe: GlueRecipe):
     # piece 1's relation e^{theta_1} c_2..c_{k1-1} e^{theta_last} K1 = 1
     # determines its last boundary value once Gamma_last = 1
     ahead = ONE
-    for t, g in zip(thetas1, gammas1):
-        ahead = mul(ahead, mul(mul(g, exp_su2(t)), inv(g)))
-    kq = ONE
-    for a, b in handles1:
-        kq = mul(kq, commutator(a, b))
+    for c in su2.each(_loop, gammas1, thetas1):
+        ahead = mul(ahead, c)
+    kq = _commutator_product(handles1)
     theta1 = theta1_of(q)
     c_last = mul(inv(ahead), mul(exp_su2(su2.vec_neg(theta1)), inv(kq)))
     theta_last = log_su2(c_last)
@@ -1067,10 +1092,9 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
 
 def point_distance(p: ChartPoint, q: ChartPoint) -> float:
     """Largest coordinate distance; on a batch, per lane."""
-    dists = [su2.vec_dist(t1, t2) for t1, t2 in zip(p.thetas, q.thetas)]
-    dists += [su2.quat_dist(g1, g2) for g1, g2 in zip(p.gammas, q.gammas)]
-    dists += [su2.quat_dist(x1, x2) for h1, h2 in zip(p.handles, q.handles)
-              for x1, x2 in zip(h1, h2)]
+    dists = su2.each(su2.vec_dist, p.thetas, q.thetas)
+    dists += su2.each(su2.quat_dist, p.gammas + tuple(_flat(p.handles)),
+                      q.gammas + tuple(_flat(q.handles)))
     if any(isinstance(d, np.ndarray) for d in dists):
         return functools.reduce(np.maximum, dists, 0.0)
     return max(dists, default=0.0)

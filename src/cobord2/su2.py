@@ -27,6 +27,11 @@ generators", OOPSLA 2014).  A branch test on lanes is per lane:
 log_su2 (through check_branch) raises if any lane hits the branch, and
 the error's ``lanes`` mask names those lanes.  where, any_lane and
 largest are the lane forms of a conditional, of a truth test and of max.
+each maps an operation over a list of generators (the handles or arcs
+of a chart point, say): on lanes it stacks them on a leading generator
+axis, (n, N) arrays, and runs the operation once; since numpy computes
+element by element, each lane of each generator keeps the bits of a
+call of its own.  On floats it loops, so floats never reach numpy.
 
 exp_su2(v) = cos|v| + sin|v| v/|v| has bracket [u, w] = 2 u x w, so the
 left Jacobian of exp here is the SO(3) one (Sola, Deray and Atchuthan,
@@ -101,6 +106,48 @@ def where(cond, a, b):
     lane, component by component, for a boolean lane array."""
     vals = [select(cond, x, y) for x, y in zip(a, b)]
     return type(a)._make(vals) if hasattr(a, "_make") else tuple(vals)
+
+
+def each(f, *columns) -> list:
+    """f of each generator, [f(*xs) for xs in zip(*columns)], where each
+    column is a sequence with one value per generator: a quaternion, a
+    vector, or a single component such as a seed.
+
+    On lanes f runs once, over a generator axis.  Each component of a
+    column is stacked into an (n, N) array, generators on the leading
+    axis and lanes on the last, a float or int standing for the same
+    value on every lane.  Each component of f's result (an array, or a
+    tuple of them) comes back as one row view per generator.
+
+    f runs generator by generator for fewer than two generators and
+    when no column has lanes in the first component of its first value,
+    so floats never reach numpy; on lanes that is slower and gives the
+    same values.  Pass every lane array f needs as a column: numpy
+    combines an (N,) array with (n, N) stacks more slowly than arrays
+    of one shape."""
+    if len(columns[0]) > 1:
+        for col in columns:
+            c = col[0][0] if isinstance(col[0], tuple) else col[0]
+            if isinstance(c, np.ndarray):
+                out = f(*(_stack(col, len(c)) for col in columns))
+                if isinstance(out, np.ndarray):
+                    return list(out)
+                return list(map(getattr(type(out), "_make", tuple), zip(*out)))
+    return list(map(f, *columns))
+
+
+def _stack(col, lanes):
+    """A column of values as the same kind of value whose components
+    are (len(col), lanes) arrays, row i holding generator i."""
+    if isinstance(col[0], tuple):
+        make = getattr(type(col[0]), "_make", tuple)
+        return make([_stack(cs, lanes) for cs in zip(*col)])
+    if all(isinstance(c, np.ndarray) for c in col):
+        return np.array(col)
+    out = np.empty((len(col), lanes), dtype=np.result_type(*col))
+    for i, c in enumerate(col):
+        out[i] = c
+    return out
 
 
 def any_lane(cond) -> bool:

@@ -73,10 +73,11 @@ def equivariance_worst(chart, seeds):
     worst = 0.0
     for batch in _batches(seeds):
         p = ch.random_point(chart, batch)
-        gs = tuple(su2.sample_haar(su2.mix_seed(batch, i)) for i in range(chart.k))
+        gs = su2.each(lambda s, i: su2.sample_haar(su2.mix_seed(s, i)),
+                      (batch,) * chart.k, range(chart.k))
         lhs = ch.moment(ch.action(gs, p))
-        rhs = tuple(su2.adjoint(gi, m) for gi, m in zip(gs, ch.moment(p)))
-        worst = max(worst, *(su2.largest(su2.vec_dist(a, b)) for a, b in zip(lhs, rhs)))
+        rhs = su2.each(su2.adjoint, gs, ch.moment(p))
+        worst = max(worst, *map(su2.largest, su2.each(su2.vec_dist, lhs, rhs)))
     return worst
 
 

@@ -83,6 +83,38 @@ _BAD3 = ((0, 1, 2), (1, 2, 0), (1, 2, 0))
 _TRIV_LEFT3 = ((0, 1, 2),)
 _TRIV_RIGHT3 = ((0,), (1,), (2,))
 
+# FiniteBiset checks the action laws on generators only.  S3 (generated
+# by 1 and 2) and Z2xZ2 (generated by 1 and 2) have elements outside
+# those sets; tampering one of them must still fail the law it breaks.
+Z2Z2 = product_group(Z2, Z2)
+_S3_ID, _Z2Z2_ID = identity_biset(S3), identity_biset(Z2Z2)
+assert S3.generators() == Z2Z2.generators() == (1, 2)
+
+
+def _swap_row(table, row):
+    """table with the first two entries of one row swapped."""
+    r = table[row]
+    return table[:row] + ((r[1], r[0]) + r[2:],) + table[row + 1:]
+
+
+def _swap_column(table, col):
+    """table with the first two entries of one column swapped."""
+    return tuple(zip(*_swap_row(tuple(zip(*table)), col)))
+
+
+def _tamper_cases(group, ident, element):
+    """A left action tampered at element, a right action tampered at
+    element and a left action tampered at the identity, with the message
+    each must raise."""
+    return [
+        (group, group, _swap_row(ident.left, element), ident.right,
+         "left action not associative"),
+        (group, group, ident.left, _swap_column(ident.right, element),
+         "right action not associative"),
+        (group, group, _swap_row(ident.left, group.identity), ident.right,
+         "identities act nontrivially"),
+    ]
+
 
 @pytest.mark.parametrize("left_group, right_group, left, right, message", [
     (Z3, bs.TRIVIAL, _ROT3[:2], _TRIV_RIGHT3, "malformed left action"),
@@ -98,6 +130,13 @@ _TRIV_RIGHT3 = ((0,), (1,), (2,))
     (Z2, Z2, ((0, 1, 2), (1, 0, 2)), ((0, 0), (1, 2), (2, 1)), "actions do not commute"),
     (C128, C128, _tamper_last_row(identity_biset(C128).left), identity_biset(C128).right,
      "left action not associative"),
+    *_tamper_cases(S3, _S3_ID, 5),
+    *_tamper_cases(Z2Z2, _Z2Z2_ID, 3),
+    # lawful actions through the first and the second factor, swapping 0,1
+    # and 1,2: they fail to commute at the non-generator 3 too, and the
+    # check finds it on the generator pair (2, 1)
+    (Z2Z2, Z2Z2, ((0, 1, 2), (0, 1, 2), (1, 0, 2), (1, 0, 2)),
+     ((0, 0, 0, 0), (1, 2, 1, 2), (2, 1, 2, 1)), "actions do not commute"),
 ])
 def test_each_biset_law_is_checked_with_its_message(left_group, right_group, left, right,
                                                     message):

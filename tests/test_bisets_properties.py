@@ -1,5 +1,6 @@
-"""Property tests of the coded finite-group probes and transport against
-the tuple reference in tuple_oracle.py; they need the hypothesis package."""
+"""Property tests of the coded finite-group probes and transport, and of
+the biset law checks, against the tuple reference in tuple_oracle.py;
+they need the hypothesis package."""
 import math
 
 import numpy as np
@@ -10,12 +11,15 @@ from cobord2.bisets import (
     Correspondence,
     FiniteBiset,
     LieRInstance,
+    TableError,
     biregular_biset,
     copants_biset,
     cyclic,
     identity_biset,
     pants_biset,
     product_group,
+    symmetric3,
+    unit_biset,
 )
 
 import tuple_oracle as ref
@@ -127,3 +131,61 @@ def test_orbit_probe_matches_tuples_and_lies_in_the_relation(case):
     probes = dict(inst.probes(inst.seq(items)))
     for other in [probe] + list(probes.values()):
         assert np.isin(other.pairs, probes["relation"].pairs).all()
+
+
+@st.composite
+def _biset_tables(draw):
+    """(G, H, left, right): the tables of a biset built from a group of
+    order at most 6 (a product of two built-in groups, or S3), or of its
+    adjoint, one side possibly acting through a homomorphism from G x G,
+    and often tampered: two entries of one row of one table swapped, one
+    entry set to another point, or the left action conjugated by a
+    permutation of the carrier, which keeps it lawful but seldom
+    commuting with the right one."""
+    g = draw(st.sampled_from([cyclic(2), cyclic(3), symmetric3(),
+                              product_group(cyclic(2), cyclic(2)),
+                              product_group(cyclic(2), cyclic(3)),
+                              product_group(cyclic(3), cyclic(2))]))
+    gg = product_group(g, g)
+    n = g.order
+    shape = draw(st.sampled_from(["identity", "biregular", "pants", "copants", "unit",
+                                  "through"]))
+    if shape == "through":
+        hom = draw(st.sampled_from([[a // n for a in range(gg.order)],
+                                    [g.identity] * gg.order]))
+        m = _through(identity_biset(g), draw(st.sampled_from(["left", "right"])), gg, "h", hom)
+    else:
+        m = {"identity": identity_biset, "biregular": biregular_biset, "pants": pants_biset,
+             "copants": copants_biset, "unit": unit_biset}[shape](g)
+    if draw(st.booleans()):
+        m = m.adjoint()
+    tables = [list(map(list, m.left)), list(map(list, m.right))]
+    tamper = draw(st.sampled_from(["none", "swap", "set", "conjugate"]))
+    if tamper == "conjugate":
+        perm = draw(st.permutations(range(m.size)))
+        for row in tables[0]:
+            row[:] = [perm[row[x]] for x in np.argsort(perm)]
+    table = tables[draw(st.integers(0, 1))]
+    row = table[draw(st.integers(0, len(table) - 1))]
+    if tamper in ("swap", "set") and len(row) > 1:
+        i, j = draw(st.lists(st.integers(0, len(row) - 1), min_size=2, max_size=2, unique=True))
+        if tamper == "swap":
+            row[i], row[j] = row[j], row[i]
+        else:
+            row[i] = draw(st.integers(0, m.size - 1))
+    left, right = (tuple(map(tuple, t)) for t in tables)
+    return m.left_group, m.right_group, left, right
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_biset_tables())
+def test_biset_law_checks_on_generators_match_every_element(case):
+    # FiniteBiset checks each action law on generators only; the
+    # reference checks every element, so verdict and message must agree
+    want = ref.biset_law_error(*case)
+    try:
+        FiniteBiset("b", *case)
+        got = None
+    except TableError as err:
+        got = str(err)
+    assert got == (None if want is None else "b: " + want)

@@ -1,10 +1,11 @@
 """Property tests over seeded random chart points of genus <= 3 with
 <= 4 boundaries (<= 8 for the tangent layer): the chart moves, gauge
 fixing, the analytic constraint Jacobian, the glue/split round trip and
-moment equivariance, and that a batch of N points (one per lane) gives
+moment equivariance, that a batch of N points (one per lane) gives
 on each lane the bits of that lane run as a one-lane batch, and the
-float point of its seed to rounding.  They need the hypothesis
-package."""
+float point of its seed to rounding, and that the chart operations on
+a generator axis give every lane the bits of the one-generator-at-a-time
+reference in chart_reference.py.  They need the hypothesis package."""
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import chart_reference
 from chart_reference import fd_constraint_jacobian, kernel_dim_and_rank, round_trip_loop
 from cobord2 import _kernel, suites
 from cobord2 import charts as ch
@@ -34,11 +36,11 @@ FLOAT_TOL = {
 
 
 @st.composite
-def _chart(draw, min_k=1, max_genus=3):
+def _chart(draw, min_k=1, max_genus=3, max_k=4):
     """A chart with a random genus, boundary count and set of incoming
     circles."""
     genus = draw(st.integers(0, max_genus))
-    labels = tuple("c%d" % i for i in range(1, draw(st.integers(min_k, 4)) + 1))
+    labels = tuple("c%d" % i for i in range(1, draw(st.integers(min_k, max_k)) + 1))
     incoming = frozenset(draw(st.sets(st.sampled_from(labels))))
     return ch.ModuliChart(genus, labels, incoming)
 
@@ -324,6 +326,86 @@ def test_float_points_never_reach_numpy(case, seed):
     values = [v for p in points for v in ch.flatten_point(p)]
     values += [c for m in moments for c in m] + [residual]
     assert all(type(v) is float for v in values)
+
+
+# --- the generator axis equals the per-generator path, bit for bit ----------------------
+
+
+def _lane_bits(values, n):
+    """Each value, a float or an (n,) lane array, as the bits of n lanes."""
+    return [np.broadcast_to(np.asarray(v, dtype=float), (n,)).view(np.uint64) for v in values]
+
+
+def _equal_lanes(xs, ys, n):
+    """xs and ys agree bit for bit on each of n lanes, component by
+    component, a float standing for the same value on every lane."""
+    xs, ys = _lane_bits(xs, n), _lane_bits(ys, n)
+    return len(xs) == len(ys) and all(np.array_equal(a, b) for a, b in zip(xs, ys))
+
+
+def _same_bits(p, q, n):
+    """p and q lie in one chart and agree bit for bit on each of n lanes."""
+    return p.chart == q.chart and _equal_lanes(ch.flatten_point(p), ch.flatten_point(q), n)
+
+
+def _lane0(v):
+    """The first lane of a value, as floats."""
+    return type(v)(*(float(c[0]) if isinstance(c, np.ndarray) else c for c in v))
+
+
+@st.composite
+def _floats_in(draw, p):
+    """p with some of its generators made floats: the identity or a zero
+    vector, as sample_on_locus pins them and split sets an arc, or the
+    generator's first lane."""
+    def pick(v, plain):
+        choice = draw(st.sampled_from(("lanes", "plain", "lane0")))
+        return v if choice == "lanes" else plain if choice == "plain" else _lane0(v)
+
+    zero = su2.AlgVector(0.0, 0.0, 0.0)
+    thetas = tuple(pick(t, zero) for t in p.thetas)
+    gammas = tuple(pick(g, su2.ONE) for g in p.gammas)
+    handles = tuple((pick(a, su2.ONE), pick(b, su2.ONE)) for a, b in p.handles)
+    return ch.ChartPoint(p.chart, thetas, gammas, handles)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_chart(max_genus=8, max_k=3), SEEDS, st.booleans(),
+       st.sampled_from((ch.ADMISSIBLE_MARGIN, 0.5)), st.data())
+def test_generator_axis_equals_the_per_generator_path(chart, seeds, zero_thetas, margin, data):
+    n = len(seeds)
+    seeds = np.array(seeds, dtype=np.uint64)
+    # margin 0.5 rejects about half the draws, so lanes redraw at
+    # different trial indices
+    with mock.patch.object(ch, "ADMISSIBLE_MARGIN", margin):
+        p = ch.random_point(chart, seeds, zero_thetas=zero_thetas)
+        assert _same_bits(p, chart_reference.random_point_loop(chart, seeds, zero_thetas), n)
+    gs = tuple(su2.sample_haar(su2.mix_seed(seeds, 7, i)) for i in range(chart.k))
+    for q in (p, data.draw(_floats_in(p))):
+        assert _equal_lanes(ch.chart_defect(q), chart_reference.defect_loop(q), n)
+        moved = ch.action(gs, q)
+        assert _same_bits(moved, chart_reference.action_loop(gs, q), n)
+        assert _same_bits(ch.canonical_gauge(q), chart_reference.canonical_gauge_loop(q), n)
+        assert _equal_lanes([ch.point_distance(q, moved)],
+                            [chart_reference.point_distance_loop(q, moved)], n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_glue_case(), SEEDS, st.sampled_from((su2.BRANCH_EPS, 0.5)))
+def test_glue_and_split_on_the_generator_axis_equal_the_per_generator_path(case, seeds, eps):
+    chart1, chart2, label = case
+    seeds = np.array(seeds, dtype=np.uint64)
+    # eps 0.5 drops about a quarter of the lanes as on the excluded locus
+    with mock.patch.object(su2, "near_minus_one", lambda q, e=eps: q[0] <= -1.0 + e):
+        kept, glued, recipe = _glue_lanes(*_matched(chart1, chart2, label, seeds), label,
+                                          len(seeds))
+        p1, p2 = (ch.select_lanes(x, kept) for x in _matched(chart1, chart2, label, seeds))
+        want, want_recipe = chart_reference.glue_loop(p1, label, p2, label)
+    n = len(kept)
+    assert recipe == want_recipe and _same_bits(glued, want, n)
+    for got, ref in zip(ch.split(glued, recipe), chart_reference.split_loop(glued, recipe),
+                        strict=True):
+        assert _same_bits(got, ref, n)
 
 
 # --- the round trip and equivariance laws over random charts ------------------------

@@ -185,6 +185,30 @@ def test_cli_axioms_empty_catalog_trivially_passes(tmp_path):
     assert code == 0
 
 
+def test_cli_main_calls_share_one_parser_and_keep_nothing(monkeypatch):
+    # main builds its parser once per process; each call must still give
+    # the report and exit code of a run whose parser is built fresh
+    import json
+
+    runs = [
+        ["moduli", "--grid", "1,2", "--trials", "3", "--seed", "4", "--samples", "2"],
+        # no --seed: COBORD2_SEED, not the 4 above, seeds this one, and it fails
+        ["moduli", "--grid", "1,1", "--trials", "3", "--tol-residual", "1e-30"],
+        ["functor", "eval", str(DATA / "cylinder.cdf")],
+        ["moduli", "--grid", "0,2", "--trials", "2"],
+    ]
+    monkeypatch.setenv("COBORD2_SEED", "11")
+    shared = [run_cli(argv)[:2] for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(argv)[:2])
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 1, 0, 0]
+    assert [json.loads(out)["config"]["seed"] for _, out in shared] == [4, 11, 11, 11]
+    assert json.loads(shared[3][1])["config"]["trials"] == 2
+
+
 def test_cli_env_seed_override(tmp_path, monkeypatch):
     f1, f2, f3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     monkeypatch.setenv("COBORD2_SEED", "99")

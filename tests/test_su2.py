@@ -256,6 +256,35 @@ def test_haar_redraws_a_short_gaussian():
     assert _close(lanes, scalar)
 
 
+def _bits(values):
+    """The components of a list of values, each broadcast to the lanes,
+    as one uint64 array."""
+    return np.array([np.broadcast_to(np.asarray(c, dtype=float), len(LANE_SEEDS))
+                     for v in values for c in (v if isinstance(v, tuple) else (v,))]).view(np.uint64)
+
+
+def test_each_on_a_generator_axis_equals_a_call_per_generator():
+    qs = [su2.sample_haar(su2.mix_seed(_lanes(), i)) for i in range(4)]
+    # floats inside the lanes, as a pinned handle or a zero theta
+    mixed = [qs[1], su2.ONE, qs[3], UnitQuaternion(0.5, 0.5, -0.5, 0.5)]
+    for f, cols in ((su2.commutator, (qs, mixed)), (su2.commutator, (mixed, qs)),
+                    (su2.quat_dist, (qs, mixed)), (su2.mul, ([su2.ONE, qs[0]], qs[2:]))):
+        got = su2.each(f, *cols)
+        assert np.array_equal(_bits(got), _bits([f(*xs) for xs in zip(*cols)]))
+        assert all(type(g) is type(w) for g, w in zip(got, map(f, *cols)))
+    # a stack of seeds against columns of ints, one sample_haar call
+    with mock.patch.object(su2, "SplitMix64", wraps=su2.SplitMix64) as rng:
+        got = su2.each(lambda s, tag, i: su2.sample_haar(su2.mix_seed(s, tag, i)),
+                       [_lanes()] * 3, (3, 4, 3), (0, 0, 1))
+    assert rng.call_count == 1 and rng.call_args.args[0].shape == (3, len(LANE_SEEDS))
+    want = [su2.sample_haar(su2.mix_seed(_lanes(), tag, i)) for tag, i in ((3, 0), (4, 0), (3, 1))]
+    assert np.array_equal(_bits(got), _bits(want))
+    # floats stay floats, one generator at a time
+    vs = [AlgVector(0.1, 0.2, 0.3), AlgVector(-0.3, 0.0, 0.2)]
+    assert su2.each(su2.exp_su2, vs) == [su2.exp_su2(v) for v in vs]
+    assert su2.each(su2.exp_su2, []) == []
+
+
 def test_kernel_lanes_equal_the_scalar_kernel():
     qs = su2.sample_haar(_lanes())
     vs = su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 1))

@@ -213,3 +213,26 @@ def diagram_collapse(diagram, inst) -> frozenset:
     orbit_of = inst.collapse(cur_items).orbit_of
     code = {t: c for c, t in enumerate(product_tuples(cur_items))}
     return frozenset((s, int(orbit_of[code[t]])) for s, t in rel)
+
+
+def biset_law_error(left_group, right_group, left, right):
+    """The first biset law that the action tables left[g][x] and
+    right[x][h] break, worded as cobord2.bisets.FiniteBiset words it, or
+    None.  Every law is checked on every element, with no integer
+    arrays, in FiniteBiset's order."""
+    G, H = left_group, right_group
+    m = len(right)
+    if len(left) != G.order or any(len(row) != m for row in left):
+        return "malformed left action"
+    if len(right) != m or any(len(row) != H.order for row in right):
+        return "malformed right action"
+    xs, gs, hs = range(m), range(G.order), range(H.order)
+    if any(left[G.identity][x] != x or right[x][H.identity] != x for x in xs):
+        return "identities act nontrivially"
+    if any(left[G.mult[g][k]][x] != left[g][left[k][x]] for g in gs for k in gs for x in xs):
+        return "left action not associative"
+    if any(right[x][H.mult[h][k]] != right[right[x][h]][k] for x in xs for h in hs for k in hs):
+        return "right action not associative"
+    if any(right[left[g][x]][h] != left[g][right[x][h]] for g in gs for x in xs for h in hs):
+        return "actions do not commute"
+    return None
