@@ -1,69 +1,33 @@
-"""Quaternion kernel over floats or over lanes of floats.
+"""Quaternion kernel over lanes of floats.
 
 Quaternions are 4-tuples (w, x, y, z), su(2) vectors 3-tuples (a, b, c)
-of pure-quaternion coefficients.  A component is a Python float (one
-point) or an (N,) float64 array (N points, one per lane); the two may
-mix in one tuple, a float standing for the same value on every lane.
-Every function here has one body for both kinds: sqrt, sin, cos, log,
-atan2, hypot and cbrt call math on floats and numpy's sqrt, sin, cos,
-log, arctan2, hypot and cbrt on lanes, select picks a branch by a bool
-or per lane by a boolean array, and the rest is arithmetic.  A float
-input never reaches numpy.
+of pure-quaternion coefficients.  A component is an (N,) float64 array,
+one point per lane; a float in a tuple stands for the same value on
+every lane (a zero theta, a pinned identity).  sqrt, sin, cos, log,
+atan2, hypot and cbrt are numpy's, select is np.where, and the rest is
+arithmetic.
 
 numpy computes each element of these functions on its own, so a lane
-has the bits of its input run as a one-lane batch.  A lane and its
-float agree to rounding only.  numpy's sqrt, sin and cos match math bit
-for bit on x86-64 with numpy 2.4, and + - * / are the same IEEE
-operations; its log, arctan2 and hypot are within 1 ulp of math's, and
-its cbrt within 2 ulp of math.pow(x, 1/3), which floats use (1M inputs
-each, AVX-512 dispatch).
+has the bits of its input run as a one-lane batch.  numpy's sqrt, sin
+and cos match math bit for bit on x86-64 with numpy 2.4, and + - * /
+are the same IEEE operations; its log, arctan2 and hypot are within
+1 ulp of math's, and its cbrt within 2 ulp of math.pow(x, 1/3) (1M
+inputs each, AVX-512 dispatch).
 """
-
-import math
 
 import numpy as np
 
 # Norm drift stays below 1e-12 if chains renormalize at this cadence.
 RENORM_EVERY = 16
 
-
-def sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def cos(x):
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
-
-
-def sin(x):
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
-
-
-def log(x):
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
-
-
-def atan2(y, x):
-    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
-        return np.arctan2(y, x)
-    return math.atan2(y, x)
-
-
-def hypot(x, y):
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.hypot(x, y)
-    return math.hypot(x, y)
-
-
-def cbrt(x):
-    """Cube root of x >= 0: math.pow(x, 1/3) on a float, np.cbrt on lanes."""
-    return np.cbrt(x) if isinstance(x, np.ndarray) else math.pow(x, 1.0 / 3.0)
-
-
-def select(cond, a, b):
-    """a if cond else b for a bool; per lane, np.where, for a boolean
-    lane array."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+sqrt = np.sqrt
+cos = np.cos
+sin = np.sin
+log = np.log
+atan2 = np.arctan2
+hypot = np.hypot
+cbrt = np.cbrt
+select = np.where  # select(cond, a, b): a where the lane's cond holds, else b
 
 
 def qmul(p, q):

@@ -112,16 +112,19 @@ class CdfDocument:
             return self.steps
         if self.manifold is None:
             raise ParseError("document has neither steps nor a manifold")
-        kind = self.manifold[0]
+        kind, args = self.manifold[0], self.manifold[1:]
         if kind == "cylinder":
             if not self.chain:
                 raise ParseError("cylinder needs a @chain")
             return cb.cylinder_seq(self.chain)
         if kind == "solid_torus":
-            return cb.solid_torus_seq(*self.manifold[1:])
+            if len(args) > 1:
+                raise ParseError("solid_torus takes at most one circle label, got %r" % (args,))
+            return cb.solid_torus_seq(*args)
         if kind == "closed_surface":
-            chain = cb.closed_surface_chain(int(self.manifold[1]))
-            return cb.cylinder_seq(chain)
+            if len(args) != 1 or not args[0].isdigit():
+                raise ParseError("closed_surface needs one genus >= 0, got %r" % (args,))
+            return cb.cylinder_seq(cb.closed_surface_chain(int(args[0])))
         raise ParseError("unknown manifold %r" % kind)
 
 

@@ -46,30 +46,24 @@ Gamma e^theta Gamma^-1, and the basepoint loop e^{theta_1} = D^-1 the
 inverted factors of D = chart_defect.  exp_su2 has bracket
 [u, w] = 2 u x w, so J_l(v) is the SO(3) left Jacobian at 2v (see su2).
 
-Batches.  A ChartPoint whose components are (N,) float64 arrays is N
-points of one chart, one per lane (su2 states the float-or-array
-convention: floats go through math, lanes through numpy's elementwise
-functions).  random_point takes a uint64 seed array and draws on each
-lane the point its seed draws as a one-lane batch; boundary_loop,
-chart_defect, is_admissible, theta1_of, relation_residual, theta_raw,
-moment, action, the chart moves, glue, split, canonical_gauge,
-point_distance and gauge_equivalent accept batches and act lane by
-lane, with the bits on each lane that a one-lane batch of it gets.  The
-float point of a seed agrees with its lane to rounding only, since
-numpy's log, arctan2 and hypot differ from math's in the last place.
-A BranchError raised on a batch names the offending lanes
-(BranchError.lanes); select_lanes drops them and lane_points unpacks a
-batch into points of floats.  The tangent layer takes batches too:
-eval_word, constraint_map, the Jacobians and relation_kernel_dim,
-locus_tangent, with the lanes on a leading axis of every array they
-return (a (3, D) Jacobian becomes (N, 3, D), and one stacked SVD serves
-the batch), and sample_on_locus on a seed array.  numpy's matmul and SVD
-treat each matrix of a stack as they treat it alone, so a lane's arrays
-do not depend on the other lanes either.
+Batches.  Every ChartPoint is a batch: its components are (N,) float64
+arrays, N points of one chart, one per lane, and a float component
+stands for the same value on every lane (a zero theta, a pinned
+identity).  random_point takes a uint64 seed array and draws on each
+lane the point its seed draws as a one-lane batch; every map here acts
+lane by lane, with the bits on each lane that a one-lane batch of it
+gets.  A BranchError names the offending lanes (BranchError.lanes), and
+select_lanes drops them.  The tangent layer puts the lanes on a leading
+axis of every array it returns (a (3, D) Jacobian becomes (N, 3, D), and
+one stacked SVD serves the batch); numpy's matmul and SVD treat each
+matrix of a stack as they treat it alone, so a lane's arrays do not
+depend on the other lanes either.  sample_on_locus refines its lanes by
+Gauss-Newton with one stacked least-squares solve per iteration over the
+lanes still active; a lane leaves the solve at the iteration where it
+converges or fails.
 A point computes its chart_defect once (ChartPoint.defect), for
 admissibility, theta_1 and the relation residual alike; a point is
 frozen and every map builds a new one.
-Gauss-Newton refinement (perturb, lstsq) stays one point at a time.
 
 Generators.  Work done once per generator of a batch (Gamma_i, A_j,
 B_j, theta_i) runs as one call over a generator axis (su2.each): the
@@ -83,8 +77,7 @@ the rotations, glue, split, canonical_gauge and point_distance map
 their arcs and handles the same way.  numpy computes each element on
 its own, so every lane of every generator keeps the bits it has from a
 call of its own, and products along a word (su2.product, the prefix
-products of the Jacobians) stay one factor at a time.  A float point
-runs generator by generator, as before.
+products of the Jacobians) stay one factor at a time.
 """
 
 from __future__ import annotations
@@ -130,12 +123,14 @@ class ConstraintViolated(ValueError):
 
 
 class SamplingFailed(RuntimeError):
-    """No admissible or on-locus sample.  On a seed array, ``lanes`` is
-    the boolean mask of the seeds that found none."""
+    """No admissible or on-locus sample.  ``lanes`` is the boolean mask
+    of the seeds that found none, and ``point`` the batch of the other
+    lanes (those ~lanes picks, in order), which did find one."""
 
-    def __init__(self, message, lanes=None):
+    def __init__(self, message, lanes, point):
         super().__init__(message)
         self.lanes = lanes
+        self.point = point
 
 
 @dataclass(frozen=True)
@@ -205,15 +200,8 @@ def _map_point(f, p: ChartPoint, *others) -> ChartPoint:
 
 def select_lanes(p: ChartPoint, lanes) -> ChartPoint:
     """The batch of the lanes of p that lanes (an index or boolean
-    array) picks; float components stay floats."""
+    array) picks; a float component, the same on every lane, stays."""
     return _map_point(lambda c: c[lanes] if isinstance(c, np.ndarray) else c, p)
-
-
-def lane_points(p: ChartPoint, n: int) -> list:
-    """The n points of a batch, one ChartPoint of floats per lane (a
-    chart without coordinates has nothing to tell its lanes apart)."""
-    cols = _map_point(lambda c: c.tolist() if isinstance(c, np.ndarray) else c, p)
-    return [_map_point(lambda c: c[i] if isinstance(c, list) else c, cols) for i in range(n)]
 
 
 def boundary_loop(p: ChartPoint, pos: int) -> UnitQuaternion:
@@ -280,7 +268,7 @@ def _defect(p: ChartPoint) -> UnitQuaternion:
     return su2.product(factors)
 
 
-def is_admissible(p: ChartPoint, margin: float = su2.BRANCH_EPS) -> bool:
+def is_admissible(p: ChartPoint, margin: float = su2.BRANCH_EPS) -> np.ndarray:
     return p.defect[0] > -1.0 + margin
 
 
@@ -290,7 +278,7 @@ def theta1_of(p: ChartPoint) -> AlgVector:
     return log_su2(inv(p.defect))
 
 
-def relation_residual(p: ChartPoint) -> float:
+def relation_residual(p: ChartPoint) -> np.ndarray:
     """|e^{theta_1} c_2 ... c_k [A,B]... - 1|; zero by construction up
     to rounding."""
     return su2.quat_dist(mul(exp_su2(theta1_of(p)), p.defect), ONE)
@@ -326,20 +314,19 @@ def action(gs, p: ChartPoint) -> ChartPoint:
 
 
 def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPoint:
-    """Admissible point with ball-uniform thetas and Haar holonomies;
-    deterministic in the seed, resampling away from the excluded locus.
-
-    A uint64 seed array gives a batch, one point per seed: only the
-    rejected lanes redraw, with the next trial index, so each lane is
-    the point its seed gives as a one-lane batch."""
-    todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
+    """Admissible points with ball-uniform thetas and Haar holonomies,
+    one per seed of the uint64 array seed; deterministic in the seed,
+    resampling away from the excluded locus.  Only the rejected lanes
+    redraw, with the next trial index, so each lane is the point its
+    seed gives as a one-lane batch."""
+    todo = np.arange(len(seed))
     out = None
     k1, g = chart.k - 1, chart.genus
     # seed tags: 1 theta_i, 2 Gamma_i, 3 A_j, 4 B_j, each with its index
     tags = (2,) * k1 + (3, 4) * g
     index = tuple(range(k1)) + tuple(j for j in range(g) for _ in (3, 4))
     for trial in range(64):
-        s = mix_seed(seed if todo is None else seed[todo], trial)
+        s = mix_seed(seed[todo], trial)
         if zero_thetas:
             thetas = (AlgVector(0.0, 0.0, 0.0),) * k1
         else:
@@ -348,20 +335,14 @@ def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPo
         qs = su2.each(lambda s, tag, i: sample_haar(mix_seed(s, tag, i)),
                       (s,) * len(tags), tags, index)
         p = ChartPoint(chart, thetas, tuple(qs[:k1]), _pairs(qs[k1:]))
-        ok = is_admissible(p, ADMISSIBLE_MARGIN)
-        if todo is None:
-            if ok:
-                return p
-            continue
-        ok = np.broadcast_to(ok, todo.shape)  # one bool for a chart without coordinates
+        ok = np.broadcast_to(is_admissible(p, ADMISSIBLE_MARGIN), todo.shape)
         out = p if out is None else _map_point(lambda a, b: _put(a, todo, b), out, p)
         todo = todo[~ok]
         if not len(todo):
             return out
-    if todo is None:
-        raise SamplingFailed("no admissible point found, seed %d" % seed)
+    lost = _mask(len(seed), todo)
     raise SamplingFailed("no admissible point found on %d lanes, seed %d"
-                         % (len(todo), seed[todo[0]]), _mask(len(seed), todo))
+                         % (len(todo), seed[todo[0]]), lost, select_lanes(out, ~lost))
 
 
 def _mask(n: int, lanes) -> np.ndarray:
@@ -678,16 +659,17 @@ def eval_word(p: ChartPoint, word: Word) -> UnitQuaternion:
     return out
 
 
-def word_residual(p: ChartPoint, word: Word) -> float:
+def word_residual(p: ChartPoint, word: Word) -> np.ndarray:
     return su2.quat_dist(eval_word(p, word), ONE)
 
 
 # --- tangent computations ----------------------------------------------------------
 
 
-def perturb(p: ChartPoint, coord: int, h: float) -> ChartPoint:
-    """Shift one ambient coordinate: additive on theta components,
-    left-translation by exp(h e_i) on quaternion generators."""
+def perturb(p: ChartPoint, coord: int, h) -> ChartPoint:
+    """Shift one ambient coordinate by h (a float, or an (N,) array of
+    steps, one per lane): additive on theta components, left-translation
+    by exp(h e_i) on quaternion generators."""
     k1 = p.chart.k - 1
     if coord < 3 * k1:
         i, c = divmod(coord, 3)
@@ -806,16 +788,18 @@ def _rank(s, rtol: float):
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """On a batch, rank is an (N,) int array and vectors holds one
-    kernel basis per lane, a (dim - rank, dim) array."""
-    vectors: tuple  # orthonormal kernel basis, rows of length chart.dim
+    """rank is an (N,) int array and vectors holds one kernel basis per
+    lane, a (dim - rank, dim) array.  A constraint differential that is
+    the same on every lane (no words, or pinned generators only) gives
+    an int rank and one basis, rows of length chart.dim."""
+    vectors: tuple  # orthonormal kernel basis per lane
     rank: int
 
 
 def locus_tangent(p: ChartPoint, words, rtol: float = SVD_RTOL) -> TangentFrame:
-    """Kernel of the constraint differential at an on-locus point via
-    SVD rank with threshold rtol * sigma_max; lane by lane on a batch,
-    which raises ConstraintViolated if any lane is off the locus."""
+    """Kernel of the constraint differential at on-locus points via SVD
+    rank with threshold rtol * sigma_max, lane by lane; raises
+    ConstraintViolated if any lane is off the locus."""
     d = p.chart.dim
     if not words:
         basis = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
@@ -826,7 +810,7 @@ def locus_tangent(p: ChartPoint, words, rtol: float = SVD_RTOL) -> TangentFrame:
     jac = constraint_jacobian(p, words)
     u, s, vt = np.linalg.svd(jac)
     rank = _rank(s, rtol)
-    if isinstance(rank, int):
+    if jac.ndim == 2:
         return TangentFrame(tuple(map(tuple, vt[rank:])), rank)
     return TangentFrame(tuple(v[r:] for v, r in zip(vt, rank.tolist())), rank)
 
@@ -857,20 +841,19 @@ def relation_kernel_dim(p: ChartPoint, rtol: float = SVD_RTOL) -> tuple:
 
 
 def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
-    """Point satisfying Hol_w = 1 for every word.
+    """Points satisfying Hol_w = 1 for every word, one per seed of the
+    uint64 array seed.
 
     Single-generator words are solved exactly by pinning the generator;
     anything else falls back to seeded Gauss-Newton refinement down to
     residual 1e-10.
 
-    A uint64 seed array gives a batch, one sample per seed.  All lanes
-    draw, pin and test admissibility at once; a lane that fails moves
-    on to its next attempt seed, and Newton refines one lane at a time
-    on floats, so each lane is the point its seed gives as a one-lane
-    batch.  A lane whose random_point draw fails stops there, as its
-    seed alone raises.  If any lane finds no sample, SamplingFailed
-    names them all (its lanes mask); the other seeds, sampled again,
-    give the same points."""
+    All lanes draw, pin, refine and test admissibility at once; a lane
+    that fails moves on to its next attempt seed, so each lane is the
+    point its seed gives as a one-lane batch.  A lane whose random_point
+    draw fails stops there, as its seed alone raises.  If any lane finds
+    no sample, SamplingFailed names them all (its lanes mask) and carries
+    the points of the others."""
     pinned_handles = {}
     pinned_thetas = set()
     hard = []
@@ -882,131 +865,119 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
             pinned_thetas.add(chart.index_of(single[1]) - 1)
         else:
             hard.append(w)
-    todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
+    todo = np.arange(len(seed))
     out = None
     failed = []  # lanes whose random_point draw failed
     for attempt in range(LOCUS_RESTARTS):
         try:
-            p = random_point(chart, mix_seed(seed if todo is None else seed[todo], 101, attempt))
-        except SamplingFailed as err:
-            if todo is None:
-                raise
-            failed.extend(todo[err.lanes].tolist())
-            todo = todo[~err.lanes]
             p = random_point(chart, mix_seed(seed[todo], 101, attempt))
-        thetas = tuple(
-            AlgVector(0.0, 0.0, 0.0) if i in pinned_thetas else t
-            for i, t in enumerate(p.thetas)
-        )
-        handles = tuple(
-            (
-                pinned_handles.get((j, 0), a),
-                pinned_handles.get((j, 1), b),
-            )
-            for j, (a, b) in enumerate(p.handles)
-        )
-        p = ChartPoint(chart, thetas, p.gammas, handles)
-        ok = is_admissible(p, ADMISSIBLE_MARGIN)
+        except SamplingFailed as err:
+            failed.extend(todo[err.lanes].tolist())
+            todo, p = todo[~err.lanes], err.point
+        p = _pin(p, pinned_thetas, pinned_handles)
+        ok = np.broadcast_to(is_admissible(p, ADMISSIBLE_MARGIN), todo.shape)
         if hard:
             p, ok = _refine_lanes(p, ok, words, pinned_thetas, pinned_handles)
         if words:
             ok = _residual_below(p, ok, words, 1e-10)
         ok = ok & is_admissible(p, ADMISSIBLE_MARGIN)
-        if todo is None:
-            if ok:
-                return p
-            continue
-        ok = np.broadcast_to(ok, todo.shape)  # one bool when nothing is left to draw
         if out is None:
             out = _map_point(lambda c: np.empty(len(seed)) if isinstance(c, np.ndarray) else c, p)
         out = _map_point(lambda a, b: _put(a, todo, b), out, p)
         todo = todo[~ok]
         if not len(todo):
             break
-    if todo is None:
-        raise SamplingFailed("no on-locus sample after %d restarts" % LOCUS_RESTARTS)
     if failed or len(todo):
-        lost = failed + todo.tolist()
+        lost = _mask(len(seed), failed + todo.tolist())
         raise SamplingFailed("no on-locus sample on %d lanes: %d draws failed, %d used up %d "
-                             "restarts" % (len(lost), len(failed), len(todo), LOCUS_RESTARTS),
-                             _mask(len(seed), lost))
+                             "restarts" % (np.count_nonzero(lost), len(failed), len(todo),
+                                           LOCUS_RESTARTS),
+                             lost, None if out is None else select_lanes(out, ~lost))
     return out
 
 
+def _pin(p: ChartPoint, pinned_thetas, pinned_handles) -> ChartPoint:
+    """p with the pinned thetas set to zero and the pinned handle
+    holonomies to their values."""
+    thetas = tuple(AlgVector(0.0, 0.0, 0.0) if i in pinned_thetas else t
+                   for i, t in enumerate(p.thetas))
+    handles = tuple((pinned_handles.get((j, 0), a), pinned_handles.get((j, 1), b))
+                    for j, (a, b) in enumerate(p.handles))
+    return ChartPoint(p.chart, thetas, p.gammas, handles)
+
+
 def _refine_lanes(p: ChartPoint, ok, words, pinned_thetas, pinned_handles):
-    """(p, ok) after Newton refinement of every point or lane that ok
-    admits, each as a point of floats; ok drops those that fail."""
-    if not isinstance(ok, np.ndarray):
-        q = _newton_refine(p, words, pinned_thetas, pinned_handles) if ok else None
-        return (p, False) if q is None else (q, True)
+    """(p, ok) after Gauss-Newton refinement of the lanes that ok admits;
+    ok drops the lanes that fail.
+
+    Each iteration takes one stacked least-squares solve over the lanes
+    still active.  A lane whose residual is at most 1e-12 leaves as
+    converged, one whose step is not finite leaves as failed, and after
+    NEWTON_ITERS iterations the rest pass at residual 1e-10.  The step
+    is capped at length 0.5, applied coordinate by coordinate in
+    perturb's order; thetas are pulled back inside the ball and pinned
+    generators reset.  A lane's iterations use only its own rows, so it
+    refines as its one-lane batch does."""
     lanes = np.flatnonzero(ok)
-    refined = [_newton_refine(q, words, pinned_thetas, pinned_handles)
-               for q in lane_points(select_lanes(p, lanes), len(lanes))]
-    done = lanes[[q is not None for q in refined]]
-    if len(done):
-        p = _map_point(lambda a, *qs: _put(a, done, np.array(qs)), p,
-                       *(q for q in refined if q is not None))
-    return p, _mask(len(ok), done)
+    q = select_lanes(p, lanes)
+    rows, dim = 3 * len(words), p.chart.dim
+    done = []  # (lane indices, their refined batch)
+    for _ in range(NEWTON_ITERS):
+        # a word may take no lanes from the batch
+        f = np.broadcast_to(constraint_map(q, words), (len(lanes), rows))
+        conv = np.max(np.abs(f), axis=-1, initial=0.0) <= 1e-12
+        done.append((lanes[conv], select_lanes(q, conv)))
+        q, lanes, f = select_lanes(q, ~conv), lanes[~conv], f[~conv]
+        if not len(lanes):
+            break
+        jac = np.broadcast_to(constraint_jacobian(q, words), (len(lanes), rows, dim))
+        # minimum-norm least squares, singular values cut at max(rows, dim) * eps
+        dx = (np.linalg.pinv(jac, rtol=None) @ -f[..., None])[..., 0]
+        finite = np.all(np.isfinite(dx), axis=-1)
+        q, lanes, dx = select_lanes(q, finite), lanes[finite], dx[finite]
+        if not len(lanes):
+            break
+        # a step longer than 0.5 shrinks to 0.5
+        dx = dx * (0.5 / np.maximum(np.linalg.norm(dx, axis=-1), 0.5))[:, None]
+        for coord in range(dim):
+            q = perturb(q, coord, dx[:, coord])
+        thetas = []
+        for t in q.thetas:
+            n = t.norm()
+            thetas.append(su2.where(n >= math.pi - 1e-6,
+                                    su2.vec_scale(t, (math.pi - 1e-3) / np.maximum(n, 1.0)), t))
+        q = _pin(ChartPoint(q.chart, tuple(thetas), q.gammas, q.handles),
+                 pinned_thetas, pinned_handles)
+    else:
+        f = np.broadcast_to(constraint_map(q, words), (len(lanes), rows))
+        conv = np.max(np.abs(f), axis=-1, initial=0.0) <= 1e-10
+        done.append((lanes[conv], select_lanes(q, conv)))
+    for idx, r in done:
+        if len(idx):
+            p = _map_point(lambda a, b: _put(a, idx, b), p, r)
+    return p, _mask(len(ok), np.concatenate([idx for idx, _ in done]))
 
 
 def _residual_below(p: ChartPoint, ok, words, tol: float):
     """ok, narrowed to where the constraint residual is at most tol; a
-    lane that ok rejects is not evaluated, as a rejected point is not."""
-    if not isinstance(ok, np.ndarray):
-        return bool(ok) and float(np.max(np.abs(constraint_map(p, words)))) <= tol
+    lane that ok rejects is not evaluated."""
     lanes = np.flatnonzero(ok)
     res = np.max(np.abs(constraint_map(select_lanes(p, lanes), words)), axis=-1)
     return _mask(len(ok), lanes[np.broadcast_to(res <= tol, lanes.shape)])
-
-
-def _newton_refine(p, words, pinned_thetas, pinned_handles):
-    for _ in range(NEWTON_ITERS):
-        f = constraint_map(p, words)
-        if float(np.max(np.abs(f))) <= 1e-12:
-            return p
-        jac = constraint_jacobian(p, words)
-        dx, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        if not np.all(np.isfinite(dx)):
-            return None
-        scale = 1.0
-        nrm = float(np.linalg.norm(dx))
-        if nrm > 0.5:
-            scale = 0.5 / nrm
-        for coord, delta in enumerate(dx):
-            if delta != 0.0:
-                p = perturb(p, coord, float(delta) * scale)
-        thetas = []
-        for i, t in enumerate(p.thetas):
-            if i in pinned_thetas:
-                thetas.append(AlgVector(0.0, 0.0, 0.0))
-            elif t.norm() >= math.pi - 1e-6:
-                thetas.append(su2.vec_scale(t, (math.pi - 1e-3) / t.norm()))
-            else:
-                thetas.append(t)
-        handles = tuple(
-            (pinned_handles.get((j, 0), a), pinned_handles.get((j, 1), b))
-            for j, (a, b) in enumerate(p.handles)
-        )
-        p = ChartPoint(p.chart, tuple(thetas), p.gammas, handles)
-    f = constraint_map(p, words)
-    return p if float(np.max(np.abs(f))) <= 1e-10 else None
 
 
 # --- gauge comparison -----------------------------------------------------------------
 
 
 def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
-    """Minimal rotation sending direction v to direction u; on lanes the
+    """Minimal rotation sending direction v to direction u; the
     degenerate and antiparallel cases are chosen per lane."""
     nv, nu = v.norm(), u.norm()
     degenerate = (nv < 1e-12) | (nu < 1e-12)
-    if degenerate is True:
-        return ONE
-    if degenerate is not False:
-        # a degenerate lane turns the x-axis to itself, by ONE
-        x_axis = AlgVector(1.0, 0.0, 0.0)
-        v, u = su2.where(degenerate, x_axis, v), su2.where(degenerate, x_axis, u)
-        nv, nu = np.where(degenerate, 1.0, nv), np.where(degenerate, 1.0, nu)
+    # a degenerate lane turns the x-axis to itself, by ONE
+    x_axis = AlgVector(1.0, 0.0, 0.0)
+    v, u = su2.where(degenerate, x_axis, v), su2.where(degenerate, x_axis, u)
+    nv, nu = np.where(degenerate, 1.0, nv), np.where(degenerate, 1.0, nu)
     a = AlgVector(v.a / nv, v.b / nv, v.c / nv)
     b = AlgVector(u.a / nu, u.b / nu, u.c / nu)
     cross = AlgVector(
@@ -1015,14 +986,12 @@ def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
     dot = a.a * b.a + a.b * b.b + a.c * b.c
     s = cross.norm()
     parallel = s < 1e-12
-    if parallel is True:
-        return ONE if dot > 0 else _half_turn(a)
-    if su2.any_lane(parallel):
+    if parallel.any():
         s = np.where(parallel, 1.0, s)
     angle = _kernel.atan2(s, dot)
     out = exp_su2(AlgVector(cross.a / s * angle / 2, cross.b / s * angle / 2,
                             cross.c / s * angle / 2))
-    if su2.any_lane(parallel):
+    if parallel.any():
         out = su2.where(parallel, su2.where(dot > 0, ONE, _half_turn(a)), out)
     return out
 
@@ -1050,8 +1019,8 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
     diagonal rotation is pinned by sending the first usable frame
     vector (handle logs first, boundary values after) to the x-axis and
     the next independent one into the upper xy-plane.  Returns the
-    canonical point.  On a batch every lane makes these choices for
-    itself; open marks the lanes still looking."""
+    canonical point.  Every lane makes these choices for itself; open
+    marks the lanes still looking."""
     k = p.chart.k
     fix = (ONE,) + tuple(p.gammas)
     q = action(fix, p)
@@ -1060,44 +1029,42 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
         frame.append(_vec(a))
         frame.append(_vec(b))
     frame.extend(q.thetas)
-    v1, open_ = None, True
+    v1, open_ = None, np.True_
     for v in frame:
         n = v.norm()
         take = open_ & (n > 1e-8)
-        if su2.any_lane(take):
+        if take.any():
             v1 = v if v1 is None else su2.where(take, v, v1)
             open_ = open_ & (n <= 1e-8)
-            if not su2.any_lane(open_):
+            if not open_.any():
                 break
     if v1 is None:
         return q
     r1 = _rotation_between(v1, AlgVector(v1.norm(), 0.0, 0.0))
-    twist, twist_open = ONE, True
+    twist, twist_open = ONE, np.True_
     for v in frame:
         w = adjoint(r1, v)
         planar = _kernel.hypot(w.b, w.c)
         take = twist_open & (planar > 1e-8)
-        if su2.any_lane(take):
+        if take.any():
             ang = _kernel.atan2(w.c, w.b)
             twist = su2.where(take, exp_su2(AlgVector(-ang / 2, 0.0, 0.0)), twist)
             twist_open = twist_open & (planar <= 1e-8)
-            if not su2.any_lane(twist_open):
+            if not twist_open.any():
                 break
     out = action((mul(twist, r1),) * k, q)
-    # a lane with no usable frame vector keeps q, as a single point does
-    if su2.any_lane(open_):
+    # a lane with no usable frame vector keeps q
+    if open_.any():
         return _map_point(lambda a, b: np.where(open_, a, b), q, out)
     return out
 
 
-def point_distance(p: ChartPoint, q: ChartPoint) -> float:
-    """Largest coordinate distance; on a batch, per lane."""
+def point_distance(p: ChartPoint, q: ChartPoint):
+    """Largest coordinate distance, per lane."""
     dists = su2.each(su2.vec_dist, p.thetas, q.thetas)
     dists += su2.each(su2.quat_dist, p.gammas + tuple(_flat(p.handles)),
                       q.gammas + tuple(_flat(q.handles)))
-    if any(isinstance(d, np.ndarray) for d in dists):
-        return functools.reduce(np.maximum, dists, 0.0)
-    return max(dists, default=0.0)
+    return functools.reduce(np.maximum, dists, 0.0)
 
 
 def gauge_equivalent(p: ChartPoint, q: ChartPoint, tol: float = 1e-9):

@@ -216,8 +216,8 @@ def cmd_moduli(args, seed) -> VerificationReport:
             )
 
         if args.dump_points:
-            p = ch.random_point(chart, su2.mix_seed(seed, 99, g, k))
-            flat = ",".join(format(v, ".17g") for v in ch.flatten_point(p))
+            p = ch.random_point(chart, np.array([su2.mix_seed(seed, 99, g, k)], dtype=np.uint64))
+            flat = ",".join(format(v[0], ".17g") for v in ch.flatten_point(p))
             report.add("point-dump/" + name, True, seed=seed, detail=flat)
     return report
 

@@ -14,7 +14,9 @@ compression thus becomes the transposed index-2 row along its belts.
 
 The invariance checker evaluates two step sequences related by a move
 chain, compares normal forms, and cross-checks sampled points of every
-face against both diagrams."""
+face against both diagrams.  A face's sample points are one batch of
+chart points, a trial per lane (see charts), and a membership residual
+is the largest over the lanes."""
 
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from dataclasses import replace
 from typing import Optional
 
 import math
+
+import numpy as np
 
 from cobord2 import charts as ch
 from cobord2 import cobordism as cb
@@ -209,8 +213,9 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
 MEMBERSHIP_TOL = 1e-9  # largest gauge or locus residual a member point may have
 
 
-def component_points(sym: SpaceSymbol, seed: int, zero_thetas=False) -> dict:
-    """Random admissible chart point per component of a symbol."""
+def component_points(sym: SpaceSymbol, seed, zero_thetas=False) -> dict:
+    """Random admissible chart points per component of a symbol, one
+    per lane of the uint64 seed array."""
     return {
         i: ch.random_point(chart_for(c), su2.mix_seed(seed, i), zero_thetas=zero_thetas)
         for i, c in enumerate(sym.components)
@@ -218,7 +223,8 @@ def component_points(sym: SpaceSymbol, seed: int, zero_thetas=False) -> dict:
 
 
 def membership(face: CorrSymbol, src_pts, tgt_pts, tol: float = MEMBERSHIP_TOL):
-    """(member, residual) of a point pair in a correspondence symbol.
+    """(member, residual) of a pair of point batches in a correspondence
+    symbol; the residual is the largest over the lanes.
 
     src_pts / tgt_pts: per symbol in the face boundary, a dict
     component index -> ChartPoint."""
@@ -230,9 +236,8 @@ def membership(face: CorrSymbol, src_pts, tgt_pts, tol: float = MEMBERSHIP_TOL):
         worst = 0.0
         for comp_pts in pts:
             for p in comp_pts.values():
-                for t in p.thetas:
-                    worst = max(worst, t.norm())
-                worst = max(worst, ch.theta1_of(p).norm())
+                for t in p.thetas + (ch.theta1_of(p),):
+                    worst = max(worst, su2.largest(t.norm()))
         return worst <= tol, worst
     if kind == "identification":
         if face.transposed:
@@ -250,7 +255,7 @@ def _diag_membership(src_pts, tgt_pts, tol):
     for a_pts, b_pts in zip(src_pts, tgt_pts):
         for i in a_pts:
             _, r = ch.gauge_equivalent(a_pts[i], b_pts[i], tol)
-            worst = max(worst, r)
+            worst = max(worst, su2.largest(r))
     return worst <= tol, worst
 
 
@@ -309,14 +314,14 @@ def _ident_membership(src_pts, tgt_pts, face, tol):
         if not cand:
             return False, math.inf
         q = tgt_map[i]
-        best = math.inf
+        best = math.inf  # per lane, over the candidates
         for p in cand:
             aligned = _permute_to_chart(p, q.chart)
             if aligned is None:
                 continue
             _, r = ch.gauge_equivalent(aligned, q, tol)
-            best = min(best, r)
-        worst = max(worst, best)
+            best = np.minimum(best, r)
+        worst = max(worst, su2.largest(best))
     return worst <= tol, worst
 
 
@@ -347,8 +352,7 @@ def _holtriv_membership(big_pts, small_pts, face, tol):
     worst = 0.0
     pts = big_pts[0]
     for w in face.words:
-        p = pts[w.comp]
-        worst = max(worst, ch.word_residual(p, w))
+        worst = max(worst, su2.largest(ch.word_residual(pts[w.comp], w)))
     mapping = {small: big for small, big in face.transfer}
     flat_small = []
     offset = 0
@@ -362,7 +366,7 @@ def _holtriv_membership(big_pts, small_pts, face, tol):
         if proj is None:
             return False, math.inf
         _, r = ch.gauge_equivalent(proj, q, tol)
-        worst = max(worst, r)
+        worst = max(worst, su2.largest(r))
     return worst <= tol, worst
 
 
@@ -434,64 +438,54 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
 
 
 def sample_face_points(face: CorrSymbol, seed: int, budget: int):
-    """Deterministic point pairs on a face's locus, as far as each kind
-    supports direct sampling."""
-    out = []
-    for t in range(budget):
-        s = su2.mix_seed(seed, t)
-        if face.kind == "diagonal":
-            pts = [component_points(sym, su2.mix_seed(s, j)) for j, sym in enumerate(face.src)]
-            out.append((pts, pts))
-        elif face.kind == "zero_section":
-            side = face.src if face.transposed else face.tgt
-            pts = [component_points(sym, su2.mix_seed(s, j), zero_thetas=True) for j, sym in enumerate(side)]
-            if face.transposed:
-                out.append((pts, []))
-            else:
-                out.append(([], pts))
-        elif face.kind == "hol_trivial":
-            big = face.big_side[0]
-            mapping = {small: big_gen for small, big_gen in face.transfer}
-            by_comp: dict = {}
-            for w in face.words:
-                by_comp.setdefault(w.comp, []).append(w)
-            big_pts = {}
-            for i, comp in enumerate(big.components):
-                words = by_comp.get(i, [])
-                big_pts[i] = ch.sample_on_locus(chart_for(comp), words, su2.mix_seed(s, i))
-            small_side = face.tgt if not face.transposed else face.src
-            small_pts = []
-            for sym in small_side:
-                spts = {}
-                for i, comp in enumerate(sym.components):
-                    proj = _project_through_compression(
-                        big_pts[_find_comp_with_labels(big, chart_for(comp).boundaries)[0]],
-                        chart_for(comp),
-                        mapping,
-                    )
-                    if proj is None:
-                        raise ch.SamplingFailed("projection failed")
-                    spts[i] = proj
-                small_pts.append(spts)
-            if face.transposed:
-                out.append((small_pts, [big_pts]))
-            else:
-                out.append(([big_pts], small_pts))
-        else:
-            return []
-    return out
+    """Deterministic point pairs on a face's locus: (src points, tgt
+    points), budget trials as lanes, trial t drawn from the seed
+    mix_seed(seed, t); None for a face kind without a sampler or a face
+    whose small side does not project."""
+    s = su2.mix_seed(seed, np.arange(budget, dtype=np.uint64))
+    if face.kind == "diagonal":
+        pts = [component_points(sym, su2.mix_seed(s, j)) for j, sym in enumerate(face.src)]
+        return pts, pts
+    if face.kind == "zero_section":
+        side = face.src if face.transposed else face.tgt
+        pts = [component_points(sym, su2.mix_seed(s, j), zero_thetas=True)
+               for j, sym in enumerate(side)]
+        return (pts, []) if face.transposed else ([], pts)
+    if face.kind != "hol_trivial":
+        return None
+    big = face.big_side[0]
+    mapping = {small: big_gen for small, big_gen in face.transfer}
+    by_comp: dict = {}
+    for w in face.words:
+        by_comp.setdefault(w.comp, []).append(w)
+    big_pts = {}
+    for i, comp in enumerate(big.components):
+        words = by_comp.get(i, [])
+        big_pts[i] = ch.sample_on_locus(chart_for(comp), words, su2.mix_seed(s, i))
+    small_side = face.tgt if not face.transposed else face.src
+    small_pts = []
+    for sym in small_side:
+        spts = {}
+        for i, comp in enumerate(sym.components):
+            proj = _project_through_compression(
+                big_pts[_find_comp_with_labels(big, chart_for(comp).boundaries)[0]],
+                chart_for(comp),
+                mapping,
+            )
+            if proj is None:
+                return None
+            spts[i] = proj
+        small_pts.append(spts)
+    return (small_pts, [big_pts]) if face.transposed else ([big_pts], small_pts)
 
 
 def _face_samples_agree(f1: CorrSymbol, f2: CorrSymbol, samples: int, seed: int):
     try:
-        pairs = sample_face_points(f1, seed, max(1, samples // 20))
+        pair = sample_face_points(f1, seed, max(1, samples // 20))
     except (ch.SamplingFailed, NotImplementedError):
         return None
-    if not pairs:
+    if pair is None:
         return None
-    worst = 0.0
-    for src_pts, tgt_pts in pairs:
-        ok1, r1 = membership(f1, src_pts, tgt_pts)
-        ok2, r2 = membership(f2, src_pts, tgt_pts)
-        worst = max(worst, r1, r2)
-    return worst
+    _, r1 = membership(f1, *pair)
+    _, r2 = membership(f2, *pair)
+    return max(r1, r2)

@@ -6,32 +6,28 @@ BranchError within BRANCH_EPS of the excluded point.  Sampling is
 deterministic: every draw is keyed by a 64-bit seed through a splitmix
 stream, so trials are reproducible and splittable by index.
 
-Floats or lanes.  A component of a UnitQuaternion or an AlgVector is a
-Python float (one point) or an (N,) float64 array (N points, one per
-lane), as in the kernel (cobord2._kernel).  Every function here has
-one body for both kinds.  Floats go through math; lanes go through
-numpy's sqrt, sin, cos, log, arctan2 and cbrt, elementwise, so each lane
-has the bits it has in a one-lane batch.  A lane and its floats agree to
-rounding: gauss_pair's log, log_su2's atan2 and sample_ball's cube root
-round differently on the two (within 1-2 ulp), the rest alike.  The
-matrix-valued adjoint_matrices, left_jacobian and left_jacobian_inv put
-the lanes on a leading axis, (N, 3, 3) where a point has (3, 3), and
-choose their small-angle series per lane; numpy's matmul and SVD give
-each matrix of such a stack the bits they give it alone.  stack_lanes
-builds that axis.  A seed is a Python int (or numpy
-integer scalar, taken as the int it holds) or a uint64 array of per-lane
-seeds: mix_seed, SplitMix64, sample_haar and sample_ball then draw the
-same integer stream on each lane as on its int, in uint64 arithmetic
-(Steele, Lea and Flood, "Fast splittable pseudorandom number
-generators", OOPSLA 2014).  A branch test on lanes is per lane:
-log_su2 (through check_branch) raises if any lane hits the branch, and
-the error's ``lanes`` mask names those lanes.  where, any_lane and
-largest are the lane forms of a conditional, of a truth test and of max.
-each maps an operation over a list of generators (the handles or arcs
-of a chart point, say): on lanes it stacks them on a leading generator
-axis, (n, N) arrays, and runs the operation once; since numpy computes
-element by element, each lane of each generator keeps the bits of a
-call of its own.  On floats it loops, so floats never reach numpy.
+Lanes.  A component of a UnitQuaternion or an AlgVector is an (N,)
+float64 array, N points one per lane, as in the kernel
+(cobord2._kernel); a float stands for the same value on every lane.
+numpy computes element by element, so each lane has the bits it has in
+a one-lane batch.  The matrix-valued adjoint_matrices, left_jacobian and
+left_jacobian_inv put the lanes on a leading axis, (N, 3, 3) where a
+point has (3, 3), and choose their small-angle series per lane; numpy's
+matmul and SVD give each matrix of such a stack the bits they give it
+alone.  stack_lanes builds that axis.  A seed for drawing is a uint64
+array of per-lane seeds (an int seed is one lane): SplitMix64,
+sample_haar and sample_ball draw one stream per lane in uint64
+arithmetic (Steele, Lea and Flood, "Fast
+splittable pseudorandom number generators", OOPSLA 2014).  mix_seed
+derives seeds from an int (or numpy integer scalar, taken as the int it
+holds) or from lanes.  A branch test is per lane: log_su2 (through
+check_branch) raises if any lane hits the branch, and the error's
+``lanes`` mask names those lanes.  where and largest are the lane forms
+of a conditional and of max.  each maps an operation over a list of
+generators (the handles or arcs of a chart point, say) by stacking them
+on a leading generator axis, (n, N) arrays, and running the operation
+once; since numpy computes element by element, each lane of each
+generator keeps the bits of a call of its own.
 
 exp_su2(v) = cos|v| + sin|v| v/|v| has bracket [u, w] = 2 u x w, so the
 left Jacobian of exp here is the SO(3) one (Sola, Deray and Atchuthan,
@@ -54,9 +50,9 @@ BRANCH_EPS = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
-# SplitMix64's increment and multipliers.  An int seed computes with them
-# as ints masked to 64 bits; uint64 lanes wrap mod 2**64 by themselves
-# and take them as uint64 scalars, converted once here.
+# SplitMix64's increment and multipliers.  mix_seed computes with them
+# on an int seed as ints masked to 64 bits; uint64 lanes wrap mod 2**64
+# by themselves and take them as uint64 scalars, converted once here.
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
@@ -74,7 +70,7 @@ class UnitQuaternion(NamedTuple):
 
     inv = conj
 
-    def norm(self) -> float:
+    def norm(self) -> np.ndarray:
         return _norm4(self.w, self.x, self.y, self.z)
 
 
@@ -83,7 +79,7 @@ class AlgVector(NamedTuple):
     b: float
     c: float
 
-    def norm(self) -> float:
+    def norm(self) -> np.ndarray:
         return _norm3(self.a, self.b, self.c)
 
 
@@ -102,8 +98,7 @@ class BranchError(ValueError):
 
 
 def where(cond, a, b):
-    """a where cond holds, else b: one choice for a bool, a choice per
-    lane, component by component, for a boolean lane array."""
+    """a on the lanes where cond holds, else b, component by component."""
     vals = [select(cond, x, y) for x, y in zip(a, b)]
     return type(a)._make(vals) if hasattr(a, "_make") else tuple(vals)
 
@@ -113,50 +108,51 @@ def each(f, *columns) -> list:
     column is a sequence with one value per generator: a quaternion, a
     vector, or a single component such as a seed.
 
-    On lanes f runs once, over a generator axis.  Each component of a
-    column is stacked into an (n, N) array, generators on the leading
-    axis and lanes on the last, a float or int standing for the same
-    value on every lane.  Each component of f's result (an array, or a
-    tuple of them) comes back as one row view per generator.
+    f runs once, over a generator axis.  Each component of a column is
+    stacked into an (n, N) array, generators on the leading axis and
+    lanes on the last, a float or int standing for the same value on
+    every lane.  Each component of f's result (an array, or a tuple of
+    them) comes back as one row view per generator.  A single generator
+    needs no stack and goes to f as it is.  Pass every lane array f
+    needs as a column: numpy combines an (N,) array with (n, N) stacks
+    more slowly than arrays of one shape."""
+    if len(columns[0]) < 2:
+        return list(map(f, *columns))
+    lanes = _lane_shape(columns)
+    out = f(*(_stack(col, lanes) for col in columns))
+    if isinstance(out, np.ndarray):
+        return list(out)
+    return list(map(getattr(type(out), "_make", tuple), zip(*out)))
 
-    f runs generator by generator for fewer than two generators and
-    when no column has lanes in the first component of its first value,
-    so floats never reach numpy; on lanes that is slower and gives the
-    same values.  Pass every lane array f needs as a column: numpy
-    combines an (N,) array with (n, N) stacks more slowly than arrays
-    of one shape."""
-    if len(columns[0]) > 1:
-        for col in columns:
-            c = col[0][0] if isinstance(col[0], tuple) else col[0]
-            if isinstance(c, np.ndarray):
-                out = f(*(_stack(col, len(c)) for col in columns))
-                if isinstance(out, np.ndarray):
-                    return list(out)
-                return list(map(getattr(type(out), "_make", tuple), zip(*out)))
-    return list(map(f, *columns))
+
+def _lane_shape(columns) -> tuple:
+    """The shape of the lane arrays in the columns, () if every value is
+    a constant."""
+    for col in columns:
+        for v in col:
+            for c in v if isinstance(v, tuple) else (v,):
+                if isinstance(c, np.ndarray):
+                    return c.shape
+    return ()
 
 
 def _stack(col, lanes):
     """A column of values as the same kind of value whose components
-    are (len(col), lanes) arrays, row i holding generator i."""
+    are (len(col),) + lanes arrays, row i holding generator i."""
     if isinstance(col[0], tuple):
         make = getattr(type(col[0]), "_make", tuple)
         return make([_stack(cs, lanes) for cs in zip(*col)])
     if all(isinstance(c, np.ndarray) for c in col):
         return np.array(col)
-    out = np.empty((len(col), lanes), dtype=np.result_type(*col))
+    out = np.empty((len(col),) + lanes, dtype=np.result_type(*col))
     for i, c in enumerate(col):
         out[i] = c
     return out
 
 
-def any_lane(cond) -> bool:
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def largest(x):
-    """The largest lane of x (0.0 for no lanes); x itself for a float."""
-    return float(np.max(x, initial=0.0)) if isinstance(x, np.ndarray) else x
+def largest(x) -> float:
+    """The largest lane of x (0.0 for no lanes)."""
+    return float(np.max(x, initial=0.0))
 
 
 def mul(p, q) -> UnitQuaternion:
@@ -192,13 +188,12 @@ def commutator(a, b) -> UnitQuaternion:
 
 
 def stack_lanes(values) -> np.ndarray:
-    """values (floats, or lane arrays and floats) as one array: shape
-    (n,) for floats, (N, n) when any value has lanes, a float then
-    standing for the same value on every lane."""
-    for v in values:
-        if isinstance(v, np.ndarray):
-            return np.stack(np.broadcast_arrays(*values), axis=-1)
-    return np.array(values, dtype=float)
+    """values as one array with the values on the last axis: (N, n)
+    when any value has lanes, a float then standing for the same value
+    on every lane, (n,) when none has."""
+    if not values:
+        return np.zeros(0)
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
 def adjoint_matrices(qs) -> np.ndarray:
@@ -233,9 +228,8 @@ def _hat2(v):
 
 
 def _per_lane(t, series, closed):
-    """series(t) where t < 1e-4, else closed(t), as a (1, 1) array for a
-    float or an (N, 1, 1) array that scales a stack of matrices lane by
-    lane."""
+    """series(t) where t < 1e-4, else closed(t), as an (N, 1, 1) array
+    that scales a stack of matrices lane by lane."""
     small = t < 1e-4
     return np.expand_dims(select(small, series(t), closed(select(small, 1.0, t))), (-2, -1))
 
@@ -261,18 +255,16 @@ def left_jacobian_inv(v) -> np.ndarray:
     return np.eye(3) - 0.5 * k + e * (k @ k)
 
 
-def near_minus_one(q, eps: float = BRANCH_EPS) -> bool:
+def near_minus_one(q, eps: float = BRANCH_EPS) -> np.ndarray:
     return q[0] <= -1.0 + eps
 
 
 def check_branch(bad, message: str):
-    """Raise BranchError(message) if bad holds, on any lane of a batch;
-    the error then carries bad as its lanes mask."""
-    if isinstance(bad, np.ndarray):
-        if bad.any():
-            raise BranchError("%s on %d lanes" % (message, np.count_nonzero(bad)), bad)
-    elif bad:
-        raise BranchError(message)
+    """Raise BranchError(message) if bad holds on any lane; the error
+    carries bad as its lanes mask."""
+    bad = np.asarray(bad)
+    if bad.any():
+        raise BranchError("%s on %d lanes" % (message, np.count_nonzero(bad)), bad)
 
 
 def vec_neg(v) -> AlgVector:
@@ -291,11 +283,11 @@ def _norm4(w, x, y, z):
     return sqrt(w * w + x * x + y * y + z * z)
 
 
-def vec_dist(u, v) -> float:
+def vec_dist(u, v) -> np.ndarray:
     return _norm3(u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def quat_dist(p, q) -> float:
+def quat_dist(p, q) -> np.ndarray:
     return _norm4(p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
 
 
@@ -347,17 +339,15 @@ def seed_lanes(seeds) -> np.ndarray:
 
 
 class SplitMix64:
-    """Tiny deterministic PRNG; identical output on every platform.  A
-    uint64 seed array runs one stream per lane."""
+    """Tiny deterministic PRNG; identical output on every platform.  The
+    seed is a uint64 array, one stream per lane; an int (or numpy
+    integer scalar) is one lane."""
 
     def __init__(self, seed):
-        self._state = _u64(seed)
+        self._state = np.array(seed, dtype=np.uint64, copy=None, ndmin=1)
 
     def next_u64(self):
-        if type(self._state) is int:
-            self._state = (self._state + _GAMMA) & _MASK64
-        else:
-            self._state = self._state + _LANE_CONSTANTS[_GAMMA]
+        self._state = self._state + _LANE_CONSTANTS[_GAMMA]
         return _mix(self._state)
 
     def uniform(self):
@@ -375,8 +365,8 @@ def sample_haar(seed) -> UnitQuaternion:
     """Haar-uniform SU(2) element: normalized 4-dimensional Gaussian.
     A lane whose Gaussian is too short draws again from its own stream."""
     rng = SplitMix64(seed)
-    out, todo = None, True
-    while any_lane(todo):
+    out, todo = None, np.True_
+    while todo.any():
         g1, g2 = rng.gauss_pair()
         g3, g4 = rng.gauss_pair()
         n = sqrt(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4)

@@ -6,16 +6,13 @@ seeds, the sample counts, the bounds and the report records.  Seeds
 come as a uint64 array or any iterable of ints (su2.seed_lanes).
 
 Every chart suite runs the trials of a chart in batches of up to
-BATCH: each trial is a lane of the chart operations (see su2 and charts
-for the float-or-array convention), with the bits the trial has as a
-one-lane batch, so their results do not depend on BATCH and equal a
-loop over the seeds one at a time.  A loop over float points agrees
-with them to rounding, as numpy's log, arctan2 and hypot on lanes
-differ from math's on floats in the last place.  The tangent
-suites, dimension_defects and locus_ranks, build one stack of
-Jacobians per batch and take one stacked SVD of it; locus_ranks samples
-its batch with sample_on_locus on the seed array, and a seed that finds
-no sample is a reject for its own trial only.
+BATCH: each trial is a lane of the chart operations (see su2 and
+charts), with the bits the trial has as a one-lane batch, so their
+results do not depend on BATCH and equal a loop over the seeds one at a
+time.  The tangent suites, dimension_defects and locus_ranks, build one
+stack of Jacobians per batch and take one stacked SVD of it; locus_ranks
+samples its batch with sample_on_locus on the seed array, and a seed
+that finds no sample is a reject for its own trial only.
 """
 
 from __future__ import annotations
@@ -123,26 +120,21 @@ def round_trip(chart1, chart2, label, seeds):
 def locus_ranks(chart, words, seeds, rtol):
     """Sample one point on the locus cut out by words per seed and count
     (clean rank-3 points, rejects), a batch of seeds at a time; a failed
-    sample or a point whose tangent frame is not of rank 3 and
-    codimension 3 is a reject."""
+    sample or a point whose tangent frame is not of rank 3 is a reject
+    (the frame of a rank-3 point has codimension 3: locus_tangent keeps
+    dim - rank kernel vectors)."""
     clean = 0
     rejects = 0
     for batch in _batches(seeds):
-        while True:
-            try:
-                p = ch.sample_on_locus(chart, words, batch)
-                break
-            except ch.SamplingFailed as err:
-                rejects += int(np.count_nonzero(err.lanes))
-                batch = batch[~err.lanes]
+        try:
+            p = ch.sample_on_locus(chart, words, batch)
+        except ch.SamplingFailed as err:
+            rejects += int(np.count_nonzero(err.lanes))
+            p, batch = err.point, batch[~err.lanes]
         if not len(batch):
             continue
         frame = ch.locus_tangent(p, words, rtol=rtol)
-        if isinstance(frame.rank, int):  # a point with no lanes to tell apart
-            sizes = len(frame.vectors)
-        else:
-            sizes = np.array([len(v) for v in frame.vectors])
-        good = np.broadcast_to((frame.rank == 3) & (sizes == chart.dim - 3), batch.shape)
+        good = np.broadcast_to(frame.rank == 3, batch.shape)
         clean += int(np.count_nonzero(good))
         rejects += len(batch) - int(np.count_nonzero(good))
     return clean, rejects

@@ -1,8 +1,8 @@
 """Test-side chart helpers: the central-difference Jacobians that the
 analytic ones in cobord2.charts are checked against, the reader of
-flatten_point's layout, the one-trial-at-a-time round trip that the
-batched suite is checked against, and the chart operations with one
-kernel call per generator that the generator axis is checked against."""
+flatten_point's layout, gluing that drops the lanes on the excluded
+locus, and the chart operations with one kernel call per generator that
+the generator axis is checked against."""
 
 from __future__ import annotations
 
@@ -20,13 +20,16 @@ FD_STEP = 1e-6
 
 def fd_constraint_jacobian(p, words) -> np.ndarray:
     """Central differences of constraint_map along every coordinate of
-    charts.perturb."""
+    charts.perturb; lanes on the leading axis, as constraint_jacobian
+    has them."""
     cols = []
     for coord in range(p.chart.dim):
         fp = ch.constraint_map(ch.perturb(p, coord, FD_STEP), words)
         fm = ch.constraint_map(ch.perturb(p, coord, -FD_STEP), words)
         cols.append((fp - fm) / (2.0 * FD_STEP))
-    return np.stack(cols, axis=1) if cols else np.zeros((3 * len(words), 0))
+    if not cols:
+        return np.zeros((3 * len(words), 0))
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
 def fd_relation_jacobian(p) -> np.ndarray:
@@ -35,27 +38,42 @@ def fd_relation_jacobian(p) -> np.ndarray:
     t1 = ch.theta1_of(p)
 
     def rel(t1v, pt):
-        return np.array(log_su2(mul(exp_su2(t1v), ch.chart_defect(pt))))
+        return su2.stack_lanes(log_su2(mul(exp_su2(t1v), ch.chart_defect(pt))))
 
     cols = []
     for c in range(3):
         hp = list(t1)
         hm = list(t1)
-        hp[c] += FD_STEP
-        hm[c] -= FD_STEP
+        hp[c] = hp[c] + FD_STEP
+        hm[c] = hm[c] - FD_STEP
         cols.append((rel(AlgVector(*hp), p) - rel(AlgVector(*hm), p)) / (2 * FD_STEP))
     for coord in range(p.chart.dim):
         fp = rel(t1, ch.perturb(p, coord, FD_STEP))
         fm = rel(t1, ch.perturb(p, coord, -FD_STEP))
         cols.append((fp - fm) / (2 * FD_STEP))
-    return np.stack(cols, axis=1)
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
 def kernel_dim_and_rank(jac, rtol=ch.SVD_RTOL) -> tuple:
-    """(kernel dimension, rank) with the threshold the charts use."""
+    """(kernel dimension, rank) with the threshold the charts use, of one
+    matrix or of the one matrix of a one-lane stack."""
+    jac = jac.reshape(jac.shape[-2:])
     s = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(s > rtol * s[0])) if len(s) else 0
     return (jac.shape[1] - rank, rank)
+
+
+def one_lane(seed) -> np.ndarray:
+    """A seed as a one-lane seed array."""
+    return np.array([seed], dtype=np.uint64)
+
+
+def ranks_and_sizes(frame, n) -> list:
+    """(rank, number of kernel vectors) of a tangent frame on each of n
+    lanes; a frame the same on every lane has one of each."""
+    if np.ndim(frame.rank) == 0:
+        return [(int(frame.rank), len(frame.vectors))] * n
+    return list(zip(frame.rank.tolist(), [len(v) for v in frame.vectors]))
 
 
 def unflatten_point(chart, values):
@@ -83,32 +101,17 @@ def unflatten_point(chart, values):
     return ch.ChartPoint(chart, tuple(thetas), tuple(gammas), tuple(handles))
 
 
-def round_trip_loop(chart1, chart2, label, seeds):
-    """suites.round_trip one trial at a time, on points of floats: the
-    loop the batched suite must agree with bit for bit."""
-    worst = 0.0
-    relation_worst = 0.0
-    rejects = 0
-    pos = chart2.index_of(label)
-    for s in seeds:
-        p1 = ch.random_point(chart1, su2.mix_seed(s, 1))
-        p2 = ch.random_point(chart2, su2.mix_seed(s, 2))
-        thetas = list(p2.thetas)
-        thetas[pos - 1] = su2.vec_neg(ch.theta_raw(p1, label))
-        p2 = ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
+def glue_lanes(p1, label_a, p2, label_b, n):
+    """charts.glue of two batches of n lanes, dropping the lanes on the
+    excluded locus as suites.round_trip does; returns (kept lane
+    indices, glued, recipe)."""
+    kept = np.arange(n)
+    while True:
         try:
-            glued, recipe = ch.glue(p1, label, p2, label)
-        except su2.BranchError:
-            rejects += 1
-            continue
-        relation_worst = max(relation_worst, ch.relation_residual(glued))
-        back1, back2 = ch.split(glued, recipe)
-        if back1.chart != p1.chart:
-            back1, back2 = back2, back1
-        _, r1 = ch.gauge_equivalent(back1, p1)
-        _, r2 = ch.gauge_equivalent(back2, p2)
-        worst = max(worst, r1, r2)
-    return worst, relation_worst, rejects
+            return (kept,) + ch.glue(p1, label_a, p2, label_b)
+        except su2.BranchError as err:
+            kept = kept[~err.lanes]
+            p1, p2 = ch.select_lanes(p1, ~err.lanes), ch.select_lanes(p2, ~err.lanes)
 
 
 # --- the chart operations one generator at a time ------------------------------------
@@ -138,10 +141,10 @@ def theta1_loop(p):
 
 def random_point_loop(chart, seed, zero_thetas=False):
     """charts.random_point, one Haar and one ball draw per generator."""
-    todo = np.arange(len(seed)) if isinstance(seed, np.ndarray) else None
+    todo = np.arange(len(seed))
     out = None
     for trial in range(64):
-        s = su2.mix_seed(seed if todo is None else seed[todo], trial)
+        s = su2.mix_seed(seed[todo], trial)
         thetas = tuple(
             AlgVector(0.0, 0.0, 0.0) if zero_thetas
             else su2.sample_ball(math.pi, su2.mix_seed(s, 1, i))
@@ -150,12 +153,7 @@ def random_point_loop(chart, seed, zero_thetas=False):
         handles = tuple((su2.sample_haar(su2.mix_seed(s, 3, j)),
                          su2.sample_haar(su2.mix_seed(s, 4, j))) for j in range(chart.genus))
         p = ch.ChartPoint(chart, thetas, gammas, handles)
-        ok = defect_loop(p)[0] > -1.0 + ch.ADMISSIBLE_MARGIN
-        if todo is None:
-            if ok:
-                return p
-            continue
-        ok = np.broadcast_to(ok, todo.shape)
+        ok = np.broadcast_to(defect_loop(p)[0] > -1.0 + ch.ADMISSIBLE_MARGIN, todo.shape)
         out = p if out is None else ch._map_point(lambda a, b: ch._put(a, todo, b), out, p)
         todo = todo[~ok]
         if not len(todo):
@@ -314,10 +312,10 @@ def canonical_gauge_loop(p):
     for v in frame:
         n = v.norm()
         take = open_ & (n > 1e-8)
-        if su2.any_lane(take):
+        if np.any(take):
             v1 = v if v1 is None else su2.where(take, v, v1)
             open_ = open_ & (n <= 1e-8)
-            if not su2.any_lane(open_):
+            if not np.any(open_):
                 break
     if v1 is None:
         return q
@@ -327,14 +325,14 @@ def canonical_gauge_loop(p):
         w = su2.adjoint(r1, v)
         planar = _kernel.hypot(w.b, w.c)
         take = twist_open & (planar > 1e-8)
-        if su2.any_lane(take):
+        if np.any(take):
             ang = _kernel.atan2(w.c, w.b)
             twist = su2.where(take, su2.exp_su2(AlgVector(-ang / 2, 0.0, 0.0)), twist)
             twist_open = twist_open & (planar <= 1e-8)
-            if not su2.any_lane(twist_open):
+            if not np.any(twist_open):
                 break
     out = action_loop((su2.mul(twist, r1),) * k, q)
-    if su2.any_lane(open_):
+    if np.any(open_):
         return ch._map_point(lambda a, b: np.where(open_, a, b), q, out)
     return out
 

@@ -6,6 +6,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 from cobord2 import bisets as bs
 from cobord2 import catalog as cat
 from cobord2 import charts as ch
@@ -105,18 +107,15 @@ def test_criterion_6_handle_cancellations():
     mid_sym = up.tgt[0]
     mid_chart = fn.chart_for(mid_sym.components[0])
     words = [Word(0, (("a", 1, 1),)), Word(0, (("b", 1, 1),))]
-    worst = 0.0
-    for t in range(100):
-        q = ch.sample_on_locus(mid_chart, words, su2.mix_seed(6, t))
-        mapping = {small: big for small, big in down.transfer}
-        small_chart = fn.chart_for(down.tgt[0].components[0])
-        via_down = fn._project_through_compression(q, small_chart, mapping)
-        up_map = {small: big for small, big in up.transfer}
-        via_up = fn._project_through_compression(q, fn.chart_for(up.src[0].components[0]), up_map)
-        _, r = ch.gauge_equivalent(via_down, via_up)
-        worst = max(worst, r)
-        ok_m, rm = fn.membership(down, [{0: q}], [{0: via_down}])
-        worst = max(worst, rm)
+    q = ch.sample_on_locus(mid_chart, words, su2.mix_seed(6, np.arange(100, dtype=np.uint64)))
+    mapping = {small: big for small, big in down.transfer}
+    small_chart = fn.chart_for(down.tgt[0].components[0])
+    via_down = fn._project_through_compression(q, small_chart, mapping)
+    up_map = {small: big for small, big in up.transfer}
+    via_up = fn._project_through_compression(q, fn.chart_for(up.src[0].components[0]), up_map)
+    _, r = ch.gauge_equivalent(via_down, via_up)
+    _, rm = fn.membership(down, [{0: q}], [{0: via_down}])
+    worst = max(su2.largest(r), rm)
     num_ok = worst < 1e-9
     assert _line(6, "handle-cancellations", sym_ok and num_ok, "(worst %.2e)" % worst)
 

@@ -2,10 +2,13 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chart_reference import unflatten_point
 from cobord2 import cdf, cli
@@ -272,6 +275,10 @@ def moduli(*options):
         (moduli("--samples", "0"), None, 2),
         (moduli("--samples", "-3"), None, 2),
         (("functor", "eval", "--samples", "0", "doc.cdf"), GENUS_ONE_ANNULUS, 2),
+        # found by test_cli_survives_mutated_shipped_inputs
+        (FUNCTOR_EVAL, "@manifold solid_torus solid_torus solid_torus\n", 2),
+        (FUNCTOR_EVAL, "@manifold closed_surface\n", 2),
+        (FUNCTOR_EVAL, "@manifold closed_surface -1\n", 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "component-without-circles",
          "component-genus-not-integer", "component-negative-genus", "steps2-boundary-mismatch",
@@ -282,7 +289,8 @@ def moduli(*options):
          "moduli-zero-trials", "moduli-grid-without-k", "moduli-grid-without-boundary",
          "moduli-grid-negative-genus", "moduli-zero-residual-tolerance",
          "moduli-nan-svd-tolerance", "moduli-zero-samples", "moduli-negative-samples",
-         "functor-zero-samples"],
+         "functor-zero-samples", "solid-torus-extra-label", "closed-surface-without-genus",
+         "closed-surface-negative-genus"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
     argv = list(command)
@@ -346,3 +354,54 @@ def test_run_config_rejects_counts_below_one(field):
     for bad in (0, -3):
         with pytest.raises(ValueError):
             RunConfig(**{field: bad})
+
+
+# --- hostile inputs: mutated shipped files through cli.main ----------------------------
+
+FUZZ_FILES = sorted(DATA.glob("*.cdf")) + [DATA / "axioms_default.cat"]
+
+
+@st.composite
+def _mutated(draw):
+    """(shipped file, its text with lines and tokens deleted, repeated
+    and swapped)."""
+    path = draw(st.sampled_from(FUZZ_FILES))
+    lines = [line.split() for line in path.read_text().splitlines() if line.strip()]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(("delete", "repeat", "swap")))
+        if draw(st.booleans()) or not lines[i]:
+            if op == "delete" and len(lines) > 1:
+                del lines[i]
+            elif op == "repeat":
+                lines.insert(i, list(lines[i]))
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            continue
+        tokens = lines[i]
+        a, b = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+        if op == "delete":
+            del tokens[a]
+        elif op == "repeat":
+            tokens.insert(a, tokens[a])
+        else:
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+    return path, "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mutated(), st.sampled_from(("eval", "invariance")))
+def test_cli_survives_mutated_shipped_inputs(case, mode):
+    path, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / path.name
+        target.write_text(text)
+        if path.suffix == ".cat":
+            argv = ["axioms", str(target), "--depth", "2"]
+        else:
+            argv = ["functor", mode, str(target), "--samples", "20"]
+        # in-process: an exception escaping cli.main fails the test by itself
+        code, _, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error: " in err

@@ -5,11 +5,11 @@ A change that moves report bytes on purpose (an ulp-level shift in a
 printed residual, say) updates the digests here and says so in
 CHANGES.md, with the largest change in any printed residual.
 
-The moduli reports run their trials as lanes, whose log, atan2, hypot
-and cube root are numpy's (cobord2._kernel), so their digests also pin
-the SIMD dispatch numpy picks for those functions on the host: x86-64
-with AVX-512 and numpy 2.4 here.  Another host may round them
-differently in the last place and move those four digests only."""
+The moduli and invariance reports run their trials as lanes, whose log,
+atan2, hypot and cube root are numpy's (cobord2._kernel), so their
+digests also pin the SIMD dispatch numpy picks for those functions on
+the host: x86-64 with AVX-512 and numpy 2.4 here.  Another host may
+round them differently in the last place and move those digests only."""
 
 import hashlib
 import io

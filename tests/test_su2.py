@@ -7,6 +7,17 @@ import pytest
 
 from cobord2 import _kernel, su2
 from cobord2.su2 import AlgVector, UnitQuaternion, BranchError
+from scalar_reference import MATH, math_kernel, splitmix_stream
+
+
+def _trials(seed, n, *tags):
+    """The seeds mix_seed(seed, *tags, t) of trials t < n, as lanes."""
+    return su2.mix_seed(seed, *tags, np.arange(n, dtype=np.uint64))
+
+
+def _pick(q, lanes):
+    """The lanes of a quaternion or vector that lanes picks."""
+    return type(q)(*(c[lanes] for c in q))
 
 
 def test_exp_zero_is_identity():
@@ -34,28 +45,24 @@ def test_log_branch_error_near_minus_one():
 
 
 def test_exp_log_round_trip_seeded():
-    for seed in range(100):
-        v = su2.sample_ball(math.pi - 1e-3, su2.mix_seed(7, seed))
-        w = su2.log_su2(su2.exp_su2(v))
-        assert su2.vec_dist(v, w) < 1e-10
+    v = su2.sample_ball(math.pi - 1e-3, _trials(7, 100))
+    w = su2.log_su2(su2.exp_su2(v))
+    assert su2.largest(su2.vec_dist(v, w)) < 1e-10
 
 
 def test_log_exp_stays_in_open_ball():
-    for seed in range(50):
-        q = su2.sample_haar(su2.mix_seed(11, seed))
-        if su2.near_minus_one(q):
-            continue
-        v = su2.log_su2(q)
-        assert v.norm() < math.pi
-        assert su2.quat_dist(su2.exp_su2(v), q) < 1e-10
+    q = su2.sample_haar(_trials(11, 50))
+    q = _pick(q, ~su2.near_minus_one(q))
+    v = su2.log_su2(q)
+    assert np.all(v.norm() < math.pi)
+    assert su2.largest(su2.quat_dist(su2.exp_su2(v), q)) < 1e-10
 
 
 def test_adjoint_identity_and_isometry():
-    for seed in range(100):
-        g = su2.sample_haar(su2.mix_seed(13, seed))
-        v = su2.sample_ball(math.pi, su2.mix_seed(17, seed))
-        assert su2.vec_dist(su2.adjoint(su2.ONE, v), v) == 0.0
-        assert abs(su2.adjoint(g, v).norm() - v.norm()) < 1e-12
+    g = su2.sample_haar(_trials(13, 100))
+    v = su2.sample_ball(math.pi, _trials(17, 100))
+    assert np.all(su2.vec_dist(su2.adjoint(su2.ONE, v), v) == 0.0)
+    assert su2.largest(abs(su2.adjoint(g, v).norm() - v.norm())) < 1e-12
 
 
 def test_adjoint_i_on_j():
@@ -63,19 +70,18 @@ def test_adjoint_i_on_j():
 
 
 def test_adjoint_is_group_action():
-    for seed in range(50):
-        g = su2.sample_haar(su2.mix_seed(19, seed))
-        h = su2.sample_haar(su2.mix_seed(23, seed))
-        v = su2.sample_ball(math.pi, su2.mix_seed(29, seed))
-        lhs = su2.adjoint(su2.mul(g, h), v)
-        rhs = su2.adjoint(g, su2.adjoint(h, v))
-        assert su2.vec_dist(lhs, rhs) < 1e-10
+    g = su2.sample_haar(_trials(19, 50))
+    h = su2.sample_haar(_trials(23, 50))
+    v = su2.sample_ball(math.pi, _trials(29, 50))
+    lhs = su2.adjoint(su2.mul(g, h), v)
+    rhs = su2.adjoint(g, su2.adjoint(h, v))
+    assert su2.largest(su2.vec_dist(lhs, rhs)) < 1e-10
 
 
 def test_commutator_trivial_cases():
-    g = su2.sample_haar(42)
-    assert su2.quat_dist(su2.commutator(g, su2.ONE), su2.ONE) < 1e-12
-    assert su2.quat_dist(su2.commutator(g, g), su2.ONE) < 1e-12
+    g = su2.sample_haar(np.array([42], dtype=np.uint64))
+    assert su2.largest(su2.quat_dist(su2.commutator(g, su2.ONE), su2.ONE)) < 1e-12
+    assert su2.largest(su2.quat_dist(su2.commutator(g, g), su2.ONE)) < 1e-12
 
 
 def test_commutator_i_j():
@@ -83,50 +89,48 @@ def test_commutator_i_j():
 
 
 def test_product_associates_on_haar_triples():
-    for seed in range(100):
-        a = su2.sample_haar(su2.mix_seed(31, seed, 0))
-        b = su2.sample_haar(su2.mix_seed(31, seed, 1))
-        c = su2.sample_haar(su2.mix_seed(31, seed, 2))
-        lhs = su2.mul(su2.mul(a, b), c)
-        rhs = su2.mul(a, su2.mul(b, c))
-        assert su2.quat_dist(lhs, rhs) < 1e-12
+    a, b, c = (su2.sample_haar(su2.mix_seed(31, np.arange(100, dtype=np.uint64), i))
+               for i in range(3))
+    lhs = su2.mul(su2.mul(a, b), c)
+    rhs = su2.mul(a, su2.mul(b, c))
+    assert su2.largest(su2.quat_dist(lhs, rhs)) < 1e-12
 
 
 def test_long_product_keeps_unit_norm():
-    qs = [su2.sample_haar(su2.mix_seed(37, k)) for k in range(4096)]
-    p = su2.product(qs)
-    assert abs(p.norm() - 1.0) < 1e-12
+    q = su2.sample_haar(_trials(37, 4096))
+    p = su2.product([_pick(q, slice(k, k + 1)) for k in range(4096)])
+    assert su2.largest(abs(p.norm() - 1.0)) < 1e-12
 
 
 def test_sampling_is_deterministic():
-    assert su2.sample_haar(123) == su2.sample_haar(123)
-    assert su2.sample_ball(1.0, 99) == su2.sample_ball(1.0, 99)
-    assert su2.sample_haar(123) != su2.sample_haar(124)
+    seeds = np.array([123, 124], dtype=np.uint64)
+    for draw in (su2.sample_haar, lambda s: su2.sample_ball(1.0, s)):
+        first, again = draw(seeds), draw(seeds)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert tuple(c[0] for c in first) != tuple(c[1] for c in first)
 
 
 def test_ball_samples_inside_radius():
-    for seed in range(200):
-        v = su2.sample_ball(0.8, su2.mix_seed(41, seed))
-        assert v.norm() < 0.8
+    v = su2.sample_ball(0.8, _trials(41, 200))
+    assert np.all(v.norm() < 0.8)
 
 
 def test_haar_mean_w_within_3_sigma():
     n = 100_000
-    total = 0.0
-    for k in range(n):
-        total += su2.sample_haar(su2.mix_seed(43, k)).w
+    total = sum(su2.sample_haar(_trials(43, n)).w.tolist())
     # component variance of a Haar unit quaternion is 1/4
     assert abs(total / n) < 3.0 * 0.5 / math.sqrt(n)
 
 
 def test_adjoint_matrices_match_adjoint():
-    qs = [su2.sample_haar(su2.mix_seed(13, i)) for i in range(20)]
-    mats = su2.adjoint_matrices(qs)
+    q = su2.sample_haar(_trials(13, 20))
+    mats = su2.adjoint_matrices([q])[:, 0]
     assert mats.shape == (20, 3, 3)
-    for q, m in zip(qs, mats):
-        for seed in range(3):
-            v = su2.sample_ball(math.pi, su2.mix_seed(14, seed))
-            assert su2.vec_dist(m @ np.array(v), su2.adjoint(q, v)) < 1e-14
+    for seed in range(3):
+        # one vector on every lane
+        v = su2.sample_ball(math.pi, np.full(20, su2.mix_seed(14, seed), dtype=np.uint64))
+        got = np.einsum("nij,nj->ni", mats, su2.stack_lanes(v))
+        assert np.max(np.abs(got - su2.stack_lanes(su2.adjoint(q, v)))) < 1e-14
     assert su2.adjoint_matrices([]).shape == (0, 3, 3)
 
 
@@ -135,18 +139,17 @@ def test_left_jacobian_is_the_differential_of_exp():
     # near-pi radii exercise both branches of the closed forms
     h = 1e-6
     for radius in (1e-9, 1e-5, 0.3, 1.5, 3.0, math.pi - 1e-3):
-        for seed in range(5):
-            v = su2.sample_ball(math.pi, su2.mix_seed(15, seed))
-            v = su2.vec_scale(v, radius / v.norm())
-            jl = su2.left_jacobian(v)
-            for c in range(3):
-                vp, vm = list(v), list(v)
-                vp[c] += h
-                vm[c] -= h
-                left = su2.mul(su2.exp_su2(vp), su2.inv(su2.exp_su2(vm)))
-                fd = np.array(su2.log_su2(left)) / (2 * h)
-                assert np.max(np.abs(fd - jl[:, c])) < 1e-8, (radius, seed, c)
-            assert np.max(np.abs(su2.left_jacobian_inv(v) @ jl - np.eye(3))) < 1e-12
+        v = su2.sample_ball(math.pi, _trials(15, 5))
+        v = su2.vec_scale(v, radius / v.norm())
+        jl = su2.left_jacobian(v)
+        for c in range(3):
+            vp, vm = list(v), list(v)
+            vp[c] = vp[c] + h
+            vm[c] = vm[c] - h
+            left = su2.mul(su2.exp_su2(vp), su2.inv(su2.exp_su2(vm)))
+            fd = su2.stack_lanes(su2.log_su2(left)) / (2 * h)
+            assert np.max(np.abs(fd - jl[:, :, c])) < 1e-8, (radius, c)
+        assert np.max(np.abs(su2.left_jacobian_inv(v) @ jl - np.eye(3))) < 1e-12
 
 
 # --- the splitmix stream on a uint64 seed array ------------------------------
@@ -165,18 +168,20 @@ def _same_bits(lanes, scalars):
     return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# Lanes run log, atan2, hypot and the cube root through numpy, floats
-# through math (see cobord2._kernel).  Over the draws and kernel calls of
-# this section on 20,000 seeds, a lane and its float differ by at most
-# 8.9e-16 (log_su2 of exp_su2 on the ball of radius pi, 2 ulp at pi).
+# Lanes run log, atan2, hypot and the cube root through numpy, the scalar
+# reference (scalar_reference.math_kernel) through math.  Over the draws
+# and kernel calls of this section on 20,000 seeds, a lane and its
+# reference differ by at most 8.9e-16 (log_su2 of exp_su2 on the ball of
+# radius pi, 2 ulp at pi).
 FLOAT_TOL = 2e-15
 
 
-def _close(lanes, scalars, tol=FLOAT_TOL):
-    """Lane i of the float arrays in lanes is within tol of scalars[i]."""
-    got = np.stack([np.asarray(c, dtype=float) for c in lanes], axis=-1)
-    want = np.array(scalars, dtype=float).reshape(got.shape)
-    return bool(np.max(np.abs(got - want), initial=0.0) <= tol)
+def _close(lanes, ref, tol=FLOAT_TOL):
+    """Each component of lanes is within tol of the same component of
+    ref, lane by lane."""
+    got = np.stack(np.broadcast_arrays(*lanes), axis=-1)
+    want = np.stack(np.broadcast_arrays(*ref), axis=-1)
+    return got.shape == want.shape and bool(np.max(np.abs(got - want), initial=0.0) <= tol)
 
 
 def _one_lane(f, seeds):
@@ -196,13 +201,13 @@ def test_mix_seed_on_a_trial_axis_equals_the_scalar_stream():
 
 def test_splitmix_lanes_equal_the_scalar_streams():
     rng = su2.SplitMix64(_lanes())
-    scalar = [su2.SplitMix64(s) for s in LANE_SEEDS]
+    streams = [splitmix_stream(s) for s in LANE_SEEDS]
     for _ in range(3):
-        assert rng.next_u64().tolist() == [r.next_u64() for r in scalar]
-    assert _same_bits([rng.uniform()], [[r.uniform()] for r in scalar])
-    # a Gaussian takes a log: one-lane batches give its bits, floats its value
+        assert rng.next_u64().tolist() == [next(x) for x in streams]
+    assert _same_bits([rng.uniform()], [[(next(x) >> 11) * 2.0 ** -53] for x in streams])
+    # a Gaussian takes a log: one-lane batches give its bits, the scalar
+    # reference its value
     pairs = rng.gauss_pair()
-    assert _close(pairs, [r.gauss_pair() for r in scalar])
 
     def fourth_draw(seeds):
         r = su2.SplitMix64(seeds)
@@ -211,16 +216,20 @@ def test_splitmix_lanes_equal_the_scalar_streams():
         return r.gauss_pair()
 
     assert _same_bits(pairs, _one_lane(fourth_draw, LANE_SEEDS))
+    with math_kernel():
+        assert _close(pairs, fourth_draw(_lanes()))
 
 
 def test_haar_and_ball_lanes_equal_their_one_lane_draws():
     haar = su2.sample_haar(_lanes())
     assert _same_bits(haar, _one_lane(su2.sample_haar, LANE_SEEDS))
-    assert _close(haar, [su2.sample_haar(s) for s in LANE_SEEDS])
-    for radius in (math.pi, 0.8):
-        ball = su2.sample_ball(radius, _lanes())
+    balls = {radius: su2.sample_ball(radius, _lanes()) for radius in (math.pi, 0.8)}
+    for radius, ball in balls.items():
         assert _same_bits(ball, _one_lane(lambda s: su2.sample_ball(radius, s), LANE_SEEDS))
-        assert _close(ball, [su2.sample_ball(radius, s) for s in LANE_SEEDS])
+    with math_kernel():
+        assert _close(haar, su2.sample_haar(_lanes()))
+        for radius, ball in balls.items():
+            assert _close(ball, su2.sample_ball(radius, _lanes()))
 
 
 def test_haar_redraws_a_short_gaussian():
@@ -231,29 +240,27 @@ def test_haar_redraws_a_short_gaussian():
     def zero_first_draw(rng):
         if not hasattr(rng, "drawn"):
             rng.seed, rng.drawn = rng._state, 0
-        if isinstance(rng.seed, np.ndarray):
-            hit = np.isin(rng.seed, np.array(chosen, dtype=np.uint64))
-        else:
-            hit = rng.seed in chosen
+        hit = np.isin(rng.seed, np.array(chosen, dtype=np.uint64))
         short = hit & (rng.drawn < 2)  # a quaternion is two pairs
         rng.drawn += 1
         return tuple(_kernel.select(short, 0.0, g) for g in real(rng))
 
     def redraw(seed):
-        rng = su2.SplitMix64(seed)
+        rng = su2.SplitMix64(np.array([seed], dtype=np.uint64))
         rng.gauss_pair(), rng.gauss_pair()
         g = rng.gauss_pair() + rng.gauss_pair()
-        n = math.sqrt(sum(x * x for x in g))
-        return UnitQuaternion(*(x / n for x in g))
+        n = np.sqrt(sum(x * x for x in g))
+        return tuple(float((x / n)[0]) for x in g)
 
+    plain = _one_lane(su2.sample_haar, LANE_SEEDS)
     with mock.patch.object(su2.SplitMix64, "gauss_pair", zero_first_draw):
-        scalar = [su2.sample_haar(s) for s in LANE_SEEDS]
         lanes = su2.sample_haar(_lanes())
         one_lane = _one_lane(su2.sample_haar, LANE_SEEDS)
-    for s, q in zip(LANE_SEEDS, scalar):
-        assert q == (redraw(s) if s in chosen else su2.sample_haar(s))
+        with math_kernel():
+            ref = su2.sample_haar(_lanes())
+    assert _same_bits(lanes, [redraw(s) if s in chosen else q for s, q in zip(LANE_SEEDS, plain)])
     assert _same_bits(lanes, one_lane)
-    assert _close(lanes, scalar)
+    assert _close(lanes, ref)
 
 
 def _bits(values):
@@ -279,7 +286,7 @@ def test_each_on_a_generator_axis_equals_a_call_per_generator():
     assert rng.call_count == 1 and rng.call_args.args[0].shape == (3, len(LANE_SEEDS))
     want = [su2.sample_haar(su2.mix_seed(_lanes(), tag, i)) for tag, i in ((3, 0), (4, 0), (3, 1))]
     assert np.array_equal(_bits(got), _bits(want))
-    # floats stay floats, one generator at a time
+    # constants only: one stack without a lane axis
     vs = [AlgVector(0.1, 0.2, 0.3), AlgVector(-0.3, 0.0, 0.2)]
     assert su2.each(su2.exp_su2, vs) == [su2.exp_su2(v) for v in vs]
     assert su2.each(su2.exp_su2, []) == []
@@ -290,20 +297,25 @@ def test_kernel_lanes_equal_the_scalar_kernel():
     vs = su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 1))
     # zero lanes take the r == 0 and s == 0 branches of exp and log
     vs = su2.AlgVector(*(np.where(np.arange(len(LANE_SEEDS)) % 7 == 0, 0.0, c) for c in vs))
-    q_pts = [su2.UnitQuaternion(*(float(c[i]) for c in qs)) for i in range(len(LANE_SEEDS))]
-    v_pts = [su2.AlgVector(*(float(c[i]) for c in vs)) for i in range(len(LANE_SEEDS))]
-    # sqrt, sin and cos round alike on lanes and floats, so exp, the
-    # adjoint action and the norms keep the bits of the float kernel
-    assert _same_bits(su2.exp_su2(vs), [su2.exp_su2(v) for v in v_pts])
-    assert _same_bits(su2.adjoint(qs, vs), [su2.adjoint(q, v) for q, v in zip(q_pts, v_pts)])
-    assert _same_bits([qs.norm(), vs.norm(), su2.quat_dist(qs, su2.ONE)],
-                      [(q.norm(), v.norm(), su2.quat_dist(q, su2.ONE))
-                       for q, v in zip(q_pts, v_pts)])
-    # log takes an atan2: each lane has its one-lane bits and the float value
-    logs = su2.log_su2(su2.exp_su2(vs))
-    assert _same_bits(logs, [tuple(float(c[0]) for c in su2.log_su2(su2.exp_su2(
-        su2.AlgVector(*(np.array([x]) for x in v))))) for v in v_pts])
-    assert _close(logs, [su2.log_su2(su2.exp_su2(v)) for v in v_pts])
+
+    def kernel_calls():
+        return (su2.exp_su2(vs), su2.adjoint(qs, vs),
+                [qs.norm(), vs.norm(), su2.quat_dist(qs, su2.ONE)],
+                su2.log_su2(su2.exp_su2(vs)))
+
+    got = kernel_calls()
+    with math_kernel():
+        ref = kernel_calls()
+    # sqrt, sin and cos round alike through numpy and math, so exp, the
+    # adjoint action and the norms keep the bits of the scalar reference
+    for lanes, want in zip(got[:3], ref[:3]):
+        assert _same_bits(lanes, np.stack(np.broadcast_arrays(*want), axis=-1))
+    # log takes an atan2: each lane has its one-lane bits and the reference's value
+    logs = got[3]
+    v_pts = [tuple(np.array([c[i]]) for c in vs) for i in range(len(LANE_SEEDS))]
+    assert _same_bits(logs, [tuple(float(c[0]) for c in su2.log_su2(su2.exp_su2(v)))
+                             for v in v_pts])
+    assert _close(logs, ref[3])
 
 
 def test_log_of_lane_w_beside_a_float_imaginary_part():
@@ -314,7 +326,8 @@ def test_log_of_lane_w_beside_a_float_imaginary_part():
         assert _same_bits(got, [[float(np.broadcast_to(c, (1,))[0])
                                  for c in su2.log_su2((np.array([x]), *im))]
                                 for x in w.tolist()])
-        assert _close(got, [su2.log_su2((x, *im)) for x in w.tolist()])
+        with math_kernel():
+            assert _close(got, su2.log_su2((w, *im)))
 
 
 def test_log_branch_error_names_the_lanes():
@@ -331,34 +344,38 @@ def _ulps(got, want):
 
 
 def test_lane_math_rounds_as_python_floats():
-    # floats take math's function itself; lanes take numpy's, within 1 ulp
-    # of math (2 ulp for the cube root against math.pow(u, 1/3)) over 1M
-    # inputs each on x86-64 with numpy 2.4's AVX-512 dispatch
+    # lanes take numpy's functions, within 1 ulp of math (2 ulp for the cube
+    # root against math.pow(u, 1/3)) over 1M inputs each on x86-64 with
+    # numpy 2.4's AVX-512 dispatch
     x = np.random.default_rng(3).standard_normal(20000)
     y = np.random.default_rng(4).standard_normal(20000)
     u = np.random.default_rng(5).random(20000)
     xs, ys, us = x.tolist(), y.tolist(), u.tolist()
     cases = [
-        (_kernel.log, (np.abs(x),), [math.log(abs(a)) for a in xs], 1),
-        (_kernel.atan2, (y, x), [math.atan2(b, a) for a, b in zip(xs, ys)], 1),
-        (_kernel.hypot, (x, y), [math.hypot(a, b) for a, b in zip(xs, ys)], 1),
-        (_kernel.cbrt, (u,), [math.pow(c, 1.0 / 3.0) for c in us], 2),
+        ("log", (np.abs(x),), [math.log(abs(a)) for a in xs], 1),
+        ("atan2", (y, x), [math.atan2(b, a) for a, b in zip(xs, ys)], 1),
+        ("hypot", (x, y), [math.hypot(a, b) for a, b in zip(xs, ys)], 1),
+        ("cbrt", (u,), [math.pow(c, 1.0 / 3.0) for c in us], 2),
     ]
-    for fn, args, want, ulps in cases:
+    for name, args, want, ulps in cases:
+        fn = getattr(_kernel, name)
         got = fn(*args)
-        assert _ulps(got, np.array(want)) <= ulps, fn.__name__
-        floats = [a.tolist() for a in args]
-        assert [fn(*a) for a in zip(*floats)] == want, fn.__name__
+        assert _ulps(got, np.array(want)) <= ulps, name
+        # the scalar reference is math itself
+        with math_kernel():
+            assert getattr(_kernel, name)(*args).tolist() == want, name
+        assert [MATH[name](*a) for a in zip(*(a.tolist() for a in args))] == want, name
         # an element has the same bits in an array of any length
         for n in range(1, 18):
-            assert np.array_equal(fn(*(a[:n] for a in args)), got[:n]), fn.__name__
+            assert np.array_equal(fn(*(a[:n] for a in args)), got[:n]), name
         assert np.array_equal(np.concatenate([fn(*(a[i:i + 1] for a in args))
-                                              for i in range(500)]), got[:500]), fn.__name__
+                                              for i in range(500)]), got[:500]), name
     # a float beside a lane array broadcasts
     assert np.array_equal(_kernel.atan2(0.5, x), np.arctan2(0.5, x))
     assert np.array_equal(_kernel.hypot(y, 0.5), np.hypot(y, 0.5))
-    assert _same_bits([su2.vec_dist((x, y, x), (y, 0.5, -y))],
-                      [[su2.vec_dist((a, b, a), (b, 0.5, -b))] for a, b in zip(xs, ys)])
+    dist = su2.vec_dist((x, y, x), (y, 0.5, -y))
+    with math_kernel():
+        assert _same_bits([dist], [[d] for d in su2.vec_dist((x, y, x), (y, 0.5, -y)).tolist()])
 
 
 def test_numpy_integer_seeds_are_the_ints_they_hold():
@@ -371,10 +388,12 @@ def test_numpy_integer_seeds_are_the_ints_they_hold():
         assert su2.mix_seed(np.uint64(5), 1) == su2.mix_seed(5, 1)
         assert type(su2.mix_seed(np.uint64(5), 1)) is int
         assert su2.mix_seed(np.int64(-1), 2) == su2.mix_seed(-1, 2)
+        # an int seed, or a numpy integer scalar, draws one lane
         top = np.uint64(2 ** 64 - 1)
         assert su2.SplitMix64(top).next_u64() == su2.SplitMix64(2 ** 64 - 1).next_u64()
-        assert su2.sample_haar(arr[7]) == su2.sample_haar(int(arr[7]))
-        assert su2.sample_ball(1.0, arr[9]) == su2.sample_ball(1.0, int(arr[9]))
+        assert _same_bits(su2.sample_haar(arr[7]), [su2.sample_haar(int(arr[7]))])
+        assert _same_bits(su2.sample_ball(1.0, arr[9]), [su2.sample_ball(1.0, int(arr[9]))])
+        assert _same_bits(su2.sample_haar(int(arr[7])), _one_lane(su2.sample_haar, [int(arr[7])]))
 
 
 def test_tangent_matrices_on_lanes_equal_each_lane():
@@ -384,14 +403,14 @@ def test_tangent_matrices_on_lanes_equal_each_lane():
     # zero and tiny lanes take the small-angle series
     scale = np.select([np.arange(n) % 5 == 0, np.arange(n) % 5 == 1], [0.0, 1e-6], 1.0)
     vs = su2.AlgVector(*(c * scale for c in vs))
-    q_pts = [su2.UnitQuaternion(*(float(c[i]) for c in qs)) for i in range(n)]
-    v_pts = [su2.AlgVector(*(float(c[i]) for c in vs)) for i in range(n)]
+    q_pts = [su2.UnitQuaternion(*(c[i:i + 1] for c in qs)) for i in range(n)]
+    v_pts = [su2.AlgVector(*(c[i:i + 1] for c in vs)) for i in range(n)]
 
     def same(got, want):
         return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     for f in (su2.left_jacobian, su2.left_jacobian_inv):
-        assert same(f(vs), np.stack([f(v) for v in v_pts]))
+        assert same(f(vs), np.concatenate([f(v) for v in v_pts]))
     # a float quaternion stands for the same value on every lane
     assert same(su2.adjoint_matrices([qs, su2.ONE, qs]),
-                np.stack([su2.adjoint_matrices([q, su2.ONE, q]) for q in q_pts]))
+                np.concatenate([su2.adjoint_matrices([q, su2.ONE, q]) for q in q_pts]))
