@@ -11,14 +11,17 @@ can always be pushed through an identification (image) or pulled back
 (preimage), and invariant subsets are determined by their fully
 collapsed forms.
 
-Past the group and action tables everything is integer coded.  A
-product tuple (one carrier index per item of a sequence) is its
-row-major mixed-radix code, so codes run in itertools.product order.
-Each generator of the middle and outer actions is a permutation array
-over those codes, and a correspondence holds a sorted, duplicate-free
-int64 array of pair codes s * |P_tgt| + t.  Orbits are found by label
-propagation over the permutations, probes are carried by indexing
-through push and pull maps.
+Everything is integer coded.  A group's multiplication table and a
+biset's action tables are read-only int64 arrays from construction on,
+built by index arithmetic, and a group or biset compares and hashes by
+its name, its groups and its table bytes.  A product tuple (one carrier
+index per item of a sequence) is its row-major mixed-radix code, so
+codes run in itertools.product order.  Each generator of the middle and
+outer actions is a permutation array over those codes, and a
+correspondence holds a sorted, duplicate-free int64 array of pair codes
+s * |P_tgt| + t.  Orbits are found by label propagation over the
+permutations, probes are carried by indexing through push and pull
+maps.
 
 The orbit probes never leave that collapse.  An outer generator (left
 on the first item, right on the last) commutes with every middle one,
@@ -37,7 +40,9 @@ position, direction, side), keying the probe by identity.  Identity
 keys are sound because a correspondence is a frozen value whose
 interned pairs are read-only, and the memo holds every key probe alive,
 so no id is reused while its entry stands.  Only a miss hashes pair
-codes: a criterion-1 pass computes 252 of its 1944 transports.
+codes: a criterion-1 pass computes 252 of its 1944 transports.  The
+instance's one collapse memo serves composition and probes alike, so a
+pass acts on and collapses each of its 54 composed pairs once.
 """
 
 from __future__ import annotations
@@ -72,17 +77,37 @@ def _row_blocks(rows: int, per_row: int):
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
-@dataclass(frozen=True)
+def _int_table(rows, shape: tuple, bound: int) -> Optional[np.ndarray]:
+    """rows (nested ints or an array) as a fresh read-only int64 array of
+    the given shape with every entry in range(bound), or None when they
+    do not form one.  No rows at all form every shape with no rows."""
+    if len(rows) == 0 == shape[0]:
+        table = np.zeros(shape, dtype=np.int64)
+    else:
+        try:
+            table = np.array(rows, dtype=np.int64, order="C")
+        except (ValueError, OverflowError, TypeError):
+            return None
+        if table.shape != shape or (table.size and not 0 <= table.min() <= table.max() < bound):
+            return None
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
+    """A finite group on range(order).  mult, given as nested ints or an
+    array, is held as a read-only int64 array indexed [g, h]; equality
+    and hash are those of the name and the table."""
     name: str
-    mult: tuple  # mult[g][h], row-major indices
+    mult: np.ndarray
 
     def __post_init__(self):
         n = len(self.mult)
-        for row in self.mult:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise TableError("%s: malformed multiplication table" % self.name)
-        table = self.mult_array
+        table = _int_table(self.mult, (n, n), n)
+        if table is None:
+            raise TableError("%s: malformed multiplication table" % self.name)
+        object.__setattr__(self, "mult", table)
         ident = np.flatnonzero(
             (table == np.arange(n)).all(axis=1) & (table == np.arange(n)[:, None]).all(axis=0)
         )
@@ -95,18 +120,23 @@ class FiniteGroup:
         if any((table[table[g]] != table[g][:, table]).any() for g in _row_blocks(n, n * n)):
             raise TableError("%s: not associative" % self.name)
 
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.name, self.mult.tobytes())
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self._key == other._key
+
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.name, self.mult))
-
-    @cached_property
-    def mult_array(self) -> np.ndarray:
-        """mult as an int64 array indexed [g, h]."""
-        n = len(self.mult)
-        return np.array(self.mult, dtype=np.int64).reshape(n, n)
+        return hash(self._key)
 
     @property
     def order(self) -> int:
@@ -114,24 +144,22 @@ class FiniteGroup:
 
     @cached_property
     def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.mult[e][g] == g for g in range(self.order)):
-                return e
-        raise AssertionError
+        return int(np.flatnonzero((self.mult == np.arange(self.order)).all(axis=1))[0])
 
     @cached_property
-    def inverses(self) -> tuple:
-        e = self.identity
-        out = []
-        for g in range(self.order):
-            out.append(next(h for h in range(self.order) if self.mult[g][h] == e))
-        return tuple(out)
+    def inverses(self) -> np.ndarray:
+        """inverses[g] is g^-1, as a read-only int64 array."""
+        # each row holds the identity exactly once
+        out = np.argmax(self.mult == self.identity, axis=1)
+        out.flags.writeable = False
+        return out
 
     def inverse(self, g: int) -> int:
-        return self.inverses[g]
+        return int(self.inverses[g])
 
     @cached_property
     def _generators(self) -> tuple:
+        mult = self.mult.tolist()
         gens: list = []
         reached = {self.identity}
         for g in range(self.order):
@@ -140,7 +168,7 @@ class FiniteGroup:
                 # the subgroup gens generate, breadth first from the identity
                 frontier = [self.identity]
                 while frontier:
-                    frontier = list({self.mult[x][h] for x in frontier for h in gens} - reached)
+                    frontier = list({mult[x][h] for x in frontier for h in gens} - reached)
                     reached.update(frontier)
                 if len(reached) == self.order:
                     break
@@ -152,8 +180,9 @@ class FiniteGroup:
 
 
 def cyclic(n: int, name: Optional[str] = None) -> FiniteGroup:
-    mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(name or "Z%d" % n, mult)
+    # no elements for n <= 0, a table that then has no identity
+    i = np.arange(n)
+    return FiniteGroup(name or "Z%d" % n, (i[:, None] + i) % n)
 
 
 TRIVIAL = cyclic(1, "1")
@@ -189,27 +218,28 @@ def quaternion8(name: str = "Q8") -> FiniteGroup:
 
 
 def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    ng, nh = g.order, h.order
-    mult = tuple(
-        tuple(
-            g.mult[a // nh][b // nh] * nh + h.mult[a % nh][b % nh]
-            for b in range(ng * nh)
-        )
-        for a in range(ng * nh)
-    )
-    return FiniteGroup("%sx%s" % (g.name, h.name), mult)
+    """G x H with (a, b) coded a * |H| + b."""
+    nh = h.order
+    n = g.order * nh
+    # indexed [a, b, a', b'] for the product of (a, b) and (a', b')
+    mult = g.mult[:, None, :, None] * nh + h.mult[None, :, None, :]
+    return FiniteGroup("%sx%s" % (g.name, h.name), mult.reshape(n, n))
 
 
 # --- bisets -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteBiset:
+    """A set range(size) with commuting actions.  left, indexed [g, x],
+    and right, indexed [x, g'], are given as nested ints or arrays and
+    held as read-only int64 arrays; equality and hash are those of the
+    name, both groups and both tables."""
     name: str
     left_group: FiniteGroup
     right_group: FiniteGroup
-    left: tuple   # left[g][x]
-    right: tuple  # right[x][g']
+    left: np.ndarray   # left[g, x]
+    right: np.ndarray  # right[x, g']
 
     def __post_init__(self):
         """Check the biset laws, each on generators only: with S and T
@@ -225,13 +255,16 @@ class FiniteBiset:
         g acts as a composite of generators s, every h as one of
         generators t, and these commute pairwise."""
         G, H = self.left_group, self.right_group
-        m = self.size
-        if len(self.left) != G.order or any(len(r) != m for r in self.left):
+        m = len(self.right)
+        left = _int_table(self.left, (G.order, m), m)
+        if left is None:
             raise TableError("%s: malformed left action" % self.name)
-        if len(self.right) != m or any(len(r) != H.order for r in self.right):
+        right = _int_table(self.right, (m, H.order), m)
+        if right is None:
             raise TableError("%s: malformed right action" % self.name)
-        left, right = self.left_array, self.right_array
-        gm, hm = G.mult_array, H.mult_array
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        gm, hm = G.mult, H.mult
         S, T = list(G.generators()), list(H.generators())
         if (left[G.identity] != np.arange(m)).any() or (right[:, H.identity] != np.arange(m)).any():
             raise TableError("%s: identities act nontrivially" % self.name)
@@ -248,50 +281,48 @@ class FiniteBiset:
                for b in _row_blocks(len(S), m * len(T))):
             raise TableError("%s: actions do not commute" % self.name)
 
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.name, self.left_group, self.right_group,
+                self.left.tobytes(), self.right.tobytes())
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FiniteBiset):
+            return NotImplemented
+        return self._key == other._key
+
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.name, self.left_group, self.right_group, self.left, self.right))
-
-    @cached_property
-    def left_array(self) -> np.ndarray:
-        """left as an int64 array indexed [g, x]."""
-        return np.array(self.left, dtype=np.int64).reshape(self.left_group.order, self.size)
-
-    @cached_property
-    def right_array(self) -> np.ndarray:
-        """right as an int64 array indexed [x, g']."""
-        return np.array(self.right, dtype=np.int64).reshape(self.size, self.right_group.order)
+        return hash(self._key)
 
     @property
     def size(self) -> int:
         return len(self.right)
 
     def adjoint(self) -> "FiniteBiset":
+        """The (H, G)-biset on the same set: h.x = x.h^-1, x.g = g^-1.x."""
         G, H = self.left_group, self.right_group
-        m = self.size
-        left = tuple(tuple(self.right[x][H.inverse(h)] for x in range(m)) for h in range(H.order))
-        right = tuple(tuple(self.left[G.inverse(g)][x] for g in range(G.order)) for x in range(m))
+        left = self.right[:, H.inverses].T
+        right = self.left[G.inverses].T
         return FiniteBiset("%s^T" % self.name, H, G, left, right)
 
 
 def identity_biset(g: FiniteGroup) -> FiniteBiset:
-    left = tuple(tuple(g.mult[a][x] for x in range(g.order)) for a in range(g.order))
-    right = tuple(tuple(g.mult[x][a] for a in range(g.order)) for x in range(g.order))
-    return FiniteBiset("id_%s" % g.name, g, g, left, right)
+    return FiniteBiset("id_%s" % g.name, g, g, g.mult, g.mult)
 
 
 def biregular_biset(g: FiniteGroup) -> FiniteBiset:
     """G x G with left multiplication on the first factor and right on
     the second; composing two of these is a free quotient of size |G|^3."""
     n = g.order
-    m = n * n
-    left = tuple(
-        tuple(g.mult[a][x // n] * n + x % n for x in range(m)) for a in range(n)
-    )
-    right = tuple(tuple(x // n * n + g.mult[x % n][a] for a in range(n)) for x in range(m))
+    a, b = np.divmod(np.arange(n * n), n)  # the carrier point x = (a, b)
+    left = g.mult[:, a] * n + b
+    right = (a * n)[:, None] + g.mult[b]
     return FiniteBiset("reg_%s" % g.name, g, g, left, right)
 
 
@@ -300,14 +331,9 @@ def pants_biset(g: FiniteGroup, square: Optional[FiniteGroup] = None) -> FiniteB
     (g0,g1).(a,b) = (g0 a, g1 b) and (a,b).g2 = (a g2, b g2)."""
     gg = square or product_group(g, g)
     n = g.order
-    m = n * n
-    left = tuple(
-        tuple(g.mult[p // n][x // n] * n + g.mult[p % n][x % n] for x in range(m))
-        for p in range(n * n)
-    )
-    right = tuple(
-        tuple(g.mult[x // n][a] * n + g.mult[x % n][a] for a in range(n)) for x in range(m)
-    )
+    a, b = np.divmod(np.arange(n * n), n)  # the carrier point (a, b), and (g0, g1)
+    left = g.mult[a][:, a] * n + g.mult[b][:, b]
+    right = g.mult[a] * n + g.mult[b]
     return FiniteBiset("pants_%s" % g.name, gg, g, left, right)
 
 
@@ -316,23 +342,17 @@ def copants_biset(g: FiniteGroup, square: Optional[FiniteGroup] = None) -> Finit
     g0.(a,b) = (g0 a, b) and (a,b).(g1,g2) = (a g2, g1^-1 b g2)."""
     gg = square or product_group(g, g)
     n = g.order
-    m = n * n
-    left = tuple(tuple(g.mult[a][x // n] * n + x % n for x in range(m)) for a in range(n))
-    right = tuple(
-        tuple(
-            g.mult[x // n][p % n] * n + g.mult[g.mult[g.inverse(p // n)][x % n]][p % n]
-            for p in range(n * n)
-        )
-        for x in range(m)
-    )
+    a, b = np.divmod(np.arange(n * n), n)  # the carrier point (a, b), and (g1, g2)
+    left = g.mult[:, a] * n + b
+    # indexed [(a, b), (g1, g2)]
+    right = g.mult[a[:, None], b] * n + g.mult[g.mult[g.inverses[a], b[:, None]], b]
     return FiniteBiset("copants_%s" % g.name, g, gg, left, right)
 
 
 def unit_biset(g: FiniteGroup) -> FiniteBiset:
     """The point as a (1, G)-biset."""
-    left = ((0,),)
-    right = ((0,) * g.order,)
-    return FiniteBiset("unit_%s" % g.name, TRIVIAL, g, left, right)
+    return FiniteBiset("unit_%s" % g.name, TRIVIAL, g, np.zeros((1, 1), dtype=np.int64),
+                       np.zeros((1, g.order), dtype=np.int64))
 
 
 # --- integer codes ---------------------------------------------------------------
@@ -396,14 +416,14 @@ def _actions(seq) -> _Actions:
 
     def right_tables(item):
         grp = item.right_group
-        return [item.right_array[:, grp.inverse(g)] for g in grp.generators()]
+        return [item.right[:, grp.inverse(g)] for g in grp.generators()]
 
     mid = tuple(
-        codes + shift(j, rtab) + shift(j + 1, seq[j + 1].left_array[g])
+        codes + shift(j, rtab) + shift(j + 1, seq[j + 1].left[g])
         for j in range(len(seq) - 1)
         for g, rtab in zip(seq[j].right_group.generators(), right_tables(seq[j]))
     )
-    left = tuple(codes + shift(0, seq[0].left_array[g]) for g in seq[0].left_group.generators())
+    left = tuple(codes + shift(0, seq[0].left[g]) for g in seq[0].left_group.generators())
     right = tuple(codes + shift(len(seq) - 1, rtab) for rtab in right_tables(seq[-1]))
     return _Actions(size, mid, left, right)
 
@@ -427,30 +447,29 @@ def _reach(size: int, start: int, moves) -> np.ndarray:
 # --- composition and collapse --------------------------------------------------
 
 
-def try_compose_bisets(m: FiniteBiset, n: FiniteBiset):
+def try_compose_bisets(m: FiniteBiset, n: FiniteBiset, collapse=None):
     """Quotient of the anti-diagonal middle action when free.
 
     Returns (composite, orbit_of, orbit_members) or None: orbit_of maps
     each code x * n.size + y of M x N to its orbit, and row o of the
     (orbits, |G|) array orbit_members lists orbit o in increasing order.
     Orbits are labeled in increasing order of their minimal code, so the
-    composite is canonical."""
+    composite is canonical.  collapse, if given, maps the sequence
+    (m, n) to its CollapsedSet, so a caller's memo of collapses serves
+    here too; by default the collapse is computed."""
     if m.right_group != n.left_group:
         raise NotComposable("middle groups differ")
     order = m.right_group.order
-    collapsed = _collapse(_actions((m, n)))
+    collapsed = collapse((m, n)) if collapse else _collapse(_actions((m, n)))
     # no orbit exceeds |G| points, and all have |G| exactly when the action is free
     if collapsed.count * order != m.size * n.size:
         return None
     orbit_of = collapsed.orbit_of
     members = np.argsort(orbit_of, kind="stable").reshape(collapsed.count, order)
     x, y = np.divmod(members[:, 0], n.size)
-    left = orbit_of[m.left_array[:, x] * n.size + y]
-    right = orbit_of[(x * n.size)[:, None] + n.right_array[y]]
-    comp = FiniteBiset(
-        "(%s*%s)" % (m.name, n.name), m.left_group, n.right_group,
-        tuple(map(tuple, left.tolist())), tuple(map(tuple, right.tolist())),
-    )
+    left = orbit_of[m.left[:, x] * n.size + y]
+    right = orbit_of[(x * n.size)[:, None] + n.right[y]]
+    comp = FiniteBiset("(%s*%s)" % (m.name, n.name), m.left_group, n.right_group, left, right)
     return comp, orbit_of, members
 
 
@@ -573,7 +592,7 @@ class LieRInstance(Instance):
     def _compose_full(self, a, b):
         key = (a, b)
         if key not in self._compose_memo:
-            self._compose_memo[key] = try_compose_bisets(a, b)
+            self._compose_memo[key] = try_compose_bisets(a, b, self.collapse)
         return self._compose_memo[key]
 
     def try_compose1(self, a, b):

@@ -49,14 +49,6 @@ class Circle:
         if self.orient not in (1, -1):
             raise ValueError("orientation must be +-1")
 
-    def reversed(self) -> "Circle":
-        return Circle(self.label, -self.orient, self.param)
-
-
-def manifold(*labels) -> tuple:
-    """A parametrized closed 1-manifold given by circle labels."""
-    return tuple(Circle(l) if isinstance(l, str) else l for l in labels)
-
 
 def _labels(circles) -> tuple:
     return tuple(sorted(c.label for c in circles))
@@ -120,10 +112,6 @@ class Surface:
 
 def _comp_sort(c: SurfComponent):
     return (c.genus, tuple(x.label for x in c.into), tuple(x.label for x in c.out))
-
-
-def surface(components, source, target) -> Surface:
-    return Surface(tuple(components), manifold(*source), manifold(*target))
 
 
 Chain = tuple  # of Surface
@@ -723,6 +711,9 @@ def _move_cyl_cancel(seq: CobSeq, move: Move) -> CobSeq:
     pos = move.pos
     if not 0 <= pos < len(seq) or seq[pos].kind != CYLINDER:
         raise PatternMismatch("no cylinder at position %d" % pos)
+    if len(seq) == 1:
+        # an empty sequence carries no boundary to evaluate
+        raise PatternMismatch("cyl_cancel of the only step leaves no steps")
     return seq[:pos] + seq[pos + 1:]
 
 

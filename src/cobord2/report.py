@@ -9,6 +9,7 @@ same configuration and inputs."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -108,18 +109,11 @@ def _emit(value, out):
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
 
 
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE.sub(lambda m: _ESCAPES.get(m[0]) or "\\u%04x" % ord(m[0]), s)
 
 
 def config_payload(cfg: RunConfig) -> dict:

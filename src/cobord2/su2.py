@@ -65,11 +65,6 @@ class UnitQuaternion(NamedTuple):
     y: float
     z: float
 
-    def conj(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    inv = conj
-
     def norm(self) -> np.ndarray:
         return _norm4(self.w, self.x, self.y, self.z)
 

@@ -63,9 +63,6 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "gens", _min_rotation(_cyclic_reduce(list(self.gens))))
 
-    def inverse(self) -> "Word":
-        return Word(self.comp, tuple((k, r, -s) for (k, r, s) in reversed(self.gens)))
-
     def single_generator(self):
         """(kind, ref) when the word is one unsigned generator, else None."""
         if len(self.gens) == 1:

@@ -54,9 +54,10 @@ def test_group_laws_checked_on_construction():
 
 
 def _tamper_last_row(table):
-    """table with the entries 1 and 2 of its last row swapped."""
-    *rows, last = table
-    return (*rows, (last[0], last[2], last[1]) + last[3:])
+    """The rows of the array table as lists, with the entries 1 and 2 of
+    the last row swapped."""
+    *rows, last = table.tolist()
+    return (*rows, [last[0], last[2], last[1]] + last[3:])
 
 
 # Order 128: the law checks cover these tables in several row blocks.
@@ -92,14 +93,18 @@ assert S3.generators() == Z2Z2.generators() == (1, 2)
 
 
 def _swap_row(table, row):
-    """table with the first two entries of one row swapped."""
-    r = table[row]
-    return table[:row] + ((r[1], r[0]) + r[2:],) + table[row + 1:]
+    """The rows of the array table as lists, with the first two entries
+    of one row swapped."""
+    rows = table.tolist()
+    r = rows[row]
+    r[0], r[1] = r[1], r[0]
+    return rows
 
 
 def _swap_column(table, col):
-    """table with the first two entries of one column swapped."""
-    return tuple(zip(*_swap_row(tuple(zip(*table)), col)))
+    """The rows of the array table as lists, with the first two entries
+    of one column swapped."""
+    return [list(c) for c in zip(*_swap_row(table.T, col))]
 
 
 def _tamper_cases(group, ident, element):
@@ -173,8 +178,8 @@ def test_compose_regular_z2_is_identity():
     assert made is not None
     comp, _, _ = made
     assert comp.size == 2
-    assert comp.left == identity_biset(Z2).left
-    assert comp.right == identity_biset(Z2).right
+    assert comp.left.tolist() == identity_biset(Z2).left.tolist()
+    assert comp.right.tolist() == identity_biset(Z2).right.tolist()
 
 
 def test_identity_biset_is_neutral():
@@ -197,6 +202,7 @@ def _biset_iso(a, b):
     if a.size != b.size or a.left_group != b.left_group or a.right_group != b.right_group:
         return False
     G, H = a.left_group, b.right_group
+    a_left, a_right, b_left, b_right = (t.tolist() for t in (a.left, a.right, b.left, b.right))
     # try mapping a's point 0 to every point of b and propagate
     for y0 in range(b.size):
         mapping = {0: y0}
@@ -206,7 +212,7 @@ def _biset_iso(a, b):
             new = []
             for x in frontier:
                 for g in range(G.order):
-                    xx, yy = a.left[g][x], b.left[g][mapping[x]]
+                    xx, yy = a_left[g][x], b_left[g][mapping[x]]
                     if xx in mapping:
                         if mapping[xx] != yy:
                             ok = False
@@ -215,7 +221,7 @@ def _biset_iso(a, b):
                         mapping[xx] = yy
                         new.append(xx)
                 for h in range(H.order):
-                    xx, yy = a.right[x][h], b.right[mapping[x]][h]
+                    xx, yy = a_right[x][h], b_right[mapping[x]][h]
                     if xx in mapping:
                         if mapping[xx] != yy:
                             ok = False
@@ -395,7 +401,8 @@ def test_collapse_oracle_on_mixed_patch_diagram():
 def test_adjoint_involutive():
     for m in (identity_biset(S3), biregular_biset(Q8), pants_biset(Z3)):
         twice = m.adjoint().adjoint()
-        assert twice.left == m.left and twice.right == m.right
+        assert twice.left.tolist() == m.left.tolist()
+        assert twice.right.tolist() == m.right.tolist()
 
 
 def test_adjunction_compatible_with_composition():
@@ -425,23 +432,31 @@ def test_decomposition_enumeration():
     assert (m, m) in decs
 
 
-def _act(items, tup, left, mids, right):
+def _tables(items):
+    """(left, right, right group inverses) of each item, as lists."""
+    return [(item.left.tolist(), item.right.tolist(), item.right_group.inverses.tolist())
+            for item in items]
+
+
+def _act(tables, tup, left, mids, right):
     """tup moved by left in the first item's left group, right in the
     last item's right group and mids[j] in the group between items j and
-    j+1, applied as whole elements: item i sends x to l.x.r^-1."""
+    j+1, applied as whole elements: item i, with the _tables entry
+    tables[i], sends x to l.x.r^-1."""
     out = []
-    for i, (item, x) in enumerate(zip(items, tup)):
+    for i, ((lt, rt, inv), x) in enumerate(zip(tables, tup)):
         l = left if i == 0 else mids[i - 1]
-        r = right if i == len(items) - 1 else mids[i]
-        out.append(item.right[item.left[l][x]][item.right_group.inverse(r)])
+        r = right if i == len(tables) - 1 else mids[i]
+        out.append(rt[lt[l][x]][inv[r]])
     return tuple(out)
 
 
 def _brute_orbit_probe(items, start):
     g0, gn = items[0].left_group, items[-1].right_group
     mids = list(itertools.product(*[range(m.right_group.order) for m in items[:-1]]))
+    tables = _tables(items)
     return {
-        (_act(items, start, l, a, r), _act(items, start, l, b, r))
+        (_act(tables, start, l, a, r), _act(tables, start, l, b, r))
         for l in range(g0.order) for r in range(gn.order) for a in mids for b in mids
     }
 
@@ -449,8 +464,9 @@ def _brute_orbit_probe(items, start):
 def _brute_collapse(items):
     mids = list(itertools.product(*[range(m.right_group.order) for m in items[:-1]]))
     l, r = items[0].left_group.identity, items[-1].right_group.identity
+    tables = _tables(items)
     return {
-        frozenset(_act(items, tup, l, a, r) for a in mids) for tup in product_tuples(items)
+        frozenset(_act(tables, tup, l, a, r) for a in mids) for tup in product_tuples(items)
     }
 
 
@@ -569,6 +585,23 @@ def test_transport_memo_carries_each_distinct_probe_once(monkeypatch):
         assert len(ends) == 648
         # every probe comes back, as the very object probes() handed out
         assert all(carried is probe for probe, carried in ends)
+
+
+def test_criterion_1_collapses_each_start_pair_once(monkeypatch):
+    # composing a start pair and probing it share the instance's collapse
+    # memo, so each of the 54 composed pairs is acted on and collapsed once
+    calls = {"_actions": 0, "_collapse": 0}
+    for name in calls:
+        def counted(*args, _body=getattr(bs, name), _name=name):
+            calls[_name] += 1
+            return _body(*args)
+
+        monkeypatch.setattr(bs, name, counted)
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    assert len(loops) == 108 and not any(bad for _, _, bad in loops)
+    assert len(inst._compose_memo) == 54
+    assert calls == {"_actions": 54, "_collapse": 54}
 
 
 def test_criterion_1_pass_traced_memory_stays_bounded():

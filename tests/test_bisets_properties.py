@@ -18,6 +18,7 @@ from cobord2.bisets import (
     identity_biset,
     pants_biset,
     product_group,
+    quaternion8,
     symmetric3,
     unit_biset,
 )
@@ -77,9 +78,10 @@ def _through(m, side, group, hom_name, hom):
     an action that is not free."""
     name = "%s<%s.%s" % (m.name, side, hom_name)
     if side == "left":
-        left = tuple(m.left[hom[k]] for k in range(group.order))
+        rows = m.left.tolist()
+        left = tuple(rows[hom[k]] for k in range(group.order))
         return FiniteBiset(name, group, m.right_group, left, m.right)
-    right = tuple(tuple(row[hom[k]] for k in range(group.order)) for row in m.right)
+    right = tuple(tuple(row[hom[k]] for k in range(group.order)) for row in m.right.tolist())
     return FiniteBiset(name, m.left_group, group, m.left, right)
 
 
@@ -159,7 +161,7 @@ def _biset_tables(draw):
              "copants": copants_biset, "unit": unit_biset}[shape](g)
     if draw(st.booleans()):
         m = m.adjoint()
-    tables = [list(map(list, m.left)), list(map(list, m.right))]
+    tables = [m.left.tolist(), m.right.tolist()]
     tamper = draw(st.sampled_from(["none", "swap", "set", "conjugate"]))
     if tamper == "conjugate":
         perm = draw(st.permutations(range(m.size)))
@@ -189,3 +191,46 @@ def test_biset_law_checks_on_generators_match_every_element(case):
     except TableError as err:
         got = str(err)
     assert got == (None if want is None else "b: " + want)
+
+
+# Z1-Z6, S3 and Q8, each with its entry-by-entry twin from the reference
+_BASE_GROUPS = [(cyclic(n), ref.cyclic(n)) for n in range(1, 7)] + [
+    (symmetric3(), symmetric3()), (quaternion8(), quaternion8())]
+
+
+def _same(new, old):
+    """new, built by array arithmetic, equals old, built entry by entry:
+    the same tables, read-only, and the same equality and hash."""
+    assert new == old and hash(new) == hash(old)
+    tables = ("mult",) if hasattr(new, "mult") else ("left", "right")
+    for name in tables:
+        table = getattr(new, name)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == getattr(old, name).tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_BASE_GROUPS), st.one_of(st.none(), st.sampled_from(_BASE_GROUPS)))
+def test_array_constructors_match_entry_by_entry_reference(first, second):
+    # a base group or a product of two; the constructors that build a
+    # square G x G, and biregular_biset with its |G|**2 points, run on
+    # the smaller groups only, so the reference stays quick
+    g, g_ref = first
+    if second is not None:
+        g, g_ref = product_group(g, second[0]), ref.product_group(g_ref, second[1])
+    _same(g, g_ref)
+    made = [(identity_biset(g), ref.identity_biset(g_ref)), (unit_biset(g), ref.unit_biset(g_ref))]
+    if g.order <= 24:
+        made.append((biregular_biset(g), ref.biregular_biset(g_ref)))
+    if g.order <= 12:
+        square, square_ref = product_group(g, g), ref.product_group(g_ref, g_ref)
+        _same(square, square_ref)
+        made += [(pants_biset(g, square), ref.pants_biset(g_ref, square_ref)),
+                 (copants_biset(g, square), ref.copants_biset(g_ref, square_ref))]
+    for new, old in made:
+        _same(new, old)
+        _same(new.adjoint(), ref.adjoint(old))
+        # the adjoint is an involution on the tables
+        twice = new.adjoint().adjoint()
+        assert twice.left.tolist() == new.left.tolist()
+        assert twice.right.tolist() == new.right.tolist()

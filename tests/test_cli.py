@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chart_reference import unflatten_point
-from cobord2 import cdf, cli
+from cobord2 import cdf, cli, report
 from cobord2 import cobordism as cb
 from cobord2.cdf import ParseError, parse_catalog, parse_cdf, parse_word
 from cobord2.cobordism import Move, apply_move, cylinder_seq
@@ -181,6 +181,23 @@ def test_cli_axioms_corrupt_catalog(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("group, message", [
+    ("z cyclic 0", "no identity element"),
+    ("z cyclic -3", "no identity element"),
+    ("z table 0", "no identity element"),
+    ("z table -1 0", "no identity element"),
+    ("z table 2 0 1 1 " + "9" * 23, "malformed multiplication table"),
+    ("z table 2 0 1 1 -1", "malformed multiplication table"),
+    ("z table 2 0 1 1 1", "element 1 has no inverse"),
+    ("z table 3 0 1 2 1 2 0 2 1 0", "not associative"),
+], ids=["cyclic-0", "cyclic-negative", "table-0", "table-negative", "table-23-digit-entry",
+        "table-negative-entry", "table-without-inverse", "table-not-associative"])
+def test_cli_axioms_names_each_group_table_error(tmp_path, group, message):
+    path = tmp_path / "doc.cat"
+    path.write_text("@groups\n%s\n" % group)
+    assert run_cli(["axioms", str(path)]) == (2, "", "error: line 2: z: %s\n" % message)
+
+
 def test_cli_axioms_empty_catalog_trivially_passes(tmp_path):
     path = tmp_path / "empty.cat"
     path.write_text("@groups\n")
@@ -326,6 +343,15 @@ def test_cli_module_exits_2_without_traceback(tmp_path, command, text):
     assert "error: " in proc.stderr
 
 
+def test_cli_move_chain_emptying_the_sequence_is_refused(tmp_path):
+    # cyl_cancel of cylinder.cdf's only step: the move chain is at fault,
+    # not the steps, which parsed
+    path = tmp_path / "doc.cdf"
+    path.write_text((DATA / "cylinder.cdf").read_text() + "@moves\ncyl_cancel 0\n")
+    assert run_cli(["functor", "invariance", str(path)]) == (
+        2, "", "error: move chain does not apply: cyl_cancel of the only step leaves no steps\n")
+
+
 @pytest.mark.parametrize("mode, calls", [("eval", 1), ("invariance", 2)])
 def test_functor_validates_each_sequence_once(monkeypatch, mode, calls):
     seen = []
@@ -354,6 +380,22 @@ def test_run_config_rejects_counts_below_one(field):
     for bad in (0, -3):
         with pytest.raises(ValueError):
             RunConfig(**{field: bad})
+
+
+def _escape_by_character(s):
+    """A string escaped for a report one character at a time, as
+    report._escape once did."""
+    named = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    return "".join(named.get(ch) or ("\\u%04x" % ord(ch) if ord(ch) < 0x20 else ch) for ch in s)
+
+
+def test_report_escape_matches_the_character_loop():
+    specials = [chr(c) for c in range(0x20)] + ['"', "\\"]
+    plain = ["", "plain", "x\x7f", "caf\u00e9", " ~"]
+    for text in plain + specials + ["a%sb" % ch for ch in specials] + ["".join(specials)]:
+        assert report._escape(text) == _escape_by_character(text)
+    # a string with nothing to escape comes back as it is
+    assert all(report._escape(text) is text for text in plain)
 
 
 # --- hostile inputs: mutated shipped files through cli.main ----------------------------

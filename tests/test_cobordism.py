@@ -140,6 +140,12 @@ def test_cylinder_create_cancel_invertible():
     assert back == seq
 
 
+def test_cylinder_cancel_of_the_only_step_is_refused():
+    # an empty sequence has no boundary left to evaluate
+    with pytest.raises(PatternMismatch, match="^cyl_cancel of the only step leaves no steps$"):
+        apply_move(cylinder_seq(annulus_chain()), Move("cyl_cancel", 0))
+
+
 def test_circle_insert_remove_invertible():
     chain = annulus_chain()
     seq = cylinder_seq(chain) + cylinder_seq(chain)

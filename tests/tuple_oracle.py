@@ -8,6 +8,10 @@ action is applied generator by generator and closed breadth first, with
 no integer encoding, so agreement with cobord2.bisets checks the
 encoding.  diagram_collapse extends the reference from simple
 2-morphisms to whole diagrams.
+
+The constructors at the end build the groups, the bisets and the
+adjoint of cobord2.bisets entry by entry from nested tuples, as the
+reference for the array arithmetic there.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cobord2.bisets import TRIVIAL, FiniteBiset, FiniteGroup
 from cobord2.diagram import Face, _row_target
 
 
@@ -66,14 +71,15 @@ def actions(seq) -> Actions:
 
     def right_maps(item):
         grp = item.right_group
-        return tuple(tuple(row[grp.inverse(g)] for row in item.right) for g in grp.generators())
+        return tuple(tuple(row[grp.inverse(g)] for row in item.right.tolist())
+                     for g in grp.generators())
 
     mid = tuple(
-        (j, rmap, seq[j + 1].left[g])
+        (j, rmap, tuple(seq[j + 1].left[g].tolist()))
         for j in range(len(seq) - 1)
         for g, rmap in zip(seq[j].right_group.generators(), right_maps(seq[j]))
     )
-    left = tuple(seq[0].left[g] for g in seq[0].left_group.generators())
+    left = tuple(tuple(seq[0].left[g].tolist()) for g in seq[0].left_group.generators())
     return Actions(mid, left, right_maps(seq[-1]))
 
 
@@ -163,12 +169,13 @@ def compose_orbits(m, n) -> tuple:
     """(orbit_of, members) of the free anti-diagonal quotient of M x N,
     orbits labeled in increasing order of their smallest index x * |N| + y."""
     G1 = m.right_group
+    m_right, n_left = m.right.tolist(), n.left.tolist()
     orbit_of = [-1] * (m.size * n.size)
     members = []
     for idx in range(len(orbit_of)):
         if orbit_of[idx] == -1:
             x, y = divmod(idx, n.size)
-            orb = sorted({m.right[x][G1.inverse(g)] * n.size + n.left[g][y]
+            orb = sorted({m_right[x][G1.inverse(g)] * n.size + n_left[g][y]
                           for g in range(G1.order)})
             for j in orb:
                 orbit_of[j] = len(members)
@@ -227,12 +234,88 @@ def biset_law_error(left_group, right_group, left, right):
     if len(right) != m or any(len(row) != H.order for row in right):
         return "malformed right action"
     xs, gs, hs = range(m), range(G.order), range(H.order)
+    gm, hm = G.mult.tolist(), H.mult.tolist()
     if any(left[G.identity][x] != x or right[x][H.identity] != x for x in xs):
         return "identities act nontrivially"
-    if any(left[G.mult[g][k]][x] != left[g][left[k][x]] for g in gs for k in gs for x in xs):
+    if any(left[gm[g][k]][x] != left[g][left[k][x]] for g in gs for k in gs for x in xs):
         return "left action not associative"
-    if any(right[x][H.mult[h][k]] != right[right[x][h]][k] for x in xs for h in hs for k in hs):
+    if any(right[x][hm[h][k]] != right[right[x][h]][k] for x in xs for h in hs for k in hs):
         return "right action not associative"
     if any(right[left[g][x]][h] != left[g][right[x][h]] for g in gs for x in xs for h in hs):
         return "actions do not commute"
     return None
+
+
+# --- constructors, entry by entry ------------------------------------------------
+
+
+def cyclic(n, name=None):
+    mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return FiniteGroup(name or "Z%d" % n, mult)
+
+
+def product_group(g, h):
+    ng, nh = g.order, h.order
+    gm, hm = g.mult.tolist(), h.mult.tolist()
+    mult = tuple(
+        tuple(gm[a // nh][b // nh] * nh + hm[a % nh][b % nh] for b in range(ng * nh))
+        for a in range(ng * nh)
+    )
+    return FiniteGroup("%sx%s" % (g.name, h.name), mult)
+
+
+def adjoint(b):
+    G, H = b.left_group, b.right_group
+    m = b.size
+    bl, br = b.left.tolist(), b.right.tolist()
+    left = tuple(tuple(br[x][H.inverse(h)] for x in range(m)) for h in range(H.order))
+    right = tuple(tuple(bl[G.inverse(g)][x] for g in range(G.order)) for x in range(m))
+    return FiniteBiset("%s^T" % b.name, H, G, left, right)
+
+
+def identity_biset(g):
+    gm = g.mult.tolist()
+    left = tuple(tuple(gm[a][x] for x in range(g.order)) for a in range(g.order))
+    right = tuple(tuple(gm[x][a] for a in range(g.order)) for x in range(g.order))
+    return FiniteBiset("id_%s" % g.name, g, g, left, right)
+
+
+def biregular_biset(g):
+    n = g.order
+    m = n * n
+    gm = g.mult.tolist()
+    left = tuple(tuple(gm[a][x // n] * n + x % n for x in range(m)) for a in range(n))
+    right = tuple(tuple(x // n * n + gm[x % n][a] for a in range(n)) for x in range(m))
+    return FiniteBiset("reg_%s" % g.name, g, g, left, right)
+
+
+def pants_biset(g, square=None):
+    gg = square or product_group(g, g)
+    n = g.order
+    m = n * n
+    gm = g.mult.tolist()
+    left = tuple(
+        tuple(gm[p // n][x // n] * n + gm[p % n][x % n] for x in range(m)) for p in range(n * n)
+    )
+    right = tuple(tuple(gm[x // n][a] * n + gm[x % n][a] for a in range(n)) for x in range(m))
+    return FiniteBiset("pants_%s" % g.name, gg, g, left, right)
+
+
+def copants_biset(g, square=None):
+    gg = square or product_group(g, g)
+    n = g.order
+    m = n * n
+    gm = g.mult.tolist()
+    left = tuple(tuple(gm[a][x // n] * n + x % n for x in range(m)) for a in range(n))
+    right = tuple(
+        tuple(
+            gm[x // n][p % n] * n + gm[gm[g.inverse(p // n)][x % n]][p % n]
+            for p in range(n * n)
+        )
+        for x in range(m)
+    )
+    return FiniteBiset("copants_%s" % g.name, g, gg, left, right)
+
+
+def unit_biset(g):
+    return FiniteBiset("unit_%s" % g.name, TRIVIAL, g, ((0,),), ((0,) * g.order,))
