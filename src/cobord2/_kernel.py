@@ -2,8 +2,8 @@
 
 Quaternions are 4-tuples (w, x, y, z), su(2) vectors 3-tuples (a, b, c)
 of pure-quaternion coefficients.  A component is an (N,) float64 array,
-one point per lane; a float in a tuple stands for the same value on
-every lane (a zero theta, a pinned identity).  sqrt, sin, cos, log,
+one point per lane, or an (n, N) stack of n such values; a float in a
+tuple stands for the same value on every lane (the identity, say).  sqrt, sin, cos, log,
 atan2, hypot and cbrt are numpy's, select is np.where, and the rest is
 arithmetic.
 

@@ -541,7 +541,11 @@ def orbit_relation_corr(seq, collapsed: CollapsedSet) -> Correspondence:
 
 def identification_corr(m: FiniteBiset, n: FiniteBiset) -> Correspondence:
     """Graph of the projection (M x N) -> M o N."""
-    made = try_compose_bisets(m, n)
+    return _identification(m, n, try_compose_bisets(m, n))
+
+
+def _identification(m: FiniteBiset, n: FiniteBiset, made) -> Correspondence:
+    """identification_corr from made = try_compose_bisets(m, n)."""
     if made is None:
         raise NotComposable("%s, %s: middle action not free" % (m.name, n.name))
     comp, orbit_of, _ = made
@@ -618,7 +622,7 @@ class LieRInstance(Instance):
     # -- 2-morphisms
 
     def identification2(self, a, b):
-        return identification_corr(a, b)
+        return _identification(a, b, self._compose_full(a, b))
 
     def try_compose2_vertical(self, a, b):
         return try_compose_corrs(a, b)

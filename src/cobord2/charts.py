@@ -46,13 +46,11 @@ Gamma e^theta Gamma^-1, and the basepoint loop e^{theta_1} = D^-1 the
 inverted factors of D = chart_defect.  exp_su2 has bracket
 [u, w] = 2 u x w, so J_l(v) is the SO(3) left Jacobian at 2v (see su2).
 
-Batches.  Every ChartPoint is a batch: its components are (N,) float64
-arrays, N points of one chart, one per lane, and a float component
-stands for the same value on every lane (a zero theta, a pinned
-identity).  random_point takes a uint64 seed array and draws on each
-lane the point its seed draws as a one-lane batch; every map here acts
-lane by lane, with the bits on each lane that a one-lane batch of it
-gets.  A BranchError names the offending lanes (BranchError.lanes), and
+Batches.  Every ChartPoint is a batch of N points of one chart, one
+per lane.  random_point takes a uint64 seed array and draws on each lane
+the point its seed draws as a one-lane batch; every map here acts lane
+by lane, with the bits on each lane that a one-lane batch of it gets.
+A BranchError names the offending lanes (BranchError.lanes), and
 select_lanes drops them.  The tangent layer puts the lanes on a leading
 axis of every array it returns (a (3, D) Jacobian becomes (N, 3, D), and
 one stacked SVD serves the batch); numpy's matmul and SVD treat each
@@ -65,19 +63,18 @@ A point computes its chart_defect once (ChartPoint.defect), for
 admissibility, theta_1 and the relation residual alike; a point is
 frozen and every map builds a new one.
 
-Generators.  Work done once per generator of a batch (Gamma_i, A_j,
-B_j, theta_i) runs as one call over a generator axis (su2.each): the
-generators' lane arrays are stacked into (n_gen, N) arrays, the kernel
-function runs once on them, and each generator gets its row back.
-random_point draws all arcs and handles of a trial round in one
-sample_haar call and all thetas in one sample_ball call, with the seeds
-mix_seed(s, tag, index) of the one-by-one draw; the chart defect takes
-every boundary loop in one call and every commutator in one; action,
-the rotations, glue, split, canonical_gauge and point_distance map
-their arcs and handles the same way.  numpy computes each element on
-its own, so every lane of every generator keeps the bits it has from a
-call of its own, and products along a word (su2.product, the prefix
-products of the Jacobians) stay one factor at a time.
+Generators.  A point holds one stack per generator family: thetas
+(theta_2 .. theta_k), gammas (Gamma_2 .. Gamma_k) and handles (A_1 ..
+A_g, then B_1 .. B_g, the halves ChartPoint.a and .b), each component
+a contiguous (n, N) float64 array with generators on the leading axis,
+constants (a zero theta, a pinned identity) filled in and n possibly 0.
+Per-generator work runs once on a stack: random_point's draws (with
+the seeds mix_seed(s, tag, index) of a one-by-one draw), the defect's
+loops and commutators, action, the rotations, glue, split,
+canonical_gauge and point_distance.  numpy computes each element on its
+own, so every lane of every generator keeps the bits of a call of its
+own; products along a word (su2.product, the prefix products of the
+Jacobians) stay one factor at a time over row views.
 """
 
 from __future__ import annotations
@@ -163,15 +160,27 @@ class ModuliChart:
 @dataclass(frozen=True)
 class ChartPoint:
     chart: ModuliChart
-    thetas: tuple   # AlgVector per boundary 1..k-1
-    gammas: tuple   # UnitQuaternion per boundary 1..k-1
-    handles: tuple  # (A_j, B_j) pairs, j = 1..genus
+    thetas: AlgVector        # theta_2 .. theta_k, components (k - 1, N)
+    gammas: UnitQuaternion   # Gamma_2 .. Gamma_k, components (k - 1, N)
+    handles: UnitQuaternion  # A_1 .. A_g, B_1 .. B_g, components (2g, N)
 
     def __post_init__(self):
-        if len(self.thetas) != self.chart.k - 1 or len(self.gammas) != self.chart.k - 1:
+        if len(self.thetas.a) != self.chart.k - 1 or len(self.gammas.w) != self.chart.k - 1:
             raise ValueError("wrong number of boundary coordinates")
-        if len(self.handles) != self.chart.genus:
+        if len(self.handles.w) != 2 * self.chart.genus:
             raise ValueError("wrong number of handle pairs")
+
+    @property
+    def lanes(self) -> int:
+        return self.thetas.a.shape[1]
+
+    @property
+    def a(self) -> UnitQuaternion:  # A_1 .. A_g, the first half of handles
+        return _take(self.handles, slice(self.chart.genus))
+
+    @property
+    def b(self) -> UnitQuaternion:  # B_1 .. B_g, the second half
+        return _take(self.handles, slice(self.chart.genus, None))
 
     @functools.cached_property
     def defect(self) -> UnitQuaternion:
@@ -180,72 +189,134 @@ class ChartPoint:
         return _defect(self)
 
 
+# --- stacks: one value per generator on the leading axis --------------------------
+
+
+def _row(x, i: int):
+    """Generator i of the stack x, its components row views."""
+    return type(x)._make(c[i] for c in x)
+
+
+def _rows(x) -> list:
+    """Every generator of the stack x in order, as row views."""
+    return list(map(type(x)._make, zip(*x)))
+
+
+def _take(x, rows):
+    """The stack of the generators of x that rows (a slice or an index
+    list) picks, as views when the rows are consecutive."""
+    if not isinstance(rows, slice):
+        start = rows[0] if rows else 0
+        if rows != list(range(start, start + len(rows))):
+            rows = np.array(rows, dtype=np.intp)
+            return type(x)._make(c.take(rows, axis=0) for c in x)
+        rows = slice(start, start + len(rows))
+    return type(x)._make(c[rows] for c in x)
+
+
+def _cat(n: int, *parts):
+    """One stack of n lanes holding the parts in order: each part a
+    stack, or a single generator (lane arrays, or floats standing for
+    every lane)."""
+    stacks = [x if np.ndim(x[0]) == 2 else
+              type(x)._make(c[None] if np.ndim(c) else np.full((1, n), c) for c in x)
+              for x in parts]
+    stacks = [x for x in stacks if len(x[0])] or stacks[:1]
+    if len(stacks) == 1:
+        return stacks[0]
+    return type(stacks[0])._make(np.concatenate(cs) for cs in zip(*stacks))
+
+
+def _spread(x, m: int):
+    """The single generator x as a stack of m copies, a float staying a
+    float: numpy combines an (N,) array with an (m, N) one more slowly."""
+    return type(x)._make(np.repeat(c[None], m, 0) if np.ndim(c) else c for c in x)
+
+
+def _left(g, xs):
+    """g x for every generator x of the stack xs."""
+    return mul(_spread(g, len(xs.w)), xs) if len(xs.w) else xs
+
+
+def _conjugate(g, xs):
+    """g x g^-1 for every generator x of the stack xs."""
+    if not len(xs.w):
+        return xs
+    gs = _spread(g, len(xs.w))
+    return mul(mul(gs, xs), inv(gs))
+
+
+def _set_row(x, i, value):
+    """The stack x with generator i (or those of an index list) set to value."""
+    out = [c.copy() for c in x]
+    for c, v in zip(out, value):
+        c[i] = v
+    return type(x)._make(out)
+
+
+def _pairs(handles, js):
+    """The handle stack of the pairs js (indices from 0) of handles."""
+    js, g = list(js), len(handles.w) // 2
+    return _take(handles, js + [g + j for j in js])
+
+
 def _map_point(f, p: ChartPoint, *others) -> ChartPoint:
     """The point of p's chart whose every component is f of the matching
-    components of p and the others."""
+    components of p and the others; the components of a family with no
+    generators share f of one of them, an empty array."""
     ps = (p,) + others
+    empty = []
 
-    def vec(*vs):
-        return AlgVector._make(map(f, *vs))
+    def stack(field):
+        xs = [getattr(x, field) for x in ps]
+        if len(xs[0][0]):
+            return type(xs[0])._make(map(f, *xs))
+        if not empty:
+            empty.append(f(*(x[0] for x in xs)))
+        return type(xs[0])._make(empty * len(xs[0]))
 
-    def quat(*qs):
-        return UnitQuaternion._make(map(f, *qs))
-
-    thetas = tuple(vec(*ts) for ts in zip(*(x.thetas for x in ps)))
-    gammas = tuple(quat(*gs) for gs in zip(*(x.gammas for x in ps)))
-    handles = tuple((quat(*(h[0] for h in hs)), quat(*(h[1] for h in hs)))
-                    for hs in zip(*(x.handles for x in ps)))
-    return ChartPoint(p.chart, thetas, gammas, handles)
+    return ChartPoint(p.chart, stack("thetas"), stack("gammas"), stack("handles"))
 
 
 def select_lanes(p: ChartPoint, lanes) -> ChartPoint:
     """The batch of the lanes of p that lanes (an index or boolean
-    array) picks; a float component, the same on every lane, stays."""
-    return _map_point(lambda c: c[lanes] if isinstance(c, np.ndarray) else c, p)
+    array) picks."""
+    lanes = np.flatnonzero(lanes) if np.asarray(lanes).dtype == bool else np.asarray(lanes)
+    return _map_point(lambda c: c.take(lanes, axis=1), p)
+
+
+def with_theta(p: ChartPoint, label: str, theta) -> ChartPoint:
+    """p with the boundary value theta at circle label, which must not
+    be the basepoint circle, whose theta is determined."""
+    pos = p.chart.index_of(label)
+    if pos == 0:
+        raise ValueError("the basepoint circle's theta is determined")
+    return ChartPoint(p.chart, _set_row(p.thetas, pos - 1, theta), p.gammas, p.handles)
+
+
+def pick_generators(p: ChartPoint, chart: ModuliChart, positions, pairs) -> ChartPoint:
+    """The point of chart whose theta and arc at boundary i + 1 are p's
+    at boundary positions[i] (>= 1) and whose handle pair j + 1 is p's
+    pair pairs[j] (from 1)."""
+    rows = [pos - 1 for pos in positions]
+    handles = _pairs(p.handles, [j - 1 for j in pairs])
+    return ChartPoint(chart, _take(p.thetas, rows), _take(p.gammas, rows), handles)
 
 
 def boundary_loop(p: ChartPoint, pos: int) -> UnitQuaternion:
     """Holonomy of the loop around boundary pos (>= 1) based at the
     basepoint: Gamma e^theta Gamma^-1."""
-    return _loop(p.gammas[pos - 1], p.thetas[pos - 1])
+    return _loop(_row(p.gammas, pos - 1), _row(p.thetas, pos - 1))
 
 
 def _loop(g, t) -> UnitQuaternion:
     return mul(mul(g, exp_su2(t)), inv(g))
 
 
-def _flat(handles) -> list:
-    """A_1, B_1 .. A_g, B_g as one list."""
-    return [x for pair in handles for x in pair]
-
-
-def _pairs(qs) -> tuple:
-    """Inverse of _flat."""
-    return tuple(zip(qs[::2], qs[1::2]))
-
-
-def _conjugate(g, x) -> UnitQuaternion:
-    return mul(mul(g, x), inv(g))
-
-
-def _moved_arc(g1, gi, gamma) -> UnitQuaternion:
-    return mul(mul(g1, gamma), inv(gi))
-
-
-def _conjugate_handles(g, handles) -> tuple:
-    """Every handle holonomy x as g x g^-1."""
-    xs = _flat(handles)
-    return _pairs(su2.each(_conjugate, [g] * len(xs), xs))
-
-
-def _left(g, qs) -> list:
-    """Every quaternion q of qs as g q."""
-    return su2.each(mul, [g] * len(qs), qs)
-
-
 def _commutators(handles) -> list:
-    """[A_1,B_1] .. [A_g,B_g]."""
-    return su2.each(commutator, [a for a, _ in handles], [b for _, b in handles])
+    """[A_1,B_1] .. [A_g,B_g] of a handle stack, as row views."""
+    g = len(handles.w) // 2
+    return _rows(commutator(_take(handles, slice(g)), _take(handles, slice(g, None)))) if g else []
 
 
 def _commutator_product(handles) -> UnitQuaternion:
@@ -263,9 +334,8 @@ def chart_defect(p: ChartPoint) -> UnitQuaternion:
 
 
 def _defect(p: ChartPoint) -> UnitQuaternion:
-    factors = su2.each(_loop, p.gammas, p.thetas)
-    factors += _commutators(p.handles)
-    return su2.product(factors)
+    factors = _rows(_loop(p.gammas, p.thetas)) if p.chart.k > 1 else []
+    return su2.product(factors + _commutators(p.handles))
 
 
 def is_admissible(p: ChartPoint, margin: float = su2.BRANCH_EPS) -> np.ndarray:
@@ -286,31 +356,32 @@ def relation_residual(p: ChartPoint) -> np.ndarray:
 
 def theta_raw(p: ChartPoint, label: str) -> AlgVector:
     pos = p.chart.index_of(label)
-    if pos == 0:
-        return theta1_of(p)
-    return p.thetas[pos - 1]
+    return theta1_of(p) if pos == 0 else _row(p.thetas, pos - 1)
 
 
-def moment(p: ChartPoint) -> tuple:
-    """Signed boundary values in chart order: +theta on incoming
-    circles, -theta on outgoing ones."""
-    out = []
-    for label in p.chart.boundaries:
-        t = theta_raw(p, label)
-        if p.chart.sign(label) < 0:
-            t = su2.vec_neg(t)
-        out.append(t)
-    return tuple(out)
+def moment(p: ChartPoint) -> AlgVector:
+    """Signed boundary values in chart order, as a stack of k: +theta on
+    incoming circles, -theta on outgoing ones."""
+    signs = np.array([[p.chart.sign(label)] for label in p.chart.boundaries], dtype=float)
+    return AlgVector._make(c * signs for c in _cat(p.lanes, theta1_of(p), p.thetas))
 
 
 def action(gs, p: ChartPoint) -> ChartPoint:
-    """SU(2)^k action, one factor per boundary in chart order."""
-    if len(gs) != p.chart.k:
+    """SU(2)^k action of gs, a stack of k group elements, one factor per
+    boundary in chart order."""
+    if len(gs.w) != p.chart.k:
         raise ValueError("need one group element per boundary")
-    g1 = gs[0]
-    thetas = tuple(su2.each(adjoint, gs[1:], p.thetas))
-    gammas = tuple(su2.each(_moved_arc, [g1] * len(p.gammas), gs[1:], p.gammas))
-    return ChartPoint(p.chart, thetas, gammas, _conjugate_handles(g1, p.handles))
+    return _act(_row(gs, 0), _take(gs, slice(1, None)), p)
+
+
+def _act(g1, gi, p: ChartPoint) -> ChartPoint:
+    """The action by g1 at the basepoint circle and the stack gi at the
+    others."""
+    thetas, gammas, handles = p.thetas, p.gammas, p.handles
+    if p.chart.k > 1:
+        thetas = adjoint(gi, thetas)
+        gammas = mul(_left(g1, gammas), inv(gi))
+    return ChartPoint(p.chart, thetas, gammas, _conjugate(g1, handles))
 
 
 def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPoint:
@@ -323,18 +394,18 @@ def random_point(chart: ModuliChart, seed, zero_thetas: bool = False) -> ChartPo
     out = None
     k1, g = chart.k - 1, chart.genus
     # seed tags: 1 theta_i, 2 Gamma_i, 3 A_j, 4 B_j, each with its index
-    tags = (2,) * k1 + (3, 4) * g
-    index = tuple(range(k1)) + tuple(j for j in range(g) for _ in (3, 4))
+    tags = np.array([2] * k1 + [3] * g + [4] * g, dtype=np.uint64)[:, None]
+    index = np.array([*range(k1), *range(g), *range(g)], dtype=np.uint64)[:, None]
     for trial in range(64):
         s = mix_seed(seed[todo], trial)
-        if zero_thetas:
-            thetas = (AlgVector(0.0, 0.0, 0.0),) * k1
+        if zero_thetas or not k1:
+            thetas = AlgVector._make(np.zeros((3, k1, len(s))))
         else:
-            thetas = tuple(su2.each(lambda s, i: sample_ball(math.pi, mix_seed(s, 1, i)),
-                                    (s,) * k1, range(k1)))
-        qs = su2.each(lambda s, tag, i: sample_haar(mix_seed(s, tag, i)),
-                      (s,) * len(tags), tags, index)
-        p = ChartPoint(chart, thetas, tuple(qs[:k1]), _pairs(qs[k1:]))
+            thetas = sample_ball(math.pi, mix_seed(s, 1, index[:k1]))
+        qs = UnitQuaternion._make(np.zeros((4, 0, len(s))))
+        if k1 + g:
+            qs = sample_haar(mix_seed(s, tags, index))
+        p = ChartPoint(chart, thetas, _take(qs, slice(k1)), _take(qs, slice(k1, None)))
         ok = np.broadcast_to(is_admissible(p, ADMISSIBLE_MARGIN), todo.shape)
         out = p if out is None else _map_point(lambda a, b: _put(a, todo, b), out, p)
         todo = todo[~ok]
@@ -353,12 +424,9 @@ def _mask(n: int, lanes) -> np.ndarray:
 
 
 def _put(a, lanes, b):
-    """a with b written into the given lanes; a float component (a zero
-    or pinned coordinate) is the same on every draw and every lane."""
-    if not isinstance(a, np.ndarray):
-        return a
+    """The stack component a with b written into the given lanes."""
     out = a.copy()
-    out[lanes] = b
+    out[:, lanes] = b
     return out
 
 
@@ -371,17 +439,18 @@ def rotate_first(p: ChartPoint, pos: int) -> ChartPoint:
     k = p.chart.k
     if not 1 <= pos < k:
         raise ValueError("rotation position out of range")
-    gi_inv = inv(p.gammas[pos - 1])
-    handles = _conjugate_handles(gi_inv, p.handles)
+    gi_inv = inv(_row(p.gammas, pos - 1))
+    handles = _conjugate(gi_inv, p.handles)
     kq = _commutator_product(handles)
     new_order = p.chart.boundaries[pos:] + p.chart.boundaries[:pos]
     # boundaries after pos keep their arcs; the old basepoint boundary and
     # the rest follow, pushed past the commutators
-    thetas = p.thetas[pos:] + (theta1_of(p),) + p.thetas[:pos - 1]
-    gammas = (_left(gi_inv, p.gammas[pos:]) + [mul(kq, gi_inv)]
-              + _left(kq, _left(gi_inv, p.gammas[:pos - 1])))
+    thetas = _cat(p.lanes, _take(p.thetas, slice(pos, None)), theta1_of(p),
+                  _take(p.thetas, slice(pos - 1)))
+    gammas = _cat(p.lanes, _left(gi_inv, _take(p.gammas, slice(pos, None))), mul(kq, gi_inv),
+                  _left(kq, _left(gi_inv, _take(p.gammas, slice(pos - 1)))))
     chart = ModuliChart(p.chart.genus, new_order, p.chart.incoming)
-    return ChartPoint(chart, thetas, tuple(gammas), handles)
+    return ChartPoint(chart, thetas, gammas, handles)
 
 
 def rotate_first_inv(q: ChartPoint, pos: int) -> ChartPoint:
@@ -394,51 +463,44 @@ def rotate_first_inv(q: ChartPoint, pos: int) -> ChartPoint:
     kq = _commutator_product(q.handles)
     # the old basepoint boundary sits at new position k - pos with arc
     # holonomy K Gamma_i^-1
-    gi = inv(mul(inv(kq), q.gammas[k - pos - 1]))
-    handles = _conjugate_handles(gi, q.handles)
+    gi = inv(mul(inv(kq), _row(q.gammas, k - pos - 1)))
+    handles = _conjugate(gi, q.handles)
     # new positions 1 .. k-pos-1 were old pos+1 .. k-1, new k-pos+1 .. k-1
     # were old 1 .. pos-1
-    thetas = q.thetas[k - pos:] + (theta1_of(q),) + q.thetas[:k - pos - 1]
-    gammas = (_left(gi, _left(inv(kq), q.gammas[k - pos:])) + [gi]
-              + _left(gi, q.gammas[:k - pos - 1]))
+    thetas = _cat(q.lanes, _take(q.thetas, slice(k - pos, None)), theta1_of(q),
+                  _take(q.thetas, slice(k - pos - 1)))
+    later = _left(inv(kq), _take(q.gammas, slice(k - pos, None)))
+    gammas = _cat(q.lanes, _left(gi, later), gi, _left(gi, _take(q.gammas, slice(k - pos - 1))))
     order = q.chart.boundaries[k - pos:] + q.chart.boundaries[:k - pos]
     chart = ModuliChart(q.chart.genus, order, q.chart.incoming)
-    return ChartPoint(chart, thetas, tuple(gammas), handles)
+    return ChartPoint(chart, thetas, gammas, handles)
 
 
 def swap_adjacent(p: ChartPoint, pos: int) -> ChartPoint:
     """Chart change exchanging boundaries pos and pos+1 (both >= 1):
     the later loop moves first, the earlier one gets conjugated past it."""
-    k = p.chart.k
-    if not 1 <= pos < k - 1:
-        raise ValueError("swap position out of range")
-    i = pos - 1
-    c_next = boundary_loop(p, pos + 1)
-    thetas = list(p.thetas)
-    gammas = list(p.gammas)
-    thetas[i], thetas[i + 1] = thetas[i + 1], thetas[i]
-    gammas[i], gammas[i + 1] = gammas[i + 1], mul(inv(c_next), gammas[i])
-    order = list(p.chart.boundaries)
-    order[pos], order[pos + 1] = order[pos + 1], order[pos]
-    chart = ModuliChart(p.chart.genus, tuple(order), p.chart.incoming)
-    return ChartPoint(chart, tuple(thetas), tuple(gammas), p.handles)
+    return _swapped(p, pos, lambda ga, gb: (gb, mul(inv(boundary_loop(p, pos + 1)), ga)))
 
 
 def swap_adjacent_inv(p: ChartPoint, pos: int) -> ChartPoint:
     """Inverse braid move of swap_adjacent(_, pos)."""
-    k = p.chart.k
-    if not 1 <= pos < k - 1:
+    return _swapped(p, pos, lambda ga, gb: (mul(boundary_loop(p, pos), gb), ga))
+
+
+def _swapped(p: ChartPoint, pos: int, arcs) -> ChartPoint:
+    """p with boundaries pos, pos+1 and their thetas exchanged, arcs(old arcs) their arcs."""
+    if not 1 <= pos < p.chart.k - 1:
         raise ValueError("swap position out of range")
     i = pos - 1
-    c_old_next = boundary_loop(p, pos)
-    thetas = list(p.thetas)
-    gammas = list(p.gammas)
-    thetas[i], thetas[i + 1] = thetas[i + 1], thetas[i]
-    gammas[i], gammas[i + 1] = mul(c_old_next, gammas[i + 1]), gammas[i]
+    first, second = arcs(_row(p.gammas, i), _row(p.gammas, i + 1))
+    rows = list(range(p.chart.k - 1))
+    rows[i], rows[i + 1] = i + 1, i
     order = list(p.chart.boundaries)
     order[pos], order[pos + 1] = order[pos + 1], order[pos]
     chart = ModuliChart(p.chart.genus, tuple(order), p.chart.incoming)
-    return ChartPoint(chart, tuple(thetas), tuple(gammas), p.handles)
+    gammas = _cat(p.lanes, _take(p.gammas, slice(i)), first, second,
+                  _take(p.gammas, slice(i + 2, None)))
+    return ChartPoint(chart, _take(p.thetas, rows), gammas, p.handles)
 
 
 def unapply_script(p: ChartPoint, script) -> ChartPoint:
@@ -502,33 +564,34 @@ def glue(p1: ChartPoint, label_a: str, p2: ChartPoint, label_b: str):
     if p1.chart.sign(label_a) == p2.chart.sign(label_b):
         raise MomentMismatch("glued circles need opposite roles")
     if p1.chart.k == 1:
-        # the basepoint piece must keep a boundary; swap roles
-        glued, recipe = glue(p2, label_b, p1, label_a)
-        return glued, recipe
+        return glue(p2, label_b, p1, label_a)  # the basepoint piece must keep a boundary
     q1, script1 = _move_last(p1, label_a)
     q2, script2 = _move_first(p2, label_b)
-    m1 = theta_raw(q1, label_a)
-    if q1.chart.sign(label_a) < 0:
-        m1 = su2.vec_neg(m1)
-    m2 = theta_raw(q2, label_b)
-    if q2.chart.sign(label_b) < 0:
-        m2 = su2.vec_neg(m2)
-    gap = su2.largest(su2.vec_dist(m1, m2))
-    if gap > MOMENT_TOL:
-        raise MomentMismatch("moments differ by %g" % gap)
-    gl = q1.gammas[-1]
+    _check_moments(q1, label_a, theta_raw(q1, label_a), q2, label_b, theta_raw(q2, label_b))
+    n, g2 = q1.lanes, q2.chart.genus
+    gl = _row(q1.gammas, -1)
     boundaries = q1.chart.boundaries[:-1] + q2.chart.boundaries[1:]
     incoming = (q1.chart.incoming | q2.chart.incoming) - {label_a, label_b}
-    chart = ModuliChart(q1.chart.genus + q2.chart.genus, boundaries, frozenset(incoming))
-    thetas = q1.thetas[:-1] + q2.thetas
-    gammas = q1.gammas[:-1] + tuple(_left(gl, q2.gammas))
-    glued = ChartPoint(chart, thetas, gammas, _conjugate_handles(gl, q2.handles) + q1.handles)
+    chart = ModuliChart(q1.chart.genus + g2, boundaries, frozenset(incoming))
+    thetas = _cat(n, _take(q1.thetas, slice(-1)), q2.thetas)
+    gammas = _cat(n, _take(q1.gammas, slice(-1)), _left(gl, q2.gammas))
+    h2 = _conjugate(gl, q2.handles)
+    handles = _cat(n, _take(h2, slice(g2)), q1.a, _take(h2, slice(g2, None)), q1.b)
+    glued = ChartPoint(chart, thetas, gammas, handles)
     su2.check_branch(su2.near_minus_one(chart_defect(glued)),
                      "glued point lies on the excluded locus")
-    recipe = GlueRecipe(
-        "cross", q1.chart, q2.chart, label_a, label_b, tuple(script1), tuple(script2)
-    )
-    return glued, recipe
+    return glued, GlueRecipe("cross", q1.chart, q2.chart, label_a, label_b, tuple(script1),
+                             tuple(script2))
+
+
+def _check_moments(p1: ChartPoint, label_a: str, ta, p2: ChartPoint, label_b: str, tb):
+    """MomentMismatch unless the signed moments ta at label_a of p1 and
+    tb at label_b of p2 agree to MOMENT_TOL on every lane."""
+    ma = su2.vec_neg(ta) if p1.chart.sign(label_a) < 0 else ta
+    mb = su2.vec_neg(tb) if p2.chart.sign(label_b) < 0 else tb
+    gap = su2.largest(su2.vec_dist(ma, mb))
+    if gap > MOMENT_TOL:
+        raise MomentMismatch("moments differ by %g" % gap)
 
 
 def glue_self(p: ChartPoint, label_a: str, label_b: str):
@@ -540,9 +603,7 @@ def glue_self(p: ChartPoint, label_a: str, label_b: str):
         raise MomentMismatch("self-gluing would close the surface")
     script = []
     if p.chart.index_of(label_a) == 0 or p.chart.index_of(label_b) == 0:
-        other = [
-            l for l in p.chart.boundaries if l not in (label_a, label_b)
-        ][0]
+        other = [l for l in p.chart.boundaries if l not in (label_a, label_b)][0]
         p, moves = _move_first(p, other)
         script.extend(moves)
     p, moves = _move_last(p, label_b)
@@ -553,27 +614,18 @@ def glue_self(p: ChartPoint, label_a: str, label_b: str):
         script.append(("swap", pos_a))
         pos_a += 1
     k = p.chart.k
-    ta, tb = p.thetas[k - 3], p.thetas[k - 2]
-    ma = su2.vec_neg(ta) if p.chart.sign(label_a) < 0 else ta
-    mb = su2.vec_neg(tb) if p.chart.sign(label_b) < 0 else tb
-    gap = su2.largest(su2.vec_dist(ma, mb))
-    if gap > MOMENT_TOL:
-        raise MomentMismatch("moments differ by %g" % gap)
-    ga, gb = p.gammas[k - 3], p.gammas[k - 2]
+    ta, tb = _row(p.thetas, k - 3), _row(p.thetas, k - 2)
+    _check_moments(p, label_a, ta, p, label_b, tb)
+    ga, gb = _row(p.gammas, k - 3), _row(p.gammas, k - 2)
     a_star = mul(mul(ga, exp_su2(ta)), inv(gb))
     b_star = mul(gb, inv(ga))
-    chart = ModuliChart(
-        p.chart.genus + 1,
-        p.chart.boundaries[:-2],
-        p.chart.incoming - {label_a, label_b},
-    )
-    glued = ChartPoint(
-        chart, p.thetas[:-2], p.gammas[:-2], ((a_star, b_star),) + p.handles
-    )
+    chart = ModuliChart(p.chart.genus + 1, p.chart.boundaries[:-2],
+                        p.chart.incoming - {label_a, label_b})
+    handles = _cat(p.lanes, a_star, p.a, b_star, p.b)
+    glued = ChartPoint(chart, _take(p.thetas, slice(-2)), _take(p.gammas, slice(-2)), handles)
     su2.check_branch(su2.near_minus_one(chart_defect(glued)),
                      "self-glued point lies on the excluded locus")
-    recipe = GlueRecipe("self", p.chart, None, label_a, label_b, tuple(script))
-    return glued, recipe
+    return glued, GlueRecipe("self", p.chart, None, label_a, label_b, tuple(script))
 
 
 def split(q: ChartPoint, recipe: GlueRecipe):
@@ -585,33 +637,31 @@ def split(q: ChartPoint, recipe: GlueRecipe):
     one SU(2) gauge factor at the glued circle.  Raises BranchError on
     the excised locus, where the glued circle's holonomy is -1 and no
     boundary value in the open ball exists."""
+    n, g = q.lanes, q.chart.genus
     if recipe.kind == "self":
-        chart = recipe.chart1
-        a_star, b_star = q.handles[0]
+        a_star, b_star = _row(q.handles, 0), _row(q.handles, g)
         theta_a = log_su2(mul(b_star, a_star))
-        thetas = q.thetas + (theta_a, su2.vec_neg(theta_a))
-        gammas = q.gammas + (inv(b_star), ONE)
-        back = ChartPoint(chart, thetas, gammas, q.handles[1:])
+        thetas = _cat(n, q.thetas, theta_a, su2.vec_neg(theta_a))
+        gammas = _cat(n, q.gammas, inv(b_star), ONE)
+        back = ChartPoint(recipe.chart1, thetas, gammas, _pairs(q.handles, range(1, g)))
         return unapply_script(back, recipe.script1)
     chart1, chart2 = recipe.chart1, recipe.chart2
     k1, g2 = chart1.k, chart2.genus
-    thetas1 = q.thetas[: k1 - 2]
-    gammas1 = q.gammas[: k1 - 2]
-    thetas2 = q.thetas[k1 - 2:]
-    gammas2 = q.gammas[k1 - 2:]
-    handles2 = q.handles[:g2]
-    handles1 = q.handles[g2:]
+    thetas1 = _take(q.thetas, slice(k1 - 2))
+    gammas1 = _take(q.gammas, slice(k1 - 2))
+    handles1 = _pairs(q.handles, range(g2, g))
     # piece 1's relation e^{theta_1} c_2..c_{k1-1} e^{theta_last} K1 = 1
     # determines its last boundary value once Gamma_last = 1
     ahead = ONE
-    for c in su2.each(_loop, gammas1, thetas1):
+    for c in _rows(_loop(gammas1, thetas1)) if k1 > 2 else []:
         ahead = mul(ahead, c)
     kq = _commutator_product(handles1)
     theta1 = theta1_of(q)
     c_last = mul(inv(ahead), mul(exp_su2(su2.vec_neg(theta1)), inv(kq)))
     theta_last = log_su2(c_last)
-    p1 = ChartPoint(chart1, thetas1 + (theta_last,), gammas1 + (ONE,), handles1)
-    p2 = ChartPoint(chart2, thetas2, gammas2, handles2)
+    p1 = ChartPoint(chart1, _cat(n, thetas1, theta_last), _cat(n, gammas1, ONE), handles1)
+    p2 = ChartPoint(chart2, _take(q.thetas, slice(k1 - 2, None)),
+                    _take(q.gammas, slice(k1 - 2, None)), _pairs(q.handles, range(g2)))
     return unapply_script(p1, recipe.script1), unapply_script(p2, recipe.script2)
 
 
@@ -622,15 +672,9 @@ def flatten_point(p: ChartPoint) -> tuple:
     """Chart point as a flat real tuple, bit-exact field order:
     theta_2..theta_k as (a, b, c), Gamma_2..Gamma_k as (w, x, y, z),
     then A_1, B_1 .. A_g, B_g as (w, x, y, z) each."""
-    out: list = []
-    for t in p.thetas:
-        out.extend(t)
-    for g in p.gammas:
-        out.extend(g)
-    for a, b in p.handles:
-        out.extend(a)
-        out.extend(b)
-    return tuple(out)
+    g = p.chart.genus
+    handles = [_row(p.handles, j + half) for j in range(g) for half in (0, g)]
+    return tuple(c for x in _rows(p.thetas) + _rows(p.gammas) + handles for c in x)
 
 
 # --- word evaluation --------------------------------------------------------------
@@ -638,16 +682,14 @@ def flatten_point(p: ChartPoint) -> tuple:
 
 def eval_generator(p: ChartPoint, kind: str, ref) -> UnitQuaternion:
     if kind == "a":
-        return p.handles[ref - 1][0]
+        return _row(p.handles, ref - 1)
     if kind == "b":
-        return p.handles[ref - 1][1]
+        return _row(p.handles, p.chart.genus + ref - 1)
     pos = p.chart.index_of(ref)
     if kind == "g":
-        return ONE if pos == 0 else p.gammas[pos - 1]
+        return ONE if pos == 0 else _row(p.gammas, pos - 1)
     if kind == "d":
-        if pos == 0:
-            return exp_su2(theta1_of(p))
-        return boundary_loop(p, pos)
+        return exp_su2(theta1_of(p)) if pos == 0 else boundary_loop(p, pos)
     raise ValueError("unknown generator kind %r" % kind)
 
 
@@ -673,23 +715,18 @@ def perturb(p: ChartPoint, coord: int, h) -> ChartPoint:
     k1 = p.chart.k - 1
     if coord < 3 * k1:
         i, c = divmod(coord, 3)
-        t = list(p.thetas[i])
-        t[c] = t[c] + h  # not +=, which would write into a lane array of p
-        thetas = p.thetas[:i] + (AlgVector(*t),) + p.thetas[i + 1:]
-        return ChartPoint(p.chart, thetas, p.gammas, p.handles)
-    coord -= 3 * k1
-    if coord < 3 * k1:
-        i, c = divmod(coord, 3)
-        step = exp_su2(AlgVector(*[h if j == c else 0.0 for j in range(3)]))
-        gammas = p.gammas[:i] + (mul(step, p.gammas[i]),) + p.gammas[i + 1:]
+        t = list(p.thetas)
+        t[c] = t[c].copy()  # a new array: p's stays as it is
+        t[c][i] = t[c][i] + h
+        return ChartPoint(p.chart, AlgVector(*t), p.gammas, p.handles)
+    block, c = divmod(coord - 3 * k1, 3)
+    step = exp_su2(AlgVector(*[h if j == c else 0.0 for j in range(3)]))
+    if block < k1:
+        gammas = _set_row(p.gammas, block, mul(step, _row(p.gammas, block)))
         return ChartPoint(p.chart, p.thetas, gammas, p.handles)
-    coord -= 3 * k1
-    j, rest = divmod(coord, 6)
-    which, c = divmod(rest, 3)
-    step = exp_su2(AlgVector(*[h if i == c else 0.0 for i in range(3)]))
-    a, b = p.handles[j]
-    pair = (mul(step, a), b) if which == 0 else (a, mul(step, b))
-    handles = p.handles[:j] + (pair,) + p.handles[j + 1:]
+    j, which = divmod(block - k1, 2)
+    row = j + which * p.chart.genus
+    handles = _set_row(p.handles, row, mul(step, _row(p.handles, row)))
     return ChartPoint(p.chart, p.thetas, p.gammas, handles)
 
 
@@ -699,21 +736,24 @@ def constraint_map(p: ChartPoint, words) -> np.ndarray:
     return su2.stack_lanes([c for w in words for c in log_su2(eval_word(p, w))])
 
 
-def _loop_factors(p: ChartPoint, pos: int) -> list:
+def _loop_factors(p: ChartPoint, start: int, stop: int) -> list:
     """Elementary factors (value, sign, column block, u) of the boundary
-    loop Gamma e^theta Gamma^-1 at pos >= 1; u is None for the identity."""
-    k1 = p.chart.k - 1
-    g, t = p.gammas[pos - 1], p.thetas[pos - 1]
-    return [(g, 1, k1 + pos - 1, None), (exp_su2(t), 1, pos - 1, su2.left_jacobian(t)),
-            (g, -1, k1 + pos - 1, None)]
+    loops Gamma e^theta Gamma^-1 at positions start .. stop-1 (>= 1), in
+    order; u is None for the identity."""
+    t = _take(p.thetas, slice(start - 1, stop - 1))
+    es, us = _rows(exp_su2(t)), su2.left_jacobian(t)
+    out = []
+    for i, pos in enumerate(range(start, stop)):
+        g, col = _row(p.gammas, pos - 1), p.chart.k - 2 + pos
+        out += [(g, 1, col, None), (es[i], 1, pos - 1, us[i]), (g, -1, col, None)]
+    return out
 
 
 def _defect_factors(p: ChartPoint) -> list:
-    out = []
-    for pos in range(1, p.chart.k):
-        out.extend(_loop_factors(p, pos))
-    first = 2 * (p.chart.k - 1)
-    for j, (a, b) in enumerate(p.handles):
+    out = _loop_factors(p, 1, p.chart.k) if p.chart.k > 1 else []
+    first, g = 2 * (p.chart.k - 1), p.chart.genus
+    for j in range(g):
+        a, b = _row(p.handles, j), _row(p.handles, g + j)
         ca, cb = first + 2 * j, first + 2 * j + 1
         out.extend(((a, 1, ca, None), (b, 1, cb, None), (a, -1, ca, None), (b, -1, cb, None)))
     return out
@@ -727,12 +767,12 @@ def _generator_factors(p: ChartPoint, kind: str, ref) -> list:
     k1 = p.chart.k - 1
     if kind in ("a", "b"):
         which = 0 if kind == "a" else 1
-        return [(p.handles[ref - 1][which], 1, 2 * k1 + 2 * (ref - 1) + which, None)]
+        return [(eval_generator(p, kind, ref), 1, 2 * k1 + 2 * (ref - 1) + which, None)]
     pos = p.chart.index_of(ref)
     if kind == "g":
-        return [] if pos == 0 else [(p.gammas[pos - 1], 1, k1 + pos - 1, None)]
+        return [] if pos == 0 else [(_row(p.gammas, pos - 1), 1, k1 + pos - 1, None)]
     if kind == "d":
-        return _inverse(_defect_factors(p)) if pos == 0 else _loop_factors(p, pos)
+        return _inverse(_defect_factors(p)) if pos == 0 else _loop_factors(p, pos, pos + 1)
     raise ValueError("unknown generator kind %r" % kind)
 
 
@@ -789,9 +829,10 @@ def _rank(s, rtol: float):
 @dataclass(frozen=True)
 class TangentFrame:
     """rank is an (N,) int array and vectors holds one kernel basis per
-    lane, a (dim - rank, dim) array.  A constraint differential that is
-    the same on every lane (no words, or pinned generators only) gives
-    an int rank and one basis, rows of length chart.dim."""
+    lane, a (dim - rank, dim) array.  No words, or a constraint
+    differential that is the same on each of two or more lanes, bit for
+    bit (pinned generators only), give an int rank and one basis, rows of
+    length chart.dim."""
     vectors: tuple  # orthonormal kernel basis per lane
     rank: int
 
@@ -808,6 +849,9 @@ def locus_tangent(p: ChartPoint, words, rtol: float = SVD_RTOL) -> TangentFrame:
     if res > LOCUS_TOL:
         raise ConstraintViolated("constraint residual %g at the sample" % res)
     jac = constraint_jacobian(p, words)
+    bits = jac.view(np.uint64)
+    if bits.ndim == 3 and len(bits) > 1 and np.all(bits == bits[:1]):
+        jac = jac[0]  # the same on every lane (pinned generators): one SVD serves all
     u, s, vt = np.linalg.svd(jac)
     rank = _rank(s, rtol)
     if jac.ndim == 2:
@@ -854,13 +898,13 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
     draw fails stops there, as its seed alone raises.  If any lane finds
     no sample, SamplingFailed names them all (its lanes mask) and carries
     the points of the others."""
-    pinned_handles = {}
+    pinned_handles = set()  # rows of handles pinned to the identity
     pinned_thetas = set()
     hard = []
     for w in words:
         single = w.single_generator()
         if single and single[0] in ("a", "b"):
-            pinned_handles[(single[1] - 1, 0 if single[0] == "a" else 1)] = ONE
+            pinned_handles.add(single[1] - 1 + (0 if single[0] == "a" else chart.genus))
         elif single and single[0] == "d" and chart.index_of(single[1]) > 0:
             pinned_thetas.add(chart.index_of(single[1]) - 1)
         else:
@@ -881,9 +925,11 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
         if words:
             ok = _residual_below(p, ok, words, 1e-10)
         ok = ok & is_admissible(p, ADMISSIBLE_MARGIN)
-        if out is None:
-            out = _map_point(lambda c: np.empty(len(seed)) if isinstance(c, np.ndarray) else c, p)
-        out = _map_point(lambda a, b: _put(a, todo, b), out, p)
+        if out is None:  # p itself when every lane drew
+            out = p if len(todo) == len(seed) else _map_point(
+                lambda c: np.empty((len(c), len(seed))), p)
+        if out is not p:
+            out = _map_point(lambda a, b: _put(a, todo, b), out, p)
         todo = todo[~ok]
         if not len(todo):
             break
@@ -897,12 +943,13 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
 
 
 def _pin(p: ChartPoint, pinned_thetas, pinned_handles) -> ChartPoint:
-    """p with the pinned thetas set to zero and the pinned handle
-    holonomies to their values."""
-    thetas = tuple(AlgVector(0.0, 0.0, 0.0) if i in pinned_thetas else t
-                   for i, t in enumerate(p.thetas))
-    handles = tuple((pinned_handles.get((j, 0), a), pinned_handles.get((j, 1), b))
-                    for j, (a, b) in enumerate(p.handles))
+    """p with the pinned rows of thetas set to zero and those of handles
+    to the identity."""
+    thetas, handles = p.thetas, p.handles
+    if pinned_thetas:
+        thetas = _set_row(thetas, sorted(pinned_thetas), su2.ZERO_VEC)
+    if pinned_handles:
+        handles = _set_row(handles, sorted(pinned_handles), ONE)
     return ChartPoint(p.chart, thetas, p.gammas, handles)
 
 
@@ -941,13 +988,11 @@ def _refine_lanes(p: ChartPoint, ok, words, pinned_thetas, pinned_handles):
         dx = dx * (0.5 / np.maximum(np.linalg.norm(dx, axis=-1), 0.5))[:, None]
         for coord in range(dim):
             q = perturb(q, coord, dx[:, coord])
-        thetas = []
-        for t in q.thetas:
-            n = t.norm()
-            thetas.append(su2.where(n >= math.pi - 1e-6,
-                                    su2.vec_scale(t, (math.pi - 1e-3) / np.maximum(n, 1.0)), t))
-        q = _pin(ChartPoint(q.chart, tuple(thetas), q.gammas, q.handles),
-                 pinned_thetas, pinned_handles)
+        t = q.thetas
+        n = t.norm()
+        thetas = su2.where(n >= math.pi - 1e-6,
+                           su2.vec_scale(t, (math.pi - 1e-3) / np.maximum(n, 1.0)), t)
+        q = _pin(ChartPoint(q.chart, thetas, q.gammas, q.handles), pinned_thetas, pinned_handles)
     else:
         f = np.broadcast_to(constraint_map(q, words), (len(lanes), rows))
         conv = np.max(np.abs(f), axis=-1, initial=0.0) <= 1e-10
@@ -980,17 +1025,14 @@ def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
     nv, nu = np.where(degenerate, 1.0, nv), np.where(degenerate, 1.0, nu)
     a = AlgVector(v.a / nv, v.b / nv, v.c / nv)
     b = AlgVector(u.a / nu, u.b / nu, u.c / nu)
-    cross = AlgVector(
-        a.b * b.c - a.c * b.b, a.c * b.a - a.a * b.c, a.a * b.b - a.b * b.a
-    )
+    cross = _cross(a, b)
     dot = a.a * b.a + a.b * b.b + a.c * b.c
     s = cross.norm()
     parallel = s < 1e-12
     if parallel.any():
         s = np.where(parallel, 1.0, s)
     angle = _kernel.atan2(s, dot)
-    out = exp_su2(AlgVector(cross.a / s * angle / 2, cross.b / s * angle / 2,
-                            cross.c / s * angle / 2))
+    out = exp_su2(AlgVector._make(c / s * angle / 2 for c in cross))
     if parallel.any():
         out = su2.where(parallel, su2.where(dot > 0, ONE, _half_turn(a)), out)
     return out
@@ -999,18 +1041,24 @@ def _rotation_between(v: AlgVector, u: AlgVector) -> UnitQuaternion:
 def _half_turn(a: AlgVector) -> UnitQuaternion:
     """Turn by pi around an axis orthogonal to the unit vector a."""
     axis = su2.where(abs(a.a) < 0.9, AlgVector(1.0, 0.0, 0.0), AlgVector(0.0, 1.0, 0.0))
-    ortho = AlgVector(
-        a.b * axis.c - a.c * axis.b,
-        a.c * axis.a - a.a * axis.c,
-        a.a * axis.b - a.b * axis.a,
-    )
+    ortho = _cross(a, axis)
     n = ortho.norm()
-    return exp_su2(AlgVector(ortho.a / n * math.pi / 2, ortho.b / n * math.pi / 2,
-                             ortho.c / n * math.pi / 2))
+    return exp_su2(AlgVector._make(c / n * math.pi / 2 for c in ortho))
+
+
+def _cross(a: AlgVector, b: AlgVector) -> AlgVector:
+    return AlgVector(a.b * b.c - a.c * b.b, a.c * b.a - a.a * b.c, a.a * b.b - a.b * b.a)
 
 
 def _vec(q: UnitQuaternion) -> AlgVector:
     return AlgVector(q.x, q.y, q.z)
+
+
+def _frame(p: ChartPoint):
+    """canonical_gauge's frame: A_1, B_1 .. A_g, B_g as vectors, then the thetas."""
+    g = p.chart.genus
+    yield from (_vec(_row(p.handles, j + half)) for j in range(g) for half in (0, g))
+    yield from _rows(p.thetas)
 
 
 def canonical_gauge(p: ChartPoint) -> ChartPoint:
@@ -1021,16 +1069,9 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
     the next independent one into the upper xy-plane.  Returns the
     canonical point.  Every lane makes these choices for itself; open
     marks the lanes still looking."""
-    k = p.chart.k
-    fix = (ONE,) + tuple(p.gammas)
-    q = action(fix, p)
-    frame = []
-    for a, b in q.handles:
-        frame.append(_vec(a))
-        frame.append(_vec(b))
-    frame.extend(q.thetas)
+    q = _act(ONE, p.gammas, p)
     v1, open_ = None, np.True_
-    for v in frame:
+    for v in _frame(q):
         n = v.norm()
         take = open_ & (n > 1e-8)
         if take.any():
@@ -1042,7 +1083,7 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
         return q
     r1 = _rotation_between(v1, AlgVector(v1.norm(), 0.0, 0.0))
     twist, twist_open = ONE, np.True_
-    for v in frame:
+    for v in _frame(q):
         w = adjoint(r1, v)
         planar = _kernel.hypot(w.b, w.c)
         take = twist_open & (planar > 1e-8)
@@ -1052,7 +1093,8 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
             twist_open = twist_open & (planar <= 1e-8)
             if not twist_open.any():
                 break
-    out = action((mul(twist, r1),) * k, q)
+    r = mul(twist, r1)
+    out = _act(r, _spread(r, p.chart.k - 1), q)
     # a lane with no usable frame vector keeps q
     if open_.any():
         return _map_point(lambda a, b: np.where(open_, a, b), q, out)
@@ -1061,16 +1103,21 @@ def canonical_gauge(p: ChartPoint) -> ChartPoint:
 
 def point_distance(p: ChartPoint, q: ChartPoint):
     """Largest coordinate distance, per lane."""
-    dists = su2.each(su2.vec_dist, p.thetas, q.thetas)
-    dists += su2.each(su2.quat_dist, p.gammas + tuple(_flat(p.handles)),
-                      q.gammas + tuple(_flat(q.handles)))
-    return functools.reduce(np.maximum, dists, 0.0)
+    dists = []
+    if p.chart.k > 1:
+        dists += [su2.vec_dist(p.thetas, q.thetas), su2.quat_dist(p.gammas, q.gammas)]
+    if p.chart.genus:
+        dists.append(su2.quat_dist(p.handles, q.handles))
+    return np.max(np.concatenate(dists), axis=0, initial=0.0) if dists else np.zeros(p.lanes)
 
 
 def gauge_equivalent(p: ChartPoint, q: ChartPoint, tol: float = 1e-9):
     """(equal mod gauge, residual): the residual is the distance between
-    the canonical forms of the two points."""
+    the canonical forms of the two points, which are fixed as one batch
+    of the lanes of p and then those of q."""
     if p.chart != q.chart:
         raise ValueError("points live in different charts")
-    r = point_distance(canonical_gauge(p), canonical_gauge(q))
+    n = p.lanes
+    both = canonical_gauge(_map_point(lambda a, b: np.concatenate((a, b), axis=1), p, q))
+    r = point_distance(*(_map_point(lambda c: c[:, h], both) for h in (np.s_[:n], np.s_[n:])))
     return (r < tol, r)

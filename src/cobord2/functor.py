@@ -236,8 +236,8 @@ def membership(face: CorrSymbol, src_pts, tgt_pts, tol: float = MEMBERSHIP_TOL):
         worst = 0.0
         for comp_pts in pts:
             for p in comp_pts.values():
-                for t in p.thetas + (ch.theta1_of(p),):
-                    worst = max(worst, su2.largest(t.norm()))
+                worst = max(worst, su2.largest(p.thetas.norm()),
+                            su2.largest(ch.theta1_of(p).norm()))
         return worst <= tol, worst
     if kind == "identification":
         if face.transposed:
@@ -382,21 +382,11 @@ def _find_comp_with_labels(sym: SpaceSymbol, labels):
 def _project_through_compression(p: ChartPoint, small_chart: ModuliChart, mapping):
     """Forget the compressed handles: surviving small-chart generators
     pull back through the transfer mapping."""
-    thetas = []
-    gammas = []
-    for label in small_chart.boundaries[1:]:
-        pos = p.chart.index_of(label)
-        if pos == 0:
-            return None
-        thetas.append(p.thetas[pos - 1])
-        gammas.append(p.gammas[pos - 1])
-    if small_chart.boundaries[0] != p.chart.boundaries[0]:
+    positions = [p.chart.index_of(label) for label in small_chart.boundaries[1:]]
+    if 0 in positions or small_chart.boundaries[0] != p.chart.boundaries[0]:
         return None
-    handles = []
-    for j in range(1, small_chart.genus + 1):
-        src_a = mapping.get(("a", j), ("a", j))[1]
-        handles.append(p.handles[src_a - 1])
-    return ChartPoint(small_chart, tuple(thetas), tuple(gammas), tuple(handles))
+    pairs = [mapping.get(("a", j), ("a", j))[1] for j in range(1, small_chart.genus + 1)]
+    return ch.pick_generators(p, small_chart, positions, pairs)
 
 
 # --- invariance -----------------------------------------------------------------------

@@ -23,11 +23,14 @@ derives seeds from an int (or numpy integer scalar, taken as the int it
 holds) or from lanes.  A branch test is per lane: log_su2 (through
 check_branch) raises if any lane hits the branch, and the error's
 ``lanes`` mask names those lanes.  where and largest are the lane forms
-of a conditional and of max.  each maps an operation over a list of
-generators (the handles or arcs of a chart point, say) by stacking them
-on a leading generator axis, (n, N) arrays, and running the operation
-once; since numpy computes element by element, each lane of each
-generator keeps the bits of a call of its own.
+of a conditional and of max.
+
+Generator axis.  A component may also be an (n, N) array, n values
+(the arcs of a chart point, say) over the same N lanes.  Every map here
+acts element by element, so it runs once on a whole stack, broadcasts
+a single value or a float against it, and gives each lane of each
+generator the bits of a call of its own; sample_haar and sample_ball
+draw n values per lane from an (n, N) seed array.
 
 exp_su2(v) = cos|v| + sin|v| v/|v| has bracket [u, w] = 2 u x w, so the
 left Jacobian of exp here is the SO(3) one (Sola, Deray and Atchuthan,
@@ -98,53 +101,6 @@ def where(cond, a, b):
     return type(a)._make(vals) if hasattr(a, "_make") else tuple(vals)
 
 
-def each(f, *columns) -> list:
-    """f of each generator, [f(*xs) for xs in zip(*columns)], where each
-    column is a sequence with one value per generator: a quaternion, a
-    vector, or a single component such as a seed.
-
-    f runs once, over a generator axis.  Each component of a column is
-    stacked into an (n, N) array, generators on the leading axis and
-    lanes on the last, a float or int standing for the same value on
-    every lane.  Each component of f's result (an array, or a tuple of
-    them) comes back as one row view per generator.  A single generator
-    needs no stack and goes to f as it is.  Pass every lane array f
-    needs as a column: numpy combines an (N,) array with (n, N) stacks
-    more slowly than arrays of one shape."""
-    if len(columns[0]) < 2:
-        return list(map(f, *columns))
-    lanes = _lane_shape(columns)
-    out = f(*(_stack(col, lanes) for col in columns))
-    if isinstance(out, np.ndarray):
-        return list(out)
-    return list(map(getattr(type(out), "_make", tuple), zip(*out)))
-
-
-def _lane_shape(columns) -> tuple:
-    """The shape of the lane arrays in the columns, () if every value is
-    a constant."""
-    for col in columns:
-        for v in col:
-            for c in v if isinstance(v, tuple) else (v,):
-                if isinstance(c, np.ndarray):
-                    return c.shape
-    return ()
-
-
-def _stack(col, lanes):
-    """A column of values as the same kind of value whose components
-    are (len(col),) + lanes arrays, row i holding generator i."""
-    if isinstance(col[0], tuple):
-        make = getattr(type(col[0]), "_make", tuple)
-        return make([_stack(cs, lanes) for cs in zip(*col)])
-    if all(isinstance(c, np.ndarray) for c in col):
-        return np.array(col)
-    out = np.empty((len(col),) + lanes, dtype=np.result_type(*col))
-    for i, c in enumerate(col):
-        out[i] = c
-    return out
-
-
 def largest(x) -> float:
     """The largest lane of x (0.0 for no lanes)."""
     return float(np.max(x, initial=0.0))
@@ -188,7 +144,11 @@ def stack_lanes(values) -> np.ndarray:
     on every lane, (n,) when none has."""
     if not values:
         return np.zeros(0)
-    return np.stack(np.broadcast_arrays(*values), axis=-1)
+    lanes = next((np.shape(v) for v in values if np.ndim(v)), ())
+    out = np.empty(lanes + (len(values),))
+    for i, v in enumerate(values):
+        out[..., i] = v
+    return out
 
 
 def adjoint_matrices(qs) -> np.ndarray:

@@ -70,11 +70,10 @@ def equivariance_worst(chart, seeds):
     worst = 0.0
     for batch in _batches(seeds):
         p = ch.random_point(chart, batch)
-        gs = su2.each(lambda s, i: su2.sample_haar(su2.mix_seed(s, i)),
-                      (batch,) * chart.k, range(chart.k))
+        gs = su2.sample_haar(su2.mix_seed(batch, np.arange(chart.k, dtype=np.uint64)[:, None]))
         lhs = ch.moment(ch.action(gs, p))
-        rhs = su2.each(su2.adjoint, gs, ch.moment(p))
-        worst = max(worst, *map(su2.largest, su2.each(su2.vec_dist, lhs, rhs)))
+        rhs = su2.adjoint(gs, ch.moment(p))
+        worst = max(worst, su2.largest(su2.vec_dist(lhs, rhs)))
     return worst
 
 
@@ -97,9 +96,7 @@ def round_trip(chart1, chart2, label, seeds):
     for batch in _batches(seeds):
         p1 = ch.random_point(chart1, su2.mix_seed(batch, 1))
         p2 = ch.random_point(chart2, su2.mix_seed(batch, 2))
-        thetas = list(p2.thetas)
-        thetas[pos - 1] = su2.vec_neg(ch.theta_raw(p1, label))
-        p2 = ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
+        p2 = ch.with_theta(p2, label, su2.vec_neg(ch.theta_raw(p1, label)))
         while True:
             try:
                 glued, recipe = ch.glue(p1, label, p2, label)

@@ -2,12 +2,14 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cobord2 import bisets as bs
 from cobord2 import catalog, suites
 from cobord2.bisets import (
     Correspondence,
+    FiniteBiset,
     LieRInstance,
     NotComposable,
     TableError,
@@ -602,6 +604,36 @@ def test_criterion_1_collapses_each_start_pair_once(monkeypatch):
     assert len(loops) == 108 and not any(bad for _, _, bad in loops)
     assert len(inst._compose_memo) == 54
     assert calls == {"_actions": 54, "_collapse": 54}
+
+
+def test_identification2_reuses_the_instances_collapse(monkeypatch):
+    # a gluing face takes the composite the instance already made, so the
+    # pair is collapsed once however often it is identified
+    calls = []
+    body = bs._collapse
+    monkeypatch.setattr(bs, "_collapse", lambda acts: calls.append(acts) or body(acts))
+    m = biregular_biset(Z3)
+    inst = LieRInstance()
+    inst.try_compose1(m, m)
+    corrs = [inst.identification2(m, m) for _ in range(2)]
+    assert len(calls) == 1
+    want = identification_corr(m, m)
+    for corr in corrs:
+        assert corr.src == want.src and corr.tgt == want.tgt
+        assert np.array_equal(corr.pairs, want.pairs)
+    # a pair whose middle action is trivial does not compose; the memo's
+    # None is raised on, not composed again
+    ident = identity_biset(Z3)
+    fixed = tuple(tuple(x for _ in range(Z3.order)) for x in range(ident.size))
+    still = tuple(tuple(range(ident.size)) for _ in range(Z3.order))
+    a = FiniteBiset("id_Z3<right.1", Z3, Z3, ident.left, fixed)
+    b = FiniteBiset("id_Z3<left.1", Z3, Z3, still, ident.right)
+    calls.clear()
+    assert inst.try_compose1(a, b) is None
+    for _ in range(2):
+        with pytest.raises(NotComposable):
+            inst.identification2(a, b)
+    assert len(calls) == 1
 
 
 def test_criterion_1_pass_traced_memory_stays_bounded():

@@ -8,6 +8,7 @@ that batched Gauss-Newton refines and fails each lane as its one-lane
 batch does, and that the chart operations on a generator axis give
 every lane the bits of the one-generator-at-a-time reference in
 chart_reference.py.  They need the hypothesis package."""
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -21,8 +22,11 @@ from chart_reference import (
     glue_lanes,
     kernel_dim_and_rank,
     one_lane,
+    point,
     ranks_and_sizes,
+    stack,
 )
+from cobord2 import functor as fn
 from cobord2 import suites
 from cobord2 import charts as ch
 from cobord2 import su2
@@ -77,6 +81,13 @@ def _glue_case(draw):
     return chart1, chart2, label
 
 
+def _haar_stack(seeds, k, *tags):
+    """A stack of k Haar-random group elements per lane of the seeds,
+    drawn one by one."""
+    return stack([su2.sample_haar(su2.mix_seed(seeds, *tags, i)) for i in range(k)],
+                 len(seeds), su2.UnitQuaternion)
+
+
 def _columns(values, n):
     """values (lane arrays, or floats standing for every lane) as an
     (len(values), n) float array."""
@@ -127,7 +138,7 @@ def test_swap_adjacent_inv_undoes_swap_adjacent(p, data):
 @settings(max_examples=60, deadline=None)
 @given(_point(), st.integers(0, 2 ** 64 - 1))
 def test_gauge_equivalent_to_every_haar_gauge_of_itself(p, seed):
-    gs = tuple(su2.sample_haar(su2.mix_seed(one_lane(seed), i)) for i in range(p.chart.k))
+    gs = _haar_stack(one_lane(seed), p.chart.k)
     ok, residual = ch.gauge_equivalent(p, ch.action(gs, p))
     assert ok and residual < 1e-9
 
@@ -186,11 +197,11 @@ def test_action_and_moment_batch_equal_each_lane(chart, seeds):
     n = len(seeds)
 
     def act(seed):
-        gs = tuple(su2.sample_haar(su2.mix_seed(seed, i)) for i in range(chart.k))
-        return ch.action(gs, ch.random_point(chart, seed))
+        return ch.action(_haar_stack(seed, chart.k), ch.random_point(chart, seed))
 
     def moments(p, n):
-        return _columns([c for m in ch.moment(p) for c in m], n)
+        # boundary by boundary, (a, b, c) each
+        return np.stack(ch.moment(p), axis=1).reshape(-1, n)
 
     lanes = np.array(seeds, dtype=np.uint64)
     moved = act(lanes)
@@ -211,9 +222,7 @@ def test_action_and_moment_batch_equal_each_lane(chart, seeds):
 def _matched(chart1, chart2, label, seed):
     p1 = ch.random_point(chart1, su2.mix_seed(seed, 1))
     p2 = ch.random_point(chart2, su2.mix_seed(seed, 2))
-    thetas = list(p2.thetas)
-    thetas[chart2.index_of(label) - 1] = su2.vec_neg(ch.theta_raw(p1, label))
-    return p1, ch.ChartPoint(chart2, tuple(thetas), p2.gammas, p2.handles)
+    return p1, ch.with_theta(p2, label, su2.vec_neg(ch.theta_raw(p1, label)))
 
 
 def _glue_matched(chart1, chart2, label, seeds):
@@ -296,8 +305,7 @@ def test_canonical_gauge_lanes_take_their_own_branches():
     t1[:, 3] = 0.0  # the second theta is the first usable vector
     t1[:, 4] = t2[:, 4] = 0.0  # no usable frame vector
     t2[:, 5] = t1[:, 5]  # no independent second vector
-    batch = ch.ChartPoint(chart, (su2.AlgVector(*t1), su2.AlgVector(*t2)),
-                          (su2.ONE, su2.ONE), ())
+    batch = point(chart, (su2.AlgVector(*t1), su2.AlgVector(*t2)), (su2.ONE, su2.ONE), (), 8)
     gauged = ch.canonical_gauge(batch)
     _assert_lanes(gauged, [ch.canonical_gauge(ch.select_lanes(batch, [i])) for i in range(8)])
     with math_kernel():
@@ -325,19 +333,20 @@ def _lane0(v):
 
 
 @st.composite
-def _floats_in(draw, p):
-    """p with some of its generators made floats: the identity or a zero
-    vector, as sample_on_locus pins them and split sets an arc, or the
-    generator's first lane."""
+def _constants_in(draw, p):
+    """p with some of its generators made the same on every lane: the
+    identity or a zero vector, as sample_on_locus pins them and split
+    sets an arc, or the generator's first lane."""
     def pick(v, plain):
         choice = draw(st.sampled_from(("lanes", "plain", "lane0")))
         return v if choice == "lanes" else plain if choice == "plain" else _lane0(v)
 
     zero = su2.AlgVector(0.0, 0.0, 0.0)
-    thetas = tuple(pick(t, zero) for t in p.thetas)
-    gammas = tuple(pick(g, su2.ONE) for g in p.gammas)
-    handles = tuple((pick(a, su2.ONE), pick(b, su2.ONE)) for a, b in p.handles)
-    return ch.ChartPoint(p.chart, thetas, gammas, handles)
+    thetas, gammas, handles = chart_reference.generators(p)
+    thetas = tuple(pick(t, zero) for t in thetas)
+    gammas = tuple(pick(g, su2.ONE) for g in gammas)
+    handles = tuple((pick(a, su2.ONE), pick(b, su2.ONE)) for a, b in handles)
+    return point(p.chart, thetas, gammas, handles, p.lanes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -351,14 +360,28 @@ def test_generator_axis_equals_the_per_generator_path(chart, seeds, zero_thetas,
     with mock.patch.object(ch, "ADMISSIBLE_MARGIN", margin):
         p = ch.random_point(chart, seeds, zero_thetas=zero_thetas)
         assert _same_bits(p, chart_reference.random_point_loop(chart, seeds, zero_thetas), n)
-    gs = tuple(su2.sample_haar(su2.mix_seed(seeds, 7, i)) for i in range(chart.k))
-    for q in (p, data.draw(_floats_in(p))):
+    gs = _haar_stack(seeds, chart.k, 7)
+    for q in (p, data.draw(_constants_in(p))):
         assert _equal_lanes(ch.chart_defect(q), chart_reference.defect_loop(q), n)
         moved = ch.action(gs, q)
         assert _same_bits(moved, chart_reference.action_loop(gs, q), n)
         assert _same_bits(ch.canonical_gauge(q), chart_reference.canonical_gauge_loop(q), n)
         assert _equal_lanes([ch.point_distance(q, moved)],
                             [chart_reference.point_distance_loop(q, moved)], n)
+        ok, r = ch.gauge_equivalent(q, moved)
+        want = chart_reference.point_distance_loop(chart_reference.canonical_gauge_loop(q),
+                                                   chart_reference.canonical_gauge_loop(moved))
+        assert _equal_lanes([r], [want], n) and np.array_equal(ok, want < 1e-9)
+        for pos in range(1, chart.k):
+            rotated = ch.rotate_first(q, pos)
+            assert _same_bits(rotated, chart_reference.rotate_first_loop(q, pos), n)
+            assert _same_bits(ch.rotate_first_inv(rotated, pos),
+                              chart_reference.rotate_first_inv_loop(rotated, pos), n)
+        for pos in range(1, chart.k - 1):
+            assert _same_bits(ch.swap_adjacent(q, pos),
+                              chart_reference.swap_adjacent_loop(q, pos), n)
+            assert _same_bits(ch.swap_adjacent_inv(q, pos),
+                              chart_reference.swap_adjacent_inv_loop(q, pos), n)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -376,6 +399,28 @@ def test_glue_and_split_on_the_generator_axis_equal_the_per_generator_path(case,
     for got, ref in zip(ch.split(glued, recipe), chart_reference.split_loop(glued, recipe),
                         strict=True):
         assert _same_bits(got, ref, n)
+
+
+def test_permute_to_chart_equals_the_per_generator_moves():
+    # every order of four circles whose first circle differs from the
+    # point's: move_boundary_first rotates it to the front, and adjacent
+    # swaps put the rest in order
+    chart = ch.ModuliChart(2, ("c1", "c2", "c3", "c4"), frozenset(("c2", "c3")))
+    seeds = np.array([su2.mix_seed(71, t) for t in range(16)], dtype=np.uint64)
+    p = ch.random_point(chart, seeds)
+    swaps = 0
+    for order in itertools.permutations(chart.boundaries):
+        if order[0] == "c1":
+            continue
+        moved = ch.move_boundary_first(p, order[0])
+        assert _same_bits(moved, chart_reference.move_boundary_first_loop(p, order[0]), 16)
+        target = ch.ModuliChart(2, order, chart.incoming)
+        got = fn._permute_to_chart(p, target)
+        want = chart_reference.permute_to_chart_loop(p, target)
+        assert got.chart == target and want.chart.boundaries == order
+        assert _same(_point_columns(got, 16), _point_columns(want, 16))
+        swaps += moved.chart.boundaries != order
+    assert swaps
 
 
 # --- the round trip and equivariance laws over random charts ------------------------

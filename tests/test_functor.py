@@ -208,11 +208,8 @@ def test_membership_identification_via_glue():
     # the glued circle is b's determined boundary; match from side a
     target = su2.vec_neg(ch.theta1_of(pb[0]))
     a_pt = pa[0]
-    pos = a_pt.chart.index_of("mid")
-    assert pos > 0
-    thetas = list(a_pt.thetas)
-    thetas[pos - 1] = target
-    pa[0] = ch.ChartPoint(a_pt.chart, tuple(thetas), a_pt.gammas, a_pt.handles)
+    assert a_pt.chart.index_of("mid") > 0
+    pa[0] = ch.with_theta(a_pt, "mid", target)
     while True:
         try:
             pieces = fn._glue_symbol_points(pa, pb, ident.glued)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cobord2 import _kernel, su2
-from cobord2.su2 import AlgVector, UnitQuaternion, BranchError
+from cobord2.su2 import UnitQuaternion, BranchError
 from scalar_reference import MATH, math_kernel, splitmix_stream
 
 
@@ -270,26 +270,38 @@ def _bits(values):
                      for v in values for c in (v if isinstance(v, tuple) else (v,))]).view(np.uint64)
 
 
-def test_each_on_a_generator_axis_equals_a_call_per_generator():
+def test_a_stack_on_the_generator_axis_equals_a_call_per_row():
+    # four generators on every lane, as a chart point stacks its handles
+    stacked = su2.sample_haar(su2.mix_seed(_lanes(), np.arange(4, dtype=np.uint64)[:, None]))
     qs = [su2.sample_haar(su2.mix_seed(_lanes(), i)) for i in range(4)]
-    # floats inside the lanes, as a pinned handle or a zero theta
+    assert stacked.w.shape == (4, len(LANE_SEEDS))
+    assert np.array_equal(_bits(_rows(stacked)), _bits(qs))
+    vs = su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 1, np.arange(3, dtype=np.uint64)[:, None]))
+    assert np.array_equal(_bits(_rows(vs)),
+                          _bits([su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 1, i))
+                                 for i in range(3)]))
+    # a row made constant, as a pinned handle or a zero theta
     mixed = [qs[1], su2.ONE, qs[3], UnitQuaternion(0.5, 0.5, -0.5, 0.5)]
-    for f, cols in ((su2.commutator, (qs, mixed)), (su2.commutator, (mixed, qs)),
-                    (su2.quat_dist, (qs, mixed)), (su2.mul, ([su2.ONE, qs[0]], qs[2:]))):
-        got = su2.each(f, *cols)
-        assert np.array_equal(_bits(got), _bits([f(*xs) for xs in zip(*cols)]))
-        assert all(type(g) is type(w) for g, w in zip(got, map(f, *cols)))
-    # a stack of seeds against columns of ints, one sample_haar call
-    with mock.patch.object(su2, "SplitMix64", wraps=su2.SplitMix64) as rng:
-        got = su2.each(lambda s, tag, i: su2.sample_haar(su2.mix_seed(s, tag, i)),
-                       [_lanes()] * 3, (3, 4, 3), (0, 0, 1))
-    assert rng.call_count == 1 and rng.call_args.args[0].shape == (3, len(LANE_SEEDS))
-    want = [su2.sample_haar(su2.mix_seed(_lanes(), tag, i)) for tag, i in ((3, 0), (4, 0), (3, 1))]
-    assert np.array_equal(_bits(got), _bits(want))
-    # constants only: one stack without a lane axis
-    vs = [AlgVector(0.1, 0.2, 0.3), AlgVector(-0.3, 0.0, 0.2)]
-    assert su2.each(su2.exp_su2, vs) == [su2.exp_su2(v) for v in vs]
-    assert su2.each(su2.exp_su2, []) == []
+    mixed_stack = UnitQuaternion._make(np.array([np.broadcast_to(c, len(LANE_SEEDS))
+                                                  for c in cs]) for cs in zip(*mixed))
+    first3 = UnitQuaternion._make(c[:3] for c in stacked)
+    for f, args, rows in ((su2.commutator, (stacked, mixed_stack), (qs, mixed)),
+                          (su2.commutator, (mixed_stack, stacked), (mixed, qs)),
+                          (su2.quat_dist, (stacked, mixed_stack), (qs, mixed)),
+                          (su2.adjoint, (first3, vs), (qs[:3], _rows(vs)))):
+        got = f(*args)
+        want = [f(*xs) for xs in zip(*rows)]
+        got_rows = list(got) if isinstance(got, np.ndarray) else _rows(got)
+        assert np.array_equal(_bits(got_rows), _bits(want))
+    # a single value (N,) or a float against a stack, as numpy broadcasts it
+    for g in (qs[0], su2.ONE):
+        got = su2.mul(g, stacked)
+        assert np.array_equal(_bits(_rows(got)), _bits([su2.mul(g, q) for q in qs]))
+
+
+def _rows(x):
+    """The rows of a stack, one value per generator."""
+    return [type(x)._make(cs) for cs in zip(*x)]
 
 
 def test_kernel_lanes_equal_the_scalar_kernel():
