@@ -13,6 +13,15 @@ and cos match math bit for bit on x86-64 with numpy 2.4, and + - * /
 are the same IEEE operations; its log, arctan2 and hypot are within
 1 ulp of math's, and its cbrt within 2 ulp of math.pow(x, 1/3) (1M
 inputs each, AVX-512 dispatch).
+
+The constant identity.  qmul and qrot do not multiply by the identity
+written as four floats, 1 and three zeros of either sign (su2.ONE, its
+inverse (1.0, -0.0, -0.0, -0.0), qprod's start): qmul returns the other
+operand's components, the operand's own arrays rather than copies, as
+qconj returns q's real part.  On nonzero components that is the product
+bit for bit.  A zero component keeps its sign, where the computed
+product would add a zero of the other sign and round -0.0 to +0.0:
+ONE * (-0.0, x, y, z) is (-0.0, x, y, z), not (+0.0, x, y, z).
 """
 
 import numpy as np
@@ -30,9 +39,20 @@ cbrt = np.cbrt
 select = np.where  # select(cond, a, b): a where the lane's cond holds, else b
 
 
+def _one(w, x, y, z) -> bool:
+    """Whether (w, x, y, z) is the constant identity: four floats, 1 and
+    three zeros."""
+    return (type(w) is float and w == 1.0 and type(x) is float and x == 0.0
+            and type(y) is float and y == 0.0 and type(z) is float and z == 0.0)
+
+
 def qmul(p, q):
     pw, px, py, pz = p
     qw, qx, qy, qz = q
+    if _one(pw, px, py, pz):
+        return (qw, qx, qy, qz)
+    if _one(qw, qx, qy, qz):
+        return (pw, px, py, pz)
     return (
         pw * qw - px * qx - py * qy - pz * qz,
         pw * qx + px * qw + py * qz - pz * qy,
@@ -71,9 +91,16 @@ def qlog(q):
 
 
 def qrot(g, v):
-    t = qmul(g, (0.0, v[0], v[1], v[2]))
-    r = qmul(t, qconj(g))
-    return (r[1], r[2], r[3])
+    # the vector part of qmul(qmul(g, (0, v)), qconj(g)): its real part is 0
+    if _one(*g):
+        return (v[0], v[1], v[2])
+    tw, tx, ty, tz = qmul(g, (0.0, v[0], v[1], v[2]))
+    cw, cx, cy, cz = qconj(g)
+    return (
+        tw * cx + tx * cw + ty * cz - tz * cy,
+        tw * cy - tx * cz + ty * cw + tz * cx,
+        tw * cz + tx * cy - ty * cx + tz * cw,
+    )
 
 
 def qcomm(p, q):

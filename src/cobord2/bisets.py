@@ -587,14 +587,27 @@ class LieRInstance(Instance):
         self._maps_memo: dict = {}
         self._transport_memo: dict = {}
         self._interned: dict = {}
+        self._codes: dict = {}
+        self._codes_by_id: dict = {}
 
     # -- 1-morphisms
 
     def ends1(self, item):
         return (item.left_group, item.right_group)
 
+    def _code(self, obj) -> int:
+        """A small int for the content of obj (a biset, or a tuple of
+        them), the same for equal objects.  After its first call obj is
+        found by identity, and the entry holds obj, so its id stays its
+        own: a memo keyed by codes hashes no biset on a hit."""
+        entry = self._codes_by_id.get(id(obj))
+        if entry is None:
+            entry = (obj, self._codes.setdefault(obj, len(self._codes)))
+            self._codes_by_id[id(obj)] = entry
+        return entry[1]
+
     def _compose_full(self, a, b):
-        key = (a, b)
+        key = (self._code(a), self._code(b))
         if key not in self._compose_memo:
             self._compose_memo[key] = try_compose_bisets(a, b, self.collapse)
         return self._compose_memo[key]
@@ -605,19 +618,19 @@ class LieRInstance(Instance):
 
     @cached_property
     def _decompositions(self) -> dict:
-        """Composite -> the catalog pairs (a, b) composing to it, in
-        catalog order; built on first use."""
+        """Composite (by its code) -> the catalog pairs (a, b) composing
+        to it, in catalog order; built on first use."""
         out: dict = {}
         for a in self.catalog:
             for b in self.catalog:
                 if a.right_group == b.left_group:
                     made = self.try_compose1(a, b)
                     if made is not None:
-                        out.setdefault(made, []).append((a, b))
+                        out.setdefault(self._code(made), []).append((a, b))
         return out
 
     def enumerate_decompositions(self, item):
-        return self._decompositions.get(item, [])
+        return self._decompositions.get(self._code(item), [])
 
     # -- 2-morphisms
 
@@ -644,34 +657,38 @@ class LieRInstance(Instance):
     # -- oracle machinery
 
     def _actions_of(self, items) -> _Actions:
-        if items not in self._actions_memo:
-            self._actions_memo[items] = _actions(items)
-        return self._actions_memo[items]
+        key = self._code(items)
+        if key not in self._actions_memo:
+            self._actions_memo[key] = _actions(items)
+        return self._actions_memo[key]
 
     def collapse(self, seq) -> CollapsedSet:
-        key = tuple(seq)
+        seq = tuple(seq)
+        key = self._code(seq)
         if key not in self._collapse_memo:
-            self._collapse_memo[key] = _collapse(self._actions_of(key))
+            self._collapse_memo[key] = _collapse(self._actions_of(seq))
         return self._collapse_memo[key]
 
     def _relation(self, items) -> Correspondence:
         """The relation probe of a sequence, shared by probes and
         _orbit_probe."""
-        if items not in self._relation_memo:
-            self._relation_memo[items] = orbit_relation_corr(items, self.collapse(items))
-        return self._relation_memo[items]
+        key = self._code(items)
+        if key not in self._relation_memo:
+            self._relation_memo[key] = orbit_relation_corr(items, self.collapse(items))
+        return self._relation_memo[key]
 
     def probes(self, seq: SeqMorphism):
         items = seq.items
-        if items in self._probe_memo:
-            return self._probe_memo[items]
+        key = self._code(items)
+        if key in self._probe_memo:
+            return self._probe_memo[key]
         out = [("relation", self._intern(self._relation(items)))]
         n = _carrier_size(items)
         # the first and the middle product tuple in sorted order
         for name, start in (("orbit-first", 0), ("orbit-mid", n // 2)):
             if n:
                 out.append((name, self._intern(self._orbit_probe(items, start))))
-        self._probe_memo[items] = out
+        self._probe_memo[key] = out
         return out
 
     def _orbit_probe(self, items, start: int) -> Correspondence:
@@ -704,7 +721,7 @@ class LieRInstance(Instance):
         push[f] is the coarse code of fine code f, and row c of pull
         lists in increasing order the |G| fine codes pushed to c (the
         middle action is free, so every orbit has that size)."""
-        key = (fine, pos)
+        key = (self._code(fine), pos)
         if key not in self._maps_memo:
             made = self._compose_full(fine[pos], fine[pos + 1])
             assert made is not None
@@ -725,7 +742,8 @@ class LieRInstance(Instance):
         """The one correspondence of this instance with corr's content:
         the first one interned, or corr itself.  Its pairs turn
         read-only, since every holder now shares them."""
-        key = (corr.src, corr.tgt, len(corr.pairs), hash(corr.pairs.tobytes()))
+        key = (self._code(corr.src), self._code(corr.tgt), len(corr.pairs),
+               hash(corr.pairs.tobytes()))
         bucket = self._interned.setdefault(key, [])
         for known in bucket:
             if np.array_equal(known.pairs, corr.pairs):
@@ -742,8 +760,9 @@ class LieRInstance(Instance):
         Each (probe, step, side) is carried once per instance: the memo
         keys the probe by identity and holds it, and the result is
         interned, so equal probes reached along different loops are one
-        object and hit the memo."""
-        key = (probe, seq_from.items, seq_to.items, pos, compose, side)
+        object and hit the memo.  The sequences enter the key as their
+        codes."""
+        key = (probe, self._code(seq_from.items), self._code(seq_to.items), pos, compose, side)
         if key not in self._transport_memo:
             self._transport_memo[key] = self._intern(
                 self._transport(probe, seq_from, seq_to, pos, compose, side))

@@ -17,13 +17,18 @@ matmul and SVD give each matrix of such a stack the bits they give it
 alone.  stack_lanes builds that axis.  A seed for drawing is a uint64
 array of per-lane seeds (an int seed is one lane): SplitMix64,
 sample_haar and sample_ball draw one stream per lane in uint64
-arithmetic (Steele, Lea and Flood, "Fast
-splittable pseudorandom number generators", OOPSLA 2014).  mix_seed
-derives seeds from an int (or numpy integer scalar, taken as the int it
-holds) or from lanes.  A branch test is per lane: log_su2 (through
-check_branch) raises if any lane hits the branch, and the error's
-``lanes`` mask names those lanes.  where and largest are the lane forms
-of a conditional and of max.
+arithmetic (Steele, Lea and Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014).  SplitMix64's state is a Weyl sequence, so
+its i-th next draw is mix(state + i * gamma) and k draws are one block
+of array operations: sample_haar takes its two Gaussian pairs from one
+block of four uniforms (a lane that redraws takes the next block), and
+sample_ball its direction and radius from one block of three, each
+computed in the order of one draw at a time, so every lane keeps its
+bits.  mix_seed derives seeds from an int (or numpy integer scalar,
+taken as the int it holds) or from lanes.  A branch test is per lane:
+log_su2 (through check_branch) raises if any lane hits the branch, and
+the error's ``lanes`` mask names those lanes.  where and largest are
+the lane forms of a conditional and of max.
 
 Generator axis.  A component may also be an (n, N) array, n values
 (the arcs of a chart point, say) over the same N lanes.  Every map here
@@ -60,6 +65,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _LANE_CONSTANTS = {k: np.uint64(k) for k in (_GAMMA, _MUL1, _MUL2)}
+# i * _GAMMA mod 2**64 for i = 1..16, SplitMix64's offsets for a block of
+# draws; an array, because numpy warns on overflow in uint64 scalar arithmetic
+_WEYL = np.array([(i * _GAMMA) & _MASK64 for i in range(1, 17)], dtype=np.uint64)
 
 
 class UnitQuaternion(NamedTuple):
@@ -296,24 +304,32 @@ def seed_lanes(seeds) -> np.ndarray:
 class SplitMix64:
     """Tiny deterministic PRNG; identical output on every platform.  The
     seed is a uint64 array, one stream per lane; an int (or numpy
-    integer scalar) is one lane."""
+    integer scalar) is one lane.  The state is a Weyl sequence, so draw
+    i after state s is _mix(s + i * gamma), and k draws are one block."""
 
     def __init__(self, seed):
         self._state = np.array(seed, dtype=np.uint64, copy=None, ndmin=1)
 
-    def next_u64(self):
-        self._state = self._state + _LANE_CONSTANTS[_GAMMA]
-        return _mix(self._state)
+    def block(self, k: int) -> np.ndarray:
+        """The next k 64-bit outputs of every stream, as a (k, ...) stack
+        over the seed's shape."""
+        if not 0 < k <= len(_WEYL):
+            raise ValueError("draw 1 to %d values at a time" % len(_WEYL))
+        x = self._state[None] + _WEYL[:k].reshape((k,) + (1,) * self._state.ndim)
+        self._state = x[-1]
+        return _mix(x)
 
-    def uniform(self):
-        # 53-bit mantissa in [0, 1)
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k uniforms in [0, 1) of every stream (53-bit
+        mantissas), as a (k, ...) stack."""
+        return (self.block(k) >> 11) * (2.0 ** -53)
 
-    def gauss_pair(self):
-        u1 = 1.0 - self.uniform()  # (0, 1]
-        u2 = self.uniform()
-        r = sqrt(-2.0 * log(u1))
-        return (r * cos(2.0 * math.pi * u2), r * sin(2.0 * math.pi * u2))
+
+def _gauss_pairs(u1, u2):
+    """Box-Muller: a Gaussian pair from each uniform u1 in (0, 1] and u2
+    in [0, 1), element by element."""
+    r = sqrt(-2.0 * log(u1))
+    return r * cos(2.0 * math.pi * u2), r * sin(2.0 * math.pi * u2)
 
 
 def sample_haar(seed) -> UnitQuaternion:
@@ -322,8 +338,9 @@ def sample_haar(seed) -> UnitQuaternion:
     rng = SplitMix64(seed)
     out, todo = None, np.True_
     while todo.any():
-        g1, g2 = rng.gauss_pair()
-        g3, g4 = rng.gauss_pair()
+        # two Gaussian pairs from one block of four uniforms
+        u = rng.uniforms(4)
+        (g1, g3), (g2, g4) = _gauss_pairs(1.0 - u[0::2], u[1::2])
         n = sqrt(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4)
         short = n <= 1e-12
         n = select(short, 1.0, n)
@@ -338,10 +355,9 @@ def sample_ball(radius: float, seed) -> AlgVector:
     """Uniform direction, radius density proportional to r^2 on [0, radius)."""
     if not 0.0 < radius <= math.pi:
         raise ValueError("radius must lie in (0, pi]")
-    rng = SplitMix64(seed)
-    z = 2.0 * rng.uniform() - 1.0
-    phi = 2.0 * math.pi * rng.uniform()
-    u = rng.uniform()
+    z, phi, u = SplitMix64(seed).uniforms(3)
+    z = 2.0 * z - 1.0
+    phi = 2.0 * math.pi * phi
     r = radius * cbrt(u)
     s = sqrt(1.0 - z * z)  # z in [-1, 1), so z * z <= 1 after rounding too
     return AlgVector(r * s * cos(phi), r * s * sin(phi), r * z)

@@ -32,6 +32,7 @@ from cobord2.diagram import (
     Face,
     SeqMorphism,
     StackDiagram,
+    check_diagram_axiom,
     composition_step,
     normalize_diagram,
     wire_row,
@@ -587,6 +588,31 @@ def test_transport_memo_carries_each_distinct_probe_once(monkeypatch):
         assert len(ends) == 648
         # every probe comes back, as the very object probes() handed out
         assert all(carried is probe for probe, carried in ends)
+
+
+def test_memo_hits_hash_no_biset(monkeypatch):
+    # the memos key sequences by per-instance codes, found by identity,
+    # so a loop checked again is all memo hits and hashes no biset
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    checked = []
+    for items in catalog.loop_start_sequences(inst.catalog):
+        start = inst.seq(items)
+        for loop in catalog.enumerate_loops(inst, items, 4):
+            seqs = [SeqMorphism(start.source, start.target, s) for s in loop]
+            checked.append((seqs, check_diagram_axiom(seqs, inst)))
+    hashed = []
+    body = FiniteBiset.__hash__
+    monkeypatch.setattr(FiniteBiset, "__hash__", lambda self: hashed.append(self) or body(self))
+    monkeypatch.setattr(LieRInstance, "_transport", lambda *args: pytest.fail("memo miss"))
+    for seqs, results in checked:
+        assert check_diagram_axiom(seqs, inst) == results
+    assert len(checked) == 108 and hashed == []
+    # equal sequences held in new tuples share the memo: each new
+    # tuple hashes its bisets once, when it is first coded
+    seqs, results = checked[-1]
+    copies = [SeqMorphism(s.source, s.target, tuple(list(s.items))) for s in seqs]
+    assert check_diagram_axiom(copies, inst) == results
+    assert 0 < len(hashed) <= sum(len(s.items) for s in copies)
 
 
 def test_criterion_1_collapses_each_start_pair_once(monkeypatch):

@@ -203,21 +203,38 @@ def test_splitmix_lanes_equal_the_scalar_streams():
     rng = su2.SplitMix64(_lanes())
     streams = [splitmix_stream(s) for s in LANE_SEEDS]
     for _ in range(3):
-        assert rng.next_u64().tolist() == [next(x) for x in streams]
-    assert _same_bits([rng.uniform()], [[(next(x) >> 11) * 2.0 ** -53] for x in streams])
+        assert rng.block(1)[0].tolist() == [next(x) for x in streams]
+    assert _same_bits(rng.uniforms(1), [[(next(x) >> 11) * 2.0 ** -53] for x in streams])
     # a Gaussian takes a log: one-lane batches give its bits, the scalar
     # reference its value
-    pairs = rng.gauss_pair()
+    u = rng.uniforms(2)
+    pairs = su2._gauss_pairs(1.0 - u[0], u[1])
 
-    def fourth_draw(seeds):
-        r = su2.SplitMix64(seeds)
-        for _ in range(4):
-            r.next_u64()
-        return r.gauss_pair()
+    def pair_after_four(seeds):
+        u = su2.SplitMix64(seeds).uniforms(6)
+        return su2._gauss_pairs(1.0 - u[4], u[5])
 
-    assert _same_bits(pairs, _one_lane(fourth_draw, LANE_SEEDS))
+    assert _same_bits(pairs, _one_lane(pair_after_four, LANE_SEEDS))
     with math_kernel():
-        assert _close(pairs, fourth_draw(_lanes()))
+        assert _close(pairs, pair_after_four(_lanes()))
+
+
+def test_block_draws_continue_the_scalar_streams():
+    stack = _lanes()[:400].reshape(8, 50)
+    # int seeds, the 2**64 - 1 wrap, lanes and an (n, N) stack of lanes
+    for seed in (0, 7, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), _lanes(), stack):
+        flat = np.array(seed, dtype=np.uint64, ndmin=1).ravel().tolist()
+        for k in range(1, 9):
+            rng, streams = su2.SplitMix64(seed), [splitmix_stream(s) for s in flat]
+            # the second block picks up where the first left off
+            for _ in range(2):
+                block = rng.block(k)
+                assert block.dtype == np.uint64
+                assert block.shape == (k,) + np.shape(np.array(seed, ndmin=1))
+                want = np.array([[next(x) for x in streams] for _ in range(k)], dtype=np.uint64)
+                assert np.array_equal(block.reshape(k, -1), want)
+    with pytest.raises(ValueError):
+        su2.SplitMix64(1).block(17)
 
 
 def test_haar_and_ball_lanes_equal_their_one_lane_draws():
@@ -233,27 +250,33 @@ def test_haar_and_ball_lanes_equal_their_one_lane_draws():
 
 
 def test_haar_redraws_a_short_gaussian():
-    # the first Gaussian of each chosen seed is zero, so that seed draws again
-    chosen = [1, 2 ** 63, LANE_SEEDS[10], LANE_SEEDS[-1]]
-    real = su2.SplitMix64.gauss_pair
+    # the first block of each chosen seed gives two zero Gaussians
+    # (u1 = 1 - 0 in both pairs), so that seed draws again
+    chosen = np.array([1, 2 ** 63, LANE_SEEDS[10], LANE_SEEDS[-1]], dtype=np.uint64)
+    real = su2.SplitMix64.block
 
-    def zero_first_draw(rng):
-        if not hasattr(rng, "drawn"):
-            rng.seed, rng.drawn = rng._state, 0
-        hit = np.isin(rng.seed, np.array(chosen, dtype=np.uint64))
-        short = hit & (rng.drawn < 2)  # a quaternion is two pairs
-        rng.drawn += 1
-        return tuple(_kernel.select(short, 0.0, g) for g in real(rng))
+    def zero_first_block(rng, k):
+        first = not hasattr(rng, "seed")
+        if first:
+            rng.seed = rng._state
+        out = real(rng, k)
+        if first:
+            out[0::2] = np.where(np.isin(rng.seed, chosen), np.uint64(0), out[0::2])
+        return out
 
     def redraw(seed):
-        rng = su2.SplitMix64(np.array([seed], dtype=np.uint64))
-        rng.gauss_pair(), rng.gauss_pair()
-        g = rng.gauss_pair() + rng.gauss_pair()
-        n = np.sqrt(sum(x * x for x in g))
+        # draws 5-8 of the seed's own stream, as one-lane Gaussians
+        draws = splitmix_stream(seed)
+        u = [np.array([(next(draws) >> 11) * 2.0 ** -53]) for _ in range(8)][4:]
+        g = []
+        for u1, u2 in ((1.0 - u[0], u[1]), (1.0 - u[2], u[3])):
+            r = np.sqrt(-2.0 * np.log(u1))
+            g += [r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2)]
+        n = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
         return tuple(float((x / n)[0]) for x in g)
 
     plain = _one_lane(su2.sample_haar, LANE_SEEDS)
-    with mock.patch.object(su2.SplitMix64, "gauss_pair", zero_first_draw):
+    with mock.patch.object(su2.SplitMix64, "block", zero_first_block):
         lanes = su2.sample_haar(_lanes())
         one_lane = _one_lane(su2.sample_haar, LANE_SEEDS)
         with math_kernel():
@@ -330,6 +353,45 @@ def test_kernel_lanes_equal_the_scalar_kernel():
     assert _close(logs, ref[3])
 
 
+def test_multiplying_by_the_constant_identity_keeps_the_operand():
+    qs = su2.sample_haar(su2.mix_seed(_lanes(), np.arange(3, dtype=np.uint64)[:, None]))
+    # zero components of both signs, as a pinned or gauge-fixed value has
+    n = len(LANE_SEEDS)
+    zeros = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+    signed = UnitQuaternion(*(np.where(np.arange(n) % 3 == 0, zeros, c) for c in qs))
+    ones = [su2.ONE, su2.inv(su2.ONE), (1.0, 0.0, 0.0, 0.0)]
+    assert su2.inv(su2.ONE) == (1.0, -0.0, -0.0, -0.0)
+    for q in (qs, signed, _rows(qs)[0]):
+        for one in ones:
+            for got in (_kernel.qmul(one, q), _kernel.qmul(q, one)):
+                # the operand's own arrays, not a copy
+                assert all(a is b for a, b in zip(got, q))
+        # the computed product, the identity as lane arrays, agrees off zeros
+        computed = _kernel.qmul(tuple(np.full_like(c, v) for c, v in zip(q, su2.ONE)), q)
+        nonzero = [c != 0.0 for c in q]
+        assert all(np.array_equal(np.asarray(a)[m].view(np.uint64), np.asarray(b)[m].view(np.uint64))
+                   for a, b, m in zip(computed, q, nonzero))
+    # computed, ONE * (-0.0, x, y, z) has w = -0.0 - 0.0 * x - ..., and
+    # -0.0 - (-0.0) rounds to +0.0 for x < 0; the identity rule keeps -0.0
+    neg = (np.array([-0.0]), np.array([-0.5]), np.array([0.5]), np.array([-0.5]))
+    computed = _kernel.qmul((np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1)), neg)
+    assert np.signbit(computed[0]).tolist() == [False]
+    assert np.signbit(_kernel.qmul(su2.ONE, neg)[0]).tolist() == [True]
+    # the adjoint action of the identity is the vector itself
+    v = su2.sample_ball(math.pi, _lanes())
+    assert all(a is b for a, b in zip(su2.adjoint(su2.ONE, v), v))
+
+
+def test_qrot_is_the_vector_part_of_the_full_product():
+    gs = su2.sample_haar(su2.mix_seed(_lanes(), np.arange(3, dtype=np.uint64)[:, None]))
+    vs = su2.sample_ball(math.pi, su2.mix_seed(_lanes(), 9))
+    for g, v in ((gs, vs), (_rows(gs)[1], vs), (gs, (0.5, 0.0, -0.25))):
+        full = _kernel.qmul(_kernel.qmul(g, (0.0, *v)), _kernel.qconj(g))
+        got = _kernel.qrot(g, v)
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(got, full[1:]))
+
+
 def test_log_of_lane_w_beside_a_float_imaginary_part():
     # a float stands for the same value on every lane, zero included
     w = np.array([1.0, 0.5, -0.25])
@@ -402,7 +464,7 @@ def test_numpy_integer_seeds_are_the_ints_they_hold():
         assert su2.mix_seed(np.int64(-1), 2) == su2.mix_seed(-1, 2)
         # an int seed, or a numpy integer scalar, draws one lane
         top = np.uint64(2 ** 64 - 1)
-        assert su2.SplitMix64(top).next_u64() == su2.SplitMix64(2 ** 64 - 1).next_u64()
+        assert su2.SplitMix64(top).block(1) == su2.SplitMix64(2 ** 64 - 1).block(1)
         assert _same_bits(su2.sample_haar(arr[7]), [su2.sample_haar(int(arr[7]))])
         assert _same_bits(su2.sample_ball(1.0, arr[9]), [su2.sample_ball(1.0, int(arr[9]))])
         assert _same_bits(su2.sample_haar(int(arr[7])), _one_lane(su2.sample_haar, [int(arr[7])]))
