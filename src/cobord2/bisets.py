@@ -39,10 +39,22 @@ one object, and transport_probe memoizes on (probe, both sequences,
 position, direction, side), keying the probe by identity.  Identity
 keys are sound because a correspondence is a frozen value whose
 interned pairs are read-only, and the memo holds every key probe alive,
-so no id is reused while its entry stands.  Only a miss hashes pair
-codes: a criterion-1 pass computes 252 of its 1944 transports.  The
-instance's one collapse memo serves composition and probes alike, so a
-pass acts on and collapses each of its 54 composed pairs once.
+so no id is reused while its entry stands.  Only a miss interns: a
+criterion-1 pass computes 252 of its 1944 transports.  The instance's
+one collapse memo serves composition and probes alike, so a pass acts
+on and collapses each of its 54 composed pairs once.
+
+The bookkeeping around the codes makes no copy it can avoid.
+Interning files a correspondence under its sequences' codes, its
+length and the sum of its pair codes, and array_equal decides within
+the bucket; hashing the pair bytes instead would copy and hash 10.1 MB
+over the 414 interns of a criterion-1 pass.  Codes split by one floor
+division (_divmod), which numpy runs several times faster than
+np.divmod on int64.  A transport whose pair space has at most 8 slots
+per code it produces dedupes and sorts the codes by marking a bool mask
+over that space, which is then no bigger than the codes, and the
+orbit-probe search marks each frontier the same way; only sparse codes
+are sorted.
 """
 
 from __future__ import annotations
@@ -320,7 +332,7 @@ def biregular_biset(g: FiniteGroup) -> FiniteBiset:
     """G x G with left multiplication on the first factor and right on
     the second; composing two of these is a free quotient of size |G|^3."""
     n = g.order
-    a, b = np.divmod(np.arange(n * n), n)  # the carrier point x = (a, b)
+    a, b = _divmod(np.arange(n * n), n)  # the carrier point x = (a, b)
     left = g.mult[:, a] * n + b
     right = (a * n)[:, None] + g.mult[b]
     return FiniteBiset("reg_%s" % g.name, g, g, left, right)
@@ -331,7 +343,7 @@ def pants_biset(g: FiniteGroup, square: Optional[FiniteGroup] = None) -> FiniteB
     (g0,g1).(a,b) = (g0 a, g1 b) and (a,b).g2 = (a g2, b g2)."""
     gg = square or product_group(g, g)
     n = g.order
-    a, b = np.divmod(np.arange(n * n), n)  # the carrier point (a, b), and (g0, g1)
+    a, b = _divmod(np.arange(n * n), n)  # the carrier point (a, b), and (g0, g1)
     left = g.mult[a][:, a] * n + g.mult[b][:, b]
     right = g.mult[a] * n + g.mult[b]
     return FiniteBiset("pants_%s" % g.name, gg, g, left, right)
@@ -342,7 +354,7 @@ def copants_biset(g: FiniteGroup, square: Optional[FiniteGroup] = None) -> Finit
     g0.(a,b) = (g0 a, b) and (a,b).(g1,g2) = (a g2, g1^-1 b g2)."""
     gg = square or product_group(g, g)
     n = g.order
-    a, b = np.divmod(np.arange(n * n), n)  # the carrier point (a, b), and (g1, g2)
+    a, b = _divmod(np.arange(n * n), n)  # the carrier point (a, b), and (g1, g2)
     left = g.mult[:, a] * n + b
     # indexed [(a, b), (g1, g2)]
     right = g.mult[a[:, None], b] * n + g.mult[g.mult[g.inverses[a], b[:, None]], b]
@@ -361,6 +373,13 @@ def unit_biset(g: FiniteGroup) -> FiniteBiset:
 def _carrier_size(seq) -> int:
     """Number of product tuples of a sequence (1 for the empty one)."""
     return math.prod(item.size for item in seq)
+
+
+def _divmod(codes: np.ndarray, n: int) -> tuple:
+    """(codes // n, codes % n) by one floor division and one multiply,
+    equal to np.divmod on int64 and several times faster than it."""
+    q = codes // n
+    return q, codes - q * n
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -439,8 +458,11 @@ def _reach(size: int, start: int, moves) -> np.ndarray:
         if not moved:
             break
         moved = np.concatenate(moved)
-        frontier = _sorted_unique(moved[~seen[moved]])
-        seen[frontier] = True
+        # marked, not sorted: the new codes once each, in increasing order
+        fresh = np.zeros(size, dtype=bool)
+        fresh[moved[~seen[moved]]] = True
+        frontier = np.flatnonzero(fresh)
+        seen |= fresh
     return seen
 
 
@@ -466,7 +488,7 @@ def try_compose_bisets(m: FiniteBiset, n: FiniteBiset, collapse=None):
         return None
     orbit_of = collapsed.orbit_of
     members = np.argsort(orbit_of, kind="stable").reshape(collapsed.count, order)
-    x, y = np.divmod(members[:, 0], n.size)
+    x, y = _divmod(members[:, 0], n.size)
     left = orbit_of[m.left[:, x] * n.size + y]
     right = orbit_of[(x * n.size)[:, None] + n.right[y]]
     comp = FiniteBiset("(%s*%s)" % (m.name, n.name), m.left_group, n.right_group, left, right)
@@ -514,7 +536,7 @@ class Correspondence:
     pairs: np.ndarray  # sorted distinct int64 codes s * |P_tgt| + t
 
     def transpose(self) -> "Correspondence":
-        s, t = np.divmod(self.pairs, _carrier_size(self.tgt))
+        s, t = _divmod(self.pairs, _carrier_size(self.tgt))
         return Correspondence(self.tgt, self.src, np.sort(t * _carrier_size(self.src) + s))
 
 
@@ -559,8 +581,8 @@ def try_compose_corrs(a: Correspondence, b: Correspondence):
     if a.tgt != b.src:
         raise NotComposable("middle sequences differ")
     n_tgt = _carrier_size(b.tgt)
-    a_src, a_mid = np.divmod(a.pairs, _carrier_size(a.tgt))
-    b_mid, b_tgt = np.divmod(b.pairs, n_tgt)
+    a_src, a_mid = _divmod(a.pairs, _carrier_size(a.tgt))
+    b_mid, b_tgt = _divmod(b.pairs, n_tgt)
     lo = np.searchsorted(b_mid, a_mid, side="left")
     counts = np.searchsorted(b_mid, a_mid, side="right") - lo
     outer = np.sort(np.repeat(a_src, counts) * n_tgt + b_tgt[_ranges(lo, counts)])
@@ -651,7 +673,7 @@ class LieRInstance(Instance):
         if not _contains(morph.pairs, diagonal_corr(morph.src).pairs).all():
             return False
         orbit_of = self.collapse(morph.src).orbit_of
-        s, t = np.divmod(morph.pairs, len(orbit_of))
+        s, t = _divmod(morph.pairs, len(orbit_of))
         return bool((orbit_of[s] == orbit_of[t]).all())
 
     # -- oracle machinery
@@ -728,12 +750,12 @@ class LieRInstance(Instance):
             _, orbit_of, members = made
             pair = fine[pos].size * fine[pos + 1].size
             low = _carrier_size(fine[pos + 2:])
-            high, rest = np.divmod(np.arange(_carrier_size(fine), dtype=np.int64), pair * low)
-            mid, rest = np.divmod(rest, low)
+            high, rest = _divmod(np.arange(_carrier_size(fine), dtype=np.int64), pair * low)
+            mid, rest = _divmod(rest, low)
             push = (high * len(members) + orbit_of[mid]) * low + rest
             coarse = np.arange(len(push) // members.shape[1], dtype=np.int64)
-            high, rest = np.divmod(coarse, len(members) * low)
-            orbit, rest = np.divmod(rest, low)
+            high, rest = _divmod(coarse, len(members) * low)
+            orbit, rest = _divmod(rest, low)
             pull = ((high * pair)[:, None] + members[orbit]) * low + rest[:, None]
             self._maps_memo[key] = (push, pull)
         return self._maps_memo[key]
@@ -741,9 +763,15 @@ class LieRInstance(Instance):
     def _intern(self, corr: Correspondence) -> Correspondence:
         """The one correspondence of this instance with corr's content:
         the first one interned, or corr itself.  Its pairs turn
-        read-only, since every holder now shares them."""
+        read-only, since every holder now shares them.
+
+        A bucket is keyed by the codes of both sequences, the pair count
+        and the int64 sum of the pairs, a fingerprint that costs one pass
+        over the codes and no copy; array_equal decides equality within
+        it, so two contents with one fingerprint cost a comparison and
+        never merge."""
         key = (self._code(corr.src), self._code(corr.tgt), len(corr.pairs),
-               hash(corr.pairs.tobytes()))
+               int(corr.pairs.sum()))
         bucket = self._interned.setdefault(key, [])
         for known in bucket:
             if np.array_equal(known.pairs, corr.pairs):
@@ -772,7 +800,7 @@ class LieRInstance(Instance):
         """The uncached body of transport_probe."""
         push, pull = self._transport_maps(seq_from.items if compose else seq_to.items, pos)
         n_tgt = _carrier_size(probe.tgt)
-        s, t = np.divmod(probe.pairs, n_tgt)
+        s, t = _divmod(probe.pairs, n_tgt)
         if side == "target":
             n_to = _carrier_size(seq_to.items)
             if compose:
@@ -786,8 +814,18 @@ class LieRInstance(Instance):
             else:
                 codes = pull[s] * n_tgt + t[:, None]
             src, tgt = seq_to.items, probe.tgt
-        # pulled images are distinct; pushed ones can coincide
-        codes = _sorted_unique(codes) if compose else np.sort(codes, axis=None)
+        space = _carrier_size(src) * _carrier_size(tgt)
+        if space <= 8 * codes.size:
+            # a mask over every pair code is no bigger than the codes
+            mask = np.zeros(space, dtype=bool)
+            mask[codes.ravel()] = True
+            codes = np.flatnonzero(mask)
+        elif compose:
+            # pushed images can coincide
+            codes = _sorted_unique(codes)
+        else:
+            # pulled images are distinct
+            codes = np.sort(codes, axis=None)
         return Correspondence(src, tgt, codes)
 
     def seq(self, items, source=None) -> SeqMorphism:

@@ -550,6 +550,96 @@ def test_transport_matches_tuple_reference_around_every_loop():
     assert carried == 1152
 
 
+def _dedup_branch(probe, out, compose, fine, pos) -> tuple:
+    """(direction, branch) of a transport from probe to out, by the rule
+    in LieRInstance._transport: a mask over every pair code when it is
+    no bigger than the codes, else a sort.  A pull hands each code its
+    |G| preimages before the dedup."""
+    n_codes = len(probe.pairs) * (1 if compose else fine[pos].right_group.order)
+    space = bs._carrier_size(out.src) * bs._carrier_size(out.tgt)
+    return ("push" if compose else "pull", "mark" if space <= 8 * n_codes else "sort")
+
+
+def test_transport_dedup_branches_match_tuple_reference():
+    # every probe of each three-item Z2/Z3 start up to 81 product tuples,
+    # carried one step to every neighbor and back, on both sides: both
+    # directions take both branches, and half the steps compose or split
+    # at position 1, with an item before the pair, the other half at
+    # position 0, with one after it
+    inst = LieRInstance(catalog.default_biset_catalog({"z2": Z2, "z3": Z3}))
+    cat = inst.catalog
+    starts = [(a, b, c) for a in cat for b in cat for c in cat
+              if a.right_group == b.left_group and b.right_group == c.left_group
+              and a.size * b.size * c.size <= 81]
+    seen, coinciding, steps = set(), set(), []
+    for items in starts:
+        start = inst.seq(items)
+        for nxt_items in catalog._neighbors(inst, items):
+            nxt = inst.seq(nxt_items)
+            pos, compose = composition_step(inst, start, nxt)
+            fine = items if compose else nxt_items
+            orbit_of, members = ref.compose_orbits(fine[pos], fine[pos + 1])
+            steps.append(pos)
+            for side in ("target", "source"):
+                for _, probe in inst.probes(start):
+                    want = ref.tuples(probe)
+                    # there and back: a push is followed by a pull, and
+                    # the other way round
+                    for here, there, push in ((start, nxt, compose), (nxt, start, not compose)):
+                        out = inst._transport(probe, here, there, pos, push, side)
+                        want = ref.transport(want, fine, pos, orbit_of, members, push, side)
+                        assert ref.tuples(out) == want
+                        assert out.pairs.dtype == np.int64
+                        assert (np.diff(out.pairs) > 0).all()
+                        branch = _dedup_branch(probe, out, push, fine, pos)
+                        seen.add(branch)
+                        if len(out.pairs) < len(probe.pairs):
+                            coinciding.add(branch)
+                        probe = out
+    assert len(starts) == 56 and len(steps) == 112 and steps.count(1) == 56
+    assert seen == {(d, b) for d in ("push", "pull") for b in ("mark", "sort")}
+    # pushed images coincide in both branches
+    assert coinciding == {("push", "mark"), ("push", "sort")}
+
+
+def test_intern_keeps_fingerprint_collisions_apart():
+    # {0, 3} and {1, 2} on the same sequence have the same length and the
+    # same code sum, so they share an intern bucket and stay two objects
+    inst = LieRInstance()
+    seq = (identity_biset(Z2),)
+    first = inst._intern(Correspondence(seq, seq, np.array([0, 3], dtype=np.int64)))
+    other = inst._intern(Correspondence(seq, seq, np.array([1, 2], dtype=np.int64)))
+    assert other is not first
+    assert not inst.simple2_equal(first, other)
+    assert [len(bucket) for bucket in inst._interned.values()] == [2]
+    # equal content held in another array is the first object, read-only
+    twin = Correspondence(seq, seq, np.array([1, 2], dtype=np.int64))
+    assert inst._intern(twin) is other
+    assert twin.pairs.flags.writeable
+    assert not first.pairs.flags.writeable and not other.pairs.flags.writeable
+    with pytest.raises(ValueError):
+        other.pairs[0] = 0
+    # another target is another bucket, even with the same pair codes
+    wide = (identity_biset(Z3),)
+    assert inst._intern(Correspondence(seq, wide, np.array([1, 2], dtype=np.int64))) is not other
+
+
+def test_divmod_matches_numpy_on_int64_edges():
+    # pair codes stay under (4096 product codes)**2, the start cap squared
+    top = 4096 ** 2
+    for n in (1, 2, 3, 7, 8, 64, 4095, 4096, 4097, top - 1, top, top + 1):
+        codes = np.array([0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n, 5 * n, top // n * n,
+                          top - 2, top - 1], dtype=np.int64)
+        got, want = bs._divmod(codes, n), np.divmod(codes, n)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b), n
+    # the builders' 2-D arguments and an empty code array
+    grid = np.arange(4096, dtype=np.int64).reshape(64, 64)
+    assert all(np.array_equal(a, b) for a, b in zip(bs._divmod(grid, 48), np.divmod(grid, 48)))
+    assert [len(a) for a in bs._divmod(np.zeros(0, dtype=np.int64), 5)] == [0, 0]
+
+
 def _criterion_1_loop_ends(inst):
     """(probe, carried probe) at the end of each of criterion 1's 648
     probe walks: 108 loops, three probes, two sides."""

@@ -153,6 +153,32 @@ def test_invariance_negative_control():
     assert statuses["normal-forms-equal"] is False
 
 
+def test_relabel_renames_the_words_that_name_a_circle():
+    # a 0-/1-handle pattern and a 2-/3-handle pattern, each on its own
+    # internal circle: the joining 1-handle's belt and the 2-handle's word
+    # are the separating loops d_ball and d_orb.  Swapping the two labels
+    # renames both words, and the renamed patterns still cancel
+    capped = cylinder_seq(cat._capped_chain())
+    seq = cb.apply_moves(capped + capped, [Move("create01", 0, (0, "ball")),
+                                           Move("create23", 3, (0, "orb"))])
+    moves = [Move("relabel", 0, (("ball", "orb"), ("orb", "ball")))]
+    renamed = cb.apply_moves(seq, moves)
+
+    def words(steps):
+        return [(s.circle, [(a.word, a.belt) for a in s.attachments]) for s in steps]
+
+    assert words(seq)[:2] == [("ball", []), (None, [(None, Word(0, (("d", "ball", 1),)))])]
+    assert words(seq)[4] == (None, [(Word(0, (("d", "orb", 1),)), None)])
+    assert words(renamed) == [
+        ("orb", []), (None, [(None, Word(0, (("d", "orb", 1),)))]), ("orb", []),
+        ("ball", []), (None, [(Word(0, (("d", "ball", 1),)), None)]), ("ball", []),
+    ]
+    assert cb.validate(renamed) == []
+    assert cb.apply_moves(renamed, [Move("cancel01", 0), Move("cancel23", 1)]) == capped + capped
+    records = {name: ok for name, ok, _ in fn.invariance_check(seq, renamed, moves)}
+    assert records["move-chain"] and records["normal-forms-equal"]
+
+
 def test_move_chain_invalid_detected():
     y1 = cylinder_seq(cat._annulus_chain(0))
     y2 = cb.apply_move(y1, Move("cyl_create", 0))
