@@ -27,16 +27,20 @@ The orbit probes never leave that collapse.  An outer generator (left
 on the first item, right on the last) commutes with every middle one,
 as the biset law checked by FiniteBiset demands, so it permutes the
 middle orbits, and the orbit of a pair (x, x) under all actions is the
-union of c x c over the middle orbits c that the outer generators reach
-from the orbit of x.  The search runs over orbit labels, and the probe
-is the part of the relation probe (all of those c x c) lying over the
-reached labels: nothing is sized by the |P|**2 pair codes.
+union of c x c over the middle orbits c in the class of x's orbit under
+the outer generators.  The same label propagation, run once over orbit
+labels, classes the orbits, so both orbit probes select from one
+classing of the relation probe's pairs: nothing is sized by the |P|**2
+pair codes.  A collapse holds one stable sort of its codes by orbit,
+the orbit members of a composite and the rows of the relation probe,
+which is one dense block when all orbits have one size.
 
 A LieRInstance carries each distinct probe across each step once.
 Every probe it hands out and every transport result is interned by
 content (source, target and pair codes), so equal correspondences are
-one object, and transport_probe memoizes on (probe, both sequences,
-position, direction, side), keying the probe by identity.  Identity
+one object, and transport_probe memoizes on (probe, target sequence,
+position, direction, side), keying the probe by identity; it refuses a
+probe whose moving side is not the sequence it leaves.  Identity
 keys are sound because a correspondence is a frozen value whose
 interned pairs are read-only, and the memo holds every key probe alive,
 so no id is reused while its entry stands.  Only a miss interns: a
@@ -52,9 +56,8 @@ over the 414 interns of a criterion-1 pass.  Codes split by one floor
 division (_divmod), which numpy runs several times faster than
 np.divmod on int64.  A transport whose pair space has at most 8 slots
 per code it produces dedupes and sorts the codes by marking a bool mask
-over that space, which is then no bigger than the codes, and the
-orbit-probe search marks each frontier the same way; only sparse codes
-are sorted.
+over that space, which is then no bigger than the codes; only sparse
+codes are sorted.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from cobord2.diagram import Instance, SeqMorphism, seq_from_items
+from cobord2.diagram import BoundaryMismatch, Instance, SeqMorphism, seq_from_items
 
 
 class NotComposable(ValueError):
@@ -106,8 +109,26 @@ def _int_table(rows, shape: tuple, bound: int) -> Optional[np.ndarray]:
     return table
 
 
+class _ByKey:
+    """Equality and hash by the content tuple _key, hashed once."""
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(_ByKey):
     """A finite group on range(order).  mult, given as nested ints or an
     array, is held as a read-only int64 array indexed [g, h]; equality
     and hash are those of the name and the table."""
@@ -135,20 +156,6 @@ class FiniteGroup:
     @cached_property
     def _key(self) -> tuple:
         return (self.name, self.mult.tobytes())
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._key)
 
     @property
     def order(self) -> int:
@@ -242,7 +249,7 @@ def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteBiset:
+class FiniteBiset(_ByKey):
     """A set range(size) with commuting actions.  left, indexed [g, x],
     and right, indexed [x, g'], are given as nested ints or arrays and
     held as read-only int64 arrays; equality and hash are those of the
@@ -297,20 +304,6 @@ class FiniteBiset:
     def _key(self) -> tuple:
         return (self.name, self.left_group, self.right_group,
                 self.left.tobytes(), self.right.tobytes())
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FiniteBiset):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._key)
 
     @property
     def size(self) -> int:
@@ -447,25 +440,6 @@ def _actions(seq) -> _Actions:
     return _Actions(size, mid, left, right)
 
 
-def _reach(size: int, start: int, moves) -> np.ndarray:
-    """Mask over range(size) of the codes reachable from start, breadth
-    first; moves(codes) lists the arrays of their images."""
-    seen = np.zeros(size, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        moved = moves(frontier)
-        if not moved:
-            break
-        moved = np.concatenate(moved)
-        # marked, not sorted: the new codes once each, in increasing order
-        fresh = np.zeros(size, dtype=bool)
-        fresh[moved[~seen[moved]]] = True
-        frontier = np.flatnonzero(fresh)
-        seen |= fresh
-    return seen
-
-
 # --- composition and collapse --------------------------------------------------
 
 
@@ -487,7 +461,7 @@ def try_compose_bisets(m: FiniteBiset, n: FiniteBiset, collapse=None):
     if collapsed.count * order != m.size * n.size:
         return None
     orbit_of = collapsed.orbit_of
-    members = np.argsort(orbit_of, kind="stable").reshape(collapsed.count, order)
+    members = collapsed.by_orbit.reshape(collapsed.count, order)
     x, y = _divmod(members[:, 0], n.size)
     left = orbit_of[m.left[:, x] * n.size + y]
     right = orbit_of[(x * n.size)[:, None] + n.right[y]]
@@ -503,24 +477,39 @@ class CollapsedSet:
     orbit_of: np.ndarray  # product code -> orbit id
     count: int
 
+    @cached_property
+    def by_orbit(self) -> np.ndarray:
+        """The codes orbit by orbit, each orbit in increasing order: the
+        one stable sort that composition and the relation probe share,
+        read-only."""
+        out = np.argsort(self.orbit_of, kind="stable")
+        out.flags.writeable = False
+        return out
+
 
 def _collapse(acts: _Actions) -> CollapsedSet:
-    """Orbits of the middle actions, numbered in increasing order of
-    their smallest code.  Each code carries the smallest code known in
-    its orbit; taking the minimum over every generator's image and then
+    """Orbits of the middle actions."""
+    return CollapsedSet(*_orbits(acts.size, acts.mid))
+
+
+def _orbits(size: int, perms) -> tuple:
+    """(orbit_of, count): the orbits of range(size) under the
+    permutations perms, numbered in increasing order of their smallest
+    element.  Each element carries the smallest element known in its
+    orbit; taking the minimum over every permutation's image and then
     the label's own label repeats until nothing moves, which leaves the
-    orbit minimum, since the generators permute each orbit transitively."""
-    low = np.arange(acts.size, dtype=np.int64)
+    orbit minimum, since the permutations act on each orbit transitively."""
+    low = np.arange(size, dtype=np.int64)
     while True:
         new = low
-        for perm in acts.mid:
+        for perm in perms:
             new = np.minimum(new, new[perm])
         new = new[new]
         if np.array_equal(new, low):
             break
         low = new
-    roots = low == np.arange(acts.size)
-    return CollapsedSet((np.cumsum(roots) - 1)[low], int(roots.sum()))
+    roots = low == np.arange(size)
+    return (np.cumsum(roots) - 1)[low], int(roots.sum())
 
 
 # --- correspondences ------------------------------------------------------------
@@ -550,13 +539,18 @@ def orbit_relation_corr(seq, collapsed: CollapsedSet) -> Correspondence:
     """Pairs lying in the same orbit of the intermediate actions, given
     their collapse: the largest 2-morphism acting as a vertical
     identity."""
-    orbit_of = collapsed.orbit_of
+    orbit_of, by_orbit = collapsed.orbit_of, collapsed.by_orbit
     n = len(orbit_of)
-    by_orbit = np.argsort(orbit_of, kind="stable")
     counts = np.bincount(orbit_of, minlength=collapsed.count)
-    firsts = np.cumsum(counts) - counts
-    partners = counts[orbit_of]
-    pairs = np.repeat(np.arange(n), partners) * n + by_orbit[_ranges(firsts[orbit_of], partners)]
+    if n and counts.min() == counts.max():
+        # orbits of one size: row o of the block lists orbit o
+        block = by_orbit.reshape(collapsed.count, -1)[orbit_of]
+        block += (np.arange(n) * n)[:, None]  # in place: one block-sized array
+        pairs = block.ravel()
+    else:
+        firsts = np.cumsum(counts) - counts
+        partners = counts[orbit_of]
+        pairs = np.repeat(np.arange(n), partners) * n + by_orbit[_ranges(firsts[orbit_of], partners)]
     seq = tuple(seq)
     return Correspondence(seq, seq, pairs)
 
@@ -604,7 +598,6 @@ class LieRInstance(Instance):
         self._compose_memo: dict = {}
         self._actions_memo: dict = {}
         self._collapse_memo: dict = {}
-        self._relation_memo: dict = {}
         self._probe_memo: dict = {}
         self._maps_memo: dict = {}
         self._transport_memo: dict = {}
@@ -691,52 +684,42 @@ class LieRInstance(Instance):
             self._collapse_memo[key] = _collapse(self._actions_of(seq))
         return self._collapse_memo[key]
 
-    def _relation(self, items) -> Correspondence:
-        """The relation probe of a sequence, shared by probes and
-        _orbit_probe."""
-        key = self._code(items)
-        if key not in self._relation_memo:
-            self._relation_memo[key] = orbit_relation_corr(items, self.collapse(items))
-        return self._relation_memo[key]
-
     def probes(self, seq: SeqMorphism):
         items = seq.items
         key = self._code(items)
-        if key in self._probe_memo:
-            return self._probe_memo[key]
-        out = [("relation", self._intern(self._relation(items)))]
-        n = _carrier_size(items)
-        # the first and the middle product tuple in sorted order
-        for name, start in (("orbit-first", 0), ("orbit-mid", n // 2)):
-            if n:
-                out.append((name, self._intern(self._orbit_probe(items, start))))
-        self._probe_memo[key] = out
-        return out
+        if key not in self._probe_memo:
+            n = _carrier_size(items)
+            # the first and the middle product tuple in sorted order
+            made = self._probe_set(items, (0, n // 2) if n else ())
+            self._probe_memo[key] = [(name, self._intern(probe)) for name, probe
+                                     in zip(("relation", "orbit-first", "orbit-mid"), made)]
+        return self._probe_memo[key]
 
     def _orbit_probe(self, items, start: int) -> Correspondence:
         """Orbit of the pair (start, start) of product codes under every
         declared action: a middle action on either code, or an outer one
-        on both at once.
+        on both at once."""
+        return self._probe_set(tuple(items), (start,))[1]
 
-        An outer generator commutes with every middle one (the biset
-        law), so it maps middle orbits to middle orbits, and the orbit
-        of (x, x) is the union of c x c over the middle orbits c that
-        the outer generators reach from the orbit of x.  Those are the
-        pairs of the relation probe whose source lies in a reached
-        orbit.  The search runs over orbit labels, each outer generator
-        acting on a label through one code of its orbit."""
-        items = tuple(items)
+    def _probe_set(self, items, starts) -> list:
+        """The relation probe of items, then the orbit probe of each
+        start: the relation's pairs whose source orbit is in the start's
+        class under the outer generators, which commute with the middle
+        ones and so permute their orbits.  Each acts on an orbit label
+        through one code of the orbit, and the pairs are classed once."""
         acts = self._actions_of(items)
         collapsed = self.collapse(items)
         orbit_of = collapsed.orbit_of
+        relation = orbit_relation_corr(items, collapsed)
         rep = np.empty(collapsed.count, dtype=np.int64)
         rep[orbit_of] = np.arange(acts.size)
         outer = [orbit_of[perm[rep]] for perm in acts.left + acts.right]
-        keep = _reach(collapsed.count, orbit_of[start],
-                      lambda labels: [perm[labels] for perm in outer])
-        pairs = self._relation(items).pairs
+        cls = _orbits(collapsed.count, outer)[0][orbit_of]
+        pairs = relation.pairs
+        pair_cls = cls[pairs // acts.size]
         # the relation's pairs are sorted, and so is any selection of them
-        return Correspondence(items, items, pairs[keep[orbit_of[pairs // acts.size]]])
+        return [relation] + [Correspondence(items, items, pairs[pair_cls == cls[start]])
+                             for start in starts]
 
     def _transport_maps(self, fine, pos) -> tuple:
         """(push, pull) across the composition of fine[pos], fine[pos + 1]:
@@ -788,9 +771,12 @@ class LieRInstance(Instance):
         Each (probe, step, side) is carried once per instance: the memo
         keys the probe by identity and holds it, and the result is
         interned, so equal probes reached along different loops are one
-        object and hit the memo.  The sequences enter the key as their
-        codes."""
-        key = (probe, self._code(seq_from.items), self._code(seq_to.items), pos, compose, side)
+        object and hit the memo.  The probe's moving side must be
+        seq_from, which the probe and side then fix, so the key holds
+        only seq_to, as its code."""
+        if (probe.tgt if side == "target" else probe.src) != seq_from.items:
+            raise BoundaryMismatch("the probe's %s is not the sequence it leaves" % side)
+        key = (probe, self._code(seq_to.items), pos, compose, side)
         if key not in self._transport_memo:
             self._transport_memo[key] = self._intern(
                 self._transport(probe, seq_from, seq_to, pos, compose, side))

@@ -359,10 +359,21 @@ def parse_catalog(text: str) -> CatalogDocument:
     return doc
 
 
+# The most entries (8 MiB of int64) that a table of a parsed group or
+# biset may hold: a line asking for more is refused before it is built.
+TABLE_CAP = 1 << 20
+
+
+def _capped(name: str, entries: int):
+    if entries > TABLE_CAP:
+        raise ValueError("%s: %d table entries exceed the cap of %d" % (name, entries, TABLE_CAP))
+
+
 def _parse_group(doc, line):
     parts = line.split()
     name, kind = parts[0], parts[1]
     if kind == "cyclic":
+        _capped(name, int(parts[2]) ** 2)
         doc.groups[name] = bs.cyclic(int(parts[2]), name)
     elif kind == "symmetric":
         if int(parts[2]) != 3:
@@ -371,6 +382,7 @@ def _parse_group(doc, line):
     elif kind == "quaternion":
         doc.groups[name] = bs.quaternion8(name)
     elif kind == "product":
+        _capped(name, (doc.groups[parts[2]].order * doc.groups[parts[3]].order) ** 2)
         doc.groups[name] = bs.product_group(doc.groups[parts[2]], doc.groups[parts[3]])
     elif kind == "table":
         n = int(parts[2])
@@ -387,6 +399,8 @@ def _parse_biset(doc, line):
     parts = line.split()
     name, kind = parts[0], parts[1]
     g = doc.groups[parts[2]]
+    # biregular acts on |G|**2 points, pants and copants by |G|**2 elements
+    _capped(name, g.order ** {"biregular": 3, "pants": 4, "copants": 4}.get(kind, 2))
     if kind == "identity":
         doc.bisets[name] = bs.identity_biset(g)
     elif kind == "biregular":

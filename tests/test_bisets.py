@@ -29,6 +29,7 @@ from cobord2.bisets import (
     unit_biset,
 )
 from cobord2.diagram import (
+    BoundaryMismatch,
     Face,
     SeqMorphism,
     StackDiagram,
@@ -501,8 +502,29 @@ def test_orbit_probe_and_collapse_match_whole_group_action():
     assert checked == 65
 
 
+def test_orbits_of_unequal_size_match_tuple_reference():
+    # a (1, Z2)-biset on {0, 1, 2, 3} whose generator swaps 0 and 1, then
+    # the one-point (Z2, 1)-biset: the middle orbits {0, 1}, {2} and {3}
+    # have unequal sizes, so the relation probe is laid out by ranges, not
+    # as one block, and orbit-first ({0, 1} squared) is not orbit-mid
+    swap = FiniteBiset("swap01", bs.TRIVIAL, Z2, [[0, 1, 2, 3]], [[0, 1], [1, 0], [2, 2], [3, 3]])
+    items = (swap, unit_biset(Z2).adjoint())
+    inst = LieRInstance()
+    assert np.bincount(inst.collapse(items).orbit_of).tolist() == [2, 1, 1]
+    probes = inst.probes(inst.seq(items))
+    tuples = sorted(product_tuples(items))
+    assert [(name, ref.tuples(probe)) for name, probe in probes] == [
+        ("relation", ref.orbit_relation(items)),
+        ("orbit-first", ref.orbit_probe(items, tuples[0])),
+        ("orbit-mid", ref.orbit_probe(items, tuples[2])),
+    ]
+    assert [len(probe.pairs) for _, probe in probes] == [6, 4, 1]
+    for code, tup in enumerate(tuples):
+        assert ref.tuples(inst._orbit_probe(items, code)) == ref.orbit_probe(items, tup)
+
+
 def test_probes_of_the_largest_start_stay_small():
-    # reg_Q8 + reg_Q8 has 4096 product codes.  The orbit probes search
+    # reg_Q8 + reg_Q8 has 4096 product codes.  The orbit probes class
     # its 512 middle orbits, so nothing the size of its 4096**2 pair codes
     # (16.7 MB as a byte map) is allocated: the probes peak near 1 MB
     q8 = biregular_biset(Q8)
@@ -548,6 +570,33 @@ def test_transport_matches_tuple_reference_around_every_loop():
                         carried += 1
                     assert tuples == ref.tuples(probe)
     assert carried == 1152
+
+
+def test_transport_probe_refuses_a_probe_that_does_not_leave_seq_from():
+    # the relation probe of (reg_Z2, reg_Z2) has 16 codes a side, as
+    # (id_Z2xZ2, id_Z2xZ2) has, so carrying it from there indexes without
+    # error into a wrong answer; (id_Z2, id_Z2) has 4, and the push map
+    # is indexed out of bounds.  Both are refused before the memo.
+    inst = LieRInstance()
+    reg = biregular_biset(Z2)
+    start = inst.seq((reg, reg))
+    probe = dict(inst.probes(start))["relation"]
+    for ident in (identity_biset(product_group(Z2, Z2)), identity_biset(Z2)):
+        fine = inst.seq((ident, ident))
+        coarse = inst.seq((inst.try_compose1(ident, ident),))
+        for side in ("target", "source"):
+            for here, there, compose in ((fine, coarse, True), (coarse, fine, False)):
+                with pytest.raises(BoundaryMismatch, match="the probe's %s" % side):
+                    inst.transport_probe(probe, here, there, 0, compose, side)
+    assert inst._transport_memo == {}
+    # from its own sequence the probe is carried as before
+    coarse = inst.seq((inst.try_compose1(reg, reg),))
+    for side in ("target", "source"):
+        out = inst.transport_probe(probe, start, coarse, 0, True, side)
+        orbit_of, members = ref.compose_orbits(reg, reg)
+        want = ref.transport(ref.tuples(probe), (reg, reg), 0, orbit_of, members, True, side)
+        assert ref.tuples(out) == want
+    assert len(inst._transport_memo) == 2
 
 
 def _dedup_branch(probe, out, compose, fine, pos) -> tuple:
@@ -720,6 +769,26 @@ def test_criterion_1_collapses_each_start_pair_once(monkeypatch):
     assert len(loops) == 108 and not any(bad for _, _, bad in loops)
     assert len(inst._compose_memo) == 54
     assert calls == {"_actions": 54, "_collapse": 54}
+
+
+def test_criterion_1_sorts_and_labels_each_sequence_once(monkeypatch):
+    # composition and the relation probe share the collapse's one stable
+    # orbit sort, and a probed start's outer classes are labelled once for
+    # both orbit probes, over its orbit labels
+    sorts, sizes = [], []
+    argsort, orbits = np.argsort, bs._orbits
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: sorts.append((a, kw)) or argsort(a, **kw))
+    monkeypatch.setattr(bs, "_orbits", lambda size, perms: sizes.append(size) or orbits(size, perms))
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    assert len(loops) == 108 and not any(bad for _, _, bad in loops)
+    collapsed = list(inst._collapse_memo.values())
+    probed = [inst.collapse(probes[0][1].src) for probes in inst._probe_memo.values()]
+    assert len(collapsed) == 54 and len(probed) == 54
+    assert len(sorts) == 54 and all(kw == {"kind": "stable"} for _, kw in sorts)
+    assert {id(a) for a, _ in sorts} == {id(c.orbit_of) for c in collapsed}
+    # one labelling of the codes per collapse, one of the orbit labels per probed start
+    assert sorted(sizes) == sorted([len(c.orbit_of) for c in collapsed] + [c.count for c in probed])
 
 
 def test_identification2_reuses_the_instances_collapse(monkeypatch):

@@ -198,6 +198,27 @@ def test_cli_axioms_names_each_group_table_error(tmp_path, group, message):
     assert run_cli(["axioms", str(path)]) == (2, "", "error: line 2: z: %s\n" % message)
 
 
+@pytest.mark.parametrize("lines, builder, entries", [
+    (["z cyclic 100000"], "cyclic", 10 ** 10),
+    (["a cyclic 300", "b cyclic 300", "z product a b"], "product_group", 300 ** 4),
+    (["a cyclic 128", "@bisets", "z biregular a"], "biregular_biset", 128 ** 3),
+    (["a cyclic 33", "@bisets", "z pants a"], "pants_biset", 33 ** 4),
+    (["a cyclic 33", "@bisets", "z copants a"], "copants_biset", 33 ** 4),
+], ids=["cyclic", "product", "biregular", "pants", "copants"])
+def test_cli_axioms_refuses_oversized_tables_before_building(tmp_path, monkeypatch, lines,
+                                                             builder, entries):
+    # the builder of the refused line fails the test if called, so
+    # nothing of its size is ever allocated
+    monkeypatch.setattr(cdf.bs, builder, lambda *args: pytest.fail("%s called" % builder))
+    path = tmp_path / "doc.cat"
+    path.write_text("\n".join(["@groups"] + lines) + "\n")
+    assert run_cli(["axioms", str(path)]) == (2, "", "error: line %d: z: %d table entries exceed "
+                                                     "the cap of %d\n" % (len(lines) + 1, entries,
+                                                                          cdf.TABLE_CAP))
+    # the cap itself is allowed
+    cdf._capped("z", cdf.TABLE_CAP)
+
+
 def test_cli_axioms_empty_catalog_trivially_passes(tmp_path):
     path = tmp_path / "empty.cat"
     path.write_text("@groups\n")
