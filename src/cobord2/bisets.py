@@ -23,6 +23,20 @@ s * |P_tgt| + t.  Orbits are found by label propagation over the
 permutations, probes are carried by indexing through push and pull
 maps.
 
+The laws are checked once, where tables enter.  The public FiniteGroup
+and FiniteBiset constructors check every table they are given (by the
+builders below, .cat parsing or tests): the shape and integer entries,
+then the group laws, with associativity by Light's test on generators,
+or the biset laws on generators.  Each law costs about one table's
+worth of work per generator (n**2 for a group of order n), so a group
+at the .cat cap of 2**20 table entries checks in well under a second.
+What this module derives from checked bisets is not checked again: a
+composite of two lawful bisets over a free middle action, and the
+adjoint of one, are lawful by the proofs in try_compose_bisets and
+FiniteBiset.adjoint, so both are built by FiniteBiset._derived, which
+only makes their tables read-only.  The tests compare every composite
+they build with a reference that checks each law on every element.
+
 The orbit probes never leave that collapse.  An outer generator (left
 on the first item, right on the last) commutes with every middle one,
 as the biset law checked by FiniteBiset demands, so it permutes the
@@ -93,17 +107,27 @@ def _row_blocks(rows: int, per_row: int):
 
 
 def _int_table(rows, shape: tuple, bound: int) -> Optional[np.ndarray]:
-    """rows (nested ints or an array) as a fresh read-only int64 array of
-    the given shape with every entry in range(bound), or None when they
-    do not form one.  No rows at all form every shape with no rows."""
+    """rows (nested ints or an integer array) as a fresh read-only
+    C-contiguous int64 array of the given shape with every entry in
+    range(bound), or None when they do not form one.  Every entry must
+    be an integer: a float (even 1.0), a bool or a string forms no table
+    rather than being truncated.  No rows at all form every shape with
+    no rows."""
     if len(rows) == 0 == shape[0]:
         table = np.zeros(shape, dtype=np.int64)
     else:
         try:
-            table = np.array(rows, dtype=np.int64, order="C")
+            given = np.asarray(rows)
         except (ValueError, OverflowError, TypeError):
             return None
-        if table.shape != shape or (table.size and not 0 <= table.min() <= table.max() < bound):
+        if given.shape != shape or (given.size and given.dtype.kind not in "iu"):
+            return None
+        # asarray reads a bool among ints as an int
+        if not isinstance(rows, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for row in rows for v in row):
+            return None
+        table = given.astype(np.int64, order="C")
+        if table.size and not 0 <= table.min() <= table.max() < bound:
             return None
     table.flags.writeable = False
     return table
@@ -131,7 +155,22 @@ class _ByKey:
 class FiniteGroup(_ByKey):
     """A finite group on range(order).  mult, given as nested ints or an
     array, is held as a read-only int64 array indexed [g, h]; equality
-    and hash are those of the name and the table."""
+    and hash are those of the name and the table.
+
+    Every group is checked on construction, in this order: the table is
+    n x n with integer entries in range(n), some element is a two-sided
+    identity, every element has an inverse, and the table is
+    associative.  Associativity is checked by Light's test on the
+    generators of generators(): (x s) y = x (s y) for every generator s
+    and all x, y, which takes n**2 work per generator rather than n**3
+    for every triple.  It proves (x a) y = x (a y) for every a: the set A
+    of elements a with that law holds the identity and the generators,
+    and if a and b are in A then so is ab, since (x(ab))y = ((xa)b)y =
+    (xa)(by) = x(a(by)) = x((ab)y), using a at (x, b), then b at (xa, y),
+    then a at (x, by), then b at (a, y).  The greedy closure of
+    generators() reaches every element as a left-bracketed product h s
+    of a reached h and a generator s, starting from the identity (which
+    is why the identity is checked first), so A holds every element."""
     name: str
     mult: np.ndarray
 
@@ -149,9 +188,11 @@ class FiniteGroup(_ByKey):
         no_inverse = np.flatnonzero(~(table == ident[0]).any(axis=1))
         if no_inverse.size:
             raise TableError("%s: element %d has no inverse" % (self.name, no_inverse[0]))
-        # (gh)k against g(hk), indexed [g, h, k]
-        if any((table[table[g]] != table[g][:, table]).any() for g in _row_blocks(n, n * n)):
-            raise TableError("%s: not associative" % self.name)
+        for s in self.generators():
+            # (xs)y against x(sy), indexed [x, y]
+            by_s, s_by = table[:, s], table[s]
+            if any((table[by_s[x]] != table[x][:, s_by]).any() for x in _row_blocks(n, n)):
+                raise TableError("%s: not associative" % self.name)
 
     @cached_property
     def _key(self) -> tuple:
@@ -253,7 +294,15 @@ class FiniteBiset(_ByKey):
     """A set range(size) with commuting actions.  left, indexed [g, x],
     and right, indexed [x, g'], are given as nested ints or arrays and
     held as read-only int64 arrays; equality and hash are those of the
-    name, both groups and both tables."""
+    name, both groups and both tables.
+
+    The constructor is the law boundary: it checks every table that
+    comes from outside (the catalog builders, .cat parsing, tests),
+    shape and integer entries first, then the laws on generators (see
+    __post_init__).  The bisets this module derives from checked ones,
+    composites (try_compose_bisets) and adjoints (adjoint), are lawful
+    by construction, each with its proof in its docstring, and are built
+    by _derived, which runs no check."""
     name: str
     left_group: FiniteGroup
     right_group: FiniteGroup
@@ -300,6 +349,25 @@ class FiniteBiset(_ByKey):
                for b in _row_blocks(len(S), m * len(T))):
             raise TableError("%s: actions do not commute" % self.name)
 
+    @classmethod
+    def _derived(cls, name: str, left_group: FiniteGroup, right_group: FiniteGroup,
+                 left: np.ndarray, right: np.ndarray) -> "FiniteBiset":
+        """The biset with these fields, built without the law checks, for
+        int64 tables this module derived from lawful bisets and holds no
+        other reference to.  The tables end as _int_table leaves checked
+        ones, so the result equals, and hashes as, the biset the public
+        constructor builds from the same tables."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "name", name)
+        object.__setattr__(out, "left_group", left_group)
+        object.__setattr__(out, "right_group", right_group)
+        for field, table in (("left", left), ("right", right)):
+            # taken over, not copied, when already C-contiguous int64
+            table = np.ascontiguousarray(table, dtype=np.int64)
+            table.flags.writeable = False
+            object.__setattr__(out, field, table)
+        return out
+
     @cached_property
     def _key(self) -> tuple:
         return (self.name, self.left_group, self.right_group,
@@ -310,11 +378,16 @@ class FiniteBiset(_ByKey):
         return len(self.right)
 
     def adjoint(self) -> "FiniteBiset":
-        """The (H, G)-biset on the same set: h.x = x.h^-1, x.g = g^-1.x."""
+        """The (H, G)-biset on the same set: h.x = x.h^-1, x.g = g^-1.x.
+
+        It is lawful because this biset is: e^-1 = e acts trivially,
+        (hk).x = x.(k^-1 h^-1) = (x.k^-1).h^-1 = h.(k.x), the right
+        action likewise, and h.(x.g) = (g^-1.x).h^-1 = g^-1.(x.h^-1) =
+        (h.x).g.  So it is built without re-checking."""
         G, H = self.left_group, self.right_group
         left = self.right[:, H.inverses].T
         right = self.left[G.inverses].T
-        return FiniteBiset("%s^T" % self.name, H, G, left, right)
+        return FiniteBiset._derived("%s^T" % self.name, H, G, left, right)
 
 
 def identity_biset(g: FiniteGroup) -> FiniteBiset:
@@ -452,7 +525,22 @@ def try_compose_bisets(m: FiniteBiset, n: FiniteBiset, collapse=None):
     Orbits are labeled in increasing order of their minimal code, so the
     composite is canonical.  collapse, if given, maps the sequence
     (m, n) to its CollapsedSet, so a caller's memo of collapses serves
-    here too; by default the collapse is computed."""
+    here too; by default the collapse is computed.
+
+    The composite is a lawful biset whenever m and n are, so it is built
+    by FiniteBiset._derived, without the law checks.  Write g for an
+    element of m's left group, k for one of n's right group, and [x, y]
+    for the orbit of (x, y) under (x, y) -> (x.h^-1, h.y), h in the
+    middle group:
+    - g.[x, y] = [g.x, y] and [x, y].k = [x, y.k] are well defined,
+      since g.(x.h^-1) = (g.x).h^-1 in m and (h.y).k = h.(y.k) in n,
+      so each outer action maps a middle orbit into one middle orbit;
+    - they inherit the identity and associativity laws from m's left
+      action and n's right action, which they apply to one factor;
+    - they commute, because they act on different factors:
+      (g.[x, y]).k = [g.x, y.k] = g.([x, y].k).
+    The tables below are these actions read off one member (x, y) of
+    each orbit."""
     if m.right_group != n.left_group:
         raise NotComposable("middle groups differ")
     order = m.right_group.order
@@ -465,7 +553,8 @@ def try_compose_bisets(m: FiniteBiset, n: FiniteBiset, collapse=None):
     x, y = _divmod(members[:, 0], n.size)
     left = orbit_of[m.left[:, x] * n.size + y]
     right = orbit_of[(x * n.size)[:, None] + n.right[y]]
-    comp = FiniteBiset("(%s*%s)" % (m.name, n.name), m.left_group, n.right_group, left, right)
+    comp = FiniteBiset._derived("(%s*%s)" % (m.name, n.name), m.left_group, n.right_group,
+                                left, right)
     return comp, orbit_of, members
 
 

@@ -67,6 +67,17 @@ def _tamper_last_row(table):
 # Order 128: the law checks cover these tables in several row blocks.
 C128 = cyclic(128)
 
+# A non-associative loop of order 5: a Latin square with identity 0.
+_LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def _loop_times_cyclic(k):
+    """The table of _LOOP5 x Zk, (a, b) coded a * k + b.  Its first
+    generator, 1 = (0, 1), associates with every pair, so Light's test
+    finds the failure only at a later generator."""
+    return tuple(tuple(_LOOP5[x // k][y // k] * k + (x + y) % k for y in range(5 * k))
+                 for x in range(5 * k))
+
 
 @pytest.mark.parametrize("mult, message", [
     (((0, 1), (1,)), "malformed multiplication table"),
@@ -75,6 +86,15 @@ C128 = cyclic(128)
     (((0, 1), (1, 1)), "element 1 has no inverse"),
     (((0, 1, 2), (1, 2, 0), (2, 1, 0)), "not associative"),
     (_tamper_last_row(C128.mult), "not associative"),
+    # entries that are not integers are refused, not truncated to Z2's
+    (((0, 1.5), (1.5, 0)), "malformed multiplication table"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "malformed multiplication table"),
+    (((False, True), (True, False)), "malformed multiplication table"),
+    (((0, 1), (True, 0)), "malformed multiplication table"),
+    (np.array([[False, True], [True, False]]), "malformed multiplication table"),
+    ((("0", "1"), ("1", "0")), "malformed multiplication table"),
+    (_loop_times_cyclic(2), "not associative"),
+    (_loop_times_cyclic(3), "not associative"),
 ])
 def test_each_group_law_is_checked_with_its_message(mult, message):
     with pytest.raises(TableError, match="^bad: %s$" % message):
@@ -146,6 +166,13 @@ def _tamper_cases(group, ident, element):
     # check finds it on the generator pair (2, 1)
     (Z2Z2, Z2Z2, ((0, 1, 2), (0, 1, 2), (1, 0, 2), (1, 0, 2)),
      ((0, 0, 0, 0), (1, 2, 1, 2), (2, 1, 2, 1)), "actions do not commute"),
+    # entries that are not integers are refused, not truncated to Z2's swap
+    (Z2, bs.TRIVIAL, ((0, 1), (1.9, 0.2)), ((0,), (1,)), "malformed left action"),
+    (Z2, bs.TRIVIAL, np.array([[0.0, 1.0], [1.0, 0.0]]), ((0,), (1,)), "malformed left action"),
+    (Z2, bs.TRIVIAL, ((0, 1), (True, False)), ((0,), (1,)), "malformed left action"),
+    (bs.TRIVIAL, Z2, ((0, 1),), ((0, 1.9), (1, 0.2)), "malformed right action"),
+    (bs.TRIVIAL, Z2, ((0, 1),), ((0, True), (1, False)), "malformed right action"),
+    (bs.TRIVIAL, Z2, ((0, 1),), np.array([[0, 1], [1, 0]], dtype=bool), "malformed right action"),
 ])
 def test_each_biset_law_is_checked_with_its_message(left_group, right_group, left, right,
                                                     message):
@@ -197,48 +224,7 @@ def test_identity_biset_is_neutral():
             assert got.size == m.size
             # composite is isomorphic to m via orbit representatives; the
             # action tables must agree after the canonical relabeling
-            assert _biset_iso(got, m)
-
-
-def _biset_iso(a, b):
-    """Equivariant bijection search by orbit of a seed point (works for
-    the transitive-enough carriers used here)."""
-    if a.size != b.size or a.left_group != b.left_group or a.right_group != b.right_group:
-        return False
-    G, H = a.left_group, b.right_group
-    a_left, a_right, b_left, b_right = (t.tolist() for t in (a.left, a.right, b.left, b.right))
-    # try mapping a's point 0 to every point of b and propagate
-    for y0 in range(b.size):
-        mapping = {0: y0}
-        frontier = [0]
-        ok = True
-        while frontier and ok:
-            new = []
-            for x in frontier:
-                for g in range(G.order):
-                    xx, yy = a_left[g][x], b_left[g][mapping[x]]
-                    if xx in mapping:
-                        if mapping[xx] != yy:
-                            ok = False
-                            break
-                    else:
-                        mapping[xx] = yy
-                        new.append(xx)
-                for h in range(H.order):
-                    xx, yy = a_right[x][h], b_right[mapping[x]][h]
-                    if xx in mapping:
-                        if mapping[xx] != yy:
-                            ok = False
-                            break
-                    else:
-                        mapping[xx] = yy
-                        new.append(xx)
-                if not ok:
-                    break
-            frontier = new
-        if ok and len(mapping) == a.size and len(set(mapping.values())) == a.size:
-            return True
-    return False
+            assert ref.biset_iso(got, m)
 
 
 def test_composite_size_is_product_over_middle_order():
@@ -421,10 +407,24 @@ def test_adjunction_compatible_with_composition():
         assert flipped is not None
         assert flipped.size == made.size
         assert flipped.left_group == made.adjoint().left_group
-    assert _biset_iso(
+    assert ref.biset_iso(
         inst.try_compose1(biregular_biset(Z3).adjoint(), identity_biset(Z3).adjoint()),
         inst.try_compose1(identity_biset(Z3), biregular_biset(Z3)).adjoint(),
     )
+
+
+def test_criterion_1_pass_checks_only_the_catalog_bisets(monkeypatch):
+    # the 54 composites of a pass are lawful by construction and skip the
+    # law checks; only the 21 catalog bisets, built from tables, run them
+    checked = []
+    body = FiniteBiset.__post_init__
+    monkeypatch.setattr(FiniteBiset, "__post_init__",
+                        lambda self: checked.append(self.name) or body(self))
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    assert len(loops) == 108 and not any(bad for _, _, bad in loops)
+    assert len(inst._compose_memo) == 54
+    assert len(checked) == 21 and checked == [m.name for m in inst.catalog]
 
 
 def test_decomposition_enumeration():

@@ -1,25 +1,31 @@
-"""Property tests of the coded finite-group probes and transport, and of
-the biset law checks, against the tuple reference in tuple_oracle.py;
-they need the hypothesis package."""
+"""Property tests of the coded finite-group probes and transport, of the
+group and biset law checks, and of the composites and adjoints built
+without them, against the tuple reference in tuple_oracle.py; they need
+the hypothesis package."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cobord2 import catalog
 from cobord2.bisets import (
     Correspondence,
     FiniteBiset,
+    FiniteGroup,
     LieRInstance,
     TableError,
     biregular_biset,
     copants_biset,
     cyclic,
+    identification_corr,
     identity_biset,
     pants_biset,
     product_group,
     quaternion8,
     symmetric3,
+    try_compose_bisets,
+    try_compose_corrs,
     unit_biset,
 )
 
@@ -193,6 +199,56 @@ def test_biset_law_checks_on_generators_match_every_element(case):
     assert got == (None if want is None else "b: " + want)
 
 
+# groups of order at most 12 with one to three generators
+_Z2 = cyclic(2)
+_LAW_GROUPS = [cyclic(n) for n in range(1, 7)] + [
+    symmetric3(), quaternion8(), product_group(_Z2, _Z2), product_group(_Z2, cyclic(4)),
+    product_group(product_group(_Z2, _Z2), _Z2), product_group(symmetric3(), _Z2)]
+
+
+@st.composite
+def _group_tables(draw):
+    """The multiplication table of a group of order at most 12 as rows of
+    ints, often tampered: two entries of one row or one column swapped,
+    or one entry set to a value in range(-1, n + 1), out of range
+    included.  Half the tampering hits the row or column of an element
+    that is not among the group's generators, which the check on
+    generators reaches only through products."""
+    g = draw(st.sampled_from(_LAW_GROUPS))
+    n = g.order
+    mult = g.mult.tolist()
+    tamper = draw(st.sampled_from(["none", "swap", "set"]))
+    if tamper == "none" or n == 1:
+        return mult
+    others = [x for x in range(n) if x not in g.generators()]
+    at = draw(st.sampled_from(others if draw(st.booleans()) else list(range(n))))
+    cells = [(at, y) for y in range(n)]
+    if draw(st.booleans()):
+        cells = [(y, x) for x, y in cells]
+    if tamper == "swap":
+        (a, b), (c, d) = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2,
+                                       unique=True))
+        mult[a][b], mult[c][d] = mult[c][d], mult[a][b]
+    else:
+        a, b = draw(st.sampled_from(cells))
+        mult[a][b] = draw(st.integers(-1, n))
+    return mult
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_group_tables())
+def test_group_law_checks_on_generators_match_every_triple(mult):
+    # FiniteGroup checks associativity by Light's test on generators; the
+    # reference checks every triple, so verdict and message must agree
+    want = ref.group_law_error(mult)
+    try:
+        FiniteGroup("g", mult)
+        got = None
+    except TableError as err:
+        got = str(err)
+    assert got == (None if want is None else "g: " + want)
+
+
 # Z1-Z6, S3 and Q8, each with its entry-by-entry twin from the reference
 _BASE_GROUPS = [(cyclic(n), ref.cyclic(n)) for n in range(1, 7)] + [
     (symmetric3(), symmetric3()), (quaternion8(), quaternion8())]
@@ -205,7 +261,8 @@ def _same(new, old):
     tables = ("mult",) if hasattr(new, "mult") else ("left", "right")
     for name in tables:
         table = getattr(new, name)
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.dtype == np.int64 and table.flags.c_contiguous
+        assert not table.flags.writeable
         assert table.tolist() == getattr(old, name).tolist()
 
 
@@ -234,3 +291,78 @@ def test_array_constructors_match_entry_by_entry_reference(first, second):
         twice = new.adjoint().adjoint()
         assert twice.left.tolist() == new.left.tolist()
         assert twice.right.tolist() == new.right.tolist()
+
+
+def _with_adjoints(groups):
+    """The identity, bi-regular, pants, copants and unit bisets of each
+    group, each followed by its adjoint."""
+    return [m for g in groups
+            for base in (identity_biset(g), biregular_biset(g), pants_biset(g), copants_biset(g),
+                         unit_biset(g))
+            for m in (base, base.adjoint())]
+
+
+def test_adjunction_holds_for_every_composable_pair():
+    # adjoints and composites are built without the law checks; for every
+    # composable pair (m, n) over S3, Q8 and Z2xZ2, (n^T, m^T) composes
+    # exactly when (m, n) does, to the adjoint composite up to
+    # isomorphism, and the identification of (m, n) followed by its
+    # transpose is a vertical identity
+    inst = LieRInstance()
+    shapes = _with_adjoints((symmetric3(), quaternion8(), product_group(_Z2, _Z2)))
+    composed = 0
+    for m in shapes:
+        for n in shapes:
+            if m.right_group != n.left_group:
+                continue
+            made = inst.try_compose1(m, n)
+            flipped = inst.try_compose1(n.adjoint(), m.adjoint())
+            assert (flipped is None) == (made is None)
+            if made is None:
+                continue
+            composed += 1
+            assert ref.biset_iso(flipped, made.adjoint())
+            corr = identification_corr(m, n)
+            assert inst.is_identity2(try_compose_corrs(corr, corr.transpose()))
+    assert composed == 165
+
+
+def _lawful_as_checked(comp):
+    """comp, built without the law checks, passes the reference that
+    checks every law on every element, and is the biset the checked
+    constructor builds from its tables, down to its key and the
+    read-only C-contiguous int64 layout of its tables."""
+    assert ref.biset_law_error(comp.left_group, comp.right_group, comp.left.tolist(),
+                               comp.right.tolist()) is None
+    checked = FiniteBiset(comp.name, comp.left_group, comp.right_group, comp.left, comp.right)
+    assert comp._key == checked._key
+    _same(comp, checked)
+
+
+def test_every_criterion_1_composite_is_lawful_as_checked():
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    # the decomposition index composes every composable catalog pair
+    inst.enumerate_decompositions(inst.catalog[0])
+    made = list(inst._compose_memo.values())
+    assert len(made) == 54 and None not in made
+    for comp, _, _ in made:
+        _lawful_as_checked(comp)
+
+
+_SHAPES = _with_adjoints([cyclic(n) for n in range(2, 7)] + [
+    symmetric3(), quaternion8(), product_group(_Z2, _Z2)])
+
+# The reference checks a composite of c points between groups of orders
+# g and k in about c * (g + k)**2 steps; pairs whose composite would take
+# more than about 2**19 (a fraction of a second) are left out.
+_PAIRS = [(m, n) for m in _SHAPES for n in _SHAPES if m.right_group == n.left_group
+          and m.size * n.size // m.right_group.order
+          * (m.left_group.order + n.right_group.order) ** 2 <= 1 << 19]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(_PAIRS))
+def test_generated_composites_are_lawful_as_checked(pair):
+    made = try_compose_bisets(*pair)
+    assume(made is not None)
+    _lawful_as_checked(made[0])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -217,6 +218,19 @@ def test_cli_axioms_refuses_oversized_tables_before_building(tmp_path, monkeypat
                                                                           cdf.TABLE_CAP))
     # the cap itself is allowed
     cdf._capped("z", cdf.TABLE_CAP)
+
+
+@pytest.mark.parametrize("lines", [
+    ["z cyclic 1024"],
+    ["a cyclic 32", "b cyclic 32", "z product a b"],
+], ids=["cyclic", "product"])
+def test_parse_catalog_checks_a_group_at_the_cap_quickly(lines):
+    # associativity is checked by Light's test on generators, n**2 work
+    # each; checking every triple took about 10 s for either group
+    start = time.perf_counter()
+    doc = parse_catalog("\n".join(["@groups"] + lines) + "\n")
+    assert time.perf_counter() - start < 1.0
+    assert doc.groups["z"].order ** 2 == cdf.TABLE_CAP
 
 
 def test_cli_axioms_empty_catalog_trivially_passes(tmp_path):

@@ -7,7 +7,10 @@ pairs, the form tuples() decodes a coded Correspondence to.  Every
 action is applied generator by generator and closed breadth first, with
 no integer encoding, so agreement with cobord2.bisets checks the
 encoding.  diagram_collapse extends the reference from simple
-2-morphisms to whole diagrams.
+2-morphisms to whole diagrams, and group_law_error and biset_law_error
+check every law on every element, the reference for the checks on
+generators in cobord2.bisets; biset_iso decides isomorphism of two
+bisets by propagating a bijection along every element's action.
 
 The constructors at the end build the groups, the bisets and the
 adjoint of cobord2.bisets entry by entry from nested tuples, as the
@@ -222,6 +225,27 @@ def diagram_collapse(diagram, inst) -> frozenset:
     return frozenset((s, int(orbit_of[code[t]])) for s, t in rel)
 
 
+def group_law_error(mult):
+    """The first group law that the multiplication table mult[g][h] (rows
+    of ints) breaks, worded as cobord2.bisets.FiniteGroup words it, or
+    None.  Associativity is checked on every triple, with no integer
+    arrays, in FiniteGroup's order."""
+    n = len(mult)
+    if any(len(row) != n or any(type(v) is not int or not 0 <= v < n for v in row)
+           for row in mult):
+        return "malformed multiplication table"
+    xs = range(n)
+    identities = [e for e in xs if all(mult[e][x] == x == mult[x][e] for x in xs)]
+    if not identities:
+        return "no identity element"
+    for x in xs:
+        if identities[0] not in mult[x]:
+            return "element %d has no inverse" % x
+    if any(mult[mult[a][b]][c] != mult[a][mult[b][c]] for a in xs for b in xs for c in xs):
+        return "not associative"
+    return None
+
+
 def biset_law_error(left_group, right_group, left, right):
     """The first biset law that the action tables left[g][x] and
     right[x][h] break, worded as cobord2.bisets.FiniteBiset words it, or
@@ -244,6 +268,49 @@ def biset_law_error(left_group, right_group, left, right):
     if any(right[left[g][x]][h] != left[g][right[x][h]] for g in gs for x in xs for h in hs):
         return "actions do not commute"
     return None
+
+
+def biset_iso(a, b):
+    """Whether a and b are isomorphic bisets, by an equivariant bijection
+    built orbit by orbit (orbits under both actions at once).  The
+    smallest point of each orbit of a not yet mapped is sent to each
+    unused point of b in turn and the map propagated along both actions;
+    the first image that extends to a consistent injective map carries
+    the orbit onto a whole orbit of b.  Isomorphic orbits are
+    interchangeable, so taking the first fit fails only when a and b are
+    not isomorphic."""
+    if a.size != b.size or a.left_group != b.left_group or a.right_group != b.right_group:
+        return False
+    # every element's action on either side, as a pair of point maps: a's and b's
+    moves = list(zip(a.left.tolist(), b.left.tolist()))
+    moves += list(zip(a.right.T.tolist(), b.right.T.tolist()))
+
+    def propagate(x0, y0):
+        mapping = {x0: y0}
+        frontier = [x0]
+        while frontier:
+            new = []
+            for x in frontier:
+                for a_move, b_move in moves:
+                    xx, yy = a_move[x], b_move[mapping[x]]
+                    if xx not in mapping:
+                        mapping[xx] = yy
+                        new.append(xx)
+                    elif mapping[xx] != yy:
+                        return None
+            frontier = new
+        return mapping if len(set(mapping.values())) == len(mapping) else None
+
+    mapped, used = {}, set()
+    for x0 in range(a.size):
+        if x0 not in mapped:
+            orbit = next((found for found in (propagate(x0, y0) for y0 in range(b.size)
+                                              if y0 not in used) if found), None)
+            if orbit is None:
+                return False
+            mapped.update(orbit)
+            used.update(orbit.values())
+    return True
 
 
 # --- constructors, entry by entry ------------------------------------------------
