@@ -219,16 +219,19 @@ class FiniteGroup(_ByKey):
 
     @cached_property
     def _generators(self) -> tuple:
-        mult = self.mult.tolist()
+        # the closure reads only products x h with h a generator, so it
+        # holds the generators' columns, not a copy of the whole table
+        columns: list = []
         gens: list = []
         reached = {self.identity}
         for g in range(self.order):
             if g not in reached:
                 gens.append(g)
+                columns.append(self.mult[:, g].tolist())
                 # the subgroup gens generate, breadth first from the identity
                 frontier = [self.identity]
                 while frontier:
-                    frontier = list({mult[x][h] for x in frontier for h in gens} - reached)
+                    frontier = list({col[x] for x in frontier for col in columns} - reached)
                     reached.update(frontier)
                 if len(reached) == self.order:
                     break
@@ -441,6 +444,16 @@ def _carrier_size(seq) -> int:
     return math.prod(item.size for item in seq)
 
 
+def _suffix_sizes(seq) -> tuple:
+    """The carrier sizes of seq[j:] for j = 0..len(seq): the whole
+    sequence's first, 1 last.  sizes[j + 1] is the stride of item j's
+    digit in a product code."""
+    sizes = [1]
+    for item in reversed(seq):
+        sizes.append(sizes[-1] * item.size)
+    return tuple(reversed(sizes))
+
+
 def _divmod(codes: np.ndarray, n: int) -> tuple:
     """(codes // n, codes % n) by one floor division and one multiply,
     equal to np.divmod on int64 and several times faster than it."""
@@ -487,12 +500,12 @@ class _Actions(NamedTuple):
     right: tuple
 
 
-def _actions(seq) -> _Actions:
-    size = _carrier_size(seq)
+def _actions(seq, sizes) -> _Actions:
+    """The generator permutations of seq, given its _suffix_sizes."""
+    size, strides = sizes[0], sizes[1:]
     if not seq:
         return _Actions(size, (), (), ())
     codes = np.arange(size, dtype=np.int64)
-    strides = [_carrier_size(seq[j + 1:]) for j in range(len(seq))]
     digits = [codes // stride % item.size for stride, item in zip(strides, seq)]
 
     def shift(j, table):
@@ -544,7 +557,7 @@ def try_compose_bisets(m: FiniteBiset, n: FiniteBiset, collapse=None):
     if m.right_group != n.left_group:
         raise NotComposable("middle groups differ")
     order = m.right_group.order
-    collapsed = collapse((m, n)) if collapse else _collapse(_actions((m, n)))
+    collapsed = collapse((m, n)) if collapse else _collapse(_actions((m, n), _suffix_sizes((m, n))))
     # no orbit exceeds |G| points, and all have |G| exactly when the action is free
     if collapsed.count * order != m.size * n.size:
         return None
@@ -693,6 +706,7 @@ class LieRInstance(Instance):
         self._interned: dict = {}
         self._codes: dict = {}
         self._codes_by_id: dict = {}
+        self._sizes: dict = {}
 
     # -- 1-morphisms
 
@@ -760,10 +774,21 @@ class LieRInstance(Instance):
 
     # -- oracle machinery
 
+    def _sizes_of(self, items) -> tuple:
+        """_suffix_sizes(items), computed once per distinct sequence."""
+        key = self._code(items)
+        sizes = self._sizes.get(key)
+        if sizes is None:
+            sizes = self._sizes[key] = _suffix_sizes(items)
+        return sizes
+
+    def _size(self, items) -> int:
+        return self._sizes_of(items)[0]
+
     def _actions_of(self, items) -> _Actions:
         key = self._code(items)
         if key not in self._actions_memo:
-            self._actions_memo[key] = _actions(items)
+            self._actions_memo[key] = _actions(items, self._sizes_of(items))
         return self._actions_memo[key]
 
     def collapse(self, seq) -> CollapsedSet:
@@ -777,7 +802,7 @@ class LieRInstance(Instance):
         items = seq.items
         key = self._code(items)
         if key not in self._probe_memo:
-            n = _carrier_size(items)
+            n = self._size(items)
             # the first and the middle product tuple in sorted order
             made = self._probe_set(items, (0, n // 2) if n else ())
             self._probe_memo[key] = [(name, self._intern(probe)) for name, probe
@@ -821,8 +846,9 @@ class LieRInstance(Instance):
             assert made is not None
             _, orbit_of, members = made
             pair = fine[pos].size * fine[pos + 1].size
-            low = _carrier_size(fine[pos + 2:])
-            high, rest = _divmod(np.arange(_carrier_size(fine), dtype=np.int64), pair * low)
+            sizes = self._sizes_of(fine)
+            low = sizes[pos + 2]
+            high, rest = _divmod(np.arange(sizes[0], dtype=np.int64), pair * low)
             mid, rest = _divmod(rest, low)
             push = (high * len(members) + orbit_of[mid]) * low + rest
             coarse = np.arange(len(push) // members.shape[1], dtype=np.int64)
@@ -874,10 +900,10 @@ class LieRInstance(Instance):
     def _transport(self, probe, seq_from, seq_to, pos, compose, side):
         """The uncached body of transport_probe."""
         push, pull = self._transport_maps(seq_from.items if compose else seq_to.items, pos)
-        n_tgt = _carrier_size(probe.tgt)
+        n_tgt = self._size(probe.tgt)
         s, t = _divmod(probe.pairs, n_tgt)
         if side == "target":
-            n_to = _carrier_size(seq_to.items)
+            n_to = self._size(seq_to.items)
             if compose:
                 codes = s * n_to + push[t]
             else:
@@ -889,7 +915,7 @@ class LieRInstance(Instance):
             else:
                 codes = pull[s] * n_tgt + t[:, None]
             src, tgt = seq_to.items, probe.tgt
-        space = _carrier_size(src) * _carrier_size(tgt)
+        space = self._size(src) * self._size(tgt)
         if space <= 8 * codes.size:
             # a mask over every pair code is no bigger than the codes
             mask = np.zeros(space, dtype=bool)

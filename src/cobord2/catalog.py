@@ -1,6 +1,10 @@
 """Built-in corpora: the finite-group biset catalog driving the
 exhaustive composition-loop checks, and the curated cobordism pairs
-exercising every implemented move kind in both directions."""
+exercising every implemented move kind in both directions.
+
+The composition-loop check itself, axiom_loops, lives here beside the
+loop enumeration it walks, so the chart suites in suites import no
+part of the biset oracle."""
 
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from cobord2.cobordism import (
     Surface,
     cylinder_seq,
 )
+from cobord2.diagram import SeqMorphism, check_diagram_axiom
 from cobord2.words import Word
 
 
@@ -99,6 +104,17 @@ def enumerate_loops(inst: bs.LieRInstance, start_items, depth: int):
             # reversed, so the first neighbor is walked first
             stack.extend(path + (nxt,) for nxt in reversed(_neighbors(inst, cur)))
     return loops
+
+
+def axiom_loops(inst: bs.LieRInstance, sequences, depth: int):
+    """Yield (items, loop index, names of failed probes) for every
+    composition loop of length <= depth from each start sequence."""
+    for items in sequences:
+        start = inst.seq(items)
+        for loop_idx, loop in enumerate(enumerate_loops(inst, items, depth)):
+            seqs = [SeqMorphism(start.source, start.target, s) for s in loop]
+            results = check_diagram_axiom(seqs, inst)
+            yield items, loop_idx, [name for name, ok, _ in results if not ok]
 
 
 # --- cobordism side ---------------------------------------------------------------

@@ -53,7 +53,8 @@ loops and arcs.  Catalog files (.cat) declare finite groups and bisets:
     @depth 4
 
 Each ``@sequences`` line names bisets that chain: the right group of
-each is the left group of the next.
+each is the left group of the next.  ``@depth`` is at least 2, since a
+loop needs two moves to close.
 
 Both formats ignore blank lines and ``#`` comments.
 """
@@ -335,6 +336,9 @@ def parse_catalog(text: str) -> CatalogDocument:
                     doc.depth = int(parts[1])
                 except (IndexError, ValueError):
                     raise ParseError("line %d: @depth needs an integer" % lineno)
+                if doc.depth < 2:
+                    # a loop needs two moves to close
+                    raise ParseError("line %d: @depth must be at least 2" % lineno)
             elif section not in ("groups", "bisets", "sequences"):
                 raise ParseError("line %d: unknown section %r" % (lineno, section))
             continue

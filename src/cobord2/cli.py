@@ -7,10 +7,20 @@
 Every command writes a deterministic JSON report to stdout (or --out)
 and a human summary with wall time to stderr.  Exit codes: 0 all
 checks pass, 1 at least one failed, 2 unreadable input or an invalid
-option (a count below 1, a tolerance that is not a finite positive
-number, a grid point that is not g,k with g >= 0 and k >= 1).  COBORD2_SEED
-overrides the configured seed; an explicit --seed flag wins over the
-environment."""
+option (a count below 1, a depth below 2, which closes no loop, a
+tolerance that is not a finite positive number, a grid point that is
+not g,k with g >= 0 and k >= 1, a COBORD2_SEED that is not an integer).
+COBORD2_SEED overrides the configured seed; an explicit --seed flag
+wins over the environment.
+
+Each command imports its own layers when it runs, and this module
+imports only the standard library and report, so a process loads what
+its command uses and no more: moduli the holonomy charts (charts, su2,
+suites), axioms the biset oracle (bisets, catalog, cdf), functor the
+move calculus and the evaluator (cdf, cobordism, symcat, functor), and
+functor invariance the numeric cross-check too (crosscheck, with the
+charts).  moduli thus never loads the oracle, the move calculus or the
+functor, and axioms never loads the charts."""
 
 from __future__ import annotations
 
@@ -21,20 +31,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from cobord2 import bisets as bs
-from cobord2 import catalog as cat
-from cobord2 import cdf
-from cobord2 import charts as ch
-from cobord2 import cobordism as cb
-from cobord2 import functor as fn
-from cobord2 import su2
-from cobord2 import suites
-from cobord2.diagram import BoundaryMismatch
 from cobord2.report import RunConfig, VerificationReport, report_json
-from cobord2.symcat import HamInstance, normalize_mod_equiv
-from cobord2.words import Word
+
+# The errors main reports as unreadable input (exit 2), besides OSError,
+# as (module, class name)
+_INPUT_ERRORS = (("cobord2.cdf", "ParseError"), ("cobord2.cobordism", "PatternMismatch"))
 
 
 def _count(text) -> int:
@@ -45,6 +46,17 @@ def _count(text) -> int:
         raise argparse.ArgumentTypeError("not an integer: %r" % text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
+def _depth(text) -> int:
+    """A loop depth: an integer >= 2, since a loop needs two moves to close."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be >= 2, got %d" % value)
     return value
 
 
@@ -84,7 +96,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ax = sub.add_parser("axioms", parents=[common],
                           help="composition-loop identities over a finite catalog")
     p_ax.add_argument("catalog", type=str)
-    p_ax.add_argument("--depth", type=int, default=None)
+    p_ax.add_argument("--depth", type=_depth, default=None)
 
     p_mod = sub.add_parser("moduli", parents=[common], help="numerical chart suites")
     p_mod.add_argument("--grid", type=_grid_point, nargs="*", default=None, metavar="g,k")
@@ -108,7 +120,11 @@ def main(argv=None) -> int:
     seed = args.seed
     if seed is None:
         env = os.environ.get("COBORD2_SEED")
-        seed = int(env) if env else 0
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            print("error: COBORD2_SEED must be an integer, got %r" % env, file=sys.stderr)
+            return 2
 
     started = time.monotonic()
     try:
@@ -118,7 +134,7 @@ def main(argv=None) -> int:
             report = cmd_moduli(args, seed)
         else:
             report = cmd_functor(args, seed)
-    except (cdf.ParseError, cb.PatternMismatch, OSError) as err:
+    except _input_errors() as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     report.wall_time = time.monotonic() - started
@@ -138,7 +154,19 @@ def main(argv=None) -> int:
     return 0 if report.passed else 1
 
 
+def _input_errors() -> tuple:
+    """OSError and the _INPUT_ERRORS of the layers loaded so far.  An
+    except clause evaluates this only once something is raised, and a
+    layer its command never imported cannot have raised its error."""
+    return (OSError,) + tuple(getattr(sys.modules[mod], name)
+                              for mod, name in _INPUT_ERRORS if mod in sys.modules)
+
+
 def cmd_axioms(args, seed) -> VerificationReport:
+    from cobord2 import bisets as bs
+    from cobord2 import catalog as cat
+    from cobord2 import cdf
+
     with open(args.catalog, "r", encoding="utf-8") as fh:
         doc = cdf.parse_catalog(fh.read())
     depth = args.depth if args.depth is not None else doc.depth
@@ -147,7 +175,7 @@ def cmd_axioms(args, seed) -> VerificationReport:
     inst = bs.LieRInstance(tuple(doc.bisets.values()))
     sequences = doc.sequences or cat.loop_start_sequences(inst.catalog)
     total_loops = 0
-    for items, loop_idx, bad in suites.axiom_loops(inst, sequences, depth):
+    for items, loop_idx, bad in cat.axiom_loops(inst, sequences, depth):
         total_loops += 1
         name = "loop/%s/%d" % ("+".join(m.name for m in items), loop_idx)
         report.add(name, not bad, seed=seed,
@@ -158,6 +186,12 @@ def cmd_axioms(args, seed) -> VerificationReport:
 
 
 def cmd_moduli(args, seed) -> VerificationReport:
+    import numpy as np
+
+    from cobord2 import charts as ch
+    from cobord2 import su2, suites
+    from cobord2.words import Word
+
     grid = tuple(args.grid) if args.grid else RunConfig().grid
     config = RunConfig(
         seed=seed,
@@ -171,7 +205,8 @@ def cmd_moduli(args, seed) -> VerificationReport:
     trial_axis = np.arange(config.trials, dtype=np.uint64)
     sample_axis = np.arange(config.samples, dtype=np.uint64)
     for g, k in grid:
-        chart = _grid_chart(g, k)
+        labels = tuple("c%d" % i for i in range(1, k + 1))
+        chart = ch.ModuliChart(g, labels, frozenset(labels[: (k + 1) // 2]))
         name = "g%d.k%d" % (g, k)
 
         defects = suites.dimension_defects(
@@ -222,12 +257,13 @@ def cmd_moduli(args, seed) -> VerificationReport:
     return report
 
 
-def _grid_chart(g, k):
-    labels = tuple("c%d" % i for i in range(1, k + 1))
-    return ch.ModuliChart(g, labels, frozenset(labels[: (k + 1) // 2]))
-
-
 def cmd_functor(args, seed) -> VerificationReport:
+    from cobord2 import cdf
+    from cobord2 import cobordism as cb
+    from cobord2 import functor as fn
+    from cobord2.diagram import BoundaryMismatch
+    from cobord2.symcat import HamInstance, normalize_mod_equiv
+
     with open(args.cdf, "r", encoding="utf-8") as fh:
         doc = cdf.parse_cdf(fh.read())
     config = RunConfig(seed=seed, trials=1, samples=args.samples)

@@ -1,4 +1,6 @@
-"""Verification suites shared by the command line and the acceptance tests.
+"""The chart verification suites, shared by the command line and the
+acceptance tests.  They import the holonomy charts and nothing of the
+biset oracle, whose composition-loop check is catalog.axiom_loops.
 
 Each suite runs one family of checks over caller-supplied charts and
 per-trial seeds and returns what it measured; the caller owns the
@@ -19,22 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cobord2 import bisets as bs
-from cobord2 import catalog as cat
 from cobord2 import charts as ch
 from cobord2 import su2
-from cobord2.diagram import check_diagram_axiom
-
-
-def axiom_loops(inst, sequences, depth):
-    """Yield (items, loop index, names of failed probes) for every
-    composition loop of length <= depth from each start sequence."""
-    for items in sequences:
-        start = inst.seq(items)
-        for loop_idx, loop in enumerate(cat.enumerate_loops(inst, items, depth)):
-            seqs = [bs.SeqMorphism(start.source, start.target, s) for s in loop]
-            results = check_diagram_axiom(seqs, inst)
-            yield items, loop_idx, [name for name, ok, _ in results if not ok]
 
 
 # Trials per batch.  A batch holds a few kilobytes per lane, so this

@@ -331,7 +331,7 @@ def move_boundary_first_loop(p, label):
 
 
 def permute_to_chart_loop(p, chart):
-    """The boundary moves of functor._permute_to_chart (the target's
+    """The boundary moves of crosscheck._permute_to_chart (the target's
     first circle moved first, then adjacent swaps into its order), one
     generator at a time."""
     q = p

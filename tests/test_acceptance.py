@@ -13,6 +13,7 @@ from cobord2 import catalog as cat
 from cobord2 import charts as ch
 from cobord2 import cli
 from cobord2 import cobordism as cb
+from cobord2 import crosscheck as xc
 from cobord2 import functor as fn
 from cobord2 import su2
 from cobord2 import suites
@@ -34,7 +35,7 @@ def _line(num, name, ok, extra=""):
 def test_criterion_1_diagram_axiom_loops():
     started = time.monotonic()
     inst = bs.LieRInstance(tuple(cat.default_biset_catalog()))
-    loops = list(suites.axiom_loops(inst, cat.loop_start_sequences(inst.catalog), 4))
+    loops = list(cat.axiom_loops(inst, cat.loop_start_sequences(inst.catalog), 4))
     failures = [name for _, _, bad in loops for name in bad]
     elapsed = time.monotonic() - started
     ok = not failures and len(loops) > 0 and elapsed < 30.0
@@ -110,9 +111,9 @@ def test_criterion_6_handle_cancellations():
     q = ch.sample_on_locus(mid_chart, words, su2.mix_seed(6, np.arange(100, dtype=np.uint64)))
     mapping = {small: big for small, big in down.transfer}
     small_chart = fn.chart_for(down.tgt[0].components[0])
-    via_down = fn._project_through_compression(q, small_chart, mapping)
+    via_down = xc._project_through_compression(q, small_chart, mapping)
     up_map = {small: big for small, big in up.transfer}
-    via_up = fn._project_through_compression(q, fn.chart_for(up.src[0].components[0]), up_map)
+    via_up = xc._project_through_compression(q, fn.chart_for(up.src[0].components[0]), up_map)
     _, r = ch.gauge_equivalent(via_down, via_up)
     _, rm = fn.membership(down, [{0: q}], [{0: via_down}])
     worst = max(su2.largest(r), rm)

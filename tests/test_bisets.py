@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cobord2 import bisets as bs
-from cobord2 import catalog, suites
+from cobord2 import catalog
 from cobord2.bisets import (
     Correspondence,
     FiniteBiset,
@@ -421,7 +422,7 @@ def test_criterion_1_pass_checks_only_the_catalog_bisets(monkeypatch):
     monkeypatch.setattr(FiniteBiset, "__post_init__",
                         lambda self: checked.append(self.name) or body(self))
     inst = LieRInstance(tuple(catalog.default_biset_catalog()))
-    loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    loops = list(catalog.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
     assert len(loops) == 108 and not any(bad for _, _, bad in loops)
     assert len(inst._compose_memo) == 54
     assert len(checked) == 21 and checked == [m.name for m in inst.catalog]
@@ -765,7 +766,7 @@ def test_criterion_1_collapses_each_start_pair_once(monkeypatch):
 
         monkeypatch.setattr(bs, name, counted)
     inst = LieRInstance(tuple(catalog.default_biset_catalog()))
-    loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    loops = list(catalog.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
     assert len(loops) == 108 and not any(bad for _, _, bad in loops)
     assert len(inst._compose_memo) == 54
     assert calls == {"_actions": 54, "_collapse": 54}
@@ -780,7 +781,7 @@ def test_criterion_1_sorts_and_labels_each_sequence_once(monkeypatch):
     monkeypatch.setattr(np, "argsort", lambda a, **kw: sorts.append((a, kw)) or argsort(a, **kw))
     monkeypatch.setattr(bs, "_orbits", lambda size, perms: sizes.append(size) or orbits(size, perms))
     inst = LieRInstance(tuple(catalog.default_biset_catalog()))
-    loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    loops = list(catalog.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
     assert len(loops) == 108 and not any(bad for _, _, bad in loops)
     collapsed = list(inst._collapse_memo.values())
     probed = [inst.collapse(probes[0][1].src) for probes in inst._probe_memo.values()]
@@ -821,6 +822,21 @@ def test_identification2_reuses_the_instances_collapse(monkeypatch):
     assert len(calls) == 1
 
 
+def test_criterion_1_pass_computes_each_sequence_size_once(monkeypatch):
+    # a sequence's size (with its suffixes' sizes, the strides of its
+    # product codes) is carried by the instance once computed
+    computed = collections.Counter()
+    for name in ("_carrier_size", "_suffix_sizes"):
+        def counting(seq, original=getattr(bs, name)):
+            computed[tuple(seq)] += 1
+            return original(seq)
+        monkeypatch.setattr(bs, name, counting)
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    loops = list(catalog.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+    assert len(loops) == 108
+    assert computed and max(computed.values()) == 1
+
+
 def test_criterion_1_pass_traced_memory_stays_bounded():
     # one full criterion-1 pass on a fresh instance, memos included, peaks
     # at 6.7-6.9 MiB of traced memory; it peaked at 9.6-9.7 MiB when every
@@ -828,7 +844,7 @@ def test_criterion_1_pass_traced_memory_stays_bounded():
     tracemalloc.start()
     try:
         inst = LieRInstance(tuple(catalog.default_biset_catalog()))
-        loops = list(suites.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+        loops = list(catalog.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

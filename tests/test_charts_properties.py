@@ -26,7 +26,7 @@ from chart_reference import (
     ranks_and_sizes,
     stack,
 )
-from cobord2 import functor as fn
+from cobord2 import crosscheck as xc
 from cobord2 import suites
 from cobord2 import charts as ch
 from cobord2 import su2
@@ -415,7 +415,7 @@ def test_permute_to_chart_equals_the_per_generator_moves():
         moved = ch.move_boundary_first(p, order[0])
         assert _same_bits(moved, chart_reference.move_boundary_first_loop(p, order[0]), 16)
         target = ch.ModuliChart(2, order, chart.incoming)
-        got = fn._permute_to_chart(p, target)
+        got = xc._permute_to_chart(p, target)
         want = chart_reference.permute_to_chart_loop(p, target)
         assert got.chart == target and want.chart.boundaries == order
         assert _same(_point_columns(got, 16), _point_columns(want, 16))

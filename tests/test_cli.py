@@ -331,6 +331,8 @@ def moduli(*options):
         (FUNCTOR_EVAL, "@manifold solid_torus solid_torus solid_torus\n", 2),
         (FUNCTOR_EVAL, "@manifold closed_surface\n", 2),
         (FUNCTOR_EVAL, "@manifold closed_surface -1\n", 2),
+        (AXIOMS, "@depth 0\n", 2),
+        (AXIOMS, "@depth -3\n", 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "component-without-circles",
          "component-genus-not-integer", "component-negative-genus", "steps2-boundary-mismatch",
@@ -342,7 +344,7 @@ def moduli(*options):
          "moduli-grid-negative-genus", "moduli-zero-residual-tolerance",
          "moduli-nan-svd-tolerance", "moduli-zero-samples", "moduli-negative-samples",
          "functor-zero-samples", "solid-torus-extra-label", "closed-surface-without-genus",
-         "closed-surface-negative-genus"],
+         "closed-surface-negative-genus", "depth-zero", "depth-negative"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
     argv = list(command)
@@ -356,6 +358,34 @@ def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code
     assert "Traceback" not in err
     if code == 2:
         assert "error: " in err
+
+
+def test_parse_catalog_refuses_a_depth_that_closes_no_loop():
+    # a loop needs two moves to close
+    for depth in ("1", "0", "-3"):
+        with pytest.raises(ParseError, match=r"^line 2: @depth must be at least 2$"):
+            parse_catalog("# a comment\n@depth %s\n" % depth)
+    assert parse_catalog("@depth 2\n").depth == 2
+
+
+@pytest.mark.parametrize("depth", ["1", "0", "-1"])
+def test_cli_axioms_refuses_a_depth_that_closes_no_loop(depth):
+    code, out, err = run_cli(["axioms", str(DATA / "axioms_default.cat"), "--depth=" + depth])
+    assert code == 2 and out == ""
+    assert "argument --depth: must be >= 2, got %s" % depth in err
+    assert "Traceback" not in err
+
+
+def test_cli_axioms_at_depth_two_closes_loops():
+    code, out, _ = run_cli(["axioms", str(DATA / "axioms_default.cat"), "--depth", "2"])
+    assert code == 0
+    assert '"13 loops"' in out
+
+
+def test_cli_non_integer_env_seed_exits_2(monkeypatch):
+    monkeypatch.setenv("COBORD2_SEED", "abc")
+    assert run_cli(["moduli", "--grid", "1,1", "--trials", "1", "--samples", "1"]) == (
+        2, "", "error: COBORD2_SEED must be an integer, got 'abc'\n")
 
 
 @pytest.mark.parametrize("command, text", [

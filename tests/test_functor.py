@@ -7,6 +7,7 @@ import cobord2
 from cobord2 import catalog as cat
 from cobord2 import cdf
 from cobord2 import cobordism as cb
+from cobord2 import crosscheck as xc
 from cobord2 import functor as fn
 from cobord2.cobordism import Circle, Move, SurfComponent, Surface, cylinder_seq
 from cobord2.diagram import Face, Wire
@@ -238,14 +239,14 @@ def test_membership_identification_via_glue():
     pa[0] = ch.with_theta(a_pt, "mid", target)
     while True:
         try:
-            pieces = fn._glue_symbol_points(pa, pb, ident.glued)
+            pieces = xc._glue_symbol_points(pa, pb, ident.glued)
             break
         except su2.BranchError as err:
             # a trial whose gluing lands on the excluded locus is dropped
             pa = {i: ch.select_lanes(p, ~err.lanes) for i, p in pa.items()}
             pb = {i: ch.select_lanes(p, ~err.lanes) for i, p in pb.items()}
     tgt_sym = ident.tgt[0]
-    aligned = fn._permute_to_chart(pieces[0], fn.chart_for(tgt_sym.components[0]))
+    aligned = xc._permute_to_chart(pieces[0], fn.chart_for(tgt_sym.components[0]))
     assert aligned is not None
     ok, r = fn.membership(ident, [pa, pb], [{0: aligned}])
     assert ok, r

@@ -9,7 +9,8 @@ no integer encoding, so agreement with cobord2.bisets checks the
 encoding.  diagram_collapse extends the reference from simple
 2-morphisms to whole diagrams, and group_law_error and biset_law_error
 check every law on every element, the reference for the checks on
-generators in cobord2.bisets; biset_iso decides isomorphism of two
+generators in cobord2.bisets, and group_generators is the reference for
+the greedy generating set they run on; biset_iso decides isomorphism of two
 bisets by propagating a bijection along every element's action.
 
 The constructors at the end build the groups, the bisets and the
@@ -244,6 +245,26 @@ def group_law_error(mult):
     if any(mult[mult[a][b]][c] != mult[a][mult[b][c]] for a in xs for b in xs for c in xs):
         return "not associative"
     return None
+
+
+def group_generators(g) -> tuple:
+    """generators() of a cobord2.bisets.FiniteGroup by its greedy closure
+    over the whole table as nested lists, the reference for the closure
+    there, which reads only the chosen generators' columns."""
+    mult = g.mult.tolist()
+    gens: list = []
+    reached = {g.identity}
+    for x in range(g.order):
+        if x not in reached:
+            gens.append(x)
+            # the subgroup gens generate, breadth first from the identity
+            frontier = [g.identity]
+            while frontier:
+                frontier = list({mult[y][h] for y in frontier for h in gens} - reached)
+                reached.update(frontier)
+            if len(reached) == g.order:
+                break
+    return tuple(gens)
 
 
 def biset_law_error(left_group, right_group, left, right):
