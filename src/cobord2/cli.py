@@ -6,7 +6,8 @@
 
 Every command writes a deterministic JSON report to stdout (or --out)
 and a human summary with wall time to stderr.  Exit codes: 0 all
-checks pass, 1 at least one failed, 2 unreadable input or an invalid
+checks pass, 1 at least one failed, 2 unreadable input (a file that is
+not UTF-8 among it), an --out that cannot be written, or an invalid
 option (a count below 1, a depth below 2, which closes no loop, a
 tolerance that is not a finite positive number, a grid point that is
 not g,k with g >= 0 and k >= 1, a COBORD2_SEED that is not an integer).
@@ -16,11 +17,17 @@ wins over the environment.
 Each command imports its own layers when it runs, and this module
 imports only the standard library and report, so a process loads what
 its command uses and no more: moduli the holonomy charts (charts, su2,
-suites), axioms the biset oracle (bisets, catalog, cdf), functor the
+suites), axioms the biset oracle (bisets, catalog, catfile), functor the
 move calculus and the evaluator (cdf, cobordism, symcat, functor), and
 functor invariance the numeric cross-check too (crosscheck, with the
 charts).  moduli thus never loads the oracle, the move calculus or the
-functor, and axioms never loads the charts."""
+functor, axioms never loads the charts, and functor eval loads no numpy.
+
+Importing this module makes BLAS single-threaded (OPENBLAS_NUM_THREADS=1)
+unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set:
+every BLAS/LAPACK call here is a small stacked SVD, pinv or matmul that
+OpenBLAS would not split, and the pool's idle worker, spinning while the
+process starts, can double the time import numpy takes on a busy host."""
 
 from __future__ import annotations
 
@@ -31,7 +38,13 @@ import os
 import sys
 import time
 
-from cobord2.report import RunConfig, VerificationReport, report_json
+# OpenBLAS reads these once, in this order, when numpy first loads it, so
+# this runs before any module imports numpy; an empty value counts as unset
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from cobord2.report import RunConfig, VerificationReport, report_json  # noqa: E402
 
 # The errors main reports as unreadable input (exit 2), besides OSError,
 # as (module, class name)
@@ -141,8 +154,11 @@ def main(argv=None) -> int:
 
     payload = report_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            _write_report(args.out, payload)
+        except OSError as err:
+            print("error: cannot write %s: %s" % (args.out, err.strerror or err), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     counts = report.counts()
@@ -152,6 +168,19 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     return 0 if report.passed else 1
+
+
+def _write_report(path, payload) -> None:
+    """Write payload to path.  A write that fails once the file is open
+    removes it, if it is a regular file, so no partial report is left."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(payload)
+    except OSError:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def _input_errors() -> tuple:
@@ -165,10 +194,9 @@ def _input_errors() -> tuple:
 def cmd_axioms(args, seed) -> VerificationReport:
     from cobord2 import bisets as bs
     from cobord2 import catalog as cat
-    from cobord2 import cdf
+    from cobord2 import catfile, cdf
 
-    with open(args.catalog, "r", encoding="utf-8") as fh:
-        doc = cdf.parse_catalog(fh.read())
+    doc = catfile.parse_catalog(cdf.read_text(args.catalog))
     depth = args.depth if args.depth is not None else doc.depth
     config = RunConfig(seed=seed, trials=1, depth=depth)
     report = VerificationReport("axioms", config)
@@ -264,8 +292,7 @@ def cmd_functor(args, seed) -> VerificationReport:
     from cobord2.diagram import BoundaryMismatch
     from cobord2.symcat import HamInstance, normalize_mod_equiv
 
-    with open(args.cdf, "r", encoding="utf-8") as fh:
-        doc = cdf.parse_cdf(fh.read())
+    doc = cdf.parse_cdf(cdf.read_text(args.cdf))
     config = RunConfig(seed=seed, trials=1, samples=args.samples)
     report = VerificationReport("functor-%s" % args.mode, config)
     seq = doc.sequence()

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import subprocess
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chart_reference import unflatten_point
-from cobord2 import cdf, cli, report
+from cobord2 import catfile, cli, report
 from cobord2 import cobordism as cb
-from cobord2.cdf import ParseError, parse_catalog, parse_cdf, parse_word
+from cobord2.catfile import parse_catalog
+from cobord2.cdf import ParseError, parse_cdf, parse_word
 from cobord2.cobordism import Move, apply_move, cylinder_seq
 from cobord2.report import RunConfig
 
@@ -210,14 +212,14 @@ def test_cli_axioms_refuses_oversized_tables_before_building(tmp_path, monkeypat
                                                              builder, entries):
     # the builder of the refused line fails the test if called, so
     # nothing of its size is ever allocated
-    monkeypatch.setattr(cdf.bs, builder, lambda *args: pytest.fail("%s called" % builder))
+    monkeypatch.setattr(catfile.bs, builder, lambda *args: pytest.fail("%s called" % builder))
     path = tmp_path / "doc.cat"
     path.write_text("\n".join(["@groups"] + lines) + "\n")
     assert run_cli(["axioms", str(path)]) == (2, "", "error: line %d: z: %d table entries exceed "
                                                      "the cap of %d\n" % (len(lines) + 1, entries,
-                                                                          cdf.TABLE_CAP))
+                                                                          catfile.TABLE_CAP))
     # the cap itself is allowed
-    cdf._capped("z", cdf.TABLE_CAP)
+    catfile._capped("z", catfile.TABLE_CAP)
 
 
 @pytest.mark.parametrize("lines", [
@@ -230,7 +232,7 @@ def test_parse_catalog_checks_a_group_at_the_cap_quickly(lines):
     start = time.perf_counter()
     doc = parse_catalog("\n".join(["@groups"] + lines) + "\n")
     assert time.perf_counter() - start < 1.0
-    assert doc.groups["z"].order ** 2 == cdf.TABLE_CAP
+    assert doc.groups["z"].order ** 2 == catfile.TABLE_CAP
 
 
 def test_cli_axioms_empty_catalog_trivially_passes(tmp_path):
@@ -286,9 +288,22 @@ GENUS_ONE_ANNULUS = (
     "@circles\nc0 +\nc1 +\n@surfaces\nann comp g=1 in=c0 out=c1\n@chain ann\n@steps\n"
 )
 
+# a UTF-16 file (its byte-order mark is ff fe), which is not UTF-8
+NOT_UTF8_CDF = "@manifold solid_torus\n".encode("utf-16")
+NOT_UTF8_CAT = "@depth 2\n".encode("utf-16")
+
 FUNCTOR_INVARIANCE = ("functor", "invariance", "doc.cdf")
 FUNCTOR_EVAL = ("functor", "eval", "doc.cdf")
 AXIOMS = ("axioms", "doc.cat")
+
+
+def write_input(path, text) -> str:
+    """Write an input file's text (str) or raw bytes to path; its name."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    return str(path)
 
 
 def moduli(*options):
@@ -333,6 +348,8 @@ def moduli(*options):
         (FUNCTOR_EVAL, "@manifold closed_surface -1\n", 2),
         (AXIOMS, "@depth 0\n", 2),
         (AXIOMS, "@depth -3\n", 2),
+        (FUNCTOR_EVAL, NOT_UTF8_CDF, 2),
+        (AXIOMS, NOT_UTF8_CAT, 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "component-without-circles",
          "component-genus-not-integer", "component-negative-genus", "steps2-boundary-mismatch",
@@ -344,14 +361,13 @@ def moduli(*options):
          "moduli-grid-negative-genus", "moduli-zero-residual-tolerance",
          "moduli-nan-svd-tolerance", "moduli-zero-samples", "moduli-negative-samples",
          "functor-zero-samples", "solid-torus-extra-label", "closed-surface-without-genus",
-         "closed-surface-negative-genus", "depth-zero", "depth-negative"],
+         "closed-surface-negative-genus", "depth-zero", "depth-negative", "eval-not-utf8",
+         "axioms-not-utf8"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
     argv = list(command)
     if text is not None:
-        path = tmp_path / argv[-1]
-        path.write_text(text)
-        argv[-1] = str(path)
+        argv[-1] = write_input(tmp_path / argv[-1], text)
     # in-process: an exception escaping cli.main fails the test by itself
     got, _, err = run_cli(argv)
     assert got == code
@@ -391,14 +407,14 @@ def test_cli_non_integer_env_seed_exits_2(monkeypatch):
 @pytest.mark.parametrize("command, text", [
     (FUNCTOR_EVAL, "@circles\nc0 +\n@surfaces\ncap comp g=0\n@chain cap\n"),
     (moduli("--trials", "0"), None),
-], ids=["component-without-circles", "moduli-zero-trials"])
+    (FUNCTOR_EVAL, NOT_UTF8_CDF),
+    (AXIOMS, NOT_UTF8_CAT),
+], ids=["component-without-circles", "moduli-zero-trials", "eval-not-utf8", "axioms-not-utf8"])
 def test_cli_module_exits_2_without_traceback(tmp_path, command, text):
     # `python -m cobord2.cli` passes main's exit code, and argparse's, to the shell
     argv = list(command)
     if text is not None:
-        path = tmp_path / argv[-1]
-        path.write_text(text)
-        argv[-1] = str(path)
+        argv[-1] = write_input(tmp_path / argv[-1], text)
     proc = subprocess.run(
         [sys.executable, "-m", "cobord2.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -406,6 +422,49 @@ def test_cli_module_exits_2_without_traceback(tmp_path, command, text):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error: " in proc.stderr
+
+
+@pytest.mark.parametrize("command, text", [(FUNCTOR_EVAL, NOT_UTF8_CDF), (AXIOMS, NOT_UTF8_CAT)],
+                         ids=["eval", "axioms"])
+def test_cli_names_an_input_that_is_not_utf8(tmp_path, command, text):
+    argv = list(command)
+    argv[-1] = write_input(tmp_path / argv[-1], text)
+    assert run_cli(argv) == (2, "", "error: %s is not UTF-8 text\n" % argv[-1])
+
+
+SMALL_MODULI = ["moduli", "--grid", "1,1", "--trials", "2", "--samples", "2"]
+
+
+def test_cli_out_in_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    assert run_cli(SMALL_MODULI + ["--out", str(out)]) == (
+        2, "", "error: cannot write %s: No such file or directory\n" % out)
+    assert not out.parent.exists()
+
+
+def test_cli_out_naming_a_directory_exits_2(tmp_path):
+    assert run_cli(SMALL_MODULI + ["--out", str(tmp_path)]) == (
+        2, "", "error: cannot write %s: Is a directory\n" % tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_out_leaves_no_partial_report(tmp_path, monkeypatch):
+    # a disk that fills after the first bytes: the file is removed
+    def filling_open(path, mode, **kwargs):
+        fh = open(path, mode, **kwargs)
+
+        def write(text):
+            fh.buffer.write(text[:10].encode("utf-8"))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", filling_open, raising=False)
+    out = tmp_path / "x.json"
+    assert run_cli(SMALL_MODULI + ["--out", str(out)]) == (
+        2, "", "error: cannot write %s: No space left on device\n" % out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_move_chain_emptying_the_sequence_is_refused(tmp_path):

@@ -77,3 +77,13 @@ def test_functor_answers_the_cross_check_names(name):
 def test_functor_has_no_other_lazy_names():
     with pytest.raises(AttributeError):
         functor._permute_to_chart
+
+
+def test_functor_eval_loads_neither_numpy_nor_the_oracle(tmp_path):
+    body = (main_body("functor", "eval", str(DATA / "cancel12.cdf"))
+            + "\ncode = [code, 'numpy' in sys.modules]")
+    (code, numpy_loaded), modules = loaded_after(body, tmp_path)
+    assert code == 0
+    assert not numpy_loaded
+    assert "cobord2.bisets" not in modules
+    assert {"cobord2.cdf", "cobord2.functor"} <= modules
