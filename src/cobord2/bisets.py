@@ -17,11 +17,11 @@ built by index arithmetic, and a group or biset compares and hashes by
 its name, its groups and its table bytes.  A product tuple (one carrier
 index per item of a sequence) is its row-major mixed-radix code, so
 codes run in itertools.product order.  Each generator of the middle and
-outer actions is a permutation array over those codes, and a
-correspondence holds a sorted, duplicate-free int64 array of pair codes
-s * |P_tgt| + t.  Orbits are found by label propagation over the
-permutations, probes are carried by indexing through push and pull
-maps.
+outer actions is a permutation array over those codes, and the pairs of
+a correspondence are a sorted, duplicate-free int64 array of pair codes
+s * |P_tgt| + t, though a probe is held and carried as orbit rows
+(below).  Orbits are found by label propagation over the permutations,
+probes are carried by indexing through push and pull maps.
 
 The laws are checked once, where tables enter.  The public FiniteGroup
 and FiniteBiset constructors check every table they are given (by the
@@ -43,35 +43,55 @@ as the biset law checked by FiniteBiset demands, so it permutes the
 middle orbits, and the orbit of a pair (x, x) under all actions is the
 union of c x c over the middle orbits c in the class of x's orbit under
 the outer generators.  The same label propagation, run once over orbit
-labels, classes the orbits, so both orbit probes select from one
-classing of the relation probe's pairs: nothing is sized by the |P|**2
-pair codes.  A collapse holds one stable sort of its codes by orbit,
-the orbit members of a composite and the rows of the relation probe,
-which is one dense block when all orbits have one size.
+labels, classes the orbits.  So every probe is a union of blocks c x c,
+and it is held as orbit rows (_Rows) on both sides: the target side's
+rows are codes o * |P| + t, orbit label by target code, the source
+side's s * count + o, and an orbit probe leaves out the orbits outside
+its class.  A start's rows hold one code per product code and side, and
+nothing is sized by the |P|**2 pair codes.  A collapse holds one stable
+sort of its codes by orbit, the orbit members of a composite and the
+target rows of the relation probe.
+
+A transport moves one side only, so every code of an orbit of the other,
+fixed side keeps one row along a whole chain of transports: the rows are
+carried under the same labels, with the orbit count in place of the
+fixed side's size, and the result keeps the fixed side's collapse.  A
+plain correspondence, given by its pairs, is its own quotient under the
+identity labelling (its pairs are its rows), so every transport takes
+one code path.  Pairs are expanded from rows on first read, which the
+tests, the golden digests and the benchmark's tracer do and a
+criterion-1 pass never does: the 252 transports it computes carry 41,710
+row codes, against 605,832 pair codes.
 
 A LieRInstance carries each distinct probe across each step once.
 Every probe it hands out and every transport result is interned by
-content (source, target and pair codes), so equal correspondences are
-one object, and transport_probe memoizes on (probe, target sequence,
+content (source, target and pairs), so equal correspondences are one
+object, and transport_probe memoizes on (probe, target sequence,
 position, direction, side), keying the probe by identity; it refuses a
 probe whose moving side is not the sequence it leaves.  Identity
 keys are sound because a correspondence is a frozen value whose
-interned pairs are read-only, and the memo holds every key probe alive,
+interned codes are read-only, and the memo holds every key probe alive,
 so no id is reused while its entry stands.  Only a miss interns: a
-criterion-1 pass computes 252 of its 1944 transports.  The instance's
-one collapse memo serves composition and probes alike, so a pass acts
-on and collapses each of its 54 composed pairs once.
+criterion-1 pass computes 252 of its 1944 transports.  A probe keeps its
+rows on both sides, so a probe carried around a loop on either side
+comes back, compared row for row, as the very object probes() handed
+out.  The instance's one collapse memo serves composition and probes
+alike, so a pass acts on and collapses each of its 54 composed pairs
+once.  Sequences are coded by content: the first object of a content is
+its canonical one, pinned and found by identity, and the loop walk in
+catalog holds only canonical sequences, so it can key each sequence's
+neighbors by identity, and a second pass pins nothing.
 
 The bookkeeping around the codes makes no copy it can avoid.
-Interning files a correspondence under its sequences' codes, its
-length and the sum of its pair codes, and array_equal decides within
-the bucket; hashing the pair bytes instead would copy and hash 10.1 MB
-over the 414 interns of a criterion-1 pass.  Codes split by one floor
-division (_divmod), which numpy runs several times faster than
-np.divmod on int64.  A transport whose pair space has at most 8 slots
-per code it produces dedupes and sorts the codes by marking a bool mask
-over that space, which is then no bigger than the codes; only sparse
-codes are sorted.
+Interning files a correspondence under its sequences' codes and its
+pair count, which rows give without expanding; within the bucket, two
+correspondences whose rows collapse one side by one collapse compare
+their rows, any others their pairs.  Codes split by one floor division
+(_divmod), which numpy runs several times faster than np.divmod on
+int64.  A transport whose row space (the fixed side's labels by the
+moving side's codes) has at most 8 slots per code it produces dedupes
+and sorts the codes by marking a bool mask over that space, which is
+then no bigger than the codes; only sparse codes are sorted.
 """
 
 from __future__ import annotations
@@ -588,6 +608,28 @@ class CollapsedSet:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of codes in each orbit."""
+        return np.bincount(self.orbit_of, minlength=self.count)
+
+    @cached_property
+    def relation_rows(self) -> tuple:
+        """(labels, target, source) for orbit_relation_corr: the orbit
+        label of each code in by_orbit order, then the relation's codes
+        with the target moving and with the source moving."""
+        orbit_of, by_orbit = self.orbit_of, self.by_orbit
+        labels = orbit_of[by_orbit]
+        target = labels * len(orbit_of) + by_orbit
+        source = np.arange(len(orbit_of), dtype=np.int64) * self.count + orbit_of
+        return labels, target, source
+
+    @cached_property
+    def orbit_size(self) -> int:
+        """The size of every orbit when all have one size, else 0."""
+        sizes = self.sizes
+        return int(sizes[0]) if self.count and sizes.min() == sizes.max() else 0
+
 
 def _collapse(acts: _Actions) -> CollapsedSet:
     """Orbits of the middle actions."""
@@ -617,18 +659,89 @@ def _orbits(size: int, perms) -> tuple:
 # --- correspondences ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+class _Rows(NamedTuple):
+    """A correspondence with one side, the fixed one, collapsed to orbit
+    labels, for transport along the other, the moving one.  codes is a
+    sorted, duplicate-free int64 array laid out as pair codes are, with
+    the fixed side's code replaced by its orbit label under collapsed:
+    label * width + t when the target moves, s * width + label when the
+    source does, so width is the moving target's size or the label
+    count.  A pair (s, t) lies in the correspondence exactly when its
+    fixed code's label row holds its moving code.  collapsed is None for
+    the identity labelling, under which codes are the pairs."""
+    collapsed: Optional[CollapsedSet]
+    width: int
+    codes: np.ndarray
+
+
 class Correspondence:
     """Invariant subset of (product of src carriers) x (product of tgt
-    carriers); the simple 2-morphisms of this instance.  Compare two
-    with LieRInstance.simple2_equal."""
-    src: tuple  # bisets
-    tgt: tuple
-    pairs: np.ndarray  # sorted distinct int64 codes s * |P_tgt| + t
+    carriers); the simple 2-morphisms of this instance, treated as
+    frozen values.  Compare two with LieRInstance.simple2_equal.
+
+    pairs is the sorted, duplicate-free int64 array of codes
+    s * |P_tgt| + t.  A correspondence is given either by its pairs or
+    by rows, a dict from the moving side ("target" or "source") to the
+    _Rows that side's transport carries; pairs is then expanded from
+    them on first read."""
+
+    def __init__(self, src: tuple, tgt: tuple, pairs: Optional[np.ndarray] = None,
+                 rows: Optional[dict] = None):
+        self.src = src
+        self.tgt = tgt
+        self.rows = rows or {}
+        for held in self.rows.values():
+            held.codes.flags.writeable = False
+        if pairs is not None:
+            self.__dict__["pairs"] = pairs
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        # the target side's rows expand in sorted order, the source side's
+        # need a sort
+        side = "target" if "target" in self.rows else "source"
+        collapsed, width, codes = self.rows[side]
+        orbit_of = collapsed.orbit_of
+        high, low = _divmod(codes, width)
+        if side == "target":
+            counts = np.bincount(high, minlength=collapsed.count)
+            per = counts[orbit_of]
+            moving = low[_ranges((np.cumsum(counts) - counts)[orbit_of], per)]
+            out = np.repeat(np.arange(len(orbit_of)) * width, per) + moving
+        else:
+            sizes = collapsed.sizes
+            firsts = np.cumsum(sizes) - sizes
+            members = collapsed.by_orbit[_ranges(firsts[low], sizes[low])]
+            out = np.sort(np.repeat(high * len(orbit_of), sizes[low]) + members)
+        out.flags.writeable = False
+        return out
 
     def transpose(self) -> "Correspondence":
         s, t = _divmod(self.pairs, _carrier_size(self.tgt))
         return Correspondence(self.tgt, self.src, np.sort(t * _carrier_size(self.src) + s))
+
+
+def _same_pairs(a: Correspondence, b: Correspondence) -> bool:
+    """Whether a and b, on the same sequences, hold the same pairs: by
+    their rows when both collapse one side by one collapse, since the
+    expansion is one to one there, else by their pairs."""
+    for side, rows in a.rows.items():
+        other = b.rows.get(side)
+        if other is not None and other.collapsed is rows.collapsed:
+            return np.array_equal(rows.codes, other.codes)
+    return np.array_equal(a.pairs, b.pairs)
+
+
+def _pair_count(corr: Correspondence) -> int:
+    """len(corr.pairs), from its rows if it has any."""
+    if not corr.rows:
+        return len(corr.pairs)
+    side, (collapsed, width, codes) = next(iter(corr.rows.items()))
+    if collapsed.orbit_size:
+        # each code stands for one pair per code of its fixed-side orbit
+        return collapsed.orbit_size * len(codes)
+    labels = _divmod(codes, width)[0 if side == "target" else 1]
+    return int(collapsed.sizes[labels].sum())
 
 
 def diagonal_corr(seq) -> Correspondence:
@@ -637,24 +750,22 @@ def diagonal_corr(seq) -> Correspondence:
     return Correspondence(seq, seq, np.arange(n, dtype=np.int64) * (n + 1))
 
 
-def orbit_relation_corr(seq, collapsed: CollapsedSet) -> Correspondence:
+def orbit_relation_corr(seq, collapsed: CollapsedSet, keep=None) -> Correspondence:
     """Pairs lying in the same orbit of the intermediate actions, given
     their collapse: the largest 2-morphism acting as a vertical
-    identity."""
-    orbit_of, by_orbit = collapsed.orbit_of, collapsed.by_orbit
-    n = len(orbit_of)
-    counts = np.bincount(orbit_of, minlength=collapsed.count)
-    if n and counts.min() == counts.max():
-        # orbits of one size: row o of the block lists orbit o
-        block = by_orbit.reshape(collapsed.count, -1)[orbit_of]
-        block += (np.arange(n) * n)[:, None]  # in place: one block-sized array
-        pairs = block.ravel()
-    else:
-        firsts = np.cumsum(counts) - counts
-        partners = counts[orbit_of]
-        pairs = np.repeat(np.arange(n), partners) * n + by_orbit[_ranges(firsts[orbit_of], partners)]
+    identity.  keep, a bool per orbit label, leaves out the orbits it
+    does not mark.  The result is held as rows on both sides, each orbit
+    labelled by its orbit id o: the target side's codes are o * |P| + t
+    for t in o, in by_orbit order, and the source side's s * count + o
+    for s in o, in code order."""
+    labels, target, source = collapsed.relation_rows
+    if keep is not None:
+        target, source = target[keep[labels]], source[keep[collapsed.orbit_of]]
     seq = tuple(seq)
-    return Correspondence(seq, seq, pairs)
+    return Correspondence(seq, seq, rows={
+        "target": _Rows(collapsed, len(labels), target),
+        "source": _Rows(collapsed, collapsed.count, source),
+    })
 
 
 def identification_corr(m: FiniteBiset, n: FiniteBiset) -> Correspondence:
@@ -691,6 +802,10 @@ def try_compose_corrs(a: Correspondence, b: Correspondence):
 # --- the instance ----------------------------------------------------------------
 
 
+# the most aliases LieRInstance._entry keeps to find by identity
+_ALIASES = 256
+
+
 class LieRInstance(Instance):
     """Callback bundle for finite bisets; optionally holds a catalog of
     bisets used to enumerate decompositions exhaustively."""
@@ -706,6 +821,7 @@ class LieRInstance(Instance):
         self._interned: dict = {}
         self._codes: dict = {}
         self._codes_by_id: dict = {}
+        self._aliases: dict = {}
         self._sizes: dict = {}
 
     # -- 1-morphisms
@@ -713,16 +829,41 @@ class LieRInstance(Instance):
     def ends1(self, item):
         return (item.left_group, item.right_group)
 
-    def _code(self, obj) -> int:
-        """A small int for the content of obj (a biset, or a tuple of
-        them), the same for equal objects.  After its first call obj is
-        found by identity, and the entry holds obj, so its id stays its
-        own: a memo keyed by codes hashes no biset on a hit."""
+    def _entry(self, obj) -> tuple:
+        """(canonical, code) for the content of obj (a biset, or a tuple
+        of them): canonical is the first object of that content this
+        instance was asked about, and code a small int, the same for
+        equal objects.  Only the canonical object is pinned and found by
+        identity from then on, so the entries grow with the distinct
+        contents, not with the objects asked about, and a memo keyed by
+        codes hashes no biset on a hit.  An equal object that is not the
+        canonical one, an alias, is hashed to find its entry, and found
+        by identity after that while it stays in a cache of at most
+        _ALIASES aliases, emptied when full.  Every entry holds its
+        object, so an id stays its own while its entry stands."""
         entry = self._codes_by_id.get(id(obj))
         if entry is None:
-            entry = (obj, self._codes.setdefault(obj, len(self._codes)))
-            self._codes_by_id[id(obj)] = entry
-        return entry[1]
+            alias = self._aliases.get(id(obj))
+            if alias is not None:
+                return alias[1]
+            entry = self._codes.get(obj)
+            if entry is None:
+                entry = self._codes[obj] = (obj, len(self._codes))
+                self._codes_by_id[id(obj)] = entry
+            else:
+                if len(self._aliases) >= _ALIASES:
+                    self._aliases.clear()
+                self._aliases[id(obj)] = (obj, entry)
+        return entry
+
+    def _code(self, obj) -> int:
+        return (self._codes_by_id.get(id(obj)) or self._entry(obj))[1]
+
+    def canonical(self, obj):
+        """The one object of this instance with obj's content (see
+        _entry); a walk that holds canonical sequences codes them by
+        identity.  obj itself is not kept as an alias."""
+        return (self._codes_by_id.get(id(obj)) or self._codes.get(obj) or self._entry(obj))[0]
 
     def _compose_full(self, a, b):
         key = (self._code(a), self._code(b))
@@ -761,7 +902,7 @@ class LieRInstance(Instance):
     def simple2_equal(self, a, b) -> bool:
         if a is b:
             return True
-        return a.src == b.src and a.tgt == b.tgt and np.array_equal(a.pairs, b.pairs)
+        return a.src == b.src and a.tgt == b.tgt and _same_pairs(a, b)
 
     def is_identity2(self, morph):
         if morph.src != morph.tgt:
@@ -809,31 +950,24 @@ class LieRInstance(Instance):
                                      in zip(("relation", "orbit-first", "orbit-mid"), made)]
         return self._probe_memo[key]
 
-    def _orbit_probe(self, items, start: int) -> Correspondence:
-        """Orbit of the pair (start, start) of product codes under every
-        declared action: a middle action on either code, or an outer one
-        on both at once."""
-        return self._probe_set(tuple(items), (start,))[1]
-
     def _probe_set(self, items, starts) -> list:
         """The relation probe of items, then the orbit probe of each
-        start: the relation's pairs whose source orbit is in the start's
-        class under the outer generators, which commute with the middle
-        ones and so permute their orbits.  Each acts on an orbit label
-        through one code of the orbit, and the pairs are classed once."""
+        start, the orbit of the pair (start, start) of product codes
+        under every declared action: a middle action on either code, or
+        an outer one on both at once.  That is the relation's rows of
+        the orbits in the class of start's orbit under the outer
+        generators, which commute with the middle ones and so permute
+        their orbits.  Each acts on an orbit label through one code of
+        the orbit, so the orbits are classed once, over their labels."""
         acts = self._actions_of(items)
         collapsed = self.collapse(items)
         orbit_of = collapsed.orbit_of
-        relation = orbit_relation_corr(items, collapsed)
         rep = np.empty(collapsed.count, dtype=np.int64)
         rep[orbit_of] = np.arange(acts.size)
         outer = [orbit_of[perm[rep]] for perm in acts.left + acts.right]
-        cls = _orbits(collapsed.count, outer)[0][orbit_of]
-        pairs = relation.pairs
-        pair_cls = cls[pairs // acts.size]
-        # the relation's pairs are sorted, and so is any selection of them
-        return [relation] + [Correspondence(items, items, pairs[pair_cls == cls[start]])
-                             for start in starts]
+        cls = _orbits(collapsed.count, outer)[0]
+        return [orbit_relation_corr(items, collapsed)] + [
+            orbit_relation_corr(items, collapsed, cls == cls[orbit_of[start]]) for start in starts]
 
     def _transport_maps(self, fine, pos) -> tuple:
         """(push, pull) across the composition of fine[pos], fine[pos + 1]:
@@ -861,20 +995,25 @@ class LieRInstance(Instance):
     def _intern(self, corr: Correspondence) -> Correspondence:
         """The one correspondence of this instance with corr's content:
         the first one interned, or corr itself.  Its pairs turn
-        read-only, since every holder now shares them.
+        read-only, since every holder now shares them (rows are read-only
+        from the start), and the one kept takes on the rows of any side
+        it lacked, so content that arrives as pairs and as rows is
+        carried by rows.
 
-        A bucket is keyed by the codes of both sequences, the pair count
-        and the int64 sum of the pairs, a fingerprint that costs one pass
-        over the codes and no copy; array_equal decides equality within
-        it, so two contents with one fingerprint cost a comparison and
-        never merge."""
-        key = (self._code(corr.src), self._code(corr.tgt), len(corr.pairs),
-               int(corr.pairs.sum()))
+        A bucket is keyed by the codes of both sequences and the pair
+        count, which rows give without expanding, and _same_pairs
+        decides equality within it: by rows when both collapse one side
+        by one collapse, else by pairs.  So two contents with one key
+        cost a comparison and never merge."""
+        key = (self._code(corr.src), self._code(corr.tgt), _pair_count(corr))
         bucket = self._interned.setdefault(key, [])
         for known in bucket:
-            if np.array_equal(known.pairs, corr.pairs):
+            if _same_pairs(known, corr):
+                for side, rows in corr.rows.items():
+                    known.rows.setdefault(side, rows)
                 return known
-        corr.pairs.flags.writeable = False
+        if not corr.rows:
+            corr.pairs.flags.writeable = False
         bucket.append(corr)
         return corr
 
@@ -897,25 +1036,37 @@ class LieRInstance(Instance):
                 self._transport(probe, seq_from, seq_to, pos, compose, side))
         return self._transport_memo[key]
 
+    def _rows(self, corr: Correspondence, side: str) -> _Rows:
+        """The rows corr is carried by along side: its own, or its pairs
+        under the identity labelling."""
+        rows = corr.rows.get(side)
+        if rows is None:
+            rows = _Rows(None, self._size(corr.tgt), corr.pairs)
+        return rows
+
     def _transport(self, probe, seq_from, seq_to, pos, compose, side):
-        """The uncached body of transport_probe."""
+        """The uncached body of transport_probe: the probe's rows along
+        side, each moving code pushed or pulled, under the same labels of
+        the fixed side."""
         push, pull = self._transport_maps(seq_from.items if compose else seq_to.items, pos)
-        n_tgt = self._size(probe.tgt)
-        s, t = _divmod(probe.pairs, n_tgt)
+        collapsed, width, codes = self._rows(probe, side)
+        s, t = _divmod(codes, width)
+        n_to = self._size(seq_to.items)
         if side == "target":
-            n_to = self._size(seq_to.items)
             if compose:
                 codes = s * n_to + push[t]
             else:
                 codes = (s * n_to)[:, None] + pull[t]
+            labels = self._size(probe.src) if collapsed is None else collapsed.count
+            space, width = labels * n_to, n_to
             src, tgt = probe.src, seq_to.items
         else:
             if compose:
-                codes = push[s] * n_tgt + t
+                codes = push[s] * width + t
             else:
-                codes = pull[s] * n_tgt + t[:, None]
+                codes = pull[s] * width + t[:, None]
+            space = n_to * width
             src, tgt = seq_to.items, probe.tgt
-        space = self._size(src) * self._size(tgt)
         if space <= 8 * codes.size:
             # a mask over every pair code is no bigger than the codes
             mask = np.zeros(space, dtype=bool)
@@ -927,7 +1078,9 @@ class LieRInstance(Instance):
         else:
             # pulled images are distinct
             codes = np.sort(codes, axis=None)
-        return Correspondence(src, tgt, codes)
+        if collapsed is None:
+            return Correspondence(src, tgt, codes)
+        return Correspondence(src, tgt, rows={side: _Rows(collapsed, width, codes)})
 
     def seq(self, items, source=None) -> SeqMorphism:
         return seq_from_items(self, items, source=source)

@@ -72,7 +72,9 @@ def loop_start_sequences(catalog) -> list:
 
 
 def _neighbors(inst: bs.LieRInstance, items) -> list:
-    """Every sequence one composition or decomposition move from items."""
+    """Every sequence one composition or decomposition move from items,
+    each the instance's canonical tuple of its content, which the
+    instance codes by identity."""
     out = []
     for p in range(len(items) - 1):
         made = inst.try_compose1(items[p], items[p + 1])
@@ -81,7 +83,7 @@ def _neighbors(inst: bs.LieRInstance, items) -> list:
     for p, item in enumerate(items):
         for a, b in inst.enumerate_decompositions(item):
             out.append(items[:p] + (a, b) + items[p + 1:])
-    return out
+    return [inst.canonical(nxt) for nxt in out]
 
 
 def enumerate_loops(inst: bs.LieRInstance, start_items, depth: int):
@@ -91,18 +93,24 @@ def enumerate_loops(inst: bs.LieRInstance, start_items, depth: int):
     The walk keeps its own stack rather than recursing through a nested
     function: a closure that calls itself is a reference cycle, and one
     that also holds inst keeps the instance and all its memos alive
-    until the cyclic collector happens to run."""
-    start = tuple(start_items)
+    until the cyclic collector happens to run.  Every sequence the walk
+    holds is the instance's canonical one, which the instance keeps, so
+    each sequence's neighbors are found once per walk, keyed by its id."""
+    start = inst.canonical(tuple(start_items))
     loops = []
     stack = [(start,)]
+    neighbors: dict = {}
     while stack:
         path = stack.pop()
         cur = path[-1]
-        if len(path) > 1 and cur == start:
+        if len(path) > 1 and cur is start:
             loops.append(path)
         if len(path) <= depth:
-            # reversed, so the first neighbor is walked first
-            stack.extend(path + (nxt,) for nxt in reversed(_neighbors(inst, cur)))
+            after = neighbors.get(id(cur))
+            if after is None:
+                # reversed, so the first neighbor is walked first
+                after = neighbors[id(cur)] = _neighbors(inst, cur)[::-1]
+            stack.extend(path + (nxt,) for nxt in after)
     return loops
 
 

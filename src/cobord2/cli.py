@@ -7,10 +7,11 @@
 Every command writes a deterministic JSON report to stdout (or --out)
 and a human summary with wall time to stderr.  Exit codes: 0 all
 checks pass, 1 at least one failed, 2 unreadable input (a file that is
-not UTF-8 among it), an --out that cannot be written, or an invalid
-option (a count below 1, a depth below 2, which closes no loop, a
-tolerance that is not a finite positive number, a grid point that is
-not g,k with g >= 0 and k >= 1, a COBORD2_SEED that is not an integer).
+not UTF-8 among it), an --out or a stdout that cannot be written (a
+reader that closed the pipe early), or an invalid option (a count below
+1, a depth below 2, which closes no loop, a tolerance that is not a
+finite positive number, a grid point that is not g,k with g >= 0 and
+k >= 1, a COBORD2_SEED that is not an integer).
 COBORD2_SEED overrides the configured seed; an explicit --seed flag
 wins over the environment.
 
@@ -160,7 +161,17 @@ def main(argv=None) -> int:
             print("error: cannot write %s: %s" % (args.out, err.strerror or err), file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; stdout then points at devnull, so the
+            # flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: cannot write the report: stdout is closed", file=sys.stderr)
+            return 2
     counts = report.counts()
     print(
         "%s: %d pass, %d fail, %d unknown in %.2fs"

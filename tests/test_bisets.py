@@ -496,7 +496,7 @@ def test_orbit_probe_and_collapse_match_whole_group_action():
         # product codes run in sorted tuple order
         tuples = sorted(product_tuples(items))
         for code in (0, len(tuples) // 2):
-            got = ref.tuples(inst._orbit_probe(items, code))
+            got = ref.tuples(ref.coded_orbit_probe(inst, items, code))
             assert got == _brute_orbit_probe(items, tuples[code])
         assert _decoded_collapse(items) == _brute_collapse(items)
         checked += 1
@@ -521,13 +521,15 @@ def test_orbits_of_unequal_size_match_tuple_reference():
     ]
     assert [len(probe.pairs) for _, probe in probes] == [6, 4, 1]
     for code, tup in enumerate(tuples):
-        assert ref.tuples(inst._orbit_probe(items, code)) == ref.orbit_probe(items, tup)
+        assert ref.tuples(ref.coded_orbit_probe(inst, items, code)) == ref.orbit_probe(items, tup)
 
 
 def test_probes_of_the_largest_start_stay_small():
     # reg_Q8 + reg_Q8 has 4096 product codes.  The orbit probes class
     # its 512 middle orbits, so nothing the size of its 4096**2 pair codes
-    # (16.7 MB as a byte map) is allocated: the probes peak near 1 MB
+    # (16.7 MB as a byte map) is allocated, and they are held as orbit
+    # rows, 4096 codes a side for the relation's 32768 pairs: the probes
+    # peak near 0.26 MiB (0.84 MiB when they were built as pairs)
     q8 = biregular_biset(Q8)
     inst = LieRInstance()
     seq = inst.seq((q8, q8))
@@ -539,7 +541,8 @@ def test_probes_of_the_largest_start_stay_small():
     finally:
         tracemalloc.stop()
     assert [len(probe.pairs) for _, probe in probes] == [32768, 4096, 4096]
-    assert peak < 4 << 20
+    assert [len(probe.rows["target"].codes) for _, probe in probes] == [4096, 512, 512]
+    assert peak < 1 << 20
 
 
 def test_transport_matches_tuple_reference_around_every_loop():
@@ -600,13 +603,15 @@ def test_transport_probe_refuses_a_probe_that_does_not_leave_seq_from():
     assert len(inst._transport_memo) == 2
 
 
-def _dedup_branch(probe, out, compose, fine, pos) -> tuple:
-    """(direction, branch) of a transport from probe to out, by the rule
-    in LieRInstance._transport: a mask over every pair code when it is
-    no bigger than the codes, else a sort.  A pull hands each code its
-    |G| preimages before the dedup."""
-    n_codes = len(probe.pairs) * (1 if compose else fine[pos].right_group.order)
-    space = bs._carrier_size(out.src) * bs._carrier_size(out.tgt)
+def _dedup_branch(probe, out, compose, fine, pos, side) -> tuple:
+    """(direction, branch) of a transport from probe to out along side,
+    by the rule in LieRInstance._transport: a mask over the rows' code
+    space (the fixed side's orbit labels by the moving side's codes)
+    when it is no bigger than the codes, else a sort.  A pull hands each
+    row code its |G| preimages before the dedup."""
+    rows = probe.rows[side]
+    n_codes = len(rows.codes) * (1 if compose else fine[pos].right_group.order)
+    space = rows.collapsed.count * bs._carrier_size(out.tgt if side == "target" else out.src)
     return ("push" if compose else "pull", "mark" if space <= 8 * n_codes else "sort")
 
 
@@ -641,9 +646,9 @@ def test_transport_dedup_branches_match_tuple_reference():
                         assert ref.tuples(out) == want
                         assert out.pairs.dtype == np.int64
                         assert (np.diff(out.pairs) > 0).all()
-                        branch = _dedup_branch(probe, out, push, fine, pos)
+                        branch = _dedup_branch(probe, out, push, fine, pos, side)
                         seen.add(branch)
-                        if len(out.pairs) < len(probe.pairs):
+                        if len(out.rows[side].codes) < len(probe.rows[side].codes):
                             coinciding.add(branch)
                         probe = out
     assert len(starts) == 56 and len(steps) == 112 and steps.count(1) == 56
@@ -652,9 +657,29 @@ def test_transport_dedup_branches_match_tuple_reference():
     assert coinciding == {("push", "mark"), ("push", "sort")}
 
 
+def test_rows_expand_to_the_pairs_they_stand_for():
+    # rows need not be a probe's: any rows on either side stand for the
+    # pairs whose fixed code's orbit row holds the moving code, and expand
+    # to them sorted, also where one row holds two orbits that interleave
+    inst = LieRInstance()
+    items = (biregular_biset(Z3), biregular_biset(Z3))
+    collapsed = inst.collapse(items)
+    orbit_of, count = collapsed.orbit_of.tolist(), collapsed.count
+    n = len(orbit_of)
+    rng = np.random.default_rng(7)
+    for side, width in (("target", n), ("source", count)):
+        codes = np.flatnonzero(rng.random(count * n) < 0.05)
+        rows = bs._Rows(collapsed, width, codes)
+        held = set(codes.tolist())
+        want = [s * n + t for s in range(n) for t in range(n)
+                if (orbit_of[s] * n + t if side == "target" else s * count + orbit_of[t]) in held]
+        assert bs._pair_count(Correspondence(items, items, rows={side: rows})) == len(want)
+        assert Correspondence(items, items, rows={side: rows}).pairs.tolist() == want
+
+
 def test_intern_keeps_fingerprint_collisions_apart():
-    # {0, 3} and {1, 2} on the same sequence have the same length and the
-    # same code sum, so they share an intern bucket and stay two objects
+    # {0, 3} and {1, 2} on the same sequence have the same pair count,
+    # so they share an intern bucket and stay two objects
     inst = LieRInstance()
     seq = (identity_biset(Z2),)
     first = inst._intern(Correspondence(seq, seq, np.array([0, 3], dtype=np.int64)))
@@ -755,6 +780,29 @@ def test_memo_hits_hash_no_biset(monkeypatch):
     assert 0 < len(hashed) <= sum(len(s.items) for s in copies)
 
 
+def test_a_second_criterion_1_pass_pins_nothing_new():
+    # the walk holds the instance's canonical sequences, and an equal
+    # tuple made again (the fresh start tuples of the second pass) is
+    # found by content without being pinned, so the code entries grow
+    # with the distinct contents only
+    inst = LieRInstance(tuple(catalog.default_biset_catalog()))
+    entries = []
+    for _ in range(2):
+        loops = list(catalog.axiom_loops(inst, catalog.loop_start_sequences(inst.catalog), 4))
+        assert len(loops) == 108 and not any(bad for _, _, bad in loops)
+        entries.append((len(inst._codes), len(inst._codes_by_id)))
+    assert entries[0] == entries[1]
+    assert len(inst._codes) == len(inst._codes_by_id)
+    start = catalog.loop_start_sequences(inst.catalog)[-1]
+    aliases = len(inst._aliases)
+    assert inst.canonical(tuple(list(start))) is inst.canonical(start)
+    assert len(inst._aliases) == aliases
+    # the aliases that codes are found for by identity are bounded too
+    for _ in range(2 * bs._ALIASES):
+        inst._code(tuple(list(start)))
+    assert 0 < len(inst._aliases) <= bs._ALIASES
+
+
 def test_criterion_1_collapses_each_start_pair_once(monkeypatch):
     # composing a start pair and probing it share the instance's collapse
     # memo, so each of the 54 composed pairs is acted on and collapsed once
@@ -839,8 +887,9 @@ def test_criterion_1_pass_computes_each_sequence_size_once(monkeypatch):
 
 def test_criterion_1_pass_traced_memory_stays_bounded():
     # one full criterion-1 pass on a fresh instance, memos included, peaks
-    # at 6.7-6.9 MiB of traced memory; it peaked at 9.6-9.7 MiB when every
-    # transport was computed, so the memo saves more than it holds
+    # at 3.6-3.7 MiB of traced memory with probes carried as orbit rows;
+    # it peaked at 6.5-6.9 MiB when they were carried as pairs, and at
+    # 9.6-9.7 MiB when every transport was computed
     tracemalloc.start()
     try:
         inst = LieRInstance(tuple(catalog.default_biset_catalog()))
@@ -849,4 +898,4 @@ def test_criterion_1_pass_traced_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert len(loops) == 108 and not any(bad for _, _, bad in loops)
-    assert peak < 8 << 20
+    assert peak < 5 << 20

@@ -20,6 +20,7 @@ from cobord2.bisets import (
     cyclic,
     identification_corr,
     identity_biset,
+    orbit_relation_corr,
     pants_biset,
     product_group,
     quaternion8,
@@ -32,12 +33,12 @@ from cobord2.bisets import (
 import tuple_oracle as ref
 
 
-@st.composite
-def _transport_case(draw):
-    """A composable pair of cyclic-group bisets, at most one chaining item
-    on either side of it, and pair codes on that sequence with the pair
-    composed: a probe of it, or an arbitrary small set."""
-    g = cyclic(draw(st.integers(2, 5)))
+def _step(draw, orders):
+    """(instance, fine, coarse, pos): a composable pair of bisets over a
+    cyclic group of an order drawn from orders, at most one chaining
+    item on either side of it, as the fine sequence, and the coarse one
+    with the pair composed at pos."""
+    g = cyclic(draw(orders))
     shapes = [identity_biset(g), biregular_biset(g), pants_biset(g), copants_biset(g),
               identity_biset(product_group(g, g))]
     a, b = draw(st.sampled_from(
@@ -46,13 +47,22 @@ def _transport_case(draw):
     post = draw(st.sampled_from([()] + [(m,) for m in shapes if m.left_group == b.right_group]))
     inst = LieRInstance()
     coarse = inst.seq(pre + (inst.try_compose1(a, b),) + post)
+    return inst, inst.seq(pre + (a, b) + post), coarse, len(pre)
+
+
+@st.composite
+def _transport_case(draw):
+    """A composable pair of cyclic-group bisets, at most one chaining item
+    on either side of it, and pair codes on that sequence with the pair
+    composed: a probe of it, or an arbitrary small set."""
+    inst, fine, coarse, pos = _step(draw, st.integers(2, 5))
     n = math.prod(m.size for m in coarse.items)
     choices = [st.sets(st.integers(0, n * n - 1), max_size=30).map(
         lambda c: np.array(sorted(c), dtype=np.int64))]
     if n <= 150:
         choices.append(st.sampled_from([probe.pairs for _, probe in inst.probes(coarse)]))
     probe = Correspondence(coarse.items, coarse.items, draw(st.one_of(choices)))
-    return inst, inst.seq(pre + (a, b) + post), coarse, len(pre), probe
+    return inst, fine, coarse, pos, probe
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,6 +86,58 @@ def test_push_of_pull_is_identity_and_invariance_matches_tuples(case, side):
     # invariant exactly when the probe is
     assert ref.is_invariant(pulled.src, pulled.tgt, ref.tuples(pulled)) == ref.is_invariant(
         probe.src, probe.tgt, ref.tuples(probe))
+
+
+# the sequences a quotient case carries from hold at most this many
+# product tuples, so the tuple reference transports their relation quickly
+MAX_QUOTIENT = 256
+
+
+@st.composite
+def _quotient_case(draw):
+    """A step as _step draws it over Z2 or Z3, a direction (True: push
+    from the fine sequence, False: pull from the coarse one), and an
+    invariant correspondence on the sequence it leaves, held as rows: the
+    orbit relation kept to the classes of one to three drawn codes'
+    orbits under the outer actions, the union of their orbit probes."""
+    inst, fine, coarse, pos = _step(draw, st.integers(2, 3))
+    compose = draw(st.booleans())
+    here = fine if compose else coarse
+    n = math.prod(m.size for m in here.items)
+    assume(n <= MAX_QUOTIENT)
+    collapsed = inst.collapse(here.items)
+    keep = np.zeros(collapsed.count, dtype=bool)
+    for start in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        probe = ref.coded_orbit_probe(inst, here.items, start)
+        keep[probe.rows["target"].codes // n] = True
+    corr = orbit_relation_corr(here.items, collapsed, keep)
+    return inst, fine, coarse, pos, compose, corr
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_quotient_case(), st.booleans())
+def test_quotient_and_plain_probes_transport_alike(case, plain_first):
+    # rows and the same pairs given plainly take one code path, whose
+    # results match the tuple reference, and equal results intern to one
+    # object, which carries rows whichever came first
+    inst, fine, coarse, pos, compose, corr = case
+    here, there = (fine, coarse) if compose else (coarse, fine)
+    assert ref.is_invariant(corr.src, corr.tgt, ref.tuples(corr))
+    plain = Correspondence(corr.src, corr.tgt, corr.pairs.copy())
+    assert not plain.rows and set(corr.rows) == {"target", "source"}
+    orbit_of, members = ref.compose_orbits(fine.items[pos], fine.items[pos + 1])
+    for side in ("target", "source"):
+        order = (plain, corr) if plain_first else (corr, plain)
+        first, second = (inst.transport_probe(p, here, there, pos, compose, side) for p in order)
+        assert first is second and side in first.rows
+        assert (np.diff(first.pairs) > 0).all()
+        assert ref.tuples(first) == ref.transport(
+            ref.tuples(corr), fine.items, pos, orbit_of, members, compose, side)
+        # a result carried back the other way matches the reference too
+        back = inst.transport_probe(first, there, here, pos, not compose, side)
+        assert ref.tuples(back) == ref.transport(
+            ref.tuples(first), fine.items, pos, orbit_of, members, not compose, side)
+    assert inst._intern(plain) is inst._intern(corr)
 
 
 def _through(m, side, group, hom_name, hom):
@@ -133,7 +195,7 @@ def _probe_case(draw):
 def test_orbit_probe_matches_tuples_and_lies_in_the_relation(case):
     items, start = case
     inst = LieRInstance()
-    probe = inst._orbit_probe(items, start)
+    probe = ref.coded_orbit_probe(inst, items, start)
     assert (np.diff(probe.pairs) > 0).all()
     assert ref.tuples(probe) == ref.orbit_probe(items, ref.decode(items, np.array([start]))[0])
     probes = dict(inst.probes(inst.seq(items)))

@@ -448,6 +448,24 @@ def test_cli_out_naming_a_directory_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_closed_stdout_exits_2_without_traceback():
+    # a reader that is gone before the report is written, as in `cmd |
+    # true`: the write and the flush at exit must not end in a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobord2.cli", "functor", "eval", str(DATA / "cylinder.cdf")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: cannot write the report: stdout is closed\n"
+
+
 def test_cli_out_leaves_no_partial_report(tmp_path, monkeypatch):
     # a disk that fills after the first bytes: the file is removed
     def filling_open(path, mode, **kwargs):

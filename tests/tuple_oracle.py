@@ -147,6 +147,14 @@ def orbit_probe(items, start) -> frozenset:
     return frozenset(closure((start, start), lambda pair: moves(pair, acts, acts)))
 
 
+def coded_orbit_probe(inst, items, start: int):
+    """The coded orbit probe of the product code start on items, as
+    inst (a cobord2.bisets.LieRInstance) builds the probes it hands out:
+    the orbit of (start, start) under every declared action, the coded
+    counterpart of orbit_probe."""
+    return inst._probe_set(tuple(items), (start,))[1]
+
+
 def is_invariant(src, tgt, pairs) -> bool:
     a, b = actions(tuple(src)), actions(tuple(tgt))
     return all(moved in pairs for pair in pairs for moved in moves(pair, a, b))
