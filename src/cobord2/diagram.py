@@ -11,6 +11,18 @@ Every diagram produced by the cobordism evaluation and by the
 identification patches is a stack, and stack form keeps normalization
 and equality decidable by deterministic scans.
 
+Normalization is a rewriting system on staggered stacks, whose rows
+hold one face each.  rewrites(rows, inst) yields every one-step rewrite
+of such a stack: the instance's own (Instance.rewrites), the vertical
+merge of two adjacent faces whose full boundaries meet, and the
+interchange that moves a lower face above an upper one lying strictly
+to its right.  interchange(rows, k) is that swap in either direction.
+normalize_diagram staggers once, then drops identity faces and wire
+rows and takes the first rewrite until none applies; normal_forms_equal
+compares two results structurally.  That decides equality only where
+every order of the rewrites ends in one normal form, which
+tests/rewrite_reference.py checks by exploring all of them.
+
 The concrete content (what the simple morphisms are, when they compose,
 what the identification 2-morphisms are) is supplied by an Instance.
 """
@@ -43,8 +55,8 @@ class Instance:
     and composition moves), identification2 (the functor's gluing
     faces), try_compose2_vertical, simple2_equal and is_identity2
     (normalization), probes and transport_probe (the diagram axiom),
-    and diagram_rewrites (instance-specific multi-row rewrites).  The
-    optional ones default to "no extra structure".
+    and rewrites (instance-specific multi-row rewrites).  The optional
+    ones default to "no extra structure".
     """
 
     def ends1(self, item) -> tuple:
@@ -75,9 +87,11 @@ class Instance:
         """Carry a probe across one composition/decomposition move."""
         raise NotImplementedError
 
-    def diagram_rewrites(self, diagram: "StackDiagram") -> Optional["StackDiagram"]:
-        """Instance-specific multi-row rewrite; None when nothing applies."""
-        return None
+    def rewrites(self, rows):
+        """Every instance-specific one-step rewrite of a clean stack of
+        single-face rows, each a stack of single-face rows that holds
+        fewer faces."""
+        return ()
 
 
 # --- sequences ---------------------------------------------------------------
@@ -196,6 +210,7 @@ def _face_positions(row):
         to += len(cell.tgt_items)
     return out
 
+
 def _stagger(rows):
     """Split multi-face rows so every row holds at most one face,
     emitting the leftmost face first."""
@@ -220,7 +235,7 @@ def _stagger(rows):
             row = tuple(bottom)
             faces = _face_positions(row)
         out.append(row)
-    return out
+    return tuple(out)
 
 
 def _clean(rows, inst):
@@ -238,87 +253,83 @@ def _clean(rows, inst):
         if all(isinstance(c, Wire) for c in cells):
             continue
         out.append(tuple(cells))
-    return out
+    return tuple(out)
 
 
-def _try_merge(r1, r2, inst):
-    """Merge two single-face rows when the upper face's full target is
-    exactly the lower face's full source, at the same columns."""
-    (k1, s1, t1), = _face_positions(r1)
-    (k2, s2, _), = _face_positions(r2)
-    a, b = r1[k1], r2[k2]
-    if t1 != s2 or a.tgt_items != b.src_items:
+def _pair(rows, k):
+    """(upper face, its source offset, lower face, its source offset)
+    of the single-face rows k and k + 1."""
+    (k1, s1, _), = _face_positions(rows[k])
+    (k2, s2, _), = _face_positions(rows[k + 1])
+    return rows[k][k1], s1, rows[k + 1][k2], s2
+
+
+def _try_merge(rows, k, inst):
+    """The faces of rows k and k + 1 merged into one row, when the upper
+    face's full target is exactly the lower face's full source, at the
+    same columns; None otherwise."""
+    a, s1, b, s2 = _pair(rows, k)
+    if s1 != s2 or a.tgt_items != b.src_items:
         return None
     merged = inst.try_compose2_vertical(a.morph, b.morph)
     if merged is None:
         return None
-    cells = list(r1[:k1])
-    cells.append(Face(merged, a.src_items, b.tgt_items))
-    cells.extend(r1[k1 + 1:])
-    return tuple(cells)
+    return face_row(_row_source(rows[k]), s1, Face(merged, a.src_items, b.tgt_items))
+
+
+def interchange(rows, k):
+    """Swap the faces of the single-face rows k and k + 1 when they
+    touch disjoint columns of the items between them, in whichever
+    direction that is; None when they overlap."""
+    a, s1, b, s2 = _pair(rows, k)
+    source = _row_source(rows[k])
+    if s2 + len(b.src_items) <= s1:  # lower face left of the upper one
+        top = face_row(source, s2, b)
+        bottom = face_row(_row_target(top), s1 + len(b.tgt_items) - len(b.src_items), a)
+    elif s2 >= s1 + len(a.tgt_items):  # lower face right of the upper one
+        top = face_row(source, s2 - len(a.tgt_items) + len(a.src_items), b)
+        bottom = face_row(_row_target(top), s1, a)
+    else:
+        return None
+    return rows[:k] + (top, bottom) + rows[k + 2:]
+
+
+def rewrites(rows, inst: Instance):
+    """Every one-step rewrite of a clean stack of single-face rows, in
+    the normalizer's order: the instance's rewrites, a vertical merge
+    at row k, then moving a strictly-left lower face above at row k."""
+    yield from inst.rewrites(rows)
+    for k in range(len(rows) - 1):
+        merged = _try_merge(rows, k, inst)
+        if merged is not None:
+            yield rows[:k] + (merged,) + rows[k + 2:]
+    for k in range(len(rows) - 1):
+        _, s1, b, s2 = _pair(rows, k)
+        if s2 + len(b.src_items) <= s1:
+            yield interchange(rows, k)
 
 
 def normalize_diagram(d: StackDiagram, inst: Instance) -> StackDiagram:
-    """Deterministic normal form: stagger, drop identities and wire
-    rows, merge vertically adjacent faces with matching full boundary,
-    and reorder interchange-independent faces leftmost-first.  Each
-    merge strictly reduces the face count, so the scan terminates."""
-    rows = _stagger(list(d.rows))
+    """Deterministic normal form: stagger, then drop identities and
+    wire rows and take the first of rewrites until none is left.  Each
+    instance rewrite and each merge strictly reduces the face count, and
+    each interchange decreases the face-offset sequence
+    lexicographically, so the loop terminates."""
+    rows = _stagger(d.rows)
     while True:
         rows = _clean(rows, inst)
-        hook = inst.diagram_rewrites(StackDiagram(d.source, tuple(rows)))
-        if hook is not None:
-            rows = _stagger(list(hook.rows))
-            continue
-        merged_any = False
-        for k in range(len(rows) - 1):
-            m = _try_merge(rows[k], rows[k + 1], inst)
-            if m is not None:
-                rows = rows[:k] + [m] + rows[k + 2:]
-                merged_any = True
-                break
-        if merged_any:
-            continue
-        swapped = _interchange_pass(rows)
-        if swapped is not None:
-            rows = swapped
-            continue
-        break
-    return StackDiagram(d.source, tuple(rows))
-
-
-def _interchange_pass(rows):
-    """One adjacent swap moving a strictly-left lower face above; the
-    face-offset sequence decreases lexicographically, so repeated
-    passes terminate."""
-    for k in range(len(rows) - 1):
-        r1, r2 = rows[k], rows[k + 1]
-        (k1, s1, t1), = _face_positions(r1)
-        (k2, s2, _), = _face_positions(r2)
-        a, b = r1[k1], r2[k2]
-        if s2 + len(b.src_items) <= s1:
-            lead = list(r1[:k1])  # wires, one item each
-            new_r1 = (
-                tuple(lead[:s2])
-                + (b,)
-                + tuple(lead[s2 + len(b.src_items):])
-                + tuple(Wire(i) for i in a.src_items)
-                + tuple(r1[k1 + 1:])
-            )
-            offset = len(b.tgt_items) - len(b.src_items)
-            mid = _row_target(new_r1)
-            new_r2 = (
-                tuple(Wire(i) for i in mid[: s1 + offset])
-                + (a,)
-                + tuple(Wire(i) for i in mid[s1 + offset + len(a.src_items):])
-            )
-            return rows[:k] + [new_r1, new_r2] + rows[k + 2:]
-    return None
+        step = next(rewrites(rows, inst), None)
+        if step is None:
+            return StackDiagram(d.source, rows)
+        rows = step
 
 
 def normal_forms_equal(n1: StackDiagram, n2: StackDiagram, inst: Instance) -> bool:
-    """Structural equality of two diagrams already in normal form."""
-    if n1.source.items != n2.source.items or len(n1.rows) != len(n2.rows):
+    """Structural equality of two diagrams already in normal form;
+    BoundaryMismatch when their boundaries differ."""
+    if n1.source.items != n2.source.items or n1.target.items != n2.target.items:
+        raise BoundaryMismatch("2-morphisms have different boundary sequences")
+    if len(n1.rows) != len(n2.rows):
         return False
     for r1, r2 in zip(n1.rows, n2.rows):
         if len(r1) != len(r2):

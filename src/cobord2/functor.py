@@ -35,6 +35,7 @@ from cobord2.diagram import (
     Wire,
     _row_target,
     face_row,
+    normal_forms_equal,
     seq_from_items,
     wire_row,
 )
@@ -44,7 +45,6 @@ from cobord2.symcat import (
     GroupSymbol,
     HamInstance,
     SpaceSymbol,
-    equal_normal_forms,
     moduli_symbol,
     normalize_mod_equiv,
 )
@@ -229,7 +229,7 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
         records.append(("move-chain", True, "%d moves verified" % len(moves)))
     n1 = normalize_mod_equiv(eval2(y1, inst), inst)
     n2 = normalize_mod_equiv(eval2(y2, inst), inst)
-    same = equal_normal_forms(n1, n2, inst)
+    same = normal_forms_equal(n1, n2, inst)
     records.append(("normal-forms-equal", same, ""))
     if same:
         checked = 0

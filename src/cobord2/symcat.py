@@ -25,12 +25,12 @@ from typing import Optional
 
 from cobord2.cobordism import glue_components
 from cobord2.diagram import (
-    BoundaryMismatch,
     Face,
     Instance,
     SeqMorphism,
     StackDiagram,
     Wire,
+    _face_positions,
     normal_forms_equal,
     normalize_diagram,
 )
@@ -286,21 +286,11 @@ class HamInstance(Instance):
             return None
         return None
 
-    def diagram_rewrites(self, diagram: StackDiagram):
-        rows = diagram.rows
+    def rewrites(self, rows):
+        """Each 3-ball cancellation, at every row."""
         for i in range(len(rows) - 2):
-            hit = _match_ball_pattern(rows[i], rows[i + 1], rows[i + 2])
-            if hit is not None:
-                new_rows = rows[:i] + rows[i + 3:]
-                return StackDiagram(diagram.source, new_rows)
-        return None
-
-
-def _face_at(row):
-    for k, cell in enumerate(row):
-        if isinstance(cell, Face):
-            return k, cell
-    return None
+            if _match_ball_pattern(rows[i], rows[i + 1], rows[i + 2]):
+                yield rows[:i] + rows[i + 3:]
 
 
 def _is_disc(sym: SpaceSymbol) -> bool:
@@ -333,14 +323,8 @@ def _transpose_row(row):
 
 
 def _match_ball_pattern_down(r1, r2, r3):
-    f1 = _face_at(r1)
-    f2 = _face_at(r2)
-    f3 = _face_at(r3)
-    if f1 is None or f2 is None or f3 is None:
-        return None
-    k1, z = f1
-    k2, h = f2
-    k3, ident = f3
+    ((k1, _, _),), ((k2, _, _),), ((k3, _, _),) = map(_face_positions, (r1, r2, r3))
+    z, h, ident = r1[k1], r2[k2], r3[k3]
     if z.morph.kind != "zero_section" or z.morph.transposed or z.src_items:
         return None
     if len(z.tgt_items) != 2 or not all(_is_disc(s) for s in z.tgt_items):
@@ -405,13 +389,4 @@ def normalize_mod_equiv(d: StackDiagram, inst: Optional[HamInstance] = None) -> 
 
 def equal_2morphisms(d1: StackDiagram, d2: StackDiagram, inst: Optional[HamInstance] = None) -> bool:
     inst = inst or HamInstance()
-    return equal_normal_forms(normalize_mod_equiv(d1, inst), normalize_mod_equiv(d2, inst), inst)
-
-
-def equal_normal_forms(n1: StackDiagram, n2: StackDiagram, inst: HamInstance) -> bool:
-    """Equality of two normal forms modulo the flags, as returned by
-    normalize_mod_equiv; BoundaryMismatch when their boundaries differ."""
-    if n1.source.items != n2.source.items or n1.target.items != n2.target.items:
-        raise BoundaryMismatch("2-morphisms have different boundary sequences")
-    return normal_forms_equal(n1, n2, inst)
-
+    return normal_forms_equal(normalize_mod_equiv(d1, inst), normalize_mod_equiv(d2, inst), inst)
