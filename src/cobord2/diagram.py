@@ -15,8 +15,9 @@ Normalization is a rewriting system on staggered stacks, whose rows
 hold one face each.  rewrites(rows, inst) yields every one-step rewrite
 of such a stack: the instance's own (Instance.rewrites), the vertical
 merge of two adjacent faces whose full boundaries meet, and the
-interchange that moves a lower face above an upper one lying strictly
-to its right.  interchange(rows, k) is that swap in either direction.
+interchange that moves a lower face above an upper one whose target
+lies to its right.  interchange(rows, k) is that swap in either
+direction.
 normalize_diagram staggers once, then drops identity faces and wire
 rows and takes the first rewrite until none applies; normal_forms_equal
 compares two results structurally.  That decides equality only where
@@ -277,36 +278,46 @@ def _try_merge(rows, k, inst):
     return face_row(_row_source(rows[k]), s1, Face(merged, a.src_items, b.tgt_items))
 
 
+def _raise_left_face(rows, k):
+    """The lower face of rows k and k + 1 moved above the upper one,
+    when it lies left of the upper face's target; None otherwise."""
+    a, s1, b, s2 = _pair(rows, k)
+    if s2 + len(b.src_items) > s1:
+        return None
+    top = face_row(_row_source(rows[k]), s2, b)
+    bottom = face_row(_row_target(top), s1 + len(b.tgt_items) - len(b.src_items), a)
+    return rows[:k] + (top, bottom) + rows[k + 2:]
+
+
 def interchange(rows, k):
     """Swap the faces of the single-face rows k and k + 1 when they
     touch disjoint columns of the items between them, in whichever
-    direction that is; None when they overlap."""
+    direction that is; None when they overlap.  A face with no target
+    over a face with no source at the same column lies both ways: this
+    places the lower face right of the upper face's source, and the
+    rewrite that rewrites yields places it left."""
     a, s1, b, s2 = _pair(rows, k)
-    source = _row_source(rows[k])
-    if s2 + len(b.src_items) <= s1:  # lower face left of the upper one
-        top = face_row(source, s2, b)
-        bottom = face_row(_row_target(top), s1 + len(b.tgt_items) - len(b.src_items), a)
-    elif s2 >= s1 + len(a.tgt_items):  # lower face right of the upper one
-        top = face_row(source, s2 - len(a.tgt_items) + len(a.src_items), b)
-        bottom = face_row(_row_target(top), s1, a)
-    else:
-        return None
+    if s2 < s1 + len(a.tgt_items):
+        return _raise_left_face(rows, k)
+    top = face_row(_row_source(rows[k]), s2 - len(a.tgt_items) + len(a.src_items), b)
+    bottom = face_row(_row_target(top), s1, a)
     return rows[:k] + (top, bottom) + rows[k + 2:]
 
 
 def rewrites(rows, inst: Instance):
     """Every one-step rewrite of a clean stack of single-face rows, in
     the normalizer's order: the instance's rewrites, a vertical merge
-    at row k, then moving a strictly-left lower face above at row k."""
+    at row k, then moving a lower face above at row k when it lies left
+    of the upper face's target."""
     yield from inst.rewrites(rows)
     for k in range(len(rows) - 1):
         merged = _try_merge(rows, k, inst)
         if merged is not None:
             yield rows[:k] + (merged,) + rows[k + 2:]
     for k in range(len(rows) - 1):
-        _, s1, b, s2 = _pair(rows, k)
-        if s2 + len(b.src_items) <= s1:
-            yield interchange(rows, k)
+        raised = _raise_left_face(rows, k)
+        if raised is not None:
+            yield raised
 
 
 def normalize_diagram(d: StackDiagram, inst: Instance) -> StackDiagram:

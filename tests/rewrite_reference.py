@@ -4,8 +4,10 @@ normalizer's own rewrites, explored breadth first.
 normalize_diagram takes the first rewrite that diagram.rewrites yields
 until none is left.  This reference follows every rewrite it yields and
 diagram.interchange at every row, in both directions, so it reaches each
-stack that some order of the same rules reaches.  It re-codes no rule:
-each step is one of the engine's own.  Its terminal states are the
+stack that some order of the same rules reaches.  Where a face with no
+target lies over a face with no source at the same column, the swap has
+two placements: rewrites yields one and interchange the other.  It
+re-codes no rule: each step is one of the engine's own.  Its terminal states are the
 reached stacks that rewrites cannot rewrite any further, and
 normalize_diagram's result is always one of them.
 """
@@ -23,9 +25,9 @@ class StateCapExceeded(RuntimeError):
     pass
 
 
-def terminal_states(d: dg.StackDiagram, inst, cap: int = STATE_CAP) -> set:
+def terminal_states(d: dg.StackDiagram, inst) -> set:
     """The normal forms that some order of rewrites reaches from d, as
-    StackDiagrams; StateCapExceeded once more than cap stacks are
+    StackDiagrams; StateCapExceeded once more than STATE_CAP stacks are
     reached, so the set is never silently cut short."""
     start = dg._clean(dg._stagger(d.rows), inst)
     seen = {start}
@@ -44,7 +46,7 @@ def terminal_states(d: dg.StackDiagram, inst, cap: int = STATE_CAP) -> set:
             if step in seen:
                 continue
             seen.add(step)
-            if len(seen) > cap:
-                raise StateCapExceeded("more than %d stacks reached" % cap)
+            if len(seen) > STATE_CAP:
+                raise StateCapExceeded("more than %d stacks reached" % STATE_CAP)
             queue.append(step)
     return terminals

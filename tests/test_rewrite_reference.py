@@ -24,6 +24,7 @@ import pytest
 from cobord2 import catalog as cat
 from cobord2 import cli
 from cobord2 import cobordism as cb
+from cobord2 import diagram as dg
 from cobord2 import functor as fn
 from cobord2.cdf import parse_cdf
 from cobord2.cobordism import Move
@@ -89,6 +90,19 @@ def test_normal_forms_are_reference_terminals_that_meet_as_they_compare(case):
     assert bool(t1 & t2) == normal_forms_equal(n1, n2, HamInstance())
     if case in (("cdf", "negative_control.cdf"), ("negative-control", None)):
         assert not t1 & t2
+
+
+def test_a_3_handle_over_a_0_handle_swaps_to_both_placements():
+    """Both faces touch no items between them, so the 0-handle's discs
+    can rise left or right of the 3-handle's; the reference follows
+    rewrites and interchange, which must give one each."""
+    inst = HamInstance()
+    three = cb.reverse_step(cb.zero_handle_step((), 0, "a"))
+    zero = cb.zero_handle_step((), 0, "b")
+    rows = dg._clean(dg._stagger(fn.eval2((three, zero), inst).rows), inst)
+    assert [len(dg._face_positions(row)) for row in rows] == [1, 1]
+    steps = {dg.interchange(rows, 0), *dg.rewrites(rows, inst)}
+    assert {dg._face_positions(top)[0][1] for top, _ in steps} == {0, 2}
 
 
 IMBRICATE_CHAIN = ("imbricate", [Move("cyl_create", 0), Move("create12", 0, (0, 0)),
