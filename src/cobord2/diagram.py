@@ -11,18 +11,21 @@ Every diagram produced by the cobordism evaluation and by the
 identification patches is a stack, and stack form keeps normalization
 and equality decidable by deterministic scans.
 
-Normalization is a rewriting system on staggered stacks, whose rows
-hold one face each.  rewrites(rows, inst) yields every one-step rewrite
-of such a stack: the instance's own (Instance.rewrites), the vertical
-merge of two adjacent faces whose full boundaries meet, and the
-interchange that moves a lower face above an upper one whose target
-lies to its right.  interchange(rows, k) is that swap in either
-direction.
-normalize_diagram staggers once, then drops identity faces and wire
-rows and takes the first rewrite until none applies; normal_forms_equal
-compares two results structurally.  That decides equality only where
-every order of the rewrites ends in one normal form, which
-tests/rewrite_reference.py checks by exploring all of them.
+Normalization is a rewriting system on the placed faces of a stack: the
+word of its faces, top to bottom, each with the offset where its source
+starts in the items the faces above it leave (placed_faces).
+Interchange is a partial commutation of that word.  rewrites(faces,
+inst) yields every one-step rewrite: the instance's own
+(Instance.rewrites), the interchange that moves a lower face above an
+upper one whose target lies to its left, and the vertical merge of two
+adjacent faces whose full boundaries meet, in that order.
+interchange(faces, k) is the other direction, raising a lower face
+that lies left.  normalize_diagram drops identity faces and takes the
+first rewrite until none applies, then builds one row per face
+(stack_rows); normal_forms_equal compares two results face by face.
+That decides equality only where every order of the rewrites ends in
+one normal form, which tests/rewrite_reference.py checks by exploring
+all of them.
 
 The concrete content (what the simple morphisms are, when they compose,
 what the identification 2-morphisms are) is supplied by an Instance.
@@ -88,10 +91,11 @@ class Instance:
         """Carry a probe across one composition/decomposition move."""
         raise NotImplementedError
 
-    def rewrites(self, rows):
-        """Every instance-specific one-step rewrite of a clean stack of
-        single-face rows, each a stack of single-face rows that holds
-        fewer faces."""
+    def rewrites(self, faces):
+        """Every instance-specific one-step rewrite of a clean tuple of
+        placed (offset, Face) pairs, each a tuple of placed faces that
+        holds fewer faces.  rewrites yields these before any
+        interchange or merge."""
         return ()
 
 
@@ -200,139 +204,105 @@ def face_row(items, pos: int, face: Face) -> tuple:
 # --- normalization -----------------------------------------------------------
 
 
-def _face_positions(row):
-    """(cell index, source offset, target offset) of each Face in a row."""
-    out = []
-    so = to = 0
-    for k, cell in enumerate(row):
-        if isinstance(cell, Face):
-            out.append((k, so, to))
-        so += len(cell.src_items)
-        to += len(cell.tgt_items)
-    return out
-
-
-def _stagger(rows):
-    """Split multi-face rows so every row holds at most one face,
-    emitting the leftmost face first."""
+def placed_faces(rows) -> tuple:
+    """The faces of a stack as (offset, face) pairs, top to bottom and
+    each row left to right; the offset is where the face's source starts
+    in the items the faces before it leave."""
     out = []
     for row in rows:
-        faces = _face_positions(row)
-        while len(faces) > 1:
-            k = faces[0][0]
-            top = []
-            bottom = []
-            for j, cell in enumerate(row):
-                if j < k:
-                    top.append(cell)
-                    bottom.append(Wire(cell.tgt_items[0]) if isinstance(cell, Wire) else cell)
-                elif j == k:
-                    top.append(cell)
-                    bottom.extend(Wire(i) for i in cell.tgt_items)
-                else:
-                    top.extend(Wire(i) for i in cell.src_items)
-                    bottom.append(cell)
-            out.append(tuple(top))
-            row = tuple(bottom)
-            faces = _face_positions(row)
-        out.append(row)
-    return tuple(out)
-
-
-def _clean(rows, inst):
-    """Drop identity faces and all-wire rows."""
-    out = []
-    for row in rows:
-        cells = []
+        offset = 0
         for cell in row:
-            if isinstance(cell, Face) and inst.is_identity2(cell.morph):
-                if cell.src_items != cell.tgt_items:
-                    raise BoundaryMismatch("identity face with unequal boundaries")
-                cells.extend(Wire(i) for i in cell.src_items)
-            else:
-                cells.append(cell)
-        if all(isinstance(c, Wire) for c in cells):
-            continue
-        out.append(tuple(cells))
+            if isinstance(cell, Face):
+                out.append((offset, cell))
+            offset += len(cell.tgt_items)
     return tuple(out)
 
 
-def _pair(rows, k):
-    """(upper face, its source offset, lower face, its source offset)
-    of the single-face rows k and k + 1."""
-    (k1, s1, _), = _face_positions(rows[k])
-    (k2, s2, _), = _face_positions(rows[k + 1])
-    return rows[k][k1], s1, rows[k + 1][k2], s2
+def stack_rows(items, faces) -> tuple:
+    """The rows of placed faces over items, one face per row."""
+    rows = []
+    for offset, face in faces:
+        rows.append(face_row(items, offset, face))
+        items = _row_target(rows[-1])
+    return tuple(rows)
 
 
-def _try_merge(rows, k, inst):
-    """The faces of rows k and k + 1 merged into one row, when the upper
-    face's full target is exactly the lower face's full source, at the
-    same columns; None otherwise."""
-    a, s1, b, s2 = _pair(rows, k)
+def _clean(faces, inst):
+    """Drop identity faces."""
+    out = []
+    for offset, face in faces:
+        if not inst.is_identity2(face.morph):
+            out.append((offset, face))
+        elif face.src_items != face.tgt_items:
+            raise BoundaryMismatch("identity face with unequal boundaries")
+    return tuple(out)
+
+
+def _try_merge(faces, k, inst):
+    """Faces k and k + 1 merged into one, when the upper face's full
+    target is exactly the lower face's full source, at the same offset;
+    None otherwise."""
+    (s1, a), (s2, b) = faces[k:k + 2]
     if s1 != s2 or a.tgt_items != b.src_items:
         return None
     merged = inst.try_compose2_vertical(a.morph, b.morph)
     if merged is None:
         return None
-    return face_row(_row_source(rows[k]), s1, Face(merged, a.src_items, b.tgt_items))
+    return faces[:k] + ((s1, Face(merged, a.src_items, b.tgt_items)),) + faces[k + 2:]
 
 
-def _raise_left_face(rows, k):
-    """The lower face of rows k and k + 1 moved above the upper one,
-    when it lies left of the upper face's target; None otherwise."""
-    a, s1, b, s2 = _pair(rows, k)
+def _raise_right_face(faces, k):
+    """Face k + 1 moved above face k, when it lies right of face k's
+    target; None otherwise."""
+    (s1, a), (s2, b) = faces[k:k + 2]
+    if s2 < s1 + len(a.tgt_items):
+        return None
+    moved = ((s2 - len(a.tgt_items) + len(a.src_items), b), (s1, a))
+    return faces[:k] + moved + faces[k + 2:]
+
+
+def interchange(faces, k):
+    """Face k + 1 moved above face k, when it lies left of face k's
+    target; None otherwise.  This is the direction rewrites does not
+    take.  A face with no target over a face with no source at the same
+    offset lies both ways: here the lower face rises left of the upper
+    face's source, and rewrites raises it right."""
+    (s1, a), (s2, b) = faces[k:k + 2]
     if s2 + len(b.src_items) > s1:
         return None
-    top = face_row(_row_source(rows[k]), s2, b)
-    bottom = face_row(_row_target(top), s1 + len(b.tgt_items) - len(b.src_items), a)
-    return rows[:k] + (top, bottom) + rows[k + 2:]
+    moved = ((s2, b), (s1 + len(b.tgt_items) - len(b.src_items), a))
+    return faces[:k] + moved + faces[k + 2:]
 
 
-def interchange(rows, k):
-    """Swap the faces of the single-face rows k and k + 1 when they
-    touch disjoint columns of the items between them, in whichever
-    direction that is; None when they overlap.  A face with no target
-    over a face with no source at the same column lies both ways: this
-    places the lower face right of the upper face's source, and the
-    rewrite that rewrites yields places it left."""
-    a, s1, b, s2 = _pair(rows, k)
-    if s2 < s1 + len(a.tgt_items):
-        return _raise_left_face(rows, k)
-    top = face_row(_row_source(rows[k]), s2 - len(a.tgt_items) + len(a.src_items), b)
-    bottom = face_row(_row_target(top), s1, a)
-    return rows[:k] + (top, bottom) + rows[k + 2:]
-
-
-def rewrites(rows, inst: Instance):
-    """Every one-step rewrite of a clean stack of single-face rows, in
-    the normalizer's order: the instance's rewrites, a vertical merge
-    at row k, then moving a lower face above at row k when it lies left
-    of the upper face's target."""
-    yield from inst.rewrites(rows)
-    for k in range(len(rows) - 1):
-        merged = _try_merge(rows, k, inst)
-        if merged is not None:
-            yield rows[:k] + (merged,) + rows[k + 2:]
-    for k in range(len(rows) - 1):
-        raised = _raise_left_face(rows, k)
+def rewrites(faces, inst: Instance):
+    """Every one-step rewrite of a clean tuple of placed faces, in the
+    normalizer's order: the instance's rewrites, moving face k + 1 above
+    face k when it lies right of face k's target, then a vertical merge
+    of faces k and k + 1."""
+    yield from inst.rewrites(faces)
+    for k in range(len(faces) - 1):
+        raised = _raise_right_face(faces, k)
         if raised is not None:
             yield raised
+    for k in range(len(faces) - 1):
+        merged = _try_merge(faces, k, inst)
+        if merged is not None:
+            yield merged
 
 
 def normalize_diagram(d: StackDiagram, inst: Instance) -> StackDiagram:
-    """Deterministic normal form: stagger, then drop identities and
-    wire rows and take the first of rewrites until none is left.  Each
-    instance rewrite and each merge strictly reduces the face count, and
-    each interchange decreases the face-offset sequence
-    lexicographically, so the loop terminates."""
-    rows = _stagger(d.rows)
+    """Deterministic normal form: place the faces, then drop identities
+    and take the first of rewrites until none is left.  Each instance
+    rewrite and each merge strictly reduces the face count, and each
+    interchange lifts a face above one that lies left of it, so swaps
+    each pair of faces at most once; the loop terminates."""
+    faces = placed_faces(d.rows)
     while True:
-        rows = _clean(rows, inst)
-        step = next(rewrites(rows, inst), None)
+        faces = _clean(faces, inst)
+        step = next(rewrites(faces, inst), None)
         if step is None:
-            return StackDiagram(d.source, rows)
-        rows = step
+            return StackDiagram(d.source, stack_rows(d.source.items, faces))
+        faces = step
 
 
 def normal_forms_equal(n1: StackDiagram, n2: StackDiagram, inst: Instance) -> bool:
@@ -340,23 +310,14 @@ def normal_forms_equal(n1: StackDiagram, n2: StackDiagram, inst: Instance) -> bo
     BoundaryMismatch when their boundaries differ."""
     if n1.source.items != n2.source.items or n1.target.items != n2.target.items:
         raise BoundaryMismatch("2-morphisms have different boundary sequences")
-    if len(n1.rows) != len(n2.rows):
-        return False
-    for r1, r2 in zip(n1.rows, n2.rows):
-        if len(r1) != len(r2):
-            return False
-        for c1, c2 in zip(r1, r2):
-            if isinstance(c1, Wire) != isinstance(c2, Wire):
-                return False
-            if isinstance(c1, Wire):
-                if c1.item != c2.item:
-                    return False
-            else:
-                if c1.src_items != c2.src_items or c1.tgt_items != c2.tgt_items:
-                    return False
-                if not inst.simple2_equal(c1.morph, c2.morph):
-                    return False
-    return True
+    f1, f2 = placed_faces(n1.rows), placed_faces(n2.rows)
+    return len(f1) == len(f2) and all(
+        s1 == s2
+        and a.src_items == b.src_items
+        and a.tgt_items == b.tgt_items
+        and inst.simple2_equal(a.morph, b.morph)
+        for (s1, a), (s2, b) in zip(f1, f2)
+    )
 
 
 # --- composition moves on sequences ------------------------------------------

@@ -30,7 +30,6 @@ from cobord2.diagram import (
     SeqMorphism,
     StackDiagram,
     Wire,
-    _face_positions,
     normal_forms_equal,
     normalize_diagram,
 )
@@ -286,11 +285,11 @@ class HamInstance(Instance):
             return None
         return None
 
-    def rewrites(self, rows):
-        """Each 3-ball cancellation, at every row."""
-        for i in range(len(rows) - 2):
-            if _match_ball_pattern(rows[i], rows[i + 1], rows[i + 2]):
-                yield rows[:i] + rows[i + 3:]
+    def rewrites(self, faces):
+        """Each 3-ball cancellation, at every face."""
+        for i in range(len(faces) - 2):
+            if _match_ball_pattern(*faces[i:i + 3]):
+                yield faces[:i] + faces[i + 3:]
 
 
 def _is_disc(sym: SpaceSymbol) -> bool:
@@ -302,29 +301,22 @@ def _is_disc(sym: SpaceSymbol) -> bool:
     )
 
 
-def _match_ball_pattern(r1, r2, r3):
+def _match_ball_pattern(p1, p2, p3):
     """The 3-ball cancellation: a zero-section creating two discs, a
     transposed compression joining the second disc onto a neighbor, and
     the identification gluing the first disc back in compose to an
-    identity (and its mirror, matched by the transposed stack)."""
-    hit = _match_ball_pattern_down(r1, r2, r3)
+    identity (and its mirror, matched by the transposed faces)."""
+    hit = _match_ball_pattern_down(p1, p2, p3)
     if hit is not None:
         return hit
-    return _match_ball_pattern_down(
-        *[_transpose_row(r) for r in (r3, r2, r1)]
-    )
+    return _match_ball_pattern_down(*[
+        (offset, Face(f.morph.transpose(), f.tgt_items, f.src_items))
+        for offset, f in (p3, p2, p1)
+    ])
 
 
-def _transpose_row(row):
-    return tuple(
-        Wire(c.item) if isinstance(c, Wire) else Face(c.morph.transpose(), c.tgt_items, c.src_items)
-        for c in row
-    )
-
-
-def _match_ball_pattern_down(r1, r2, r3):
-    ((k1, _, _),), ((k2, _, _),), ((k3, _, _),) = map(_face_positions, (r1, r2, r3))
-    z, h, ident = r1[k1], r2[k2], r3[k3]
+def _match_ball_pattern_down(p1, p2, p3):
+    (k1, z), (k2, h), (k3, ident) = p1, p2, p3
     if z.morph.kind != "zero_section" or z.morph.transposed or z.src_items:
         return None
     if len(z.tgt_items) != 2 or not all(_is_disc(s) for s in z.tgt_items):
@@ -334,9 +326,8 @@ def _match_ball_pattern_down(r1, r2, r3):
     if ident.morph.kind != "identification" or ident.morph.transposed:
         return None
     d0, d1 = z.tgt_items
-    # single-face rows: cell index equals source-column offset, so the
-    # compression must sit one column right of the zero-section and the
-    # identification directly under it, with d0 passing as a wire
+    # the compression must start one item right of the zero-section and
+    # the identification directly under it, with d0 passing through
     if k2 != k1 + 1 or k3 != k1:
         return None
     # the compression's uncompressed side must start with d1 and produce

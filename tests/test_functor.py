@@ -13,7 +13,6 @@ from cobord2.cobordism import Circle, Move, SurfComponent, Surface, cylinder_seq
 from cobord2.diagram import Face, Wire
 from cobord2.symcat import (
     HamInstance,
-    _transpose_row,
     normalize_mod_equiv,
     strip_diagram_excisions,
     try_compose1_sym,
@@ -272,6 +271,13 @@ def _stripped_row(step):
     d = strip_diagram_excisions(fn.eval2((step,)))
     (row,) = d.rows
     return row
+
+
+def _transpose_row(row):
+    return tuple(
+        Wire(c.item) if isinstance(c, Wire) else Face(c.morph.transpose(), c.tgt_items, c.src_items)
+        for c in row
+    )
 
 
 def test_reversed_step_evaluates_to_transposed_row():

@@ -6,19 +6,26 @@ one normal form.  rewrite_reference explores all of them; its terminal
 states are the normal forms some order reaches.  Two ends whose
 terminal sets meet are equal under some order of the rules.
 
-The chains below are the known wrong verdicts, as fixed cases.  Their
-correct verdicts are strict xfails, so a fix shows up as an XPASS that
-fails the run and the mark must then go:
+Walks of one to three Cerf moves check that the two ends' terminal sets
+meet exactly when normal-forms-equal says so.  The fixed chains below
+pin what the walks found:
+- the switch chains reach a shared normal form only when interchanges
+  come before merges and raise right-lying faces, so they pin the
+  normalizer's order (ROADMAP item 2);
 - missing rule (ROADMAP item 1): a creation cannot cancel one word of a
   face that imbrication fused, so the terminal sets do not meet;
-- order dependence (ROADMAP item 2): the terminal sets meet, but the
-  normalizer's fixed order ends elsewhere on one side.
+- imbrication after a separating compression: the fused face or the
+  move chain itself is wrong.
+The known wrong verdicts are strict xfails, so a fix shows up as an
+XPASS that fails the run and the mark must then go.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
 import io
 from pathlib import Path
 
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 import pytest
 
 from cobord2 import catalog as cat
@@ -36,7 +43,6 @@ from rewrite_reference import terminal_states
 DATA = Path(__file__).resolve().parents[1] / "src" / "cobord2" / "data"
 CATALOG = {name: (y1, moves) for name, y1, moves in cat.cerf_move_catalog()}
 MISSING_RULE = "ROADMAP item 1: no rule cancels one word of a fused face"
-ORDER_DEPENDENT = "ROADMAP item 2: the normal form depends on the rewrite order"
 CANCEL12_CHAIN = "cyl_create 1\ncreate12 1 0 0\nimbricate 2\n"
 
 
@@ -45,9 +51,9 @@ def _cdf_ends(doc):
     return y1, doc.steps2 or cb.apply_moves(y1, doc.moves)
 
 
-def _catalog_ends(name, moves=None):
-    y1, catalog_moves = CATALOG[name]
-    return y1, cb.apply_moves(y1, catalog_moves if moves is None else moves)
+def _catalog_ends(name):
+    y1, moves = CATALOG[name]
+    return y1, cb.apply_moves(y1, moves)
 
 
 def _cancel12_chain_text():
@@ -99,32 +105,98 @@ def test_a_3_handle_over_a_0_handle_swaps_to_both_placements():
     inst = HamInstance()
     three = cb.reverse_step(cb.zero_handle_step((), 0, "a"))
     zero = cb.zero_handle_step((), 0, "b")
-    rows = dg._clean(dg._stagger(fn.eval2((three, zero), inst).rows), inst)
-    assert [len(dg._face_positions(row)) for row in rows] == [1, 1]
-    steps = {dg.interchange(rows, 0), *dg.rewrites(rows, inst)}
-    assert {dg._face_positions(top)[0][1] for top, _ in steps} == {0, 2}
+    faces = dg._clean(dg.placed_faces(fn.eval2((three, zero), inst).rows), inst)
+    assert len(faces) == 2
+    steps = {dg.interchange(faces, 0), *dg.rewrites(faces, inst)}
+    assert {offset for (offset, _), _ in steps} == {0, 2}
 
 
-IMBRICATE_CHAIN = ("imbricate", [Move("cyl_create", 0), Move("create12", 0, (0, 0)),
-                                 Move("imbricate", 1)])
-ORDER_DEPENDENT_CHAINS = [
+WALK_STARTS = {name: y1 for name, (y1, _) in CATALOG.items()}
+WALK_STARTS.update(
+    (path.name, parse_cdf(path.read_text()).sequence()) for path in sorted(DATA.glob("*.cdf")))
+SIMPLE_MOVES = ("cyl_create", "cyl_cancel", "circle_remove", "imbricate", "switch",
+                "cancel01", "cancel23", "cancel12")
+
+
+def _walk_moves(seq, fresh):
+    """Every move kind at every position of seq with small data values,
+    relabel on every circle; fresh names the circle a move adds or
+    renames.  Moves that do not apply raise PatternMismatch."""
+    chains = [seq[0].source] + [step.target for step in seq]
+    items = [item for chain in chains for item in chain]
+    labels = sorted({x.label for item in items for c in item.components for x in c.into + c.out})
+    comps = max((len(item.components) for item in items), default=0)
+    moves = [Move("relabel", 0, ((label, fresh),)) for label in labels]
+    for pos in range(len(seq) + 1):
+        moves += [Move(kind, pos) for kind in SIMPLE_MOVES]
+        moves += [Move("split_compression", pos, (head,)) for head in (1, 2)]
+        for item in range(max(map(len, chains))):
+            moves += [Move("create01", pos, (item, fresh)), Move("create23", pos, (item, fresh))]
+            moves += [Move("circle_insert", pos, (item, g1, fresh)) for g1 in (0, 1)]
+            moves += [Move("create12", pos, (item, comp)) for comp in range(comps)]
+    return moves
+
+
+def _walk(start, length, rng):
+    """(end, moves) of a walk from start: each move the first of the
+    shuffled _walk_moves that applies."""
+    seq, moves = start, []
+    for step in range(length):
+        candidates = _walk_moves(seq, "w%d" % step)
+        rng.shuffle(candidates)
+        for move in candidates:
+            try:
+                seq = cb.apply_move(seq, move)
+            except cb.PatternMismatch:
+                continue
+            moves.append(move)
+            break
+    return seq, moves
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(WALK_STARTS)), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_walk_ends_meet_in_the_reference_as_they_compare(name, length, rng):
+    y1 = WALK_STARTS[name]
+    y2, moves = _walk(y1, length, rng)
+    note(_chain_id((name, moves)))
+    n1, n2, t1, t2 = _explore(y1, y2)
+    assert n1 in t1 and n2 in t2
+    assert bool(t1 & t2) == normal_forms_equal(n1, n2, HamInstance())
+
+
+MISSING_RULE_CHAINS = [
+    ("imbricate", [Move("cyl_create", 0), Move("create12", 0, (0, 0)), Move("imbricate", 1)]),
+    ("imbricate", [Move("cyl_create", 1), Move("create12", 1, (0, 0)), Move("imbricate", 2)]),
+    ("cancel23", [Move("cyl_create", 1), Move("create12", 1, (1, 0)), Move("imbricate", 2)]),
+    ("switch", [Move("cyl_create", 0), Move("create12", 0, (0, 0)), Move("imbricate", 1)]),
+    "cancel12.cdf",
+]
+SWITCH_CHAINS = [
     ("switch", [Move("cyl_create", 0), Move("create12", 0, (1, 0)), Move("imbricate", 1)]),
     ("switch", [Move("cyl_create", 0), Move("create12", 0, (1, 0)), Move("switch", 1)]),
     ("switch", [Move("cyl_create", 1), Move("create01", 1, (0, "ball")), Move("switch", 0)]),
+    ("solid_torus.cdf",
+     [Move("cyl_create", 2), Move("create01", 2, (0, "w1")), Move("switch", 1)]),
 ]
 
 
 def _chain_ends(chain):
     if chain == "cancel12.cdf":
         return _cdf_ends(parse_cdf(_cancel12_chain_text()))
-    return _catalog_ends(*chain)
+    name, moves = chain
+    return WALK_STARTS[name], cb.apply_moves(WALK_STARTS[name], moves)
 
 
 def _chain_id(chain):
     if chain == "cancel12.cdf":
         return chain
     name, moves = chain
-    return name + ":" + ",".join(m.kind for m in moves)
+    return name + ":" + ",".join(" ".join(map(str, (m.kind, m.pos) + m.data)) for m in moves)
+
+
+def _param(chain):
+    return pytest.param(chain, id=_chain_id(chain))
 
 
 def _xfail(chain, reason):
@@ -132,17 +204,15 @@ def _xfail(chain, reason):
     return pytest.param(chain, id=_chain_id(chain), marks=mark)
 
 
-@pytest.mark.parametrize(
-    "chain", [pytest.param(c, id=_chain_id(c)) for c in ORDER_DEPENDENT_CHAINS])
-def test_order_dependent_chains_meet_in_the_reference(chain):
+@pytest.mark.parametrize("chain", [_param(c) for c in SWITCH_CHAINS])
+def test_switch_chains_meet_in_the_reference(chain):
     _, _, t1, t2 = _explore(*_chain_ends(chain))
     assert t1 & t2
 
 
 @pytest.mark.parametrize(
     "chain",
-    [_xfail(IMBRICATE_CHAIN, MISSING_RULE), _xfail("cancel12.cdf", MISSING_RULE)]
-    + [_xfail(c, ORDER_DEPENDENT) for c in ORDER_DEPENDENT_CHAINS],
+    [_xfail(c, MISSING_RULE) for c in MISSING_RULE_CHAINS] + [_param(c) for c in SWITCH_CHAINS],
 )
 def test_known_chain_passes_normal_forms_equal(chain):
     y1, y2 = _chain_ends(chain)
@@ -150,17 +220,55 @@ def test_known_chain_passes_normal_forms_equal(chain):
     assert records["normal-forms-equal"]
 
 
-@pytest.mark.parametrize(
-    "chain", [_xfail(IMBRICATE_CHAIN, MISSING_RULE), _xfail("cancel12.cdf", MISSING_RULE)])
+@pytest.mark.parametrize("chain", [_xfail(c, MISSING_RULE) for c in MISSING_RULE_CHAINS])
 def test_missing_rule_chain_terminal_sets_meet(chain):
     _, _, t1, t2 = _explore(*_chain_ends(chain))
     assert t1 & t2
 
 
+def _invariance_exit_code(path, text):
+    path.write_text(text)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(["functor", "invariance", str(path)])
+
+
 @pytest.mark.xfail(strict=True, reason=MISSING_RULE, raises=AssertionError)
 def test_cancel12_cdf_chain_cli_exits_0(tmp_path):
-    path = tmp_path / "cancel12_chain.cdf"
-    path.write_text(_cancel12_chain_text())
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = cli.main(["functor", "invariance", str(path)])
-    assert code == 0
+    assert _invariance_exit_code(tmp_path / "cancel12_chain.cdf", _cancel12_chain_text()) == 0
+
+
+SEPARATED_GENUS2_CDF = """@circles
+c0 +
+c1 +
+
+@surfaces
+g2 comp g=2 in=c0 out=c1
+
+@chain g2
+@steps
+compression2 0 0 d:c0 a1 b1 a1- b1-
+compression2 %s a1
+
+@moves
+imbricate 0
+"""
+FUSED_COMP_INDEX = (
+    "the fused face carries (comp 1, a2) on a one-component symbol: "
+    "try_compose2_vertical keeps the small side's comp index, and "
+    "functor._handle_transfer maps both pieces' a1 through one dict"
+)
+SEPARATING_LIFT = (
+    "move chain does not apply: cobordism._lift_attachment ignores "
+    "separating splits, so it maps a1 to a1, not a2"
+)
+
+
+@pytest.mark.parametrize("second", [
+    pytest.param("0 1", marks=pytest.mark.xfail(
+        strict=True, reason=FUSED_COMP_INDEX, raises=AssertionError)),
+    pytest.param("0 0", marks=pytest.mark.xfail(
+        strict=True, reason=SEPARATING_LIFT, raises=AssertionError)),
+])
+def test_imbrication_after_a_separating_compression_cli_exits_0(tmp_path, second):
+    text = SEPARATED_GENUS2_CDF % second
+    assert _invariance_exit_code(tmp_path / "separated.cdf", text) == 0
