@@ -313,10 +313,9 @@ def cmd_functor(args, seed) -> VerificationReport:
         normal = normalize_mod_equiv(diagram, inst)
         report.add("evaluation", True, seed=seed,
                    detail="faces %d, normal faces %d" % (diagram.face_count(), normal.face_count()))
-        for i, row in enumerate(normal.rows):
-            for cell in row:
-                if hasattr(cell, "morph"):
-                    report.add("normal-form/row%d" % i, True, detail=cell.morph.kind)
+        # a normal form holds one face per level, so face i names row i
+        for i, (_, face) in enumerate(normal.faces):
+            report.add("normal-form/row%d" % i, True, detail=face.morph.kind)
         return report
     moves = list(doc.moves)
     if doc.steps2:

@@ -4,28 +4,26 @@ structure.
 Compositions of simple morphisms are only partially defined, so general
 1-morphisms are represented by sequences of simple ones and general
 2-morphisms by planar diagrams.  Diagrams here are restricted to stack
-form: an ordered list of rows, each row a horizontal line of cells, a
-cell being either a Wire (a simple 1-morphism passing through) or a
-Face (a simple 2-morphism with declared source/target subsequences).
-Every diagram produced by the cobordism evaluation and by the
-identification patches is a stack, and stack form keeps normalization
-and equality decidable by deterministic scans.
+form: a source sequence and a word of placed faces, top to bottom.  A
+placed face is an (offset, Face) pair, a Face being a simple 2-morphism
+with declared source and target subsequences, and the offset is where
+its source starts in the items the faces above it leave; the items
+around it pass through unchanged.  Every diagram produced by the
+cobordism evaluation and by the identification patches is a stack, and
+stack form keeps normalization and equality decidable by deterministic
+scans.
 
-Normalization is a rewriting system on the placed faces of a stack: the
-word of its faces, top to bottom, each with the offset where its source
-starts in the items the faces above it leave (placed_faces).
-Interchange is a partial commutation of that word.  rewrites(faces,
-inst) yields every one-step rewrite: the instance's own
-(Instance.rewrites), the interchange that moves a lower face above an
-upper one whose target lies to its left, and the vertical merge of two
-adjacent faces whose full boundaries meet, in that order.
-interchange(faces, k) is the other direction, raising a lower face
-that lies left.  normalize_diagram drops identity faces and takes the
-first rewrite until none applies, then builds one row per face
-(stack_rows); normal_forms_equal compares two results face by face.
-That decides equality only where every order of the rewrites ends in
-one normal form, which tests/rewrite_reference.py checks by exploring
-all of them.
+Normalization is a rewriting system on that word, and interchange is a
+partial commutation of it.  rewrites(faces, inst) yields every one-step
+rewrite: the instance's own (Instance.rewrites), the interchange that
+moves a lower face above an upper one whose target lies to its left,
+and the vertical merge of two adjacent faces whose full boundaries
+meet, in that order.  interchange(faces, k) is the other direction,
+raising a lower face that lies left.  normalize_diagram drops identity
+faces and takes the first rewrite until none applies;
+normal_forms_equal compares two results face by face.  That decides
+equality only where every order of the rewrites ends in one normal
+form, which tests/rewrite_reference.py checks by exploring all of them.
 
 The concrete content (what the simple morphisms are, when they compose,
 what the identification 2-morphisms are) is supplied by an Instance.
@@ -59,8 +57,8 @@ class Instance:
     and composition moves), identification2 (the functor's gluing
     faces), try_compose2_vertical, simple2_equal and is_identity2
     (normalization), probes and transport_probe (the diagram axiom),
-    and rewrites (instance-specific multi-row rewrites).  The optional
-    ones default to "no extra structure".
+    and rewrites (instance-specific rewrites of several adjacent
+    faces).  The optional ones default to "no extra structure".
     """
 
     def ends1(self, item) -> tuple:
@@ -133,98 +131,52 @@ def seq_from_items(inst: Instance, items, source=None) -> SeqMorphism:
 
 
 @dataclass(frozen=True)
-class Wire:
-    item: Any
-
-    @property
-    def src_items(self):
-        return (self.item,)
-
-    @property
-    def tgt_items(self):
-        return (self.item,)
-
-
-@dataclass(frozen=True)
 class Face:
     morph: Any
     src_items: tuple
     tgt_items: tuple
 
 
-Cell = Any  # Wire | Face
-
-
-def _row_source(row) -> tuple:
-    out = []
-    for cell in row:
-        out.extend(cell.src_items)
-    return tuple(out)
-
-
-def _row_target(row) -> tuple:
-    out = []
-    for cell in row:
-        out.extend(cell.tgt_items)
-    return tuple(out)
+def apply_face(items: tuple, offset: int, face: Face) -> tuple:
+    """The items left when face, its source at offset, replaces it by
+    its target."""
+    return items[:offset] + face.tgt_items + items[offset + len(face.src_items):]
 
 
 @dataclass(frozen=True)
 class StackDiagram:
+    """A stack-form 2-morphism: its source and its placed faces, top to
+    bottom.  A placed face is an (offset, Face) pair; the offset is
+    where the face's source starts in the items the faces above it
+    leave."""
+
     source: SeqMorphism
-    rows: tuple
+    faces: tuple
 
     def __post_init__(self):
         cur = self.source.items
-        for k, row in enumerate(self.rows):
-            if _row_source(row) != cur:
-                raise BoundaryMismatch("row %d source does not match" % k)
-            cur = _row_target(row)
+        for k, placed in enumerate(self.faces):
+            if not (isinstance(placed, tuple) and len(placed) == 2
+                    and type(placed[0]) is int and isinstance(placed[1], Face)):
+                raise BoundaryMismatch("entry %d is not an (offset, Face) pair" % k)
+            offset, face = placed
+            end = offset + len(face.src_items)
+            if offset < 0 or end > len(cur) or cur[offset:end] != face.src_items:
+                raise BoundaryMismatch("face %d source does not match" % k)
+            cur = apply_face(cur, offset, face)
 
     @property
     def target(self) -> SeqMorphism:
         cur = self.source.items
-        for row in self.rows:
-            cur = _row_target(row)
+        for offset, face in self.faces:
+            cur = apply_face(cur, offset, face)
         return SeqMorphism(self.source.source, self.source.target, cur)
 
     def face_count(self) -> int:
-        return sum(1 for row in self.rows for c in row if isinstance(c, Face))
-
-
-def wire_row(items) -> tuple:
-    return tuple(Wire(i) for i in items)
-
-
-def face_row(items, pos: int, face: Face) -> tuple:
-    """One face over items[pos:pos + len(face.src_items)], wires elsewhere."""
-    return wire_row(items[:pos]) + (face,) + wire_row(items[pos + len(face.src_items):])
+        return len(self.faces)
 
 
 # --- normalization -----------------------------------------------------------
-
-
-def placed_faces(rows) -> tuple:
-    """The faces of a stack as (offset, face) pairs, top to bottom and
-    each row left to right; the offset is where the face's source starts
-    in the items the faces before it leave."""
-    out = []
-    for row in rows:
-        offset = 0
-        for cell in row:
-            if isinstance(cell, Face):
-                out.append((offset, cell))
-            offset += len(cell.tgt_items)
-    return tuple(out)
-
-
-def stack_rows(items, faces) -> tuple:
-    """The rows of placed faces over items, one face per row."""
-    rows = []
-    for offset, face in faces:
-        rows.append(face_row(items, offset, face))
-        items = _row_target(rows[-1])
-    return tuple(rows)
 
 
 def _clean(faces, inst):
@@ -291,17 +243,17 @@ def rewrites(faces, inst: Instance):
 
 
 def normalize_diagram(d: StackDiagram, inst: Instance) -> StackDiagram:
-    """Deterministic normal form: place the faces, then drop identities
-    and take the first of rewrites until none is left.  Each instance
-    rewrite and each merge strictly reduces the face count, and each
-    interchange lifts a face above one that lies left of it, so swaps
-    each pair of faces at most once; the loop terminates."""
-    faces = placed_faces(d.rows)
+    """Deterministic normal form: drop identity faces and take the first
+    of rewrites until none is left.  Each instance rewrite and each
+    merge strictly reduces the face count, and each interchange lifts a
+    face above one that lies left of it, so swaps each pair of faces at
+    most once; the loop terminates."""
+    faces = d.faces
     while True:
         faces = _clean(faces, inst)
         step = next(rewrites(faces, inst), None)
         if step is None:
-            return StackDiagram(d.source, stack_rows(d.source.items, faces))
+            return StackDiagram(d.source, faces)
         faces = step
 
 
@@ -310,7 +262,7 @@ def normal_forms_equal(n1: StackDiagram, n2: StackDiagram, inst: Instance) -> bo
     BoundaryMismatch when their boundaries differ."""
     if n1.source.items != n2.source.items or n1.target.items != n2.target.items:
         raise BoundaryMismatch("2-morphisms have different boundary sequences")
-    f1, f2 = placed_faces(n1.rows), placed_faces(n2.rows)
+    f1, f2 = n1.faces, n2.faces
     return len(f1) == len(f2) and all(
         s1 == s2
         and a.src_items == b.src_items

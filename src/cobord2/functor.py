@@ -2,19 +2,20 @@
 the invariance check that compares two of them.
 
 Objects go to one SU(2) factor per circle, surfaces to moduli symbols
-read off componentwise, and each elementary step to one diagram row.
-Only the forward steps have rules of their own: cylinders go to wires,
+read off componentwise, and each elementary step to its placed faces,
+left to right, over the symbols the steps before it leave.  Only the
+forward steps have rules of their own: cylinders go to no face,
 0-handles to zero-sections, circle removals to identification faces and
 index-2 compressions to trivial-holonomy faces.  A reversed step
 (3-handle, circle insertion, index-1 compression) evaluates as the
-transposed row of its reversal, since reversing a cobordism transposes
-its correspondence (Wehrheim and Woodward, "Functoriality for
-Lagrangian correspondences in Floer theory", 2010); an index-1
-compression thus becomes the transposed index-2 row along its belts.
+transposed faces of its reversal, since reversing a cobordism
+transposes its correspondence (Wehrheim and Woodward, "Functoriality
+for Lagrangian correspondences in Floer theory", 2010); an index-1
+compression thus becomes the transposed index-2 faces along its belts.
 
 The invariance checker evaluates two step sequences related by a move
-chain, compares normal forms, and cross-checks sampled points of every
-face against both diagrams.  That cross-check lives in crosscheck, the
+chain, compares normal forms, and cross-checks sampled points of the
+faces of both normal forms.  That cross-check lives in crosscheck, the
 one part of the functor that needs the holonomy charts, so evaluation
 loads no chart, su2 or kernel module: invariance_check imports
 crosscheck when it is called, and the cross-check's public names
@@ -32,12 +33,9 @@ from cobord2.diagram import (
     Face,
     SeqMorphism,
     StackDiagram,
-    Wire,
-    _row_target,
-    face_row,
+    apply_face,
     normal_forms_equal,
     seq_from_items,
-    wire_row,
 )
 from cobord2.symcat import (
     Component,
@@ -119,8 +117,9 @@ def _handle_transfer(src_comp: Component, atts) -> tuple:
 
 
 def eval2(seq: CobSeq, inst: Optional[HamInstance] = None) -> StackDiagram:
-    """One diagram row per step, threading excision flags created by
-    circle removals through later levels."""
+    """The placed faces of each step in turn, each step's left to right,
+    threading excision flags created by circle removals through later
+    levels."""
     inst = inst or HamInstance()
     problems = cb.validate(seq)
     if problems:
@@ -129,11 +128,12 @@ def eval2(seq: CobSeq, inst: Optional[HamInstance] = None) -> StackDiagram:
         raise cb.PatternMismatch("empty step sequence has no boundary data")
     source = eval1(cb.seq_source(seq), inst)
     symbols = source.items
-    rows = []
+    faces = []
     for step in seq:
-        rows.append(_eval_step(step, symbols, inst))
-        symbols = _row_target(rows[-1])
-    return StackDiagram(source, tuple(rows))
+        for offset, face in _eval_step(step, symbols, inst):
+            faces.append((offset, face))
+            symbols = apply_face(symbols, offset, face)
+    return StackDiagram(source, tuple(faces))
 
 
 def _flags(syms) -> frozenset:
@@ -150,48 +150,46 @@ def _is_forward(step: CobStep) -> bool:
 
 
 def _eval_step(step: CobStep, symbols, inst) -> tuple:
-    """The row of one step over the current symbols.  A reversed step
-    (3-handle, circle insertion, index-1 compression) evaluates to the
-    transposed row of its forward reversal, taken on the unflagged
-    symbols of its target; each new symbol takes the flags of the
-    symbols it replaces."""
+    """The placed faces of one step over the current symbols, left to
+    right.  A reversed step (3-handle, circle insertion, index-1
+    compression) evaluates to the transpose of its forward reversal's
+    faces, taken on the unflagged symbols of its target; each new
+    symbol takes the flags of the symbols it replaces."""
     if _is_forward(step):
         return _eval_forward(step, symbols, inst)
     rev = cb.reverse_step(step)
-    row = []
-    k = 0
-    for cell in _eval_forward(rev, tuple(eval_surface(item) for item in rev.source), inst):
-        src = tuple(symbols[k:k + len(cell.tgt_items)])
-        k += len(src)
-        if isinstance(cell, Wire):
-            row.append(Wire(src[0]))
-        else:
-            flags = _flags(src)
-            tgt = tuple(s.with_excisions(flags) for s in cell.src_items)
-            row.append(Face(replace(cell.morph.transpose(), src=src, tgt=tgt), src, tgt))
-    return tuple(row)
+    faces = []
+    shift = 0
+    for offset, face in _eval_forward(rev, tuple(eval_surface(item) for item in rev.source), inst):
+        # offset places the forward face's target in the current
+        # symbols; the transposed faces left of it have shrunk those
+        # items back by shift
+        src = symbols[offset:offset + len(face.tgt_items)]
+        flags = _flags(src)
+        tgt = tuple(s.with_excisions(flags) for s in face.src_items)
+        morph = replace(face.morph.transpose(), src=src, tgt=tgt)
+        faces.append((offset - shift, Face(morph, src, tgt)))
+        shift += len(face.tgt_items) - len(face.src_items)
+    return tuple(faces)
 
 
 def _eval_forward(step: CobStep, symbols, inst) -> tuple:
     p = step.position
     if step.kind == cb.CYLINDER:
-        return wire_row(symbols)
+        return ()
     if step.kind == cb.ZERO_HANDLE:
         discs = (eval_surface(step.target[p]), eval_surface(step.target[p + 1]))
         face = CorrSymbol("zero_section", (), discs, circles=(step.circle,))
-        return face_row(symbols, p, Face(face, (), discs))
+        return ((p, Face(face, (), discs)),)
     if step.kind == cb.CIRCLE_REMOVE:
         pair = tuple(symbols[p:p + 2])
         ident = inst.identification2(*pair)
-        return face_row(symbols, p, Face(ident, pair, ident.tgt))
-    runs = cb.surgery_runs(step.source, step.target, step.attachments)
-    runs = {i: (atts, sl) for i, atts, sl in runs}
-    row = []
-    for i, sym in enumerate(symbols):
-        if i not in runs:
-            row.append(Wire(sym))
-            continue
-        atts, (lo, hi) = runs[i]
+        return ((p, Face(ident, pair, ident.tgt)),)
+    faces = []
+    # the faces left of a surgered item have left its target's items,
+    # so each face starts where its target slice does
+    for i, atts, (lo, hi) in cb.surgery_runs(step.source, step.target, step.attachments):
+        sym = symbols[i]
         targets = tuple(
             eval_surface(step.target[j]).with_excisions(sym.excised)
             for j in range(lo, hi)
@@ -205,8 +203,8 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
             # through a multi-component face is not representable
             transfer = ()
         face = CorrSymbol("hol_trivial", (sym,), targets, words=words, transfer=transfer)
-        row.append(Face(face, (sym,), targets))
-    return tuple(row)
+        faces.append((lo, Face(face, (sym,), targets)))
+    return tuple(faces)
 
 
 # --- invariance -----------------------------------------------------------------------
@@ -214,8 +212,11 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
 
 def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: int = 0):
     """Evaluate two decompositions, compare normal forms, and cross
-    check sampled loci of every face, samples // 20 point pairs each
-    (at least one); moves, when given, must carry y1 to y2.
+    check sampled loci of the faces of the two normal forms, face by
+    face, samples // 20 point pairs each (at least one); moves, when
+    given, must carry y1 to y2.  Only the normal forms' faces are
+    sampled, so where the faces cancel, as in a handle cancellation,
+    the normal forms are empty and no face is sampled.
 
     Returns a list of (name, passed, detail) records."""
     from cobord2 import crosscheck
@@ -234,14 +235,11 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
     if same:
         checked = 0
         worst = 0.0
-        for r1, r2 in zip(n1.rows, n2.rows):
-            for c1, c2 in zip(r1, r2):
-                if isinstance(c1, Wire):
-                    continue
-                got = crosscheck.face_samples_agree(c1.morph, c2.morph, samples, seed, checked)
-                if got is not None:
-                    worst = max(worst, got)
-                    checked += 1
+        for (_, f1), (_, f2) in zip(n1.faces, n2.faces):
+            got = crosscheck.face_samples_agree(f1.morph, f2.morph, samples, seed, checked)
+            if got is not None:
+                worst = max(worst, got)
+                checked += 1
         records.append(
             ("numeric-cross-check", worst <= crosscheck.MEMBERSHIP_TOL,
              "%d faces sampled, worst residual %.3g" % (checked, worst))

@@ -12,8 +12,8 @@ Correspondence symbols come in four kinds (diagonal, identification,
 zero-section, trivial-holonomy locus).  The functor out of decomposed
 cobordisms only ever produces these, so a closed symbol algebra with a
 small vertical-composition rule table keeps 2-morphism equality
-decidable.  There are no cotangent symbols: cylinders evaluate to
-wires, so no identity space symbol is ever needed.  The codimension-3
+decidable.  There are no cotangent symbols: cylinders evaluate to no
+face, so no identity space symbol is ever needed.  The codimension-3
 equivalence is flag erasure, guarded by a per-kind certificate that the
 erased locus meets every adjacent correspondence weakly transversely."""
 
@@ -29,7 +29,6 @@ from cobord2.diagram import (
     Instance,
     SeqMorphism,
     StackDiagram,
-    Wire,
     normal_forms_equal,
     normalize_diagram,
 )
@@ -355,21 +354,19 @@ def strip_diagram_excisions(d: StackDiagram) -> StackDiagram:
     already certified their kinds as weakly transverse, so the erasure
     is licensed everywhere."""
 
-    def strip_cell(cell):
-        if isinstance(cell, Wire):
-            return Wire(cell.item.without_excisions())
-        return Face(
-            cell.morph.strip_excisions(),
-            tuple(s.without_excisions() for s in cell.src_items),
-            tuple(s.without_excisions() for s in cell.tgt_items),
-        )
-
     src = SeqMorphism(
         d.source.source,
         d.source.target,
         tuple(i.without_excisions() for i in d.source.items),
     )
-    return StackDiagram(src, tuple(tuple(strip_cell(c) for c in row) for row in d.rows))
+    return StackDiagram(src, tuple(
+        (offset, Face(
+            face.morph.strip_excisions(),
+            tuple(s.without_excisions() for s in face.src_items),
+            tuple(s.without_excisions() for s in face.tgt_items),
+        ))
+        for offset, face in d.faces
+    ))
 
 
 def normalize_mod_equiv(d: StackDiagram, inst: Optional[HamInstance] = None) -> StackDiagram:

@@ -2,7 +2,8 @@
 horizontal concatenation of sequences, the identity diagram, vertical
 and horizontal gluing of diagrams, and the patch of identification
 faces along a chain of composition moves.  The engine itself builds
-diagrams row by row and never needs these."""
+diagrams as words of placed faces, one step at a time, and never needs
+these."""
 
 from __future__ import annotations
 
@@ -11,10 +12,7 @@ from cobord2.diagram import (
     Face,
     SeqMorphism,
     StackDiagram,
-    _row_target,
     composition_step,
-    face_row,
-    wire_row,
 )
 
 
@@ -31,31 +29,23 @@ def identity_diagram(seq: SeqMorphism) -> StackDiagram:
 def concat_v2(c: StackDiagram, d: StackDiagram) -> StackDiagram:
     if c.target.items != d.source.items:
         raise BoundaryMismatch("vertical gluing boundary mismatch")
-    return StackDiagram(c.source, c.rows + d.rows)
+    return StackDiagram(c.source, c.faces + d.faces)
 
 
 def concat_h2(c: StackDiagram, d: StackDiagram) -> StackDiagram:
+    """c beside d: the faces of c, then those of d, shifted past the
+    items c leaves."""
     if c.source.target != d.source.source:
         raise BoundaryMismatch("horizontal gluing needs matching endpoint objects")
-    nc, nd = len(c.rows), len(d.rows)
-    c_items = c.target.items
-    rows = []
-    d_cur = d.source.items
-    for k in range(max(nc, nd)):
-        left = c.rows[k] if k < nc else wire_row(c_items)
-        if k < nd:
-            right = d.rows[k]
-            d_cur = _row_target(right)
-        else:
-            right = wire_row(d_cur)
-        rows.append(left + right)
-    return StackDiagram(concat_h1(c.source, d.source), tuple(rows))
+    shift = len(c.target.items)
+    faces = c.faces + tuple((offset + shift, face) for offset, face in d.faces)
+    return StackDiagram(concat_h1(c.source, d.source), faces)
 
 
 def patch_diagram(inst, loop) -> StackDiagram:
     """Stack of identification faces (or their transposes) realizing a
     chain of composition/decomposition moves."""
-    rows = []
+    faces = []
     for seq_a, seq_b in zip(loop, loop[1:]):
         pos, compose = composition_step(inst, seq_a, seq_b)
         if compose:
@@ -64,5 +54,5 @@ def patch_diagram(inst, loop) -> StackDiagram:
         else:
             a, b = seq_b.items[pos], seq_b.items[pos + 1]
             face = Face(inst.identification2(a, b).transpose(), (seq_a.items[pos],), (a, b))
-        rows.append(face_row(seq_a.items, pos, face))
-    return StackDiagram(loop[0], tuple(rows))
+        faces.append((pos, face))
+    return StackDiagram(loop[0], tuple(faces))

@@ -31,7 +31,7 @@ def terminal_states(d: dg.StackDiagram, inst) -> set:
     """The normal forms that some order of rewrites reaches from d, as
     StackDiagrams; StateCapExceeded once more than STATE_CAP stacks are
     reached, so the set is never silently cut short."""
-    start = dg._clean(dg.placed_faces(d.rows), inst)
+    start = dg._clean(d.faces, inst)
     seen = {start}
     queue = deque([start])
     terminals = set()
@@ -39,7 +39,7 @@ def terminal_states(d: dg.StackDiagram, inst) -> set:
         faces = queue.popleft()
         steps = list(dg.rewrites(faces, inst))
         if not steps:
-            terminals.add(dg.StackDiagram(d.source, dg.stack_rows(d.source.items, faces)))
+            terminals.add(dg.StackDiagram(d.source, faces))
         steps += [dg.interchange(faces, k) for k in range(len(faces) - 1)]
         for step in steps:
             if step is None:

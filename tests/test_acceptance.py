@@ -96,15 +96,15 @@ def test_criterion_6_handle_cancellations():
     # 1-2 pair merges to the diagonal and normalizes away
     pair = cb.apply_move(cylinder_seq(cat._annulus_chain(0)), Move("create12", 0, (0, 0)))
     d = fn.eval2(pair, inst)
-    merged = inst.try_compose2_vertical(d.rows[0][0].morph, d.rows[1][0].morph)
+    up, down = (face.morph for _, face in d.faces)
+    merged = inst.try_compose2_vertical(up, down)
     sym_ok = merged is not None and merged.kind == "diagonal"
-    sym_ok = sym_ok and normalize_mod_equiv(d, inst).rows == ()
+    sym_ok = sym_ok and normalize_mod_equiv(d, inst).faces == ()
     # 0-1 three-step pattern normalizes to the empty diagram
     trio = cb.apply_move(cylinder_seq(cat._capped_chain()), Move("create01", 0, (0, "ball")))
     d01 = fn.eval2(trio, inst)
-    sym_ok = sym_ok and normalize_mod_equiv(d01, inst).rows == ()
+    sym_ok = sym_ok and normalize_mod_equiv(d01, inst).faces == ()
     # numeric: points on {A1 = B1 = 1} project to equal points both ways
-    up, down = d.rows[0][0].morph, d.rows[1][0].morph
     mid_sym = up.tgt[0]
     mid_chart = fn.chart_for(mid_sym.components[0])
     words = [Word(0, (("a", 1, 1),)), Word(0, (("b", 1, 1),))]

@@ -37,7 +37,6 @@ from cobord2.diagram import (
     check_diagram_axiom,
     composition_step,
     normalize_diagram,
-    wire_row,
 )
 
 import tuple_oracle as ref
@@ -343,12 +342,12 @@ def test_normalize_merges_stacked_identifications():
     d = StackDiagram(
         seq,
         (
-            (Face(corr, (m, m), (comp,)),),
-            (Face(corr.transpose(), (comp,), (m, m)),),
+            (0, Face(corr, (m, m), (comp,))),
+            (0, Face(corr.transpose(), (comp,), (m, m))),
         ),
     )
     n = normalize_diagram(d, inst)
-    assert n.rows == ()
+    assert n.faces == ()
 
 
 def test_normalize_collapse_oracle():
@@ -362,31 +361,42 @@ def test_normalize_collapse_oracle():
         d = StackDiagram(
             seq,
             (
-                (Face(corr, (m, m), (comp,)),),
-                (Face(corr.transpose(), (comp,), (m, m)),),
+                (0, Face(corr, (m, m), (comp,))),
+                (0, Face(corr.transpose(), (comp,), (m, m))),
             ),
         )
         n = normalize_diagram(d, inst)
         assert diagram_collapse(d, inst) == diagram_collapse(n, inst)
 
 
+def _criterion_1_loops():
+    """(instance, loop as SeqMorphisms) for each of criterion 1's 108
+    depth-4 loops over the default catalog."""
+    inst = LieRInstance(catalog.default_biset_catalog())
+    for items in catalog.loop_start_sequences(inst.catalog):
+        start = inst.seq(items)
+        for loop in catalog.enumerate_loops(inst, items, 4):
+            yield inst, [SeqMorphism(start.source, start.target, s) for s in loop]
+
+
 def test_collapse_oracle_on_mixed_patch_diagram():
-    # a four-move loop patches to a diagram whose set-level collapse
+    # a loop of moves patches to a diagram whose set-level collapse
     # equals the collapse of the identity diagram, and normalization
-    # preserves it
+    # preserves it: a four-move Z2 loop, then every criterion-1 loop
     cat = [identity_biset(Z2), biregular_biset(Z2)]
     inst = LieRInstance(cat)
     m = biregular_biset(Z2)
     comp = inst.try_compose1(m, m)
     seq2 = inst.seq((m, m))
     seq1 = inst.seq((comp,))
-    loop = [seq2, seq1, seq2, seq1, seq2]
-    patch = patch_diagram(inst, loop)
-    assert patch.face_count() == 4
-    collapsed = diagram_collapse(patch, inst)
-    assert collapsed == diagram_collapse(identity_diagram(seq2), inst)
-    normalized = normalize_diagram(patch, inst)
-    assert diagram_collapse(normalized, inst) == collapsed
+    cases = [(inst, [seq2, seq1, seq2, seq1, seq2])] + list(_criterion_1_loops())
+    assert len(cases) == 1 + 108
+    assert patch_diagram(*cases[0]).face_count() == 4
+    for inst, loop in cases:
+        patch = patch_diagram(inst, loop)
+        collapsed = diagram_collapse(patch, inst)
+        assert collapsed == diagram_collapse(identity_diagram(loop[0]), inst)
+        assert diagram_collapse(normalize_diagram(patch, inst), inst) == collapsed
 
 
 def test_adjoint_involutive():

@@ -18,7 +18,6 @@ from cobord2.diagram import (
     check_diagram_axiom,
     normal_forms_equal,
     normalize_diagram,
-    wire_row,
 )
 
 from diagram_builders import concat_h1, concat_h2, concat_v2, identity_diagram, patch_diagram
@@ -57,17 +56,46 @@ def test_zero_row_diagram_is_identity(inst):
     seq = inst.seq((REG2, ID2))
     d = identity_diagram(seq)
     assert d.target.items == seq.items
-    assert normalize_diagram(d, inst).rows == ()
+    assert normalize_diagram(d, inst).faces == ()
+
+
+def _bad_entries():
+    """(id, entries) pairs the boundary check must refuse over (REG2, REG2)."""
+    corr = identification_corr(REG2, REG2)
+    merge = Face(corr, (REG2, REG2), (corr.tgt[0],))
+    sourceless = Face(corr, (), (REG2,))
+    return [
+        # a bare slice compare reads seq[-1:-1] == () and would accept it
+        ("negative-offset", ((-1, sourceless),)),
+        ("source-past-end", ((1, merge),)),
+        ("sourceless-past-end", ((3, sourceless),)),
+        ("other-source", ((0, Face(corr, (REG2, ID2), (corr.tgt[0],))),)),
+        ("second-face-misplaced", ((0, merge), (0, merge))),
+        ("leftover-row", ((merge,),)),
+        ("bare-face", (merge,)),
+        ("offset-not-int", (("0", merge),)),
+    ]
+
+
+@pytest.mark.parametrize("entries", [pytest.param(e, id=name) for name, e in _bad_entries()])
+def test_boundary_check_refuses_misplaced_faces(inst, entries):
+    with pytest.raises(BoundaryMismatch):
+        StackDiagram(inst.seq((REG2, REG2)), entries)
+
+
+def test_faceless_diagram_target_is_source(inst):
+    seq = inst.seq((REG2, ID2))
+    assert StackDiagram(seq, ()).target == seq
 
 
 def test_v2_neutrality_and_h2_padding(inst):
     corr = identification_corr(REG2, REG2)
     comp = corr.tgt[0]
     seq = inst.seq((REG2, REG2))
-    d = StackDiagram(seq, ((Face(corr, (REG2, REG2), (comp,)),),))
+    d = StackDiagram(seq, ((0, Face(corr, (REG2, REG2), (comp,))),))
     both = concat_v2(identity_diagram(seq), d)
-    assert both.rows == d.rows
-    # horizontal: pad the shorter side with wires
+    assert both.faces == d.faces
+    # horizontal: the other side's items pass through
     other = identity_diagram(inst.seq((ID2,)))
     wide = concat_h2(d, other)
     assert wide.source.items == (REG2, REG2, ID2)
@@ -81,8 +109,8 @@ def test_interchange_normal_form(inst):
     fB = Face(corrA, (REG2, REG2), (compA,))
     left = inst.seq((REG2, REG2))
     right = inst.seq((REG2, REG2))
-    dA = StackDiagram(left, ((fA,),))
-    dB = StackDiagram(right, ((fB,),))
+    dA = StackDiagram(left, ((0, fA),))
+    dB = StackDiagram(right, ((0, fB),))
     # A first then B, versus B first then A, after horizontal gluing
     ab = concat_v2(
         concat_h2(dA, identity_diagram(right)),
@@ -92,7 +120,7 @@ def test_interchange_normal_form(inst):
         concat_h2(identity_diagram(left), dB),
         concat_h2(dA, identity_diagram(SeqMorphism(Z2, Z2, (compA,)))),
     )
-    assert ab.rows != ba.rows
+    assert ab.faces != ba.faces
     assert normal_forms_equal(normalize_diagram(ab, inst), normalize_diagram(ba, inst), inst)
 
 
@@ -100,24 +128,24 @@ def test_v2_h2_associative_structurally(inst):
     corr = identification_corr(REG2, REG2)
     comp = corr.tgt[0]
     seq = inst.seq((REG2, REG2))
-    face = StackDiagram(seq, ((Face(corr, (REG2, REG2), (comp,)),),))
+    face = StackDiagram(seq, ((0, Face(corr, (REG2, REG2), (comp,))),))
     unface = StackDiagram(
-        SeqMorphism(Z2, Z2, (comp,)), ((Face(corr.transpose(), (comp,), (REG2, REG2)),),)
+        SeqMorphism(Z2, Z2, (comp,)), ((0, Face(corr.transpose(), (comp,), (REG2, REG2))),)
     )
     a, b, c = face, unface, face
-    assert concat_v2(concat_v2(a, b), c).rows == concat_v2(a, concat_v2(b, c)).rows
-    # horizontal: different row counts force padding on both sides
+    assert concat_v2(concat_v2(a, b), c).faces == concat_v2(a, concat_v2(b, c)).faces
+    # horizontal: different face counts on the two sides
     tall = concat_v2(face, unface)
     lhs = concat_h2(concat_h2(tall, face), identity_diagram(seq))
     rhs = concat_h2(tall, concat_h2(face, identity_diagram(seq)))
-    assert lhs.rows == rhs.rows
+    assert lhs.faces == rhs.faces
 
 
 def test_single_face_stack_shape(inst):
     corr = identification_corr(REG2, ID2)
     comp = corr.tgt[0]
     seq = inst.seq((REG2, ID2))
-    d = StackDiagram(seq, ((Face(corr, (REG2, ID2), (comp,)),),))
+    d = StackDiagram(seq, ((0, Face(corr, (REG2, ID2), (comp,))),))
     assert d.face_count() == 1
     assert d.target.items == (comp,)
 
@@ -129,14 +157,14 @@ def test_normalize_idempotent_and_face_monotone(inst):
     d = StackDiagram(
         seq,
         (
-            (Face(corr, (REG2, REG2), (comp,)),),
-            (Face(corr.transpose(), (comp,), (REG2, REG2)),),
+            (0, Face(corr, (REG2, REG2), (comp,))),
+            (0, Face(corr.transpose(), (comp,), (REG2, REG2))),
         ),
     )
     n = normalize_diagram(d, inst)
     assert n.face_count() <= d.face_count()
     again = normalize_diagram(n, inst)
-    assert again.rows == n.rows
+    assert again.faces == n.faces
 
 
 def test_axiom_trivial_loop(inst):

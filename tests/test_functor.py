@@ -1,16 +1,14 @@
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cobord2
 from cobord2 import catalog as cat
 from cobord2 import cdf
 from cobord2 import cobordism as cb
 from cobord2 import crosscheck as xc
 from cobord2 import functor as fn
 from cobord2.cobordism import Circle, Move, SurfComponent, Surface, cylinder_seq
-from cobord2.diagram import Face, Wire
+from cobord2.diagram import Face
 from cobord2.symcat import (
     HamInstance,
     normalize_mod_equiv,
@@ -18,6 +16,8 @@ from cobord2.symcat import (
     try_compose1_sym,
 )
 from cobord2.words import Word
+
+from test_golden_normal_forms import corpus
 
 
 def test_eval0_orientations():
@@ -66,7 +66,7 @@ def test_closed_surface_stays_length_two():
 def test_eval2_cylinder_normalizes_empty():
     inst = HamInstance()
     d = fn.eval2(cylinder_seq(cat._annulus_chain()), inst)
-    assert normalize_mod_equiv(d, inst).rows == ()
+    assert normalize_mod_equiv(d, inst).faces == ()
 
 
 def test_eval2_functorial_under_concatenation():
@@ -75,7 +75,7 @@ def test_eval2_functorial_under_concatenation():
     d_all = fn.eval2(seq, inst)
     d1 = fn.eval2(seq[:1], inst)
     d2 = fn.eval2(seq[1:], inst)
-    assert d_all.rows == d1.rows + d2.rows
+    assert d_all.faces == d1.faces + d2.faces
 
 
 def test_cancelling_pair_normalizes_to_identity():
@@ -83,11 +83,10 @@ def test_cancelling_pair_normalizes_to_identity():
     pair = cb.apply_move(cylinder_seq(cat._annulus_chain(0)), Move("create12", 0, (0, 0)))
     d = fn.eval2(pair, inst)
     # the two faces merge to the diagonal, which is the identity
-    f1 = d.rows[0][0].morph
-    f2 = d.rows[1][0].morph
-    merged = inst.try_compose2_vertical(f1, f2)
+    (_, f1), (_, f2) = d.faces
+    merged = inst.try_compose2_vertical(f1.morph, f2.morph)
     assert merged is not None and merged.kind == "diagonal"
-    assert normalize_mod_equiv(d, inst).rows == ()
+    assert normalize_mod_equiv(d, inst).faces == ()
 
 
 def test_zero_one_pattern_normalizes_empty():
@@ -95,14 +94,14 @@ def test_zero_one_pattern_normalizes_empty():
     trio = cb.apply_move(cylinder_seq(cat._capped_chain()), Move("create01", 0, (0, "ball")))
     d = fn.eval2(trio, inst)
     assert d.face_count() == 3
-    assert normalize_mod_equiv(d, inst).rows == ()
+    assert normalize_mod_equiv(d, inst).faces == ()
 
 
 def test_two_three_pattern_normalizes_empty():
     inst = HamInstance()
     trio = cb.apply_move(cylinder_seq(cat._capped_chain()), Move("create23", 0, (0, "ball")))
     d = fn.eval2(trio, inst)
-    assert normalize_mod_equiv(d, inst).rows == ()
+    assert normalize_mod_equiv(d, inst).faces == ()
 
 
 def test_imbrication_merges_words_symbolically():
@@ -111,7 +110,7 @@ def test_imbrication_merges_words_symbolically():
     d = fn.eval2(tower, inst)
     n = normalize_mod_equiv(d, inst)
     assert n.face_count() == 1
-    face = [c for row in n.rows for c in row if isinstance(c, Face)][0]
+    ((_, face),) = n.faces
     assert face.morph.kind == "hol_trivial"
     assert len(face.morph.words) == 2
 
@@ -135,7 +134,7 @@ def test_normalization_idempotent_over_corpus():
         for seq in (y1, cb.apply_moves(y1, moves)):
             n = normalize_mod_equiv(fn.eval2(seq, inst), inst)
             again = normalize_mod_equiv(n, inst)
-            assert again.rows == n.rows, name
+            assert again.faces == n.faces, name
 
 
 def test_invariance_over_move_catalog():
@@ -209,7 +208,7 @@ def test_membership_hol_trivial_projection():
     inst = HamInstance()
     pair = cb.apply_move(cylinder_seq(cat._annulus_chain(0)), Move("create12", 0, (0, 0)))
     d = fn.eval2(pair, inst)
-    down = d.rows[1][0].morph   # the index-2 face, big side on top
+    down = d.faces[1][1].morph   # the index-2 face, big side on top
     src_pts, tgt_pts = fn.sample_face_points(down, 17, 5)
     ok, r = fn.membership(down, src_pts, tgt_pts)
     assert ok, r
@@ -221,8 +220,8 @@ def test_membership_identification_via_glue():
     double = cylinder_seq(chain) + cylinder_seq(chain)
     fine = cb.apply_move(double, Move("circle_insert", 1, (0, 1, "mid")))
     d = fn.eval2(fine, inst)
-    # second row holds the identification face
-    ident = [c for c in d.rows[1] if isinstance(c, Face)][0].morph
+    # the second face is the identification
+    ident = d.faces[1][1].morph
     assert ident.kind == "identification"
     import cobord2.charts as ch
     from cobord2 import su2
@@ -252,45 +251,64 @@ def test_membership_identification_via_glue():
     assert len(ch.flatten_point(aligned)[0]) >= 10
 
 
-def _corpus():
-    """Every Cerf entry before and after its moves, the negative control,
-    and every shipped .cdf sequence, @steps2 included."""
-    seqs = []
-    for _, y1, moves in cat.cerf_move_catalog():
-        seqs += [y1, cb.apply_moves(y1, moves)]
-    seqs += list(cat.negative_control())
-    for path in sorted((Path(cobord2.__file__).parent / "data").glob("*.cdf")):
-        doc = cdf.parse_cdf(path.read_text())
-        seqs.append(doc.sequence())
-        if doc.steps2:
-            seqs.append(doc.steps2)
-    return seqs
+def _stripped_faces(step):
+    return strip_diagram_excisions(fn.eval2((step,))).faces
 
 
-def _stripped_row(step):
-    d = strip_diagram_excisions(fn.eval2((step,)))
-    (row,) = d.rows
-    return row
-
-
-def _transpose_row(row):
-    return tuple(
-        Wire(c.item) if isinstance(c, Wire) else Face(c.morph.transpose(), c.tgt_items, c.src_items)
-        for c in row
-    )
+def _transpose_level(faces):
+    """The transposed faces of one step: each face's offset moves from
+    where its target starts in the step's target to where its source
+    starts in the step's source."""
+    out, shift = [], 0
+    for offset, f in faces:
+        out.append((offset - shift, Face(f.morph.transpose(), f.tgt_items, f.src_items)))
+        shift += len(f.tgt_items) - len(f.src_items)
+    return tuple(out)
 
 
 def test_reversed_step_evaluates_to_transposed_row():
-    steps = {step for seq in _corpus() for step in seq}
+    steps = {step for _, seq in corpus() for step in seq}
     assert {cb.THREE_HANDLE, cb.CIRCLE_INSERT} <= {s.kind for s in steps}
     assert any(s.kind == cb.COMPRESSION and s.index == 1 for s in steps)
     for step in steps:
-        reversed_row = _stripped_row(cb.reverse_step(step))
-        assert reversed_row == _transpose_row(_stripped_row(step)), step.kind
+        reversed_faces = _stripped_faces(cb.reverse_step(step))
+        assert reversed_faces == _transpose_level(_stripped_faces(step)), step.kind
+
+
+TWO_FACE_CDF = """@circles
+c0 +
+m +
+c1 +
+
+@surfaces
+g2 comp g=2 in=c0 out=m
+t1 comp g=1 in=m out=c1
+
+@chain g2 t1
+@steps
+compression2 0 0 d:c0
+compression2 2 0 a1
+"""
+
+
+def test_one_step_with_two_faces_places_each():
+    # a disc split off item 0 and a handle of item 1 compressed in one
+    # step: the second face starts past both pieces of the first, and
+    # in the reversed step past the one surface they rejoin to
+    split, handle = cdf.parse_cdf(TWO_FACE_CDF).sequence()
+    att = cb.Attachment(1, handle.attachments[0].comp, word=handle.attachments[0].word)
+    both = cb.CobStep(cb.COMPRESSION, split.source, handle.target, index=2,
+                      attachments=(split.attachments[0], att))
+    faces = fn.eval2((both,)).faces
+    assert [offset for offset, _ in faces] == [0, 2]
+    assert faces == fn.eval2((split, handle)).faces
+    reversed_faces = _stripped_faces(cb.reverse_step(both))
+    assert [offset for offset, _ in reversed_faces] == [0, 1]
+    assert reversed_faces == _transpose_level(_stripped_faces(both))
 
 
 def test_surface_gluing_matches_symbol_composition():
-    chains = {chain for seq in _corpus() for step in seq for chain in (step.source, step.target)}
+    chains = {chain for _, seq in corpus() for step in seq for chain in (step.source, step.target)}
     met = closed = 0
     for chain in chains:
         for a, b in zip(chain, chain[1:]):

@@ -105,7 +105,7 @@ def test_a_3_handle_over_a_0_handle_swaps_to_both_placements():
     inst = HamInstance()
     three = cb.reverse_step(cb.zero_handle_step((), 0, "a"))
     zero = cb.zero_handle_step((), 0, "b")
-    faces = dg._clean(dg.placed_faces(fn.eval2((three, zero), inst).rows), inst)
+    faces = dg._clean(fn.eval2((three, zero), inst).faces, inst)
     assert len(faces) == 2
     steps = {dg.interchange(faces, 0), *dg.rewrites(faces, inst)}
     assert {offset for (offset, _), _ in steps} == {0, 2}

@@ -100,12 +100,12 @@ def test_identification_cancels_with_adjoint():
     d = StackDiagram(
         _seq(inst, (a, b)),
         (
-            (Face(ident, (a, b), (glued,)),),
-            (Face(ident.transpose(), (glued,), (a, b)),),
+            (0, Face(ident, (a, b), (glued,))),
+            (0, Face(ident.transpose(), (glued,), (a, b))),
         ),
     )
     n = normalize_mod_equiv(d, inst)
-    assert n.rows == ()
+    assert n.faces == ()
 
 
 def test_hol_trivial_imbrication_merges_words():
@@ -144,8 +144,8 @@ def test_normalize_erases_excision_flags():
     word = Word(0, (gen("d", "c1"),))
     plain_face = CorrSymbol("hol_trivial", (small,), (small,), words=(word,))
     flag_face = CorrSymbol("hol_trivial", (flagged,), (flagged,), words=(word,))
-    d1 = StackDiagram(_seq(inst, (small,)), ((Face(plain_face, (small,), (small,)),),))
-    d2 = StackDiagram(_seq(inst, (flagged,)), ((Face(flag_face, (flagged,), (flagged,)),),))
+    d1 = StackDiagram(_seq(inst, (small,)), ((0, Face(plain_face, (small,), (small,))),))
+    d2 = StackDiagram(_seq(inst, (flagged,)), ((0, Face(flag_face, (flagged,), (flagged,))),))
     assert equal_2morphisms(d1, d2, inst)
 
 
@@ -154,8 +154,8 @@ def test_diagonal_vs_hol_trivial_differ():
     x = N(1, ["c1"], [])
     seq = _seq(inst, (x,))
     locus = CorrSymbol("hol_trivial", (x,), (x,), words=(Word(0, (gen("a", 1),)),))
-    d1 = StackDiagram(seq, ((Face(diagonal_sym((x,)), (x,), (x,)),),))
-    d2 = StackDiagram(seq, ((Face(locus, (x,), (x,)),),))
+    d1 = StackDiagram(seq, ((0, Face(diagonal_sym((x,)), (x,), (x,))),))
+    d2 = StackDiagram(seq, ((0, Face(locus, (x,), (x,))),))
     assert not equal_2morphisms(d1, d2, inst)
 
 
@@ -165,9 +165,9 @@ def test_normalize_mod_equiv_idempotent():
     b = N(0, ["m"], ["c2"])
     ident = identification_sym(a, b)
     glued = ident.tgt[0]
-    d = StackDiagram(_seq(inst, (a, b)), ((Face(ident, (a, b), (glued,)),),))
+    d = StackDiagram(_seq(inst, (a, b)), ((0, Face(ident, (a, b), (glued,))),))
     n = normalize_mod_equiv(d, inst)
-    assert normalize_mod_equiv(n, inst).rows == n.rows
+    assert normalize_mod_equiv(n, inst).faces == n.faces
 
 
 def test_equal_2morphisms_boundary_mismatch():
@@ -176,8 +176,8 @@ def test_equal_2morphisms_boundary_mismatch():
     inst = HamInstance()
     x = N(1, ["c1"], [])
     y = N(2, ["c1"], [])
-    d1 = StackDiagram(_seq(inst, (x,)), ((Face(diagonal_sym((x,)), (x,), (x,)),),))
-    d2 = StackDiagram(_seq(inst, (y,)), ((Face(diagonal_sym((y,)), (y,), (y,)),),))
+    d1 = StackDiagram(_seq(inst, (x,)), ((0, Face(diagonal_sym((x,)), (x,), (x,))),))
+    d2 = StackDiagram(_seq(inst, (y,)), ((0, Face(diagonal_sym((y,)), (y,), (y,))),))
     with pytest.raises(BoundaryMismatch):
         equal_2morphisms(d1, d2, inst)
 

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from cobord2.bisets import TRIVIAL, FiniteBiset, FiniteGroup
-from cobord2.diagram import Face, _row_target
 
 
 def product_tuples(seq):
@@ -196,39 +195,22 @@ def compose_orbits(m, n) -> tuple:
 
 
 def diagram_collapse(diagram, inst) -> frozenset:
-    """Set-level collapse of a whole diagram: compose all rows as plain
-    relations (no injectivity demanded), then identify the target side
-    with its full quotient (the orbits of inst.collapse).  Two diagrams
-    with equal boundaries and equal collapses represent the same
-    2-morphism; this is the brute-force soundness oracle."""
-    src_items = diagram.source.items
-    rel = {(t, t) for t in product_tuples(src_items)}
-    cur_items = src_items
-    for row in diagram.rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, Face):
-                by_src: dict = {}
-                for ps, pt in tuples(cell.morph):
-                    by_src.setdefault(ps, []).append(pt)
-                cells.append((by_src, len(cell.src_items)))
-            else:
-                cells.append(({(x,): [(x,)] for x in range(cell.item.size)}, 1))
-        new_rel = set()
-        for s, t in rel:
-            outs = [((), t)]
-            for by_src, ns in cells:
-                grown = []
-                for acc, rest in outs:
-                    head, tail = rest[:ns], rest[ns:]
-                    for pt in by_src.get(head, ()):
-                        grown.append((acc + pt, tail))
-                outs = grown
-            for acc, rest in outs:
-                assert rest == ()
-                new_rel.add((s, acc))
-        rel = new_rel
-        cur_items = _row_target(row)
+    """Set-level collapse of a whole diagram: compose its faces as plain
+    relations (no injectivity demanded), each relating the slice of a
+    product tuple at its offset and passing the rest through, then
+    identify the target side with its full quotient (the orbits of
+    inst.collapse).  Two diagrams with equal boundaries and equal
+    collapses represent the same 2-morphism; this is the brute-force
+    soundness oracle."""
+    rel = {(t, t) for t in product_tuples(diagram.source.items)}
+    for offset, face in diagram.faces:
+        by_src: dict = {}
+        for ps, pt in tuples(face.morph):
+            by_src.setdefault(ps, []).append(pt)
+        end = offset + len(face.src_items)
+        rel = {(s, t[:offset] + pt + t[end:])
+               for s, t in rel for pt in by_src.get(t[offset:end], ())}
+    cur_items = diagram.target.items
     orbit_of = inst.collapse(cur_items).orbit_of
     code = {t: c for c, t in enumerate(product_tuples(cur_items))}
     return frozenset((s, int(orbit_of[code[t]])) for s, t in rel)
