@@ -892,6 +892,14 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
     anything else falls back to seeded Gauss-Newton refinement down to
     residual 1e-10.
 
+    Each attempt re-tests every word but a single handle a_j or b_j
+    against that residual.  A pinned handle holds the exact floats of
+    ONE, so its constraint log is exactly 0.0 on every lane and the test
+    would pass every lane it is given; with handle words only, no word
+    is evaluated.  A pinned d word of a non-basepoint circle is still
+    tested: its loop Gamma e^0 Gamma^-1 rounds to a few 1e-17, not to
+    0.
+
     All lanes draw, pin, refine and test admissibility at once; a lane
     that fails moves on to its next attempt seed, so each lane is the
     point its seed gives as a one-lane batch.  A lane whose random_point
@@ -901,11 +909,14 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
     pinned_handles = set()  # rows of handles pinned to the identity
     pinned_thetas = set()
     hard = []
+    tested = []  # the words a pinned point does not satisfy exactly
     for w in words:
         single = w.single_generator()
         if single and single[0] in ("a", "b"):
             pinned_handles.add(single[1] - 1 + (0 if single[0] == "a" else chart.genus))
-        elif single and single[0] == "d" and chart.index_of(single[1]) > 0:
+            continue
+        tested.append(w)
+        if single and single[0] == "d" and chart.index_of(single[1]) > 0:
             pinned_thetas.add(chart.index_of(single[1]) - 1)
         else:
             hard.append(w)
@@ -922,8 +933,8 @@ def sample_on_locus(chart: ModuliChart, words, seed) -> ChartPoint:
         ok = np.broadcast_to(is_admissible(p, ADMISSIBLE_MARGIN), todo.shape)
         if hard:
             p, ok = _refine_lanes(p, ok, words, pinned_thetas, pinned_handles)
-        if words:
-            ok = _residual_below(p, ok, words, 1e-10)
+        if tested:
+            ok = _residual_below(p, ok, tested, 1e-10)
         ok = ok & is_admissible(p, ADMISSIBLE_MARGIN)
         if out is None:  # p itself when every lane drew
             out = p if len(todo) == len(seed) else _map_point(

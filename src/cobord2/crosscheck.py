@@ -264,7 +264,12 @@ def face_samples_agree(f1: CorrSymbol, f2: CorrSymbol, samples: int, seed: int, 
     """The larger membership residual in f1 and in f2 of samples // 20
     point pairs (at least one) sampled on f1's locus from the seed
     mix_seed(seed, index); None when f1 has no sampler or sampling
-    fails."""
+    fails.
+
+    membership reads only the face and the points, so when f2 equals f1
+    in every field, its transfer included, f2's residual is f1's and is
+    not computed again.  The transfer is compared by itself, since
+    CorrSymbol's == leaves it out."""
     try:
         pair = sample_face_points(f1, su2.mix_seed(seed, index), max(1, samples // 20))
     except (ch.SamplingFailed, NotImplementedError):
@@ -272,5 +277,7 @@ def face_samples_agree(f1: CorrSymbol, f2: CorrSymbol, samples: int, seed: int, 
     if pair is None:
         return None
     _, r1 = membership(f1, *pair)
+    if f2 == f1 and f2.transfer == f1.transfer:
+        return r1
     _, r2 = membership(f2, *pair)
     return max(r1, r2)

@@ -216,7 +216,10 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
     face, samples // 20 point pairs each (at least one); moves, when
     given, must carry y1 to y2.  Only the normal forms' faces are
     sampled, so where the faces cancel, as in a handle cancellation,
-    the normal forms are empty and no face is sampled.
+    the normal forms are empty and no face is sampled.  Points are drawn
+    on the first form's face and tested in both faces; where the two
+    faces are equal, transfer included, the membership is computed once
+    (crosscheck.face_samples_agree), and the residual is the same.
 
     Returns a list of (name, passed, detail) records."""
     from cobord2 import crosscheck

@@ -277,6 +277,23 @@ def test_generic_word_newton_sampling():
     assert largest(word_residual(p, w)) < 1e-9
 
 
+def test_sampler_tests_no_pinned_handle_word():
+    # a pinned handle is exactly ONE, so its word is never evaluated; a
+    # Gauss-Newton word and a pinned non-basepoint d word still are
+    handles = [Word(0, (gen("a", 1),)), Word(0, (gen("b", 2, -1),))]
+    with mock.patch.object(ch, "constraint_map", wraps=ch.constraint_map) as cmap:
+        sample_on_locus(mk_chart(2, 2), handles, mix_seed(9810, trials(5)))
+    assert cmap.call_count == 0
+    for g, k, other in ((2, 1, Word(0, (gen("a", 1), gen("b", 2)))),
+                        (1, 2, Word(0, (gen("d", "c2"),)))):
+        words = [Word(0, (gen("b", 1),)), other]
+        with mock.patch.object(ch, "_residual_below", wraps=ch._residual_below) as below:
+            p = sample_on_locus(mk_chart(g, k), words, mix_seed(9820, g, k, trials(5)))
+        assert below.call_count >= 1
+        assert all(call.args[2] == [other] for call in below.call_args_list)
+        assert largest(word_residual(p, other)) <= 1e-10
+
+
 def test_constraint_violated_raises():
     chart = mk_chart(1, 1)
     w = Word(0, (gen("a", 1),))

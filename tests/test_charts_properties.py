@@ -557,6 +557,24 @@ def test_tangent_batch_equals_each_lane(chart, seeds, data):
     assert ranks_and_sizes(frame, len(kept)) == [ranks_and_sizes(f, 1)[0] for f in singles]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_chart(max_genus=8, max_k=4), SEEDS, st.sampled_from((1, -1)))
+def test_pinned_handle_words_are_exactly_zero(chart, seeds, sign):
+    # sample_on_locus does not re-test a pinned handle's word, which
+    # holds only if its constraint is +0.0 bit for bit, not just small
+    n = len(seeds)
+    try:
+        p = ch.random_point(chart, np.array(seeds, dtype=np.uint64))
+    except ch.SamplingFailed as err:
+        p, n = err.point, int(np.count_nonzero(~err.lanes))
+    assume(n)
+    p = ch._pin(p, set(range(chart.k - 1)), set(range(2 * chart.genus)))
+    for j in range(1, chart.genus + 1):
+        for kind in "ab":
+            f = np.broadcast_to(ch.constraint_map(p, [Word(0, ((kind, j, sign),))]), (n, 3))
+            assert f.tobytes() == bytes(8 * 3 * n), (kind, j)
+
+
 def _newton_words(chart, which):
     """A word that sample_on_locus refines by Gauss-Newton: A_1 B_g = 1,
     or d of the basepoint circle (its theta_1 = 0)."""

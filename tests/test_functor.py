@@ -1,4 +1,6 @@
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,33 @@ def test_membership_hol_trivial_projection():
     src_pts, tgt_pts = fn.sample_face_points(down, 17, 5)
     ok, r = fn.membership(down, src_pts, tgt_pts)
     assert ok, r
+
+
+def _genus_two_to_one(transfer):
+    """The hol_trivial face compressing a1 of a genus-2 cylinder, with
+    the given transfer of the genus-1 generators."""
+    from cobord2.symcat import CorrSymbol
+
+    def cyl(g):
+        return fn.eval_surface(Surface((SurfComponent(g, (Circle("c0"),), (Circle("c1"),)),),
+                                       (Circle("c0"),), (Circle("c1"),)))
+
+    return CorrSymbol("hol_trivial", (cyl(2),), (cyl(1),), words=(Word(0, (("a", 1, 1),)),),
+                      transfer=transfer)
+
+
+def test_cross_check_compares_the_transfer_of_equal_faces():
+    # the genus-1 handle is the genus-2 chart's second one; a face that
+    # carries it to the first, the compressed and pinned handle, compares
+    # equal under == (transfer is compare=False) yet is another face
+    good = _genus_two_to_one(((("a", 1), ("a", 2)), (("b", 1), ("b", 2))))
+    bad = _genus_two_to_one(((("a", 1), ("a", 1)), (("b", 1), ("b", 1))))
+    assert good == bad
+    with mock.patch.object(xc, "membership", wraps=xc.membership) as membership:
+        assert xc.face_samples_agree(good, good, 100, 7, 0) == 0.0
+        assert membership.call_count == 1
+        assert xc.face_samples_agree(good, bad, 100, 7, 0) > xc.MEMBERSHIP_TOL
+        assert membership.call_count == 3
 
 
 def test_membership_identification_via_glue():
