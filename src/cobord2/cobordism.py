@@ -13,6 +13,13 @@ as words in the source chart's generators; index-1 steps also carry the
 derived belt words on their target, since reversed they are index-2
 attachments along those belts.
 
+Surfaces and steps are frozen and validated when they are built, and
+they keep what their validation derived, so later checks and the
+functor read it instead of deriving it again: a Surface its sorted
+source and target labels, a CobStep the surgery runs of an index-2
+compression and, once asked for, its reversal.  None of these is a
+dataclass field, so equality, hashing and repr see the fields alone.
+
 The move set relating any two decompositions of a diffeomorphic
 cobordism is implemented as executable rewrites; the diffeomorphism
 move itself is restricted to combinatorial relabelings and the
@@ -22,6 +29,7 @@ invariance checks need."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from cobord2.words import Word
@@ -48,10 +56,6 @@ class Circle:
     def __post_init__(self):
         if self.orient not in (1, -1):
             raise ValueError("orientation must be +-1")
-
-
-def _labels(circles) -> tuple:
-    return tuple(sorted(c.label for c in circles))
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,11 @@ class SurfComponent:
 @dataclass(frozen=True)
 class Surface:
     """One elementary surface in a chain: components plus its declared
-    source/target 1-manifolds."""
+    source/target 1-manifolds.
+
+    source_labels and target_labels are the sorted circle labels of
+    source and target, kept from the check that the components cover
+    them; they are attributes, not fields."""
     components: tuple
     source: tuple  # Circles
     target: tuple
@@ -95,11 +103,13 @@ class Surface:
         )
         object.__setattr__(self, "source", tuple(sorted(self.source, key=lambda c: c.label)))
         object.__setattr__(self, "target", tuple(sorted(self.target, key=lambda c: c.label)))
-        src = sorted(c.label for comp in self.components for c in comp.into)
-        tgt = sorted(c.label for comp in self.components for c in comp.out)
-        if src != sorted(c.label for c in self.source):
+        object.__setattr__(self, "source_labels", tuple(c.label for c in self.source))
+        object.__setattr__(self, "target_labels", tuple(c.label for c in self.target))
+        src = tuple(sorted(c.label for comp in self.components for c in comp.into))
+        tgt = tuple(sorted(c.label for comp in self.components for c in comp.out))
+        if src != self.source_labels:
             raise ChainMismatch("component in-circles do not cover the source")
-        if tgt != sorted(c.label for c in self.target):
+        if tgt != self.target_labels:
             raise ChainMismatch("component out-circles do not cover the target")
         all_labels = [c.label for comp in self.components for c in comp.into + comp.out]
         if len(set(all_labels)) != len(all_labels):
@@ -122,8 +132,8 @@ def validate_chain(chain) -> list:
     agree as labeled 1-manifolds."""
     out = []
     for i, (a, b) in enumerate(zip(chain, chain[1:])):
-        if _labels(a.target) != _labels(b.source):
-            out.append("interface %d: %r vs %r" % (i, _labels(a.target), _labels(b.source)))
+        if a.target_labels != b.source_labels:
+            out.append("interface %d: %r vs %r" % (i, a.target_labels, b.source_labels))
     return out
 
 
@@ -159,6 +169,13 @@ class Attachment:
 
 @dataclass(frozen=True)
 class CobStep:
+    """One elementary step from the source chain to the target chain,
+    validated when it is built.
+
+    runs holds the surgery runs (surgery_runs) that validating an
+    index-2 compression found, and is () for every other step; reversal
+    is the reversed step, built and validated on first use.  Neither is
+    a field."""
     kind: str
     source: Chain
     target: Chain
@@ -168,16 +185,47 @@ class CobStep:
     attachments: tuple = ()
 
     def __post_init__(self):
-        problems = validate_step(self)
+        problems, runs = _check_step(self)
         if problems:
             raise PatternMismatch("; ".join(problems))
+        object.__setattr__(self, "runs", runs)
+
+    @cached_property
+    def reversal(self) -> "CobStep":
+        """reverse_step(self), built once: the step is frozen, so it
+        cannot go stale.  Reversal is an involution, so the reversal's
+        own reversal is this step."""
+        flip = {
+            CYLINDER: CYLINDER,
+            ZERO_HANDLE: THREE_HANDLE,
+            THREE_HANDLE: ZERO_HANDLE,
+            CIRCLE_INSERT: CIRCLE_REMOVE,
+            CIRCLE_REMOVE: CIRCLE_INSERT,
+            COMPRESSION: COMPRESSION,
+        }
+        index = 0
+        atts = self.attachments
+        if self.kind == COMPRESSION:
+            index = 3 - self.index
+            atts = tuple(
+                Attachment(a.item, a.comp, word=a.belt, feet=a.feet, belt=a.word)
+                for a in self.attachments
+            )
+        rev = CobStep(
+            flip[self.kind], self.target, self.source, self.position, self.circle, index, atts
+        )
+        rev.__dict__["reversal"] = self
+        return rev
 
 
 CobSeq = tuple  # of CobStep
 
 
-def validate_step(step: CobStep) -> list:
+def _check_step(step: CobStep) -> tuple:
+    """(violations, surgery runs) of one step; the runs are those of an
+    index-2 compression, and () for every other step."""
     out = []
+    runs = ()
     out.extend(validate_chain(step.source))
     out.extend(validate_chain(step.target))
     if step.kind == CYLINDER:
@@ -195,17 +243,18 @@ def validate_step(step: CobStep) -> list:
         if step.index not in (1, 2):
             out.append("compression index must be 1 or 2")
         elif step.index == 2:
-            out.extend(_check_compression2(step.source, step.target, step.attachments))
+            problems, runs = _check_compression2(step.source, step.target, step.attachments)
+            out.extend(problems)
         else:
             # an index-1 body reversed is an index-2 attachment along
             # the belts, which live on the target
             reversed_atts = tuple(
                 Attachment(a.item, a.comp, word=a.belt) for a in step.attachments
             )
-            out.extend(_check_compression2(step.target, step.source, reversed_atts))
+            out.extend(_check_compression2(step.target, step.source, reversed_atts)[0])
     else:
         out.append("unknown step kind %r" % step.kind)
-    return out
+    return out, runs
 
 
 def _check_ball(before: Chain, after: Chain, pos: int, circle: Optional[str]) -> list:
@@ -222,19 +271,19 @@ def _check_ball(before: Chain, after: Chain, pos: int, circle: Optional[str]) ->
         return ["ball step may not touch other items"]
     d0, d1 = after[pos], after[pos + 1]
     if before:
-        here = before[pos - 1].target if pos >= 1 else before[0].source
-        if _labels(here) != ():
+        here = before[pos - 1].target_labels if pos >= 1 else before[0].source_labels
+        if here != ():
             return ["ball insertion needs an empty chain point"]
     ok = (
         len(d0.components) == 1
         and d0.components[0].genus == 0
         and d0.components[0].k == 1
         and not d0.source
-        and _labels(d0.target) == (circle,)
+        and d0.target_labels == (circle,)
         and len(d1.components) == 1
         and d1.components[0].genus == 0
         and d1.components[0].k == 1
-        and _labels(d1.source) == (circle,)
+        and d1.source_labels == (circle,)
         and not d1.target
     )
     return [] if ok else ["ball step must insert the two discs bounding its sphere"]
@@ -252,7 +301,7 @@ def _check_circle_merge(before: Chain, after: Chain, pos: int, circle: Optional[
     if before[:pos] != after[:pos] or before[pos + 2:] != after[pos + 1:]:
         return ["circle step may not touch other items"]
     a, b = before[pos], before[pos + 1]
-    if _labels(a.target) != (circle,) or _labels(b.source) != (circle,):
+    if a.target_labels != (circle,) or b.source_labels != (circle,):
         return ["removed circle must be the whole interface"]
     merged = glue_surfaces(a, b)
     if merged is None:
@@ -306,7 +355,7 @@ def glue_components(first, second, label) -> Optional[list]:
 def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
     """Glue consecutive surfaces along their full interface; None when
     a closed component would appear."""
-    if _labels(a.target) != _labels(b.source):
+    if a.target_labels != b.source_labels:
         raise ChainMismatch("glued surfaces must share their whole interface")
     glued = glue_components(
         [(c.genus, c.into, c.out) for c in a.components],
@@ -318,18 +367,18 @@ def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
     return Surface(tuple(SurfComponent(*t) for t in glued), a.source, b.target)
 
 
-def _check_compression2(src: Chain, tgt: Chain, attachments) -> list:
+def _check_compression2(src: Chain, tgt: Chain, attachments) -> tuple:
+    """(violations, surgery runs) of an index-2 compression."""
     try:
-        surgery_runs(src, tgt, attachments)
+        return [], surgery_runs(src, tgt, attachments)
     except PatternMismatch as err:
-        return [str(err)]
-    return []
+        return [str(err)], ()
 
 
-def surgery_runs(src: Chain, tgt: Chain, attachments) -> list:
-    """[(source item index, its attachments, target slice)] of an index-2
-    compression from src to tgt; PatternMismatch when the surgery
-    arithmetic does not hold.
+def surgery_runs(src: Chain, tgt: Chain, attachments) -> tuple:
+    """((source item index, its attachments, target slice), ...) of an
+    index-2 compression from src to tgt; PatternMismatch when the
+    surgery arithmetic does not hold.
 
     A separating word splits a component (genus and boundary sums
     preserved), a nonseparating one lowers the genus.  A surgered item
@@ -362,7 +411,7 @@ def surgery_runs(src: Chain, tgt: Chain, attachments) -> list:
                 raise PatternMismatch("target is missing surgered pieces of item %d" % i)
             piece = tgt[j]
             if j == start:
-                if _labels(piece.source) != _labels(a.source):
+                if piece.source_labels != a.source_labels:
                     raise PatternMismatch(
                         "surgered run of item %d starts on the wrong interface" % i)
             elif piece.source != ():
@@ -372,12 +421,12 @@ def surgery_runs(src: Chain, tgt: Chain, attachments) -> list:
                     raise PatternMismatch("unexpected component after surgery on item %d" % i)
                 remaining.remove(c)
             j += 1
-        if _labels(tgt[j - 1].target) != _labels(a.target):
+        if tgt[j - 1].target_labels != a.target_labels:
             raise PatternMismatch("surgered run of item %d ends on the wrong interface" % i)
-        runs.append((i, atts, (start, j)))
+        runs.append((i, tuple(atts), (start, j)))
     if j != len(tgt):
         raise PatternMismatch("target has extra items")
-    return runs
+    return tuple(runs)
 
 
 def _surger_components(a: Surface, atts) -> Optional[list]:
@@ -497,26 +546,9 @@ def seq_target(seq: CobSeq) -> Chain:
 
 
 def reverse_step(step: CobStep) -> CobStep:
-    """The reversed cobordism of one step."""
-    flip = {
-        CYLINDER: CYLINDER,
-        ZERO_HANDLE: THREE_HANDLE,
-        THREE_HANDLE: ZERO_HANDLE,
-        CIRCLE_INSERT: CIRCLE_REMOVE,
-        CIRCLE_REMOVE: CIRCLE_INSERT,
-        COMPRESSION: COMPRESSION,
-    }
-    index = 0
-    atts = step.attachments
-    if step.kind == COMPRESSION:
-        index = 3 - step.index
-        atts = tuple(
-            Attachment(a.item, a.comp, word=a.belt, feet=a.feet, belt=a.word)
-            for a in step.attachments
-        )
-    return CobStep(
-        flip[step.kind], step.target, step.source, step.position, step.circle, index, atts
-    )
+    """The reversed cobordism of one step, the same object on every call
+    (CobStep.reversal)."""
+    return step.reversal
 
 
 def zero_handle_step(chain: Chain, pos: int, label: str) -> CobStep:

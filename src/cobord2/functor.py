@@ -12,6 +12,10 @@ transposed faces of its reversal, since reversing a cobordism
 transposes its correspondence (Wehrheim and Woodward, "Functoriality
 for Lagrangian correspondences in Floer theory", 2010); an index-1
 compression thus becomes the transposed index-2 faces along its belts.
+Evaluation derives nothing a step already carries: an index-2
+compression's faces come from the surgery runs its validation found
+(CobStep.runs), a reversed step's from its one cached reversal, and
+each surface object is evaluated once per HamInstance.
 
 The invariance checker evaluates two step sequences related by a move
 chain, compares normal forms, and cross-checks sampled points of the
@@ -78,11 +82,21 @@ def eval_surface(item: cb.Surface) -> SpaceSymbol:
     return moduli_symbol(*[eval_component(c) for c in item.components])
 
 
+def _surface_symbol(item: cb.Surface, inst: HamInstance) -> SpaceSymbol:
+    """eval_surface(item), evaluated once per surface object and
+    instance: the memo is keyed by identity and holds the surface, so an
+    id stays its own while its entry stands."""
+    entry = inst.surface_symbols.get(id(item))
+    if entry is None:
+        entry = inst.surface_symbols[id(item)] = (item, eval_surface(item))
+    return entry[1]
+
+
 def eval1(chain, inst: Optional[HamInstance] = None) -> SeqMorphism:
     """Componentwise moduli symbols; keyed on circle labels, never on
     parametrizations, so reparametrized middles evaluate equal."""
     inst = inst or HamInstance()
-    items = tuple(eval_surface(item) for item in chain)
+    items = tuple(_surface_symbol(item, inst) for item in chain)
     return seq_from_items(inst, items, source=eval0(cb.chain_source(chain)))
 
 
@@ -160,14 +174,15 @@ def _eval_step(step: CobStep, symbols, inst) -> tuple:
     rev = cb.reverse_step(step)
     faces = []
     shift = 0
-    for offset, face in _eval_forward(rev, tuple(eval_surface(item) for item in rev.source), inst):
+    rev_symbols = tuple(_surface_symbol(item, inst) for item in rev.source)
+    for offset, face in _eval_forward(rev, rev_symbols, inst):
         # offset places the forward face's target in the current
         # symbols; the transposed faces left of it have shrunk those
         # items back by shift
         src = symbols[offset:offset + len(face.tgt_items)]
         flags = _flags(src)
         tgt = tuple(s.with_excisions(flags) for s in face.src_items)
-        morph = replace(face.morph.transpose(), src=src, tgt=tgt)
+        morph = replace(face.morph, src=src, tgt=tgt, transposed=not face.morph.transposed)
         faces.append((offset - shift, Face(morph, src, tgt)))
         shift += len(face.tgt_items) - len(face.src_items)
     return tuple(faces)
@@ -178,7 +193,7 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
     if step.kind == cb.CYLINDER:
         return ()
     if step.kind == cb.ZERO_HANDLE:
-        discs = (eval_surface(step.target[p]), eval_surface(step.target[p + 1]))
+        discs = (_surface_symbol(step.target[p], inst), _surface_symbol(step.target[p + 1], inst))
         face = CorrSymbol("zero_section", (), discs, circles=(step.circle,))
         return ((p, Face(face, (), discs)),)
     if step.kind == cb.CIRCLE_REMOVE:
@@ -188,10 +203,10 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
     faces = []
     # the faces left of a surgered item have left its target's items,
     # so each face starts where its target slice does
-    for i, atts, (lo, hi) in cb.surgery_runs(step.source, step.target, step.attachments):
+    for i, atts, (lo, hi) in step.runs:
         sym = symbols[i]
         targets = tuple(
-            eval_surface(step.target[j]).with_excisions(sym.excised)
+            _surface_symbol(step.target[j], inst).with_excisions(sym.excised)
             for j in range(lo, hi)
         )
         words = tuple(att.word for att in atts)

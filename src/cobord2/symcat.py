@@ -237,7 +237,14 @@ def _cancelling_pair(wa, wb) -> bool:
 
 
 class HamInstance(Instance):
-    """Callback bundle for the symbolic moduli category."""
+    """Callback bundle for the symbolic moduli category.
+
+    surface_symbols is the functor's memo of the space symbol of each
+    surface object it evaluated with this instance, as id -> (surface,
+    symbol)."""
+
+    def __init__(self):
+        self.surface_symbols: dict = {}
 
     def ends1(self, item: SpaceSymbol):
         return (item.source_group, item.target_group)

@@ -47,6 +47,15 @@ def test_cli_import_loads_only_report(tmp_path):
     assert modules == {"cobord2", "cobord2.cli", "cobord2.report"}
 
 
+def test_move_calculus_import_loads_only_words(tmp_path):
+    """The move calculus keeps no evaluation cache: it imports neither
+    symcat nor functor, nor numpy."""
+    numpy_loaded, modules = loaded_after(
+        "import cobord2.cobordism\ncode = 'numpy' in sys.modules", tmp_path)
+    assert modules == {"cobord2", "cobord2.cobordism", "cobord2.words"}
+    assert numpy_loaded is False
+
+
 def test_functor_import_loads_no_chart_layer(tmp_path):
     _, modules = loaded_after("import cobord2.functor", tmp_path)
     assert "cobord2.functor" in modules

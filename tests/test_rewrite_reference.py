@@ -14,6 +14,9 @@ pin what the walks found:
   normalizer's order (ROADMAP item 2);
 - missing rule (ROADMAP item 1): a creation cannot cancel one word of a
   face that imbrication fused, so the terminal sets do not meet;
+- order dependence (ROADMAP item 3): after a create23 and a switch the
+  terminal sets meet, but the normalizer's order reaches two normal
+  forms that compare unequal;
 - imbrication after a separating compression: the fused face or the
   move chain itself is wrong.
 The known wrong verdicts are strict xfails, so a fix shows up as an
@@ -43,7 +46,9 @@ from rewrite_reference import terminal_states
 DATA = Path(__file__).resolve().parents[1] / "src" / "cobord2" / "data"
 CATALOG = {name: (y1, moves) for name, y1, moves in cat.cerf_move_catalog()}
 MISSING_RULE = "ROADMAP item 1: no rule cancels one word of a fused face"
+ORDER_DEPENDENT = "ROADMAP item 3: the terminal sets meet, but the normal forms compare unequal"
 CANCEL12_CHAIN = "cyl_create 1\ncreate12 1 0 0\nimbricate 2\n"
+BALL_CANCEL_CHAIN = "cyl_create 2\ncreate23 2 0 w1\nswitch 4\n"
 
 
 def _cdf_ends(doc):
@@ -56,10 +61,17 @@ def _catalog_ends(name):
     return y1, cb.apply_moves(y1, moves)
 
 
+def _chain_text(name, move, chain):
+    """The shipped .cdf name with its one move replaced by chain."""
+    text = (DATA / name).read_text()
+    if "\n%s\n" % move not in text:
+        # not an AssertionError, so no strict xfail can pass on it
+        raise ValueError("%s has no move %r" % (name, move))
+    return text.replace("\n%s\n" % move, "\n" + chain)
+
+
 def _cancel12_chain_text():
-    text = (DATA / "cancel12.cdf").read_text()
-    assert "\ncancel12 0\n" in text
-    return text.replace("\ncancel12 0\n", "\n" + CANCEL12_CHAIN)
+    return _chain_text("cancel12.cdf", "cancel12 0", CANCEL12_CHAIN)
 
 
 def _ends(case):
@@ -179,6 +191,9 @@ SWITCH_CHAINS = [
     ("solid_torus.cdf",
      [Move("cyl_create", 2), Move("create01", 2, (0, "w1")), Move("switch", 1)]),
 ]
+ORDER_DEPENDENT_CHAINS = [
+    ("cancel01", [Move("cyl_create", 2), Move("create23", 2, (0, "w1")), Move("switch", 4)]),
+]
 
 
 def _chain_ends(chain):
@@ -204,7 +219,7 @@ def _xfail(chain, reason):
     return pytest.param(chain, id=_chain_id(chain), marks=mark)
 
 
-@pytest.mark.parametrize("chain", [_param(c) for c in SWITCH_CHAINS])
+@pytest.mark.parametrize("chain", [_param(c) for c in SWITCH_CHAINS + ORDER_DEPENDENT_CHAINS])
 def test_switch_chains_meet_in_the_reference(chain):
     _, _, t1, t2 = _explore(*_chain_ends(chain))
     assert t1 & t2
@@ -212,12 +227,20 @@ def test_switch_chains_meet_in_the_reference(chain):
 
 @pytest.mark.parametrize(
     "chain",
-    [_xfail(c, MISSING_RULE) for c in MISSING_RULE_CHAINS] + [_param(c) for c in SWITCH_CHAINS],
+    [_xfail(c, MISSING_RULE) for c in MISSING_RULE_CHAINS]
+    + [_xfail(c, ORDER_DEPENDENT) for c in ORDER_DEPENDENT_CHAINS]
+    + [_param(c) for c in SWITCH_CHAINS],
 )
 def test_known_chain_passes_normal_forms_equal(chain):
     y1, y2 = _chain_ends(chain)
     records = {name: ok for name, ok, _ in fn.invariance_check(y1, y2, [])}
     assert records["normal-forms-equal"]
+
+
+@pytest.mark.parametrize("chain", [_xfail(c, ORDER_DEPENDENT) for c in ORDER_DEPENDENT_CHAINS])
+def test_order_dependent_chain_meets_as_it_compares(chain):
+    n1, n2, t1, t2 = _explore(*_chain_ends(chain))
+    assert bool(t1 & t2) == normal_forms_equal(n1, n2, HamInstance())
 
 
 @pytest.mark.parametrize("chain", [_xfail(c, MISSING_RULE) for c in MISSING_RULE_CHAINS])
@@ -235,6 +258,12 @@ def _invariance_exit_code(path, text):
 @pytest.mark.xfail(strict=True, reason=MISSING_RULE, raises=AssertionError)
 def test_cancel12_cdf_chain_cli_exits_0(tmp_path):
     assert _invariance_exit_code(tmp_path / "cancel12_chain.cdf", _cancel12_chain_text()) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=ORDER_DEPENDENT, raises=AssertionError)
+def test_ball_cancel_cdf_create23_switch_chain_cli_exits_0(tmp_path):
+    text = _chain_text("ball_cancel.cdf", "cancel01 0", BALL_CANCEL_CHAIN)
+    assert _invariance_exit_code(tmp_path / "ball_cancel_chain.cdf", text) == 0
 
 
 SEPARATED_GENUS2_CDF = """@circles
