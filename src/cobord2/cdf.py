@@ -305,6 +305,8 @@ def _parse_move(lineno, line) -> Move:
             return Move(kind, int(args[0]), (int(args[1]), int(args[2])))
         if kind == "relabel":
             pairs = tuple(tuple(tok.split("=", 1)) for tok in args[1:])
+            if not all(len(pair) == 2 and all(pair) for pair in pairs):
+                raise ValueError("relabel takes OLD=NEW pairs")
             return Move(kind, int(args[0]), pairs)
     except (IndexError, ValueError) as err:
         raise ParseError("line %d: bad move arguments (%s)" % (lineno, err))

@@ -13,12 +13,16 @@ as words in the source chart's generators; index-1 steps also carry the
 derived belt words on their target, since reversed they are index-2
 attachments along those belts.
 
+Only the forward steps (is_forward) have rules of their own; a reversed
+step (3-handle, circle insertion, index-1 compression) is valid when
+its reversal is, so building one builds its forward reversal.
+
 Surfaces and steps are frozen and validated when they are built, and
 they keep what their validation derived, so later checks and the
 functor read it instead of deriving it again: a Surface its sorted
 source and target labels, a CobStep the surgery runs of an index-2
-compression and, once asked for, its reversal.  None of these is a
-dataclass field, so equality, hashing and repr see the fields alone.
+compression and its reversal.  None of these is a dataclass field, so
+equality, hashing and repr see the fields alone.
 
 The move set relating any two decompositions of a diffeomorphic
 cobordism is implemented as executable rewrites; the diffeomorphism
@@ -167,15 +171,36 @@ class Attachment:
     belt: Optional[Word] = None
 
 
+# the kind of each kind's reversal; a compression of index i reverses to
+# one of index 3 - i
+REVERSED_KIND = {
+    CYLINDER: CYLINDER,
+    ZERO_HANDLE: THREE_HANDLE,
+    THREE_HANDLE: ZERO_HANDLE,
+    CIRCLE_INSERT: CIRCLE_REMOVE,
+    CIRCLE_REMOVE: CIRCLE_INSERT,
+    COMPRESSION: COMPRESSION,
+}
+
+
+def is_forward(step) -> bool:
+    """Whether the step has a rule of its own: cylinders, 0-handles,
+    circle removals and index-2 compressions.  The others reverse these."""
+    return step.kind in (CYLINDER, ZERO_HANDLE, CIRCLE_REMOVE) or (
+        step.kind == COMPRESSION and step.index == 2
+    )
+
+
 @dataclass(frozen=True)
 class CobStep:
     """One elementary step from the source chain to the target chain,
-    validated when it is built.
+    validated when it is built: a forward step by its own rule, a
+    reversed one by building its forward reversal.
 
     runs holds the surgery runs (surgery_runs) that validating an
     index-2 compression found, and is () for every other step; reversal
-    is the reversed step, built and validated on first use.  Neither is
-    a field."""
+    is the reversed step, which a reversed step holds from construction
+    and a forward one builds on first use.  Neither is a field."""
     kind: str
     source: Chain
     target: Chain
@@ -185,73 +210,66 @@ class CobStep:
     attachments: tuple = ()
 
     def __post_init__(self):
-        problems, runs = _check_step(self)
-        if problems:
-            raise PatternMismatch("; ".join(problems))
+        runs = ()
+        known = self.kind in REVERSED_KIND and (self.kind != COMPRESSION or self.index in (1, 2))
+        if known and not is_forward(self):
+            _pair_reversal(self)  # valid when its forward reversal is
+        else:
+            problems, runs = _check_step(self)
+            if problems:
+                raise PatternMismatch("; ".join(problems))
         object.__setattr__(self, "runs", runs)
 
     @cached_property
     def reversal(self) -> "CobStep":
-        """reverse_step(self), built once: the step is frozen, so it
-        cannot go stale.  Reversal is an involution, so the reversal's
-        own reversal is this step."""
-        flip = {
-            CYLINDER: CYLINDER,
-            ZERO_HANDLE: THREE_HANDLE,
-            THREE_HANDLE: ZERO_HANDLE,
-            CIRCLE_INSERT: CIRCLE_REMOVE,
-            CIRCLE_REMOVE: CIRCLE_INSERT,
-            COMPRESSION: COMPRESSION,
-        }
-        index = 0
-        atts = self.attachments
-        if self.kind == COMPRESSION:
-            index = 3 - self.index
-            atts = tuple(
-                Attachment(a.item, a.comp, word=a.belt, feet=a.feet, belt=a.word)
-                for a in self.attachments
-            )
-        rev = CobStep(
-            flip[self.kind], self.target, self.source, self.position, self.circle, index, atts
-        )
-        rev.__dict__["reversal"] = self
-        return rev
+        """reverse_step(self) of a forward step, built once: the step is
+        frozen, so it cannot go stale."""
+        return _pair_reversal(self)
 
 
 CobSeq = tuple  # of CobStep
 
 
+def _pair_reversal(step: CobStep) -> CobStep:
+    """Build the reversed step, and so validate it, and make each of the
+    two the other's reversal (reversal is an involution).  Source and
+    target swap, and a compression's words and belts swap with its
+    index."""
+    index = 0
+    atts = step.attachments
+    if step.kind == COMPRESSION:
+        index = 3 - step.index
+        atts = tuple(
+            Attachment(a.item, a.comp, word=a.belt, feet=a.feet, belt=a.word)
+            for a in step.attachments
+        )
+    rev = CobStep(REVERSED_KIND[step.kind], step.target, step.source, step.position,
+                  step.circle, index, atts)
+    rev.__dict__["reversal"] = step
+    step.__dict__["reversal"] = rev
+    return rev
+
+
 def _check_step(step: CobStep) -> tuple:
-    """(violations, surgery runs) of one step; the runs are those of an
-    index-2 compression, and () for every other step."""
-    out = []
+    """(violations, surgery runs) of a forward step, or of a step whose
+    kind or compression index the calculus does not know; the runs are
+    those of an index-2 compression, and () for every other step."""
+    out = validate_chain(step.source) + validate_chain(step.target)
     runs = ()
-    out.extend(validate_chain(step.source))
-    out.extend(validate_chain(step.target))
     if step.kind == CYLINDER:
         if step.source != step.target:
             out.append("cylinder must repeat its decomposition")
     elif step.kind == ZERO_HANDLE:
         out.extend(_check_ball(step.source, step.target, step.position, step.circle))
-    elif step.kind == THREE_HANDLE:
-        out.extend(_check_ball(step.target, step.source, step.position, step.circle))
     elif step.kind == CIRCLE_REMOVE:
         out.extend(_check_circle_merge(step.source, step.target, step.position, step.circle))
-    elif step.kind == CIRCLE_INSERT:
-        out.extend(_check_circle_merge(step.target, step.source, step.position, step.circle))
+    elif is_forward(step):  # an index-2 compression
+        try:
+            runs = surgery_runs(step.source, step.target, step.attachments)
+        except PatternMismatch as err:
+            out.append(str(err))
     elif step.kind == COMPRESSION:
-        if step.index not in (1, 2):
-            out.append("compression index must be 1 or 2")
-        elif step.index == 2:
-            problems, runs = _check_compression2(step.source, step.target, step.attachments)
-            out.extend(problems)
-        else:
-            # an index-1 body reversed is an index-2 attachment along
-            # the belts, which live on the target
-            reversed_atts = tuple(
-                Attachment(a.item, a.comp, word=a.belt) for a in step.attachments
-            )
-            out.extend(_check_compression2(step.target, step.source, reversed_atts)[0])
+        out.append("compression index must be 1 or 2")
     else:
         out.append("unknown step kind %r" % step.kind)
     return out, runs
@@ -365,14 +383,6 @@ def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
     if glued is None:
         return None
     return Surface(tuple(SurfComponent(*t) for t in glued), a.source, b.target)
-
-
-def _check_compression2(src: Chain, tgt: Chain, attachments) -> tuple:
-    """(violations, surgery runs) of an index-2 compression."""
-    try:
-        return [], surgery_runs(src, tgt, attachments)
-    except PatternMismatch as err:
-        return [str(err)], ()
 
 
 def surgery_runs(src: Chain, tgt: Chain, attachments) -> tuple:
@@ -554,6 +564,7 @@ def reverse_step(step: CobStep) -> CobStep:
 def zero_handle_step(chain: Chain, pos: int, label: str) -> CobStep:
     """A 3-ball entering at chain point pos as the two discs bounding
     its sphere, glued along the new circle label."""
+    _check_new_label(chain, label)
     c = Circle(label)
     d0 = Surface((SurfComponent(0, (), (c,)),), (), (c,))
     d1 = Surface((SurfComponent(0, (c,), ()),), (c,), ())
@@ -566,6 +577,7 @@ def circle_insert_step(chain: Chain, item_idx: int, g1: int, label: str) -> CobS
     genus-g1 piece on its source side and the rest on its target side."""
     if not 0 <= item_idx < len(chain):
         raise PatternMismatch("no item %d at this level" % item_idx)
+    _check_new_label(chain, label)
     item = chain[item_idx]
     if len(item.components) != 1:
         raise PatternMismatch("refined item must be connected")
@@ -577,6 +589,11 @@ def circle_insert_step(chain: Chain, item_idx: int, g1: int, label: str) -> CobS
     p2 = Surface((SurfComponent(comp.genus - g1, (c,), comp.out),), (c,), item.target)
     target = chain[:item_idx] + (p1, p2) + chain[item_idx + 1:]
     return CobStep(CIRCLE_INSERT, chain, target, position=item_idx, circle=label)
+
+
+def _check_new_label(chain: Chain, label: str) -> None:
+    if any(label in item.source_labels + item.target_labels for item in chain):
+        raise PatternMismatch("circle label %r is already in the chain" % label)
 
 
 def compression1_step(chain: Chain, feet) -> CobStep:
@@ -651,6 +668,9 @@ def apply_move(seq: CobSeq, move: Move) -> CobSeq:
     }
     if move.kind not in handlers:
         raise PatternMismatch("unknown move kind %r" % move.kind)
+    if move.pos < 0:
+        # no move reads a position from the end of the sequence
+        raise PatternMismatch("move position %d is negative" % move.pos)
     return handlers[move.kind](seq, move)
 
 
@@ -690,16 +710,21 @@ def _relabel_surface(s: Surface, table: dict) -> Surface:
 def _move_relabel(seq: CobSeq, move: Move) -> CobSeq:
     """Diffeomorphism equivalence, combinatorial subset: a bijective
     renaming of internal circle labels.  The outer boundary
-    decompositions stay fixed."""
+    decompositions stay fixed, and no new name may be a label that the
+    renaming leaves in place."""
     table = dict(move.data)
     if len(set(table.values())) != len(table):
         raise PatternMismatch("relabeling is not injective")
-    outer = set()
-    for item in seq_source(seq) + seq_target(seq):
-        for c in item.components:
-            outer.update(x.label for x in c.into + c.out)
-    if outer & set(table):
+
+    def labels(items):
+        return {x for item in items for x in item.source_labels + item.target_labels}
+
+    if labels(seq_source(seq) + seq_target(seq)) & set(table):
         raise PatternMismatch("relabeling may not touch the outer boundary")
+    kept = labels(item for step in seq for item in step.source + step.target) - set(table)
+    reused = kept.intersection(table.values())
+    if reused:
+        raise PatternMismatch("relabeling may not reuse the label %r" % min(reused))
     out = []
     for step in seq:
         out.append(
@@ -758,7 +783,7 @@ def _move_imbricate(seq: CobSeq, move: Move) -> CobSeq:
     s1, s2 = seq[pos], seq[pos + 1]
     if s1.kind != COMPRESSION or s2.kind != COMPRESSION or s1.index != s2.index:
         raise PatternMismatch("imbrication needs two compressions of one index")
-    if s1.index == 2:
+    if is_forward(s1):
         merged = _imbricate2(s1, s2)
     else:
         merged = reverse_step(_imbricate2(reverse_step(s2), reverse_step(s1)))
@@ -768,7 +793,7 @@ def _move_imbricate(seq: CobSeq, move: Move) -> CobSeq:
 def _imbricate2(s1: CobStep, s2: CobStep) -> CobStep:
     lifted = []
     for att in s2.attachments:
-        lift = _lift_attachment(att, s1)
+        lift = _carry_attachment(att, s1, down=False)
         if lift is None:
             raise PatternMismatch("cannot lift an attaching word through the first step")
         lifted.append(lift)
@@ -778,21 +803,24 @@ def _imbricate2(s1: CobStep, s2: CobStep) -> CobStep:
     )
 
 
-def _lift_attachment(att: Attachment, s1: CobStep) -> Optional[Attachment]:
-    """Re-express an attachment on s1.target in s1.source coordinates;
-    supported for the label-stable compressions used here: the item/
-    component tracking is by boundary labels, handle indices shift past
-    the compressed handles."""
-    tgt_item = s1.target[att.item]
-    comp = tgt_item.components[att.comp]
-    home = _find_component(s1.source, comp.boundary_labels)
+def _carry_attachment(att: Attachment, step: CobStep, down: bool) -> Optional[Attachment]:
+    """Carry an attachment across the index-2 compression step: down
+    from step.source to step.target, or up from step.target to
+    step.source.  Supported for the label-stable compressions used here:
+    the item/component tracking is by boundary labels, and handle indices
+    shift past the handles the step compresses on the source side."""
+    here, there = (step.source, step.target) if down else (step.target, step.source)
+    comp = here[att.item].components[att.comp]
+    home = _find_component(there, comp.boundary_labels)
     if home is None:
         return None
-    item_idx, comp_idx, src_comp = home
-    cuts = {a.word.single_generator()[1] for a in s1.attachments
-            if a.item == item_idx and a.comp == comp_idx and _is_nonseparating(a.word)}
-    lifted = dict(enumerate(surviving_handles(src_comp.genus, cuts), start=1))
-    word = _renumber_handles(att.word, comp_idx, lifted)
+    item_idx, comp_idx, _ = home
+    src_item, src_comp, src = (att.item, att.comp, comp) if down else home
+    cuts = {a.word.single_generator()[1] for a in step.attachments
+            if a.item == src_item and a.comp == src_comp and _is_nonseparating(a.word)}
+    survivors = list(enumerate(surviving_handles(src.genus, cuts), start=1))
+    table = {old: new for new, old in survivors} if down else dict(survivors)
+    word = _renumber_handles(att.word, comp_idx, table)
     return None if word is None else Attachment(item_idx, comp_idx, word=word)
 
 
@@ -834,7 +862,7 @@ def _move_split_compression(seq: CobSeq, move: Move) -> CobSeq:
     step = seq[pos]
     if not 0 < head_count < len(step.attachments):
         raise PatternMismatch("split must leave attachments on both sides")
-    if step.index != 2:
+    if not is_forward(step):
         rev = _move_split_compression(
             (reverse_step(step),), Move("split_compression", 0, (len(step.attachments) - head_count,))
         )
@@ -845,7 +873,7 @@ def _move_split_compression(seq: CobSeq, move: Move) -> CobSeq:
     first = CobStep(COMPRESSION, step.source, mid_chain, index=2, attachments=head)
     dropped = []
     for att in tail:
-        low = _lower_attachment(att, first)
+        low = _carry_attachment(att, first, down=True)
         if low is None:
             raise PatternMismatch("a tail word does not survive the first compression")
         dropped.append(low)
@@ -870,22 +898,6 @@ def _compress_chain(chain: Chain, attachments) -> Chain:
     return tuple(items)
 
 
-def _lower_attachment(att: Attachment, first: CobStep) -> Optional[Attachment]:
-    """Push an attachment on first.source down to first.target: handle
-    indices drop past the handles first compressed away."""
-    src_item = first.source[att.item]
-    comp = src_item.components[att.comp]
-    home = _find_component(first.target, comp.boundary_labels)
-    if home is None:
-        return None
-    item_idx, comp_idx, _ = home
-    cuts = {a.word.single_generator()[1] for a in first.attachments
-            if a.item == att.item and a.comp == att.comp and _is_nonseparating(a.word)}
-    lowered = {old: new for new, old in enumerate(surviving_handles(comp.genus, cuts), start=1)}
-    word = _renumber_handles(att.word, comp_idx, lowered)
-    return None if word is None else Attachment(item_idx, comp_idx, word=word)
-
-
 def _step_window(step: CobStep):
     """(lo, hi, delta): the item slice the step touches in its source
     and the item-count change."""
@@ -899,7 +911,7 @@ def _step_window(step: CobStep):
         hi_t -= 1
     window = (lo, hi_s, len(tgt) - len(src))
     for att in step.attachments:
-        ref = att.item if step.index == 2 else min(f[0] for f in att.feet or ((att.item, 0),))
+        ref = att.item if is_forward(step) else min(f[0] for f in att.feet or ((att.item, 0),))
         window = (min(window[0], ref), max(window[1], ref + 1), window[2])
     if step.kind in (ZERO_HANDLE, CIRCLE_INSERT):
         window = (min(window[0], step.position), window[1], window[2])
@@ -997,7 +1009,7 @@ def _move_cancel01(seq: CobSeq, move: Move) -> CobSeq:
     s1, s2, s3 = seq[pos:pos + 3]
     if s1.kind != ZERO_HANDLE:
         raise PatternMismatch("first step must be a 0-handle")
-    if s2.kind != COMPRESSION or s2.index != 1 or len(s2.attachments) != 1:
+    if s2.kind != COMPRESSION or is_forward(s2) or len(s2.attachments) != 1:
         raise PatternMismatch("second step must be a single 1-handle")
     if s3.kind != CIRCLE_REMOVE or s3.circle != s1.circle:
         raise PatternMismatch("third step must remove the 0-handle circle")
@@ -1058,9 +1070,9 @@ def _move_cancel12(seq: CobSeq, move: Move) -> CobSeq:
     if pos + 2 > len(seq):
         raise PatternMismatch("cancellation needs two steps")
     s1, s2 = seq[pos], seq[pos + 1]
-    if s1.kind != COMPRESSION or s1.index != 1 or len(s1.attachments) != 1:
+    if s1.kind != COMPRESSION or is_forward(s1) or len(s1.attachments) != 1:
         raise PatternMismatch("first step must be a single 1-handle")
-    if s2.kind != COMPRESSION or s2.index != 2 or len(s2.attachments) != 1:
+    if s2.kind != COMPRESSION or not is_forward(s2) or len(s2.attachments) != 1:
         raise PatternMismatch("second step must be a single 2-handle")
     a1, a2 = s1.attachments[0], s2.attachments[0]
     if (a1.item, a1.comp) != (a2.item, a2.comp):

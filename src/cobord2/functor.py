@@ -4,18 +4,19 @@ the invariance check that compares two of them.
 Objects go to one SU(2) factor per circle, surfaces to moduli symbols
 read off componentwise, and each elementary step to its placed faces,
 left to right, over the symbols the steps before it leave.  Only the
-forward steps have rules of their own: cylinders go to no face,
-0-handles to zero-sections, circle removals to identification faces and
-index-2 compressions to trivial-holonomy faces.  A reversed step
-(3-handle, circle insertion, index-1 compression) evaluates as the
-transposed faces of its reversal, since reversing a cobordism
-transposes its correspondence (Wehrheim and Woodward, "Functoriality
-for Lagrangian correspondences in Floer theory", 2010); an index-1
-compression thus becomes the transposed index-2 faces along its belts.
-Evaluation derives nothing a step already carries: an index-2
-compression's faces come from the surgery runs its validation found
-(CobStep.runs), a reversed step's from its one cached reversal, and
-each surface object is evaluated once per HamInstance.
+forward steps (cobordism.is_forward) have rules of their own: cylinders
+go to no face, 0-handles to zero-sections, circle removals to
+identification faces and index-2 compressions to trivial-holonomy
+faces.  A reversed step (3-handle, circle insertion, index-1
+compression) evaluates as the transposed faces of its reversal, since
+reversing a cobordism transposes its correspondence (Wehrheim and
+Woodward, "Functoriality for Lagrangian correspondences in Floer
+theory", 2010); an index-1 compression thus becomes the transposed
+index-2 faces along its belts.  Evaluation derives nothing a step
+already carries: an index-2 compression's faces come from the surgery
+runs its validation found (CobStep.runs), a reversed step's from the
+reversal it has held since it was built, and each surface object is
+evaluated once per HamInstance.
 
 The invariance checker evaluates two step sequences related by a move
 chain, compares normal forms, and cross-checks sampled points of the
@@ -157,19 +158,13 @@ def _flags(syms) -> frozenset:
     return out
 
 
-def _is_forward(step: CobStep) -> bool:
-    return step.kind in (cb.CYLINDER, cb.ZERO_HANDLE, cb.CIRCLE_REMOVE) or (
-        step.kind == cb.COMPRESSION and step.index == 2
-    )
-
-
 def _eval_step(step: CobStep, symbols, inst) -> tuple:
     """The placed faces of one step over the current symbols, left to
     right.  A reversed step (3-handle, circle insertion, index-1
     compression) evaluates to the transpose of its forward reversal's
     faces, taken on the unflagged symbols of its target; each new
     symbol takes the flags of the symbols it replaces."""
-    if _is_forward(step):
+    if cb.is_forward(step):
         return _eval_forward(step, symbols, inst)
     rev = cb.reverse_step(step)
     faces = []

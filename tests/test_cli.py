@@ -288,6 +288,17 @@ GENUS_ONE_ANNULUS = (
     "@circles\nc0 +\nc1 +\n@surfaces\nann comp g=1 in=c0 out=c1\n@chain ann\n@steps\n"
 )
 
+BALL_CANCEL_STEPS = (
+    "@circles\nc1 +\n@surfaces\ncap comp g=0 in= out=c1\n@chain cap\n@steps\n"
+    "zero_handle 0 mid\ncompression1 1.0 2.0\ncircle_remove 0 mid\n@moves\n"
+)
+
+# c0 ends item 0, and m2 joins items 1 and 2 before it is removed again
+M2_ACROSS_ITEMS = (
+    "@circles\nc0 +\nc1 +\n@surfaces\np comp g=0 in=c0\nq comp g=0 out=c1\n@chain p q\n"
+    "@steps\nzero_handle 1 m2\ncompression1 2.0 3.0\ncircle_remove 1 m2\n@moves\n"
+)
+
 # a UTF-16 file (its byte-order mark is ff fe), which is not UTF-8
 NOT_UTF8_CDF = "@manifold solid_torus\n".encode("utf-16")
 NOT_UTF8_CAT = "@depth 2\n".encode("utf-16")
@@ -350,6 +361,15 @@ def moduli(*options):
         (AXIOMS, "@depth -3\n", 2),
         (FUNCTOR_EVAL, NOT_UTF8_CDF, 2),
         (AXIOMS, NOT_UTF8_CAT, 2),
+        (FUNCTOR_INVARIANCE, BALL_CANCEL_STEPS + "cancel01 -1\n", 2),
+        (FUNCTOR_INVARIANCE, GENUS_ONE_ANNULUS + "compression2 0 0 b1\ncompression1 0.0 0.0\n"
+                                                 "@moves\ncancel12 -1\n", 2),
+        (FUNCTOR_INVARIANCE, BALL_CANCEL_STEPS + "relabel 0 mid\n", 2),
+        (FUNCTOR_INVARIANCE, BALL_CANCEL_STEPS + "relabel 0 mid=c1\n", 2),
+        (FUNCTOR_INVARIANCE, M2_ACROSS_ITEMS + "relabel 0 m2=c0\n", 2),
+        # found by test_cli_survives_appended_moves
+        (FUNCTOR_INVARIANCE, BALL_CANCEL_STEPS + "cancel01 0\ncreate01 0 0 c1\n", 2),
+        (FUNCTOR_INVARIANCE, BALL_CANCEL_STEPS + "cancel01 0\ncreate23 0 0 c1\n", 2),
     ],
     ids=["manifold-without-name", "surface-without-components", "component-without-circles",
          "component-genus-not-integer", "component-negative-genus", "steps2-boundary-mismatch",
@@ -362,7 +382,9 @@ def moduli(*options):
          "moduli-nan-svd-tolerance", "moduli-zero-samples", "moduli-negative-samples",
          "functor-zero-samples", "solid-torus-extra-label", "closed-surface-without-genus",
          "closed-surface-negative-genus", "depth-zero", "depth-negative", "eval-not-utf8",
-         "axioms-not-utf8"],
+         "axioms-not-utf8", "cancel01-negative-position", "cancel12-negative-position",
+         "relabel-without-equals", "relabel-onto-a-kept-label",
+         "relabel-onto-the-outer-boundary", "create01-label-in-use", "create23-label-in-use"],
 )
 def test_cli_malformed_cdf_exits_without_traceback(tmp_path, command, text, code):
     argv = list(command)
@@ -586,6 +608,49 @@ def test_cli_survives_mutated_shipped_inputs(case, mode):
             argv = ["functor", mode, str(target), "--samples", "20"]
         # in-process: an exception escaping cli.main fails the test by itself
         code, _, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error: " in err
+
+
+CDF_FILES = sorted(DATA.glob("*.cdf"))
+# each move's arguments after its position: i an integer, l a label
+MOVE_ARGS = {"relabel": "", "cyl_create": "", "cyl_cancel": "", "circle_insert": "iil",
+             "circle_remove": "", "imbricate": "", "split_compression": "i", "switch": "",
+             "cancel01": "", "create01": "il", "cancel23": "", "create23": "il",
+             "cancel12": "", "create12": "ii"}
+MOVE_LABELS = ("c0", "c1", "ball", "mid", "w1", "fresh")
+
+
+@st.composite
+def _move_line(draw):
+    """One @moves line: a move with small positions, some negative,
+    and labels in use or new; a relabel pair sometimes lacks its '=',
+    and some lines have the wrong number of arguments."""
+    kind = draw(st.sampled_from(sorted(MOVE_ARGS)))
+    number = st.sampled_from(("-1", "0", "0", "1", "2", "3"))
+    label = st.sampled_from(MOVE_LABELS)
+    if draw(st.integers(0, 9)) == 0:
+        args = draw(st.lists(st.one_of(number, label), max_size=4))
+    elif kind == "relabel":
+        pair = st.tuples(label, st.sampled_from(("=", "")), label).map("".join)
+        args = [draw(number)] + draw(st.lists(pair, max_size=2))
+    else:
+        args = [draw(number if c == "i" else label) for c in "i" + MOVE_ARGS[kind]]
+    return " ".join([kind] + args)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.sampled_from(CDF_FILES), st.lists(_move_line(), min_size=1, max_size=3))
+def test_cli_survives_appended_moves(path, lines):
+    text = path.read_text()
+    if "@moves" not in text:
+        text += "\n@moves\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / path.name
+        target.write_text(text + "\n".join(lines) + "\n")
+        # in-process: an exception escaping cli.main fails the test by itself
+        code, _, err = run_cli(["functor", "invariance", str(target), "--samples", "1"])
     assert code in (0, 1, 2)
     if code == 2:
         assert "error: " in err

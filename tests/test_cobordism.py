@@ -290,3 +290,136 @@ def test_relabel_internal_only():
     assert renamed[0].circle == "fresh"
     with pytest.raises(PatternMismatch):
         apply_move(fine, Move("relabel", 0, (("c0", "x"),)))
+
+
+def _cap_chain():
+    c1 = Circle("c1")
+    return (Surface((SurfComponent(0, (), (c1,)),), (), (c1,)),)
+
+
+def _discs(label):
+    c = Circle(label)
+    return (Surface((SurfComponent(0, (), (c,)),), (), (c,)),
+            Surface((SurfComponent(0, (c,), ()),), (c,), ()))
+
+
+def _malformed_forward_steps():
+    """(name, fields of a forward step that its own rule refuses)."""
+    ann, cap = annulus_chain(), _cap_chain()
+    two = two_item_chain()
+    genus0 = annulus_chain()[0].components[0]
+    flat = (Surface((SurfComponent(0, genus0.into, genus0.out),), genus0.into, genus0.out),)
+    a = lambda word: (Attachment(0, 0, word=Word(0, word)),)
+    return [
+        ("ball-without-discs", dict(kind=cb.ZERO_HANDLE, source=ann, target=ann, position=0,
+                                    circle="z")),
+        ("ball-without-label", dict(kind=cb.ZERO_HANDLE, source=cap, target=_discs("z") + cap,
+                                    position=0, circle=None)),
+        ("ball-at-a-full-point", dict(kind=cb.ZERO_HANDLE, source=ann,
+                                      target=_discs("z") + ann, position=0, circle="z")),
+        ("ball-past-the-chain", dict(kind=cb.ZERO_HANDLE, source=cap, target=cap + _discs("z"),
+                                     position=3, circle="z")),
+        ("merge-of-the-wrong-circle", dict(kind=cb.CIRCLE_REMOVE, source=two,
+                                           target=(glue_surfaces(*two),), position=0,
+                                           circle="c0")),
+        ("merge-to-the-wrong-genus", dict(kind=cb.CIRCLE_REMOVE, source=two, target=ann,
+                                          position=0, circle="mid")),
+        ("merge-of-a-broken-chain", dict(kind=cb.CIRCLE_REMOVE, source=(two[0], two[0]),
+                                         target=ann, position=0, circle="mid")),
+        ("handle-past-the-genus", dict(kind=cb.COMPRESSION, source=ann, target=flat, index=2,
+                                       attachments=a((("a", 2, 1),)))),
+        ("handle-on-a-missing-item", dict(kind=cb.COMPRESSION, source=ann, target=flat, index=2,
+                                          attachments=(Attachment(1, 0, word=Word(0, (("a", 1, 1),))),))),
+        ("handle-changing-nothing", dict(kind=cb.COMPRESSION, source=ann, target=ann, index=2,
+                                         attachments=a((("a", 1, 1),)))),
+    ]
+
+
+def _mirror(kind, source, target, position=0, circle=None, index=0, attachments=()):
+    """The fields of the reversed step mirroring a forward step."""
+    if kind == cb.COMPRESSION:
+        index = 3 - index
+        attachments = tuple(Attachment(x.item, x.comp, word=x.belt, feet=x.feet, belt=x.word)
+                            for x in attachments)
+    return dict(kind=cb.REVERSED_KIND[kind], source=target, target=source, position=position,
+                circle=circle, index=index, attachments=attachments)
+
+
+@pytest.mark.parametrize("name, fields", _malformed_forward_steps(),
+                         ids=[name for name, _ in _malformed_forward_steps()])
+def test_a_reversed_step_is_refused_as_its_mirrored_forward_step(name, fields):
+    with pytest.raises(PatternMismatch) as forward:
+        CobStep(**fields)
+    mirrored = _mirror(**fields)
+    assert mirrored["kind"] in (cb.THREE_HANDLE, cb.CIRCLE_INSERT, cb.COMPRESSION)
+    with pytest.raises(PatternMismatch) as reversed_:
+        CobStep(**mirrored)
+    assert str(reversed_.value) == str(forward.value)
+
+
+def test_each_mirrored_step_builds_when_its_forward_step_does():
+    chain = cylinder_seq(annulus_chain()) + cylinder_seq(annulus_chain())
+    seqs = [apply_move(chain, Move("circle_insert", 1, (0, 1, "e"))),
+            apply_move(cylinder_seq(_cap_chain()), Move("create01", 0, (0, "ball"))),
+            apply_move(cylinder_seq(_cap_chain()), Move("create23", 0, (0, "ball"))),
+            apply_move(cylinder_seq(annulus_chain()), Move("create12", 0, (0, 0)))]
+    steps = [step for seq in seqs for step in seq if not cb.is_forward(step)]
+    assert {step.kind for step in steps} == {cb.THREE_HANDLE, cb.CIRCLE_INSERT, cb.COMPRESSION}
+    for step in steps:
+        fields = _mirror(**{f: getattr(step, f) for f in (
+            "kind", "source", "target", "position", "circle", "index", "attachments")})
+        assert CobStep(**fields) == reverse_step(step)
+
+
+def test_unknown_kinds_and_compression_indices_keep_their_messages():
+    chain = annulus_chain()
+    with pytest.raises(PatternMismatch, match=r"^unknown step kind 'twist'$"):
+        CobStep("twist", chain, chain)
+    for index in (0, 3):
+        with pytest.raises(PatternMismatch, match=r"^compression index must be 1 or 2$"):
+            CobStep(cb.COMPRESSION, chain, chain, index=index)
+
+
+def test_is_forward_names_the_kinds_with_rules_of_their_own():
+    forward = cylinder_seq(annulus_chain())[0]
+    assert cb.is_forward(forward)
+    for seq in (solid_torus_seq(), apply_move(cylinder_seq(_cap_chain()),
+                                              Move("create23", 0, (0, "ball")))):
+        for step in seq:
+            assert cb.is_forward(step) != cb.is_forward(reverse_step(step))
+            assert cb.is_forward(step) == (step.kind in (cb.ZERO_HANDLE, cb.CIRCLE_REMOVE) or (
+                step.kind == cb.COMPRESSION and step.index == 2))
+
+
+@pytest.mark.parametrize("kind", ["relabel", "cyl_create", "cyl_cancel", "circle_insert",
+                                  "circle_remove", "imbricate", "split_compression", "switch",
+                                  "cancel01", "create01", "cancel23", "create23", "cancel12",
+                                  "create12"])
+def test_every_move_refuses_a_negative_position(kind):
+    seq = cylinder_seq(annulus_chain()) + cylinder_seq(annulus_chain())
+    with pytest.raises(PatternMismatch, match=r"^move position -1 is negative$"):
+        apply_move(seq, Move(kind, -1))
+
+
+def test_relabel_refuses_a_name_it_leaves_in_place():
+    chain = annulus_chain()
+    fine = apply_move(cylinder_seq(chain) + cylinder_seq(chain),
+                      Move("circle_insert", 1, (0, 0, "tmp")))
+    for new in ("c0", "c1"):
+        with pytest.raises(PatternMismatch, match="reuse the label %r" % new):
+            apply_move(fine, Move("relabel", 0, (("tmp", new),)))
+    # the renamed label itself may be named again
+    assert apply_move(fine, Move("relabel", 0, (("tmp", "tmp"),))) == fine
+
+
+@pytest.mark.parametrize("move", [Move("create01", 0, (0, "c1")), Move("create23", 0, (0, "c1"))])
+def test_a_new_ball_circle_must_be_new_to_its_chain(move):
+    with pytest.raises(PatternMismatch, match=r"^circle label 'c1' is already in the chain$"):
+        apply_move(cylinder_seq(_cap_chain()), move)
+
+
+def test_a_new_cut_circle_must_be_new_to_its_chain():
+    chain = annulus_chain()
+    with pytest.raises(PatternMismatch, match=r"^circle label 'c0' is already in the chain$"):
+        apply_move(cylinder_seq(chain) + cylinder_seq(chain),
+                   Move("circle_insert", 1, (0, 0, "c0")))

@@ -36,9 +36,10 @@ def _in_step_construction(frame) -> bool:
 
 
 def test_eval2_reads_the_runs_each_step_found_when_built(monkeypatch):
-    """The first eval2 of a sequence reaches surgery_runs only while
-    building the reversals it evaluates; a second one, with a fresh
-    instance, not at all."""
+    """No eval2 reaches surgery_runs: an index-2 compression carries the
+    runs its validation found, and a reversed step the reversal it built.
+    Building an index-1 step reaches surgery_runs once, through its
+    reversal's validation."""
     seqs = [seq for _, seq in corpus()]
     calls = []
     real = cb.surgery_runs
@@ -49,10 +50,15 @@ def test_eval2_reads_the_runs_each_step_found_when_built(monkeypatch):
 
     monkeypatch.setattr(cb, "surgery_runs", spy)
     first = [fn.eval2(seq, HamInstance()) for seq in seqs]
-    assert calls and all(calls)
-    calls.clear()
+    assert calls == []
     assert [fn.eval2(seq, HamInstance()) for seq in seqs] == first
     assert calls == []
+    index1 = [step for step in _steps(seqs) if step.kind == cb.COMPRESSION and step.index == 1]
+    assert index1
+    for step in index1:
+        calls.clear()
+        assert replace(step) == step
+        assert calls == [True]
 
 
 def test_a_compression_keeps_the_runs_of_its_validation():

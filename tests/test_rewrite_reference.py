@@ -287,7 +287,7 @@ FUSED_COMP_INDEX = (
     "functor._handle_transfer maps both pieces' a1 through one dict"
 )
 SEPARATING_LIFT = (
-    "move chain does not apply: cobordism._lift_attachment ignores "
+    "move chain does not apply: cobordism._carry_attachment ignores "
     "separating splits, so it maps a1 to a1, not a2"
 )
 
