@@ -317,16 +317,14 @@ def cmd_functor(args, seed) -> VerificationReport:
         for i, (_, face) in enumerate(normal.faces):
             report.add("normal-form/row%d" % i, True, detail=face.morph.kind)
         return report
-    moves = list(doc.moves)
-    if doc.steps2:
-        y2 = doc.steps2
-    else:
-        try:
-            y2 = cb.apply_moves(seq, moves)
-        except cb.PatternMismatch as err:
-            raise cdf.ParseError("move chain does not apply: %s" % err)
+    # @steps2, when given, is the second sequence, which the moves must
+    # then carry @steps to; otherwise the moves derive it
     try:
-        records = fn.invariance_check(seq, y2, moves if not doc.steps2 else [],
+        derived = cb.apply_moves(seq, doc.moves)
+    except cb.PatternMismatch as err:
+        raise cdf.ParseError("move chain does not apply: %s" % err)
+    try:
+        records = fn.invariance_check(seq, doc.steps2 or derived, doc.moves,
                                       samples=config.samples, seed=seed)
     except cb.MoveChainInvalid as err:
         report.add("invariance/move-chain", False, seed=seed, detail=str(err))

@@ -14,15 +14,19 @@ derived belt words on their target, since reversed they are index-2
 attachments along those belts.
 
 Only the forward steps (is_forward) have rules of their own; a reversed
-step (3-handle, circle insertion, index-1 compression) is valid when
-its reversal is, so building one builds its forward reversal.
+step (3-handle, circle insertion, index-1 compression) is valid exactly
+when its reversal is, so building one builds its forward reversal, and
+the reversal of a forward step, valid since the step was built, is
+paired with it unchecked.
 
 Surfaces and steps are frozen and validated when they are built, and
 they keep what their validation derived, so later checks and the
 functor read it instead of deriving it again: a Surface its sorted
 source and target labels, a CobStep the surgery runs of an index-2
 compression and its reversal.  None of these is a dataclass field, so
-equality, hashing and repr see the fields alone.
+equality, hashing and repr see the fields alone.  Likewise a sequence
+that apply_moves derives (DerivedSeq) records the source sequence and
+the moves it came from, and compares as the plain tuple of its steps.
 
 The move set relating any two decompositions of a diffeomorphic
 cobordism is implemented as executable rewrites; the diffeomorphism
@@ -32,7 +36,7 @@ invariance checks need."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -200,7 +204,9 @@ class CobStep:
     runs holds the surgery runs (surgery_runs) that validating an
     index-2 compression found, and is () for every other step; reversal
     is the reversed step, which a reversed step holds from construction
-    and a forward one builds on first use.  Neither is a field."""
+    and a forward one builds on first use.  Neither is a field.  The
+    reversal a forward step builds is not checked again: it is valid
+    because the step is (see _pair_reversal)."""
     kind: str
     source: Chain
     target: Chain
@@ -229,12 +235,22 @@ class CobStep:
 
 CobSeq = tuple  # of CobStep
 
+_STEP_FIELDS = tuple(f.name for f in fields(CobStep))
+
 
 def _pair_reversal(step: CobStep) -> CobStep:
-    """Build the reversed step, and so validate it, and make each of the
-    two the other's reversal (reversal is an involution).  Source and
-    target swap, and a compression's words and belts swap with its
-    index."""
+    """Build the reversed step and make each of the two the other's
+    reversal (reversal is an involution).  Source and target swap, and a
+    compression's words and belts swap with its index.
+
+    The reversal of a reversed step is a forward step, built and so
+    validated by its own rule.  The reversal of a forward step is built
+    without a check, since a step is valid exactly when its reversal is
+    and step was validated when it was built: a reversed step is
+    validated through its forward reversal, which here is step, and a
+    cylinder's rule (source equal to target) is symmetric.  Its fields
+    are the ones the constructor would be given, and its runs are (), as
+    for every step that is not an index-2 compression."""
     index = 0
     atts = step.attachments
     if step.kind == COMPRESSION:
@@ -243,8 +259,13 @@ def _pair_reversal(step: CobStep) -> CobStep:
             Attachment(a.item, a.comp, word=a.belt, feet=a.feet, belt=a.word)
             for a in step.attachments
         )
-    rev = CobStep(REVERSED_KIND[step.kind], step.target, step.source, step.position,
-                  step.circle, index, atts)
+    values = (REVERSED_KIND[step.kind], step.target, step.source, step.position,
+              step.circle, index, atts)
+    if is_forward(step):
+        rev = object.__new__(CobStep)
+        rev.__dict__.update(zip(_STEP_FIELDS, values), runs=())
+    else:
+        rev = CobStep(*values)
     rev.__dict__["reversal"] = step
     step.__dict__["reversal"] = rev
     return rev
@@ -674,10 +695,29 @@ def apply_move(seq: CobSeq, move: Move) -> CobSeq:
     return handlers[move.kind](seq, move)
 
 
-def apply_moves(seq: CobSeq, moves) -> CobSeq:
+class DerivedSeq(tuple):
+    """A step sequence that apply_moves derived: the tuple of its steps,
+    which compares, hashes and reprs as that plain tuple, and records in
+    derived_from the (source sequence object, moves as a tuple) it was
+    derived from.  Only apply_moves builds one.  The record stays true:
+    sequences and steps are frozen, and apply_moves is a function of its
+    arguments.  Slices and concatenations of one are plain tuples."""
+
+    def __new__(cls, steps, source, moves):
+        seq = super().__new__(cls, steps)
+        seq.derived_from = (source, moves)
+        return seq
+
+
+def apply_moves(seq: CobSeq, moves) -> DerivedSeq:
+    """The sequence the moves derive from seq, one after the other; it
+    records seq and the moves (DerivedSeq), so that a check given both
+    need not derive it again (functor.invariance_check)."""
+    moves = tuple(moves)
+    out = seq
     for m in moves:
-        seq = apply_move(seq, m)
-    return seq
+        out = apply_move(out, m)
+    return DerivedSeq(out, seq, moves)
 
 
 def _relabel_circle(c: Circle, table: dict) -> Circle:

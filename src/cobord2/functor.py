@@ -20,12 +20,17 @@ evaluated once per HamInstance.
 
 The invariance checker evaluates two step sequences related by a move
 chain, compares normal forms, and cross-checks sampled points of the
-faces of both normal forms.  That cross-check lives in crosscheck, the
-one part of the functor that needs the holonomy charts, so evaluation
-loads no chart, su2 or kernel module: invariance_check imports
-crosscheck when it is called, and the cross-check's public names
-(membership, sample_face_points, component_points, chart_for,
-MEMBERSHIP_TOL) are answered here by importing it on first use."""
+faces of both normal forms.  It derives the move chain only when the
+second sequence does not record it: a sequence that
+cobordism.apply_moves returns carries the source sequence and the moves
+it came from (cobordism.DerivedSeq), and one derived from the first
+sequence itself by the same moves is the chain's result already.  The
+cross-check lives in crosscheck, the one part of the functor that
+needs the holonomy charts, so evaluation loads no chart, su2 or kernel
+module: invariance_check imports crosscheck when it is called, and the
+cross-check's public names (membership, sample_face_points,
+component_points, chart_for, MEMBERSHIP_TOL) are answered here by
+importing it on first use."""
 
 from __future__ import annotations
 
@@ -224,12 +229,17 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
     """Evaluate two decompositions, compare normal forms, and cross
     check sampled loci of the faces of the two normal forms, face by
     face, samples // 20 point pairs each (at least one); moves, when
-    given, must carry y1 to y2.  Only the normal forms' faces are
-    sampled, so where the faces cancel, as in a handle cancellation,
-    the normal forms are empty and no face is sampled.  Points are drawn
-    on the first form's face and tested in both faces; where the two
-    faces are equal, transfer included, the membership is computed once
-    (crosscheck.face_samples_agree), and the residual is the same.
+    given, must carry y1 to y2, or MoveChainInvalid is raised.  A y2
+    that cb.apply_moves derived from y1 itself (the same object) by
+    moves equal to these is taken as verified; any other y2 (built by
+    hand, equal in value but derived from another object, or derived by
+    other moves) is compared with the chain derived here.  Only the
+    normal forms' faces are sampled, so where the faces cancel, as in a
+    handle cancellation, the normal forms are empty and no face is
+    sampled.  Points are drawn on the first form's face and tested in
+    both faces; where the two faces are equal, transfer included, the
+    membership is computed once (crosscheck.face_samples_agree), and
+    the residual is the same.
 
     Returns a list of (name, passed, detail) records."""
     from cobord2 import crosscheck
@@ -237,8 +247,10 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
     inst = HamInstance()
     records = []
     if moves:
-        derived = cb.apply_moves(y1, list(moves))
-        if derived != y2:
+        moves = tuple(moves)
+        recorded = isinstance(y2, cb.DerivedSeq) and y2.derived_from[0] is y1 and (
+            y2.derived_from[1] == moves)
+        if not recorded and cb.apply_moves(y1, moves) != y2:
             raise MoveChainInvalid("the move chain does not produce the second sequence")
         records.append(("move-chain", True, "%d moves verified" % len(moves)))
     n1 = normalize_mod_equiv(eval2(y1, inst), inst)

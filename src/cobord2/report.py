@@ -2,9 +2,13 @@
 
 Reports serialize to byte-stable JSON: keys are emitted in a fixed
 order, floats with 17 significant digits, and checks sorted by name.
-Wall time is kept on the object for operator display but never enters
-the serialized payload, which must be identical across runs with the
-same configuration and inputs."""
+The report's layout is fixed, so report_json fills one format string
+per block (the config, each check record, the counts) with its
+escaped values instead of walking a payload value by value; the tests
+hold the payload walk (tests/report_reference.py) and compare bytes
+with it over generated reports.  Wall time is kept on the object for
+operator display but never enters the serialized payload, which must
+be identical across runs with the same configuration and inputs."""
 
 from __future__ import annotations
 
@@ -73,39 +77,22 @@ class VerificationReport:
 # --- deterministic JSON ----------------------------------------------------------
 
 
-def _emit(value, out):
+def _scalar(value) -> str:
+    """One JSON value: a string escaped, None and a non-finite float as
+    null, a finite float with 17 significant digits, an int as such."""
+    if isinstance(value, str):
+        return '"' + _escape(value) + '"'
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            out.append("null")
-        else:
-            out.append(format(value, ".17g"))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append('"' + _escape(value) + '"')
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append('"' + _escape(str(k)) + '":')
-            _emit(v, out)
-        out.append("}")
-    else:
-        raise TypeError("cannot serialize %r" % type(value))
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return format(value, ".17g") if math.isfinite(value) else "null"
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError("cannot serialize %r" % type(value))
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -116,36 +103,27 @@ def _escape(s: str) -> str:
     return _NEEDS_ESCAPE.sub(lambda m: _ESCAPES.get(m[0]) or "\\u%04x" % ord(m[0]), s)
 
 
-def config_payload(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "branch_eps": cfg.branch_eps,
-        "residual_tol": cfg.residual_tol,
-        "svd_rtol": cfg.svd_rtol,
-        "grid": [list(gk) for gk in cfg.grid],
-        "depth": cfg.depth,
-        "samples": cfg.samples,
-    }
+_REPORT = '{"suite":%s,"config":%s,"checks":[%s],"counts":{"pass":%s,"fail":%s,"unknown":%s}}\n'
+_CONFIG = ('{"seed":%s,"trials":%s,"branch_eps":%s,"residual_tol":%s,"svd_rtol":%s,'
+           '"grid":[%s],"depth":%s,"samples":%s}')
+_CHECK = '{"name":%s,"status":%s,"residual":%s,"seed":%s,"detail":%s}'
+
+
+def _config_json(cfg: RunConfig) -> str:
+    grid = ",".join("[%s]" % ",".join(_scalar(v) for v in point) for point in cfg.grid)
+    return _CONFIG % (_scalar(cfg.seed), _scalar(cfg.trials), _scalar(cfg.branch_eps),
+                      _scalar(cfg.residual_tol), _scalar(cfg.svd_rtol), grid,
+                      _scalar(cfg.depth), _scalar(cfg.samples))
 
 
 def report_json(report: VerificationReport) -> str:
-    checks = sorted(report.checks, key=lambda c: c.name)
-    payload = {
-        "suite": report.suite,
-        "config": config_payload(report.config),
-        "checks": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "residual": c.residual,
-                "seed": c.seed,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
-        "counts": report.counts(),
-    }
-    out: list = []
-    _emit(payload, out)
-    return "".join(out) + "\n"
+    """The report's JSON: suite, config, the checks sorted by name and
+    the status counts, in that order, on one line."""
+    checks = ",".join(
+        _CHECK % (_scalar(c.name), _scalar(c.status), _scalar(c.residual), _scalar(c.seed),
+                  _scalar(c.detail))
+        for c in sorted(report.checks, key=lambda c: c.name)
+    )
+    counts = report.counts()
+    return _REPORT % (_scalar(report.suite), _config_json(report.config), checks,
+                      counts["pass"], counts["fail"], counts["unknown"])

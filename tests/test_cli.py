@@ -1,5 +1,6 @@
 import errno
 import io
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chart_reference import unflatten_point
+from report_reference import escape_by_character
 from cobord2 import catfile, cli, report
 from cobord2 import cobordism as cb
 from cobord2.catfile import parse_catalog
@@ -516,6 +518,33 @@ def test_cli_move_chain_emptying_the_sequence_is_refused(tmp_path):
         2, "", "error: move chain does not apply: cyl_cancel of the only step leaves no steps\n")
 
 
+ANNULUS = "@circles\nc0 +\nc1 +\n@surfaces\nann comp g=0 in=c0 out=c1\n@chain ann\n"
+
+
+@pytest.mark.parametrize("steps2, moves, code, verdict", [
+    # create12 expands the cylinder into exactly the cancelling pair
+    ("compression1 0.0 0.0\ncompression2 0 0 b1\n", "create12 0 0 0\n", 0, "pass"),
+    # the negative control's pair runs along the belt, not its dual
+    ("compression1 0.0 0.0\ncompression2 0 0 a1\n", "create12 0 0 0\n", 1, "fail"),
+], ids=["chain-reaches-steps2", "chain-misses-steps2"])
+def test_cli_checks_moves_beside_steps2(tmp_path, steps2, moves, code, verdict):
+    path = tmp_path / "doc.cdf"
+    path.write_text(ANNULUS + "@steps\ncylinder\n@steps2\n" + steps2 + "@moves\n" + moves)
+    got, out, err = run_cli(["functor", "invariance", str(path)])
+    assert got == code and "Traceback" not in err
+    record = json.loads(out)["checks"][0]
+    assert (record["name"], record["status"]) == ("invariance/move-chain", verdict)
+
+
+def test_cli_moves_that_do_not_apply_beside_steps2_exit_2(tmp_path):
+    # the step at position 0 is a 1-handle, not the cylinder create12 needs
+    path = tmp_path / "doc.cdf"
+    path.write_text(ANNULUS + "@steps\ncompression1 0.0 0.0\ncompression2 0 0 b1\n"
+                    "@steps2\ncylinder\n@moves\ncreate12 0 0 0\n")
+    assert run_cli(["functor", "invariance", str(path)]) == (
+        2, "", "error: move chain does not apply: no cylinder at position 0\n")
+
+
 @pytest.mark.parametrize("mode, calls", [("eval", 1), ("invariance", 2)])
 def test_functor_validates_each_sequence_once(monkeypatch, mode, calls):
     seen = []
@@ -546,18 +575,11 @@ def test_run_config_rejects_counts_below_one(field):
             RunConfig(**{field: bad})
 
 
-def _escape_by_character(s):
-    """A string escaped for a report one character at a time, as
-    report._escape once did."""
-    named = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-    return "".join(named.get(ch) or ("\\u%04x" % ord(ch) if ord(ch) < 0x20 else ch) for ch in s)
-
-
 def test_report_escape_matches_the_character_loop():
     specials = [chr(c) for c in range(0x20)] + ['"', "\\"]
     plain = ["", "plain", "x\x7f", "caf\u00e9", " ~"]
     for text in plain + specials + ["a%sb" % ch for ch in specials] + ["".join(specials)]:
-        assert report._escape(text) == _escape_by_character(text)
+        assert report._escape(text) == escape_by_character(text)
     # a string with nothing to escape comes back as it is
     assert all(report._escape(text) is text for text in plain)
 
