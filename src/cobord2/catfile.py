@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from cobord2 import bisets as bs
-from cobord2.cdf import ParseError, _lines
+from cobord2.cdf import ParseError, content_lines
 
 
 @dataclass
@@ -37,7 +37,7 @@ class CatalogDocument:
 def parse_catalog(text: str) -> CatalogDocument:
     doc = CatalogDocument()
     section = None
-    for lineno, line in _lines(text):
+    for lineno, line in content_lines(text):
         if line.startswith("@"):
             parts = line.split()
             section = parts[0][1:]

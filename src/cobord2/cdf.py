@@ -72,7 +72,9 @@ def read_text(path) -> str:
         raise ParseError("%s is not UTF-8 text" % path) from None
 
 
-def _lines(text: str):
+def content_lines(text: str):
+    """(line number, line) for each line that holds more than a comment,
+    comments and surrounding blanks stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -135,7 +137,7 @@ def parse_cdf(text: str) -> CdfDocument:
     step_lines: list = []
     step2_lines: list = []
     move_lines: list = []
-    for lineno, line in _lines(text):
+    for lineno, line in content_lines(text):
         if line.startswith("@"):
             parts = line.split()
             section = parts[0][1:]
@@ -245,7 +247,7 @@ def _build_step(kind, args, cur) -> CobStep:
         item, comp = int(args[0]), int(args[1])
         word = parse_word(args[2:], comp)
         att = Attachment(item, comp, word=word)
-        target = cb._compress_chain(cur, (att,))
+        target = cb.compress_chain(cur, (att,))
         target = _maybe_split_items(target)
         return CobStep(cb.COMPRESSION, cur, target, index=2, attachments=(att,))
     if kind == "compression1":

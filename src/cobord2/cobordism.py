@@ -107,7 +107,7 @@ class Surface:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=_comp_sort))
+            self, "components", tuple(sorted(self.components, key=component_key))
         )
         object.__setattr__(self, "source", tuple(sorted(self.source, key=lambda c: c.label)))
         object.__setattr__(self, "target", tuple(sorted(self.target, key=lambda c: c.label)))
@@ -128,7 +128,8 @@ class Surface:
         return sum(c.euler for c in self.components)
 
 
-def _comp_sort(c: SurfComponent):
+def component_key(c: SurfComponent):
+    """The order of the components of a surface or a space symbol."""
     return (c.genus, tuple(x.label for x in c.into), tuple(x.label for x in c.out))
 
 
@@ -350,18 +351,17 @@ def _check_circle_merge(before: Chain, after: Chain, pos: int, circle: Optional[
     return []
 
 
-def glue_components(first, second, label) -> Optional[list]:
-    """Glue two sides' components along every outgoing circle of the
+def glue_components(first, second) -> Optional[list]:
+    """Glue two sides' SurfComponents along every outgoing circle of the
     first side, which must each be an incoming circle of the second.
 
-    Components are (genus, into, out) triples of circles, label(circle)
-    names a circle.  Union-find joins the components meeting at a glued
-    circle; each joined piece keeps the unglued circles and takes its
-    genus from the summed Euler characteristic.  Returns the glued
-    triples, or None when a closed component would appear."""
+    Union-find joins the components meeting at a glued circle; each
+    joined piece keeps the unglued circles and takes its genus from the
+    summed Euler characteristic.  Returns the glued SurfComponents, or
+    None when a closed component would appear."""
     comps = list(first) + list(second)
     n_first = len(first)
-    mid = {label(c) for _, _, out in first for c in out}
+    mid = {c.label for comp in first for c in comp.out}
     parent = list(range(len(comps)))
 
     def find(n):
@@ -370,10 +370,10 @@ def glue_components(first, second, label) -> Optional[list]:
             n = parent[n]
         return n
 
-    owner_in = {label(c): n_first + i for i, (_, into, _) in enumerate(second) for c in into}
-    for i, (_, _, out) in enumerate(first):
-        for c in out:
-            parent[find(i)] = find(owner_in[label(c)])
+    owner_in = {c.label: n_first + i for i, comp in enumerate(second) for c in comp.into}
+    for i, comp in enumerate(first):
+        for c in comp.out:
+            parent[find(i)] = find(owner_in[c.label])
     groups: dict = {}
     for n in range(len(comps)):
         groups.setdefault(find(n), []).append(n)
@@ -381,13 +381,13 @@ def glue_components(first, second, label) -> Optional[list]:
     for members in groups.values():
         # the first side keeps its incoming circles, the second side its
         # outgoing ones and any incoming circle left unglued
-        into = [c for n in members for c in comps[n][1] if n < n_first or label(c) not in mid]
-        out = [c for n in members if n >= n_first for c in comps[n][2]]
+        into = [c for n in members for c in comps[n].into if n < n_first or c.label not in mid]
+        out = [c for n in members if n >= n_first for c in comps[n].out]
         k = len(into) + len(out)
         if k == 0:
             return None
-        euler = sum(2 - 2 * comps[n][0] - len(comps[n][1]) - len(comps[n][2]) for n in members)
-        glued.append(((2 - euler - k) // 2, tuple(into), tuple(out)))
+        euler = sum(comps[n].euler for n in members)
+        glued.append(SurfComponent((2 - euler - k) // 2, tuple(into), tuple(out)))
     return glued
 
 
@@ -396,14 +396,10 @@ def glue_surfaces(a: Surface, b: Surface) -> Optional[Surface]:
     a closed component would appear."""
     if a.target_labels != b.source_labels:
         raise ChainMismatch("glued surfaces must share their whole interface")
-    glued = glue_components(
-        [(c.genus, c.into, c.out) for c in a.components],
-        [(c.genus, c.into, c.out) for c in b.components],
-        lambda c: c.label,
-    )
+    glued = glue_components(a.components, b.components)
     if glued is None:
         return None
-    return Surface(tuple(SurfComponent(*t) for t in glued), a.source, b.target)
+    return Surface(tuple(glued), a.source, b.target)
 
 
 def surgery_runs(src: Chain, tgt: Chain, attachments) -> tuple:
@@ -909,7 +905,7 @@ def _move_split_compression(seq: CobSeq, move: Move) -> CobSeq:
         return seq[:pos] + tuple(reverse_step(s) for s in reversed(rev)) + seq[pos + 1:]
     head = step.attachments[:head_count]
     tail = step.attachments[head_count:]
-    mid_chain = _compress_chain(step.source, head)
+    mid_chain = compress_chain(step.source, head)
     first = CobStep(COMPRESSION, step.source, mid_chain, index=2, attachments=head)
     dropped = []
     for att in tail:
@@ -921,7 +917,10 @@ def _move_split_compression(seq: CobSeq, move: Move) -> CobSeq:
     return seq[:pos] + (first, second) + seq[pos + 1:]
 
 
-def _compress_chain(chain: Chain, attachments) -> Chain:
+def compress_chain(chain: Chain, attachments) -> Chain:
+    """The chain an index-2 compression along attachments leaves, each
+    surgered item one surface; PatternMismatch when the surgery
+    arithmetic fails."""
     by_item: dict = {}
     for a in attachments:
         by_item.setdefault(a.item, []).append(a)

@@ -23,14 +23,14 @@ import numpy as np
 from cobord2 import charts as ch
 from cobord2 import su2
 from cobord2.charts import ChartPoint, ModuliChart
-from cobord2.symcat import Component, CorrSymbol, SpaceSymbol
+from cobord2.cobordism import SurfComponent
+from cobord2.symcat import CorrSymbol, SpaceSymbol
 
 
-def chart_for(comp: Component) -> ModuliChart:
+def chart_for(comp: SurfComponent) -> ModuliChart:
     """The chart of one component: boundary order is incoming labels
     then outgoing, each alphabetical."""
-    boundaries = tuple(l for l, _ in comp.left) + tuple(l for l, _ in comp.right)
-    return ModuliChart(comp.genus, boundaries, frozenset(l for l, _ in comp.left))
+    return ModuliChart(comp.genus, comp.boundary_labels, frozenset(c.label for c in comp.into))
 
 
 # --- numeric membership -------------------------------------------------------------
@@ -180,28 +180,23 @@ def _holtriv_membership(big_pts, small_pts, face, tol):
     for w in face.words:
         worst = max(worst, su2.largest(ch.word_residual(pts[w.comp], w)))
     mapping = {small: big for small, big in face.transfer}
-    flat_small = []
-    offset = 0
     for sym, spts in zip(small_syms, small_pts):
         for i, comp in enumerate(sym.components):
-            flat_small.append((comp, spts[i]))
-    for comp, q in flat_small:
-        src_idx, src_comp = _find_comp_with_labels(big_sym, chart_for(comp).boundaries)
-        p = pts[src_idx]
-        proj = _project_through_compression(p, q.chart, mapping)
-        if proj is None:
-            return False, math.inf
-        _, r = ch.gauge_equivalent(proj, q, tol)
-        worst = max(worst, su2.largest(r))
+            p = pts[_find_comp_with_labels(big_sym, comp.boundary_labels)]
+            proj = _project_through_compression(p, spts[i].chart, mapping)
+            if proj is None:
+                return False, math.inf
+            _, r = ch.gauge_equivalent(proj, spts[i], tol)
+            worst = max(worst, su2.largest(r))
     return worst <= tol, worst
 
 
-def _find_comp_with_labels(sym: SpaceSymbol, labels):
+def _find_comp_with_labels(sym: SpaceSymbol, labels) -> int:
+    """The index of the component of sym whose boundary holds labels."""
     want = set(labels)
     for i, comp in enumerate(sym.components):
-        have = {l for l, _ in comp.left + comp.right}
-        if want <= have:
-            return i, comp
+        if want <= set(comp.boundary_labels):
+            return i
     raise ValueError("no component carries %r" % (labels,))
 
 
@@ -249,10 +244,7 @@ def sample_face_points(face: CorrSymbol, seed: int, budget: int):
         spts = {}
         for i, comp in enumerate(sym.components):
             proj = _project_through_compression(
-                big_pts[_find_comp_with_labels(big, chart_for(comp).boundaries)[0]],
-                chart_for(comp),
-                mapping,
-            )
+                big_pts[_find_comp_with_labels(big, comp.boundary_labels)], chart_for(comp), mapping)
             if proj is None:
                 return None
             spts[i] = proj

@@ -3,7 +3,10 @@ the invariance check that compares two of them.
 
 Objects go to one SU(2) factor per circle, surfaces to moduli symbols
 read off componentwise, and each elementary step to its placed faces,
-left to right, over the symbols the steps before it leave.  Only the
+left to right, over the symbols the steps before it leave.  Symbols
+hold the move calculus's own Circles and SurfComponents; evaluation
+forgets the circles' parametrizations, in one place (_unparametrized),
+and keeps their labels and orientations.  Only the
 forward steps (cobordism.is_forward) have rules of their own: cylinders
 go to no face, 0-handles to zero-sections, circle removals to
 identification faces and index-2 compressions to trivial-holonomy
@@ -48,11 +51,10 @@ from cobord2.diagram import (
     seq_from_items,
 )
 from cobord2.symcat import (
-    Component,
     CorrSymbol,
-    GroupSymbol,
     HamInstance,
     SpaceSymbol,
+    group_symbol,
     moduli_symbol,
     normalize_mod_equiv,
 )
@@ -71,21 +73,21 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-def eval0(circles) -> GroupSymbol:
+def _unparametrized(circles) -> tuple:
+    """The circles with their parametrizations forgotten."""
+    return tuple(replace(c, param="") if c.param else c for c in circles)
+
+
+def eval0(circles) -> tuple:
     """One SU(2) factor per circle, orientation recorded."""
-    return GroupSymbol(tuple((c.label, c.orient) for c in circles))
-
-
-def eval_component(comp: cb.SurfComponent) -> Component:
-    return Component(
-        comp.genus,
-        tuple((c.label, c.orient) for c in comp.into),
-        tuple((c.label, c.orient) for c in comp.out),
-    )
+    return group_symbol(_unparametrized(circles))
 
 
 def eval_surface(item: cb.Surface) -> SpaceSymbol:
-    return moduli_symbol(*[eval_component(c) for c in item.components])
+    return moduli_symbol(*[
+        cb.SurfComponent(c.genus, _unparametrized(c.into), _unparametrized(c.out))
+        for c in item.components
+    ])
 
 
 def _surface_symbol(item: cb.Surface, inst: HamInstance) -> SpaceSymbol:
@@ -109,7 +111,7 @@ def eval1(chain, inst: Optional[HamInstance] = None) -> SeqMorphism:
 # --- step evaluation -------------------------------------------------------------
 
 
-def _handle_transfer(src_comp: Component, atts) -> tuple:
+def _handle_transfer(src_comp: cb.SurfComponent, atts) -> tuple:
     """(small gen -> big gen) pairs per surgered piece: labels are
     stable, handle indices shift past compressed handles, and a
     separating split distributes the survivors in sorted order."""
@@ -225,6 +227,9 @@ def _eval_forward(step: CobStep, symbols, inst) -> tuple:
 # --- invariance -----------------------------------------------------------------------
 
 
+CHAIN_MISSES = "the move chain does not produce the second sequence"
+
+
 def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: int = 0):
     """Evaluate two decompositions, compare normal forms, and cross
     check sampled loci of the faces of the two normal forms, face by
@@ -251,7 +256,7 @@ def invariance_check(y1: CobSeq, y2: CobSeq, moves, samples: int = 100, seed: in
         recorded = isinstance(y2, cb.DerivedSeq) and y2.derived_from[0] is y1 and (
             y2.derived_from[1] == moves)
         if not recorded and cb.apply_moves(y1, moves) != y2:
-            raise MoveChainInvalid("the move chain does not produce the second sequence")
+            raise MoveChainInvalid(CHAIN_MISSES)
         records.append(("move-chain", True, "%d moves verified" % len(moves)))
     n1 = normalize_mod_equiv(eval2(y1, inst), inst)
     n2 = normalize_mod_equiv(eval2(y2, inst), inst)

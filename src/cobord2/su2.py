@@ -90,7 +90,6 @@ class AlgVector(NamedTuple):
 
 
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 ZERO_VEC = AlgVector(0.0, 0.0, 0.0)
 
 

@@ -1,9 +1,12 @@
 """Symbolic category of moduli correspondences.
 
-Spaces are symbols, not manifolds: a Moduli symbol records, per
-connected component, the genus and the labeled boundary circles on each
-side; the Point is the empty surface.  Composition glues the components
-with the surface gluing arithmetic of cobordism.glue_components,
+Spaces are symbols, not manifolds, written in the move calculus's own
+types: a Moduli symbol holds its connected components as
+cobordism.SurfComponents, each the genus and the boundary Circles on
+either side, with no parametrization (the functor forgets it); the
+Point is the empty surface.  A group symbol, one SU(2) factor per
+circle, is the label-sorted tuple of its Circles.  Composition glues
+the components with the move calculus's own cobordism.glue_components,
 refusing any composition that would close a component, and records an
 excision flag per glued circle for the holonomy -1 locus removed by
 gluing.
@@ -20,10 +23,10 @@ erased locus meets every adjacent correspondence weakly transversely."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import attrgetter
 from typing import Optional
 
-from cobord2.cobordism import glue_components
+from cobord2.cobordism import component_key, glue_components
 from cobord2.diagram import (
     Face,
     Instance,
@@ -43,83 +46,43 @@ class TransversalityUnknown(ValueError):
     sits next to an excised space symbol."""
 
 
-# circle entry: (label, orientation)
-Circle = tuple
-
-
-@dataclass(frozen=True)
-class GroupSymbol:
-    circles: tuple  # sorted (label, orient) pairs
-
-    def __post_init__(self):
-        object.__setattr__(self, "circles", tuple(sorted(self.circles)))
-        labels = [c[0] for c in self.circles]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate circle labels in group symbol")
-
-    @property
-    def labels(self):
-        return tuple(c[0] for c in self.circles)
-
-
 @dataclass(frozen=True)
 class ExcisionRecord:
     circle: str
 
 
-@dataclass(frozen=True)
-class Component:
-    genus: int
-    left: tuple  # sorted (label, orient)
-    right: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(sorted(self.left)))
-        object.__setattr__(self, "right", tuple(sorted(self.right)))
-        if self.genus < 0:
-            raise ValueError("negative genus")
-        if not self.left and not self.right:
-            raise ValueError("closed component is not elementary")
-
-    @property
-    def k(self) -> int:
-        return len(self.left) + len(self.right)
-
-    @property
-    def euler(self) -> int:
-        return 2 - 2 * self.genus - self.k
-
-    @property
-    def dim(self) -> int:
-        return 6 * self.genus + 6 * self.k - 6
+def group_symbol(circles) -> tuple:
+    """The group symbol of some circles, one SU(2) factor each: the
+    circles sorted by label."""
+    return tuple(sorted(circles, key=attrgetter("label")))
 
 
 @dataclass(frozen=True)
 class SpaceSymbol:
     kind: str  # "moduli" | "point"
-    components: tuple = ()
+    components: tuple = ()  # cobordism.SurfComponents, circles unparametrized
     excised: frozenset = frozenset()
 
     def __post_init__(self):
         if self.kind not in ("moduli", "point"):
             raise ValueError("unknown space symbol kind %r" % self.kind)
         object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=_comp_key))
+            self, "components", tuple(sorted(self.components, key=component_key))
         )
 
     @property
-    def source_group(self) -> GroupSymbol:
-        return GroupSymbol(tuple(c for comp in self.components for c in comp.left))
+    def source_group(self) -> tuple:
+        return group_symbol(c for comp in self.components for c in comp.into)
 
     @property
-    def target_group(self) -> GroupSymbol:
-        return GroupSymbol(tuple(c for comp in self.components for c in comp.right))
+    def target_group(self) -> tuple:
+        return group_symbol(c for comp in self.components for c in comp.out)
 
     @property
     def dim(self) -> Optional[int]:
         if self.kind != "moduli":
             return None
-        return sum(c.dim for c in self.components)
+        return sum(6 * c.genus + 6 * c.k - 6 for c in self.components)
 
     @property
     def euler(self) -> int:
@@ -132,10 +95,6 @@ class SpaceSymbol:
 
     def with_excisions(self, records) -> "SpaceSymbol":
         return SpaceSymbol(self.kind, self.components, self.excised | frozenset(records))
-
-
-def _comp_key(c: Component):
-    return (c.genus, c.left, c.right)
 
 
 POINT = SpaceSymbol("point")
@@ -153,17 +112,13 @@ def try_compose1_sym(a: SpaceSymbol, b: SpaceSymbol) -> Optional[SpaceSymbol]:
         raise NotComposableSym(
             "middle group symbols differ: %r vs %r" % (a.target_group, b.source_group)
         )
-    glued = glue_components(
-        [(c.genus, c.left, c.right) for c in a.components],
-        [(c.genus, c.left, c.right) for c in b.components],
-        itemgetter(0),
-    )
+    glued = glue_components(a.components, b.components)
     if glued is None:
         return None
-    records = {ExcisionRecord(label) for label in a.target_group.labels}
+    records = {ExcisionRecord(c.label) for c in a.target_group}
     return SpaceSymbol(
         "moduli" if glued else "point",
-        tuple(Component(*t) for t in glued),
+        tuple(glued),
         a.excised | b.excised | frozenset(records),
     )
 
@@ -221,7 +176,7 @@ def identification_sym(a: SpaceSymbol, b: SpaceSymbol) -> CorrSymbol:
     made = try_compose1_sym(a, b)
     if made is None:
         raise NotComposableSym("gluing closes a component")
-    glued = tuple(c[0] for c in a.target_group.circles)
+    glued = tuple(c.label for c in a.target_group)
     return CorrSymbol("identification", (a, b), (made,), glued=glued)
 
 
@@ -344,8 +299,7 @@ def _match_ball_pattern_down(p1, p2, p3):
         return None
     if ident.src_items[1:] != h.tgt_items:
         return None
-    circle = d0.components[0].left + d0.components[0].right
-    if ident.morph.glued != tuple(c[0] for c in circle):
+    if ident.morph.glued != d0.components[0].boundary_labels:
         return None
     # the three-step block must return to the surface it started from
     if ident.tgt_items != h.src_items[1:]:

@@ -536,6 +536,28 @@ def test_cli_checks_moves_beside_steps2(tmp_path, steps2, moves, code, verdict):
     assert (record["name"], record["status"]) == ("invariance/move-chain", verdict)
 
 
+@pytest.mark.parametrize("steps2, code", [
+    ("compression1 0.0 0.0\ncompression2 0 0 b1\n", 0),
+    ("compression1 0.0 0.0\ncompression2 0 0 a1\n", 1),
+], ids=["chain-reaches-steps2", "chain-misses-steps2"])
+def test_cli_derives_the_move_chain_beside_steps2_once(monkeypatch, tmp_path, steps2, code):
+    calls = []
+
+    def counting(seq, move):
+        calls.append(move)
+        return apply_move(seq, move)
+
+    monkeypatch.setattr(cb, "apply_move", counting)
+    path = tmp_path / "doc.cdf"
+    path.write_text(ANNULUS + "@steps\ncylinder\n@steps2\n" + steps2 + "@moves\ncreate12 0 0 0\n")
+    got, out, _ = run_cli(["functor", "invariance", str(path)])
+    assert got == code
+    assert calls == [Move("create12", 0, (0, 0))]
+    if code:
+        record = json.loads(out)["checks"][0]
+        assert record["detail"] == "the move chain does not produce the second sequence"
+
+
 def test_cli_moves_that_do_not_apply_beside_steps2_exit_2(tmp_path):
     # the step at position 0 is a 1-handle, not the cylinder create12 needs
     path = tmp_path / "doc.cdf"

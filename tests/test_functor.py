@@ -19,14 +19,13 @@ from cobord2.symcat import (
 )
 from cobord2.words import Word
 
-from test_golden_normal_forms import corpus
+from test_golden_normal_forms import DATA, corpus
 
 
 def test_eval0_orientations():
     circles = (Circle("a"), Circle("b", -1))
-    g = fn.eval0(circles)
-    assert ("a", 1) in g.circles and ("b", -1) in g.circles
-    assert fn.eval0(()) .circles == ()
+    assert fn.eval0(circles[::-1]) == circles
+    assert fn.eval0(()) == ()
 
 
 def test_eval1_reads_genus_and_boundaries():
@@ -56,6 +55,39 @@ def test_eval1_ignores_parametrization_ids():
     one, two = chain("p"), chain("q")
     assert one != two
     assert fn.eval1(one) == fn.eval1(two)
+
+
+def test_eval2_ignores_parametrization_ids(monkeypatch):
+    # every shipped .cdf read again with each circle it names
+    # reparametrized: the decorated sequence differs, its raw faces do not
+    # (solid_torus.cdf names no circle: its steps make them)
+    decorated_names = []
+    for path in sorted(DATA.glob("*.cdf")):
+        text = path.read_text()
+        plain = cdf.parse_cdf(text).sequence()
+        with monkeypatch.context() as patch:
+            patch.setattr(cdf, "Circle", lambda label, orient=1: Circle(label, orient, "p"))
+            decorated = cdf.parse_cdf(text).sequence()
+        if decorated != plain:
+            decorated_names.append(path.name)
+            assert fn.eval2(decorated).faces == fn.eval2(plain).faces, path.name
+    assert decorated_names == sorted(p.name for p in DATA.glob("*.cdf") if p.name != "solid_torus.cdf")
+
+
+def _symbol_circles(sym):
+    return [c for comp in sym.components for c in comp.into + comp.out]
+
+
+def test_raw_symbols_carry_no_parametrization():
+    circles = []
+    for _, seq in corpus():
+        raw = fn.eval2(seq)
+        syms = list(raw.source.items)
+        for _, face in raw.faces:
+            syms += face.src_items + face.tgt_items + face.morph.src + face.morph.tgt
+        circles += raw.source.source + raw.source.target
+        circles += [c for sym in syms for c in _symbol_circles(sym)]
+    assert circles and all(c.param == "" for c in circles)
 
 
 def test_closed_surface_stays_length_two():

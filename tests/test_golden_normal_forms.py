@@ -24,7 +24,7 @@ from cobord2.symcat import HamInstance, normalize_mod_equiv
 
 DATA = Path(cobord2.__file__).parent / "data"
 
-DIGEST = "8294355a55ab00e3d0c82caa5b13d95920461bb3c5672dd74eb074d4521d2ab2"
+DIGEST = "40b57b1182977a7bca1ebde44bf0506258a12f42e6985b1035a394e9f63c4b25"
 
 _FROZENSET = re.compile(r"frozenset\(\{([^{}]*)\}\)")
 

@@ -1,7 +1,9 @@
 """Each command loads only its own layers: the modules a fresh
 interpreter holds after an import or a whole command, read from
-sys.modules in a subprocess."""
+sys.modules in a subprocess.  And no module of the package reads
+another's underscore names, read from the source's syntax tree."""
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +98,49 @@ def test_functor_eval_loads_neither_numpy_nor_the_oracle(tmp_path):
     assert not numpy_loaded
     assert "cobord2.bisets" not in modules
     assert {"cobord2.cdf", "cobord2.functor"} <= modules
+
+
+def _is_private(name) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(source, own) -> list:
+    """(line, module, name) of each underscore name that the module own,
+    given as source text, reads from another cobord2 module: a
+    from-import of the name, or an attribute of a module it imported.
+    A module itself may be imported by any name, so the package-private
+    _kernel, whose names are public, may be."""
+    tree = ast.parse(source)
+    modules = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cobord2.") and alias.asname:
+                    modules[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cobord2"):
+            for alias in node.names:
+                if node.module == "cobord2":
+                    modules[alias.asname or alias.name] = "cobord2." + alias.name
+                elif node.module != own and _is_private(alias.name):
+                    found.append((node.lineno, node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id, own) != own and _is_private(node.attr)):
+            found.append((node.lineno, modules[node.value.id], node.attr))
+    return found
+
+
+def test_private_reads_finds_both_forms():
+    source = ("from cobord2 import cobordism as cb, _kernel\n"
+              "from cobord2.cdf import ParseError, _lines\n"
+              "cb._compress_chain(_kernel.qmul, cb.__name__)\n")
+    assert private_reads(source, "cobord2.catfile") == [
+        (2, "cobord2.cdf", "_lines"), (3, "cobord2.cobordism", "_compress_chain")]
+
+
+def test_no_module_reads_another_modules_underscore_names():
+    found = {path.name: private_reads(path.read_text(), "cobord2." + path.stem)
+             for path in sorted((SRC / "cobord2").glob("*.py"))}
+    assert {"catfile.py", "cdf.py", "functor.py"} <= found.keys()
+    assert {name: reads for name, reads in found.items() if reads} == {}

@@ -85,7 +85,7 @@ def test_commutator_trivial_cases():
 
 
 def test_commutator_i_j():
-    assert su2.quat_dist(su2.commutator((0, 1, 0, 0), (0, 0, 1, 0)), su2.MINUS_ONE) == 0.0
+    assert su2.quat_dist(su2.commutator((0, 1, 0, 0), (0, 0, 1, 0)), (-1.0, 0.0, 0.0, 0.0)) == 0.0
 
 
 def test_product_associates_on_haar_triples():

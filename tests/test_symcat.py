@@ -1,8 +1,8 @@
 import pytest
 
+from cobord2.cobordism import Circle, SurfComponent
 from cobord2.diagram import Face, StackDiagram, seq_from_items
 from cobord2.symcat import (
-    Component,
     CorrSymbol,
     ExcisionRecord,
     HamInstance,
@@ -19,8 +19,8 @@ from cobord2.symcat import (
 from cobord2.words import Word, gen
 
 
-def comp(genus, left, right):
-    return Component(genus, tuple((l, 1) for l in left), tuple((r, 1) for r in right))
+def comp(genus, into, out):
+    return SurfComponent(genus, tuple(map(Circle, into)), tuple(map(Circle, out)))
 
 
 def N(genus, left, right):
